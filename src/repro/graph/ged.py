@@ -22,7 +22,6 @@ values of Fig. 1 / Table III are integers.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from collections.abc import Hashable
 
@@ -40,6 +39,7 @@ from repro.graph.operations import (
     VertexInsertion,
     VertexRelabeling,
 )
+from repro.graph.pairview import NO_EDGE, CostTables, PairView, assignment_bound
 
 VertexId = Hashable
 
@@ -90,198 +90,228 @@ class GedResult:
         return Interval(lower=max(0.0, min(lower, self.distance)), upper=self.distance)
 
 
-def _multiset_bound(
-    counter1: Counter,
-    counter2: Counter,
-    indel: float,
-    mismatch: float,
-) -> float:
-    """Admissible assignment bound between two label multisets.
+def _df_ged(
+    view: PairView,
+    tables: CostTables,
+    costs: CostModel,
+    upper_bound: float,
+    node_limit: int | None,
+    budget: Budget | None,
+    seed_mapping: dict[VertexId, VertexId | None] | None,
+) -> GedResult:
+    """One depth-first branch-and-bound run over the pair view.
 
-    ``max(n1, n2) - overlap`` elements cannot be matched for free; each costs
-    at least ``min(mismatch, 2 * indel)`` when both sides still have stock,
-    and the size difference costs ``indel`` each.
+    ``g1`` vertices are re-indexed by search level (high degree first,
+    ``repr`` breaking ties) so "already processed" is simply "index below
+    the current level"; ``g2`` keeps its insertion indices plus the pseudo
+    index ``n2`` for "deleted", whose adjacency row is all :data:`NO_EDGE`.
+
+    The admissible bound — vertex-label and open-edge-label multisets of
+    the unprocessed part of both graphs — is kept as label counts plus
+    their running overlap, adjusted when a vertex is pushed or popped
+    instead of recounted per node. It only exists for the uniform model;
+    other models search with a remaining bound of 0.
     """
-    n1, n2 = sum(counter1.values()), sum(counter2.values())
-    overlap = sum((counter1 & counter2).values())
-    paired_mismatches = min(n1, n2) - overlap
-    return abs(n1 - n2) * indel + paired_mismatches * min(mismatch, 2.0 * indel)
+    side1, side2 = view.side1, view.side2
+    n1, n2 = len(side1.ids), len(side2.ids)
+    order = sorted(
+        range(n1), key=lambda i: (-len(side1.neighbors[i]), side1.rank[i])
+    )
+    labels1 = [side1.labels[u] for u in order]
+    labels2 = side2.labels
+    rows1 = [[side1.rows[u][p] for p in order] for u in order]
+    rows2 = [row + [NO_EDGE] for row in side2.rows]
+    rows2.append([NO_EDGE] * (n2 + 1))
+    masks2 = side2.masks
+    vertex_sub, vertex_del = tables.vertex_sub, tables.vertex_del
+    edge_cost = tables.edge
+    # Siblings are tried by (cost, repr of the image); "deleted" is the
+    # image None, whose repr sorts among the vertex ids like any other.
+    targets = side2.ids + [DELETED]
+    image_rank = [0] * (n2 + 1)
+    for position, j in enumerate(sorted(range(n2 + 1), key=lambda j: repr(targets[j]))):
+        image_rank[j] = position
+    # Inserting what is left of g2: vertices in insertion order, then
+    # edges in edges() order (the float sums must associate as before).
+    vertex_ins = [tables.vertex_ins[label] for label in labels2]
+    edge_ins = [
+        ((1 << a) | (1 << b), edge_cost[NO_EDGE][label])
+        for a, b, label in side2.edges
+    ]
 
+    uniform = isinstance(costs, UniformCostModel)
+    if uniform:
+        indel, mismatch = costs.indel_cost, costs.mismatch_cost
+        # Label counts of the unprocessed vertices / still-open edges of
+        # each graph; ``overlap`` is the size of their multiset
+        # intersection, kept current through every +-1.
+        vertex_count1 = [0] * len(view.vertex_labels)
+        vertex_count2 = [0] * len(view.vertex_labels)
+        for label in labels1:
+            vertex_count1[label] += 1
+        for label in labels2:
+            vertex_count2[label] += 1
+        edge_count1 = [0] * len(view.edge_labels)
+        edge_count2 = [0] * len(view.edge_labels)
+        for _, _, label in side1.edges:
+            edge_count1[label] += 1
+        for _, _, label in side2.edges:
+            edge_count2[label] += 1
+        vertex_overlap = sum(map(min, vertex_count1, vertex_count2))
+        edge_overlap = sum(map(min, edge_count1, edge_count2))
+        # g1 edges that close when the level-k vertex is processed.
+        closing1 = [[label for label in rows1[k][:k] if label] for k in range(n1)]
+    open_edges1, open_edges2 = len(side1.edges), len(side2.edges)
 
-class _DfGed:
-    """One depth-first branch-and-bound run."""
+    image = [n2] * n1
+    used = 0
+    n_used = 0
+    expanded = 0
+    truncated = False
+    # Best admissible bound over states the truncation abandoned: the
+    # certified lower-bound side of the returned interval.
+    abandoned_min = float("inf")
+    best = upper_bound
+    best_image: list[int] | None = None
 
-    def __init__(
-        self,
-        g1: LabeledGraph,
-        g2: LabeledGraph,
-        costs: CostModel,
-        upper_bound: float | None,
-        node_limit: int | None,
-        budget: Budget | None = None,
-        seed_mapping: dict[VertexId, VertexId | None] | None = None,
-    ) -> None:
-        self.g1 = g1
-        self.g2 = g2
-        self.costs = costs
-        self.node_limit = node_limit
-        self.budget = budget
-        self.expanded = 0
-        # Process high-degree vertices first: their edge costs are decided
-        # early, which tightens pruning.
-        self.order = sorted(
-            g1.vertices(), key=lambda v: (-g1.degree(v), repr(v))
-        )
-        self.g2_vertices = list(g2.vertices())
-        self.best = float("inf") if upper_bound is None else float(upper_bound)
-        self.best_mapping: dict[VertexId, VertexId | None] = {}
-        self.realized = False
-        if seed_mapping is not None:
-            # The incumbent is a real complete assignment (bipartite or
-            # full-rewrite seed), not just a numeric cap: a truncated run
-            # can hand it back as a realised solution.
-            self.best_mapping = dict(seed_mapping)
-            self.realized = True
-        self.uniform = isinstance(costs, UniformCostModel)
-        self.truncated = False
-        # Best admissible bound over states the truncation abandoned: the
-        # certified lower-bound side of the returned interval.
-        self.abandoned_min = float("inf")
-
-    # -- lower bound ----------------------------------------------------
-    def _remaining_bound(self, level: int, used: set[VertexId]) -> float:
-        if not self.uniform:
+    def remaining(level: int) -> float:
+        if not uniform:
             return 0.0
-        indel = self.costs.indel_cost
-        mismatch = self.costs.mismatch_cost
-        rem1 = Counter(self.g1.vertex_label(v) for v in self.order[level:])
-        rem2 = Counter(
-            self.g2.vertex_label(w) for w in self.g2_vertices if w not in used
-        )
-        bound = _multiset_bound(rem1, rem2, indel, mismatch)
-        processed = set(self.order[:level])
-        open1 = Counter(
-            label
-            for u, v, label in self.g1.edges()
-            if u not in processed or v not in processed
-        )
-        open2 = Counter(
-            label
-            for u, v, label in self.g2.edges()
-            if u not in used or v not in used
-        )
-        return bound + _multiset_bound(open1, open2, indel, mismatch)
+        return assignment_bound(
+            n1 - level, n2 - n_used, vertex_overlap, indel, mismatch
+        ) + assignment_bound(open_edges1, open_edges2, edge_overlap, indel, mismatch)
 
-    # -- incremental edge costs ------------------------------------------
-    def _substitution_cost(
-        self,
-        u: VertexId,
-        w: VertexId,
-        mapping: dict[VertexId, VertexId | None],
-    ) -> float:
-        cost = self.costs.vertex_substitution(
-            self.g1.vertex_label(u), self.g2.vertex_label(w)
-        )
-        for prev, image in mapping.items():
-            edge1 = self.g1.has_edge(u, prev)
-            edge2 = image is not DELETED and self.g2.has_edge(w, image)
-            if edge1 and edge2:
-                cost += self.costs.edge_substitution(
-                    self.g1.edge_label(u, prev), self.g2.edge_label(w, image)
-                )
-            elif edge1:
-                cost += self.costs.edge_deletion(self.g1.edge_label(u, prev))
-            elif edge2:
-                cost += self.costs.edge_insertion(self.g2.edge_label(w, image))
-        return cost
-
-    def _deletion_cost(
-        self, u: VertexId, mapping: dict[VertexId, VertexId | None]
-    ) -> float:
-        cost = self.costs.vertex_deletion(self.g1.vertex_label(u))
-        for prev in mapping:
-            if self.g1.has_edge(u, prev):
-                cost += self.costs.edge_deletion(self.g1.edge_label(u, prev))
-        return cost
-
-    def _completion_cost(self, used: set[VertexId]) -> float:
-        """Insert the untouched part of ``g2``."""
-        cost = 0.0
-        for w in self.g2_vertices:
-            if w not in used:
-                cost += self.costs.vertex_insertion(self.g2.vertex_label(w))
-        for a, b, label in self.g2.edges():
-            if a not in used or b not in used:
-                cost += self.costs.edge_insertion(label)
-        return cost
-
-    # -- search -----------------------------------------------------------
-    def _exhausted(self) -> bool:
-        if self.node_limit is not None and self.expanded >= self.node_limit:
-            return True
-        return self.budget is not None and self.budget.exhausted(self.expanded)
-
-    def run(self) -> GedResult:
-        self._extend(0, {}, set(), 0.0)
-        if self.truncated:
-            lower = min(self.best, self.abandoned_min)
-        else:
-            lower = self.best
-        return GedResult(
-            distance=self.best,
-            mapping=dict(self.best_mapping),
-            optimal=not self.truncated,
-            expanded_nodes=self.expanded,
-            lower_bound=max(0.0, lower),
-            found=self.realized,
-        )
-
-    def _extend(
-        self,
-        level: int,
-        mapping: dict[VertexId, VertexId | None],
-        used: set[VertexId],
-        cost_so_far: float,
-    ) -> None:
-        if self.truncated or self._exhausted():
-            self.truncated = True
-            bound = cost_so_far + self._remaining_bound(level, used)
-            if bound < self.abandoned_min:
-                self.abandoned_min = bound
+    def extend(level: int, cost_so_far: float) -> None:
+        nonlocal expanded, truncated, abandoned_min, best, best_image
+        nonlocal used, n_used, vertex_overlap, edge_overlap, open_edges1, open_edges2
+        if (
+            truncated
+            or (node_limit is not None and expanded >= node_limit)
+            or (budget is not None and budget.exhausted(expanded))
+        ):
+            truncated = True
+            bound = cost_so_far + remaining(level)
+            if bound < abandoned_min:
+                abandoned_min = bound
             return
-        self.expanded += 1
-        if level == len(self.order):
-            total = cost_so_far + self._completion_cost(used)
-            if total < self.best:
-                self.best = total
-                self.best_mapping = dict(mapping)
-                self.realized = True
+        expanded += 1
+        if level == n1:
+            completion = 0.0
+            for w in range(n2):
+                if not used >> w & 1:
+                    completion += vertex_ins[w]
+            for ends, price in edge_ins:
+                if used & ends != ends:
+                    completion += price
+            total = cost_so_far + completion
+            if total < best:
+                best = total
+                best_image = image[:]
             return
-        if cost_so_far + self._remaining_bound(level, used) >= self.best:
+        if cost_so_far + remaining(level) >= best:
             return
-        u = self.order[level]
-        branches: list[tuple[float, VertexId | None]] = []
-        for w in self.g2_vertices:
-            if w not in used:
-                branches.append((self._substitution_cost(u, w, mapping), w))
-        branches.append((self._deletion_cost(u, mapping), DELETED))
-        branches.sort(key=lambda item: (item[0], repr(item[1])))
-        for step_cost, w in branches:
+        label = labels1[level]
+        # Edge-cost rows of this vertex's edges to each processed vertex,
+        # beside that vertex's image: shared by every branch below.
+        processed = [
+            (edge_cost[edge], image[k]) for k, edge in enumerate(rows1[level][:level])
+        ]
+        sub_row = vertex_sub[label]
+        branches = []
+        for w in range(n2):
+            if not used >> w & 1:
+                cost = sub_row[labels2[w]]
+                row2 = rows2[w]
+                for prices, x in processed:
+                    cost += prices[row2[x]]
+                branches.append((cost, image_rank[w], w))
+        cost = vertex_del[label]
+        for prices, _ in processed:
+            cost += prices[NO_EDGE]
+        branches.append((cost, image_rank[n2], n2))
+        branches.sort()
+        if uniform:
+            # Overlaps are plain ints: leaving a vertex restores them from
+            # copies, and only the count lists are stepped back.
+            overlaps = vertex_overlap, edge_overlap
+            # The g1 side of the bound depends on the level only: advance
+            # it once for all branches.
+            if vertex_count1[label] <= vertex_count2[label]:
+                vertex_overlap -= 1
+            vertex_count1[label] -= 1
+            for edge in closing1[level]:
+                if edge_count1[edge] <= edge_count2[edge]:
+                    edge_overlap -= 1
+                edge_count1[edge] -= 1
+            open_edges1 -= len(closing1[level])
+            advanced = vertex_overlap, edge_overlap
+        for step_cost, _, w in branches:
             new_cost = cost_so_far + step_cost
-            if new_cost >= self.best:
+            if new_cost >= best:
                 continue
-            mapping[u] = w
-            if w is not DELETED:
-                used.add(w)
-            self._extend(level + 1, mapping, used, new_cost)
-            if w is not DELETED:
-                used.discard(w)
-            del mapping[u]
+            image[level] = w
+            if w == n2:
+                extend(level + 1, new_cost)
+                continue
+            if uniform:
+                label2 = labels2[w]
+                if vertex_count2[label2] <= vertex_count1[label2]:
+                    vertex_overlap -= 1
+                vertex_count2[label2] -= 1
+                # g2 edges between w and the used vertices close.
+                row2 = rows2[w]
+                closing = masks2[w] & used
+                closed = []
+                while closing:
+                    low = closing & -closing
+                    closing ^= low
+                    edge = row2[low.bit_length() - 1]
+                    closed.append(edge)
+                    if edge_count2[edge] <= edge_count1[edge]:
+                        edge_overlap -= 1
+                    edge_count2[edge] -= 1
+                open_edges2 -= len(closed)
+            used |= 1 << w
+            n_used += 1
+            extend(level + 1, new_cost)
+            n_used -= 1
+            used ^= 1 << w
+            if uniform:
+                vertex_count2[label2] += 1
+                for edge in closed:
+                    edge_count2[edge] += 1
+                open_edges2 += len(closed)
+                vertex_overlap, edge_overlap = advanced
+        if uniform:
+            vertex_count1[label] += 1
+            for edge in closing1[level]:
+                edge_count1[edge] += 1
+            open_edges1 += len(closing1[level])
+            vertex_overlap, edge_overlap = overlaps
+
+    extend(0, 0.0)
+    if best_image is not None:
+        mapping = {
+            side1.ids[u]: targets[w] for u, w in zip(order, best_image)
+        }
+    else:
+        # Nothing beat the incumbent: hand back the seed assignment (a
+        # real complete mapping) or, under a bare numeric cap, nothing.
+        mapping = dict(seed_mapping or {})
+    lower = min(best, abandoned_min) if truncated else best
+    return GedResult(
+        distance=best,
+        mapping=mapping,
+        optimal=not truncated,
+        expanded_nodes=expanded,
+        lower_bound=max(0.0, lower),
+        found=best_image is not None or seed_mapping is not None,
+    )
 
 
 def _seed_incumbent(
-    g1: LabeledGraph,
-    g2: LabeledGraph,
+    view: PairView,
+    tables: CostTables,
     costs: CostModel,
 ) -> tuple[float, dict[VertexId, VertexId | None]]:
     """A finite *realised* incumbent for any cost model.
@@ -296,14 +326,15 @@ def _seed_incumbent(
     """
     # Local import: ged_approx builds on the same cost models but must
     # stay importable without the exact solver.
-    from repro.graph.ged_approx import bipartite_ged, induced_edit_cost
+    from repro.graph.ged_approx import _bipartite_estimate, _induced_cost
 
     try:
-        estimate = bipartite_ged(g1, g2, costs=costs)
+        estimate = _bipartite_estimate(view, tables, costs)
         return estimate.distance, estimate.mapping
     except ImportError:  # no scipy/numpy: worst-case full rewrite
-        mapping = {v: DELETED for v in g1.vertices()}
-        return induced_edit_cost(g1, g2, mapping, costs), mapping
+        ids1, n2 = view.side1.ids, len(view.side2.ids)
+        mapping = {v: DELETED for v in ids1}
+        return _induced_cost(view, tables, [n2] * len(ids1)), mapping
 
 
 def graph_edit_distance(
@@ -313,6 +344,8 @@ def graph_edit_distance(
     upper_bound: float | None = None,
     node_limit: int | None = None,
     budget: Budget | None = None,
+    *,
+    _view: PairView | None = None,
 ) -> GedResult:
     """Exact ``DistEd(g1, g2)`` with the realising vertex mapping.
 
@@ -333,16 +366,23 @@ def graph_edit_distance(
         Optional :class:`~repro.graph.budget.Budget` (wall clock and/or
         expansions) checked inside the expansion loop; exhaustion
         truncates exactly like ``node_limit``.
+
+    ``_view`` is internal: :class:`~repro.measures.base.PairContext` hands
+    over the pair view it already built for ``(g1, g2)``; bare calls build
+    their own.
     """
+    view = PairView(g1, g2) if _view is None else _view
+    tables = CostTables(view, costs)
     seed_mapping = None
     seed = upper_bound
     if seed is None:
-        seed_cost, seed_mapping = _seed_incumbent(g1, g2, costs)
+        seed_cost, seed_mapping = _seed_incumbent(view, tables, costs)
         # Tiny epsilon: the search may re-find an equal-cost complete
         # mapping and record it (pruning uses >= best).
         seed = seed_cost + 1e-9
-    search = _DfGed(g1, g2, costs, seed, node_limit, budget, seed_mapping)
-    result = search.run()
+    result = _df_ged(
+        view, tables, costs, float(seed), node_limit, budget, seed_mapping
+    )
     if result.distance == float("inf") and result.optimal:
         # Only reachable with a caller-supplied infinite upper bound on a
         # completed search — kept as a defensive invariant.

@@ -28,6 +28,13 @@ from collections.abc import Hashable
 
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.operations import CostModel, UNIFORM_COSTS, UniformCostModel
+from repro.graph.pairview import (
+    NO_EDGE,
+    CostTables,
+    GraphSide,
+    PairView,
+    assignment_bound,
+)
 
 VertexId = Hashable
 
@@ -56,37 +63,59 @@ def induced_edit_cost(
     upper bound on the true edit distance for any mapping, and equals it
     for an optimal one.
     """
-    images = {w for w in mapping.values() if w is not DELETED}
+    view = PairView(g1, g2)
+    index2, deleted = view.side2.index, len(view.side2.ids)
+    image = [
+        deleted if mapping[u] is DELETED else index2[mapping[u]]
+        for u in view.side1.ids
+    ]
+    return _induced_cost(view, CostTables(view, costs), image)
+
+
+def _induced_cost(view: PairView, tables: CostTables, image: list[int]) -> float:
+    """:func:`induced_edit_cost` over a pair view.
+
+    ``image[u]`` is the ``g2`` index of ``g1`` vertex ``u``, or ``n2`` for
+    a deletion. Terms are summed in the order the definition lists them
+    (vertices, ``g1`` edges, ``g2`` edges), so the value is reproducible
+    to the last bit whatever the prices.
+    """
+    side1, side2 = view.side1, view.side2
+    deleted = len(side2.ids)
+    edge = tables.edge
     cost = 0.0
-    for u in g1.vertices():
-        w = mapping[u]
-        if w is DELETED:
-            cost += costs.vertex_deletion(g1.vertex_label(u))
+    preimage: dict[int, int] = {}
+    for u, w in enumerate(image):
+        if w == deleted:
+            cost += tables.vertex_del[side1.labels[u]]
         else:
-            cost += costs.vertex_substitution(g1.vertex_label(u), g2.vertex_label(w))
-    for w in g2.vertices():
-        if w not in images:
-            cost += costs.vertex_insertion(g2.vertex_label(w))
-    for u, v, label in g1.edges():
-        u_img, v_img = mapping[u], mapping[v]
-        if u_img is not DELETED and v_img is not DELETED and g2.has_edge(u_img, v_img):
-            cost += costs.edge_substitution(label, g2.edge_label(u_img, v_img))
-        else:
-            cost += costs.edge_deletion(label)
-    reverse = {w: u for u, w in mapping.items() if w is not DELETED}
-    for a, b, label in g2.edges():
-        u, v = reverse.get(a), reverse.get(b)
-        if u is None or v is None or not g1.has_edge(u, v):
-            cost += costs.edge_insertion(label)
+            cost += tables.vertex_sub[side1.labels[u]][side2.labels[w]]
+            preimage[w] = u
+    for w, label in enumerate(side2.labels):
+        if w not in preimage:
+            cost += tables.vertex_ins[label]
+    for u, v, label in side1.edges:
+        a, b = image[u], image[v]
+        kept = NO_EDGE if a == deleted or b == deleted else side2.rows[a][b]
+        cost += edge[label][kept]  # a substitution, or a deletion when not kept
+    for a, b, label in side2.edges:
+        u, v = preimage.get(a), preimage.get(b)
+        if u is None or v is None or side1.rows[u][v] == NO_EDGE:
+            cost += edge[NO_EDGE][label]
     return cost
 
 
-def _multiset_bound(
+def multiset_bound(
     counter1: Counter, counter2: Counter, indel: float, mismatch: float
 ) -> float:
-    n1, n2 = sum(counter1.values()), sum(counter2.values())
-    overlap = sum((counter1 & counter2).values())
-    return abs(n1 - n2) * indel + (min(n1, n2) - overlap) * min(mismatch, 2.0 * indel)
+    """:func:`~repro.graph.pairview.assignment_bound` of two label multisets."""
+    return assignment_bound(
+        sum(counter1.values()),
+        sum(counter2.values()),
+        sum((counter1 & counter2).values()),
+        indel,
+        mismatch,
+    )
 
 
 def ged_lower_bound(
@@ -101,25 +130,19 @@ def ged_lower_bound(
     """
     if not isinstance(costs, UniformCostModel):
         return 0.0
-    vertex_part = _multiset_bound(
+    vertex_part = multiset_bound(
         g1.vertex_label_multiset(),
         g2.vertex_label_multiset(),
         costs.indel_cost,
         costs.mismatch_cost,
     )
-    edge_part = _multiset_bound(
+    edge_part = multiset_bound(
         g1.edge_label_multiset(),
         g2.edge_label_multiset(),
         costs.indel_cost,
         costs.mismatch_cost,
     )
     return vertex_part + edge_part
-
-
-def _neighborhood_counter(graph: LabeledGraph, vertex: VertexId) -> Counter:
-    return Counter(
-        graph.edge_label(vertex, neighbor) for neighbor in graph.neighbors(vertex)
-    )
 
 
 def bipartite_ged(
@@ -134,45 +157,71 @@ def bipartite_ged(
     adds a multiset estimate of incident-edge costs, solves one linear
     assignment problem, and prices the resulting complete mapping exactly.
     """
+    view = PairView(g1, g2)
+    return _bipartite_estimate(view, CostTables(view, costs), costs)
+
+
+def _incident_labels(side: GraphSide) -> list[dict[int, int]]:
+    """Per vertex: ``edge-label id -> count`` over its incident edges,
+    keyed in adjacency order (the order the sums below associate in)."""
+    incident = []
+    for row, adjacent in zip(side.rows, side.neighbors):
+        counts: dict[int, int] = {}
+        for j in adjacent:
+            counts[row[j]] = counts.get(row[j], 0) + 1
+        incident.append(counts)
+    return incident
+
+
+def _bipartite_estimate(
+    view: PairView, tables: CostTables, costs: CostModel
+) -> GedEstimate:
+    """:func:`bipartite_ged` over a pair view (the exact solver's seed)."""
     import numpy
     from scipy.optimize import linear_sum_assignment
 
-    v1 = list(g1.vertices())
-    v2 = list(g2.vertices())
-    n1, n2 = len(v1), len(v2)
+    side1, side2 = view.side1, view.side2
+    n1, n2 = len(side1.ids), len(side2.ids)
     size = n1 + n2
     if size == 0:
         return GedEstimate(0.0, {})
-    big = 1e9
-    matrix = numpy.full((size, size), big)
     if isinstance(costs, UniformCostModel):
         indel, mismatch = costs.indel_cost, costs.mismatch_cost
     else:  # conservative generic estimates for the edge term
         indel, mismatch = 1.0, 1.0
-    nbrs1 = {u: _neighborhood_counter(g1, u) for u in v1}
-    nbrs2 = {w: _neighborhood_counter(g2, w) for w in v2}
-    for i, u in enumerate(v1):
-        for j, w in enumerate(v2):
-            edge_term = _multiset_bound(nbrs1[u], nbrs2[w], indel, mismatch) / 2.0
-            matrix[i, j] = (
-                costs.vertex_substitution(g1.vertex_label(u), g2.vertex_label(w))
-                + edge_term
-            )
-    for i, u in enumerate(v1):
-        matrix[i, n2 + i] = costs.vertex_deletion(g1.vertex_label(u)) + sum(
-            costs.edge_deletion(label) for label in nbrs1[u].elements()
+    edge = tables.edge
+    incident1, incident2 = _incident_labels(side1), _incident_labels(side2)
+    big = 1e9
+    matrix = [[big] * size for _ in range(n1)]
+    matrix += [[big] * n2 + [0.0] * n1 for _ in range(n2)]
+    for i, counts1 in enumerate(incident1):
+        row = matrix[i]
+        substitution = tables.vertex_sub[side1.labels[i]]
+        degree = len(side1.neighbors[i])
+        for j, counts2 in enumerate(incident2):
+            overlap = 0
+            for label, count in counts1.items():
+                other = counts2.get(label, 0)
+                overlap += count if count < other else other
+            edge_term = assignment_bound(
+                degree, len(side2.neighbors[j]), overlap, indel, mismatch
+            ) / 2.0
+            row[j] = substitution[side2.labels[j]] + edge_term
+        row[n2 + i] = tables.vertex_del[side1.labels[i]] + sum(
+            edge[label][NO_EDGE] for label, count in counts1.items() for _ in range(count)
         ) / 2.0
-    for j, w in enumerate(v2):
-        matrix[n1 + j, j] = costs.vertex_insertion(g2.vertex_label(w)) + sum(
-            costs.edge_insertion(label) for label in nbrs2[w].elements()
+    for j, counts2 in enumerate(incident2):
+        matrix[n1 + j][j] = tables.vertex_ins[side2.labels[j]] + sum(
+            edge[NO_EDGE][label] for label, count in counts2.items() for _ in range(count)
         ) / 2.0
-    matrix[n1:, n2:] = 0.0
-    rows, cols = linear_sum_assignment(matrix)
-    mapping: dict[VertexId, VertexId | None] = {}
-    for i, j in zip(rows, cols):
-        if i < n1:
-            mapping[v1[i]] = v2[j] if j < n2 else DELETED
-    return GedEstimate(induced_edit_cost(g1, g2, mapping, costs), mapping)
+    rows, cols = linear_sum_assignment(numpy.array(matrix))
+    image = [n2] * n1
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if i < n1 and j < n2:
+            image[i] = j
+    targets = side2.ids + [DELETED]
+    mapping = {u: targets[w] for u, w in zip(side1.ids, image)}
+    return GedEstimate(_induced_cost(view, tables, image), mapping)
 
 
 def beam_ged(

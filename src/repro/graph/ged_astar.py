@@ -19,7 +19,8 @@ from collections import Counter
 from collections.abc import Hashable
 
 from repro.graph.budget import Budget
-from repro.graph.ged import DELETED, GedResult, _multiset_bound
+from repro.graph.ged import DELETED, GedResult
+from repro.graph.ged_approx import multiset_bound
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.operations import CostModel, UNIFORM_COSTS, UniformCostModel
 
@@ -57,7 +58,7 @@ class _AStarGed:
         rem2 = Counter(
             self.g2.vertex_label(w) for w in self.g2_vertices if w not in used
         )
-        bound = _multiset_bound(rem1, rem2, indel, mismatch)
+        bound = multiset_bound(rem1, rem2, indel, mismatch)
         processed = set(self.order[:level])
         open1 = Counter(
             label
@@ -69,7 +70,7 @@ class _AStarGed:
             for u, v, label in self.g2.edges()
             if u not in used or v not in used
         )
-        return bound + _multiset_bound(open1, open2, indel, mismatch)
+        return bound + multiset_bound(open1, open2, indel, mismatch)
 
     def _step_cost(
         self,

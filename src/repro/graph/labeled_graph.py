@@ -246,13 +246,16 @@ class LabeledGraph:
 
     def edges(self) -> Iterator[tuple[VertexId, VertexId, Label]]:
         """Iterate over edges as ``(u, v, label)`` with a canonical endpoint order."""
-        seen: set[tuple[VertexId, VertexId]] = set()
+        # An edge is yielded from whichever endpoint comes first in vertex
+        # order; by the time the other endpoint is reached, the first is
+        # finished, so each edge is keyed exactly once.
+        finished: set[VertexId] = set()
         for u, nbrs in self._adjacency.items():
             for v, label in nbrs.items():
-                key = edge_key(u, v)
-                if key not in seen:
-                    seen.add(key)
-                    yield (key[0], key[1], label)
+                if v not in finished:
+                    first, second = edge_key(u, v)
+                    yield (first, second, label)
+            finished.add(u)
 
     def edge_set(self) -> set[tuple[VertexId, VertexId]]:
         """The set of edges as canonical ``(u, v)`` pairs (labels dropped)."""

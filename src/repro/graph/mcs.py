@@ -32,6 +32,7 @@ from collections.abc import Hashable
 
 from repro.graph.budget import Budget
 from repro.graph.labeled_graph import LabeledGraph, edge_key
+from repro.graph.pairview import PairView
 
 VertexId = Hashable
 
@@ -91,191 +92,208 @@ class McsResult:
         return sub
 
 
-def _compatible(g1: LabeledGraph, g2: LabeledGraph, v: VertexId, w: VertexId) -> bool:
-    return g1.vertex_label(v) == g2.vertex_label(w)
+def _mcgregor(
+    view: PairView,
+    objective: str,
+    budget: Budget | None,
+    initial_best_edges: int | None,
+) -> McsResult:
+    """One McGregor branch-and-bound run over the pair view.
 
+    Both graphs are re-indexed by ``repr`` rank, the order every tie is
+    broken in: walking the set bits of a mask upwards then visits vertices
+    in exactly that order, and the seed-symmetry rule ("vertices before
+    the seed are forbidden") is the mask of the lower bits. A state is the
+    image list plus a handful of masks and counters handed down the
+    recursion, so the optimistic bounds — available edges on either side,
+    open vertices — are adjusted per push rather than recounted per node.
+    """
+    side1, side2 = view.side1, view.side2
+    n1, n2 = len(side1.ids), len(side2.ids)
+    by_rank1 = sorted(range(n1), key=side1.rank.__getitem__)
+    by_rank2 = sorted(range(n2), key=side2.rank.__getitem__)
+    rows1 = [[side1.rows[u][v] for v in by_rank1] for u in by_rank1]
+    masks1 = [sum(1 << side1.rank[v] for v in side1.neighbors[u]) for u in by_rank1]
+    masks2 = [sum(1 << side2.rank[x] for x in side2.neighbors[w]) for w in by_rank2]
+    # Images a g1 vertex may take: the g2 vertices carrying its label.
+    same_label: dict[int, int] = {}
+    for w in by_rank2:
+        label = side2.labels[w]
+        same_label[label] = same_label.get(label, 0) | 1 << side2.rank[w]
+    compatible = [same_label.get(side1.labels[u], 0) for u in by_rank1]
+    # by_label2[x][l]: the neighbours of g2 vertex x across an l-labelled edge.
+    by_label2 = [[0] * len(view.edge_labels) for _ in range(n2)]
+    for a, b, label in side2.edges:
+        a, b = side2.rank[a], side2.rank[b]
+        by_label2[a][label] |= 1 << b
+        by_label2[b][label] |= 1 << a
+    # One bit per g1 edge: a matched-edge set is an int.
+    edge_bit = [[0] * n1 for _ in range(n1)]
+    for number, (u, v, _) in enumerate(side1.edges):
+        u, v = side1.rank[u], side1.rank[v]
+        edge_bit[u][v] = edge_bit[v][u] = 1 << number
+    size1, size2 = len(side1.edges), len(side2.edges)
+    # A partial mapping as one int, (image + 1) in a fixed-width field
+    # per g1 vertex: the memo key for visited states.
+    width = (n2 + 1).bit_length()
 
-def _edge_compatible(
-    g1: LabeledGraph,
-    g2: LabeledGraph,
-    u: VertexId,
-    v: VertexId,
-    fu: VertexId,
-    fv: VertexId,
-) -> bool:
-    return (
-        g1.has_edge(u, v)
-        and g2.has_edge(fu, fv)
-        and g1.edge_label(u, v) == g2.edge_label(fu, fv)
-    )
+    edges_first = objective == "edges"
+    expanded = 0
+    truncated = False
+    # Best optimistic edge bound over states the truncation abandoned;
+    # together with the incumbent it certifies ``size_upper``.
+    abandoned_edges = 0
+    best_edges = -1
+    best_order = 0
+    if initial_best_edges is not None and edges_first:
+        # Refinement re-runs seed the incumbent size from the previous
+        # truncated pass so pruning starts tight immediately.
+        best_edges = initial_best_edges
+    best_path: list[tuple[int, int]] = []
+    best_matched = 0
+    visited: set[int] = set()
+    image = [0] * n1
+    path: list[tuple[int, int]] = []
+    forbidden = 0
 
+    def record(matched: int) -> None:
+        nonlocal best_edges, best_order, best_path, best_matched
+        n_matched, order = matched.bit_count(), len(path)
+        if edges_first:
+            better = (n_matched, order) > (best_edges, best_order)
+        else:
+            better = (order, n_matched) > (best_order, best_edges)
+        if better:
+            best_edges, best_order = n_matched, order
+            best_path = path[:]
+            best_matched = matched
 
-class _McsSearch:
-    """One branch-and-bound run over a fixed seed order."""
-
-    def __init__(
-        self,
-        g1: LabeledGraph,
-        g2: LabeledGraph,
-        objective: str,
-        budget: Budget | None = None,
-        initial_best_edges: int | None = None,
+    def extend(
+        mapped: int,
+        used: int,
+        reach: int,
+        matched: int,
+        available1: int,
+        available2: int,
+        key: int,
     ) -> None:
-        self.g1 = g1
-        self.g2 = g2
-        self.objective = objective
-        self.budget = budget
-        self.expanded = 0
-        self.truncated = False
-        # Best optimistic edge bound over states the truncation abandoned;
-        # together with the incumbent it certifies ``size_upper``.
-        self.abandoned_edges = 0
-        self.best_edges = -1
-        self.best_order = 0
-        if initial_best_edges is not None and objective == "edges":
-            # Refinement re-runs seed the incumbent size from the previous
-            # truncated pass so pruning starts tight immediately.
-            self.best_edges = initial_best_edges
-        self.best_mapping: dict[VertexId, VertexId] = {}
-        self.best_matched: frozenset = frozenset()
-        # Deterministic vertex order for seed symmetry breaking.
-        self.g1_order = {v: i for i, v in enumerate(sorted(g1.vertices(), key=repr))}
-
-    # -- scoring -------------------------------------------------------
-    def _better(self, edges: int, order: int) -> bool:
-        if self.objective == "edges":
-            return (edges, order) > (self.best_edges, self.best_order)
-        return (order, edges) > (self.best_order, self.best_edges)
-
-    def _record(self, mapping: dict, matched: set) -> None:
-        edges, order = len(matched), len(mapping)
-        if self._better(edges, order):
-            self.best_edges = edges
-            self.best_order = order
-            self.best_mapping = dict(mapping)
-            self.best_matched = frozenset(matched)
-
-    # -- bounding ------------------------------------------------------
-    def _upper_bound(self, mapping: dict, matched: set, forbidden: set) -> tuple[int, int]:
-        """Optimistic (edges, vertices) reachable from this state."""
-        used_images = set(mapping.values())
-        avail1 = 0
-        for u, v, _ in self.g1.edges():
-            if edge_key(u, v) in matched:
-                continue
-            u_open = u not in mapping and u not in forbidden
-            v_open = v not in mapping and v not in forbidden
-            if u_open or v_open:
-                avail1 += 1
-        avail2 = sum(
-            1
-            for a, b, _ in self.g2.edges()
-            if a not in used_images or b not in used_images
-        )
-        edge_bound = len(matched) + min(avail1, avail2)
-        open_vertices = sum(
-            1
-            for v in self.g1.vertices()
-            if v not in mapping and v not in forbidden
-        )
-        vertex_bound = len(mapping) + min(
-            open_vertices, self.g2.order - len(used_images)
-        )
-        return edge_bound, vertex_bound
-
-    def _prunable(self, mapping: dict, matched: set, forbidden: set) -> bool:
-        edge_bound, vertex_bound = self._upper_bound(mapping, matched, forbidden)
-        if self.objective == "edges":
-            return (edge_bound, vertex_bound) <= (self.best_edges, self.best_order)
-        return (vertex_bound, edge_bound) <= (self.best_order, self.best_edges)
-
-    # -- search --------------------------------------------------------
-    def _exhausted(self) -> bool:
-        return self.budget is not None and self.budget.exhausted(self.expanded)
-
-    def run(self) -> McsResult:
-        self._record({}, set())
-        self._visited: set[frozenset] = set()
-        seeds = sorted(self.g1.vertices(), key=lambda v: self.g1_order[v])
-        for v0 in seeds:
-            if self.truncated or self._exhausted():
-                # Remaining seeds were never explored: only the global
-                # bound min(|g1|, |g2|) covers them.
-                self.truncated = True
-                self.abandoned_edges = max(
-                    self.abandoned_edges, min(self.g1.size, self.g2.size)
-                )
-                break
-            # Seed symmetry breaking: the subgraph's first vertex in the
-            # fixed order is its seed, so earlier vertices are excluded.
-            forbidden = {v for v in seeds if self.g1_order[v] < self.g1_order[v0]}
-            for w0 in self.g2.vertices():
-                if _compatible(self.g1, self.g2, v0, w0):
-                    self._extend({v0: w0}, set(), forbidden)
-        upper = None
-        if self.truncated:
-            upper = max(self.best_edges, self.abandoned_edges, 0)
-        return McsResult(
-            self.best_mapping,
-            self.best_matched,
-            optimal=not self.truncated,
-            size_upper=upper,
-        )
-
-    def _attachable(self, mapping: dict, forbidden: set) -> list[VertexId]:
-        """Unmapped g1 vertices adjacent to the mapped part, deterministic order."""
-        frontier = {
-            n
-            for v in mapping
-            for n in self.g1.neighbors(v)
-            if n not in mapping and n not in forbidden
-        }
-        return sorted(frontier, key=lambda v: self.g1_order[v])
-
-    def _extend(self, mapping: dict, matched: set, forbidden: set) -> None:
         # Branch over *every* feasible (vertex, image) extension: a vertex
         # with no feasible image now may gain one once more of the subgraph
         # is mapped, so single-vertex branching with a permanent exclusion
         # branch would be incomplete. Memoising visited partial mappings
         # removes the duplicate orderings this enumeration creates.
-        if self.truncated or self._exhausted():
+        nonlocal expanded, truncated, abandoned_edges
+        edge_bound = matched.bit_count() + min(available1, available2)
+        if truncated or (budget is not None and budget.exhausted(expanded)):
             # Record the state as a (realised) incumbent candidate, then
             # abandon it: its optimistic edge bound joins the certificate.
-            self.truncated = True
-            self._record(mapping, matched)
-            edge_bound, _ = self._upper_bound(mapping, matched, forbidden)
-            if edge_bound > self.abandoned_edges:
-                self.abandoned_edges = edge_bound
+            truncated = True
+            record(matched)
+            if edge_bound > abandoned_edges:
+                abandoned_edges = edge_bound
             return
-        self.expanded += 1
-        state = frozenset(mapping.items())
-        if state in self._visited:
+        expanded += 1
+        if key in visited:
             return
-        self._visited.add(state)
-        self._record(mapping, matched)
-        if self._prunable(mapping, matched, forbidden):
+        visited.add(key)
+        record(matched)
+        order = len(path)
+        closed = mapped | forbidden
+        vertex_bound = order + min(n1 - closed.bit_count(), n2 - order)
+        if edges_first:
+            if (edge_bound, vertex_bound) <= (best_edges, best_order):
+                return
+        elif (vertex_bound, edge_bound) <= (best_order, best_edges):
             return
-        used_images = set(mapping.values())
-        for v in self._attachable(mapping, forbidden):
-            candidate_images = {
-                w
-                for u in self.g1.neighbors(v)
-                if u in mapping
-                for w in self.g2.neighbors(mapping[u])
-                if w not in used_images and _compatible(self.g1, self.g2, v, w)
-            }
-            for w in sorted(candidate_images, key=repr):
-                gained = {
-                    edge_key(v, u)
-                    for u in self.g1.neighbors(v)
-                    if u in mapping
-                    and _edge_compatible(self.g1, self.g2, v, u, w, mapping[u])
-                }
-                if not gained:
-                    continue  # no compatible edge: connectivity would break
-                mapping[v] = w
-                self._extend(mapping, matched | gained, forbidden)
-                del mapping[v]
+        # Unmapped, allowed g1 vertices adjacent to the mapped part.
+        frontier = reach & ~closed
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            v = low.bit_length() - 1
+            row = rows1[v]
+            # Each mapped neighbour u of v offers the images that continue
+            # the edge {v, u} with the same label; an image needs at least
+            # one such edge, or the subgraph would fall apart.
+            offers = []
+            candidates = 0
+            anchors = masks1[v] & mapped
+            while anchors:
+                bit = anchors & -anchors
+                anchors ^= bit
+                u = bit.bit_length() - 1
+                offer = by_label2[image[u]][row[u]] & compatible[v] & ~used
+                if offer:
+                    offers.append((offer, edge_bit[v][u]))
+                    candidates |= offer
+            if not candidates:
+                continue
+            closing1 = (masks1[v] & closed).bit_count()
+            shift = width * v
+            while candidates:
+                bit = candidates & -candidates
+                candidates ^= bit
+                w = bit.bit_length() - 1
+                gained = 0
+                for offer, edge in offers:
+                    if offer & bit:
+                        gained |= edge
+                image[v] = w
+                path.append((v, w))
+                extend(
+                    mapped | low,
+                    used | bit,
+                    reach | masks1[v],
+                    matched | gained,
+                    available1 - closing1,
+                    available2 - (masks2[w] & used).bit_count(),
+                    key | (w + 1) << shift,
+                )
+                path.pop()
+
+    record(0)
+    inside_forbidden = 0  # g1 edges with both ends before the seed
+    for v0 in range(n1):
+        if truncated or (budget is not None and budget.exhausted(expanded)):
+            # Remaining seeds were never explored: only the global
+            # bound min(|g1|, |g2|) covers them.
+            truncated = True
+            abandoned_edges = max(abandoned_edges, min(size1, size2))
+            break
+        # Seed symmetry breaking: the subgraph's first vertex in the
+        # fixed order is its seed, so earlier vertices are excluded.
+        forbidden = (1 << v0) - 1
+        closing1 = (masks1[v0] & forbidden).bit_count()
+        for w in side2.rank:  # g2 insertion order
+            if compatible[v0] >> w & 1:
+                image[v0] = w
+                path.append((v0, w))
+                extend(
+                    1 << v0,
+                    1 << w,
+                    masks1[v0],
+                    0,
+                    size1 - inside_forbidden - closing1,
+                    size2,
+                    (w + 1) << width * v0,
+                )
+                path.pop()
+        inside_forbidden += closing1
+    ids1, ids2 = side1.ids, side2.ids
+    matched_edges = frozenset(
+        edge_key(ids1[u], ids1[v])
+        for number, (u, v, _) in enumerate(side1.edges)
+        if best_matched >> number & 1
+    )
+    upper = None
+    if truncated:
+        upper = max(best_edges, abandoned_edges, 0)
+    return McsResult(
+        {ids1[by_rank1[v]]: ids2[by_rank2[w]] for v, w in best_path},
+        matched_edges,
+        optimal=not truncated,
+        size_upper=upper,
+    )
 
 
 def maximum_common_subgraph(
@@ -284,6 +302,8 @@ def maximum_common_subgraph(
     objective: str = "edges",
     budget: Budget | None = None,
     initial_best_edges: int | None = None,
+    *,
+    _view: PairView | None = None,
 ) -> McsResult:
     """Compute ``mcs(g1, g2)`` (Definition 7).
 
@@ -301,12 +321,15 @@ def maximum_common_subgraph(
         the edge count of an already-realised common subgraph. The search
         then only reports *strictly better* subgraphs — the caller must
         merge the result with the solution that realised the seed.
+
+    ``_view`` is internal: :class:`~repro.measures.base.PairContext` hands
+    over the pair view it already built for ``(g1, g2)``; bare calls build
+    their own.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
-    # The search grows subgraphs of g1; starting from the smaller side keeps
-    # the branching factor down and the result is symmetric in size.
-    return _McsSearch(g1, g2, objective, budget, initial_best_edges).run()
+    view = PairView(g1, g2) if _view is None else _view
+    return _mcgregor(view, objective, budget, initial_best_edges)
 
 
 def mcs_size(g1: LabeledGraph, g2: LabeledGraph) -> int:

@@ -26,6 +26,7 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.ged import GedResult, graph_edit_distance
 from repro.graph.mcs import McsResult, maximum_common_subgraph
 from repro.graph.operations import CostModel, UNIFORM_COSTS
+from repro.graph.pairview import PairView
 
 
 class PairContext:
@@ -37,6 +38,10 @@ class PairContext:
     re-run starts from the previous incumbent as its upper bound, an MCS
     re-run seeds its pruning incumbent with the previous realised size,
     and results are merged monotonically (bounds only ever tighten).
+
+    Every solver run of the pair — GED, its bipartite seed, MCS, and each
+    refinement re-run — works on one integer-indexed
+    :class:`~repro.graph.pairview.PairView`, built on first use.
     """
 
     def __init__(
@@ -52,19 +57,29 @@ class PairContext:
         self._ged: GedResult | None = None
         self._mcs_partial: McsResult | None = None
         self._ged_partial: GedResult | None = None
+        self._view: PairView | None = None
+
+    @property
+    def view(self) -> PairView:
+        """The pair's integer-indexed solver view (built once)."""
+        if self._view is None:
+            self._view = PairView(self.g1, self.g2)
+        return self._view
 
     @property
     def mcs(self) -> McsResult:
         """Maximum common connected subgraph (computed once)."""
         if self._mcs is None:
-            self._mcs = maximum_common_subgraph(self.g1, self.g2)
+            self._mcs = maximum_common_subgraph(self.g1, self.g2, _view=self.view)
         return self._mcs
 
     @property
     def ged(self) -> GedResult:
         """Exact graph edit distance (computed once)."""
         if self._ged is None:
-            self._ged = graph_edit_distance(self.g1, self.g2, costs=self.costs)
+            self._ged = graph_edit_distance(
+                self.g1, self.g2, costs=self.costs, _view=self.view
+            )
         return self._ged
 
     def ged_within(self, budget: Budget | None) -> GedResult:
@@ -76,7 +91,7 @@ class PairContext:
         prev = self._ged_partial
         if prev is None:
             result = graph_edit_distance(
-                self.g1, self.g2, costs=self.costs, budget=budget
+                self.g1, self.g2, costs=self.costs, budget=budget, _view=self.view
             )
         else:
             rerun = graph_edit_distance(
@@ -85,6 +100,7 @@ class PairContext:
                 costs=self.costs,
                 upper_bound=prev.distance,
                 budget=budget,
+                _view=self.view,
             )
             result = _merge_ged(prev, rerun)
         if result.optimal:
@@ -105,6 +121,7 @@ class PairContext:
             self.g2,
             budget=budget,
             initial_best_edges=None if prev is None else prev.size,
+            _view=self.view,
         )
         if prev is not None:
             result = _merge_mcs(prev, result)
