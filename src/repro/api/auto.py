@@ -4,20 +4,23 @@ Where the fixed backends hard-code one point of the plan space, this one
 asks :class:`repro.engine.planner.QueryPlanner` per query — database
 size, average graph order, NumPy/pool availability and the session's
 :class:`~repro.engine.planner.SelectivityProfile` of observed prune
-rates and per-pair costs pick the candidate source, bound stage (batch
-vs scalar), and serial vs pooled evaluation. Every executed query feeds
-its :class:`~repro.db.stats.QueryStats` back into the profile, so the
-decisions sharpen as the session runs; mis-predictions are additionally
-caught mid-query by the planner's adaptive wrappers (stage drop,
-serial→pooled switch), and every decision — predicted vs observed
-selectivities, re-plan events, the costs of the losing plans — lands in
-``stats.planner`` for ``ResultSet.explain()`` / ``to_dict()``.
+rates and per-pair costs pick scalar vs batched bounds and serial vs
+pooled evaluation. The plan is chosen once, before the scan, and keeps
+its bound stage wherever pruning is sound. Every executed query feeds
+its :class:`~repro.db.stats.QueryStats` back into the profile, and every
+decision — predicted vs observed selectivities, the costs of the losing
+plans — lands in ``stats.planner`` for ``ResultSet.explain()`` /
+``to_dict()``. A pooled plan drains in waves against the same per-query
+exact-vector channel as the scatter path
+(:func:`~repro.engine.scatter.bound_sharing`), so it prunes like serial.
 
-Over a :class:`~repro.shard.store.ShardedGraphDatabase` the backend
-scatter-gathers like ``sharded`` (shared bound stage across shards for
+Over a :class:`~repro.shard.store.ShardedGraphDatabase` the backend runs
+the same scatter loop as ``sharded``
+(:func:`~repro.engine.scatter.scatter_run`: a shared bound stage for
 cross-shard pruning, merge consumers for the gather), but evaluators
-are chosen *per shard* — a big shard may go pooled while a small one
-stays serial — and the per-shard choices are reported individually.
+are chosen *per shard* before the loop — a big shard may go pooled
+while a small one stays serial — and the per-shard choices are reported
+individually.
 
 The profile is per backend instance, i.e. per session. The server
 caches one session per backend name behind its existing per-backend
@@ -25,9 +28,6 @@ lock, so all clients of a server share (and jointly train) one profile.
 """
 
 from __future__ import annotations
-
-import dataclasses
-import time
 
 from repro.db.database import GraphDatabase
 from repro.db.index import FeatureIndex
@@ -38,7 +38,7 @@ from repro.api.backends import (
     _numpy_available,
     register_backend,
 )
-from repro.engine.core import resolved_measures, run_plan
+from repro.engine.core import run_plan
 from repro.engine.evaluate import Evaluator, SerialEvaluator
 from repro.engine.plan import (
     BoundOrderedSource,
@@ -47,17 +47,13 @@ from repro.engine.plan import (
     Stage,
     bound_stage_for,
 )
-from repro.engine.planner import (
-    CALIBRATION_MIN,
-    GATE_MIN_PREDICTED,
-    AdaptiveEvaluator,
-    AdaptiveStage,
-    PlanDecision,
-    QueryPlanner,
-    SelectivityProfile,
-    stage_warmup,
+from repro.engine.planner import PlanDecision, QueryPlanner, SelectivityProfile
+from repro.engine.scatter import (
+    ShardedSource,
+    bound_sharing,
+    merge_consumer,
+    scatter_run,
 )
-from repro.engine.scatter import ShardedSource, merge_consumer, merged_stats
 from repro.shard.store import ShardedGraphDatabase
 
 
@@ -69,24 +65,8 @@ def _pool_started() -> bool:
     return any(pool.started for pool in workers._POOLS.values())
 
 
-def _feedback_stages(decision: PlanDecision, events: list) -> tuple[str, ...]:
-    """Stages whose observed selectivity should train the profile.
-
-    A stage dropped mid-query stopped pruning by fiat — its end-of-query
-    prune count reflects the drop, not the workload, and feeding it back
-    would teach the cost model that pruning is worthless (and flip later
-    queries to exhaustive plans). Keep the prior instead.
-    """
-    dropped = {
-        event.get("stage")
-        for event in events
-        if event.get("event") == "drop-stage"
-    }
-    return tuple(name for name in decision.predicted if name not in dropped)
-
-
 class AutoBackend(ExecutionBackend):
-    """Cost-based adaptive planning over the full plan space.
+    """Cost-based planning over the full plan space.
 
     Parameters
     ----------
@@ -127,13 +107,13 @@ class AutoBackend(ExecutionBackend):
         self._index = FeatureIndex()
         self._index_version = -1
         self._store = None
-        self._pooled = None
+        # Pooled evaluators keyed by shard index (``None``: monolithic).
+        self._pooled: dict[int | None, object] = {}
         # Scatter path state (sharded databases only).
         self._sharded = isinstance(database, ShardedGraphDatabase)
         self._scatter = (
             ShardedSource(database, use_index=True) if self._sharded else None
         )
-        self._shard_pooled: dict[int, object] = {}
 
     # -- topology observability ------------------------------------------
     @property
@@ -147,9 +127,7 @@ class AutoBackend(ExecutionBackend):
     def close(self) -> None:
         """Release pool attachments this backend created (the persistent
         pool itself stays warm for other sessions)."""
-        if self._pooled is not None:
-            self._pooled.release()
-        for evaluator in self._shard_pooled.values():
+        for evaluator in self._pooled.values():
             evaluator.release()
 
     # -- providers --------------------------------------------------------
@@ -168,21 +146,12 @@ class AutoBackend(ExecutionBackend):
             self._store = FeatureStore(self.database)
         return self._store
 
-    def _pooled_evaluator(self):
-        if self._pooled is None:
-            from repro.engine.workers import PooledEvaluator
-
-            self._pooled = PooledEvaluator(
-                max_workers=self._max_workers, chunk_size=self._chunk_size
-            )
-        return self._pooled
-
-    def _shard_pooled_evaluator(self, index: int):
-        evaluator = self._shard_pooled.get(index)
+    def _pooled_evaluator(self, shard: int | None = None):
+        evaluator = self._pooled.get(shard)
         if evaluator is None:
             from repro.engine.workers import PooledEvaluator
 
-            evaluator = self._shard_pooled[index] = PooledEvaluator(
+            evaluator = self._pooled[shard] = PooledEvaluator(
                 max_workers=self._max_workers, chunk_size=self._chunk_size
             )
         return evaluator
@@ -221,58 +190,37 @@ class AutoBackend(ExecutionBackend):
             return batch_bound_stage_for(spec)
         return bound_stage_for(spec)
 
-    def _gated(
-        self,
-        spec: GraphQuery,
-        stage: Stage,
-        decision: PlanDecision,
-        events: list,
-        calibration: int,
-        shard: int | None = None,
-    ) -> Stage:
-        """Wrap ``stage`` in the mid-query drop gate when its predicted
-        selectivity is worth monitoring; tiny predictions skip the gate
-        (the stage is ~free and a drop event would be noise)."""
-        predicted = decision.predicted.get(stage.name, 0.0)
-        if predicted < GATE_MIN_PREDICTED:
-            return stage
-        return AdaptiveStage(
-            stage,
-            predicted,
-            events,
-            calibration=calibration,
-            warmup=stage_warmup(spec),
-            shard=shard,
-        )
+    def _cascade(self, spec: GraphQuery, decision: PlanDecision) -> tuple:
+        """One bound-stage instance per query (on the scatter path it is
+        shared by every shard run — the cross-shard pruning channel)."""
+        if decision.stage is None:
+            return self._cache_stages()
+        stage = self._bound_stage(spec, decision)
+        return ((lambda ctx: stage),) + self._cache_stages()
 
     def _evaluator(
-        self,
-        spec: GraphQuery,
-        decision: PlanDecision,
-        events: list,
-        pooled_provider,
-        shard: int | None = None,
+        self, decision: PlanDecision, shard: int | None = None
     ) -> Evaluator:
-        if spec.anytime or decision.evaluator == "serial":
-            return SerialEvaluator()
         if decision.evaluator == "pooled":
-            return pooled_provider()
-        return AdaptiveEvaluator(
-            pooled_provider(),
-            expected_survivors=decision.survivors,
-            events=events,
-            calibration=CALIBRATION_MIN,
-            pool_started=_pool_started(),
-            shard=shard,
-        )
+            return self._pooled_evaluator(shard)
+        return SerialEvaluator()
 
-    def _stage_labels(
-        self, spec: GraphQuery, decision: PlanDecision
-    ) -> tuple[str, ...]:
+    def _stage_labels(self, decision: PlanDecision) -> tuple[str, ...]:
         labels: tuple[str, ...] = ()
         if decision.stage is not None:
             labels = (decision.stage,)
         return labels + self._cache_labels()
+
+    def _plan(
+        self, spec: GraphQuery, decision: PlanDecision
+    ) -> EvaluationPlan:
+        """The monolithic plan for ``decision``."""
+        return EvaluationPlan(
+            source=self._source(decision),
+            cascade=self._cascade(spec, decision),
+            evaluator=self._evaluator(decision),
+            stage_labels=self._stage_labels(decision),
+        )
 
     def build_plan(self, spec: GraphQuery) -> EvaluationPlan:
         """The plan the current decision would run (``Session.plan()``;
@@ -281,63 +229,82 @@ class AutoBackend(ExecutionBackend):
         if self._sharded:
             return EvaluationPlan(
                 source=self._scatter,
-                cascade=self._monolithic_cascade(spec, decision, []),
+                cascade=self._cascade(spec, decision),
                 evaluator=SerialEvaluator(),
-                stage_labels=self._stage_labels(spec, decision)
+                stage_labels=self._stage_labels(decision)
                 + (merge_consumer(spec).name,),
             )
-        events: list = []
-        plan, _ = self._materialize(spec, decision, events)
-        return plan
-
-    def _monolithic_cascade(
-        self, spec: GraphQuery, decision: PlanDecision, events: list
-    ) -> tuple:
-        if decision.stage is None:
-            return self._cache_stages()
-        stage = self._gated(
-            spec,
-            self._bound_stage(spec, decision),
-            decision,
-            events,
-            calibration=self._calibration(len(self.database)),
-        )
-        return ((lambda ctx, stage=stage: stage),) + self._cache_stages()
-
-    def _calibration(self, db_size: int) -> int:
-        """Calibration prefix: enough candidates to trust the observed
-        rate (pruning ramps up gradually on bound-ordered sources),
-        small enough to leave a remainder worth re-planning. On tiny
-        databases the prefix covers everything — no drop, by design."""
-        return max(2 * CALIBRATION_MIN, db_size // 8)
-
-    def _materialize(
-        self, spec: GraphQuery, decision: PlanDecision, events: list
-    ) -> tuple[EvaluationPlan, Evaluator]:
-        evaluator = self._evaluator(
-            spec, decision, events, self._pooled_evaluator
-        )
-        plan = EvaluationPlan(
-            source=self._source(decision),
-            cascade=self._monolithic_cascade(spec, decision, events),
-            evaluator=evaluator,
-            stage_labels=self._stage_labels(spec, decision),
-        )
-        return plan, evaluator
+        return self._plan(spec, decision)
 
     # -- execution --------------------------------------------------------
     def run(self, spec: GraphQuery) -> BackendAnswer:
         spec.validate()
-        if self._sharded:
-            return self._run_sharded(spec)
+        # Pruning/batching is one global decision; on the scatter path
+        # evaluators are then chosen per shard, before the loop.
         decision = self._decide(spec, len(self.database))
-        events: list = []
-        plan, evaluator = self._materialize(spec, decision, events)
-        answer = run_plan(self.database, spec, plan, cache=self.cache)
-        self._finish(spec, decision, events, answer, evaluator)
+        prunes = decision.stage is not None
+        scatter: dict = {}
+        if self._sharded:
+            database: ShardedGraphDatabase = self.database
+            shard_decisions = {
+                index: self._decide(spec, len(shard))
+                for index, shard in enumerate(database.shards)
+                if len(shard)
+            }
+            answer = scatter_run(
+                database,
+                spec,
+                self._scatter,
+                self._cascade(spec, decision),
+                self._stage_labels(decision),
+                {
+                    index: self._evaluator(shard_decision, index)
+                    for index, shard_decision in shard_decisions.items()
+                },
+                prunes=prunes,
+                cache=self.cache,
+            )
+            source = f"scatter×{database.shard_count}"
+            prune = decision.stage or "no-prune"
+            scatter = {
+                "source": source,
+                "summary": f"{source}+{prune}/per-shard",
+                "evaluator": "per-shard",
+                "stages": list(self._stage_labels(decision))
+                + [merge_consumer(spec).name],
+                "per_shard": [
+                    {
+                        "shard": index,
+                        "size": len(database.shards[index]),
+                        "evaluator": self._evaluator_label(
+                            spec, shard_decision
+                        ),
+                        "predicted_survivors": shard_decision.survivors,
+                    }
+                    for index, shard_decision in shard_decisions.items()
+                ],
+            }
+        else:
+            plan = self._plan(spec, decision)
+            matrix_source = self._feature_store if self._numpy else None
+            shared = {plan.evaluator: matrix_source} if prunes else {}
+            with bound_sharing(spec, shared):
+                answer = run_plan(self.database, spec, plan, cache=self.cache)
+        stats = answer.stats
+        stats.planner = {
+            **self._planner_payload(spec, decision, stats),
+            **scatter,
+        }
+        self.profile.observe(
+            spec.kind, stats, stage_names=tuple(decision.predicted)
+        )
         return answer
 
-    def _observed(self, spec: GraphQuery, decision: PlanDecision, stats):
+    @staticmethod
+    def _evaluator_label(spec: GraphQuery, decision: PlanDecision) -> str:
+        return "serial(anytime)" if spec.anytime else decision.evaluator
+
+    def _observed(self, decision: PlanDecision, stats) -> dict[str, float]:
         """Observed per-stage prune fractions, aligned with predictions."""
         observed: dict[str, float] = {}
         considered = max(1, stats.candidates_considered)
@@ -354,188 +321,26 @@ class AutoBackend(ExecutionBackend):
         return observed
 
     def _planner_payload(
-        self,
-        spec: GraphQuery,
-        decision: PlanDecision,
-        events: list,
-        stats,
-        evaluator_ran: str,
+        self, spec: GraphQuery, decision: PlanDecision, stats
     ) -> dict:
         return {
             "backend": self.name,
             "summary": decision.summary,
             "source": decision.source,
-            "stages": list(self._stage_labels(spec, decision)),
-            "evaluator": evaluator_ran,
+            "stages": list(self._stage_labels(decision)),
+            "evaluator": self._evaluator_label(spec, decision),
             "predicted": {
                 name: round(value, 4)
                 for name, value in decision.predicted.items()
             },
-            "observed": self._observed(spec, decision, stats),
+            "observed": self._observed(decision, stats),
             "costs_ms": {
                 label: round(seconds * 1000.0, 3)
                 for label, seconds in sorted(decision.costs.items())
             },
             "reasons": list(decision.reasons),
-            "replans": list(events),
             "profile_queries": self.profile.queries,
         }
-
-    def _evaluator_ran(
-        self, spec: GraphQuery, decision: PlanDecision, evaluator
-    ) -> str:
-        if spec.anytime:
-            return "serial(anytime)"
-        if isinstance(evaluator, AdaptiveEvaluator):
-            return "serial→pooled" if evaluator.switched else "serial"
-        return decision.evaluator
-
-    def _finish(
-        self,
-        spec: GraphQuery,
-        decision: PlanDecision,
-        events: list,
-        answer: BackendAnswer,
-        evaluator,
-    ) -> None:
-        stats = answer.stats
-        stats.planner = self._planner_payload(
-            spec,
-            decision,
-            events,
-            stats,
-            self._evaluator_ran(spec, decision, evaluator),
-        )
-        self.profile.observe(
-            spec.kind, stats, stage_names=_feedback_stages(decision, events)
-        )
-
-    # -- scatter path ------------------------------------------------------
-    def _query_sharing(self, spec: GraphQuery, decision: PlanDecision):
-        """Cross-shard bound sharing for pooled pruning shards (mirrors
-        the sharded backend; ``None`` when pruning is off or nothing can
-        reach the pool)."""
-        if decision.stage is None or not self.planner.pool_usable(spec):
-            return None
-        from repro.engine.workers import BoundSharing
-
-        if spec.kind in ("skyline", "skyband"):
-            dims = len(resolved_measures(spec))
-        else:
-            dims = 1
-        return BoundSharing.for_spec(spec, dims, workers=self.max_workers)
-
-    def _run_sharded(self, spec: GraphQuery) -> BackendAnswer:
-        database: ShardedGraphDatabase = self.database
-        events: list = []
-        # Pruning/batching is a global decision (the bound stage is one
-        # shared instance — the cross-shard pruning channel); evaluators
-        # are chosen per shard below.
-        decision = self._decide(spec, len(database))
-        shared_stage: Stage | None = None
-        cascade: tuple = self._cache_stages()
-        if decision.stage is not None:
-            shared_stage = self._gated(
-                spec,
-                self._bound_stage(spec, decision),
-                decision,
-                events,
-                calibration=self._calibration(len(database)),
-            )
-            cascade = (
-                (lambda ctx, stage=shared_stage: stage),
-            ) + self._cache_stages()
-        labels = self._stage_labels(spec, decision)
-        sharing = self._query_sharing(spec, decision)
-        pooled_used: list = []
-        per_shard_plans: list[dict] = []
-        answers = []
-        shard_stats: list = [None] * database.shard_count
-        anytime_wall = None
-        if spec.budget_ms is not None:
-            anytime_wall = time.monotonic() + spec.budget_ms / 1000.0
-        try:
-            for index in range(database.shard_count):
-                shard_db = database.shards[index]
-                if not len(shard_db):
-                    continue
-                shard_decision = self._shard_decision(spec, len(shard_db))
-                evaluator = self._evaluator(
-                    spec,
-                    shard_decision,
-                    events,
-                    lambda index=index: self._shard_pooled_evaluator(index),
-                    shard=index,
-                )
-                if sharing is not None and not isinstance(
-                    evaluator, SerialEvaluator
-                ):
-                    pooled = (
-                        evaluator._pooled
-                        if isinstance(evaluator, AdaptiveEvaluator)
-                        else evaluator
-                    )
-                    pooled.sharing = sharing
-                    pooled.matrix_source = (
-                        lambda idx=index: self._scatter.shard_store(idx)
-                    )
-                    pooled_used.append(pooled)
-                plan = EvaluationPlan(
-                    source=self._scatter.shard_source(index),
-                    cascade=cascade,
-                    evaluator=evaluator,
-                    stage_labels=labels,
-                )
-                shard_spec = spec
-                if anytime_wall is not None:
-                    remaining_ms = max(
-                        1, int((anytime_wall - time.monotonic()) * 1000)
-                    )
-                    shard_spec = dataclasses.replace(
-                        spec, budget_ms=remaining_ms
-                    )
-                answer = run_plan(
-                    shard_db, shard_spec, plan, cache=self.cache
-                )
-                shard_stats[index] = answer.stats
-                answers.append(answer)
-                per_shard_plans.append(
-                    {
-                        "shard": index,
-                        "size": len(shard_db),
-                        "evaluator": self._evaluator_ran(
-                            spec, shard_decision, evaluator
-                        ),
-                        "predicted_survivors": shard_decision.survivors,
-                    }
-                )
-        finally:
-            if sharing is not None:
-                for pooled in pooled_used:
-                    pooled.sharing = None
-                sharing.release()
-        stats = merged_stats(database, shard_stats)
-        merged = merge_consumer(spec).merge(spec, answers, stats)
-        payload = self._planner_payload(
-            spec, decision, events, stats, "per-shard"
-        )
-        payload["source"] = f"scatter×{database.shard_count}"
-        payload["summary"] = (
-            f"scatter×{database.shard_count}"
-            f"+{decision.stage or 'no-prune'}/per-shard"
-        )
-        payload["stages"] = list(labels) + [merge_consumer(spec).name]
-        payload["per_shard"] = per_shard_plans
-        stats.planner = payload
-        self.profile.observe(
-            spec.kind, stats, stage_names=_feedback_stages(decision, events)
-        )
-        return merged
-
-    def _shard_decision(self, spec: GraphQuery, shard_size: int) -> PlanDecision:
-        """Evaluator choice at shard granularity: the global decision's
-        source/stage, re-costed for this shard's candidate count."""
-        return self._decide(spec, shard_size)
 
 
 register_backend(AutoBackend.name, AutoBackend)

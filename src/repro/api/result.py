@@ -268,23 +268,6 @@ class ResultSet:
                     "predicted_survivors={predicted_survivors} "
                     "(size {size})".format(**row)
                 )
-            for event in planner.get("replans") or []:
-                if event.get("event") == "drop-stage":
-                    lines.append(
-                        f"  re-plan: dropped stage {event['stage']} after "
-                        f"{event['after_candidates']} candidates "
-                        f"(predicted {event['predicted']:.1%}, observed "
-                        f"{event['observed']:.1%})"
-                    )
-                elif event.get("event") == "switch-evaluator":
-                    lines.append(
-                        f"  re-plan: switched {event['from']} → "
-                        f"{event['to']} after {event['after_pairs']} pairs "
-                        f"(measured {event['pair_ms']:.2f}ms/pair, "
-                        f"~{event['expected_remaining']} remaining)"
-                    )
-                else:  # pragma: no cover - future event kinds
-                    lines.append(f"  re-plan: {event}")
             for reason in planner.get("reasons") or []:
                 lines.append(f"  note: {reason}")
         if self.stats.pruned_by_stage:

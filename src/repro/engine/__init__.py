@@ -22,8 +22,9 @@ candidate loop. The pieces compose freely:
   frontier);
 * scatter-gather — :class:`ShardedSource` (per-shard candidate sources
   over shard-local indexes) plus the :class:`SkylineMerge` /
-  :class:`FrontierMerge` gather consumers behind the ``sharded``
-  backend (:mod:`repro.engine.scatter`);
+  :class:`FrontierMerge` gather consumers, and :func:`scatter_run`, the
+  one scatter loop behind the ``sharded`` and ``auto`` backends
+  (:mod:`repro.engine.scatter`);
 * :class:`LiveView` — a materialized skyline kept incrementally correct
   under database mutation (``Session.watch``);
 * deadlines — :func:`deadline_scope` makes a :class:`Deadline` ambient
@@ -74,8 +75,6 @@ from repro.engine.workers import (
 from repro.engine.anytime import run_plan_anytime
 from repro.engine.core import RunContext, make_context, run_plan
 from repro.engine.planner import (
-    AdaptiveEvaluator,
-    AdaptiveStage,
     PlanDecision,
     QueryPlanner,
     SelectivityProfile,
@@ -86,8 +85,10 @@ from repro.engine.scatter import (
     MergeConsumer,
     ShardedSource,
     SkylineMerge,
+    bound_sharing,
     merge_consumer,
     merged_stats,
+    scatter_run,
 )
 from repro.engine.views import LiveView
 
@@ -119,8 +120,6 @@ __all__ = [
     "make_context",
     "run_plan",
     "run_plan_anytime",
-    "AdaptiveEvaluator",
-    "AdaptiveStage",
     "PlanDecision",
     "QueryPlanner",
     "SelectivityProfile",
@@ -131,7 +130,9 @@ __all__ = [
     "MergeConsumer",
     "ShardedSource",
     "SkylineMerge",
+    "bound_sharing",
     "merge_consumer",
     "merged_stats",
+    "scatter_run",
     "LiveView",
 ]

@@ -18,14 +18,13 @@ names: a System-R-style cost model over our own plan space, driven by
 Because selectivities are observed, the model self-corrects: the first
 query of a kind runs on priors, later ones on measured reality.
 
-Mis-predictions are also caught *mid-query*: :class:`AdaptiveStage`
-watches a bound stage's prune rate over a calibration prefix and drops
-the stage when the rate collapsed below prediction (sound — removing a
-pruning stage only adds exact evaluations), and :class:`AdaptiveEvaluator`
-starts serially, measures the true per-pair cost, and re-plans the
-remaining candidates onto the process pool when the projected serial
-remainder exceeds the pool's amortized startup. Both record re-plan
-events that surface in ``ResultSet.explain()``.
+The plan is chosen once, before the scan, and a sound bound stage is
+always in it: a stage costs microseconds per candidate while one exact
+GED/MCS pair costs milliseconds, so planning the stage away can save at
+most the cascade time and can lose a full scan. The profile therefore
+only chooses *how* to prune — scalar vs batched bounds — and serial vs
+pooled evaluation; the exhaustive plan is offered only where bound
+pruning is unsound (tolerant skyline/skyband).
 
 The decision layer is consumed by :class:`repro.api.auto.AutoBackend`
 (registered as the ``"auto"`` backend).
@@ -35,18 +34,12 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
-
-from repro.engine.evaluate import Evaluator, SerialEvaluator
-from repro.engine.plan import Candidate, Stage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.spec import GraphQuery
     from repro.db.stats import QueryStats
-    from repro.engine.core import RunContext
-    from repro.engine.workers import PooledEvaluator
 
 
 # ----------------------------------------------------------------------
@@ -71,7 +64,10 @@ POOL_START_SECONDS = 1.2
 POOL_CHUNK_SECONDS = 2.0e-3
 #: Per-pair exact-evaluation prior per squared vertex (GED + MCS are
 #: superquadratic, but the profile replaces this after one query).
-PAIR_SECONDS_PER_ORDER2 = 5.0e-5
+#: Fitted from the e2e benchmark's traced ``solver_cold`` run
+#: (``--seed 1 --trace 1``): ``graph.ms_per_pair`` 0.232 ms over a
+#: database of average order 4.17 vertices, i.e. 0.232e-3 / 4.17².
+PAIR_SECONDS_PER_ORDER2 = 1.3e-5
 
 #: Prior fraction of candidates the bound stage prunes, per query kind.
 PRIOR_SELECTIVITY = {
@@ -80,15 +76,6 @@ PRIOR_SELECTIVITY = {
     "topk": 0.50,
     "threshold": 0.50,
 }
-
-#: Calibration prefix before a mid-query re-plan may trigger.
-CALIBRATION_MIN = 16
-#: Drop a bound stage when observed/predicted prune rate falls below this.
-STAGE_DROP_RATIO = 0.25
-#: ... and the observed rate is also below this absolute rate.
-STAGE_DROP_FLOOR = 0.10
-#: Don't bother gating stages predicted to prune less than this.
-GATE_MIN_PREDICTED = 0.10
 
 
 def _pair_seconds_prior(avg_order: float) -> float:
@@ -134,8 +121,8 @@ class SelectivityProfile:
         """Fold one executed query's stats into the profile.
 
         ``stage_names`` are the bound stages the plan *ran* — passing
-        them records zero-selectivity observations too, which is exactly
-        the feedback that steers the planner away from useless stages.
+        them records zero-selectivity observations too, so the survivor
+        estimate behind the serial-vs-pooled choice stays honest.
         """
         considered = stats.candidates_considered
         if considered <= 0:
@@ -201,9 +188,9 @@ class PlanDecision:
     """One planner verdict: which plan to run and why.
 
     ``source`` ∈ ``database-order`` / ``bound-ordered`` / ``indexed``;
-    ``stage`` is the bound stage's display name or ``None`` (no pruning);
-    ``evaluator`` ∈ ``serial`` / ``pooled`` / ``adaptive`` (serial with a
-    mid-query switch armed). ``predicted`` maps stage names to predicted
+    ``stage`` is the bound stage's display name, ``None`` only where
+    pruning is unsound; ``evaluator`` ∈ ``serial`` / ``pooled``.
+    ``predicted`` maps stage names to predicted
     prune fractions, ``costs`` maps every *considered* plan label to its
     predicted wall-clock (seconds) — losers included, so ``explain()``
     can show the decision, not just the winner.
@@ -228,14 +215,13 @@ class PlanDecision:
 class QueryPlanner:
     """Enumerate candidate plans, cost each, pick the cheapest.
 
-    The plan space matches what the fixed backends span: three candidate
-    sources (exhaustive scan, scalar feature-index bounds, vectorized
-    bounds + threshold pre-filter), the bound stage on/off and batch vs
-    scalar, serial vs pooled evaluation. Soundness constraints prune the
-    space first (tolerant Pareto pruning is not transitive; the anytime
-    path is serial by design; batch stages need NumPy), then each
-    survivor is costed from the profile and the cheapest wins —
-    deterministic tie-break on enumeration order.
+    Where bound pruning is sound the plan space is scalar feature-index
+    bounds vs vectorized bounds + threshold pre-filter, each with serial
+    or pooled evaluation; the exhaustive scan is the only source where
+    it is not (see :meth:`prunes`). Soundness constraints prune the
+    space first (the anytime path is serial by design; batch stages need
+    NumPy), then each survivor is costed from the profile and the
+    cheapest wins — deterministic tie-break on enumeration order.
     """
 
     def __init__(
@@ -255,8 +241,9 @@ class QueryPlanner:
     # -- soundness gates -------------------------------------------------
     @staticmethod
     def prunes(spec: "GraphQuery") -> bool:
-        """Whether bound pruning is sound for ``spec`` (tolerant
-        dominance is not transitive — same rule as the sharded backend)."""
+        """Whether bound pruning is sound for ``spec`` — the one rule
+        every backend and the worker pool's shared frontier follow
+        (tolerant dominance is not transitive)."""
         return not (
             spec.kind in ("skyline", "skyband") and spec.tolerance > 0
         )
@@ -336,12 +323,13 @@ class QueryPlanner:
             batch_stage = f"{scalar_stage}(batch)"
 
         # (label, source, stage, batch, setup_s, per_candidate_s, sel)
-        options: list[tuple[str, str, str | None, bool, float, float, float]] = [
-            ("exhaustive", "database-order", None, False, 0.0, 0.0, 0.0)
-        ]
-        if pruning:
-            sel = self._predicted_selectivity(kind, scalar_stage)
-            options.append(
+        options: list[tuple[str, str, str | None, bool, float, float, float]]
+        if not pruning:
+            options = [
+                ("exhaustive", "database-order", None, False, 0.0, 0.0, 0.0)
+            ]
+        else:
+            options = [
                 (
                     "scalar-index",
                     "bound-ordered",
@@ -349,18 +337,16 @@ class QueryPlanner:
                     False,
                     0.0,
                     SCALAR_BOUND_SECONDS + CASCADE_CHECK_SECONDS,
-                    sel,
+                    self._predicted_selectivity(kind, scalar_stage),
                 )
-            )
+            ]
             if self.numpy_available:
-                if kind == "threshold":
-                    # The vectorized source pre-filters before the
-                    # cascade; the residual threshold stage prunes ~0.
-                    sel = self._predicted_selectivity(
-                        kind, "batch-prefilter"
-                    )
-                else:
-                    sel = self._predicted_selectivity(kind, batch_stage)
+                # Threshold: the vectorized source pre-filters before the
+                # cascade; the residual threshold stage prunes ~0.
+                sel = self._predicted_selectivity(
+                    kind,
+                    "batch-prefilter" if kind == "threshold" else batch_stage,
+                )
                 options.append(
                     (
                         "vectorized",
@@ -374,244 +360,41 @@ class QueryPlanner:
                 )
 
         costs: dict[str, float] = {}
-        best: tuple[float, PlanDecision] | None = None
-        for label, source, stage, batch, setup_s, per_cand_s, sel in options:
+        best = None
+        for option in options:
+            label, _, _, _, setup_s, per_cand_s, sel = option
             survivors = n * (1.0 - min(max(sel, 0.0), 1.0))
             serial_s, pooled_s = self._eval_seconds(
                 survivors, pair_s, pool_started
             )
             filter_s = setup_s + n * per_cand_s
-            serial_total = filter_s + serial_s
-            evaluator_plans = [("serial", serial_total)]
+            evaluator_plans = [("serial", filter_s + serial_s)]
             if pool_ok:
                 evaluator_plans.append(("pooled", filter_s + pooled_s))
             for evaluator, total in evaluator_plans:
                 costs[f"{label}/{evaluator}"] = total
-                if best is not None and total >= best[0]:
-                    continue
-                predicted = {}
-                if batch and spec.kind == "threshold":
-                    # The pre-filter does the pruning in the source; the
-                    # residual cascade stage sees only survivors.
-                    predicted["batch-prefilter"] = sel
-                    predicted[stage] = 0.0
-                elif stage is not None:
-                    predicted[stage] = sel
-                best = (
-                    total,
-                    PlanDecision(
-                        source=source,
-                        stage=stage,
-                        batch=batch,
-                        evaluator=evaluator,
-                        predicted=predicted,
-                        survivors=int(survivors),
-                    ),
-                )
-        assert best is not None  # the exhaustive option always exists
-        decision = best[1]
-        # Serial winners keep the pool in reserve: the adaptive evaluator
-        # measures true per-pair cost and switches if serial was a
-        # mis-prediction. Pure-serial environments can't switch.
-        evaluator = decision.evaluator
-        if evaluator == "serial" and pool_ok:
-            evaluator = "adaptive"
+                if best is None or total < best[0]:
+                    best = (total, option, evaluator, survivors)
+        _, option, evaluator, survivors = best
+        _, source, stage, batch, _, _, sel = option
+        predicted = {}
+        if batch and kind == "threshold":
+            # The pre-filter does the pruning in the source; the residual
+            # cascade stage sees only survivors.
+            predicted["batch-prefilter"] = sel
+            predicted[stage] = 0.0
+        elif stage is not None:
+            predicted[stage] = sel
         return PlanDecision(
-            source=decision.source,
-            stage=decision.stage,
-            batch=decision.batch,
+            source=source,
+            stage=stage,
+            batch=batch,
             evaluator=evaluator,
-            predicted=decision.predicted,
+            predicted=predicted,
             costs=costs,
             reasons=tuple(reasons),
-            survivors=decision.survivors,
+            survivors=int(survivors),
         )
-
-
-# ----------------------------------------------------------------------
-# Mid-query re-planning
-# ----------------------------------------------------------------------
-def stage_warmup(spec) -> int:
-    """Exact evaluations a bound stage needs before it *can* prune.
-
-    Dominance- and rank-based stages prune against established exact
-    vectors: the Pareto stage needs at least one, the rank/skyband
-    stages need ``k``. Counting candidates seen before that point
-    toward the drop-gate calibration would read structural warm-up as
-    a collapsed prune rate (pruning is back-loaded on bound-ordered
-    sources) and drop a perfectly good stage. Threshold bounds prune
-    each candidate independently — no warm-up.
-    """
-    if spec.kind in ("topk", "skyband"):
-        return int(spec.k or 1)
-    if spec.kind == "skyline":
-        return 1
-    return 0
-
-
-class AdaptiveStage(Stage):
-    """Wrap a bound stage; drop it when its prune rate collapses.
-
-    The calibration clock starts only once the inner stage has received
-    ``warmup`` exact observations (see :func:`stage_warmup`) — before
-    that it has no pruning power by construction. After a calibration
-    prefix of ``calibration`` counted candidates, if the observed prune
-    rate fell below ``STAGE_DROP_RATIO ×`` the predicted selectivity
-    (and below ``STAGE_DROP_FLOOR`` absolutely — a stage still pruning
-    a third of the database stays even when the prediction was higher),
-    the inner stage is dropped for the remainder: its
-    ``decide``/``observe`` stop running, so a Pareto scan over a growing
-    dominator set stops taxing every candidate. Dropping a *pruning*
-    stage is always sound — survivors are evaluated exactly.
-
-    The wrapper borrows the inner stage's ``name`` so per-stage prune
-    counts and profile feedback attribute to the real stage.
-    """
-
-    def __init__(
-        self,
-        inner: Stage,
-        predicted: float,
-        events: list,
-        calibration: int = CALIBRATION_MIN,
-        warmup: int = 0,
-        shard: int | None = None,
-    ) -> None:
-        self.name = inner.name
-        self.inner = inner
-        self.predicted = predicted
-        self.events = events
-        self.calibration = max(1, calibration)
-        self.warmup = max(0, warmup)
-        self.shard = shard
-        self.observes = 0
-        self.seen = 0
-        self.pruned = 0
-        self.dropped = False
-
-    @property
-    def observed(self) -> float:
-        return self.pruned / self.seen if self.seen else 0.0
-
-    def decide(self, candidate: Candidate) -> "str | tuple[float, ...] | None":
-        if self.dropped:
-            return None
-        verdict = self.inner.decide(candidate)
-        if self.observes < self.warmup:
-            return verdict
-        self.seen += 1
-        if verdict == "prune":
-            self.pruned += 1
-        if self.seen == self.calibration:
-            observed = self.observed
-            if observed < min(
-                self.predicted * STAGE_DROP_RATIO, STAGE_DROP_FLOOR
-            ):
-                self.dropped = True
-                event = {
-                    "event": "drop-stage",
-                    "stage": self.name,
-                    "after_candidates": self.seen,
-                    "predicted": round(self.predicted, 4),
-                    "observed": round(observed, 4),
-                }
-                if self.shard is not None:
-                    event["shard"] = self.shard
-                self.events.append(event)
-        return verdict
-
-    def observe(self, graph_id: int, values: tuple[float, ...]) -> None:
-        if not self.dropped:
-            self.observes += 1
-            self.inner.observe(graph_id, values)
-
-
-class AdaptiveEvaluator(Evaluator):
-    """Serial evaluation with a mid-query switch to the process pool.
-
-    The planner picks this when serial looks cheapest but a pool exists:
-    the first ``calibration`` pairs are solved inline while their wall
-    cost is measured; if the projected cost of the remaining survivors —
-    ``remaining × measured per-pair × (1 − 1/workers)`` saved — exceeds
-    the pool's amortized startup, the remainder is deferred onto the
-    wrapped :class:`~repro.engine.workers.PooledEvaluator` and drained
-    after the scan (a re-plan event is recorded). The engine handles
-    mixed interleaved/deferred results natively, so the switch is
-    invisible to correctness: every survivor is still evaluated exactly.
-    """
-
-    interleaved = True
-
-    def __init__(
-        self,
-        pooled: "PooledEvaluator",
-        expected_survivors: int,
-        events: list,
-        calibration: int = CALIBRATION_MIN,
-        pool_started: bool = False,
-        shard: int | None = None,
-    ) -> None:
-        self._serial = SerialEvaluator()
-        self._pooled = pooled
-        self._expected = max(0, expected_survivors)
-        self._events = events
-        self._calibration = max(1, calibration)
-        self._pool_started = pool_started
-        self._shard = shard
-        self._evaluated = 0
-        self._spent = 0.0
-        self.switched = False
-
-    def begin(self, ctx: "RunContext") -> None:
-        self._pooled.begin(ctx)
-        self._evaluated = 0
-        self._spent = 0.0
-        self.switched = False
-
-    def _should_switch(self) -> bool:
-        if self._evaluated < self._calibration:
-            return False
-        per_pair = self._spent / self._evaluated
-        remaining = max(0, self._expected - self._evaluated)
-        workers = self._pooled.max_workers
-        saved = remaining * per_pair * (1.0 - 1.0 / workers)
-        start = 0.0 if self._pool_started else POOL_START_SECONDS
-        chunks = len(self._pooled.chunk(list(range(remaining))))
-        return saved > start + chunks * POOL_CHUNK_SECONDS
-
-    def evaluate(self, ctx, candidate):
-        if self.switched:
-            return self._pooled.evaluate(ctx, candidate)
-        begin = time.perf_counter()
-        values = self._serial.evaluate(ctx, candidate)
-        self._spent += time.perf_counter() - begin
-        self._evaluated += 1
-        if self._evaluated == self._calibration and self._should_switch():
-            self.switched = True
-            event = {
-                "event": "switch-evaluator",
-                "from": "serial",
-                "to": "pooled",
-                "after_pairs": self._evaluated,
-                "pair_ms": round(self._spent / self._evaluated * 1000.0, 4),
-                "expected_remaining": max(
-                    0, self._expected - self._evaluated
-                ),
-            }
-            if self._shard is not None:
-                event["shard"] = self._shard
-            self._events.append(event)
-        return values
-
-    def drain(self, ctx):
-        if self.switched:
-            return self._pooled.drain(ctx)
-        return []
-
-    def drained_pruned_ids(self):
-        if self.switched:
-            return self._pooled.drained_pruned_ids()
-        return ()
 
 
 # ----------------------------------------------------------------------

@@ -22,8 +22,13 @@ selection step needs a gather phase. Three parts live here:
   arguments are on the classes.
 * :func:`merged_stats` — per-shard counter aggregation into one
   :class:`~repro.db.stats.QueryStats` with a ``per_shard`` breakdown.
+* :func:`scatter_run` — the one scatter loop behind the ``sharded`` and
+  ``auto`` backends: per-shard :func:`~repro.engine.core.run_plan` with
+  the caller's per-shard evaluators, then merge; and
+  :func:`bound_sharing`, the per-query exact-vector channel every pooled
+  evaluator of a pruning plan drains against, monolithic or sharded.
 
-Cross-shard pruning falls out of stage *sharing*: the sharded backend
+Cross-shard pruning falls out of stage *sharing*: the scatter loop
 reuses one bound-stage instance across its sequential per-shard runs, so
 exact vectors observed while scanning shard ``i`` prune candidates in
 every later shard — the scatter analogue of the sorted-scan cutoff.
@@ -34,13 +39,24 @@ real database graphs, and those dominate/cut off globally.
 from __future__ import annotations
 
 import abc
+import contextlib
+import dataclasses
 import math
-from typing import TYPE_CHECKING
+import time
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 from repro.db.database import GraphDatabase
 from repro.db.index import FeatureIndex
 from repro.db.stats import QueryStats
-from repro.engine.plan import BoundOrderedSource, Candidate, CandidateSource
+from repro.engine.core import resolved_measures, run_plan
+from repro.engine.evaluate import Evaluator
+from repro.engine.plan import (
+    BoundOrderedSource,
+    Candidate,
+    CandidateSource,
+    EvaluationPlan,
+)
+from repro.engine.workers import BoundSharing, PooledEvaluator
 from repro.skyline import skyline as vector_skyline
 from repro.skyline.skyband import k_skyband
 from repro.api.spec import GraphQuery
@@ -443,3 +459,110 @@ def merged_stats(
     stats.pool = pool_total
     stats.anytime = anytime_total
     return stats
+
+
+# ----------------------------------------------------------------------
+# The scatter loop
+# ----------------------------------------------------------------------
+@contextlib.contextmanager
+def bound_sharing(
+    spec: GraphQuery, evaluators: "Mapping[Evaluator, Callable | None]"
+) -> Iterator[None]:
+    """Attach one per-query :class:`~repro.engine.workers.BoundSharing`
+    to every pooled evaluator of a pruning plan; release it on exit.
+
+    ``evaluators`` maps each evaluator of the plan to its
+    ``matrix_source`` (the FeatureStore its candidates' rows live in, or
+    ``None``); pass none for a plan without a bound stage. Without the
+    channel a pooled drain ships every deferred candidate in one wave and
+    forfeits the pruning a serial run gets from its bound stage. Serial
+    evaluators, and kinds that cannot share (threshold, tolerant
+    dominance), get nothing attached.
+    """
+    pooled = {
+        evaluator: matrix_source
+        for evaluator, matrix_source in evaluators.items()
+        if isinstance(evaluator, PooledEvaluator)
+    }
+    sharing = None
+    if pooled:
+        dims = (
+            len(resolved_measures(spec))
+            if spec.kind in ("skyline", "skyband")
+            else 1
+        )
+        workers = max(evaluator.max_workers for evaluator in pooled)
+        sharing = BoundSharing.for_spec(spec, dims, workers=workers)
+    if sharing is None:
+        yield
+        return
+    for evaluator, matrix_source in pooled.items():
+        evaluator.sharing = sharing
+        evaluator.matrix_source = matrix_source
+    try:
+        yield
+    finally:
+        for evaluator in pooled:
+            evaluator.sharing = None
+        sharing.release()
+
+
+def scatter_run(
+    database: "ShardedGraphDatabase",
+    spec: GraphQuery,
+    source: ShardedSource,
+    cascade: tuple,
+    stage_labels: tuple[str, ...],
+    evaluators: "Mapping[int, Evaluator]",
+    prunes: bool,
+    cache=None,
+) -> "BackendAnswer":
+    """Run ``spec`` shard by shard, then gather the global answer.
+
+    ``evaluators`` maps shard index to that shard's evaluator; shards
+    missing from it, and empty shards, are skipped. Every shard run
+    shares ``cascade`` — one bound-stage instance per query, the
+    cross-shard pruning channel — and, when ``prunes``, the pooled
+    evaluators share one :func:`bound_sharing` channel. An anytime
+    wall-clock budget is *global*: each shard gets the remainder (a
+    shard after expiry still runs its cascade and reports
+    interval-bounded starved candidates instead of re-anchoring the full
+    budget).
+    """
+    runs = {
+        index: evaluator
+        for index, evaluator in sorted(evaluators.items())
+        if len(database.shards[index])
+    }
+    shared = {}
+    if prunes:
+        shared = {
+            evaluator: (lambda index=index: source.shard_store(index))
+            for index, evaluator in runs.items()
+        }
+    anytime_wall = None
+    if spec.budget_ms is not None:
+        anytime_wall = time.monotonic() + spec.budget_ms / 1000.0
+    answers = []
+    shard_stats: "list[QueryStats | None]" = [None] * database.shard_count
+    with bound_sharing(spec, shared):
+        for index, evaluator in runs.items():
+            plan = EvaluationPlan(
+                source=source.shard_source(index),
+                cascade=cascade,
+                evaluator=evaluator,
+                stage_labels=stage_labels,
+            )
+            shard_spec = spec
+            if anytime_wall is not None:
+                remaining_ms = max(
+                    1, int((anytime_wall - time.monotonic()) * 1000)
+                )
+                shard_spec = dataclasses.replace(spec, budget_ms=remaining_ms)
+            answer = run_plan(
+                database.shards[index], shard_spec, plan, cache=cache
+            )
+            shard_stats[index] = answer.stats
+            answers.append(answer)
+    stats = merged_stats(database, shard_stats)
+    return merge_consumer(spec).merge(spec, answers, stats)

@@ -533,11 +533,12 @@ class BoundSharing:
 
     Holds the parent-side vector map (fed by drained results and by
     frontier polls) and, when shared memory is available, the
-    :class:`FrontierBuffer` workers publish into. The sharded backend
-    creates one per query and hands it to every shard's evaluator, so
-    vectors solved while shard ``i`` drains prune candidates of shards
-    ``i+1..N`` *and* of sibling workers mid-wave — recovering the
-    cross-shard pruning the serial path gets from its shared bound stage.
+    :class:`FrontierBuffer` workers publish into.
+    :func:`~repro.engine.scatter.bound_sharing` creates one per query
+    and hands it to every pooled evaluator of the plan, so vectors
+    solved in one wave (or while shard ``i`` drains) prune later waves,
+    candidates of shards ``i+1..N`` *and* of sibling workers mid-wave —
+    recovering the pruning the serial path gets from its bound stage.
     """
 
     def __init__(self, judge: FrontierJudge, dims: int, frontier) -> None:
@@ -551,10 +552,10 @@ class BoundSharing:
         """A sharing channel for ``spec``, or ``None`` when pruning on
         shared exact vectors would be unsound or useless (threshold's
         static bound; tolerant dominance, which is not transitive)."""
+        from repro.engine.planner import QueryPlanner
+
         kind = spec.kind
-        if kind == "threshold":
-            return None
-        if kind in ("skyline", "skyband") and spec.tolerance > 0:
+        if kind == "threshold" or not QueryPlanner.prunes(spec):
             return None
         if kind in ("skyline", "skyband"):
             judge = FrontierJudge("pareto", 1 if kind == "skyline" else spec.k)
@@ -1118,13 +1119,14 @@ class PooledEvaluator(Evaluator):
     the database (warm/delta/cold, see :class:`DatabaseAttachment`),
     optionally parks the shard's SignatureMatrix (``matrix_source``), and
     ships candidate-id chunks. With a :class:`BoundSharing` channel
-    (``sharing``, set per query by the sharded backend) the drain runs in
-    **waves**: a small first wave of the most promising candidates, then
-    — between waves — the parent filters everything not yet shipped
-    against all exact vectors known so far (drained + frontier-published),
-    while workers frontier-check each candidate mid-chunk. Without
-    sharing (the exhaustive ``parallel`` backend) the drain is a single
-    full-throughput wave.
+    (``sharing``, set per query by
+    :func:`~repro.engine.scatter.bound_sharing` for pruning plans) the
+    drain runs in **waves**: a small first wave of the most promising
+    candidates, then — between waves — the parent filters everything not
+    yet shipped against all exact vectors known so far (drained +
+    frontier-published), while workers frontier-check each candidate
+    mid-chunk. Without sharing (the exhaustive ``parallel`` backend) the
+    drain is a single full-throughput wave.
 
     Degradation: broken attachment → tasks ship graphs inline; pool
     start failure → in-process evaluation (still sharing-filtered). Both
@@ -1142,7 +1144,7 @@ class PooledEvaluator(Evaluator):
     ) -> None:
         self.max_workers = max(1, max_workers or os.cpu_count() or 1)
         self.chunk_size = chunk_size
-        #: Per-query :class:`BoundSharing` (sharded backend) or ``None``.
+        #: Per-query :class:`BoundSharing` (pruning plans) or ``None``.
         self.sharing: BoundSharing | None = None
         #: Zero-arg callable returning the shard's FeatureStore (or None).
         self.matrix_source = None

@@ -5,7 +5,10 @@ Registered under ``"sharded"``; opened most conveniently through
 re-partitions a monolithic source into a
 :class:`~repro.shard.store.ShardedGraphDatabase` when needed).
 
-Execution is the classic distributed decomposition:
+Execution is the classic distributed decomposition, run by
+:func:`~repro.engine.scatter.scatter_run` — the one scatter loop this
+backend shares with ``auto``, which differs only in choosing each
+shard's evaluator with its planner:
 
 1. **scatter** — one :func:`~repro.engine.core.run_plan` per non-empty
    shard, each over that shard's local candidate source
@@ -36,9 +39,6 @@ selection, i.e. exact ``memory`` semantics.
 
 from __future__ import annotations
 
-import dataclasses
-import time
-
 from repro.errors import QueryError
 from repro.db.database import GraphDatabase
 from repro.api.spec import GraphQuery
@@ -47,10 +47,10 @@ from repro.api.backends import (
     _numpy_available,
     register_backend,
 )
-from repro.engine.core import resolved_measures, run_plan
 from repro.engine.evaluate import Evaluator, PooledEvaluator, SerialEvaluator
 from repro.engine.plan import EvaluationPlan, Stage, bound_stage_for
-from repro.engine.scatter import ShardedSource, merge_consumer, merged_stats
+from repro.engine.planner import QueryPlanner
+from repro.engine.scatter import ShardedSource, merge_consumer, scatter_run
 from repro.shard.store import ShardedGraphDatabase
 
 
@@ -132,15 +132,11 @@ class ShardedBackend(ExecutionBackend):
         return evaluator
 
     def _prunes(self, spec: GraphQuery) -> bool:
-        """Whether the bound stage is in the cascade for ``spec``.
-
-        Tolerant dominance is not transitive, so Pareto pruning against
-        it is unsound — vector kinds with ``tolerance > 0`` run
-        exhaustively and rely on the merge's global-pool fallback.
-        """
-        if not self.use_index:
-            return False
-        return not (spec.kind in ("skyline", "skyband") and spec.tolerance > 0)
+        """Whether the bound stage is in the cascade for ``spec``: the
+        index is on and pruning is sound (:meth:`QueryPlanner.prunes` —
+        vector kinds with ``tolerance > 0`` run exhaustively and rely on
+        the merge's global-pool fallback)."""
+        return self.use_index and QueryPlanner.prunes(spec)
 
     def _shared_bound_stage(self, spec: GraphQuery) -> Stage:
         """One bound-stage instance reused by every shard run (the
@@ -180,72 +176,23 @@ class ShardedBackend(ExecutionBackend):
             stage_labels=self._stage_labels(spec),
         )
 
-    def _query_sharing(self, spec: GraphQuery):
-        """One :class:`~repro.engine.workers.BoundSharing` per parallel
-        pruning query — the deferred-evaluation counterpart of the
-        shared bound stage (``None`` when pruning is off/unsound)."""
-        if not self.parallel or not self._prunes(spec):
-            return None
-        from repro.engine.workers import BoundSharing
-
-        if spec.kind in ("skyline", "skyband"):
-            dims = len(resolved_measures(spec))
-        else:
-            dims = 1
-        return BoundSharing.for_spec(spec, dims, workers=self.max_workers)
-
     # -- execution --------------------------------------------------------
     def run(self, spec: GraphQuery) -> "BackendAnswer":
         spec.validate()
         database: ShardedGraphDatabase = self.database
-        cascade = self._cascade(spec)
-        labels = self._stage_labels(spec)
-        answers = []
-        shard_stats: list = [None] * database.shard_count
-        sharing = self._query_sharing(spec)
-        # An anytime wall-clock budget is *global*: the sequential shard
-        # runs share it, so each shard gets the remainder (a shard after
-        # expiry still runs its cascade and reports interval-bounded
-        # starved candidates instead of re-anchoring the full budget).
-        anytime_wall = None
-        if spec.budget_ms is not None:
-            anytime_wall = time.monotonic() + spec.budget_ms / 1000.0
-        try:
-            for index in range(database.shard_count):
-                if not len(database.shards[index]):
-                    continue
-                evaluator = self._shard_evaluator(index)
-                if sharing is not None and isinstance(
-                    evaluator, PooledEvaluator
-                ):
-                    evaluator.sharing = sharing
-                    evaluator.matrix_source = (
-                        lambda idx=index: self._source.shard_store(idx)
-                    )
-                plan = EvaluationPlan(
-                    source=self._source.shard_source(index),
-                    cascade=cascade,
-                    evaluator=evaluator,
-                    stage_labels=labels,
-                )
-                shard_spec = spec
-                if anytime_wall is not None:
-                    remaining_ms = max(
-                        1, int((anytime_wall - time.monotonic()) * 1000)
-                    )
-                    shard_spec = dataclasses.replace(spec, budget_ms=remaining_ms)
-                answer = run_plan(
-                    database.shards[index], shard_spec, plan, cache=self.cache
-                )
-                shard_stats[index] = answer.stats
-                answers.append(answer)
-        finally:
-            if sharing is not None:
-                for evaluator in self._evaluators.values():
-                    evaluator.sharing = None
-                sharing.release()
-        stats = merged_stats(database, shard_stats)
-        return merge_consumer(spec).merge(spec, answers, stats)
+        return scatter_run(
+            database,
+            spec,
+            self._source,
+            self._cascade(spec),
+            self._stage_labels(spec),
+            {
+                index: self._shard_evaluator(index)
+                for index in range(database.shard_count)
+            },
+            prunes=self._prunes(spec),
+            cache=self.cache,
+        )
 
 
 register_backend(ShardedBackend.name, ShardedBackend)

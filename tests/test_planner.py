@@ -3,10 +3,10 @@
 Answer-set parity with the exhaustive reference across all four kinds is
 also fuzzed (``auto`` sits in the testkit backend rotation); this file
 pins the decision layer itself — selectivity-profile feedback, soundness
-gates, static cost crossovers, NumPy-absent degradation, mid-query
-re-plans (stage drop + serial→pooled switch), the ``explain()`` /
-``to_dict()`` reporting, the sharded scatter path, the ``repro
-backends`` CLI, and the shared profile behind the server.
+gates, static cost crossovers, NumPy-absent degradation, the regret
+pins (a plan chosen once never evaluates much more than ``indexed``),
+the ``explain()`` / ``to_dict()`` reporting, the sharded scatter path,
+the ``repro backends`` CLI, and the shared profile behind the server.
 """
 
 from __future__ import annotations
@@ -18,16 +18,9 @@ from repro import GraphDatabase, Query
 from repro.api.auto import AutoBackend
 from repro.api.backends import available_backends
 from repro.api.spec import GraphQuery
+from repro.datasets import make_workload
 from repro.db.stats import QueryStats
-from repro.engine import planner as planner_mod
-from repro.engine.planner import (
-    AdaptiveEvaluator,
-    AdaptiveStage,
-    QueryPlanner,
-    SelectivityProfile,
-    availability,
-    stage_warmup,
-)
+from repro.engine.planner import QueryPlanner, SelectivityProfile, availability
 from repro.shard import ShardedGraphDatabase
 
 from tests.conftest import make_random_graph
@@ -106,7 +99,7 @@ def test_explain_and_to_dict_carry_the_decision(database, query_graph):
     payload = result.to_dict()
     planner = payload["stats"]["planner"]
     assert planner["summary"] == result.stats.planner["summary"]
-    assert "costs_ms" in planner and "exhaustive/serial" in planner["costs_ms"]
+    assert "scalar-index/serial" in planner["costs_ms"]
     assert payload["stats"]["pruned_by_stage"] == dict(
         result.stats.pruned_by_stage
     )
@@ -250,13 +243,33 @@ def test_decide_single_core_cannot_pool(query_graph):
     assert all("/pooled" not in label for label in decision.costs)
 
 
-def test_decide_serial_winner_arms_the_adaptive_switch(query_graph):
+def test_decide_serial_winner_still_costs_the_pool(query_graph):
     planner = QueryPlanner(
         SelectivityProfile(), numpy_available=True, max_workers=4
     )
     decision = planner.decide(_skyline_spec(query_graph), 40, 4.0)
-    assert decision.evaluator == "adaptive"
+    assert decision.evaluator == "serial"
     assert "scalar-index/pooled" in decision.costs
+
+
+def test_decide_offers_exhaustive_only_when_pruning_is_unsound(query_graph):
+    profile = SelectivityProfile()
+    # A profile that has seen the rank stage prune nothing, ever.
+    profile.observe(
+        "topk",
+        _stats(100, {"rank-bound": 0}, evals=100, evaluate_s=0.01),
+        stage_names=("rank-bound",),
+    )
+    planner = QueryPlanner(profile, numpy_available=True, max_workers=1)
+    topk = planner.decide(Query(query_graph).topk(3, "edit").build(), 150, 5.0)
+    assert topk.stage == "rank-bound"
+    assert not any(label.startswith("exhaustive") for label in topk.costs)
+    tolerant_spec = (
+        Query(query_graph).measures("edit", "mcs").skyline(tolerance=0.25)
+    ).build()
+    tolerant = planner.decide(tolerant_spec, 150, 5.0)
+    assert tolerant.stage is None and tolerant.source == "database-order"
+    assert set(tolerant.costs) == {"exhaustive/serial"}
 
 
 def test_decide_huge_survivor_count_goes_pooled(query_graph):
@@ -295,195 +308,99 @@ def test_auto_degrades_to_scalar_without_numpy(
 
 
 # ----------------------------------------------------------------------
-# Mid-query re-planning
+# Regret pins: a plan chosen once keeps its sound bound stage
 # ----------------------------------------------------------------------
-class _NeverPrunes:
-    name = "pareto-bound"
-
-    def __init__(self):
-        self.observed_ids = []
-
-    def decide(self, candidate):
-        return None
-
-    def observe(self, graph_id, values):
-        self.observed_ids.append(graph_id)
-
-
-def test_adaptive_stage_drops_on_collapsed_rate():
-    events: list = []
-    stage = AdaptiveStage(
-        _NeverPrunes(), predicted=0.8, events=events, calibration=4
+def _topk_workload(n_graphs: int):
+    workload = make_workload(
+        n_graphs,
+        n_queries=1,
+        query_size=4,
+        mutant_fraction=0.3,
+        radius=(1, 3),
+        seed=1,
     )
-    for _ in range(4):
-        assert stage.decide(None) is None
-    assert stage.dropped
-    (event,) = events
-    assert event["event"] == "drop-stage"
-    assert event["stage"] == "pareto-bound"
-    assert event["after_candidates"] == 4
-    assert event["predicted"] == 0.8 and event["observed"] == 0.0
-    # Dropped stages stop both deciding and observing.
-    assert stage.decide(None) is None
-    stage.observe(7, (1.0,))
-    assert stage.inner.observed_ids == []
+    return GraphDatabase.from_graphs(workload.database), workload.queries[0]
 
 
-def test_adaptive_stage_warmup_delays_calibration():
-    events: list = []
-    stage = AdaptiveStage(
-        _NeverPrunes(), predicted=0.8, events=events, calibration=2, warmup=2
-    )
-    # Candidates seen before 2 exact observations don't count.
-    for _ in range(5):
-        stage.decide(None)
-    assert stage.seen == 0 and not stage.dropped
-    stage.observe(1, (1.0,))
-    stage.observe(2, (1.0,))
-    stage.decide(None)
-    stage.decide(None)
-    assert stage.seen == 2 and stage.dropped
-    assert events and events[0]["after_candidates"] == 2
+def _indexed_and_memory(database, build):
+    with repro.connect(database, backend="indexed") as session:
+        indexed = session.execute(build())
+    return indexed, _reference(database, build)
 
 
-def test_stage_warmup_per_kind(query_graph):
-    assert stage_warmup(_skyline_spec(query_graph)) == 1
-    assert stage_warmup(Query(query_graph).topk(4, "edit").build()) == 4
+def test_topk_after_neighbours_removed_evaluates_like_indexed():
+    # A read trains the profile, then the query's 20 nearest neighbours
+    # are deleted: the next read's bound-ordered prefix prunes nothing
+    # for well over 32 candidates before the rank cutoff starts biting.
+    database, query = _topk_workload(150)
+    build = lambda: Query(query).topk(3, "edit")  # noqa: E731
+    with repro.connect(database, backend="auto", max_workers=1) as session:
+        session.execute(build())
+        for graph_id in _reference(
+            database, lambda: Query(query).topk(20, "edit")
+        ).ids:
+            database.remove(graph_id)
+        result = session.execute(build())
+    indexed, expected = _indexed_and_memory(database, build)
+    assert result.ids == expected.ids
+    assert result.stats.planner["stages"][0] == "rank-bound"
     assert (
-        stage_warmup(
-            Query(query_graph).measures("edit", "mcs").skyband(3).build()
-        )
-        == 3
+        result.stats.exact_evaluations
+        <= 1.25 * indexed.stats.exact_evaluations
     )
-    assert stage_warmup(Query(query_graph).threshold(0.5, "edit").build()) == 0
 
 
-def test_drop_event_reaches_explain_end_to_end(query_graph):
-    # 40 graphs, a threshold so large nothing prunes, and a profile
-    # pre-trained to expect heavy scalar pruning and a useless
-    # pre-filter: the planner picks the scalar stage, the observed rate
-    # collapses, and the gate drops the stage mid-query.
-    database = GraphDatabase.from_graphs(
-        [make_random_graph(seed, max_vertices=4) for seed in range(40)]
+def test_poisoned_topk_profile_keeps_the_rank_stage():
+    # k = |db| top-k queries prune nothing and drive the profile's
+    # rank-bound estimate towards zero; a later k = 3 read must still
+    # plan the stage, or every top-k query becomes a full scan.
+    database, query = _topk_workload(150)
+    build = lambda: Query(query).topk(3, "edit")  # noqa: E731
+    with repro.connect(database, backend="auto", max_workers=1) as session:
+        session.execute(build())
+        for _ in range(13):
+            session.execute(Query(query).topk(len(database), "edit"))
+        result = session.execute(build())
+    indexed, expected = _indexed_and_memory(database, build)
+    assert result.ids == expected.ids
+    assert "no-prune" not in result.stats.planner["summary"]
+    assert (
+        result.stats.exact_evaluations
+        <= 1.25 * indexed.stats.exact_evaluations
     )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda q: Query(q).measures("edit", "mcs").skyline(),
+        lambda q: Query(q).topk(3, "edit"),
+    ],
+    ids=["skyline", "topk"],
+)
+def test_pooled_monolithic_plan_prunes_like_serial(build):
+    # Expensive pairs and a middling prune rate: the planner keeps the
+    # bound stage and goes pooled. The pooled drain must prune against
+    # the query's exact vectors, not ship every survivor in one wave.
+    database, query = _topk_workload(60)
+    spec = build(query).build()
+    stage = "rank-bound" if spec.kind == "topk" else "pareto-bound"
     profile = SelectivityProfile()
     profile.observe(
-        "threshold",
-        _stats(40, {"threshold-bound": 36}),
-        stage_names=("threshold-bound", "batch-prefilter"),
+        spec.kind,
+        _stats(100, {stage: 50}, evals=100, evaluate_s=500.0),
+        stage_names=(stage,),
     )
-    backend = AutoBackend(database, profile=profile)
-    expected = _reference(
-        database, lambda: Query(query_graph).threshold(1e9, "edit")
-    )
+    backend = AutoBackend(database, profile=profile, max_workers=2)
     with repro.connect(database, backend=backend) as session:
-        result = session.execute(Query(query_graph).threshold(1e9, "edit"))
+        result = session.execute(build(query))
+    indexed, expected = _indexed_and_memory(database, lambda: build(query))
     assert result.ids == expected.ids
-    planner = result.stats.planner
-    assert planner["summary"].startswith("bound-ordered+threshold-bound")
-    (event,) = planner["replans"]
-    assert event["event"] == "drop-stage"
-    assert event["stage"] == "threshold-bound"
-    assert "re-plan: dropped stage threshold-bound" in result.explain()
-    # The collapsed run must not poison the profile: the pre-trained
-    # selectivity survives untouched (the prior, not the forced zero).
-    assert profile.selectivity("threshold", "threshold-bound") == pytest.approx(
-        0.9
+    assert result.stats.planner["summary"].endswith("/pooled")
+    assert result.stats.pool is not None
+    assert (
+        result.stats.exact_evaluations <= 2 * indexed.stats.exact_evaluations
     )
-
-
-class _StubPooled:
-    max_workers = 4
-
-    def __init__(self):
-        self.begun = False
-        self.evaluated = []
-        self.drained = False
-
-    def begin(self, ctx):
-        self.begun = True
-
-    def chunk(self, pairs):
-        return [pairs] if pairs else []
-
-    def evaluate(self, ctx, candidate):
-        self.evaluated.append(candidate)
-        return None
-
-    def drain(self, ctx):
-        self.drained = True
-        return []
-
-    def drained_pruned_ids(self):
-        return ("stub",)
-
-
-class _StubSerial:
-    def evaluate(self, ctx, candidate):
-        return (1.0,)
-
-
-def test_adaptive_evaluator_switches_to_the_pool():
-    events: list = []
-    pooled = _StubPooled()
-    evaluator = AdaptiveEvaluator(
-        pooled,
-        expected_survivors=10_000,
-        events=events,
-        calibration=3,
-        pool_started=True,
-    )
-    evaluator._serial = _StubSerial()
-    evaluator.begin(None)
-    assert pooled.begun
-    for _ in range(3):
-        assert evaluator.evaluate(None, "cand") == (1.0,)
-    assert evaluator.switched
-    (event,) = events
-    assert event["event"] == "switch-evaluator"
-    assert event["from"] == "serial" and event["to"] == "pooled"
-    assert event["after_pairs"] == 3
-    assert event["expected_remaining"] == 10_000 - 3
-    # Post-switch work goes to the pool; drain delegates too.
-    evaluator.evaluate(None, "later")
-    assert pooled.evaluated == ["later"]
-    assert evaluator.drain(None) == [] and pooled.drained
-    assert evaluator.drained_pruned_ids() == ("stub",)
-
-
-def test_adaptive_evaluator_stays_serial_below_the_bar():
-    events: list = []
-    evaluator = AdaptiveEvaluator(
-        _StubPooled(),
-        expected_survivors=4,  # nothing left to save after calibration
-        events=events,
-        calibration=3,
-        pool_started=False,
-    )
-    evaluator._serial = _StubSerial()
-    evaluator.begin(None)
-    for _ in range(4):
-        evaluator.evaluate(None, "cand")
-    assert not evaluator.switched and events == []
-    assert evaluator.drain(None) == []
-    assert evaluator.drained_pruned_ids() == ()
-
-
-def test_explain_renders_switch_events(database, query_graph):
-    with repro.connect(database, backend="auto") as session:
-        result = session.execute(_skyline_spec(query_graph))
-    result.stats.planner["replans"] = [
-        {
-            "event": "switch-evaluator",
-            "from": "serial",
-            "to": "pooled",
-            "after_pairs": 16,
-            "pair_ms": 2.5,
-            "expected_remaining": 84,
-        }
-    ]
-    text = result.explain()
-    assert "re-plan: switched serial → pooled after 16 pairs" in text
 
 
 # ----------------------------------------------------------------------
