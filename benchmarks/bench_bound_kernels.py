@@ -1,21 +1,14 @@
-"""Bench A8 — vectorized bound kernels and VP-tree candidate generation.
+"""Bench A8 — vectorized bound kernels versus the scalar bounds.
 
 Times the candidate-filtering layer at database sizes where interpreter
-overhead dominates the scalar path:
-
-* **bound-stage throughput** — all four feature bounds (edit lb, |mcs|
-  ub, DistMcs lb, DistGu lb) for every graph against one query: the
-  per-graph scalar loop over ``repro.graph.features`` versus one batched
-  kernel pass over the packed :class:`~repro.index.SignatureMatrix`;
-* **candidate generation** — threshold-query candidate sets via the
-  VP-tree's metric range search versus the vectorized linear scan, with
-  the fraction of rows the tree actually touched.
+overhead dominates the scalar path: all four feature bounds (edit lb,
+|mcs| ub, DistMcs lb, DistGu lb) for every graph against one query, the
+per-graph scalar loop over ``repro.graph.features`` versus one batched
+kernel pass over the packed :class:`~repro.index.SignatureMatrix`.
 
 Results go to ``BENCH_bounds.json`` next to this file (archived by CI).
-The regression floor asserted here is the PR's acceptance criterion:
-**≥ 5× bound-stage speedup at 2 000 graphs**, and VP-tree range search
-must touch a strict subset of the rows while returning the exact
-linear-scan candidate set.
+The regression floor asserted here: **≥ 5× bound-stage speedup at 2 000
+graphs**, with the vectorized pass returning the same numbers.
 """
 
 import json
@@ -23,7 +16,6 @@ import random
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.datasets.synthetic import molecule_like_graph
@@ -34,7 +26,7 @@ from repro.graph.features import (
     edit_distance_lower_bound,
     mcs_upper_bound,
 )
-from repro.index import SignatureMatrix, VPTree, bound_matrix, signature_distances
+from repro.index import SignatureMatrix, bound_matrix
 from repro.bench import render_table
 from repro.measures.base import resolve_measures
 
@@ -77,7 +69,7 @@ def _best_of(repeats, fn):
 
 
 @pytest.mark.benchmark(group="a8-bound-kernels")
-def test_bound_kernel_and_index_throughput(populations):
+def test_bound_kernel_throughput(populations):
     all_features, query = populations
     measures = resolve_measures(("edit", "mcs", "union"))
     rows = []
@@ -102,34 +94,11 @@ def test_bound_kernel_and_index_throughput(populations):
             assert batched[row, 2] == scalar_values[row][3]
         speedup = scalar_s / vector_s
 
-        # Candidate generation: VP-tree range search vs linear scan for a
-        # selective threshold query on the edit bound.
-        tree_build_s, tree = _best_of(1, lambda: VPTree(matrix))
-        radius = 2.0
-        linear_s, linear_hits = _best_of(
-            3,
-            lambda: np.flatnonzero(
-                signature_distances(
-                    matrix, np.arange(len(matrix), dtype=np.int64), packed
-                )
-                <= radius
-            ),
-        )
-        tree_s, tree_hits = _best_of(3, lambda: tree.range_rows(packed, radius))
-        assert tree_hits.tolist() == linear_hits.tolist()
-        scanned_fraction = tree.last_rows_scanned / size
-        assert tree.last_rows_scanned < size, "VP-tree degenerated to a full scan"
-
         rows.append([
             size,
             round(scalar_s * 1e3, 2),
             round(vector_s * 1e3, 3),
             round(speedup, 1),
-            round(tree_build_s * 1e3, 1),
-            round(linear_s * 1e3, 3),
-            round(tree_s * 1e3, 3),
-            f"{scanned_fraction:.1%}",
-            len(tree_hits),
         ])
         payload["sizes"][str(size)] = {
             "scalar_bound_seconds": scalar_s,
@@ -137,20 +106,13 @@ def test_bound_kernel_and_index_throughput(populations):
             "bound_speedup": speedup,
             "bounds_per_second_scalar": size / scalar_s,
             "bounds_per_second_vector": size / vector_s,
-            "vptree_build_seconds": tree_build_s,
-            "linear_range_seconds": linear_s,
-            "vptree_range_seconds": tree_s,
-            "vptree_rows_scanned": tree.last_rows_scanned,
-            "vptree_scanned_fraction": scanned_fraction,
-            "range_hits": len(tree_hits),
         }
 
     print()
     print(render_table(
-        ["n", "scalar ms", "vector ms", "speedup", "build ms",
-         "linear ms", "vptree ms", "scanned", "hits"],
+        ["n", "scalar ms", "vector ms", "speedup"],
         rows,
-        title="A8 — bound kernels: scalar vs vectorized + VP-tree range",
+        title="A8 — bound kernels: scalar vs vectorized",
     ))
     OUTPUT.write_text(json.dumps(payload, indent=2), encoding="utf-8")
     print(f"wrote {OUTPUT}")

@@ -38,7 +38,7 @@ Packages
 ``repro.core``      GCS, similarity-dominance, GSS, diversity refinement
 ``repro.db``        database storage, feature index, pruning executor
 ``repro.shard``     sharded store, placement policies, scatter-gather backend
-``repro.index``     vectorized feature store, bound kernels, VP-tree (NumPy)
+``repro.index``     vectorized feature store and bound kernels (NumPy)
 ``repro.datasets``  paper examples and synthetic workloads
 ``repro.testkit``   differential workload fuzzing against a trusted oracle
 ``repro.bench``     harness utilities for the reproduction benchmarks

@@ -18,8 +18,8 @@ executes it. All backends return identical answer *sets*
 * ``vectorized`` (when NumPy is installed) — :class:`repro.index.
   IndexedSource` over an incrementally-maintained packed feature matrix:
   optimistic vectors for the whole database in one batched kernel call,
-  VP-tree pre-filtering for threshold queries, and the batched Pareto
-  stage in the cascade.
+  a flat bound-mask pre-filter for threshold queries, and the batched
+  Pareto stage in the cascade.
 
 Every backend accepts ``cache=`` (a :class:`~repro.db.cache.PairCache`
 or legacy :class:`~repro.db.cache.QueryCache`), which appends the
@@ -254,7 +254,7 @@ class IndexedBackend(ExecutionBackend):
 
 
 # ----------------------------------------------------------------------
-# vectorized — batched NumPy bound kernels + VP-tree candidate index
+# vectorized — batched NumPy bound kernels over a packed feature matrix
 # ----------------------------------------------------------------------
 def _numpy_available() -> bool:
     import importlib.util
@@ -270,8 +270,8 @@ class VectorizedBackend(ExecutionBackend):
     :class:`~repro.index.SignatureMatrix` of a
     :class:`~repro.index.FeatureStore` instead of per-graph Python
     objects: bounds and visiting order come from vectorized kernels,
-    threshold queries are pre-filtered sublinearly through the VP-tree,
-    and the skyline/skyband cascade uses the batched Pareto stage. The
+    threshold queries are pre-filtered with one flat bound mask, and the
+    skyline/skyband cascade uses the batched Pareto stage. The
     store follows database mutation through the same ``version`` dirty
     flag as ``indexed``, with row-level invalidation instead of a
     rebuild.

@@ -396,7 +396,7 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 _BACKEND_NOTES = {
     "memory": "exhaustive serial scan (reference semantics)",
     "indexed": "scalar feature-index lower bounds, most promising first",
-    "vectorized": "NumPy batched bound kernels + VP-tree pre-filter",
+    "vectorized": "NumPy batched bound kernels + flat threshold pre-filter",
     "parallel": "exhaustive fan-out on the persistent process pool",
     "sharded": "scatter-gather over a sharded store (connect shards=N)",
     "auto": "cost-based planner: picks source/stages/evaluator per query",

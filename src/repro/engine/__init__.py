@@ -46,6 +46,7 @@ property-tested in ``tests/test_engine_cascade_property.py``.
 from repro.engine.plan import (
     BoundOrderedSource,
     Candidate,
+    CandidateBlock,
     CandidateSource,
     CachedPairStage,
     DatabaseOrderSource,
@@ -95,6 +96,7 @@ from repro.engine.views import LiveView
 __all__ = [
     "BoundOrderedSource",
     "Candidate",
+    "CandidateBlock",
     "CandidateSource",
     "CachedPairStage",
     "DatabaseOrderSource",

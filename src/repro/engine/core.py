@@ -3,11 +3,16 @@
 :func:`run_plan` executes a validated :class:`~repro.api.spec.GraphQuery`
 under an :class:`~repro.engine.plan.EvaluationPlan`:
 
-1. the plan's source enumerates (and orders) candidates, computing index
-   lower bounds when it has them;
-2. each candidate walks the pruning cascade — a stage may prune it
-   (sound: the candidate provably cannot change the answer), serve its
-   exact vector (cached pairs), or pass;
+1. the plan's source returns one
+   :class:`~repro.engine.plan.CandidateBlock` — candidate ids in
+   visiting order, with index lower bounds when it has them;
+2. the candidates walk the pruning cascade in windows: the leading
+   :class:`~repro.engine.plan.BoundStage` judges a whole window with one
+   ``prune_mask`` call, re-judging the rows still alive only after an
+   observation changed its state, so every decision equals a
+   per-candidate walk's; each survivor then meets the later stages,
+   which may prune it (sound: it provably cannot change the answer),
+   serve its exact vector (cached pairs), or pass;
 3. survivors reach the evaluator — solved immediately (serial) or batched
    onto a process pool and drained after the scan;
 4. every exact vector is fed back to the stages (``observe``), then the
@@ -38,11 +43,15 @@ from repro.api.spec import GraphQuery
 from repro.engine.consume import finish_distances, finish_vectors
 from repro.engine.deadline import Deadline, current_deadline
 from repro.engine.evaluate import Evaluator, SerialEvaluator
-from repro.engine.plan import EvaluationPlan, Stage
+from repro.engine.plan import BoundStage, EvaluationPlan, Stage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.backends import BackendAnswer
     from repro.db.cache import PairCache
+
+#: Rows a bound stage judges per mask call; the deadline is checked per
+#: window and per survivor.
+_WINDOW = 256
 
 
 def resolved_measures(spec: GraphQuery) -> tuple[DistanceMeasure, ...]:
@@ -157,6 +166,16 @@ def run_plan(
     if ctx.prefiltered:
         stats.count_prune("batch-prefilter", len(ctx.prefiltered))
 
+    # The leading bound stage judges whole windows; later stages judge
+    # each survivor of its mask.
+    masker: BoundStage | None = None
+    rest = stages
+    if stages and isinstance(stages[0], BoundStage):
+        rest = stages[1:]
+        if candidates.bounds is not None:
+            masker = stages[0]
+    ids = candidates.ids
+
     perf = time.perf_counter
     cascade_s = 0.0
     evaluate_s = 0.0
@@ -169,36 +188,69 @@ def run_plan(
             stage.observe(graph_id, values)
         cascade_s += perf() - begin
 
+    def prune(start: int, end: int, name: str) -> None:
+        if end > start:
+            stats.pruned_by_index += end - start
+            stats.count_prune(name, end - start)
+            pruned_ids.extend(ids[start:end])
+
+    def visit(position: int) -> None:
+        nonlocal cascade_s, evaluate_s
+        candidate = candidates[position]
+        verdict: "str | tuple[float, ...] | None" = None
+        decided: Stage | None = None
+        begin = perf()
+        for stage in rest:
+            verdict = stage.decide(candidate)
+            if verdict is not None:
+                decided = stage
+                break
+        cascade_s += perf() - begin
+        if verdict == "prune":
+            prune(position, position + 1, getattr(decided, "name", "stage"))
+            return
+        if isinstance(verdict, tuple):
+            stats.served_from_cache += 1
+            record(candidate.graph_id, verdict)
+            return
+        begin = perf()
+        values = evaluator.evaluate(ctx, candidate)
+        evaluate_s += perf() - begin
+        if values is not None:
+            stats.exact_evaluations += 1
+            record(candidate.graph_id, values)
+
     deadline = ctx.deadline
+    masked = masker.name if masker is not None else "stage"
+    stats.candidates_considered += len(ids)
     try:
-        for candidate in candidates:
+        for start in range(0, len(ids), _WINDOW):
             if deadline is not None:
                 deadline.check()
-            stats.candidates_considered += 1
-            verdict: "str | tuple[float, ...] | None" = None
-            decided: Stage | None = None
-            begin = perf()
-            for stage in stages:
-                verdict = stage.decide(candidate)
-                if verdict is not None:
-                    decided = stage
-                    break
-            cascade_s += perf() - begin
-            if verdict == "prune":
-                stats.pruned_by_index += 1
-                stats.count_prune(getattr(decided, "name", "stage"))
-                pruned_ids.append(candidate.graph_id)
-                continue
-            if isinstance(verdict, tuple):
-                stats.served_from_cache += 1
-                record(candidate.graph_id, verdict)
-                continue
-            begin = perf()
-            values = evaluator.evaluate(ctx, candidate)
-            evaluate_s += perf() - begin
-            if values is not None:
-                stats.exact_evaluations += 1
-                record(candidate.graph_id, values)
+            end = min(len(ids), start + _WINDOW)
+            alive = list(range(start, end))
+            revision = None
+            done = start  # every row before ``done`` is decided
+            while alive:
+                if masker is not None and masker.revision != revision:
+                    # (Re-)judge the rows still alive. Pruning is
+                    # monotone in feedback, so a pruned row stays pruned.
+                    begin = perf()
+                    revision = masker.revision
+                    mask = masker.prune_mask(candidates.rows(alive))
+                    if not isinstance(mask, list):
+                        mask = mask.tolist()
+                    alive = [row for row, out in zip(alive, mask) if not out]
+                    cascade_s += perf() - begin
+                    if not alive:
+                        break
+                position = alive.pop(0)
+                prune(done, position, masked)
+                if deadline is not None:
+                    deadline.check()
+                visit(position)
+                done = position + 1
+            prune(done, end, masked)
         begin = perf()
         drained = list(evaluator.drain(ctx))
         evaluate_s += perf() - begin

@@ -5,12 +5,14 @@ engine (:mod:`repro.engine.core`) executes for every query:
 
     candidate source  →  pruning cascade  →  exact evaluator  →  consumer
 
-* the **source** enumerates candidate database graphs, optionally with
-  optimistic (lower-bound) vectors and a visiting order that makes the
-  downstream pruning effective;
+* the **source** returns a :class:`CandidateBlock` of candidate database
+  graphs, optionally with optimistic (lower-bound) vectors, in a
+  visiting order that makes the downstream pruning effective;
 * the **cascade** is an ordered list of :class:`Stage` factories; each
   stage may soundly prune a candidate (provably outside the answer set),
-  serve its exact vector without solving (cached pairs), or pass it on;
+  serve its exact vector without solving (cached pairs), or pass it on.
+  A :class:`BoundStage` prunes on bounds alone and judges a whole window
+  of bound rows per :meth:`BoundStage.prune_mask` call;
 * the **evaluator** (:mod:`repro.engine.evaluate`) solves the survivors
   exactly, serially or batched across a process pool;
 * the **consumer** (:mod:`repro.engine.consume`) turns exact vectors into
@@ -27,7 +29,9 @@ is what lets pruning, caching and parallelism compose freely.
 from __future__ import annotations
 
 import abc
-from bisect import insort
+import math
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -51,6 +55,57 @@ class Candidate:
     bounds: tuple[float, ...] | None = None
 
 
+class CandidateBlock:
+    """A run's candidates as two columns, in visiting order.
+
+    ``ids`` is a list of graph ids; ``bounds`` holds the matching
+    optimistic vectors — an ``(n, d)`` NumPy array from the vectorized
+    index, a list of tuples from the scalar index, or ``None`` when the
+    source computes no bounds. The engine walks the columns directly;
+    :class:`Candidate` objects are built only when a row is indexed or
+    the block is iterated (survivors, the anytime driver, the pool).
+    """
+
+    __slots__ = ("ids", "bounds")
+
+    def __init__(self, ids: list[int], bounds=None) -> None:
+        self.ids = ids
+        self.bounds = bounds
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, position: int) -> Candidate:
+        if self.bounds is None:
+            return Candidate(self.ids[position])
+        bounds = self.bounds[position]
+        if not isinstance(bounds, tuple):
+            bounds = tuple(bounds.tolist())
+        return Candidate(self.ids[position], bounds)
+
+    def __iter__(self) -> Iterator[Candidate]:
+        return (self[position] for position in range(len(self.ids)))
+
+    def rows(self, positions: list[int]):
+        """The bound rows at ``positions``, in the column's own form."""
+        if isinstance(self.bounds, list):
+            return [self.bounds[position] for position in positions]
+        return self.bounds[positions]
+
+    @classmethod
+    def concat(cls, blocks: "list[CandidateBlock]") -> "CandidateBlock":
+        """One block visiting ``blocks`` in order (same bound form)."""
+        ids = [graph_id for block in blocks for graph_id in block.ids]
+        columns = [block.bounds for block in blocks if len(block)]
+        if not columns or columns[0] is None:
+            return cls(ids)
+        if isinstance(columns[0], list):
+            return cls(ids, [row for column in columns for row in column])
+        import numpy as np
+
+        return cls(ids, np.concatenate(columns))
+
+
 class Stage(abc.ABC):
     """One cascade member: prune, serve, or pass each candidate.
 
@@ -70,10 +125,46 @@ class Stage(abc.ABC):
         """Feedback: an exact vector became known (solved, cached or pooled)."""
 
 
+class BoundStage(Stage):
+    """A stage that prunes on optimistic bounds alone, a window at a time.
+
+    :meth:`prune_mask` judges a window of bound rows at once (an ``(n,
+    d)`` array, or a list of tuples on the NumPy-free path) and returns
+    one flag per row. Two rules let the engine judge whole windows and
+    still decide exactly like a per-candidate walk:
+
+    * pruning is monotone in feedback — a row pruned under the current
+      observations stays pruned after any further :meth:`observe`;
+    * :attr:`revision` changes whenever an observation may have changed
+      a verdict, so the engine re-judges the rows still alive only then.
+
+    :meth:`decide` is the one-row case of the same rule.
+    """
+
+    #: Bumped by :meth:`observe` whenever a verdict may have changed.
+    revision: int = 0
+
+    @abc.abstractmethod
+    def prune_mask(self, bounds) -> "Sequence[bool]":
+        """Per-row prune flags for a window of bound rows."""
+
+    def decide(self, candidate: Candidate) -> "str | None":
+        if candidate.bounds is None:
+            return None
+        return "prune" if self.prune_mask([candidate.bounds])[0] else None
+
+
+def _exceeds(bounds, cutoff: float) -> "Sequence[bool]":
+    """``bounds[:, 0] > cutoff`` for an array or a list of tuples."""
+    if isinstance(bounds, list):
+        return [row[0] > cutoff for row in bounds]
+    return bounds[:, 0] > cutoff
+
+
 StageFactory = Callable[["RunContext"], Stage]
 
 
-class ParetoPruneStage(Stage):
+class ParetoPruneStage(BoundStage):
     """Skyline/skyband pruning by exact dominators of the optimistic bound.
 
     Optimistic vectors are componentwise ≤ the exact vectors, so a
@@ -90,22 +181,24 @@ class ParetoPruneStage(Stage):
         self.tolerance = tolerance
         self._exact: list[tuple[float, ...]] = []
 
-    def decide(self, candidate: Candidate) -> "str | None":
-        if candidate.bounds is None:
-            return None
+    def _dominated(self, bounds: tuple[float, ...]) -> bool:
         count = 0
         for vector in self._exact:
-            if dominates(vector, candidate.bounds, self.tolerance):
+            if dominates(vector, bounds, self.tolerance):
                 count += 1
                 if count >= self.prune_limit:
-                    return "prune"
-        return None
+                    return True
+        return False
+
+    def prune_mask(self, bounds) -> list[bool]:
+        return [self._dominated(row) for row in bounds]
 
     def observe(self, graph_id: int, values: tuple[float, ...]) -> None:
         self._exact.append(values)
+        self.revision += 1
 
 
-class RankBoundStage(Stage):
+class RankBoundStage(BoundStage):
     """Top-k pruning: bound exceeds the current k-th best exact distance.
 
     With candidates visited in ascending bound order, the first prune
@@ -119,19 +212,19 @@ class RankBoundStage(Stage):
         self.k = k
         self._best: list[float] = []
 
-    def decide(self, candidate: Candidate) -> "str | None":
-        if candidate.bounds is None or len(self._best) < self.k:
-            return None
-        if candidate.bounds[0] > self._best[-1]:
-            return "prune"
-        return None
+    def prune_mask(self, bounds) -> "Sequence[bool]":
+        cutoff = self._best[-1] if len(self._best) >= self.k else math.inf
+        return _exceeds(bounds, cutoff)
 
     def observe(self, graph_id: int, values: tuple[float, ...]) -> None:
-        insort(self._best, values[0])
-        del self._best[self.k :]
+        position = bisect_right(self._best, values[0])
+        if position < self.k:
+            self._best.insert(position, values[0])
+            del self._best[self.k :]
+            self.revision += 1
 
 
-class ThresholdBoundStage(Stage):
+class ThresholdBoundStage(BoundStage):
     """Range pruning: the lower bound already exceeds the threshold."""
 
     name = "threshold-bound"
@@ -139,10 +232,8 @@ class ThresholdBoundStage(Stage):
     def __init__(self, threshold: float) -> None:
         self.threshold = threshold
 
-    def decide(self, candidate: Candidate) -> "str | None":
-        if candidate.bounds is not None and candidate.bounds[0] > self.threshold:
-            return "prune"
-        return None
+    def prune_mask(self, bounds) -> "Sequence[bool]":
+        return _exceeds(bounds, self.threshold)
 
 
 class CachedPairStage(Stage):
@@ -221,22 +312,22 @@ class CandidateSource(abc.ABC):
     pre-filter of :class:`repro.index.IndexedSource`) are appended to
     ``ctx.prefiltered`` instead of being returned — the engine counts
     them exactly like cascade prunes (``QueryStats.pruned_by_batch``)
-    and the per-candidate cascade runs only on the survivors.
+    and the cascade runs only on the survivors.
     """
 
     #: Whether :meth:`candidates` computes index bounds (timed as "bounds").
     computes_bounds: bool = False
 
     @abc.abstractmethod
-    def candidates(self, ctx: "RunContext") -> list[Candidate]:
-        """The run's candidate list, in visiting order."""
+    def candidates(self, ctx: "RunContext") -> CandidateBlock:
+        """The run's candidates, in visiting order."""
 
 
 class DatabaseOrderSource(CandidateSource):
     """Every database graph in insertion order, no bounds."""
 
-    def candidates(self, ctx: "RunContext") -> list[Candidate]:
-        return [Candidate(graph_id) for graph_id in ctx.database.ids()]
+    def candidates(self, ctx: "RunContext") -> CandidateBlock:
+        return CandidateBlock(list(ctx.database.ids()))
 
 
 class BoundOrderedSource(CandidateSource):
@@ -267,7 +358,7 @@ class BoundOrderedSource(CandidateSource):
         order.sort(key=lambda item: (sum(item[1]), item[0]))
         return order
 
-    def candidates(self, ctx: "RunContext") -> list[Candidate]:
+    def candidates(self, ctx: "RunContext") -> CandidateBlock:
         index = self._index_provider()
         bounded = [
             (
@@ -282,7 +373,10 @@ class BoundOrderedSource(CandidateSource):
             bounded.sort(key=lambda item: (sum(item[1]), item[0]))
         elif ctx.spec.kind == "topk":
             bounded.sort(key=lambda item: (item[1][0], item[0]))
-        return [Candidate(graph_id, bounds) for graph_id, bounds in bounded]
+        return CandidateBlock(
+            [graph_id for graph_id, _ in bounded],
+            [bounds for _, bounds in bounded],
+        )
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ selection step needs a gather phase. Three parts live here:
 * :class:`ShardedSource` — the scatter counterpart of
   :class:`~repro.engine.plan.BoundOrderedSource`: one candidate
   sub-source per shard, each over a **shard-local index**
-  (:class:`~repro.index.store.FeatureStore` with its SignatureMatrix /
-  VP-tree when NumPy is present, the scalar
+  (:class:`~repro.index.store.FeatureStore` with its SignatureMatrix
+  when NumPy is present, the scalar
   :class:`~repro.db.index.FeatureIndex` otherwise) maintained off the
   shard's own ``version`` counter — a mutation on one shard never
   invalidates another shard's index rows.
@@ -52,7 +52,7 @@ from repro.engine.core import resolved_measures, run_plan
 from repro.engine.evaluate import Evaluator
 from repro.engine.plan import (
     BoundOrderedSource,
-    Candidate,
+    CandidateBlock,
     CandidateSource,
     EvaluationPlan,
 )
@@ -140,12 +140,14 @@ class ShardedSource(CandidateSource):
         self.shard_source(index)
         return self._stores.get(index)
 
-    def candidates(self, ctx: "RunContext") -> list[Candidate]:
-        scattered: list[Candidate] = []
-        for index in range(self.database.shard_count):
-            if len(self.database.shards[index]):
-                scattered.extend(self.shard_source(index).candidates(ctx))
-        return scattered
+    def candidates(self, ctx: "RunContext") -> CandidateBlock:
+        return CandidateBlock.concat(
+            [
+                self.shard_source(index).candidates(ctx)
+                for index in range(self.database.shard_count)
+                if len(self.database.shards[index])
+            ]
+        )
 
 
 # ----------------------------------------------------------------------

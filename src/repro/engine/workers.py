@@ -616,16 +616,9 @@ class BoundSharing:
         if judge.mode == "rank":
             counts = (exact[:, 0][None, :] < bounds[:, 0][:, None]).sum(axis=1)
         else:
-            tol = judge.tolerance
-            # dominates() semantics, NaN-as-tie included (NaN comparisons
-            # are False, so a NaN dimension neither blocks nor helps).
-            no_dim_worse = np.logical_not(
-                exact[None, :, :] > bounds[:, None, :] + tol
-            ).all(axis=2)
-            some_dim_better = (exact[None, :, :] < bounds[:, None, :] - tol).any(
-                axis=2
-            )
-            counts = (no_dim_worse & some_dim_better).sum(axis=1)
+            from repro.index.kernels import dominator_counts
+
+            counts = dominator_counts(exact, bounds, judge.tolerance)
         prunable = set()
         for position, row in enumerate(rows):
             if counts[position] >= judge.limit:

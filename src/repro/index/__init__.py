@@ -1,4 +1,4 @@
-"""repro.index — vectorized feature store, bound kernels and VP-tree.
+"""repro.index — vectorized feature store and bound kernels.
 
 The array-speed candidate-filtering layer (requires NumPy):
 
@@ -6,10 +6,10 @@ The array-speed candidate-filtering layer (requires NumPy):
   label-multiset/size signature packed into shared interned-vocabulary
   ``int64`` matrices, maintained incrementally at row granularity;
 * :mod:`~repro.index.kernels` — batched lower/upper-bound kernels that
-  are bit-identical to the scalar bounds in :mod:`repro.graph.features`;
-* :class:`~repro.index.vptree.VPTree` — sublinear range / nearest-row
-  candidate generation over the signature edit-bound metric;
-* :class:`~repro.index.store.FeatureStore` — keeps all of the above in
+  are bit-identical to the scalar bounds in :mod:`repro.graph.features`,
+  plus :func:`~repro.index.kernels.dominator_counts`, the array form of
+  Pareto dominance;
+* :class:`~repro.index.store.FeatureStore` — keeps the matrix in
   sync with a :class:`~repro.db.database.GraphDatabase` via its
   ``version`` dirty flag;
 * :class:`~repro.index.source.IndexedSource` /
@@ -22,6 +22,7 @@ from repro.index.kernels import (
     bound_matrix,
     dist_gu_lower_bounds,
     dist_mcs_lower_bounds,
+    dominator_counts,
     edit_lower_bounds,
     mcs_upper_bounds,
     normalized_edit_lower_bounds,
@@ -29,7 +30,6 @@ from repro.index.kernels import (
 from repro.index.matrix import QuerySignature, SignatureMatrix
 from repro.index.source import BatchParetoStage, IndexedSource, batch_bound_pruning
 from repro.index.store import FeatureStore
-from repro.index.vptree import VPTree, signature_distances
 
 __all__ = [
     "BATCH_BOUND_KERNELS",
@@ -38,13 +38,12 @@ __all__ = [
     "IndexedSource",
     "QuerySignature",
     "SignatureMatrix",
-    "VPTree",
     "batch_bound_pruning",
     "bound_matrix",
     "dist_gu_lower_bounds",
     "dist_mcs_lower_bounds",
+    "dominator_counts",
     "edit_lower_bounds",
     "mcs_upper_bounds",
     "normalized_edit_lower_bounds",
-    "signature_distances",
 ]

@@ -14,6 +14,10 @@ Bound registry: :func:`bound_matrix` assembles the full ``(n, d)``
 optimistic-vector matrix for a measure tuple, mirroring the per-measure
 dispatch of :data:`repro.db.index._BOUND_FUNCTIONS` (measures without a
 kernel contribute an all-zero column — never pruned incorrectly).
+
+:func:`dominator_counts` is the one array form of "how many exact vectors
+dominate this bound", shared by the batched Pareto stage and the worker
+pool's frontier split.
 """
 
 from __future__ import annotations
@@ -124,3 +128,30 @@ def bound_matrix(
     if not columns:
         return np.zeros((n, 0), dtype=np.float64)
     return np.stack(columns, axis=1)
+
+
+#: Cap on the ``(bounds, exact, d)`` comparison cube one broadcast builds.
+_DOMINANCE_CELLS = 1 << 20
+
+
+def dominator_counts(exact, bounds, tolerance: float = 0.0) -> np.ndarray:
+    """Per bound row, how many ``exact`` rows dominate it, ``(n,) int64``.
+
+    Mirrors :func:`repro.skyline.utils.dominates` exactly, NaN-as-tie
+    included: ``p`` dominates ``q`` when no ``p_i > q_i + tol`` and some
+    ``p_i < q_i - tol`` (a NaN comparison is False, so a NaN dimension
+    neither blocks nor helps). Bound rows are processed in chunks so the
+    comparison cube stays under :data:`_DOMINANCE_CELLS` cells.
+    """
+    exact = np.asarray(exact, dtype=np.float64)
+    bounds = np.asarray(bounds, dtype=np.float64)
+    counts = np.zeros(len(bounds), dtype=np.int64)
+    if not len(exact) or not len(bounds):
+        return counts
+    step = max(1, _DOMINANCE_CELLS // max(1, exact.size))
+    for start in range(0, len(bounds), step):
+        chunk = bounds[start : start + step, np.newaxis, :]
+        no_dim_worse = np.logical_not(exact > chunk + tolerance).all(axis=2)
+        some_dim_better = (exact < chunk - tolerance).any(axis=2)
+        counts[start : start + step] = (no_dim_worse & some_dim_better).sum(axis=1)
+    return counts

@@ -4,10 +4,9 @@
 edge-label multisets as count vectors over a shared *interned vocabulary*
 (one column per distinct label ever seen), plus its order and size — in
 contiguous ``int64`` NumPy arrays. This is the data layout the batched
-bound kernels (:mod:`repro.index.kernels`) and the vantage-point tree
-(:mod:`repro.index.vptree`) operate on: one kernel call bounds a query
-against *every* row at array speed instead of walking per-graph
-``collections.Counter`` objects in the interpreter.
+bound kernels (:mod:`repro.index.kernels`) operate on: one kernel call
+bounds a query against *every* row at array speed instead of walking
+per-graph ``collections.Counter`` objects in the interpreter.
 
 The matrix is maintained **incrementally** at row granularity:
 

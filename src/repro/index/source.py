@@ -3,81 +3,46 @@
 :class:`IndexedSource` is the array-speed counterpart of
 :class:`~repro.engine.plan.BoundOrderedSource`: one batched kernel call
 computes the optimistic vectors of *every* candidate, NumPy sorts the
-visiting order, and — where a sound upfront filter exists — candidates
-are **pre-filtered before the cascade ever sees them**:
+visiting order, and the source returns one
+:class:`~repro.engine.plan.CandidateBlock` (ids plus the bound rows,
+no per-candidate objects). Where a sound upfront filter exists,
+candidates are **pre-filtered before the cascade ever sees them**:
 
 * ``threshold`` queries prune every graph whose lower bound already
-  exceeds the threshold in the source (via the VP-tree's sublinear range
-  search for the metric-backed ``edit``/``edit-normalized`` measures, a
-  vectorized mask otherwise); only survivors enter the per-candidate
-  cascade. Pre-filtered ids are recorded on the run context so the
-  engine counts them exactly like cascade prunes (see
-  ``QueryStats.pruned_by_batch``).
+  exceeds the threshold with one flat mask, ``kernel(matrix, q) <= t``;
+  only survivors enter the cascade. Pre-filtered ids are recorded on the
+  run context so the engine counts them exactly like cascade prunes
+  (see ``QueryStats.pruned_by_batch``).
 * ``skyline``/``skyband``/``topk`` have no sound exact-free upfront
   filter (their cutoffs depend on exact vectors discovered during the
   scan), so the source contributes the vectorized bound computation and
-  visiting order, and feedback pruning stays in the cascade — running
-  only on survivors of whatever the source removed.
+  visiting order, and feedback pruning stays in the cascade.
 
 :class:`BatchParetoStage` is the vectorized cascade member: it keeps the
-observed exact vectors in a growing ``(m, d)`` array and answers "how
-many exact vectors dominate this bound?" with three array comparisons
-instead of a Python loop over dominators — semantics (tolerance and NaN
-behaviour included) exactly match :func:`repro.skyline.utils.dominates`.
+observed exact vectors in a growing ``(m, d)`` array and judges a whole
+window of bound rows with :func:`~repro.index.kernels.dominator_counts`
+— semantics (tolerance and NaN behaviour included) exactly match
+:func:`repro.skyline.utils.dominates`.
 """
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.engine.plan import (
-    Candidate,
+    BoundStage,
+    CandidateBlock,
     CandidateSource,
     RankBoundStage,
-    Stage,
     ThresholdBoundStage,
 )
-from repro.index.kernels import BATCH_BOUND_KERNELS, bound_matrix
+from repro.index.kernels import BATCH_BOUND_KERNELS, bound_matrix, dominator_counts
 from repro.index.store import FeatureStore
-from repro.index.vptree import signature_distances
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.core import RunContext
-
-#: Measures whose lower bound is (a monotone transform of) the signature
-#: metric — the ones the VP-tree can range-search.
-_METRIC_MEASURES = ("edit", "edit-normalized")
-
-
-def _normalized(raw: float) -> float:
-    """The scalar ``edit-normalized`` bound transform (exact float ops)."""
-    return raw / (1.0 + raw)
-
-
-def _raw_cutoff(threshold: float, ceiling: int) -> float:
-    """Largest raw metric distance whose normalized bound is ≤ ``threshold``.
-
-    ``value = fl(raw / fl(1 + raw))`` is nondecreasing in the integer
-    ``raw`` (correctly-rounded monotone ops), so the survivor set is a
-    prefix — found by bisection on the *same float computation* the
-    scalar bound performs, which keeps the pre-filter exactly as strict
-    as the scalar ``threshold-bound`` stage.
-    """
-    if _normalized(float(ceiling)) <= threshold:
-        return math.inf
-    if _normalized(0.0) > threshold:
-        return -1.0
-    low, high = 0, ceiling  # f(low) <= threshold < f(high)
-    while high - low > 1:
-        mid = (low + high) // 2
-        if _normalized(float(mid)) <= threshold:
-            low = mid
-        else:
-            high = mid
-    return float(low)
 
 
 class IndexedSource(CandidateSource):
@@ -93,14 +58,25 @@ class IndexedSource(CandidateSource):
         self._store_provider = store_provider
         self._prefilter = prefilter
 
-    def candidates(self, ctx: "RunContext") -> list[Candidate]:
-        store = self._store_provider()
-        matrix = store.sync()
+    def candidates(self, ctx: "RunContext") -> CandidateBlock:
+        matrix = self._store_provider().sync()
         query = matrix.pack_query(ctx.query_features)
         kind = ctx.spec.kind
-        if kind == "threshold" and self._prefilter:
-            return self._threshold_candidates(ctx, store, query)
         ids = matrix.ids
+        if kind == "threshold" and self._prefilter:
+            kernel = BATCH_BOUND_KERNELS.get(ctx.measures[0].name)
+            if kernel is None:
+                # No bound for this measure: nothing can be filtered.
+                order = np.argsort(ids)
+                return CandidateBlock(
+                    ids[order].tolist(), np.zeros((len(ids), 1))
+                )
+            values = kernel(matrix, query)
+            keep = values <= ctx.spec.threshold
+            ctx.prefiltered.extend(np.sort(ids[~keep]).tolist())
+            ids, values = ids[keep], values[keep]
+            order = np.argsort(ids)
+            return CandidateBlock(ids[order].tolist(), values[order, np.newaxis])
         bounds = bound_matrix(matrix, query, ctx.measures)
         if kind in ("skyline", "skyband"):
             order = np.lexsort((ids, bounds.sum(axis=1)))
@@ -108,71 +84,18 @@ class IndexedSource(CandidateSource):
             order = np.lexsort((ids, bounds[:, 0]))
         else:  # threshold with pre-filtering disabled: id order
             order = np.argsort(ids)
-        return [
-            Candidate(int(ids[row]), tuple(bounds[row].tolist())) for row in order
-        ]
-
-    # ------------------------------------------------------------------
-    # Threshold pre-filtering
-    # ------------------------------------------------------------------
-    def _threshold_candidates(
-        self, ctx: "RunContext", store: FeatureStore, query
-    ) -> list[Candidate]:
-        matrix = store.matrix
-        measure = ctx.measures[0]
-        threshold = ctx.spec.threshold
-        ids = matrix.ids
-        kernel = BATCH_BOUND_KERNELS.get(measure.name)
-        if kernel is None:
-            # No bound for this measure: nothing can be filtered.
-            order = np.argsort(ids)
-            return [Candidate(int(ids[row]), (0.0,)) for row in order]
-
-        if measure.name in _METRIC_MEASURES and len(matrix):
-            # Sublinear candidate generation: VP-tree range search over
-            # the raw metric, then the exact scalar bound per survivor.
-            if measure.name == "edit":
-                radius = threshold
-            else:
-                ceiling = int(matrix.orders.max() + matrix.sizes.max()) + (
-                    query.order + query.size
-                )
-                radius = _raw_cutoff(threshold, max(ceiling, 1))
-            if radius < 0:
-                rows = np.empty(0, dtype=np.int64)
-            elif math.isinf(radius):
-                rows = np.arange(len(matrix), dtype=np.int64)
-            else:
-                rows = store.vptree().range_rows(query, radius)
-            raw = signature_distances(matrix, rows, query)
-            values = raw if measure.name == "edit" else raw / (1.0 + raw)
-        else:
-            rows = np.arange(len(matrix), dtype=np.int64)
-            values = kernel(matrix, query)
-
-        keep = values <= threshold
-        survivor_rows, survivor_values = rows[keep], values[keep]
-        pruned_mask = np.ones(len(matrix), dtype=bool)
-        pruned_mask[survivor_rows] = False
-        ctx.prefiltered.extend(np.sort(ids[pruned_mask]).tolist())
-        order = np.argsort(ids[survivor_rows])
-        return [
-            Candidate(
-                int(ids[survivor_rows[i]]), (float(survivor_values[i]),)
-            )
-            for i in order
-        ]
+        return CandidateBlock(ids[order].tolist(), bounds[order])
 
 
 # ----------------------------------------------------------------------
 # Batched cascade stage
 # ----------------------------------------------------------------------
-class BatchParetoStage(Stage):
+class BatchParetoStage(BoundStage):
     """Pareto dominator counting over a packed exact-vector array.
 
     Drop-in replacement for :class:`~repro.engine.plan.ParetoPruneStage`
-    with identical semantics; ``decide`` is O(1) array calls instead of
-    a Python loop over every observed exact vector.
+    with identical semantics; one :meth:`prune_mask` call judges a whole
+    window of bound rows against every observed exact vector.
     """
 
     name = "pareto-bound(batch)"
@@ -183,19 +106,13 @@ class BatchParetoStage(Stage):
         self._exact: np.ndarray | None = None
         self._count = 0
 
-    def decide(self, candidate: Candidate) -> "str | None":
-        if candidate.bounds is None or self._count == 0:
-            return None
-        exact = self._exact[: self._count]
-        bounds = np.asarray(candidate.bounds, dtype=np.float64)
-        # Mirrors utils.dominates exactly, NaN-as-tie included: not
-        # (p_i > q_i + tol) anywhere, and (p_i < q_i - tol) somewhere.
-        dominating = np.logical_not(exact > bounds + self.tolerance).all(
-            axis=1
-        ) & (exact < bounds - self.tolerance).any(axis=1)
-        if np.count_nonzero(dominating) >= self.prune_limit:
-            return "prune"
-        return None
+    def prune_mask(self, bounds) -> np.ndarray:
+        if self._count == 0:
+            return np.zeros(len(bounds), dtype=bool)
+        counts = dominator_counts(
+            self._exact[: self._count], bounds, self.tolerance
+        )
+        return counts >= self.prune_limit
 
     def observe(self, graph_id: int, values: tuple[float, ...]) -> None:
         if self._exact is None:
@@ -208,14 +125,15 @@ class BatchParetoStage(Stage):
             self._exact = grown
         self._exact[self._count] = values
         self._count += 1
+        self.revision += 1
 
 
-def batch_bound_stage_for(spec) -> Stage:
+def batch_bound_stage_for(spec) -> BoundStage:
     """The vectorized bound-pruning stage for ``spec``'s query kind.
 
     Skyline/skyband get the batched Pareto stage; the topk/threshold
-    cutoffs are already O(1) per candidate, so the scalar stages are
-    reused as-is.
+    stages already judge array windows with one comparison, so the
+    scalar-path classes are reused as-is.
     """
     if spec.kind == "skyline":
         return BatchParetoStage(1, spec.tolerance)
@@ -226,6 +144,6 @@ def batch_bound_stage_for(spec) -> Stage:
     return ThresholdBoundStage(spec.threshold)
 
 
-def batch_bound_pruning(ctx: "RunContext") -> Stage:
+def batch_bound_pruning(ctx: "RunContext") -> BoundStage:
     """Cascade entry for :func:`batch_bound_stage_for`."""
     return batch_bound_stage_for(ctx.spec)

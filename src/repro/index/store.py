@@ -1,17 +1,13 @@
 """Incrementally-maintained feature store bound to one ``GraphDatabase``.
 
 :class:`FeatureStore` keeps a :class:`~repro.index.matrix.SignatureMatrix`
-(and, lazily, a :class:`~repro.index.vptree.VPTree`) in sync with a
-database through the same ``GraphDatabase.version`` dirty flag the
-``indexed`` backend uses — but instead of rebuilding per-graph feature
+in sync with a database through the same ``GraphDatabase.version``
+dirty flag the ``indexed`` backend uses — but instead of rebuilding per-graph feature
 objects, :meth:`sync` diffs the live id set against the matrix rows and
 applies **row-level invalidation**: removed ids drop their row in O(row),
 new ids append one row, untouched graphs are never re-featurized. Graph
 ids are never reused and stored features are frozen at insert, so the id
 diff is exactly the set of stale rows.
-
-The VP-tree is rebuilt (lazily, on first use) after any sync that
-changed the matrix, because it holds row indices into it.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ from repro.db.database import GraphDatabase
 from repro.graph.features import GraphFeatures
 from repro.index.kernels import bound_matrix
 from repro.index.matrix import QuerySignature, SignatureMatrix
-from repro.index.vptree import VPTree
 from repro.measures.base import DistanceMeasure
 
 
@@ -35,7 +30,6 @@ class FeatureStore:
         self.database = database
         self.matrix = SignatureMatrix()
         self._version: int | None = None
-        self._vptree: VPTree | None = None
         #: Maintenance counters (observability; asserted by tests).
         self.rows_added = 0
         self.rows_dropped = 0
@@ -54,16 +48,8 @@ class FeatureStore:
             self.matrix.add(graph_id, self.database.entry(graph_id).features)
             self.rows_added += 1
         self._version = self.database.version
-        self._vptree = None
         self.syncs += 1
         return self.matrix
-
-    def vptree(self) -> VPTree:
-        """The VP-tree over the current matrix (built lazily per version)."""
-        self.sync()
-        if self._vptree is None:
-            self._vptree = VPTree(self.matrix)
-        return self._vptree
 
     # ------------------------------------------------------------------
     # Batched bound evaluation

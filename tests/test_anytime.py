@@ -341,7 +341,7 @@ def test_topk_budget_beats_slow_exact_pair_with_certified_intervals():
 
 
 # ----------------------------------------------------------------------
-# Deadlines: zero-pass raises; VP-tree traversal is interruptible
+# Deadlines: zero-pass raises; the block walk is interruptible
 # ----------------------------------------------------------------------
 def test_anytime_zero_pass_expired_deadline_raises(small_db, small_query):
     backend = create_backend("memory", small_db)
@@ -366,22 +366,37 @@ def test_anytime_expired_deadline_with_progress_returns_partial(
     assert answer.stats.anytime["passes"] >= 1
 
 
-def test_vptree_scan_checks_ambient_deadline():
+def test_block_walk_stops_within_one_window_of_an_expired_deadline():
     pytest.importorskip("numpy")
-    from repro.graph.features import GraphFeatures
-    from repro.index.store import FeatureStore
+    from repro.engine import EvaluationPlan, run_plan
+    from repro.engine.plan import BoundStage
+    from repro.index import FeatureStore, IndexedSource
+
+    class ExpiringStage(BoundStage):
+        """Prunes every row; the ambient deadline passes mid-walk."""
+
+        def __init__(self, deadline):
+            self.deadline = deadline
+            self.windows = []
+
+        def prune_mask(self, bounds):
+            self.windows.append(len(bounds))
+            self.deadline.expires_at = time.monotonic() - 1.0
+            return [True] * len(bounds)
 
     graphs = [
-        random_labeled_graph(5, 6, vertex_labels=("a", "b"), seed=s)
-        for s in range(40)
+        random_labeled_graph(4, 4, vertex_labels=("a", "b"), seed=s)
+        for s in range(600)
     ]
     store = FeatureStore(GraphDatabase.from_graphs(graphs))
-    tree = store.vptree()
-    query = store.pack_query(GraphFeatures.of(graphs[0]))
-    assert len(tree.range_rows(query, 4.0)) >= 1  # no deadline: fine
-    with deadline_scope(Deadline.after(1e-9)):
-        time.sleep(0.001)
-        with pytest.raises(DeadlineExceeded):
-            tree.range_rows(query, 4.0)
-        with pytest.raises(DeadlineExceeded):
-            tree.nearest_rows(query, 3)
+    spec = Query(graphs[0]).topk(3, "edit").build()
+    deadline = Deadline.after(60.0)
+    stage = ExpiringStage(deadline)
+    plan = EvaluationPlan(
+        source=IndexedSource(lambda: store), cascade=(lambda ctx: stage,)
+    )
+    with deadline_scope(deadline):
+        with pytest.raises(DeadlineExceeded, match="deadline exceeded"):
+            run_plan(store.database, spec, plan)
+    # One window was judged, the next window's check raised.
+    assert len(stage.windows) == 1 and stage.windows[0] < len(graphs)

@@ -28,17 +28,17 @@ from repro.graph.features import (
 from repro.index import (
     FeatureStore,
     SignatureMatrix,
-    VPTree,
     bound_matrix,
     dist_gu_lower_bounds,
     dist_mcs_lower_bounds,
+    dominator_counts,
     edit_lower_bounds,
     mcs_upper_bounds,
     normalized_edit_lower_bounds,
-    signature_distances,
 )
 from repro.db import GraphDatabase
 from repro.measures.base import resolve_measures
+from repro.skyline.utils import dominates
 
 from tests.conftest import make_random_graph, small_labeled_graphs
 
@@ -211,17 +211,87 @@ def test_vocabulary_growth_backfills_zero():
 
 
 def test_signature_distances_is_a_metric_on_samples():
-    """Spot-check the triangle inequality the VP-tree relies on."""
+    """Spot-check that the signature edit bound (edit_lower_bounds) is a metric."""
     graphs = [make_random_graph(seed, max_vertices=6) for seed in range(12)]
     matrix, features = _matrix_of(graphs)
-    sigs = [matrix.pack_query(f) for f in features]
     n = len(graphs)
     d = np.zeros((n, n))
     for i in range(n):
-        d[i] = signature_distances(matrix, np.arange(n, dtype=np.int64), sigs[i])
+        d[i] = edit_lower_bounds(matrix, matrix.pack_query(features[i]))
     for i in range(n):
         assert d[i, i] == 0.0
         for j in range(n):
             assert d[i, j] == d[j, i]
             for k in range(n):
                 assert d[i, k] <= d[i, j] + d[j, k] + 1e-9
+
+
+@relaxed
+@given(
+    graphs=pop_graphs,
+    query=query_graphs,
+    threshold=st.floats(min_value=0.0, max_value=8.0, allow_nan=False),
+    measure=st.sampled_from(("edit", "edit-normalized", "mcs", "union")),
+)
+def test_threshold_prefilter_is_the_flat_bound_mask(graphs, query, threshold, measure):
+    """The vectorized source keeps exactly the rows whose bound is ≤ t."""
+    from repro import Query
+    from repro.engine.core import make_context
+    from repro.index import IndexedSource
+
+    database = GraphDatabase.from_graphs(graphs)
+    store = FeatureStore(database)
+    spec = Query(query).threshold(threshold, measure).build()
+    ctx = make_context(database, spec)
+    block = IndexedSource(lambda: store).candidates(ctx)
+
+    matrix = store.matrix
+    packed = matrix.pack_query(GraphFeatures.of(query))
+    values = bound_matrix(matrix, packed, ctx.measures)[:, 0]
+    by_id = dict(zip(matrix.ids.tolist(), values.tolist()))
+    assert block.ids == sorted(g for g, v in by_id.items() if v <= threshold)
+    assert [c.bounds for c in block] == [(by_id[g],) for g in block.ids]
+    assert ctx.prefiltered == sorted(g for g, v in by_id.items() if v > threshold)
+
+
+coordinates = st.one_of(
+    st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
+    st.sampled_from((0.0, 1.0, 2.0)),
+    st.just(float("nan")),
+)
+
+
+@relaxed
+@given(
+    dims=st.integers(min_value=1, max_value=3),
+    data=st.data(),
+    tolerance=st.sampled_from((0.0, 0.0, 0.25, 1.0)),
+)
+def test_dominator_counts_equal_dominates(dims, data, tolerance):
+    vectors = st.lists(
+        st.tuples(*[coordinates] * dims), min_size=0, max_size=12
+    )
+    exact = data.draw(vectors)
+    bounds = data.draw(vectors)
+    counts = dominator_counts(
+        np.asarray(exact, dtype=np.float64).reshape(-1, dims),
+        np.asarray(bounds, dtype=np.float64).reshape(-1, dims),
+        tolerance,
+    )
+    assert counts.tolist() == [
+        sum(dominates(p, q, tolerance) for p in exact) for q in bounds
+    ]
+
+
+def test_dominator_counts_chunks_large_windows(monkeypatch):
+    from repro.index import kernels
+
+    rng = np.random.default_rng(7)
+    exact = rng.integers(0, 4, size=(9, 3)).astype(np.float64)
+    bounds = rng.integers(0, 4, size=(40, 3)).astype(np.float64)
+    whole = dominator_counts(exact, bounds)
+    monkeypatch.setattr(kernels, "_DOMINANCE_CELLS", 30)  # one row per chunk
+    assert dominator_counts(exact, bounds).tolist() == whole.tolist()
+    assert whole.tolist() == [
+        sum(dominates(tuple(p), tuple(q), 0.0) for p in exact) for q in bounds
+    ]
