@@ -9,6 +9,7 @@ canonical forms and serialization.
 
 from repro.graph.budget import Budget, Interval
 from repro.graph.labeled_graph import DEFAULT_EDGE_LABEL, LabeledGraph, edge_key
+from repro.graph.vocabulary import LabelVocabulary
 from repro.graph.operations import (
     CostModel,
     EdgeDeletion,
@@ -83,6 +84,7 @@ __all__ = [
     "DEFAULT_EDGE_LABEL",
     "LabeledGraph",
     "edge_key",
+    "LabelVocabulary",
     "CostModel",
     "UniformCostModel",
     "UNIFORM_COSTS",

@@ -6,11 +6,16 @@ paper's distance measures from below:
 * size difference bounds ``DistEd`` (every edit changes at most one edge);
 * ``|mcs|`` is bounded above by the overlap of edge-label multisets, which
   bounds ``DistMcs`` / ``DistGu`` from below.
+
+Labels are kept as the label objects themselves and matched by equality,
+the rule of every cost model and solver: ``1``, ``1.0`` and ``True`` are
+one label here too, so no bound can exceed the distance it bounds.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Hashable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,12 +24,16 @@ from repro.graph.labeled_graph import LabeledGraph
 
 @dataclass(frozen=True)
 class GraphFeatures:
-    """Summary statistics of a graph, comparable without the graph itself."""
+    """Summary statistics of a graph, comparable without the graph itself.
+
+    ``vertex_labels`` / ``edge_labels`` are ``(label, count)`` pairs,
+    sorted by the ``repr`` of the label for a deterministic layout.
+    """
 
     order: int
     size: int
-    vertex_labels: tuple[tuple[str, int], ...]
-    edge_labels: tuple[tuple[str, int], ...]
+    vertex_labels: tuple[tuple[Hashable, int], ...]
+    edge_labels: tuple[tuple[Hashable, int], ...]
     degree_sequence: tuple[int, ...]
 
     @classmethod
@@ -68,21 +77,26 @@ class GraphFeatures:
         return self._edge_counter
 
 
-def _freeze(counter: Counter) -> tuple[tuple[str, int], ...]:
-    return tuple(sorted(((repr(k), c) for k, c in counter.items())))
+def _freeze(counter: Counter) -> tuple[tuple[Hashable, int], ...]:
+    return tuple(sorted(counter.items(), key=lambda item: repr(item[0])))
 
 
 def edit_distance_lower_bound(f1: GraphFeatures, f2: GraphFeatures) -> float:
     """Admissible ``DistEd`` lower bound from features alone (uniform costs)."""
-    vertex_part = _counter_bound(f1.vertex_label_counter(), f2.vertex_label_counter())
-    edge_part = _counter_bound(f1.edge_label_counter(), f2.edge_label_counter())
+    vertex_part = _counter_bound(
+        f1.order,
+        f2.order,
+        _overlap(f1.vertex_label_counter(), f2.vertex_label_counter()),
+    )
+    edge_part = _counter_bound(
+        f1.size, f2.size, _overlap(f1.edge_label_counter(), f2.edge_label_counter())
+    )
     return float(vertex_part + edge_part)
 
 
 def mcs_upper_bound(f1: GraphFeatures, f2: GraphFeatures) -> int:
     """Upper bound on ``|mcs|`` — shared edge-label stock caps any overlap."""
-    overlap = f1.edge_label_counter() & f2.edge_label_counter()
-    return sum(overlap.values())
+    return _overlap(f1.edge_label_counter(), f2.edge_label_counter())
 
 
 def dist_mcs_lower_bound(f1: GraphFeatures, f2: GraphFeatures) -> float:
@@ -102,7 +116,15 @@ def dist_gu_lower_bound(f1: GraphFeatures, f2: GraphFeatures) -> float:
     return 1.0 - mcs_cap / union
 
 
-def _counter_bound(counter1: Counter, counter2: Counter) -> float:
-    n1, n2 = sum(counter1.values()), sum(counter2.values())
-    overlap = sum((counter1 & counter2).values())
+def _overlap(counter1: Counter, counter2: Counter) -> int:
+    """Size of the intersection of two label multisets."""
+    return sum(
+        min(count, counter2[label])
+        for label, count in counter1.items()
+        if label in counter2
+    )
+
+
+def _counter_bound(n1: int, n2: int, overlap: int) -> int:
+    """Uniform-cost edits between multisets of ``n1`` and ``n2`` labels."""
     return abs(n1 - n2) + (min(n1, n2) - overlap)

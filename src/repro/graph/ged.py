@@ -39,7 +39,13 @@ from repro.graph.operations import (
     VertexInsertion,
     VertexRelabeling,
 )
-from repro.graph.pairview import NO_EDGE, CostTables, PairView, assignment_bound
+from repro.graph.pairview import (
+    NO_EDGE,
+    CostTables,
+    GraphSide,
+    PairView,
+    assignment_bound,
+)
 
 VertexId = Hashable
 
@@ -90,6 +96,31 @@ class GedResult:
         return Interval(lower=max(0.0, min(lower, self.distance)), upper=self.distance)
 
 
+def _levels(side: GraphSide) -> tuple:
+    """DF-GED's ``g1`` prep: vertices by search level (high degree first,
+    ``repr`` breaking ties), their labels, the adjacency rows re-indexed by
+    level, and per level the labels of the ``g1`` edges that close there."""
+    order = sorted(
+        range(len(side.ids)), key=lambda i: (-len(side.neighbors[i]), side.rank[i])
+    )
+    labels = [side.labels[u] for u in order]
+    rows = [[side.rows[u][p] for p in order] for u in order]
+    closing = [[label for label in row[:k] if label] for k, row in enumerate(rows)]
+    return order, labels, rows, closing
+
+
+def _image_rank(side: GraphSide) -> list[int]:
+    """DF-GED's ``g2`` prep: the ``repr`` rank of every image, index ``n2``
+    being "deleted" (the image ``None``)."""
+    targets = side.ids + [DELETED]
+    rank = [0] * len(targets)
+    for position, j in enumerate(
+        sorted(range(len(targets)), key=lambda j: repr(targets[j]))
+    ):
+        rank[j] = position
+    return rank
+
+
 def _df_ged(
     view: PairView,
     tables: CostTables,
@@ -104,7 +135,8 @@ def _df_ged(
     ``g1`` vertices are re-indexed by search level (high degree first,
     ``repr`` breaking ties) so "already processed" is simply "index below
     the current level"; ``g2`` keeps its insertion indices plus the pseudo
-    index ``n2`` for "deleted", whose adjacency row is all :data:`NO_EDGE`.
+    index ``n2`` for "deleted", whose adjacency column is all
+    :data:`NO_EDGE`. Both re-indexings are memoised on the graphs' sides.
 
     The admissible bound — vertex-label and open-edge-label multisets of
     the unprocessed part of both graphs — is kept as label counts plus
@@ -114,23 +146,14 @@ def _df_ged(
     """
     side1, side2 = view.side1, view.side2
     n1, n2 = len(side1.ids), len(side2.ids)
-    order = sorted(
-        range(n1), key=lambda i: (-len(side1.neighbors[i]), side1.rank[i])
-    )
-    labels1 = [side1.labels[u] for u in order]
-    labels2 = side2.labels
-    rows1 = [[side1.rows[u][p] for p in order] for u in order]
-    rows2 = [row + [NO_EDGE] for row in side2.rows]
-    rows2.append([NO_EDGE] * (n2 + 1))
+    order, labels1, rows1, closing1 = side1.memo(_levels)
+    # Siblings are tried by (cost, repr of the image); "deleted" is the
+    # image None, whose repr sorts among the vertex ids like any other.
+    image_rank = side2.memo(_image_rank)
+    labels2, rows2 = side2.labels, side2.rows
     masks2 = side2.masks
     vertex_sub, vertex_del = tables.vertex_sub, tables.vertex_del
     edge_cost = tables.edge
-    # Siblings are tried by (cost, repr of the image); "deleted" is the
-    # image None, whose repr sorts among the vertex ids like any other.
-    targets = side2.ids + [DELETED]
-    image_rank = [0] * (n2 + 1)
-    for position, j in enumerate(sorted(range(n2 + 1), key=lambda j: repr(targets[j]))):
-        image_rank[j] = position
     # Inserting what is left of g2: vertices in insertion order, then
     # edges in edges() order (the float sums must associate as before).
     vertex_ins = [tables.vertex_ins[label] for label in labels2]
@@ -143,24 +166,26 @@ def _df_ged(
     if uniform:
         indel, mismatch = costs.indel_cost, costs.mismatch_cost
         # Label counts of the unprocessed vertices / still-open edges of
-        # each graph; ``overlap`` is the size of their multiset
-        # intersection, kept current through every +-1.
-        vertex_count1 = [0] * len(view.vertex_labels)
-        vertex_count2 = [0] * len(view.vertex_labels)
-        for label in labels1:
+        # each graph, both in g2's label ids (g1's translated through the
+        # view); ``overlap`` is the size of their multiset intersection,
+        # kept current through every +-1.
+        vertex_to2, edge_to2 = view.vertex_to2, view.edge_to2
+        counted1 = [vertex_to2[label] for label in labels1]
+        closing1 = [[edge_to2[edge] for edge in edges] for edges in closing1]
+        vertex_count1 = [0] * view.vertex_span
+        vertex_count2 = [0] * view.vertex_span
+        for label in counted1:
             vertex_count1[label] += 1
         for label in labels2:
             vertex_count2[label] += 1
-        edge_count1 = [0] * len(view.edge_labels)
-        edge_count2 = [0] * len(view.edge_labels)
+        edge_count1 = [0] * view.edge_span
+        edge_count2 = [0] * view.edge_span
         for _, _, label in side1.edges:
-            edge_count1[label] += 1
+            edge_count1[edge_to2[label]] += 1
         for _, _, label in side2.edges:
             edge_count2[label] += 1
         vertex_overlap = sum(map(min, vertex_count1, vertex_count2))
         edge_overlap = sum(map(min, edge_count1, edge_count2))
-        # g1 edges that close when the level-k vertex is processed.
-        closing1 = [[label for label in rows1[k][:k] if label] for k in range(n1)]
     open_edges1, open_edges2 = len(side1.edges), len(side2.edges)
 
     image = [n2] * n1
@@ -236,9 +261,10 @@ def _df_ged(
             overlaps = vertex_overlap, edge_overlap
             # The g1 side of the bound depends on the level only: advance
             # it once for all branches.
-            if vertex_count1[label] <= vertex_count2[label]:
+            counted = counted1[level]
+            if vertex_count1[counted] <= vertex_count2[counted]:
                 vertex_overlap -= 1
-            vertex_count1[label] -= 1
+            vertex_count1[counted] -= 1
             for edge in closing1[level]:
                 if edge_count1[edge] <= edge_count2[edge]:
                     edge_overlap -= 1
@@ -283,7 +309,7 @@ def _df_ged(
                 open_edges2 += len(closed)
                 vertex_overlap, edge_overlap = advanced
         if uniform:
-            vertex_count1[label] += 1
+            vertex_count1[counted] += 1
             for edge in closing1[level]:
                 edge_count1[edge] += 1
             open_edges1 += len(closing1[level])
@@ -291,6 +317,7 @@ def _df_ged(
 
     extend(0, 0.0)
     if best_image is not None:
+        targets = side2.ids + [DELETED]
         mapping = {
             side1.ids[u]: targets[w] for u, w in zip(order, best_image)
         }

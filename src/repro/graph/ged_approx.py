@@ -64,7 +64,8 @@ def induced_edit_cost(
     for an optimal one.
     """
     view = PairView(g1, g2)
-    index2, deleted = view.side2.index, len(view.side2.ids)
+    index2 = {vertex: i for i, vertex in enumerate(view.side2.ids)}
+    deleted = len(index2)
     image = [
         deleted if mapping[u] is DELETED else index2[mapping[u]]
         for u in view.side1.ids
@@ -163,7 +164,8 @@ def bipartite_ged(
 
 def _incident_labels(side: GraphSide) -> list[dict[int, int]]:
     """Per vertex: ``edge-label id -> count`` over its incident edges,
-    keyed in adjacency order (the order the sums below associate in)."""
+    keyed in adjacency order (the order the sums below associate in).
+    Memoised per side."""
     incident = []
     for row, adjacent in zip(side.rows, side.neighbors):
         counts: dict[int, int] = {}
@@ -190,7 +192,8 @@ def _bipartite_estimate(
     else:  # conservative generic estimates for the edge term
         indel, mismatch = 1.0, 1.0
     edge = tables.edge
-    incident1, incident2 = _incident_labels(side1), _incident_labels(side2)
+    incident1, incident2 = side1.memo(_incident_labels), side2.memo(_incident_labels)
+    edge_to2 = view.edge_to2
     big = 1e9
     matrix = [[big] * size for _ in range(n1)]
     matrix += [[big] * n2 + [0.0] * n1 for _ in range(n2)]
@@ -198,9 +201,11 @@ def _bipartite_estimate(
         row = matrix[i]
         substitution = tables.vertex_sub[side1.labels[i]]
         degree = len(side1.neighbors[i])
+        # The same labels in g2's ids, where the overlaps look them up.
+        shared = [(edge_to2[label], count) for label, count in counts1.items()]
         for j, counts2 in enumerate(incident2):
             overlap = 0
-            for label, count in counts1.items():
+            for label, count in shared:
                 other = counts2.get(label, 0)
                 overlap += count if count < other else other
             edge_term = assignment_bound(

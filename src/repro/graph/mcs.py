@@ -32,7 +32,7 @@ from collections.abc import Hashable
 
 from repro.graph.budget import Budget
 from repro.graph.labeled_graph import LabeledGraph, edge_key
-from repro.graph.pairview import PairView
+from repro.graph.pairview import GraphSide, PairView
 
 VertexId = Hashable
 
@@ -92,6 +92,48 @@ class McsResult:
         return sub
 
 
+def _by_rank(side: GraphSide) -> tuple[list[int], list[int]]:
+    """The vertices in ``repr`` rank order, and their neighbourhood masks
+    over ranks."""
+    rank = side.rank
+    by_rank = sorted(range(len(rank)), key=rank.__getitem__)
+    masks = [sum(1 << rank[v] for v in side.neighbors[u]) for u in by_rank]
+    return by_rank, masks
+
+
+def _ranked1(side: GraphSide) -> tuple:
+    """McGregor's ``g1`` prep, vertices indexed by rank: rank order and
+    masks, vertex labels, adjacency rows, and ``edge_bit[u][v]`` (one bit
+    per edge, in ``edges()`` order)."""
+    by_rank, masks = _by_rank(side)
+    rank, n = side.rank, len(by_rank)
+    labels = [side.labels[u] for u in by_rank]
+    rows = [[side.rows[u][v] for v in by_rank] for u in by_rank]
+    edge_bit = [[0] * n for _ in range(n)]
+    for number, (u, v, _) in enumerate(side.edges):
+        u, v = rank[u], rank[v]
+        edge_bit[u][v] = edge_bit[v][u] = 1 << number
+    return by_rank, masks, labels, rows, edge_bit
+
+
+def _ranked2(side: GraphSide) -> tuple:
+    """McGregor's ``g2`` prep, vertices indexed by rank: rank order and
+    masks, ``same_label[l]`` (the vertices carrying label ``l``) and
+    ``by_label[x][l]`` (the neighbours of ``x`` across an ``l``-labelled
+    edge)."""
+    by_rank, masks = _by_rank(side)
+    rank = side.rank
+    same_label = [0] * len(side.vertex_labels)
+    for w, label in enumerate(side.labels):
+        same_label[label] |= 1 << rank[w]
+    by_label = [[0] * len(side.edge_labels) for _ in by_rank]
+    for u, v, label in side.edges:
+        u, v = rank[u], rank[v]
+        by_label[u][label] |= 1 << v
+        by_label[v][label] |= 1 << u
+    return by_rank, masks, same_label, by_label
+
+
 def _mcgregor(
     view: PairView,
     objective: str,
@@ -110,28 +152,22 @@ def _mcgregor(
     """
     side1, side2 = view.side1, view.side2
     n1, n2 = len(side1.ids), len(side2.ids)
-    by_rank1 = sorted(range(n1), key=side1.rank.__getitem__)
-    by_rank2 = sorted(range(n2), key=side2.rank.__getitem__)
-    rows1 = [[side1.rows[u][v] for v in by_rank1] for u in by_rank1]
-    masks1 = [sum(1 << side1.rank[v] for v in side1.neighbors[u]) for u in by_rank1]
-    masks2 = [sum(1 << side2.rank[x] for x in side2.neighbors[w]) for w in by_rank2]
-    # Images a g1 vertex may take: the g2 vertices carrying its label.
-    same_label: dict[int, int] = {}
-    for w in by_rank2:
-        label = side2.labels[w]
-        same_label[label] = same_label.get(label, 0) | 1 << side2.rank[w]
-    compatible = [same_label.get(side1.labels[u], 0) for u in by_rank1]
-    # by_label2[x][l]: the neighbours of g2 vertex x across an l-labelled edge.
-    by_label2 = [[0] * len(view.edge_labels) for _ in range(n2)]
-    for a, b, label in side2.edges:
-        a, b = side2.rank[a], side2.rank[b]
-        by_label2[a][label] |= 1 << b
-        by_label2[b][label] |= 1 << a
-    # One bit per g1 edge: a matched-edge set is an int.
-    edge_bit = [[0] * n1 for _ in range(n1)]
-    for number, (u, v, _) in enumerate(side1.edges):
-        u, v = side1.rank[u], side1.rank[v]
-        edge_bit[u][v] = edge_bit[v][u] = 1 << number
+    by_rank1, masks1, labels1, rows1, edge_bit = side1.memo(_ranked1)
+    by_rank2, masks2, same_label2, by_label2 = side2.memo(_ranked2)
+    # Images a g1 vertex may take: the g2 vertices carrying its label
+    # (translated ids past g2's own labels match nothing).
+    known = len(same_label2)
+    compatible = [
+        same_label2[label] if label < known else 0
+        for label in map(view.vertex_to2.__getitem__, labels1)
+    ]
+    # by_label2[x][l]: the neighbours of g2 vertex x across an edge with
+    # g1 label l.
+    known = len(side2.edge_labels)
+    by_label2 = [
+        [row[label] if label < known else 0 for label in view.edge_to2]
+        for row in by_label2
+    ]
     size1, size2 = len(side1.edges), len(side2.edges)
     # A partial mapping as one int, (image + 1) in a fixed-width field
     # per g1 vertex: the memo key for visited states.

@@ -17,17 +17,23 @@ The matrix is maintained **incrementally** at row granularity:
   the hole — no rebuild, no re-featurization of unrelated graphs;
 * re-:meth:`add`-ing a present id overwrites its row in place.
 
-Label vocabulary columns are keyed by the ``repr`` of the label, exactly
-as :func:`repro.graph.features._freeze` stores them, so a matrix row and
-the frozen feature tuples describe the same multiset and the kernels can
+Each block numbers its columns with its own
+:class:`~repro.graph.vocabulary.LabelVocabulary` — the interner the
+solvers match labels with — so labels are equal here exactly when they
+are equal to the scalar bounds, the cost models and the solvers
+(``1``, ``1.0`` and ``True`` share a column). A matrix row and the
+feature tuples then describe the same multiset, and the kernels
 reproduce the scalar bounds bit for bit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Hashable
+
 import numpy as np
 
 from repro.graph.features import GraphFeatures
+from repro.graph.vocabulary import LabelVocabulary
 
 #: Initial row/column capacity of a fresh matrix.
 _INITIAL_CAPACITY = 8
@@ -37,7 +43,7 @@ class _CountBlock:
     """A capacity-managed ``(rows, vocab)`` int64 count matrix."""
 
     def __init__(self) -> None:
-        self.vocab: dict[str, int] = {}
+        self.vocab = LabelVocabulary()
         self._data = np.zeros((_INITIAL_CAPACITY, _INITIAL_CAPACITY), dtype=np.int64)
 
     def _grow(self, rows: int, columns: int) -> None:
@@ -49,16 +55,14 @@ class _CountBlock:
         grown[: self._data.shape[0], : self._data.shape[1]] = self._data
         self._data = grown
 
-    def column(self, label: str) -> int:
+    def column(self, label: Hashable) -> int:
         """The column of ``label``, interning it on first sight."""
-        index = self.vocab.get(label)
-        if index is None:
-            index = self.vocab[label] = len(self.vocab)
-            if index >= self._data.shape[1]:
-                self._grow(self._data.shape[0], 2 * self._data.shape[1])
+        index = self.vocab.id(label)
+        if index >= self._data.shape[1]:
+            self._grow(self._data.shape[0], 2 * self._data.shape[1])
         return index
 
-    def set_row(self, row: int, labels: tuple[tuple[str, int], ...]) -> None:
+    def set_row(self, row: int, labels: tuple[tuple[Hashable, int], ...]) -> None:
         """Write one frozen ``(label, count)`` signature into ``row``."""
         if row >= self._data.shape[0]:
             self._grow(2 * self._data.shape[0], self._data.shape[1])
@@ -77,7 +81,7 @@ class _CountBlock:
         """The live ``(n_rows, |vocab|)`` window (shared memory, read-only use)."""
         return self._data[:n_rows, : len(self.vocab)]
 
-    def project(self, labels: tuple[tuple[str, int], ...]) -> np.ndarray:
+    def project(self, labels: tuple[tuple[Hashable, int], ...]) -> np.ndarray:
         """A signature as a ``(|vocab|,)`` vector over the *current* vocab.
 
         Labels outside the vocabulary are dropped: no stored row has a

@@ -40,8 +40,11 @@ class PairContext:
     and results are merged monotonically (bounds only ever tighten).
 
     Every solver run of the pair — GED, its bipartite seed, MCS, and each
-    refinement re-run — works on one integer-indexed
-    :class:`~repro.graph.pairview.PairView`, built on first use.
+    refinement re-run — works on one :class:`~repro.graph.pairview.PairView`,
+    made on first use. The view only pairs the two graphs' integer-indexed
+    sides, which :func:`~repro.graph.pairview.graph_side` caches per graph
+    version: a query's side is built once for all its candidates, and a
+    database graph's once for all the queries that reach it.
     """
 
     def __init__(

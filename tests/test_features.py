@@ -22,7 +22,7 @@ def test_features_extraction():
     assert features.order == 3
     assert features.size == 2
     assert features.degree_sequence == (2, 1, 1)
-    assert features.vertex_label_counter() == {"'A'": 2, "'B'": 1}
+    assert features.vertex_label_counter() == {"A": 2, "B": 1}
 
 
 def test_features_are_hashable_and_comparable():
