@@ -223,8 +223,9 @@ class AutoBackend(ExecutionBackend):
         )
 
     def build_plan(self, spec: GraphQuery) -> EvaluationPlan:
-        """The plan the current decision would run (``Session.plan()``;
-        :meth:`run` re-decides at execution time)."""
+        """The plan the current decision would run (``Session.plan()``).
+        :meth:`run` decides once itself and records the stages it ran
+        in the answer, so executing never plans twice."""
         decision = self._decide(spec, len(self.database))
         if self._sharded:
             return EvaluationPlan(
@@ -264,14 +265,16 @@ class AutoBackend(ExecutionBackend):
                 prunes=prunes,
                 cache=self.cache,
             )
+            answer.stage_labels = self._stage_labels(decision) + (
+                merge_consumer(spec).name,
+            )
             source = f"scatter×{database.shard_count}"
             prune = decision.stage or "no-prune"
             scatter = {
                 "source": source,
                 "summary": f"{source}+{prune}/per-shard",
                 "evaluator": "per-shard",
-                "stages": list(self._stage_labels(decision))
-                + [merge_consumer(spec).name],
+                "stages": list(answer.stage_labels),
                 "per_shard": [
                     {
                         "shard": index,
@@ -290,6 +293,7 @@ class AutoBackend(ExecutionBackend):
             shared = {plan.evaluator: matrix_source} if prunes else {}
             with bound_sharing(spec, shared):
                 answer = run_plan(self.database, spec, plan, cache=self.cache)
+            answer.stage_labels = plan.stage_labels
         stats = answer.stats
         stats.planner = {
             **self._planner_payload(spec, decision, stats),

@@ -82,6 +82,10 @@ class BackendAnswer:
     candidate that survived the cascade — and ``approximate``, true when
     the budget expired with straddling intervals left, i.e. the answer is
     best-effort rather than certified equal to the exhaustive oracle's.
+
+    ``stage_labels`` are the labels of the plan the run executed, so the
+    session reports the plan that ran without planning a second time
+    (``None`` from a backend that does not record them).
     """
 
     ids: list[int]
@@ -92,6 +96,7 @@ class BackendAnswer:
     pruned_ids: list[int] = field(default_factory=list)
     intervals: dict[int, tuple] | None = None
     approximate: bool = False
+    stage_labels: tuple[str, ...] | None = None
 
 
 class ExecutionBackend(abc.ABC):
@@ -111,7 +116,10 @@ class ExecutionBackend(abc.ABC):
     def run(self, spec: GraphQuery) -> BackendAnswer:
         """Answer ``spec`` (validated first) against the bound database."""
         spec.validate()
-        return run_plan(self.database, spec, self.build_plan(spec), cache=self.cache)
+        plan = self.build_plan(spec)
+        answer = run_plan(self.database, spec, plan, cache=self.cache)
+        answer.stage_labels = plan.stage_labels
+        return answer
 
     def close(self) -> None:
         """Release backend resources (pools, sockets); default no-op."""

@@ -82,7 +82,8 @@ class ResultSet:
         of the backend's shared cache, plus ``served`` — candidates whose
         exact vector the cache replaced — and the query-hash memo's
         ``pinned``/``pin_limit`` occupancy); ``None`` when the backend
-        runs uncached.
+        runs uncached. A read served from the session's answer store
+        probes no pair, so its deltas are zero.
     intervals:
         Anytime (budgeted) runs only: certified ``[lower, upper]``
         :class:`~repro.graph.budget.Interval` vectors per candidate that
@@ -200,6 +201,7 @@ class ResultSet:
                 "source_ms": round(self.stats.source_ms, 3),
                 "cascade_ms": round(self.stats.cascade_ms, 3),
                 "evaluate_ms": round(self.stats.evaluate_ms, 3),
+                "reused": self.stats.reused,
             },
         }
         if self.stats.planner is not None:
@@ -239,6 +241,11 @@ class ResultSet:
     def explain(self) -> str:
         """Human-readable account of the plan, the work, and the answer."""
         lines = [self.plan.describe(), self.stats.summary()]
+        if self.stats.reused:
+            lines.append(
+                "answer store: reused the answer computed at database "
+                f"version {self.stats.reused_version}; no candidate was touched"
+            )
         if self.stats.planner is not None:
             planner = self.stats.planner
             lines.append(

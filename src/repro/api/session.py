@@ -29,10 +29,13 @@ from repro.errors import QueryError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.measures.base import measure_names
 from repro.core.diversity import refine_by_diversity
+from repro.db.cache import AnswerStore
 from repro.db.database import GraphDatabase
+from repro.db.stats import QueryStats
 from repro.api.spec import GraphQuery, Query
 from repro.api.result import QueryPlan, ResultSet
 from repro.api.backends import (
+    BackendAnswer,
     ExecutionBackend,
     create_backend,
 )
@@ -41,6 +44,78 @@ from repro.api import parallel as _parallel  # noqa: F401
 from repro.api import auto as _auto  # noqa: F401
 from repro.shard import backend as _sharded  # noqa: F401
 from repro.shard.store import ShardedGraphDatabase
+
+
+def _answer_key(spec: GraphQuery, cache) -> tuple | None:
+    """``spec``'s answer-store key, or ``None`` when ``spec`` must run.
+
+    The key is the query graph's canonical hash plus every field that
+    steers ``backend.run``; ``limit`` and diversity refinement are applied
+    to the run's answer afterwards, so their variants share one entry.
+    Without a pair cache there is no store. Anytime specs always run:
+    wall-clock budgets are nondeterministic and intervals depend on
+    vertex numbering. So do specs holding measure instances, which are
+    not keyed by a registry name.
+    """
+    if cache is None or spec.anytime:
+        return None
+    measures = tuple(spec.measures) if spec.measures is not None else None
+    named = measures or ()
+    if spec.measure is not None:
+        named += (spec.measure,)
+    if not all(isinstance(name, str) for name in named):
+        return None
+    return (
+        cache.query_hash(spec.graph),
+        spec.kind,
+        measures,
+        spec.measure,
+        spec.algorithm,
+        spec.tolerance,
+        spec.k,
+        spec.threshold,
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class _StoredAnswer:
+    """One answer as the store keeps it: the plan that ran, and private
+    copies of the answer's containers that no returned result shares."""
+
+    plan: QueryPlan
+    ids: tuple[int, ...]
+    evaluated_ids: tuple[int, ...]
+    vectors: dict
+    distances: dict | None
+    database_size: int
+    skyline_size: int
+
+    @classmethod
+    def of(cls, plan: QueryPlan, answer: BackendAnswer) -> "_StoredAnswer":
+        return cls(
+            plan=plan,
+            ids=tuple(answer.ids),
+            evaluated_ids=tuple(answer.evaluated_ids),
+            vectors=dict(answer.vectors),
+            distances=None if answer.distances is None else dict(answer.distances),
+            database_size=answer.stats.database_size,
+            skyline_size=answer.stats.skyline_size,
+        )
+
+    def replay(self, version: int) -> tuple[QueryPlan, BackendAnswer]:
+        """The plan and a fresh answer for one reuse, with the stats of a
+        read that did no work."""
+        return self.plan, BackendAnswer(
+            ids=list(self.ids),
+            evaluated_ids=list(self.evaluated_ids),
+            vectors=dict(self.vectors),
+            distances=None if self.distances is None else dict(self.distances),
+            stats=QueryStats(
+                database_size=self.database_size,
+                skyline_size=self.skyline_size,
+                reused_version=version,
+            ),
+        )
 
 
 class Session:
@@ -108,6 +183,7 @@ class Session:
             self._backend = backend
         else:
             self._backend = create_backend(backend, database, **backend_options)
+        self._answers = AnswerStore()
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------
@@ -150,6 +226,9 @@ class Session:
     def plan(self, query: "GraphQuery | Query") -> QueryPlan:
         """How this session would execute ``query`` (no evaluation)."""
         spec = self._materialize(query)
+        return self._query_plan(spec, self._backend.build_plan(spec).stage_labels)
+
+    def _query_plan(self, spec: GraphQuery, stages: tuple[str, ...]) -> QueryPlan:
         measures = ExecutionBackend._resolve_measures(spec)
         if spec.kind in ("topk", "threshold"):
             single = ExecutionBackend._single_measure(spec, measures)
@@ -167,24 +246,65 @@ class Session:
             measures=names,
             uses_index=uses_index,
             workers=workers,
-            stages=self._backend.build_plan(spec).stage_labels,
+            stages=stages,
             shards=getattr(self._backend, "shard_count", 1),
         )
 
     def execute(self, query: "GraphQuery | Query") -> ResultSet:
-        """Plan and run ``query``, returning the unified result set."""
+        """Plan and run ``query``, returning the unified result set.
+
+        With a pair cache (``cache=``, the opt-in to cross-query reuse),
+        the session also keeps an :class:`~repro.db.cache.AnswerStore`: a
+        spec already answered at the current database version is served
+        from it without planning, scanning or probing a pair, and its
+        stats say so (``stats.reused``). Anytime specs and specs holding
+        measure instances always run.
+        """
         if self._closed:
             raise QueryError("session is closed")
         spec = self._materialize(query)
-        plan = self.plan(spec)
         cache = getattr(self._backend, "cache", None)
-        counters_before = (cache.hits, cache.misses) if cache is not None else None
+        key = _answer_key(spec, cache)
+        version = self.database.version
+        if key is not None:
+            stored = self._answers.get(version, key)
+            if stored is not None:
+                plan, answer = stored.replay(version)
+                return self._result(spec, plan, answer, cache, (0, 0))
+        probes = (cache.hits, cache.misses) if cache is not None else (0, 0)
         answer = self._backend.run(spec)
+        if cache is not None:
+            probes = (cache.hits - probes[0], cache.misses - probes[1])
+        stages = answer.stage_labels
+        if stages is None:
+            stages = self._backend.build_plan(spec).stage_labels
+        plan = self._query_plan(spec, stages)
+        # A mutation during the run may or may not be reflected in its
+        # answer, so only an answer computed at one version is stored.
+        if key is not None and self.database.version == version:
+            self._answers.put(version, key, _StoredAnswer.of(plan, answer))
+        return self._result(spec, plan, answer, cache, probes)
+
+    @property
+    def answer_store(self) -> AnswerStore:
+        """This session's store of whole answers (used with a pair cache)."""
+        return self._answers
+
+    def _result(
+        self,
+        spec: GraphQuery,
+        plan: QueryPlan,
+        answer: BackendAnswer,
+        cache,
+        probes: tuple[int, int],
+    ) -> ResultSet:
+        """Package a backend answer: refinement, ``limit`` and the pair
+        cache's ``(hits, misses)`` during this read."""
         cache_info = None
-        if counters_before is not None:
+        if cache is not None:
             cache_info = {
-                "hits": cache.hits - counters_before[0],
-                "misses": cache.misses - counters_before[1],
+                "hits": probes[0],
+                "misses": probes[1],
                 "served": answer.stats.served_from_cache,
                 "pinned": cache.pinned,
                 "pin_limit": cache.pin_limit,

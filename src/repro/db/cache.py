@@ -1,9 +1,9 @@
-"""Pairwise-computation caches for repeated and refined queries.
+"""Pairwise-computation and whole-answer caches for repeated queries.
 
 Interactive sessions issue many queries against the same database, often
 re-using query graphs (refinement after inspection, parameter tweaks) —
 and essentially all query time goes into exact per-pair GED/MCS solving.
-Two cache flavours share one bounded-LRU core and one lookup protocol
+Two pair-cache flavours share one bounded-LRU core and one lookup protocol
 (:meth:`subject_key` / :meth:`get` / :meth:`put`), so the evaluation
 engine's cached-pair cascade stage works against either:
 
@@ -23,45 +23,61 @@ measures shipped with the paper depend only on graph structure and labels,
 so serving a cached value for an isomorphic pair is exact, not
 approximate. Construct :class:`PairCache` with ``symmetric=False`` when
 caching a non-symmetric custom measure.
+
+:class:`AnswerStore` sits one level up: whole answers of a session's
+repeated specs, valid at one database version (see
+:meth:`repro.api.session.Session.execute`).
+
+Every store here is shared by the server's query threads, so each
+lookup-and-reorder runs under its store's lock.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from collections.abc import Hashable
 
 from repro.graph.canonical import canonical_hash
 from repro.graph.labeled_graph import LabeledGraph
 
+#: Entry bound of a session's :class:`AnswerStore`.
+ANSWER_STORE_LIMIT = 64
+
 
 class _LruStore:
-    """Bounded mapping with least-recently-used eviction."""
+    """Bounded mapping with least-recently-used eviction, thread-safe."""
 
     def __init__(self, max_entries: int) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
+        self._lock = threading.Lock()
 
     def get(self, key: Hashable) -> object | None:
-        value = self._entries.get(key)
-        if value is not None:
-            self._entries.move_to_end(key)
-        return value
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            return value
 
     def put(self, key: Hashable, value: object) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
 
     def drop_where(self, predicate) -> None:
-        stale = [key for key in self._entries if predicate(key)]
-        for key in stale:
-            del self._entries[key]
+        with self._lock:
+            stale = [key for key in self._entries if predicate(key)]
+            for key in stale:
+                del self._entries[key]
 
     def clear(self) -> None:
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -110,9 +126,8 @@ class PairCache:
             raise ValueError("pin_limit must be positive")
         self.hits = 0
         self.misses = 0
-        self._hash_memo: "OrderedDict[tuple[int, int], tuple[LabeledGraph, str]]" = (
-            OrderedDict()
-        )
+        #: ``(id(graph), mutation_count)`` -> ``(graph, canonical hash)``.
+        self._hash_memo = _LruStore(self.pin_limit)
 
     @property
     def max_entries(self) -> int:
@@ -142,12 +157,9 @@ class PairCache:
         key = (id(query), query.mutation_count)
         entry = self._hash_memo.get(key)
         if entry is not None and entry[0] is query:
-            self._hash_memo.move_to_end(key)
             return entry[1]
         value = canonical_hash(query)
-        self._hash_memo[key] = (query, value)
-        while len(self._hash_memo) > self.pin_limit:
-            self._hash_memo.popitem(last=False)
+        self._hash_memo.put(key, (query, value))
         return value
 
     def subject_key(self, entry) -> Hashable:
@@ -272,3 +284,50 @@ class QueryCache(PairCache):
 
     # This class keys by graph id, so the subject IS the graph id.
     invalidate_subject = invalidate_graph
+
+
+class AnswerStore:
+    """Whole query answers, each valid at exactly one database version.
+
+    Entries are keyed by ``(version, key)``, so an answer can only ever be
+    found by a lookup at the version it was computed at. A put at a newer
+    version first empties the store: older entries could never be served
+    again, and dropping them bounds memory by the live answers and
+    ``max_entries``. A put at an older version than the newest seen is
+    ignored for the same reason.
+    """
+
+    def __init__(self, max_entries: int = ANSWER_STORE_LIMIT) -> None:
+        self._entries = _LruStore(max_entries)
+        self._version = -1
+        self.hits = 0
+        self.misses = 0
+        # Guards the counters and the check-then-clear of the version.
+        self._lock = threading.Lock()
+
+    def get(self, version: int, key: Hashable) -> object | None:
+        """The answer stored for ``key`` at ``version``, or ``None``."""
+        value = self._entries.get((version, key))
+        with self._lock:
+            if value is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+        return value
+
+    def put(self, version: int, key: Hashable, value: object) -> None:
+        """Store ``value`` as the answer for ``key`` at ``version``."""
+        with self._lock:
+            if version < self._version:
+                return
+            if version > self._version:
+                self._version = version
+                self._entries.clear()
+            self._entries.put((version, key), value)
+
+    def snapshot(self) -> dict[str, int]:
+        """``hits``, ``misses`` and live ``entries`` (``/v1/stats``)."""
+        return {"hits": self.hits, "misses": self.misses, "entries": len(self)}
+
+    def __len__(self) -> int:
+        return len(self._entries)

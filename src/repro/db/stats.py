@@ -60,6 +60,15 @@ class QueryStats:
     #: ``starved`` (candidates never evaluated before the budget ran
     #: out), ``budget_spent_ms`` (wall clock consumed).
     anytime: dict[str, object] | None = None
+    #: Database version of the stored answer this read reused from the
+    #: session's answer store (``None``: the read ran). A reused read did
+    #: no work, so every counter above is zero and ``phase_seconds`` empty.
+    reused_version: int | None = None
+
+    @property
+    def reused(self) -> bool:
+        """Whether this read was served whole from the answer store."""
+        return self.reused_version is not None
 
     def count_prune(self, stage_name: str, count: int = 1) -> None:
         """Attribute ``count`` cascade prunes to ``stage_name``."""
@@ -141,10 +150,11 @@ class QueryStats:
                 f" starved={self.anytime.get('starved', 0)}"
                 f" spent={self.anytime.get('budget_spent_ms', 0)}ms]"
             )
+        reused = f" reused@v{self.reused_version}" if self.reused else ""
         return (
             f"n={self.database_size} evaluated={self.exact_evaluations} "
             f"pruned={self.pruned_by_index}{batched}{stages}{cached}"
-            f"{sharded}{pool}{anytime}{planner} "
+            f"{sharded}{pool}{anytime}{planner}{reused} "
             f"skyline={self.skyline_size} [{timings}]"
         )
 

@@ -5,7 +5,9 @@ One :class:`QueryServer` owns one :class:`~repro.db.database.GraphDatabase`
 configured), one cross-client :class:`~repro.db.cache.PairCache`, and one
 lazily built :class:`~repro.api.session.Session` per requested backend —
 every client queries the same corpus through the same cache, which is the
-whole point of serving instead of embedding.
+whole point of serving instead of embedding. Each session's answer store
+is shared the same way: a spec any client already ran at the current
+database version is answered without touching a candidate.
 
 Concurrency model
 -----------------
@@ -402,16 +404,22 @@ class QueryServer:
         return payload
 
     async def _handle_stats(self, request: Request) -> dict[str, Any]:
+        with self._sessions_guard:
+            sessions = dict(self._sessions)
         payload = {
             "admission": self.admission.snapshot(),
             "watches": self.hub.snapshot(),
             "counters": self.counters.snapshot(),
             "cache": {"hits": self.cache.hits, "misses": self.cache.misses},
+            "answers": {
+                name: session.answer_store.snapshot()
+                for name, session in sorted(sessions.items())
+            },
             "database": {
                 "graphs": len(self.database),
                 "version": self.database.version,
             },
-            "backends": sorted(self._sessions),
+            "backends": sorted(sessions),
         }
         if self.wal is not None:
             payload["durability"] = {

@@ -180,12 +180,13 @@ class ShardedBackend(ExecutionBackend):
     def run(self, spec: GraphQuery) -> "BackendAnswer":
         spec.validate()
         database: ShardedGraphDatabase = self.database
-        return scatter_run(
+        labels = self._stage_labels(spec)
+        answer = scatter_run(
             database,
             spec,
             self._source,
             self._cascade(spec),
-            self._stage_labels(spec),
+            labels,
             {
                 index: self._shard_evaluator(index)
                 for index in range(database.shard_count)
@@ -193,6 +194,8 @@ class ShardedBackend(ExecutionBackend):
             prunes=self._prunes(spec),
             cache=self.cache,
         )
+        answer.stage_labels = labels
+        return answer
 
 
 register_backend(ShardedBackend.name, ShardedBackend)

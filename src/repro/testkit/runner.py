@@ -5,7 +5,9 @@ GraphDatabase` and one :class:`~repro.testkit.oracle.Oracle` mirror and
 applies every workload step to both. Query steps run on the step's
 backend twice — cache off and cache on (one :class:`~repro.db.cache.
 PairCache` shared across all cached sessions, exactly like a production
-deployment) — and both answers must equal the oracle's. Live-view checks
+deployment) — and both answers must equal the oracle's. A cached session
+also keeps its answer store, so a repeated query is served whole when
+no mutation landed since, and must still equal the oracle. Live-view checks
 compare every open :class:`~repro.engine.views.LiveView` against the
 oracle's skyline; persistence steps save/load the database and require
 payload and answer parity.
@@ -194,6 +196,8 @@ class RunReport:
     combos: dict[str, int] = field(default_factory=dict)
     cache_hits: int = 0
     cache_misses: int = 0
+    answer_hits: int = 0
+    answer_misses: int = 0
     elapsed: float = 0.0
     divergence: Divergence | None = None
 
@@ -209,7 +213,8 @@ class RunReport:
             f"combos, {self.mutations} mutations, {self.view_checks} view "
             f"checks, {self.saveloads} save/load round-trips, "
             f"{self.skipped} skipped) in {self.elapsed:.2f}s; "
-            f"pair cache {self.cache_hits} hits / {self.cache_misses} misses"
+            f"pair cache {self.cache_hits} hits / {self.cache_misses} misses; "
+            f"answer store {self.answer_hits} hits / {self.answer_misses} misses"
         )
 
 
@@ -453,6 +458,9 @@ class WorkloadRunner:
         report.elapsed = time.perf_counter() - start
         report.cache_hits = self.cache.hits
         report.cache_misses = self.cache.misses
+        stores = [session.answer_store for session in self._sessions.values()]
+        report.answer_hits = sum(store.hits for store in stores)
+        report.answer_misses = sum(store.misses for store in stores)
         return report
 
 

@@ -21,6 +21,7 @@ workload can be saved, attached to a bug report, and replayed with
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from dataclasses import dataclass
@@ -364,6 +365,31 @@ def _query_spec(
     return GraphQuery(**kwargs).validate()
 
 
+def renumbered(graph: LabeledGraph) -> LabeledGraph:
+    """An isomorphic copy of ``graph`` over vertex ids ``0..n-1`` in
+    reverse order, inserted in reverse order."""
+    vertices = graph.vertices()
+    rename = {vertex: len(vertices) - 1 - i for i, vertex in enumerate(vertices)}
+    copy = LabeledGraph(name=graph.name)
+    for vertex in reversed(vertices):
+        copy.add_vertex(rename[vertex], graph.vertex_label(vertex))
+    for u, v, label in graph.edges():
+        copy.add_edge(rename[u], rename[v], label)
+    return copy
+
+
+def _repeated(rng: random.Random, earlier: list[RunQuery]) -> RunQuery:
+    """The last query step again, verbatim or over an isomorphic
+    renumbering of its graph. Whether a mutation landed in between
+    decides if a cached session may serve it from its answer store, so
+    repeats fuzz both the hit and the forced miss."""
+    step = earlier[-1]
+    if rng.random() < 0.5:
+        return step
+    graph = renumbered(step.query.graph)
+    return RunQuery(dataclasses.replace(step.query, graph=graph), step.backend)
+
+
 def generate_workload(
     seed: int,
     n_steps: int,
@@ -379,8 +405,15 @@ def generate_workload(
     and checks, and persistence round-trips. ``max_vertices`` bounds
     graph size (exact GED/MCS solving is exponential, and the harness
     must stay fast).
+
+    After the first full cycle of combinations, a quarter of the query
+    steps repeat an earlier query instead (see :func:`_repeated`). The
+    repeat draws come from their own seed-derived generator, so every
+    other step is that of the same workload without repeats.
     """
     rng = random.Random(seed)
+    repeat = random.Random(f"repeat-{seed}")
+    earlier: list[RunQuery] = []
     combos = [
         (kind, backend)
         for kind in ("skyline", "skyband", "topk", "threshold")
@@ -445,7 +478,11 @@ def generate_workload(
             )
             recent_queries.append(spec.graph)
             del recent_queries[:-5]
-            steps.append(RunQuery(spec, backend))
+            step = RunQuery(spec, backend)
+            if combo_cursor > len(combos) and repeat.random() < 0.25:
+                step = _repeated(repeat, earlier)
+            earlier.append(step)
+            steps.append(step)
         elif roll < 0.86 and views_open < max_views:
             spec = _query_spec(
                 rng, _query_graph(rng, live, max_vertices, recent_queries), "skyline", "memory"

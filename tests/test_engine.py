@@ -98,8 +98,10 @@ def test_run_plan_direct_matches_backend(db, query):
 # ----------------------------------------------------------------------
 def test_pruning_composes_with_cache(db, query):
     cache = PairCache()
+    # Two sessions: a repeat in one session is served by its answer store.
     with connect(db, backend="indexed", cache=cache) as session:
         cold = session.execute(Query(query).skyline())
+    with connect(db, backend="indexed", cache=cache) as session:
         warm = session.execute(Query(query).skyline())
     assert cold.stats.pruned_by_index == warm.stats.pruned_by_index
     assert warm.stats.exact_evaluations == 0
@@ -110,6 +112,7 @@ def test_parallel_composes_with_cache(db, query):
     cache = PairCache()
     with connect(db, backend="parallel", max_workers=2, cache=cache) as session:
         cold = session.execute(Query(query).skyline())
+    with connect(db, backend="parallel", max_workers=2, cache=cache) as session:
         warm = session.execute(Query(query).skyline())
     assert cold.stats.exact_evaluations == len(db)  # written back after drain
     assert warm.stats.exact_evaluations == 0

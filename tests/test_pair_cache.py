@@ -87,8 +87,10 @@ def test_query_hash_is_memoised_until_mutation(monkeypatch):
 def test_warm_cache_serves_repeated_query(db):
     cache = PairCache()
     query = figure3_query()
+    # Two sessions: a repeat in one session is served by its answer store.
     with connect(db, cache=cache) as session:
         cold = session.execute(Query(query).skyline())
+    with connect(db, cache=cache) as session:
         warm = session.execute(Query(query).skyline())
     assert cold.stats.exact_evaluations == len(db)
     assert warm.stats.exact_evaluations == 0
@@ -129,6 +131,7 @@ def test_cache_serves_isomorphic_resubmission(db):
     )
     with connect(db, cache=cache) as session:
         session.execute(Query(query).skyline())
+    with connect(db, cache=cache) as session:
         warm = session.execute(Query(relabeled).skyline())
     assert warm.stats.exact_evaluations == 0  # same canonical hashes
 
@@ -166,6 +169,41 @@ def test_lru_eviction_and_stats():
     assert len(cache) == 0 and cache.hits == 0
     with pytest.raises(ValueError):
         PairCache(max_entries=0)
+
+
+def test_concurrent_lookups_survive_eviction_by_other_threads():
+    """Server threads share one cache: a lookup whose key another thread
+    evicts between the find and the LRU reorder must not raise."""
+    import sys
+    import threading
+
+    cache = PairCache(max_entries=8, pin_limit=4)
+    graphs = [path_graph(["A"] * (n + 1)) for n in range(6)]
+    errors = []
+
+    def worker(offset: int) -> None:
+        try:
+            for step in range(6000):
+                subject = f"s{(offset * 5 + step) % 16}"
+                cache.put(subject, "q", ("edit",), (1.0,))
+                cache.get(subject, "q", ("edit",))
+                cache.query_hash(graphs[(offset + step) % len(graphs)])
+        except Exception as exc:  # collected; asserted below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(cache) <= 8 and cache.pinned <= 4
 
 
 def test_querycache_invalidate_subject_is_invalidate_graph():

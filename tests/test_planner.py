@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro import GraphDatabase, Query
+from repro import GraphDatabase, PairCache, Query
 from repro.api.auto import AutoBackend
 from repro.api.backends import available_backends
 from repro.api.spec import GraphQuery
@@ -105,6 +105,26 @@ def test_explain_and_to_dict_carry_the_decision(database, query_graph):
     )
     for key in ("source_ms", "cascade_ms", "evaluate_ms"):
         assert payload["stats"][key] >= 0.0
+
+
+def test_execute_decides_once_and_explains_the_plan_that_ran(
+    database, query_graph, monkeypatch
+):
+    decisions = []
+    decide = QueryPlanner.decide
+
+    def spy(self, *args, **kwargs):
+        decisions.append(decide(self, *args, **kwargs))
+        return decisions[-1]
+
+    monkeypatch.setattr(QueryPlanner, "decide", spy)
+    with repro.connect(database, backend="auto", cache=PairCache()) as session:
+        result = session.execute(_skyline_spec(query_graph))
+    assert len(decisions) == 1
+    ran = tuple(result.stats.planner["stages"])
+    assert ran[0] == decisions[0].stage and ran[-1] == "cached-pairs"
+    assert result.plan.stages == ran
+    assert f"cascade: {' → '.join(ran)}" in result.explain()
 
 
 def test_profile_learns_across_queries(database, query_graph):
@@ -458,10 +478,15 @@ def test_server_clients_share_one_profile(database, query_graph):
 
     from repro.server import ServerConfig, serve_in_thread
 
-    spec = _skyline_spec(query_graph)
+    # Distinct specs: a repeat would be served by the answer store, not
+    # planned.
+    specs = [
+        _skyline_spec(query_graph),
+        Query(query_graph).measures("edit", "mcs").skyband(2).build(),
+    ]
     with serve_in_thread(database, ServerConfig()) as server:
         seen = []
-        for _ in range(2):  # fresh connection each time: distinct clients
+        for spec in specs:  # fresh connection each time: distinct clients
             conn = http.client.HTTPConnection(
                 "127.0.0.1", server.port, timeout=60.0
             )

@@ -304,6 +304,7 @@ def test_shared_cache_composes_with_scatter(sharded_fig3):
     cache = PairCache()
     with connect(sharded_fig3, backend="sharded", cache=cache) as session:
         cold = session.execute(Query(query).skyline())
+    with connect(sharded_fig3, backend="sharded", cache=cache) as session:
         warm = session.execute(Query(query).skyline())
     assert warm.ids == cold.ids
     assert warm.cache_info["served"] == len(sharded_fig3)

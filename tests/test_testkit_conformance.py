@@ -128,6 +128,7 @@ def test_cache_counters_in_result_and_explain(paper_database, paper_query):
     cache = PairCache()
     with connect(paper_database, cache=cache) as session:
         cold = session.execute(Query(paper_query).skyline())
+    with connect(paper_database, cache=cache) as session:
         warm = session.execute(Query(paper_query).skyline())
     assert cold.cache_info is not None
     assert cold.cache_info["hits"] == 0

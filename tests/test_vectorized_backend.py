@@ -129,6 +129,7 @@ def test_cache_composes_with_vectorized_plan(random_database, paper_query):
     spec = Query(paper_query).skyline()
     with repro.connect(random_database, backend="vectorized", cache=cache) as s:
         cold = s.execute(spec)
+    with repro.connect(random_database, backend="vectorized", cache=cache) as s:
         warm = s.execute(spec)
     assert warm.ids == cold.ids
     assert warm.stats.exact_evaluations == 0
