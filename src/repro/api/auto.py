@@ -257,16 +257,13 @@ class AutoBackend(ExecutionBackend):
                 spec,
                 self._scatter,
                 self._cascade(spec, decision),
-                self._stage_labels(decision),
+                self._stage_labels(decision) + (merge_consumer(spec).name,),
                 {
                     index: self._evaluator(shard_decision, index)
                     for index, shard_decision in shard_decisions.items()
                 },
                 prunes=prunes,
                 cache=self.cache,
-            )
-            answer.stage_labels = self._stage_labels(decision) + (
-                merge_consumer(spec).name,
             )
             source = f"scatter×{database.shard_count}"
             prune = decision.stage or "no-prune"
@@ -293,7 +290,6 @@ class AutoBackend(ExecutionBackend):
             shared = {plan.evaluator: matrix_source} if prunes else {}
             with bound_sharing(spec, shared):
                 answer = run_plan(self.database, spec, plan, cache=self.cache)
-            answer.stage_labels = plan.stage_labels
         stats = answer.stats
         stats.planner = {
             **self._planner_payload(spec, decision, stats),

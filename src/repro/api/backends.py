@@ -83,9 +83,10 @@ class BackendAnswer:
     the budget expired with straddling intervals left, i.e. the answer is
     best-effort rather than certified equal to the exhaustive oracle's.
 
-    ``stage_labels`` are the labels of the plan the run executed, so the
-    session reports the plan that ran without planning a second time
-    (``None`` from a backend that does not record them).
+    ``stage_labels`` are the labels of the plan the run executed (set by
+    :func:`~repro.engine.core.run_plan` and
+    :func:`~repro.engine.scatter.scatter_run`), so the session reports
+    the plan that ran without planning a second time.
     """
 
     ids: list[int]
@@ -96,7 +97,7 @@ class BackendAnswer:
     pruned_ids: list[int] = field(default_factory=list)
     intervals: dict[int, tuple] | None = None
     approximate: bool = False
-    stage_labels: tuple[str, ...] | None = None
+    stage_labels: tuple[str, ...] = ()
 
 
 class ExecutionBackend(abc.ABC):
@@ -116,10 +117,7 @@ class ExecutionBackend(abc.ABC):
     def run(self, spec: GraphQuery) -> BackendAnswer:
         """Answer ``spec`` (validated first) against the bound database."""
         spec.validate()
-        plan = self.build_plan(spec)
-        answer = run_plan(self.database, spec, plan, cache=self.cache)
-        answer.stage_labels = plan.stage_labels
-        return answer
+        return run_plan(self.database, spec, self.build_plan(spec), cache=self.cache)
 
     def close(self) -> None:
         """Release backend resources (pools, sockets); default no-op."""

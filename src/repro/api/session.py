@@ -52,6 +52,9 @@ def _answer_key(spec: GraphQuery, cache) -> tuple | None:
     The key is the query graph's canonical hash plus every field that
     steers ``backend.run``; ``limit`` and diversity refinement are applied
     to the run's answer afterwards, so their variants share one entry.
+    It also holds the pair cache's ``generation``: answers built from
+    values the cache was told to drop (``clear``, ``invalidate_subject``,
+    e.g. after a measure was re-registered) are never served again.
     Without a pair cache there is no store. Anytime specs always run:
     wall-clock budgets are nondeterministic and intervals depend on
     vertex numbering. So do specs holding measure instances, which are
@@ -66,6 +69,7 @@ def _answer_key(spec: GraphQuery, cache) -> tuple | None:
     if not all(isinstance(name, str) for name in named):
         return None
     return (
+        cache.generation,
         cache.query_hash(spec.graph),
         spec.kind,
         measures,
@@ -275,10 +279,7 @@ class Session:
         answer = self._backend.run(spec)
         if cache is not None:
             probes = (cache.hits - probes[0], cache.misses - probes[1])
-        stages = answer.stage_labels
-        if stages is None:
-            stages = self._backend.build_plan(spec).stage_labels
-        plan = self._query_plan(spec, stages)
+        plan = self._query_plan(spec, answer.stage_labels)
         # A mutation during the run may or may not be reflected in its
         # answer, so only an answer computed at one version is stored.
         if key is not None and self.database.version == version:

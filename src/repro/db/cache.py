@@ -126,6 +126,10 @@ class PairCache:
             raise ValueError("pin_limit must be positive")
         self.hits = 0
         self.misses = 0
+        #: Bumped whenever entries are dropped on purpose (:meth:`clear`,
+        #: :meth:`invalidate_subject`); answers built from the values of
+        #: an older generation are keyed by it and never served again.
+        self.generation = 0
         #: ``(id(graph), mutation_count)`` -> ``(graph, canonical hash)``.
         self._hash_memo = _LruStore(self.pin_limit)
 
@@ -209,10 +213,12 @@ class PairCache:
         mutation — but useful when a measure implementation itself changed.
         """
         self._store.drop_where(lambda key: subject_key in key[0])
+        self.generation += 1
 
     def clear(self) -> None:
         """Drop everything (statistics and hash memo included)."""
         self._store.clear()
+        self.generation += 1
         self._hash_memo.clear()
         self.hits = 0
         self.misses = 0
@@ -281,6 +287,7 @@ class QueryCache(PairCache):
     def invalidate_graph(self, graph_id: int) -> None:
         """Drop all entries of one database graph (after update/removal)."""
         self._store.drop_where(lambda key: key[0] == graph_id)
+        self.generation += 1
 
     # This class keys by graph id, so the subject IS the graph id.
     invalidate_subject = invalidate_graph
@@ -293,12 +300,12 @@ class AnswerStore:
     found by a lookup at the version it was computed at. A put at a newer
     version first empties the store: older entries could never be served
     again, and dropping them bounds memory by the live answers and
-    ``max_entries``. A put at an older version than the newest seen is
-    ignored for the same reason.
+    :data:`ANSWER_STORE_LIMIT`. A put at an older version than the newest
+    seen is ignored for the same reason.
     """
 
-    def __init__(self, max_entries: int = ANSWER_STORE_LIMIT) -> None:
-        self._entries = _LruStore(max_entries)
+    def __init__(self) -> None:
+        self._entries = _LruStore(ANSWER_STORE_LIMIT)
         self._version = -1
         self.hits = 0
         self.misses = 0

@@ -145,7 +145,9 @@ def run_plan(
     if spec.anytime:
         from repro.engine.anytime import run_plan_anytime
 
-        return run_plan_anytime(ctx, plan)
+        answer = run_plan_anytime(ctx, plan)
+        answer.stage_labels = plan.stage_labels
+        return answer
     stats = ctx.stats
     evaluator: Evaluator = plan.evaluator or SerialEvaluator()
 
@@ -280,6 +282,9 @@ def run_plan(
             graph_id: CompoundSimilarity(values=values, measures=ctx.names)
             for graph_id, values in exact.items()
         }
-        return finish_vectors(spec, vectors, stats, pruned_ids)
-    distances = {graph_id: values[0] for graph_id, values in exact.items()}
-    return finish_distances(spec, distances, stats, pruned_ids)
+        answer = finish_vectors(spec, vectors, stats, pruned_ids)
+    else:
+        distances = {graph_id: values[0] for graph_id, values in exact.items()}
+        answer = finish_distances(spec, distances, stats, pruned_ids)
+    answer.stage_labels = plan.stage_labels
+    return answer

@@ -567,4 +567,6 @@ def scatter_run(
             shard_stats[index] = answer.stats
             answers.append(answer)
     stats = merged_stats(database, shard_stats)
-    return merge_consumer(spec).merge(spec, answers, stats)
+    answer = merge_consumer(spec).merge(spec, answers, stats)
+    answer.stage_labels = stage_labels
+    return answer

@@ -180,13 +180,12 @@ class ShardedBackend(ExecutionBackend):
     def run(self, spec: GraphQuery) -> "BackendAnswer":
         spec.validate()
         database: ShardedGraphDatabase = self.database
-        labels = self._stage_labels(spec)
-        answer = scatter_run(
+        return scatter_run(
             database,
             spec,
             self._source,
             self._cascade(spec),
-            labels,
+            self._stage_labels(spec),
             {
                 index: self._shard_evaluator(index)
                 for index in range(database.shard_count)
@@ -194,8 +193,6 @@ class ShardedBackend(ExecutionBackend):
             prunes=self._prunes(spec),
             cache=self.cache,
         )
-        answer.stage_labels = labels
-        return answer
 
 
 register_backend(ShardedBackend.name, ShardedBackend)

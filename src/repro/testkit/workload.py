@@ -379,11 +379,11 @@ def renumbered(graph: LabeledGraph) -> LabeledGraph:
 
 
 def _repeated(rng: random.Random, earlier: list[RunQuery]) -> RunQuery:
-    """The last query step again, verbatim or over an isomorphic
-    renumbering of its graph. Whether a mutation landed in between
-    decides if a cached session may serve it from its answer store, so
-    repeats fuzz both the hit and the forced miss."""
-    step = earlier[-1]
+    """One of the last three repeatable query steps again, verbatim or
+    over an isomorphic renumbering of its graph. Whether a mutation
+    landed in between decides if a cached session may serve it from its
+    answer store, so repeats fuzz both the hit and the forced miss."""
+    step = rng.choice(earlier[-3:])
     if rng.random() < 0.5:
         return step
     graph = renumbered(step.query.graph)
@@ -407,9 +407,12 @@ def generate_workload(
     must stay fast).
 
     After the first full cycle of combinations, a quarter of the query
-    steps repeat an earlier query instead (see :func:`_repeated`). The
-    repeat draws come from their own seed-derived generator, so every
-    other step is that of the same workload without repeats.
+    steps are followed by an extra step repeating an earlier query (see
+    :func:`_repeated`). Anytime specs are never repeated: they bypass the
+    answer store. The repeat draws come from their own seed-derived
+    generator, so the other steps are, in order, those of the same
+    workload without repeats; the workload keeps ``n_steps`` steps, so
+    the repeats displace its tail.
     """
     rng = random.Random(seed)
     repeat = random.Random(f"repeat-{seed}")
@@ -478,11 +481,16 @@ def generate_workload(
             )
             recent_queries.append(spec.graph)
             del recent_queries[:-5]
-            step = RunQuery(spec, backend)
-            if combo_cursor > len(combos) and repeat.random() < 0.25:
-                step = _repeated(repeat, earlier)
-            earlier.append(step)
-            steps.append(step)
+            steps.append(RunQuery(spec, backend))
+            if not spec.anytime:
+                earlier.append(steps[-1])
+            if (
+                earlier
+                and combo_cursor > len(combos)
+                and len(steps) < n_steps
+                and repeat.random() < 0.25
+            ):
+                steps.append(_repeated(repeat, earlier))
         elif roll < 0.86 and views_open < max_views:
             spec = _query_spec(
                 rng, _query_graph(rng, live, max_vertices, recent_queries), "skyline", "memory"

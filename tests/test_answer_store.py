@@ -15,14 +15,15 @@ import pytest
 
 import repro
 from repro import GraphDatabase, PairCache, Query
-from repro.api import session as session_module
 from repro.api.backends import available_backends
 from repro.api.ops import AddOp, RelabelOp, RemoveOp, apply_mutation
 from repro.cli import _remap_backend
+from repro.db import cache as cache_module
 from repro.db.cache import ANSWER_STORE_LIMIT, AnswerStore
 from repro.graph import LabeledGraph
 from repro.graph.canonical import canonical_hash
-from repro.measures.base import get_measure
+from repro.measures import base as measures_base
+from repro.measures.base import DistanceMeasure, get_measure
 from repro.server import ServerConfig, serve_in_thread
 from repro.shard import ShardedGraphDatabase
 from repro.testkit import generate_workload, run_workload
@@ -54,7 +55,10 @@ def _database(shards: int | None = None) -> GraphDatabase:
 def _cached(database, backend: str = "auto", cache=None):
     options = {"max_workers": 2} if backend == "parallel" else {}
     return repro.connect(
-        database, backend=backend, cache=cache or PairCache(), **options
+        database,
+        backend=backend,
+        cache=PairCache() if cache is None else cache,  # an empty cache is falsy
+        **options,
     )
 
 
@@ -255,6 +259,44 @@ def test_uncached_sessions_keep_no_store(query_graph):
     assert not second.stats.reused and second.stats.candidates_considered > 0
 
 
+class _OrderGap(DistanceMeasure):
+    name = "probe"
+
+    def distance(self, g1, g2, context=None):
+        return float(abs(g1.order - g2.order))
+
+
+class _OrderSum(DistanceMeasure):
+    name = "probe"
+
+    def distance(self, g1, g2, context=None):
+        return float(g1.order + g2.order)
+
+
+@pytest.mark.parametrize("drop", ["clear", "invalidate_subject"])
+def test_dropping_pair_cache_values_forces_a_run(drop, query_graph, monkeypatch):
+    """A measure re-registered under the same name, with the pair cache
+    told to forget the values its old implementation solved: answers
+    stored from those values must not be served."""
+    monkeypatch.setitem(measures_base._REGISTRY, "probe", _OrderGap)
+    database = _database()
+    cache = PairCache()
+    spec = Query(query_graph).topk(3, "probe")
+    with _cached(database, "memory", cache) as session:
+        before = session.execute(spec)
+        assert session.execute(spec).stats.reused
+        monkeypatch.setitem(measures_base._REGISTRY, "probe", _OrderSum)
+        if drop == "clear":
+            cache.clear()
+        else:
+            for entry in database.entries():
+                cache.invalidate_subject(cache.subject_key(entry))
+        after = session.execute(spec)
+    assert not after.stats.reused
+    assert _answer(after) == _answer(_oracle(database, spec))
+    assert _answer(after) != _answer(before)
+
+
 # ----------------------------------------------------------------------
 # Sharing and bounds
 # ----------------------------------------------------------------------
@@ -266,9 +308,7 @@ def test_threads_sharing_one_memory_session_get_the_serial_answers(
     # A four-entry store: hot specs stay resident and hit while the cold
     # sweep evicts on nearly every put, so threads race hits, misses and
     # evictions of the entries other threads are reading.
-    monkeypatch.setattr(
-        session_module, "AnswerStore", lambda: AnswerStore(max_entries=4)
-    )
+    monkeypatch.setattr(cache_module, "ANSWER_STORE_LIMIT", 4)
     hot = [SPECS["topk"](query_graph), SPECS["skyline"](query_graph)]
     cold = [Query(query_graph).threshold(0.25 * step, "edit") for step in range(16)]
     specs = hot + cold
@@ -310,8 +350,9 @@ def test_threads_sharing_one_memory_session_get_the_serial_answers(
     assert counters["hits"] > 0 and counters["entries"] <= 4
 
 
-def test_entry_bound_and_version_rules():
-    store = AnswerStore(max_entries=3)
+def test_entry_bound_and_version_rules(monkeypatch):
+    monkeypatch.setattr(cache_module, "ANSWER_STORE_LIMIT", 3)
+    store = AnswerStore()
     for key in range(5):
         store.put(1, key, f"answer{key}")
     assert len(store) == 3
