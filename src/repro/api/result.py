@@ -83,7 +83,8 @@ class ResultSet:
         exact vector the cache replaced — and the query-hash memo's
         ``pinned``/``pin_limit`` occupancy); ``None`` when the backend
         runs uncached. A read served from the session's answer store
-        probes no pair, so its deltas are zero.
+        probes no pair, so its deltas are zero; a replayed read counts
+        the probes of the added graphs it judged.
     intervals:
         Anytime (budgeted) runs only: certified ``[lower, upper]``
         :class:`~repro.graph.budget.Interval` vectors per candidate that
@@ -202,6 +203,7 @@ class ResultSet:
                 "cascade_ms": round(self.stats.cascade_ms, 3),
                 "evaluate_ms": round(self.stats.evaluate_ms, 3),
                 "reused": self.stats.reused,
+                "replayed_from": self.stats.replayed_from,
             },
         }
         if self.stats.planner is not None:
@@ -245,6 +247,13 @@ class ResultSet:
             lines.append(
                 "answer store: reused the answer computed at database "
                 f"version {self.stats.reused_version}; no candidate was touched"
+            )
+        if self.stats.replayed_from is not None:
+            added, removed = self.stats.replayed_delta
+            lines.append(
+                "answer store: replayed the answer of version "
+                f"{self.stats.replayed_from} over +{added}/−{removed} "
+                "changes"
             )
         if self.stats.planner is not None:
             planner = self.stats.planner

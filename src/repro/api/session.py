@@ -21,6 +21,7 @@ through this layer, so swapping the backend never touches callers.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from pathlib import Path
 from collections.abc import Iterable
@@ -38,6 +39,13 @@ from repro.api.backends import (
     BackendAnswer,
     ExecutionBackend,
     create_backend,
+)
+from repro.engine.core import run_plan
+from repro.engine.plan import (
+    DeltaSource,
+    EvaluationPlan,
+    bound_pruning,
+    cached_pairs,
 )
 # Importing these modules registers the "parallel" and "sharded" backends.
 from repro.api import parallel as _parallel  # noqa: F401
@@ -106,7 +114,21 @@ class _StoredAnswer:
             skyline_size=answer.stats.skyline_size,
         )
 
-    def replay(self, version: int) -> tuple[QueryPlan, BackendAnswer]:
+    def known(self, removed: set[int]) -> dict[int, tuple[float, ...]]:
+        """Exact values of the evaluated graphs not in ``removed``."""
+        if self.distances is not None:
+            return {
+                graph_id: (distance,)
+                for graph_id, distance in self.distances.items()
+                if graph_id not in removed
+            }
+        return {
+            graph_id: vector.values
+            for graph_id, vector in self.vectors.items()
+            if graph_id not in removed
+        }
+
+    def reuse(self, version: int) -> tuple[QueryPlan, BackendAnswer]:
         """The plan and a fresh answer for one reuse, with the stats of a
         read that did no work."""
         return self.plan, BackendAnswer(
@@ -261,8 +283,10 @@ class Session:
         the session also keeps an :class:`~repro.db.cache.AnswerStore`: a
         spec already answered at the current database version is served
         from it without planning, scanning or probing a pair, and its
-        stats say so (``stats.reused``). Anytime specs and specs holding
-        measure instances always run.
+        stats say so (``stats.reused``). A spec answered at an older
+        version is brought forward over the database's change log
+        instead of re-run (see :meth:`_replay`; ``stats.replayed_from``).
+        Anytime specs and specs holding measure instances always run.
         """
         if self._closed:
             raise QueryError("session is closed")
@@ -270,21 +294,105 @@ class Session:
         cache = getattr(self._backend, "cache", None)
         key = _answer_key(spec, cache)
         version = self.database.version
-        if key is not None:
-            stored = self._answers.get(version, key)
-            if stored is not None:
-                plan, answer = stored.replay(version)
-                return self._result(spec, plan, answer, cache, (0, 0))
+        entry = self._answers.get(key) if key is not None else None
+        if entry is not None and entry[0] == version:
+            self._answers.count("hits")
+            plan, answer = entry[1].reuse(version)
+            return self._result(spec, plan, answer, cache, (0, 0))
         probes = (cache.hits, cache.misses) if cache is not None else (0, 0)
-        answer = self._backend.run(spec)
+        replayed = None
+        if entry is not None:
+            replayed = self._replay(spec, cache, *entry)
+        if replayed is not None:
+            self._answers.count("replays")
+            plan, answer = replayed
+        else:
+            if key is not None:
+                self._answers.count("misses")
+            answer = self._backend.run(spec)
+            plan = self._query_plan(spec, answer.stage_labels)
         if cache is not None:
             probes = (cache.hits - probes[0], cache.misses - probes[1])
-        plan = self._query_plan(spec, answer.stage_labels)
         # A mutation during the run may or may not be reflected in its
         # answer, so only an answer computed at one version is stored.
         if key is not None and self.database.version == version:
             self._answers.put(version, key, _StoredAnswer.of(plan, answer))
         return self._result(spec, plan, answer, cache, probes)
+
+    def _replay(
+        self, spec: GraphQuery, cache, since: int, stored: _StoredAnswer
+    ) -> tuple[QueryPlan, BackendAnswer] | None:
+        """``stored`` (the answer at version ``since``) brought forward to
+        the current version, or ``None`` when the read must run in full.
+
+        The replay runs :func:`~repro.engine.core.run_plan` over a
+        :class:`~repro.engine.plan.DeltaSource`: the stored exact values
+        of the evaluated graphs minus the removed ones are seeded, each
+        graph added since ``since`` is judged by the kind's scalar bound
+        stage, survivors go through the pair cache or are solved, and the
+        kind's consumer selects over seeded ∪ new values. Let ``V`` be
+        that set, ``L`` the live graphs and ``A`` the added ones. The
+        consumer over ``V`` returns a full run's ids and exact values:
+
+        * threshold: the answer is every live graph within the threshold.
+          The stored evaluated set held every graph within it at
+          ``since`` (the others were soundly pruned), so dropping removed
+          graphs, whatever they are, and judging ``A`` leaves exactly the
+          live ones in ``V``.
+        * top-k (ties by id), no removed answer member: a graph live at
+          ``since`` and outside the stored top-k is beaten by k stored
+          members, all still live, so the new top-k lies in the stored
+          top-k ∪ ``A``. An added graph is pruned only when its bound
+          exceeds the k-th best value in ``V``. So ``V`` holds the new
+          top-k, and the k best of ``V`` are the k best of ``L``.
+        * skyline and k-skyband (skyline: k = 1), tolerance 0, no removed
+          answer member: exact dominance is a strict partial order, so a
+          graph dominated by ≥ k graphs is dominated by ≥ k members of
+          the k-skyband (the first k of its dominators in a linear
+          extension of dominance have < k dominators each). A graph live
+          at ``since`` and outside the stored band is therefore dominated
+          by ≥ k stored members, all still live: removals promote nothing,
+          and the new band lies in the stored band ∪ ``A``. An added
+          graph is pruned only when ≥ k values in ``V`` dominate its
+          bound, hence its exact vector. So ``V`` holds the new band
+          ``B``; a member of ``B`` has < k dominators in ``L ⊇ V``, and a
+          graph of ``V`` outside ``B`` has ≥ k dominators in ``B ⊆ V``.
+
+        The read runs in full when the change log no longer reaches back
+        to ``since``, when a removed graph was in a top-k, skyline or
+        skyband answer, when ``tolerance > 0`` (tolerant dominance is not
+        transitive) and when a value is NaN (NaN compares as a tie, which
+        breaks transitivity and the ranking). Sharded stores replay
+        globally: ``database.entry`` resolves any id, so nothing scatters.
+        """
+        if spec.tolerance > 0:
+            return None
+        delta = self.database.changes_since(since)
+        if delta is None:
+            return None
+        added, removed = delta
+        gone = set(removed)
+        if spec.kind != "threshold" and not gone.isdisjoint(stored.ids):
+            return None
+        plan = EvaluationPlan(
+            source=DeltaSource(added, stored.known(gone)),
+            cascade=(bound_pruning, cached_pairs),
+        )
+        answer = run_plan(self.database, spec, plan, cache)
+        if answer.distances is not None:
+            values = list(answer.distances.values())
+        else:
+            values = [
+                value
+                for vector in answer.vectors.values()
+                for value in vector.values
+            ]
+        if any(math.isnan(value) for value in values):
+            return None
+        answer.stats.replayed_from = since
+        answer.stats.replayed_delta = (len(added), len(removed))
+        size = len(self.database)
+        return dataclasses.replace(stored.plan, database_size=size), answer
 
     @property
     def answer_store(self) -> AnswerStore:

@@ -25,7 +25,7 @@ approximate. Construct :class:`PairCache` with ``symmetric=False`` when
 caching a non-symmetric custom measure.
 
 :class:`AnswerStore` sits one level up: whole answers of a session's
-repeated specs, valid at one database version (see
+repeated specs, each with the database version it was computed at (see
 :meth:`repro.api.session.Session.execute`).
 
 Every store here is shared by the server's query threads, so each
@@ -294,47 +294,50 @@ class QueryCache(PairCache):
 
 
 class AnswerStore:
-    """Whole query answers, each valid at exactly one database version.
+    """Whole query answers: the newest one per key, with its database version.
 
-    Entries are keyed by ``(version, key)``, so an answer can only ever be
-    found by a lookup at the version it was computed at. A put at a newer
-    version first empties the store: older entries could never be served
-    again, and dropping them bounds memory by the live answers and
-    :data:`ANSWER_STORE_LIMIT`. A put at an older version than the newest
-    seen is ignored for the same reason.
+    A read at the entry's own version is a *hit*. An entry at an older
+    version is the starting point of a *replay* over the database's change
+    log (see :meth:`repro.api.session.Session.execute`), or of a *miss*
+    when it cannot be brought forward. A put never replaces a key's entry
+    with an older one. Entries are bounded by :data:`ANSWER_STORE_LIMIT`,
+    least recently used first out.
     """
 
     def __init__(self) -> None:
         self._entries = _LruStore(ANSWER_STORE_LIMIT)
-        self._version = -1
         self.hits = 0
+        self.replays = 0
         self.misses = 0
-        # Guards the counters and the check-then-clear of the version.
+        # Guards the counters and the check-then-put of a key's version.
         self._lock = threading.Lock()
 
-    def get(self, version: int, key: Hashable) -> object | None:
-        """The answer stored for ``key`` at ``version``, or ``None``."""
-        value = self._entries.get((version, key))
+    def get(self, key: Hashable) -> "tuple[int, object] | None":
+        """The newest entry stored for ``key``: ``(version, answer)``."""
+        return self._entries.get(key)
+
+    def count(self, outcome: str) -> None:
+        """Count one read as one of ``"hits"``, ``"replays"``, ``"misses"``."""
         with self._lock:
-            if value is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-        return value
+            setattr(self, outcome, getattr(self, outcome) + 1)
 
     def put(self, version: int, key: Hashable, value: object) -> None:
-        """Store ``value`` as the answer for ``key`` at ``version``."""
+        """Store ``value`` as ``key``'s answer at ``version``, unless the
+        key already holds a newer one."""
         with self._lock:
-            if version < self._version:
-                return
-            if version > self._version:
-                self._version = version
-                self._entries.clear()
-            self._entries.put((version, key), value)
+            current = self._entries.get(key)
+            if current is None or current[0] <= version:
+                self._entries.put(key, (version, value))
 
     def snapshot(self) -> dict[str, int]:
-        """``hits``, ``misses`` and live ``entries`` (``/v1/stats``)."""
-        return {"hits": self.hits, "misses": self.misses, "entries": len(self)}
+        """``hits``, ``replays``, ``misses`` and live ``entries``
+        (``/v1/stats``)."""
+        return {
+            "hits": self.hits,
+            "replays": self.replays,
+            "misses": self.misses,
+            "entries": len(self),
+        }
 
     def __len__(self) -> int:
         return len(self._entries)

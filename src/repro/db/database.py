@@ -8,6 +8,7 @@ check, so deduplication is always sound).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from collections.abc import Hashable, Iterable, Iterator, Mapping
 from typing import TYPE_CHECKING
@@ -20,6 +21,11 @@ from repro.graph.labeled_graph import LabeledGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.wal import DurableLog
+
+#: Changes a database's change log keeps (see
+#: :meth:`GraphDatabase.changes_since`): a reader more changes behind than
+#: this cannot be brought forward and reads in full.
+CHANGE_LOG_LIMIT = 256
 
 
 @dataclass
@@ -48,6 +54,10 @@ class GraphDatabase:
         self._version = 0
         self._vertex_load = 0
         self._wal: "DurableLog | None" = None
+        #: ``(version, graph id, added?)`` per mutation, newest last.
+        self._changes: "deque[tuple[int, int, bool]]" = deque(
+            maxlen=CHANGE_LOG_LIMIT
+        )
 
     @property
     def vertex_load(self) -> int:
@@ -68,6 +78,49 @@ class GraphDatabase:
         call ``refresh_index()`` after mutating the database.
         """
         return self._version
+
+    def _record(self, graph_id: int, added: bool) -> None:
+        """Bump the version and log the change that bumped it."""
+        self._version += 1
+        self._changes.append((self._version, graph_id, added))
+
+    def changes_since(
+        self, version: int
+    ) -> tuple[list[int], list[int]] | None:
+        """What changed after ``version``: ``(added, removed)`` graph ids.
+
+        ``added`` holds the graphs inserted since ``version`` that are
+        still live; ``removed`` the graphs live at ``version`` that were
+        removed since; both in change order. A graph removed and inserted
+        again under its old id is in both; one inserted and removed again
+        is in neither. ``None`` when the log no longer reaches back to
+        ``version`` (it keeps the last :data:`CHANGE_LOG_LIMIT` changes)
+        or a concurrent mutation moved it mid-read. A relabel is a remove
+        plus an insert under a fresh id, so the log needs no other op.
+        """
+        if version == self._version:
+            return [], []
+        changes = self._changes
+        if not changes or not changes[0][0] - 1 <= version < self._version:
+            return None
+        first: dict[int, bool] = {}
+        last: dict[int, bool] = {}
+        try:
+            for record_version, graph_id, added in reversed(changes):
+                if record_version <= version:
+                    break
+                last.setdefault(graph_id, added)
+                first[graph_id] = added
+        except RuntimeError:  # the deque changed size during iteration
+            return None
+        return (
+            [graph_id for graph_id, live in reversed(last.items()) if live],
+            [
+                graph_id
+                for graph_id, was_added in reversed(first.items())
+                if not was_added
+            ],
+        )
 
     @property
     def next_id(self) -> int:
@@ -191,19 +244,28 @@ class GraphDatabase:
                 self._insert_payload(graph, metadata, new_id),
                 self.wal_segment_for_insert(graph, new_id),
             )
-        entry = StoredGraph(
-            graph_id=new_id,
-            graph=graph.copy() if copy else graph,
-            features=GraphFeatures.of(graph),
-            iso_hash=canonical_hash(graph),
-            metadata=dict(metadata) if metadata else {},
+        self._add_entry(
+            StoredGraph(
+                graph_id=new_id,
+                graph=graph.copy() if copy else graph,
+                features=GraphFeatures.of(graph),
+                iso_hash=canonical_hash(graph),
+                metadata=dict(metadata) if metadata else {},
+            )
         )
+        return new_id
+
+    def _add_entry(self, entry: StoredGraph) -> None:
+        """Store a complete entry under its (fresh) id, unjournaled.
+
+        Re-partitioning moves entries through here, so a graph's features
+        and canonical hash are computed once, at its first insert.
+        """
         self._entries[entry.graph_id] = entry
         self._by_hash.setdefault(entry.iso_hash, []).append(entry.graph_id)
         self._next_id = max(self._next_id, entry.graph_id) + 1
-        self._version += 1
         self._vertex_load += entry.graph.order
-        return entry.graph_id
+        self._record(entry.graph_id, True)
 
     def remove(self, graph_id: int) -> None:
         """Delete the graph with ``graph_id``."""
@@ -217,8 +279,8 @@ class GraphDatabase:
         bucket.remove(graph_id)
         if not bucket:
             del self._by_hash[entry.iso_hash]
-        self._version += 1
         self._vertex_load -= entry.graph.order
+        self._record(graph_id, False)
 
     # ------------------------------------------------------------------
     # Lookup

@@ -43,6 +43,27 @@ _BOUND_FUNCTIONS = {
 }
 
 
+def optimistic_vector(
+    features: GraphFeatures,
+    query_features: GraphFeatures,
+    measures: Sequence[DistanceMeasure],
+) -> tuple[float, ...]:
+    """Componentwise lower bound on ``GCS(graph, query)`` from features.
+
+    Guaranteed ≤ the exact vector on every dimension; dimensions whose
+    measure has no known bound contribute 0.
+    """
+    bounds = []
+    for measure in measures:
+        bound_function = _BOUND_FUNCTIONS.get(measure.name)
+        bounds.append(
+            0.0
+            if bound_function is None
+            else float(bound_function(features, query_features))
+        )
+    return tuple(bounds)
+
+
 class FeatureIndex:
     """Maps graph ids to features and computes optimistic GCS vectors."""
 
@@ -77,19 +98,10 @@ class FeatureIndex:
         query_features: GraphFeatures,
         measures: Sequence[DistanceMeasure],
     ) -> tuple[float, ...]:
-        """Componentwise lower bound on ``GCS(graph, query)``.
-
-        Guaranteed ≤ the exact vector on every dimension; dimensions whose
-        measure has no known bound contribute 0.
-        """
-        own = self._features[graph_id]
-        bounds = []
-        for measure in measures:
-            bound_function = _BOUND_FUNCTIONS.get(measure.name)
-            bounds.append(
-                0.0 if bound_function is None else float(bound_function(own, query_features))
-            )
-        return tuple(bounds)
+        """:func:`optimistic_vector` of the indexed graph ``graph_id``."""
+        return optimistic_vector(
+            self._features[graph_id], query_features, measures
+        )
 
     def threshold_candidates(
         self,

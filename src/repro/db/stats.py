@@ -64,6 +64,13 @@ class QueryStats:
     #: session's answer store (``None``: the read ran). A reused read did
     #: no work, so every counter above is zero and ``phase_seconds`` empty.
     reused_version: int | None = None
+    #: Database version of the stored answer this read brought forward
+    #: over the change log (``None``: no replay). A replay's counters
+    #: cover its own work only: the added graphs it judged.
+    replayed_from: int | None = None
+    #: ``(added, removed)`` graph counts of the change-log delta a replay
+    #: applied.
+    replayed_delta: tuple[int, int] = (0, 0)
 
     @property
     def reused(self) -> bool:
@@ -151,6 +158,9 @@ class QueryStats:
                 f" spent={self.anytime.get('budget_spent_ms', 0)}ms]"
             )
         reused = f" reused@v{self.reused_version}" if self.reused else ""
+        if self.replayed_from is not None:
+            added, removed = self.replayed_delta
+            reused = f" replayed@v{self.replayed_from}(+{added}/-{removed})"
         return (
             f"n={self.database_size} evaluated={self.exact_evaluations} "
             f"pruned={self.pruned_by_index}{batched}{stages}{cached}"

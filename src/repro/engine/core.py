@@ -18,6 +18,10 @@ under an :class:`~repro.engine.plan.EvaluationPlan`:
 4. every exact vector is fed back to the stages (``observe``), then the
    kind-specific consumer selects the answer.
 
+A source may also seed the run with exact values it already knows
+(``RunContext.seeded``): a replayed answer's stored values are recorded
+before the walk, exactly like values solved during it.
+
 The engine is the only place counting statistics, so ``memory``,
 ``indexed`` and ``parallel`` report comparable numbers by construction.
 """
@@ -96,6 +100,13 @@ class RunContext:
     #: *before* the cascade (e.g. the vectorized threshold pre-filter).
     #: The engine counts them exactly like cascade prunes.
     prefiltered: list[int] = field(default_factory=list)
+    #: Exact values a candidate source already knows for graphs it does
+    #: not return (a replayed answer's stored values, see
+    #: :class:`~repro.engine.plan.DeltaSource`). The engine records them
+    #: before the walk: every stage observes them and the consumer
+    #: receives them, but they count as no evaluation and are not
+    #: written back to the pair cache.
+    seeded: dict[int, tuple[float, ...]] = field(default_factory=dict)
     _query_features: GraphFeatures | None = None
 
     @property
@@ -221,6 +232,9 @@ def run_plan(
         if values is not None:
             stats.exact_evaluations += 1
             record(candidate.graph_id, values)
+
+    for graph_id, values in ctx.seeded.items():
+        record(graph_id, values)
 
     deadline = ctx.deadline
     masked = masker.name if masker is not None else "stage"

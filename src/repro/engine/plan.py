@@ -35,6 +35,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
+from repro.db.index import optimistic_vector
 from repro.skyline.utils import dominates
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -252,7 +253,9 @@ class CachedPairStage(Stage):
         self.cache = ctx.cache
         self.ctx = ctx
         self.query_hash = self.cache.query_hash(ctx.spec.graph)
-        self._served: set[int] = set()
+        # Values the cache served or the run was seeded with are not
+        # written back: only values solved by this run are.
+        self._served: set[int] = set(ctx.seeded)
 
     def _subject(self, graph_id: int):
         return self.cache.subject_key(self.ctx.database.entry(graph_id))
@@ -360,22 +363,72 @@ class BoundOrderedSource(CandidateSource):
 
     def candidates(self, ctx: "RunContext") -> CandidateBlock:
         index = self._index_provider()
-        bounded = [
-            (
-                graph_id,
-                index.optimistic_vector(
-                    graph_id, ctx.query_features, ctx.measures
-                ),
-            )
-            for graph_id in index.ids()
-        ]
-        if ctx.spec.kind in ("skyline", "skyband"):
-            bounded.sort(key=lambda item: (sum(item[1]), item[0]))
-        elif ctx.spec.kind == "topk":
-            bounded.sort(key=lambda item: (item[1][0], item[0]))
-        return CandidateBlock(
-            [graph_id for graph_id, _ in bounded],
-            [bounds for _, bounds in bounded],
+        return _bound_ordered(
+            ctx,
+            [
+                (
+                    graph_id,
+                    index.optimistic_vector(
+                        graph_id, ctx.query_features, ctx.measures
+                    ),
+                )
+                for graph_id in index.ids()
+            ],
+        )
+
+
+def _bound_ordered(
+    ctx: "RunContext", bounded: list[tuple[int, tuple[float, ...]]]
+) -> CandidateBlock:
+    """``(id, bounds)`` pairs as a block in :class:`BoundOrderedSource`'s
+    visiting order."""
+    if ctx.spec.kind in ("skyline", "skyband"):
+        bounded.sort(key=lambda item: (sum(item[1]), item[0]))
+    elif ctx.spec.kind == "topk":
+        bounded.sort(key=lambda item: (item[1][0], item[0]))
+    return CandidateBlock(
+        [graph_id for graph_id, _ in bounded],
+        [bounds for _, bounds in bounded],
+    )
+
+
+class DeltaSource(CandidateSource):
+    """A replay's candidates: the graphs added since a stored answer.
+
+    Each added graph is bounded from its stored features by the scalar
+    index's bound functions and visited in :class:`BoundOrderedSource`'s
+    order. The stored answer's exact values (``known``, removed graphs
+    already dropped) become ``ctx.seeded``: the engine records them
+    before the walk, so the bound stage prunes added graphs against them
+    and the consumer selects over them. See
+    :meth:`repro.api.session.Session._replay` for when a replay equals a
+    full run.
+    """
+
+    computes_bounds = True
+
+    def __init__(
+        self, added: list[int], known: dict[int, tuple[float, ...]]
+    ) -> None:
+        self.added = added
+        self.known = known
+
+    def candidates(self, ctx: "RunContext") -> CandidateBlock:
+        ctx.seeded.update(self.known)
+        entry = ctx.database.entry
+        return _bound_ordered(
+            ctx,
+            [
+                (
+                    graph_id,
+                    optimistic_vector(
+                        entry(graph_id).features,
+                        ctx.query_features,
+                        ctx.measures,
+                    ),
+                )
+                for graph_id in self.added
+            ],
         )
 
 

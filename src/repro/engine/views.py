@@ -6,7 +6,9 @@ underlying :class:`~repro.db.database.GraphDatabase`. Instead of
 re-running the query, the view repairs itself:
 
 * staleness is detected through the database's mutation-version flag, so
-  an unchanged database costs one integer comparison per access;
+  an unchanged database costs one integer comparison per access, and the
+  database's change log (:meth:`~repro.db.database.GraphDatabase.
+  changes_since`) names the graphs added and removed since;
 * a repair exactly evaluates only the *affected* candidates — each newly
   inserted graph costs one pair evaluation (cache-served when the shared
   :class:`~repro.db.cache.PairCache` already knows the pair), and a
@@ -100,17 +102,27 @@ class LiveView:
     def refresh(self) -> bool:
         """Repair the view if the database changed; returns whether it did.
 
-        Work is proportional to the symmetric difference between the
-        tracked ids and the live ids — untouched candidates are never
-        re-evaluated.
+        The database's change log names what changed since the view's
+        version, so work is proportional to the changes — untouched
+        candidates are never re-evaluated and the live ids are not
+        listed. Only a view further behind than the log reaches diffs
+        its tracked ids against the live ones.
         """
         if self._version == self.database.version:
             return False
-        live = set(self.database.ids())
-        for graph_id in [i for i in self._vectors if i not in live]:
+        delta = None
+        if self._version is not None:
+            delta = self.database.changes_since(self._version)
+        if delta is None:
+            live = set(self.database.ids())
+            removed = [i for i in self._vectors if i not in live]
+            added = live - self._vectors.keys()
+        else:
+            added, removed = delta
+        for graph_id in removed:
             self._tracker.remove(graph_id)
             del self._vectors[graph_id]
-        for graph_id in sorted(live - self._vectors.keys()):
+        for graph_id in sorted(added):
             values = self._vector_for(graph_id)
             self._vectors[graph_id] = values
             self._tracker.insert(graph_id, values)

@@ -7,7 +7,9 @@ lazily built :class:`~repro.api.session.Session` per requested backend —
 every client queries the same corpus through the same cache, which is the
 whole point of serving instead of embedding. Each session's answer store
 is shared the same way: a spec any client already ran at the current
-database version is answered without touching a candidate.
+database version is answered without touching a candidate, and one run
+at an older version is replayed over the graphs changed since
+(``/v1/stats`` counts ``hits``, ``replays`` and ``misses`` per backend).
 
 Concurrency model
 -----------------

@@ -28,6 +28,7 @@ change to the paper's pruning arguments:
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Iterable, Iterator, Mapping
 
 from repro.errors import DatasetError
@@ -135,12 +136,17 @@ class ShardedGraphDatabase(GraphDatabase):
         """
         sharded = cls(shards=shards, placement=placement, name=database.name)
         for entry in database.entries():
-            sharded.insert(
-                entry.graph,
-                metadata=entry.metadata,
-                copy=copy,
-                graph_id=entry.graph_id,
+            # Each entry moves with its features and canonical hash, which
+            # depend on the graph alone: nothing is re-hashed.
+            index = sharded._place(entry.graph_id, entry.graph)
+            sharded._shards[index]._add_entry(
+                dataclasses.replace(
+                    entry,
+                    graph=entry.graph.copy() if copy else entry.graph,
+                    metadata=dict(entry.metadata),
+                )
             )
+            sharded._adopt(entry.graph_id, index)
         return sharded
 
     # ------------------------------------------------------------------
@@ -156,21 +162,30 @@ class ShardedGraphDatabase(GraphDatabase):
         new_id = self._next_id if graph_id is None else graph_id
         if new_id in self._shard_of:
             raise DatasetError(f"graph id {new_id} is already in the database")
-        index = self.placement.place(new_id, graph, self._shards)
-        if not 0 <= index < len(self._shards):
-            raise DatasetError(
-                f"placement {self.placement.name!r} chose shard {index} "
-                f"of {len(self._shards)}"
-            )
+        index = self._place(new_id, graph)
         if self._wal is not None and not self._wal.suppressed:
             self._log_mutation(
                 self._insert_payload(graph, metadata, new_id), segment=index
             )
         self._shards[index].insert(graph, metadata, copy=copy, graph_id=new_id)
-        self._shard_of[new_id] = index
-        self._next_id = max(self._next_id, new_id) + 1
-        self._version += 1
-        return new_id
+        return self._adopt(new_id, index)
+
+    def _place(self, graph_id: int, graph: LabeledGraph) -> int:
+        """The shard the placement policy picks for a new graph."""
+        index = self.placement.place(graph_id, graph, self._shards)
+        if not 0 <= index < len(self._shards):
+            raise DatasetError(
+                f"placement {self.placement.name!r} chose shard {index} "
+                f"of {len(self._shards)}"
+            )
+        return index
+
+    def _adopt(self, graph_id: int, index: int) -> int:
+        """Book a graph just stored on shard ``index`` globally."""
+        self._shard_of[graph_id] = index
+        self._next_id = max(self._next_id, graph_id) + 1
+        self._record(graph_id, True)
+        return graph_id
 
     def remove(self, graph_id: int) -> None:
         index = self._shard_of.get(graph_id)
@@ -179,7 +194,7 @@ class ShardedGraphDatabase(GraphDatabase):
         self._log_mutation({"op": "remove", "graph_id": graph_id}, segment=index)
         del self._shard_of[graph_id]
         self._shards[index].remove(graph_id)
-        self._version += 1
+        self._record(graph_id, False)
 
     def restore_entry(
         self,
@@ -207,10 +222,7 @@ class ShardedGraphDatabase(GraphDatabase):
         self._shards[shard_index].insert(
             graph, metadata, copy=copy, graph_id=new_id
         )
-        self._shard_of[new_id] = shard_index
-        self._next_id = max(self._next_id, new_id) + 1
-        self._version += 1
-        return new_id
+        return self._adopt(new_id, shard_index)
 
     # ------------------------------------------------------------------
     # Durability (segment routing: one WAL segment per shard)

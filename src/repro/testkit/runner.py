@@ -7,7 +7,8 @@ backend twice — cache off and cache on (one :class:`~repro.db.cache.
 PairCache` shared across all cached sessions, exactly like a production
 deployment) — and both answers must equal the oracle's. A cached session
 also keeps its answer store, so a repeated query is served whole when
-no mutation landed since, and must still equal the oracle. Live-view checks
+no mutation landed since, or replayed over the mutations that did, and
+must still equal the oracle. Live-view checks
 compare every open :class:`~repro.engine.views.LiveView` against the
 oracle's skyline; persistence steps save/load the database and require
 payload and answer parity.
@@ -197,6 +198,7 @@ class RunReport:
     cache_hits: int = 0
     cache_misses: int = 0
     answer_hits: int = 0
+    answer_replays: int = 0
     answer_misses: int = 0
     elapsed: float = 0.0
     divergence: Divergence | None = None
@@ -214,7 +216,8 @@ class RunReport:
             f"checks, {self.saveloads} save/load round-trips, "
             f"{self.skipped} skipped) in {self.elapsed:.2f}s; "
             f"pair cache {self.cache_hits} hits / {self.cache_misses} misses; "
-            f"answer store {self.answer_hits} hits / {self.answer_misses} misses"
+            f"answer store {self.answer_hits} hits / {self.answer_replays} "
+            f"replays / {self.answer_misses} misses"
         )
 
 
@@ -460,6 +463,7 @@ class WorkloadRunner:
         report.cache_misses = self.cache.misses
         stores = [session.answer_store for session in self._sessions.values()]
         report.answer_hits = sum(store.hits for store in stores)
+        report.answer_replays = sum(store.replays for store in stores)
         report.answer_misses = sum(store.misses for store in stores)
         return report
 

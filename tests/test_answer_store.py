@@ -1,24 +1,34 @@
 """The session answer store: a spec repeated at an unchanged database
-version is served whole, with stats of a read that did no work; any
-mutation, a query graph mutated in place, anytime budgets and measure
-instances make the read run. Answers must always equal the exhaustive
-``memory`` oracle's."""
+version is served whole, with stats of a read that did no work; a spec
+answered at an older version is replayed over the change log's delta, or
+runs in full when a replay could be wrong (log overflow, a removed answer
+member, tolerant dominance, NaN values, dropped pair-cache values); a
+query graph mutated in place, anytime budgets and measure instances make
+the read run. Answers must always equal the exhaustive ``memory``
+oracle's."""
 
 from __future__ import annotations
 
 import http.client
+import itertools
 import json
+import math
 import sys
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro import GraphDatabase, PairCache, Query
+from repro.api import session as session_module
 from repro.api.backends import available_backends
 from repro.api.ops import AddOp, RelabelOp, RemoveOp, apply_mutation
 from repro.cli import _remap_backend
+from repro.engine.core import run_plan
 from repro.db import cache as cache_module
+from repro.db import database as database_module
 from repro.db.cache import ANSWER_STORE_LIMIT, AnswerStore
 from repro.graph import LabeledGraph
 from repro.graph.canonical import canonical_hash
@@ -88,7 +98,7 @@ def test_repeat_is_served_whole_with_zero_work(backend, kind, query_graph):
         miss = session.execute(spec)
         hit = session.execute(spec)
         assert session.answer_store.snapshot() == {
-            "hits": 1, "misses": 1, "entries": 1,
+            "hits": 1, "replays": 0, "misses": 1, "entries": 1,
         }
     assert not miss.stats.reused and hit.stats.reused
     assert hit.ids == miss.ids
@@ -225,7 +235,7 @@ def test_bypassing_specs_always_run(build, query_graph):
         first = session.execute(build(query_graph))
         second = session.execute(build(query_graph))
         assert session.answer_store.snapshot() == {
-            "hits": 0, "misses": 0, "entries": 0,
+            "hits": 0, "replays": 0, "misses": 0, "entries": 0,
         }
     assert not second.stats.reused
     assert second.ids == first.ids
@@ -298,6 +308,279 @@ def test_dropping_pair_cache_values_forces_a_run(drop, query_graph, monkeypatch)
 
 
 # ----------------------------------------------------------------------
+# Replays: a changed version is brought forward over the change log
+# ----------------------------------------------------------------------
+def _far_graph() -> LabeledGraph:
+    """A graph whose feature bounds put it outside every spec's answer."""
+    graph = LabeledGraph(name="far")
+    for vertex in range(7):
+        graph.add_vertex(vertex, "Q")
+    for vertex in range(6):
+        graph.add_edge(vertex, vertex + 1, "~")
+    return graph
+
+
+@pytest.mark.parametrize("kind", list(SPECS))
+def test_replay_reports_its_own_work(kind, query_graph, monkeypatch):
+    database = _database()
+    spec = SPECS[kind](query_graph)
+    cache = PairCache()
+    with _cached(database, cache=cache) as session:
+        session.execute(spec)
+        since = database.version
+        near = database.insert(query_graph.copy(name="near"))
+        database.insert(_far_graph())
+        written = []
+        put = cache.put
+        monkeypatch.setattr(
+            cache, "put", lambda *args: written.append(args) or put(*args)
+        )
+        result = session.execute(spec)
+        again = session.execute(spec)
+        assert session.answer_store.snapshot() == {
+            "hits": 1, "replays": 1, "misses": 1, "entries": 1,
+        }
+    stats = result.stats
+    assert stats.replayed_from == since and not stats.reused
+    assert stats.replayed_delta == (2, 0)
+    assert stats.candidates_considered == 2
+    # The far graph is pruned on its bounds; only the near one is judged
+    # exactly, and the stored values are neither probed nor solved again.
+    assert stats.pruned_by_index == 1 and sum(stats.pruned_by_stage.values()) == 1
+    assert stats.exact_evaluations + stats.served_from_cache == 1
+    assert result.cache_info["hits"] == stats.served_from_cache
+    assert result.cache_info["misses"] == stats.exact_evaluations
+    assert len(written) == stats.exact_evaluations  # stored values stay put
+    assert {"bounds", "cascade", "evaluate"} <= set(stats.phase_seconds)
+    assert near in result.ids
+    assert result.plan.database_size == len(database) == len(GRAPHS) + 2
+    wire = result.to_dict()["stats"]
+    assert (wire["replayed_from"], wire["reused"]) == (since, False)
+    assert f"replayed@v{since}(+2/-0)" in stats.summary()
+    assert f"replayed the answer of version {since} over +2/−0" in result.explain()
+    assert again.stats.reused and _answer(again) == _answer(result)
+    assert _answer(result) == _answer(_oracle(database, spec))
+
+
+@pytest.mark.parametrize("kind", list(SPECS))
+def test_removing_an_answer_member_runs_in_full_except_for_threshold(
+    kind, query_graph
+):
+    database = _database()
+    # The copy dominates every graph and ranks first: once it is gone the
+    # graphs it eclipsed (pruned by a bound-pruning run) return.
+    copy = database.insert(query_graph.copy(name="copy"))
+    spec = SPECS[kind](query_graph)
+    with _cached(database) as session:
+        before = session.execute(spec)
+        assert copy in before.ids
+        database.remove(copy)
+        after = session.execute(spec)
+    assert (after.stats.replayed_from is not None) == (kind == "threshold")
+    assert copy not in after.ids
+    assert _answer(after) == _answer(_oracle(database, spec))
+
+
+@pytest.mark.parametrize("kind", list(SPECS))
+def test_a_new_graph_under_an_old_id_is_judged_not_seeded(kind, query_graph):
+    database = _database()
+    spec = SPECS[kind](query_graph)
+    with _cached(database, "memory") as session:
+        before = session.execute(spec)
+        victim = max(set(before.evaluated_ids) - set(before.ids))
+        database.remove(victim)
+        database.insert(query_graph.copy(name="reborn"), graph_id=victim)
+        after = session.execute(spec)
+    assert after.stats.replayed_from is not None
+    assert victim in after.ids
+    assert _answer(after) == _answer(_oracle(database, spec))
+
+
+def test_an_old_id_reused_by_a_far_graph_drops_its_stored_value(query_graph):
+    database = _database()
+    copy = database.insert(query_graph.copy(name="copy"))
+    spec = SPECS["threshold"](query_graph)
+    with _cached(database, "memory") as session:
+        assert copy in session.execute(spec).ids
+        database.remove(copy)
+        database.insert(_far_graph(), graph_id=copy)
+        after = session.execute(spec)
+    assert after.stats.replayed_from is not None
+    assert copy not in after.ids
+    assert _answer(after) == _answer(_oracle(database, spec))
+
+
+def test_tolerant_dominance_runs_in_full(query_graph):
+    database = _database()
+    spec = Query(query_graph).measures("edit", "mcs").skyline(tolerance=0.05)
+    with _cached(database, "memory") as session:
+        session.execute(spec)
+        database.insert(_far_graph())
+        after = session.execute(spec)
+        assert session.answer_store.replays == 0
+    assert after.stats.replayed_from is None
+    assert _answer(after) == _answer(_oracle(database, spec))
+
+
+class _NanForNamed(DistanceMeasure):
+    name = "nan-probe"
+
+    def distance(self, g1, g2, context=None):
+        return math.nan if "nan" in (g1.name, g2.name) else 0.0
+
+
+def test_nan_values_run_in_full(query_graph, monkeypatch):
+    monkeypatch.setitem(measures_base._REGISTRY, "nan-probe", _NanForNamed)
+    database = _database()
+    spec = Query(query_graph).measures("edit", "nan-probe").skyline()
+    with _cached(database, "memory") as session:
+        session.execute(spec)
+        # Edit bound 0, so the copy is solved, and its vector holds a NaN.
+        database.insert(query_graph.copy(name="nan"))
+        after = session.execute(spec)
+        assert session.answer_store.replays == 0
+    assert after.stats.replayed_from is None
+    assert after.ids == _oracle(database, spec).ids
+
+
+def test_a_reader_behind_the_change_log_runs_in_full(query_graph, monkeypatch):
+    monkeypatch.setattr(database_module, "CHANGE_LOG_LIMIT", 2)
+    database = _database()
+    spec = SPECS["skyline"](query_graph)
+    with _cached(database) as session:
+        session.execute(spec)
+        for seed in range(3):
+            database.insert(make_random_graph(200 + seed, max_vertices=5))
+        overflowed = session.execute(spec)
+        since = database.version
+        database.insert(query_graph.copy(name="near"))
+        replayed = session.execute(spec)
+        assert session.answer_store.snapshot() == {
+            "hits": 0, "replays": 1, "misses": 2, "entries": 1,
+        }
+    assert overflowed.stats.replayed_from is None
+    assert replayed.stats.replayed_from == since
+    assert _answer(replayed) == _answer(_oracle(database, spec))
+
+
+def test_a_pair_cache_generation_bump_runs_in_full(query_graph, monkeypatch):
+    """Values the pair cache was told to drop are never seeded into a
+    replay: the generation is part of the key, so the read misses."""
+    monkeypatch.setitem(measures_base._REGISTRY, "probe", _OrderGap)
+    database = _database()
+    cache = PairCache()
+    spec = Query(query_graph).topk(3, "probe")
+    with _cached(database, "memory", cache) as session:
+        session.execute(spec)
+        monkeypatch.setitem(measures_base._REGISTRY, "probe", _OrderSum)
+        cache.clear()
+        database.insert(make_random_graph(300, max_vertices=5))
+        after = session.execute(spec)
+    assert after.stats.replayed_from is None and not after.stats.reused
+    assert _answer(after) == _answer(_oracle(database, spec))
+
+
+def test_a_replay_spanning_a_mutation_stores_nothing(query_graph, monkeypatch):
+    database = _database()
+    spec = SPECS["skyline"](query_graph)
+    with _cached(database) as session:
+        session.execute(spec)
+        since = database.version
+        database.insert(_far_graph())
+
+        def replay_then_mutate(*args, **kwargs):
+            answer = run_plan(*args, **kwargs)
+            database.insert(query_graph.copy(name="late"))
+            return answer
+
+        monkeypatch.setattr(session_module, "run_plan", replay_then_mutate)
+        spanning = session.execute(spec)
+        monkeypatch.undo()
+        after = session.execute(spec)
+    assert spanning.stats.replayed_from == since
+    assert not after.stats.reused and after.stats.replayed_from == since
+    assert _answer(after) == _answer(_oracle(database, spec))
+
+
+@pytest.mark.parametrize("kind", list(SPECS))
+def test_a_sharded_replay_equals_a_monolithic_one(kind, query_graph):
+    spec = SPECS[kind](query_graph)
+    replays = []
+    for shards in (None, 2):
+        database = _database(shards)
+        with _cached(database) as session:
+            before = session.execute(spec)
+            database.remove(max(set(database.ids()) - set(before.ids)))
+            database.insert(query_graph.copy(name="near"))
+            replays.append(session.execute(spec))
+    monolithic, sharded = replays
+    assert monolithic.stats.replayed_from is not None
+    assert sharded.stats.replayed_from == monolithic.stats.replayed_from
+    assert sharded.stats.replayed_delta == monolithic.stats.replayed_delta == (1, 1)
+    assert _answer(sharded) == _answer(monolithic)
+    assert _answer(sharded) == _answer(_oracle(database, spec))
+
+
+_BATCHES = st.lists(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["add", "remove", "relabel", "remove-member"]),
+            st.integers(0, 10_000),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(
+    max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(
+    seeds=st.lists(st.integers(0, 10_000), min_size=3, max_size=9, unique=True),
+    setup=st.sampled_from(["memory", "auto", "sharded"]),
+    batches=_BATCHES,
+)
+def test_replays_equal_the_oracle_under_random_mutation(seeds, setup, batches):
+    graphs = [make_random_graph(seed, max_vertices=4) for seed in seeds]
+    if setup == "sharded":
+        database = ShardedGraphDatabase.from_graphs(graphs, shards=2)
+    else:
+        database = GraphDatabase.from_graphs(graphs)
+    query = make_random_graph(seeds[0] + 1, max_vertices=4)
+    specs = [build(query) for build in SPECS.values()]
+    handles = {f"g{i}": graph_id for i, graph_id in enumerate(database.ids())}
+    ids = {graph_id: handle for handle, graph_id in handles.items()}
+    fresh = itertools.count()
+    members: list[int] = []
+    with _cached(database, setup) as session:
+        for batch in [[]] + batches:
+            for op, draw in batch:
+                live = sorted(handles)
+                alive = [graph_id for graph_id in members if graph_id in ids]
+                if op == "add" or not live:
+                    handle = f"n{next(fresh)}"
+                    graph = make_random_graph(draw, max_vertices=4).copy(name=handle)
+                    mutation = AddOp(handle, graph)
+                elif op == "remove-member" and alive:
+                    mutation = RemoveOp(ids[alive[draw % len(alive)]])
+                elif op == "relabel":
+                    mutation = RelabelOp(
+                        live[draw % len(live)], f"r{next(fresh)}", draw, "Z"
+                    )
+                else:
+                    mutation = RemoveOp(live[draw % len(live)])
+                apply_mutation(database, mutation, handles, ids)
+            for spec in specs:
+                result = session.execute(spec)
+                assert _answer(result) == _answer(_oracle(database, spec))
+                members.extend(result.ids)
+        assert session.answer_store.replays > 0
+
+
+# ----------------------------------------------------------------------
 # Sharing and bounds
 # ----------------------------------------------------------------------
 def test_threads_sharing_one_memory_session_get_the_serial_answers(
@@ -351,17 +634,20 @@ def test_threads_sharing_one_memory_session_get_the_serial_answers(
 
 
 def test_entry_bound_and_version_rules(monkeypatch):
+    """The newest entry per key, with its version, within the LRU bound."""
     monkeypatch.setattr(cache_module, "ANSWER_STORE_LIMIT", 3)
     store = AnswerStore()
     for key in range(5):
         store.put(1, key, f"answer{key}")
     assert len(store) == 3
-    assert store.get(1, 0) is None and store.get(1, 4) == "answer4"
-    assert store.get(2, 4) is None  # never served at another version
-    store.put(0, "old", "stale")  # older than the newest version: ignored
-    assert store.get(0, "old") is None and len(store) == 3
-    store.put(2, "new", "fresh")  # a newer version empties the store first
-    assert len(store) == 1 and store.get(2, "new") == "fresh"
+    assert store.get(0) is None and store.get(4) == (1, "answer4")
+    store.put(2, 4, "newer")  # a newer version replaces the key's entry
+    assert store.get(4) == (2, "newer") and len(store) == 3
+    store.put(1, 4, "stale")  # older than the key's entry: ignored
+    assert store.get(4) == (2, "newer")
+    store.put(3, "other", "fresh")  # other keys' older entries stay
+    assert store.get(3) == (1, "answer3") and store.get(4) == (2, "newer")
+    assert store.get(2) is None and len(store) == 3  # LRU eviction only
 
 
 def test_session_store_stays_within_its_bound(query_graph):
@@ -386,7 +672,9 @@ def test_server_reports_the_store_per_session(query_graph):
             conn.close()
     assert [payload["stats"]["reused"] for payload in payloads] == [False, True]
     assert payloads[0]["ids"] == payloads[1]["ids"]
-    assert stats["answers"] == {"memory": {"hits": 1, "misses": 1, "entries": 1}}
+    assert stats["answers"] == {
+        "memory": {"hits": 1, "replays": 0, "misses": 1, "entries": 1}
+    }
 
 
 # ----------------------------------------------------------------------
@@ -414,7 +702,8 @@ def test_fuzz_repeats_queries_and_replays_them_through_the_store():
     report = run_workload(_remap_backend(workload, "auto"))
     assert report.ok, report.divergence.describe()
     assert report.answer_hits > 0 and report.answer_misses > 0
+    assert report.answer_replays > 0
     assert (
-        f"answer store {report.answer_hits} hits / {report.answer_misses} misses"
-        in report.summary()
+        f"answer store {report.answer_hits} hits / {report.answer_replays} "
+        f"replays / {report.answer_misses} misses" in report.summary()
     )

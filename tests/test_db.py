@@ -3,9 +3,11 @@
 import pytest
 
 from repro.db import FeatureIndex, GraphDatabase
+from repro.db import database as database_module
 from repro.errors import DatasetError
 from repro.graph import GraphFeatures, LabeledGraph, path_graph
 from repro.measures import EditDistance, default_measures
+from repro.shard import ShardedGraphDatabase
 from tests.conftest import make_random_graph
 
 
@@ -50,6 +52,36 @@ def test_remove(paper_db):
         db.get(0)
     with pytest.raises(DatasetError):
         db.remove(0)
+
+
+@pytest.mark.parametrize("shards", [None, 2], ids=["monolithic", "sharded"])
+def test_change_log_names_the_net_delta(shards, paper_db):
+    if shards is None:
+        db = GraphDatabase.from_graphs(paper_db)
+    else:
+        db = ShardedGraphDatabase.from_graphs(paper_db, shards=shards)
+    start = db.version
+    assert db.changes_since(start) == ([], [])
+    added = db.insert(paper_db[0])
+    db.remove(1)
+    transient = db.insert(paper_db[1])
+    db.remove(transient)  # inserted and removed again: in neither list
+    db.remove(2)
+    db.insert(paper_db[3], graph_id=2)  # a new graph under an old id: both
+    assert db.changes_since(start) == ([added, 2], [1, 2])
+    assert db.changes_since(db.version - 1) == ([2], [])
+    assert db.changes_since(db.version - 2) == ([2], [2])
+    assert db.changes_since(db.version + 1) is None
+
+
+def test_change_log_is_bounded(monkeypatch):
+    monkeypatch.setattr(database_module, "CHANGE_LOG_LIMIT", 4)
+    db = GraphDatabase()
+    for seed in range(6):
+        db.insert(make_random_graph(seed, max_vertices=3))
+    assert db.version == 6
+    assert db.changes_since(2) == ([2, 3, 4, 5], [])
+    assert db.changes_since(1) is None  # the log no longer reaches back
 
 
 def test_entry_exposes_features_and_metadata():

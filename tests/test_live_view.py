@@ -12,6 +12,7 @@ import pytest
 from repro import GraphDatabase, PairCache, Query, connect
 from repro.datasets import figure3_database, make_workload
 from repro.errors import QueryError
+from tests.conftest import make_random_graph
 
 
 # The figure-3 fixtures live in conftest.py; module-local aliases keep
@@ -133,3 +134,26 @@ def test_view_respects_session_default_measures(db, query):
         view = session.watch(Query(query).skyline())
         assert view.ids == session.execute(Query(query).skyline()).ids
         assert view.names == ("edit",)
+
+
+def test_view_refresh_reads_the_change_log_not_the_live_ids(monkeypatch):
+    # ~2 000 graphs, 40 distinct up to isomorphism: the shared pair cache
+    # solves each distinct pair once, so the size costs no solver time.
+    distinct = [make_random_graph(seed, max_vertices=4) for seed in range(40)]
+    db = GraphDatabase.from_graphs(distinct[i % 40] for i in range(2000))
+    query = make_random_graph(99, max_vertices=4)
+    spec = Query(query).measures("edit", "mcs").skyline()
+    with connect(db, cache=PairCache()) as session:
+        view = session.watch(spec)
+        listed = []
+        ids = db.ids
+        monkeypatch.setattr(db, "ids", lambda: listed.append(1) or ids())
+        db.insert(query.copy(name="exact copy"))  # dominates everything
+        after_add = view.ids
+        db.remove(after_add[0])
+        after_remove = view.ids
+        assert listed == [] and view.repairs == 2
+    monkeypatch.undo()
+    assert after_add == [2000]
+    with connect(db, backend="memory", cache=PairCache()) as oracle:
+        assert after_remove == oracle.execute(spec).ids

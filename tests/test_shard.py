@@ -16,7 +16,10 @@ import repro
 from repro import PairCache, Query, connect
 from repro.datasets import figure3_database, figure3_query
 from repro.db import GraphDatabase, load_database, save_database
+from repro.db import database as database_module
 from repro.errors import DatasetError, QueryError
+from repro.graph import GraphFeatures
+from repro.shard import store as store_module
 from repro.shard import (
     HashPlacement,
     ShardedBackend,
@@ -26,7 +29,7 @@ from repro.shard import (
     get_placement,
 )
 
-from tests.conftest import small_labeled_graphs
+from tests.conftest import make_random_graph, small_labeled_graphs
 
 
 @pytest.fixture
@@ -149,6 +152,52 @@ def test_from_database_preserves_ids_and_metadata():
     assert sharded.entry(2).metadata == {"n": 3}
     # Fresh inserts continue after the preserved ids.
     assert sharded.insert(graphs[3]) == 3
+
+
+@pytest.mark.parametrize("placement", ["hash", "size-balanced"])
+def test_from_database_moves_entries_without_rehashing(placement, monkeypatch):
+    monolith = GraphDatabase.from_graphs(
+        make_random_graph(seed, max_vertices=5) for seed in range(30)
+    )
+    monolith.remove(3)
+    monolith.insert(make_random_graph(99), metadata={"n": 1})
+    reference = ShardedGraphDatabase(shards=3, placement=placement)
+    for entry in monolith.entries():
+        reference.insert(
+            entry.graph, entry.metadata, copy=False, graph_id=entry.graph_id
+        )
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("re-partitioning recomputed a graph summary")
+
+    monkeypatch.setattr(database_module, "canonical_hash", forbidden)
+    monkeypatch.setattr(store_module, "canonical_hash", forbidden)
+    monkeypatch.setattr(GraphFeatures, "of", forbidden)
+    sharded = ShardedGraphDatabase.from_database(
+        monolith, shards=3, placement=placement
+    )
+
+    def fingerprint(database):
+        return [
+            (
+                graph_id,
+                database.shard_of(graph_id),
+                database.entry(graph_id).iso_hash,
+                database.entry(graph_id).features,
+                database.entry(graph_id).metadata,
+            )
+            for graph_id in database.ids()
+        ]
+
+    assert fingerprint(sharded) == fingerprint(reference)
+    assert [shard.ids() for shard in sharded.shards] == [
+        shard.ids() for shard in reference.shards
+    ]
+    assert sharded.vertex_load == reference.vertex_load
+    assert (sharded.next_id, sharded.version) == (
+        reference.next_id, reference.version,
+    )
+    assert sharded.changes_since(0) == reference.changes_since(0)
 
 
 # ----------------------------------------------------------------------
