@@ -90,10 +90,7 @@ def database_from_dict(
     try:
         database = GraphDatabase(name=payload.get("name", "graphdb"))
         for entry in payload["entries"]:
-            graph_payload = dict(entry["graph"])
-            graph_payload["vertices"] = [tuple(v) for v in graph_payload["vertices"]]
-            graph_payload["edges"] = [tuple(e) for e in graph_payload["edges"]]
-            graph = graph_from_dict(graph_payload)
+            graph = graph_from_dict(entry["graph"])
             metadata = dict(entry.get("metadata", {}))
             forced = entry["id"] if preserve_ids and "id" in entry else None
             new_id = database.insert(graph, metadata=metadata, graph_id=forced)

@@ -7,8 +7,8 @@ state by replaying the log over the last snapshot. The log speaks the
 existing :mod:`repro.api.ops` mutation codec: one record per committed
 op, extended with the replay bookkeeping the codec ignores::
 
-    {"lsn": 7, "version": 12, "crc": 2868545276,
-     "op": {"op": "add", "handle": "g3", "graph": {...}, "graph_id": 5}}
+    {"lsn":7,"op":{"op":"add","handle":"g3","graph":{...},"graph_id":5},
+     "version":12,"crc":2868545276}
 
 * ``lsn`` — log sequence number, globally monotone across segments;
 * ``version`` — the database's mutation counter when the op committed;
@@ -131,17 +131,15 @@ def _canonical(payload: dict[str, Any]) -> bytes:
 
 
 def encode_record(lsn: int, version: int, op_payload: dict[str, Any]) -> bytes:
-    """One JSON-lines WAL record, CRC32-sealed, newline-terminated."""
-    body = {"lsn": lsn, "version": version, "op": op_payload}
+    """One JSON-lines WAL record, CRC32-sealed (``crc`` spliced in as the
+    last key, so the body is encoded once), newline-terminated."""
     try:
-        canonical = _canonical(body)
-        sealed = dict(body)
-        sealed["crc"] = zlib.crc32(canonical) & 0xFFFFFFFF
-        return _canonical(sealed) + b"\n"
+        canonical = _canonical({"lsn": lsn, "version": version, "op": op_payload})
     except (TypeError, ValueError) as exc:
         raise SerializationError(
             f"mutation is not WAL-serializable: {exc}"
         ) from exc
+    return b'%s,"crc":%d}\n' % (canonical[:-1], zlib.crc32(canonical))
 
 
 def decode_record(line: bytes) -> dict[str, Any]:
@@ -463,7 +461,8 @@ class DurableLog:
         """
         payload = _snapshot_payload(database, handle_to_id, self.last_lsn)
         try:
-            text = json.dumps(payload, indent=1)
+            # Compact, so the C encoder writes it.
+            text = json.dumps(payload, separators=(",", ":"))
         except (TypeError, ValueError) as exc:
             raise SerializationError(
                 f"database is not snapshot-serializable: {exc}"
@@ -764,23 +763,14 @@ def _restore_sharded(snapshot: dict[str, Any]) -> "ShardedGraphDatabase":
         shard = database_from_dict(payload, preserve_ids=True)
         for entry in shard.entries():
             entries.append((entry.graph_id, index, entry))
-    for graph_id, index, entry in sorted(entries, key=lambda item: item[0]):
-        database.restore_entry(
-            index, entry.graph, entry.metadata, graph_id, copy=False
-        )
+    for _, index, entry in sorted(entries, key=lambda item: item[0]):
+        database.restore_entry(index, entry)
     return database
 
 
 # ----------------------------------------------------------------------
 # Replay
 # ----------------------------------------------------------------------
-def _graph_from_payload(payload: dict[str, Any]):
-    payload = dict(payload)
-    payload["vertices"] = [tuple(v) for v in payload.get("vertices", [])]
-    payload["edges"] = [tuple(e) for e in payload.get("edges", [])]
-    return graph_from_dict(payload)
-
-
 def _replay_record(
     database: GraphDatabase,
     op_payload: dict[str, Any],
@@ -797,7 +787,7 @@ def _replay_record(
     try:
         op = op_payload["op"]
         if op == "add":
-            graph = _graph_from_payload(op_payload["graph"])
+            graph = graph_from_dict(op_payload["graph"])
             graph_id = database.insert(
                 graph,
                 metadata=op_payload.get("metadata") or None,

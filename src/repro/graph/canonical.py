@@ -1,116 +1,128 @@
 """Isomorphism-invariant canonical forms and hashing.
 
 Used to deduplicate graphs (database ingestion, the reconstruction search)
-and to memoise pairwise computations. The canonical form is produced by
-iterated Weisfeiler–Leman color refinement over vertex and incident-edge
-labels, followed by an exact backtracking canonicalisation *within* color
-classes for small graphs, so that:
+and to memoise pairwise computations. Colour refinement (1-dimensional
+Weisfeiler–Leman) over vertex and incident-edge labels splits the vertices
+into classes; the form is the smallest labeled edge list over the vertex
+orders that list the classes in colour order, trying every order within a
+class of up to :data:`_PERMUTATION_CAP` members. So isomorphic graphs share
+a form (and hash) unless a class outgrows the cap, and equal forms always
+mean isomorphic graphs: a form spells out every label and every edge.
 
-* isomorphic graphs always share a canonical form (and hash);
-* non-isomorphic graphs virtually never collide (and a collision is
-  harmless for correctness wherever the form is used as a cache key
-  together with an exact isomorphism check).
+Labels are keyed by equality (:func:`label_key`), the rule of every solver
+and cost model: ``1``, ``1.0`` and ``True`` are one label here too.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 from collections.abc import Hashable
 
 from repro.graph.labeled_graph import LabeledGraph
 
-VertexId = Hashable
+_PERMUTATION_CAP = 6  # 6! = 720 orders per colour class at most
 
 
-def wl_colors(graph: LabeledGraph, rounds: int | None = None) -> dict[VertexId, str]:
-    """Stable Weisfeiler–Leman colors for every vertex.
+@functools.lru_cache(maxsize=4096)  # labels repeat across graphs
+def label_key(label: Hashable) -> str:
+    """A string naming ``label`` up to equality: ``a == b`` gives one key.
 
-    Each round hashes a vertex's current color with the sorted multiset of
-    ``(edge label, neighbor color)`` pairs. ``rounds`` defaults to the
-    vertex count, by which point the partition is guaranteed stable.
+    A number equal to a float is keyed by that float (``1``, ``1.0`` and
+    ``True`` all give ``'1.0'``); any other label by its own ``repr``.
     """
-    colors = {
-        v: _digest(repr(graph.vertex_label(v))) for v in graph.vertices()
-    }
-    total_rounds = graph.order if rounds is None else rounds
-    for _ in range(total_rounds):
-        new_colors = {}
-        for v in graph.vertices():
-            signature = sorted(
-                (repr(graph.edge_label(v, n)), colors[n]) for n in graph.neighbors(v)
-            )
-            new_colors[v] = _digest(colors[v] + repr(signature))
-        if new_colors == colors:
-            break
-        colors = new_colors
-    return colors
+    if isinstance(label, (int, float)):
+        try:
+            if float(label) == label:
+                return repr(float(label) + 0.0)  # + 0.0 folds -0.0 into 0.0
+        except OverflowError:  # an int no float can hold equals no float
+            pass
+    return repr(label)
+
+
+def wl_colors(graph: LabeledGraph, rounds: int | None = None) -> dict[Hashable, int]:
+    """Isomorphism-invariant integer vertex colours (ranks, so they mean
+    nothing across graphs): each round ranks the distinct signatures, a
+    vertex's colour plus its sorted ``(edge label, neighbour colour)``
+    pairs, until the class count stops growing or ``rounds`` rounds ran."""
+    return dict(zip(graph.vertices(), _refine(graph, rounds)[1]))
 
 
 def canonical_form(graph: LabeledGraph) -> str:
-    """A string invariant under isomorphism, canonical for small graphs.
+    """A string invariant under isomorphism, canonical for small graphs."""
+    vertex_keys, colors, classes, edge_keys, neighbors = _refine(graph)
+    n = len(colors)
 
-    Vertices are ordered by (WL color, then exhaustively over ties via a
-    lexicographically-minimal adjacency encoding), and the labeled edge
-    list under that order is serialised.
-    """
-    colors = wl_colors(graph)
-    groups: dict[str, list[VertexId]] = {}
-    for v, color in colors.items():
-        groups.setdefault(color, []).append(v)
-    ordered_colors = sorted(groups)
-    best: str | None = None
+    def encode(place) -> list[tuple[int, int, str]]:
+        edges = [
+            (place[u], place[v], key)
+            for u in range(n)
+            for key, v in zip(edge_keys[u], neighbors[u])
+            if place[u] < place[v]
+        ]
+        edges.sort()
+        return edges
 
-    # Backtrack over orderings that respect color classes, keeping the
-    # lexicographically smallest encoding. Color classes are almost always
-    # singletons after refinement, so this is cheap in practice.
-    def encode(order: list[VertexId]) -> str:
-        index = {v: i for i, v in enumerate(order)}
-        vertex_part = ",".join(repr(graph.vertex_label(v)) for v in order)
-        edges = sorted(
-            (min(index[u], index[v]), max(index[u], index[v]), repr(label))
-            for u, v, label in graph.edges()
+    if classes == n:  # all singletons: the colours are the order
+        best = encode(colors)
+    else:
+        members: dict[int, list[int]] = {}
+        for vertex, color in enumerate(colors):
+            members.setdefault(color, []).append(vertex)
+        best = min(
+            encode(dict(zip(itertools.chain.from_iterable(parts), itertools.count())))
+            for parts in itertools.product(*(_orders(members[c]) for c in sorted(members)))
         )
-        return vertex_part + "|" + repr(edges)
-
-    def orderings(class_index: int, prefix: list[VertexId]) -> None:
-        nonlocal best
-        if class_index == len(ordered_colors):
-            encoding = encode(prefix)
-            if best is None or encoding < best:
-                best = encoding
-            return
-        members = groups[ordered_colors[class_index]]
-        for permutation in _permutations_capped(members):
-            orderings(class_index + 1, prefix + list(permutation))
-
-    orderings(0, [])
-    assert best is not None
-    return best
+    # Colours refine the label order, so sorted keys are the labels by place.
+    return repr((sorted(vertex_keys), best))
 
 
 def canonical_hash(graph: LabeledGraph) -> str:
     """Short hex digest of :func:`canonical_form` (cache / index key)."""
-    return _digest(canonical_form(graph))
+    return hashlib.sha256(canonical_form(graph).encode("utf-8")).hexdigest()[:16]
 
 
-_PERMUTATION_CAP = 6  # 6! = 720 orderings per color class at most
+def _refine(graph: LabeledGraph, rounds: int | None = None) -> tuple:
+    """Label keys, colours and class count of the vertices (by insertion
+    index), with each vertex's edge label keys and neighbour indices."""
+    # The graph's own dicts (same package), both in insertion order.
+    vertices = list(graph._vertex_labels)
+    index = dict(zip(vertices, itertools.count()))
+    vertex_keys = list(map(label_key, graph._vertex_labels.values()))
+    rows = list(map(graph._adjacency.__getitem__, vertices))
+    edge_keys = [tuple(map(label_key, row.values())) for row in rows]
+    neighbors = [tuple(map(index.__getitem__, row)) for row in rows]
+    # Round one reads the label keys as colours. A signature starts with
+    # its colour, so a round that splits no class keeps the colour order.
+    colors, classes = vertex_keys, len(set(vertex_keys))
+    for _ in range(len(vertices) if rounds is None else rounds):
+        if classes == len(vertices):
+            break
+        previous = classes
+        colors, classes = _ranks(
+            [
+                (color, *sorted(zip(keys_u, map(colors.__getitem__, neighbors_u))))
+                for color, keys_u, neighbors_u in zip(colors, edge_keys, neighbors)
+            ]
+        )
+        if classes == previous:
+            break
+    if colors is vertex_keys:  # no round ran
+        colors, classes = _ranks(vertex_keys)
+    return vertex_keys, colors, classes, edge_keys, neighbors
 
 
-def _permutations_capped(members: list[VertexId]):
-    """All permutations for small classes; one stable order for huge ones.
+def _ranks(signatures: list) -> tuple[list[int], int]:
+    """Each signature's rank among the sorted distinct ones, and their count."""
+    rank = dict(zip(sorted(set(signatures)), itertools.count()))
+    return list(map(rank.__getitem__, signatures)), len(rank)
 
-    Falling back to a single deterministic order sacrifices canonicity (two
-    isomorphic graphs with enormous automorphism classes may get different
-    forms) but never correctness of the users of this module, which all pair
-    the hash with an exact isomorphism check.
-    """
-    import itertools
 
+def _orders(members: list[int]):
+    """Every order of a small class; one fixed order of a huge one, which
+    gives up canonicity (never correctness: every user of the hash confirms
+    a match with an exact isomorphism test)."""
     if len(members) <= _PERMUTATION_CAP:
-        yield from itertools.permutations(sorted(members, key=repr))
-    else:
-        yield tuple(sorted(members, key=repr))
-
-
-def _digest(payload: str) -> str:
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        return itertools.permutations(members)
+    return [members]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from collections.abc import Hashable, Iterable, Iterator, Mapping
+from itertools import chain
 
 from repro.errors import (
     DuplicateEdgeError,
@@ -280,7 +281,9 @@ class LabeledGraph:
 
     def edge_label_multiset(self) -> Counter:
         """Multiset of edge labels (used by GED lower bounds)."""
-        return Counter(label for _, _, label in self.edges())
+        # Every edge sits in the rows of both its endpoints.
+        rows = Counter(chain.from_iterable(map(dict.values, self._adjacency.values())))
+        return Counter({label: count // 2 for label, count in rows.items()})
 
     def label_set(self) -> set[Label]:
         """The set ``L`` of all labels appearing on vertices or edges."""

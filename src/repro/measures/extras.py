@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.graph.canonical import wl_colors
+from repro.graph.canonical import label_key
 from repro.graph.labeled_graph import LabeledGraph
 from repro.measures.base import DistanceMeasure, PairContext, register_measure
 
@@ -28,9 +28,9 @@ def _edge_signature_multiset(graph: LabeledGraph) -> Counter:
     signatures = Counter()
     for u, v, label in graph.edges():
         endpoint_labels = sorted(
-            (repr(graph.vertex_label(u)), repr(graph.vertex_label(v)))
+            (label_key(graph.vertex_label(u)), label_key(graph.vertex_label(v)))
         )
-        signatures[(endpoint_labels[0], endpoint_labels[1], repr(label))] += 1
+        signatures[(endpoint_labels[0], endpoint_labels[1], label_key(label))] += 1
     return signatures
 
 
@@ -104,12 +104,17 @@ class WLKernelDistance(DistanceMeasure):
             raise ValueError("rounds must be non-negative")
         self.rounds = rounds
 
-    def _histogram(self, graph: LabeledGraph) -> Counter:
+    def _histogram(self, graph: LabeledGraph, palette: dict) -> Counter:
+        """Colour counts of rounds ``0..rounds``; ``palette`` numbers the
+        signatures of one comparison, so colours compare across it."""
+        colors = {v: label_key(graph.vertex_label(v)) for v in graph.vertices()}
         histogram = Counter()
-        for round_number in range(self.rounds + 1):
-            colors = wl_colors(graph, rounds=round_number)
-            for color in colors.values():
-                histogram[(round_number, color)] += 1
+        for _ in range(self.rounds + 1):
+            colors = {v: palette.setdefault(c, len(palette)) for v, c in colors.items()}
+            histogram.update(colors.values())
+            colors = {v: (colors[v], tuple(sorted(
+                (label_key(graph.edge_label(v, n)), colors[n]) for n in graph.neighbors(v)
+            ))) for v in colors}
         return histogram
 
     def distance(
@@ -118,7 +123,8 @@ class WLKernelDistance(DistanceMeasure):
         g2: LabeledGraph,
         context: PairContext | None = None,
     ) -> float:
-        h1, h2 = self._histogram(g1), self._histogram(g2)
+        palette: dict = {}
+        h1, h2 = self._histogram(g1, palette), self._histogram(g2, palette)
         dot = sum(count * h2.get(key, 0) for key, count in h1.items())
         norm1 = sum(count * count for count in h1.values())
         norm2 = sum(count * count for count in h2.values())

@@ -90,11 +90,9 @@ class PairSolverCache:
     def __init__(self) -> None:
         self._mcs: dict[tuple[str, str], int] = {}
         self._ged: dict[tuple[str, str], float] = {}
-        self._hashes: dict[int, str] = {}
 
     def _key(self, g1: LabeledGraph, g2: LabeledGraph) -> tuple[str, str]:
-        h1 = self._hashes.setdefault(id(g1), canonical_hash(g1))
-        h2 = self._hashes.setdefault(id(g2), canonical_hash(g2))
+        h1, h2 = canonical_hash(g1), canonical_hash(g2)
         return (h1, h2) if h1 <= h2 else (h2, h1)
 
     def mcs(self, g1: LabeledGraph, g2: LabeledGraph) -> int:

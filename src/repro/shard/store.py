@@ -136,17 +136,14 @@ class ShardedGraphDatabase(GraphDatabase):
         """
         sharded = cls(shards=shards, placement=placement, name=database.name)
         for entry in database.entries():
-            # Each entry moves with its features and canonical hash, which
-            # depend on the graph alone: nothing is re-hashed.
-            index = sharded._place(entry.graph_id, entry.graph)
-            sharded._shards[index]._add_entry(
+            sharded.restore_entry(
+                sharded._place(entry.graph_id, entry.graph),
                 dataclasses.replace(
                     entry,
                     graph=entry.graph.copy() if copy else entry.graph,
                     metadata=dict(entry.metadata),
-                )
+                ),
             )
-            sharded._adopt(entry.graph_id, index)
         return sharded
 
     # ------------------------------------------------------------------
@@ -196,33 +193,28 @@ class ShardedGraphDatabase(GraphDatabase):
         self._shards[index].remove(graph_id)
         self._record(graph_id, False)
 
-    def restore_entry(
-        self,
-        shard_index: int,
-        graph: LabeledGraph,
-        metadata: Mapping[str, object] | None = None,
-        graph_id: int | None = None,
-        copy: bool = True,
-    ) -> int:
-        """Re-insert an entry into a *specific* shard, bypassing placement.
+    def restore_entry(self, shard_index: int, entry: StoredGraph) -> int:
+        """Put a complete entry back on a *specific* shard, bypassing
+        placement; returns its id.
 
         WAL snapshot restore uses this to put every graph back on the
         shard that owned it at snapshot time — re-running placement would
         be wrong for load-dependent policies, whose decision depended on
         shard loads that no longer match the original insertion order.
+        The entry keeps its features and canonical hash, which depend on
+        the graph alone: nothing is recomputed.
         """
         if not 0 <= shard_index < len(self._shards):
             raise DatasetError(
                 f"shard index {shard_index} out of range "
                 f"for {len(self._shards)} shards"
             )
-        new_id = self._next_id if graph_id is None else graph_id
-        if new_id in self._shard_of:
-            raise DatasetError(f"graph id {new_id} is already in the database")
-        self._shards[shard_index].insert(
-            graph, metadata, copy=copy, graph_id=new_id
-        )
-        return self._adopt(new_id, shard_index)
+        if entry.graph_id in self._shard_of:
+            raise DatasetError(
+                f"graph id {entry.graph_id} is already in the database"
+            )
+        self._shards[shard_index]._add_entry(entry)
+        return self._adopt(entry.graph_id, shard_index)
 
     # ------------------------------------------------------------------
     # Durability (segment routing: one WAL segment per shard)

@@ -106,6 +106,10 @@ def make_random_graph(
 # ----------------------------------------------------------------------
 VERTEX_LABELS = ("A", "B", "C")
 EDGE_LABELS = ("x", "y")
+#: Alphabets with several spellings of one label (``1 == 1.0 == True``,
+#: ``0 == False``): every layer must match labels by equality.
+MIXED_VERTEX_LABELS = ("A", 1, 1.0, True, 0, False)
+MIXED_EDGE_LABELS = ("x", 1, True, 0.0)
 
 
 @st.composite

@@ -10,6 +10,7 @@ from repro.graph import (
     path_graph,
     wl_colors,
 )
+from repro.graph.canonical import label_key
 from tests.conftest import make_random_graph
 
 
@@ -90,3 +91,12 @@ def test_highly_symmetric_graph_stable_form():
     c4 = cycle_graph(["A", "A", "A", "A"])
     twin = shuffled_copy(c4, 99)
     assert canonical_form(c4) == canonical_form(twin)
+
+
+def test_label_key_follows_equality():
+    assert label_key(1) == label_key(1.0) == label_key(True) == "1.0"
+    assert label_key(0) == label_key(-0.0) == label_key(False)
+    assert label_key("1.0") != label_key(1.0)
+    assert label_key(10**400) == repr(10**400)  # no float holds it
+    # 2**53 + 1 has no float twin, so it equals no float and keeps its own key.
+    assert label_key(2**53 + 1) != label_key(float(2**53 + 1))

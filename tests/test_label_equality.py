@@ -14,7 +14,13 @@ import random
 import pytest
 
 import repro
-from repro.graph import GraphFeatures, LabeledGraph, edit_distance_lower_bound
+from repro.graph import (
+    GraphFeatures,
+    LabeledGraph,
+    canonical_hash,
+    edit_distance_lower_bound,
+    is_isomorphic,
+)
 from repro.testkit.oracle import Oracle
 
 BACKENDS = ["memory", "indexed", "vectorized", "auto", "sharded"]
@@ -99,3 +105,16 @@ def test_mixed_type_labels_answer_like_the_oracle(backend):
             ):
                 want = [int(handle) for handle in oracle.answer(spec)]
                 assert session.execute(spec).ids == want, spec.kind
+
+
+def test_respelled_graphs_share_a_canonical_hash_and_deduplicate():
+    """Canonical hashing keys labels by equality too, so a respelled copy
+    is the same database graph: dropped by deduplication, found by
+    ``find_isomorphic``."""
+    graph = _path([1, 2.0, True, 0], False)
+    twin = _path([True, 2, 1.0, 0.0], 0)
+    assert is_isomorphic(graph, twin)
+    assert canonical_hash(graph) == canonical_hash(twin)
+    database = repro.GraphDatabase.from_graphs([graph, twin], deduplicate=True)
+    assert database.ids() == [0]
+    assert database.find_isomorphic(twin) == 0

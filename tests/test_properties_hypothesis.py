@@ -31,7 +31,12 @@ from repro.skyline import (
     sfs_skyline,
     top_k_dominating,
 )
-from tests.conftest import small_labeled_graphs, vector_lists
+from tests.conftest import (
+    MIXED_EDGE_LABELS,
+    MIXED_VERTEX_LABELS,
+    small_labeled_graphs,
+    vector_lists,
+)
 
 GRAPH_SETTINGS = settings(
     max_examples=40,
@@ -101,10 +106,18 @@ def test_distances_normalized(g1, g2):
         assert -1e-12 <= value <= 1.0 + 1e-12
 
 
+MIXED_GRAPHS = small_labeled_graphs(
+    connected=True,
+    vertex_labels=MIXED_VERTEX_LABELS,
+    edge_labels=MIXED_EDGE_LABELS,
+)
+
+
 @GRAPH_SETTINGS
-@given(small_labeled_graphs(connected=True), small_labeled_graphs(connected=True))
+@given(MIXED_GRAPHS, MIXED_GRAPHS)
 def test_canonical_form_isomorphism_invariant(g1, g2):
-    """Equal canonical forms coincide with isomorphism on small graphs."""
+    """Equal canonical forms coincide with isomorphism on small graphs,
+    labels matched by equality (``1``, ``1.0`` and ``True`` are one)."""
     same_form = canonical_form(g1) == canonical_form(g2)
     assert same_form == is_isomorphic(g1, g2)
 

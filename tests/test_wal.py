@@ -97,6 +97,31 @@ class TestRecordCodec:
         with pytest.raises(WalCorruptionError, match="version"):
             decode_record(line)
 
+    def test_crc_is_spliced_after_the_canonical_body(self):
+        body = {"lsn": 2, "version": 5, "op": {"op": "remove", "graph_id": 3}}
+        canonical = _sorted_compact(body)
+        line = encode_record(2, 5, {"op": "remove", "graph_id": 3})
+        assert line == canonical[:-1] + b',"crc":%d}\n' % zlib.crc32(canonical)
+
+    def test_crc_first_line_still_decodes(self):
+        # Records were once sealed by re-encoding the body with ``crc``
+        # among its sorted keys, so it came first.
+        line = encode_record(4, 9, {"op": "remove", "graph_id": 7})
+        older = _crc_first(line)
+        assert older.startswith(b'{"crc":') and older != line
+        assert decode_record(older.rstrip(b"\n")) == decode_record(line.rstrip(b"\n"))
+
+
+def _sorted_compact(payload) -> bytes:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _crc_first(line: bytes) -> bytes:
+    """``line`` re-sealed the older way: sorted keys, ``crc`` first."""
+    record = decode_record(line.rstrip(b"\n"))
+    record["crc"] = zlib.crc32(_sorted_compact(record))
+    return _sorted_compact(record) + b"\n"
+
 
 class TestSyncPolicy:
     def test_parse_modes(self):
@@ -252,6 +277,56 @@ class TestRecovery:
         state = recover(tmp_path / "wal")
         assert sorted(state.database.ids()) == [1]
         assert state.handle_to_id == {"raw1": 1}
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_each_stored_graph_is_canonicalized_once(
+        self, tmp_path, monkeypatch, shards
+    ):
+        import repro.graph.canonical as canonical_module
+
+        calls = []
+        real = canonical_module.canonical_form
+
+        def counting(graph):
+            calls.append(graph.name)
+            return real(graph)
+
+        monkeypatch.setattr(canonical_module, "canonical_form", counting)
+        database, log, h2i, i2h = attached_log(tmp_path, shards=shards)
+        apply_mutation(database, AddOp("g0", make_graph("g0")), h2i, i2h)
+        assert calls == ["g0"]
+        apply_mutation(database, RelabelOp("g0", "g1", 1, "O"), h2i, i2h)
+        assert calls == ["g0", "g1"]
+        apply_mutation(database, AddOp("g2", make_graph("g2", 4)), h2i, i2h)
+        log.compact_from(database, h2i)  # the snapshot holds g1 and g2
+        apply_mutation(database, AddOp("g3", make_graph("g3", 5)), h2i, i2h)
+        log.close()
+        calls.clear()
+        state = recover(tmp_path / "wal")
+        assert state.replayed == 1
+        assert sorted(calls) == ["g1", "g2", "g3"]
+
+    def test_crc_first_records_recover(self, tmp_path):
+        database, log, h2i, i2h = attached_log(tmp_path)
+        apply_mutation(database, AddOp("g0", make_graph("g0")), h2i, i2h)
+        apply_mutation(database, AddOp("g1", make_graph("g1", 4)), h2i, i2h)
+        apply_mutation(database, RelabelOp("g0", "g2", 1, "O"), h2i, i2h)
+        apply_mutation(database, RemoveOp("g1"), h2i, i2h)
+        log.close()
+        segment = log.segment_path(0)
+        segment.write_bytes(
+            b"".join(
+                _crc_first(line + b"\n")
+                for line in segment.read_bytes().splitlines()
+            )
+        )
+        reopened = DurableLog.open(tmp_path / "wal")
+        assert reopened.repair.clean
+        state = reopened.recover()
+        reopened.close()
+        assert state.last_lsn == 4
+        assert state.handle_to_id == h2i
+        assert sorted(state.database.ids()) == sorted(database.ids())
 
     def test_recover_without_snapshot_rejected(self, tmp_path):
         log = DurableLog.open(tmp_path / "wal")
@@ -524,6 +599,42 @@ class TestCompaction:
         state = recover(tmp_path / "wal")
         assert len(state.database) == 7
         assert state.last_lsn == 7
+
+    def test_snapshot_is_one_compact_line(self, tmp_path):
+        database, log, h2i, i2h = attached_log(tmp_path, shards=2)
+        for i in range(3):
+            apply_mutation(
+                database, AddOp(f"g{i}", make_graph(f"g{i}")), h2i, i2h
+            )
+        log.compact_from(database, h2i)
+        log.close()
+        text = (tmp_path / "wal" / "snapshot.json").read_text("utf-8")
+        assert text == json.dumps(json.loads(text), separators=(",", ":"))
+
+    def test_indented_snapshot_recovers(self, tmp_path):
+        # Snapshots were once written with ``indent=1``.
+        database, log, h2i, i2h = attached_log(tmp_path, shards=2)
+        for i in range(4):
+            apply_mutation(
+                database, AddOp(f"g{i}", make_graph(f"g{i}")), h2i, i2h
+            )
+        log.compact_from(database, h2i)
+        apply_mutation(database, RemoveOp("g2"), h2i, i2h)
+        log.close()
+        snapshot = tmp_path / "wal" / "snapshot.json"
+        snapshot.write_text(
+            json.dumps(json.loads(snapshot.read_text("utf-8")), indent=1),
+            "utf-8",
+        )
+        state = recover(tmp_path / "wal")
+        assert state.base_lsn == 4 and state.replayed == 1
+        assert state.handle_to_id == h2i
+        for graph_id in database.ids():
+            assert state.database.shard_of(graph_id) == database.shard_of(graph_id)
+            assert (
+                state.database.entry(graph_id).iso_hash
+                == database.entry(graph_id).iso_hash
+            )
 
     def test_appends_after_compaction_recover(self, tmp_path):
         database, log, h2i, i2h = attached_log(tmp_path)
