@@ -647,7 +647,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "gather smoke)")
     p_fuzz.add_argument("--fault", default=None,
                         help="inject a known-broken engine stage "
-                             "(harness self-test; e.g. flip-bound)")
+                             "(harness self-test: flip-bound or "
+                             "cutoff-off-by-one)")
     p_fuzz.add_argument("--no-shrink", action="store_true",
                         help="report the first divergence without minimizing")
     p_fuzz.add_argument("--save-failure", default=None,

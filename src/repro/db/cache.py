@@ -24,6 +24,14 @@ so serving a cached value for an isomorphic pair is exact, not
 approximate. Construct :class:`PairCache` with ``symmetric=False`` when
 caching a non-symmetric custom measure.
 
+Beside the exact values, both flavours keep **floors**: per pair and
+measure, the highest cap a bounded solve of the pair reached (a proof
+that the value is at least that much, see
+:func:`repro.engine.evaluate.pair_values`). A pair cut at a cap has no
+exact value to cache; its floor lets the next run over the same cache
+cut it again without a search. Floors live in their own LRU store and
+count as neither entries, hits nor misses.
+
 :class:`AnswerStore` sits one level up: whole answers of a session's
 repeated specs, each with the database version it was computed at (see
 :meth:`repro.api.session.Session.execute`).
@@ -34,6 +42,7 @@ lookup-and-reorder runs under its store's lock.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from collections.abc import Hashable
@@ -120,6 +129,7 @@ class PairCache:
         pin_limit: int | None = None,
     ) -> None:
         self._store = _LruStore(max_entries)
+        self._floors = _LruStore(max_entries)
         self.symmetric = symmetric
         self.pin_limit = self._HASH_MEMO_LIMIT if pin_limit is None else pin_limit
         if self.pin_limit < 1:
@@ -205,19 +215,38 @@ class PairCache:
         for name, value in zip(measures, vector):
             self._store.put((pair, name), float(value))
 
+    def _floor_key(self, subject_key: Hashable, query_hash: str, name: str) -> tuple:
+        return (self._pair(subject_key, query_hash), name)
+
+    def floor(self, subject_key: Hashable, query_hash: str, name: str) -> float:
+        """The pair's proven lower bound on measure ``name`` (``-inf``
+        when none is known)."""
+        value = self._floors.get(self._floor_key(subject_key, query_hash, name))
+        return -math.inf if value is None else value
+
+    def raise_floor(
+        self, subject_key: Hashable, query_hash: str, name: str, value: float
+    ) -> None:
+        """Record that the pair's measure ``name`` is at least ``value``."""
+        if value > self.floor(subject_key, query_hash, name):
+            key = self._floor_key(subject_key, query_hash, name)
+            self._floors.put(key, float(value))
+
     # -- maintenance ----------------------------------------------------
     def invalidate_subject(self, subject_key: Hashable) -> None:
-        """Drop every entry involving ``subject_key``.
+        """Drop every entry (and floor) involving ``subject_key``.
 
         Rarely needed — content-addressed keys stay sound under database
         mutation — but useful when a measure implementation itself changed.
         """
         self._store.drop_where(lambda key: subject_key in key[0])
+        self._floors.drop_where(lambda key: subject_key in key[0])
         self.generation += 1
 
     def clear(self) -> None:
-        """Drop everything (statistics and hash memo included)."""
+        """Drop everything (floors, statistics and hash memo included)."""
         self._store.clear()
+        self._floors.clear()
         self.generation += 1
         self._hash_memo.clear()
         self.hits = 0
@@ -284,9 +313,14 @@ class QueryCache(PairCache):
         """Store a vector, evicting the least recently used beyond the cap."""
         self._store.put((graph_id, query_hash, tuple(measures)), tuple(vector))
 
+    def _floor_key(self, graph_id: Hashable, query_hash: str, name: str) -> tuple:
+        return (graph_id, query_hash, name)
+
     def invalidate_graph(self, graph_id: int) -> None:
-        """Drop all entries of one database graph (after update/removal)."""
+        """Drop all entries and floors of one database graph (after
+        update/removal)."""
         self._store.drop_where(lambda key: key[0] == graph_id)
+        self._floors.drop_where(lambda key: key[0] == graph_id)
         self.generation += 1
 
     # This class keys by graph id, so the subject IS the graph id.

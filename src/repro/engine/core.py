@@ -14,7 +14,10 @@ under an :class:`~repro.engine.plan.EvaluationPlan`:
    which may prune it (sound: it provably cannot change the answer),
    serve its exact vector (cached pairs), or pass;
 3. survivors reach the evaluator — solved immediately (serial) or batched
-   onto a process pool and drained after the scan;
+   onto a process pool and drained after the scan. The serial evaluator
+   solves against the leading bound stage's cap, the pool against its
+   shared frontier's; a pair cut there is pruned as ``solver-cutoff``
+   (an index prune, not an evaluation);
 4. every exact vector is fed back to the stages (``observe``), then the
    kind-specific consumer selects the answer.
 
@@ -46,7 +49,7 @@ from repro.measures.base import (
 from repro.api.spec import GraphQuery
 from repro.engine.consume import finish_distances, finish_vectors
 from repro.engine.deadline import Deadline, current_deadline
-from repro.engine.evaluate import Evaluator, SerialEvaluator
+from repro.engine.evaluate import SOLVER_CUTOFF, Evaluator, SerialEvaluator
 from repro.engine.plan import BoundStage, EvaluationPlan, Stage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -107,6 +110,9 @@ class RunContext:
     #: receives them, but they count as no evaluation and are not
     #: written back to the pair cache.
     seeded: dict[int, tuple[float, ...]] = field(default_factory=dict)
+    #: The leading bound stage, handed to an interleaved evaluator: it
+    #: solves against the stage's :meth:`~repro.engine.plan.BoundStage.cap`.
+    cutoff: BoundStage | None = None
     _query_features: GraphFeatures | None = None
 
     @property
@@ -187,6 +193,8 @@ def run_plan(
         rest = stages[1:]
         if candidates.bounds is not None:
             masker = stages[0]
+        if evaluator.interleaved:
+            ctx.cutoff = stages[0]
     ids = candidates.ids
 
     perf = time.perf_counter
@@ -229,7 +237,12 @@ def run_plan(
         begin = perf()
         values = evaluator.evaluate(ctx, candidate)
         evaluate_s += perf() - begin
-        if values is not None:
+        if values == SOLVER_CUTOFF:
+            # Out of the answer by the stage's own rule. Its exact value
+            # is unknown, so no stage observes it and no value is cached
+            # (the evaluator keeps the cap as the pair's floor).
+            prune(position, position + 1, SOLVER_CUTOFF)
+        elif values is not None:
             stats.exact_evaluations += 1
             record(candidate.graph_id, values)
 
@@ -271,8 +284,13 @@ def run_plan(
         drained = list(evaluator.drain(ctx))
         evaluate_s += perf() - begin
         for graph_id, values in drained:
-            stats.exact_evaluations += 1
-            record(graph_id, values)
+            if values == SOLVER_CUTOFF:
+                stats.pruned_by_index += 1
+                stats.count_prune(SOLVER_CUTOFF, 1)
+                pruned_ids.append(graph_id)
+            else:
+                stats.exact_evaluations += 1
+                record(graph_id, values)
         # A deferring evaluator may prune while draining (shared-frontier
         # checks against exact vectors other workers/shards published);
         # those ids were eliminated without evaluation, exactly like

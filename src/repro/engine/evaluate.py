@@ -6,13 +6,21 @@ pruning cascade and produces their exact measure vectors, either
 
 * immediately (:class:`SerialEvaluator`) — each vector is returned to the
   engine loop right away, which is what lets feedback-driven stages
-  (Pareto pruning, the top-k cutoff) tighten as the scan progresses; or
+  (Pareto pruning, the top-k cutoff) tighten as the scan progresses. It
+  also solves against the leading bound stage's live cutoff
+  (:func:`pair_values` with a ``stage``): a pair whose exact value would
+  reach the cutoff comes back :data:`SOLVER_CUTOFF` after a bounded
+  search, and the engine prunes it. The cap it reached is kept in the
+  run's pair cache as the pair's floor, so a later run over that cache
+  cuts it at any cap up to the floor without a search; or
 * deferred (``PooledEvaluator``) — candidates accumulate and are solved
   in chunks on the **persistent worker pool**
   (:mod:`repro.engine.workers`): long-lived processes holding
   shared-memory database attachments, drained in bound-ordered waves
   with a shared best-so-far frontier, so deferral no longer forfeits
-  bound-stage pruning.
+  bound-stage pruning. Pooled solves run against the frontier's cap
+  (``FrontierCutoff``), and the drain reports a cut pair as
+  :data:`SOLVER_CUTOFF`.
 
 A deferring evaluator may also *prune* while draining (frontier checks
 against exact vectors published by other workers/shards);
@@ -31,6 +39,7 @@ actually touched.
 from __future__ import annotations
 
 import abc
+import math
 from typing import TYPE_CHECKING
 
 from repro.graph.labeled_graph import LabeledGraph
@@ -38,17 +47,59 @@ from repro.measures.base import DistanceMeasure, PairContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.core import RunContext
-    from repro.engine.plan import Candidate
+    from repro.engine.plan import BoundStage, Candidate
+
+
+#: What a serial evaluator returns for a pair it cut at the stage's cap;
+#: the engine books it as a prune under this stage name.
+SOLVER_CUTOFF = "solver-cutoff"
+
+
+def _bounded_dimension(measures: tuple[DistanceMeasure, ...]) -> int | None:
+    """The first dimension whose measure solves against a cutoff."""
+    for dim, measure in enumerate(measures):
+        if type(measure).distance_below is not DistanceMeasure.distance_below:
+            return dim
+    return None
 
 
 def pair_values(
     graph: LabeledGraph,
     query: LabeledGraph,
     measures: tuple[DistanceMeasure, ...],
-) -> tuple[float, ...]:
-    """Exact measure vector of one (graph, query) pair (shared context)."""
+    stage: "BoundStage | None" = None,
+    floor: float = -math.inf,
+) -> tuple[float, ...] | float:
+    """Exact measure vector of one (graph, query) pair (shared context).
+
+    With a ``stage``, the first measure that overrides
+    :meth:`~repro.measures.base.DistanceMeasure.distance_below` is solved
+    last, against the stage's :meth:`~repro.engine.plan.BoundStage.cap`
+    given the other dimensions. A pair whose value reaches the cap is out
+    of the answer: the result is then that cap (a float, not a vector),
+    which proves the value is at least that much. ``floor`` is such a
+    proof from an earlier solve; a cap at or below it cuts the pair
+    without a search.
+    """
     context = PairContext(graph, query)
-    return tuple(measure.distance(graph, query, context) for measure in measures)
+    dim = None if stage is None else _bounded_dimension(measures)
+    if dim is None:
+        return tuple(measure.distance(graph, query, context) for measure in measures)
+    values = [
+        math.nan if index == dim else measure.distance(graph, query, context)
+        for index, measure in enumerate(measures)
+    ]
+    cap = stage.cap(values, dim)
+    if cap is None:
+        values[dim] = measures[dim].distance(graph, query, context)
+        return tuple(values)
+    if floor >= cap:
+        return cap
+    value = measures[dim].distance_below(graph, query, context, cap)
+    if value is None:
+        return cap
+    values[dim] = value
+    return tuple(values)
 
 
 class Evaluator(abc.ABC):
@@ -63,11 +114,16 @@ class Evaluator(abc.ABC):
     @abc.abstractmethod
     def evaluate(
         self, ctx: "RunContext", candidate: "Candidate"
-    ) -> tuple[float, ...] | None:
-        """Solve (or enqueue) one candidate; ``None`` means deferred."""
+    ) -> tuple[float, ...] | str | None:
+        """Solve (or enqueue) one candidate; ``None`` means deferred,
+        :data:`SOLVER_CUTOFF` that the solve was cut at the cap of
+        ``ctx.cutoff`` (the candidate is out of the answer)."""
 
-    def drain(self, ctx: "RunContext") -> list[tuple[int, tuple[float, ...]]]:
-        """Deferred results, in ascending id order (empty when interleaved)."""
+    def drain(
+        self, ctx: "RunContext"
+    ) -> list[tuple[int, tuple[float, ...] | str]]:
+        """Deferred results, in ascending id order (empty when interleaved);
+        a value of :data:`SOLVER_CUTOFF` marks a solve cut at a cap."""
         return []
 
     def drained_pruned_ids(self) -> "list[int] | tuple[int, ...]":
@@ -81,13 +137,38 @@ class Evaluator(abc.ABC):
 
 
 class SerialEvaluator(Evaluator):
-    """Solve each pair in the scanning thread, immediately."""
+    """Solve each pair in the scanning thread, immediately, against the
+    run's cutoff stage. With a pair cache, a cut pair's cap is kept as
+    its floor, and a floor already at the cap cuts without a search."""
 
     interleaved = True
 
     def evaluate(self, ctx, candidate):
         graph = ctx.database.get(candidate.graph_id)
-        return pair_values(graph, ctx.spec.graph, ctx.measures)
+        key = _floor_key(ctx, candidate.graph_id)
+        floor = -math.inf if key is None else ctx.cache.floor(*key)
+        values = pair_values(graph, ctx.spec.graph, ctx.measures, ctx.cutoff, floor)
+        if isinstance(values, tuple):
+            return values
+        if key is not None:
+            ctx.cache.raise_floor(*key, values)
+        return SOLVER_CUTOFF
+
+
+def _floor_key(ctx: "RunContext", graph_id: int) -> tuple | None:
+    """The pair cache key of the bounded dimension's floor (``None``
+    without a cache or a cutoff stage)."""
+    if ctx.cache is None or ctx.cutoff is None:
+        return None
+    dim = _bounded_dimension(ctx.measures)
+    if dim is None:
+        return None
+    cache = ctx.cache
+    return (
+        cache.subject_key(ctx.database.entry(graph_id)),
+        cache.query_hash(ctx.spec.graph),
+        ctx.names[dim],
+    )
 
 
 #: Names living in :mod:`repro.engine.workers`, importable from here for

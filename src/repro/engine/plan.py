@@ -14,7 +14,10 @@ engine (:mod:`repro.engine.core`) executes for every query:
   A :class:`BoundStage` prunes on bounds alone and judges a whole window
   of bound rows per :meth:`BoundStage.prune_mask` call;
 * the **evaluator** (:mod:`repro.engine.evaluate`) solves the survivors
-  exactly, serially or batched across a process pool;
+  exactly, serially or batched across a process pool. A serial
+  evaluator also receives the leading bound stage's live cutoff
+  (:meth:`BoundStage.cap`) and solves against it: a pair whose exact
+  value would reach the cutoff is cut by the solver, not computed;
 * the **consumer** (:mod:`repro.engine.consume`) turns exact vectors into
   the answer for the query kind.
 
@@ -139,7 +142,8 @@ class BoundStage(Stage):
     * :attr:`revision` changes whenever an observation may have changed
       a verdict, so the engine re-judges the rows still alive only then.
 
-    :meth:`decide` is the one-row case of the same rule.
+    :meth:`decide` is the one-row case of the same rule, and :meth:`cap`
+    states it for one exact dimension still unknown.
     """
 
     #: Bumped by :meth:`observe` whenever a verdict may have changed.
@@ -154,12 +158,73 @@ class BoundStage(Stage):
             return None
         return "prune" if self.prune_mask([candidate.bounds])[0] else None
 
+    def cap(self, values: Sequence[float], dim: int) -> float | None:
+        """The smallest value of dimension ``dim`` at which a candidate is
+        provably out, given its other dimensions exact in ``values``
+        (``values[dim]`` is ignored); ``None`` when no cutoff is known.
+
+        A candidate whose exact value reaches the cap would be pruned by
+        this stage's own rule applied to its exact vector, so the solver
+        may stop once it proves that instead of computing the value.
+        """
+        return None
+
 
 def _exceeds(bounds, cutoff: float) -> "Sequence[bool]":
     """``bounds[:, 0] > cutoff`` for an array or a list of tuples."""
     if isinstance(bounds, list):
         return [row[0] > cutoff for row in bounds]
     return bounds[:, 0] > cutoff
+
+
+def cap_above(cutoff: float | None) -> float | None:
+    """The cap of a "value > cutoff" rule: the next float up (``None``
+    where no value passes: a missing, NaN or +inf cutoff)."""
+    if cutoff is None or not cutoff < math.inf:
+        return None
+    return math.nextafter(cutoff, math.inf)
+
+
+def kth_smallest(thresholds: Sequence[float], k: int) -> float | None:
+    """The ``k``-th smallest threshold (``None`` when there are fewer)."""
+    if len(thresholds) < k:
+        return None
+    return sorted(thresholds)[k - 1]
+
+
+def pareto_cap(
+    exact: "Sequence[Sequence[float]]",
+    values: Sequence[float],
+    dim: int,
+    prune_limit: int,
+) -> float | None:
+    """:meth:`BoundStage.cap` of Pareto dominator counting (tolerance 0).
+
+    An exact vector ``v`` no worse than the candidate outside ``dim``
+    dominates it once the candidate's ``dim`` value reaches ``v[dim]``
+    if ``v`` is strictly better elsewhere, and once it passes ``v[dim]``
+    otherwise. NaN compares as a tie, as in
+    :func:`~repro.skyline.utils.dominates`: a NaN ``v[dim]`` dominates
+    at every value or at none. The cap is the ``prune_limit``-th
+    smallest such threshold.
+    """
+    thresholds = []
+    for vector in exact:
+        strictly = False
+        for index, (mine, theirs) in enumerate(zip(vector, values)):
+            if index == dim:
+                continue
+            if mine > theirs:
+                break
+            if mine < theirs:
+                strictly = True
+        else:
+            threshold = vector[dim]
+            if strictly:
+                thresholds.append(-math.inf if math.isnan(threshold) else threshold)
+            elif threshold < math.inf:  # NaN and +inf are never passed
+                thresholds.append(math.nextafter(threshold, math.inf))
+    return kth_smallest(thresholds, prune_limit)
 
 
 StageFactory = Callable[["RunContext"], Stage]
@@ -194,6 +259,11 @@ class ParetoPruneStage(BoundStage):
     def prune_mask(self, bounds) -> list[bool]:
         return [self._dominated(row) for row in bounds]
 
+    def cap(self, values: Sequence[float], dim: int) -> float | None:
+        if self.tolerance > 0:
+            return None
+        return pareto_cap(self._exact, values, dim, self.prune_limit)
+
     def observe(self, graph_id: int, values: tuple[float, ...]) -> None:
         self._exact.append(values)
         self.revision += 1
@@ -217,6 +287,10 @@ class RankBoundStage(BoundStage):
         cutoff = self._best[-1] if len(self._best) >= self.k else math.inf
         return _exceeds(bounds, cutoff)
 
+    def cap(self, values: Sequence[float], dim: int) -> float | None:
+        # Ties at the k-th value are still solved: their ids decide.
+        return cap_above(self._best[-1]) if len(self._best) >= self.k else None
+
     def observe(self, graph_id: int, values: tuple[float, ...]) -> None:
         position = bisect_right(self._best, values[0])
         if position < self.k:
@@ -235,6 +309,9 @@ class ThresholdBoundStage(BoundStage):
 
     def prune_mask(self, bounds) -> "Sequence[bool]":
         return _exceeds(bounds, self.threshold)
+
+    def cap(self, values: Sequence[float], dim: int) -> float | None:
+        return cap_above(self.threshold)
 
 
 class CachedPairStage(Stage):

@@ -12,7 +12,7 @@ names: a System-R-style cost model over our own plan space, driven by
 * **static inputs** — database size, average graph order, shard count,
   NumPy/pool availability, the query's kind/k/threshold/tolerance/budget;
 * **observed feedback** — a per-session :class:`SelectivityProfile` of
-  per-stage prune rates and per-pair exact-evaluation cost, fed back from
+  per-stage prune rates and per-pair solver cost, fed back from
   the :class:`~repro.db.stats.QueryStats` of every executed query.
 
 Because selectivities are observed, the model self-corrects: the first
@@ -36,6 +36,8 @@ import os
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+from repro.engine.evaluate import SOLVER_CUTOFF
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.spec import GraphQuery
@@ -144,11 +146,13 @@ class SelectivityProfile:
                 self._update(
                     self._selectivity, (kind, name), pruned / survivors
                 )
-            if stats.exact_evaluations > 0:
-                per_pair = (
-                    stats.phase_seconds.get("evaluate", 0.0)
-                    / stats.exact_evaluations
-                )
+            # Per pair handed to a solver: a solve cut at the bound
+            # stage's cap is in the evaluate time but not an evaluation.
+            solved = stats.exact_evaluations + stats.pruned_by_stage.get(
+                SOLVER_CUTOFF, 0
+            )
+            if solved > 0:
+                per_pair = stats.phase_seconds.get("evaluate", 0.0) / solved
                 if per_pair > 0.0:
                     self._update(self._pair_seconds, kind, per_pair)
 
@@ -158,7 +162,8 @@ class SelectivityProfile:
             return self._selectivity.get((kind, stage_name))
 
     def pair_seconds(self, kind: str) -> float | None:
-        """Observed EWMA seconds per exact pair for ``kind``."""
+        """Observed EWMA seconds per pair handed to a solver for ``kind``
+        (exact evaluations plus solves cut at the cap)."""
         with self._lock:
             return self._pair_seconds.get(kind)
 

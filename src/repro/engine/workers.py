@@ -43,8 +43,11 @@ database graphs and bounds are componentwise ≤ the exact vectors, so a
 candidate whose bound already has ``prune_limit`` published dominators
 (or ``k`` published better scalars, for top-k) provably cannot enter the
 answer — the same soundness argument as the in-process bound stages.
-Rows carry the graph id and readers deduplicate by it, so a resubmitted
-task double-publishing after a worker respawn can never inflate the
+A candidate that passes is solved against the board's cap
+(:class:`FrontierCutoff`: the same rule applied to its exact vector);
+one that reaches it is reported as cut and never published. Rows carry
+the graph id and readers deduplicate by it, so a resubmitted task
+double-publishing after a worker respawn can never inflate the
 dominator count (which would be unsound for skyband/top-k).
 
 Degradation is graceful and layered: no shared memory → blobs fall back
@@ -60,6 +63,7 @@ leaks.
 from __future__ import annotations
 
 import atexit
+import math
 import os
 import pickle
 import queue as queue_module
@@ -73,7 +77,8 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ReproError
 from repro.skyline.utils import dominates
-from repro.engine.evaluate import Evaluator, pair_values
+from repro.engine.evaluate import SOLVER_CUTOFF, Evaluator, pair_values
+from repro.engine.plan import cap_above, kth_smallest, pareto_cap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.core import RunContext
@@ -528,6 +533,31 @@ class FrontierJudge:
         }
 
 
+class FrontierCutoff:
+    """A judge over a live ``{graph_id: vector}`` map, in the shape
+    :func:`~repro.engine.evaluate.pair_values` takes as its ``stage``:
+    pooled solves run against the shared frontier's cap, as serial
+    solves run against the bound stage's."""
+
+    __slots__ = ("judge", "vectors")
+
+    def __init__(self, judge: FrontierJudge, vectors: dict) -> None:
+        self.judge = judge
+        self.vectors = vectors
+
+    def cap(self, values, dim: int) -> float | None:
+        """The in-process stage's :meth:`~repro.engine.plan.BoundStage.cap`
+        over the published vectors: the smallest value of ``dim`` at
+        which the judge would prune the candidate's exact vector."""
+        judge = self.judge
+        if judge.tolerance > 0:
+            return None
+        if judge.mode == "rank":
+            best = [v[0] for v in self.vectors.values() if not math.isnan(v[0])]
+            return cap_above(kth_smallest(best, judge.limit))
+        return pareto_cap(list(self.vectors.values()), values, dim, judge.limit)
+
+
 class BoundSharing:
     """Per-query exact-vector sharing across workers and shards.
 
@@ -734,8 +764,10 @@ def handle_eval(
 
     Resolves the graphs (attachment cache or inline pairs), optionally
     recomputes bounds from the shared matrix, then walks the chunk's ids:
-    frontier-check, solve, publish. ``skipped`` ids were frontier-pruned
-    (never solved); ``partial`` flags a mid-chunk deadline abandon.
+    frontier-check, solve against the frontier's cap, publish. ``skipped``
+    ids were frontier-pruned (never solved), ``cut`` ids reached the cap
+    (out of the answer, not published); ``partial`` flags a mid-chunk
+    deadline abandon.
     """
     stats = {"frontier_pruned": 0, "published": 0, "partial": False}
     if task.get("pairs") is not None:
@@ -763,8 +795,11 @@ def handle_eval(
             frontier = None
     query = task["query"]
     expires_at = task.get("deadline")
+    # ``poll`` refreshes one dict in place, so the cutoff stays live.
+    cutoff = None if frontier is None else FrontierCutoff(judge, frontier.poll())
     results: list[tuple[int, tuple[float, ...]]] = []
     skipped: list[int] = []
+    cut: list[int] = []
     for graph_id in task["ids"]:
         if expires_at is not None and time.monotonic() >= expires_at:
             stats["partial"] = True
@@ -776,11 +811,14 @@ def handle_eval(
                 skipped.append(graph_id)
                 stats["frontier_pruned"] += 1
                 continue
-        values = pair_values(graphs[graph_id], query, measures)
+        values = pair_values(graphs[graph_id], query, measures, cutoff)
+        if not isinstance(values, tuple):
+            cut.append(graph_id)  # out of the answer; nothing to publish
+            continue
         results.append((graph_id, values))
         if frontier is not None and frontier.publish(region, graph_id, values):
             stats["published"] += 1
-    return {"results": results, "skipped": skipped, "stats": stats}
+    return {"results": results, "skipped": skipped, "cut": cut, "stats": stats}
 
 
 def _worker_main(slot: int, task_queue, result_queue) -> None:
@@ -1219,6 +1257,9 @@ class PooledEvaluator(Evaluator):
         """No usable pool: solve in-process, still sharing-filtered."""
         stats["workers"] = 0
         stats["attach"] = {"serial": 1}
+        cutoff = None
+        if sharing is not None:
+            cutoff = FrontierCutoff(sharing.judge, sharing.vectors)
         results = []
         for graph_id, bounds in pending:
             if ctx.deadline is not None:
@@ -1232,8 +1273,11 @@ class PooledEvaluator(Evaluator):
                     stats["frontier_pruned"] += 1
                     continue
             values = pair_values(
-                ctx.database.get(graph_id), ctx.spec.graph, ctx.measures
+                ctx.database.get(graph_id), ctx.spec.graph, ctx.measures, cutoff
             )
+            if not isinstance(values, tuple):
+                results.append((graph_id, SOLVER_CUTOFF))
+                continue
             results.append((graph_id, values))
             if sharing is not None:
                 sharing.observe(graph_id, values)
@@ -1312,6 +1356,7 @@ class PooledEvaluator(Evaluator):
             stats["waves"] += 1
             for out in pool.run(tasks, deadline=ctx.deadline):
                 results.extend(out["results"])
+                results.extend((graph_id, SOLVER_CUTOFF) for graph_id in out["cut"])
                 if out["skipped"]:
                     self._drained_pruned.extend(out["skipped"])
                 task_stats = out["stats"]

@@ -37,6 +37,7 @@ from repro.engine.plan import (
     CandidateSource,
     RankBoundStage,
     ThresholdBoundStage,
+    pareto_cap,
 )
 from repro.index.kernels import BATCH_BOUND_KERNELS, bound_matrix, dominator_counts
 from repro.index.store import FeatureStore
@@ -113,6 +114,12 @@ class BatchParetoStage(BoundStage):
             self._exact[: self._count], bounds, self.tolerance
         )
         return counts >= self.prune_limit
+
+    def cap(self, values, dim: int) -> float | None:
+        if self.tolerance > 0 or self._count == 0:
+            return None
+        exact = self._exact[: self._count].tolist()
+        return pareto_cap(exact, values, dim, self.prune_limit)
 
     def observe(self, graph_id: int, values: tuple[float, ...]) -> None:
         if self._exact is None:

@@ -18,6 +18,7 @@ specified with plain strings (``measures=("edit", "mcs", "union")``).
 from __future__ import annotations
 
 import abc
+import math
 from collections.abc import Callable, Iterable, Sequence
 
 from repro.errors import QueryError
@@ -84,6 +85,30 @@ class PairContext:
                 self.g1, self.g2, costs=self.costs, _view=self.view
             )
         return self._ged
+
+    def ged_below(self, cap: float) -> GedResult | None:
+        """The exact GED if it is below ``cap``, else ``None``.
+
+        A finite ``cap`` (plus the seed's 1e-9, so float sums that round
+        above an equal-cost mapping cannot hide it) is the search's
+        incumbent, with no seed: only mappings cheaper than that
+        complete, so a found result is the exact optimum and becomes the
+        memo, and a miss proves the distance is at least ``cap``
+        (nothing is memoised).
+        """
+        if self._ged is None and cap < math.inf:
+            result = graph_edit_distance(
+                self.g1,
+                self.g2,
+                costs=self.costs,
+                upper_bound=cap + 1e-9,
+                _view=self.view,
+            )
+            if not result.found:
+                return None
+            self._ged = result
+        result = self.ged
+        return result if result.distance < cap else None
 
     def ged_within(self, budget: Budget | None) -> GedResult:
         """Best (possibly partial) GED certificate obtainable in ``budget``."""
@@ -213,6 +238,23 @@ class DistanceMeasure(abc.ABC):
         honor the budget and return genuine partial certificates.
         """
         return Interval.exact(self.distance(g1, g2, context))
+
+    def distance_below(
+        self,
+        g1: LabeledGraph,
+        g2: LabeledGraph,
+        context: PairContext | None = None,
+        cap: float = math.inf,
+    ) -> float | None:
+        """The exact distance if it is below ``cap``, else ``None``.
+
+        The verification form of :meth:`distance`: a search that knows
+        the cutoff may stop once it proves the value is at least ``cap``.
+        The default computes the exact value and compares; measures built
+        on a bounded search override this.
+        """
+        value = self.distance(g1, g2, context)
+        return value if value < cap else None
 
     def __call__(
         self,

@@ -15,6 +15,10 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.operations import CostModel, UNIFORM_COSTS
 from repro.measures.base import DistanceMeasure, PairContext, register_measure
 
+#: Normalised caps at or above this are not mapped to a raw cap: there
+#: ``1 - cap`` is too small for the relative margin to cover rounding.
+_NEAR_ONE = 1.0 - 1e-6
+
 
 class EditDistance(DistanceMeasure):
     """Exact graph edit distance ``DistEd`` (Definition 8).
@@ -45,6 +49,18 @@ class EditDistance(DistanceMeasure):
         from repro.graph.ged import graph_edit_distance
 
         return graph_edit_distance(g1, g2, costs=self.costs).distance
+
+    def distance_below(
+        self,
+        g1: LabeledGraph,
+        g2: LabeledGraph,
+        context: PairContext | None = None,
+        cap: float = math.inf,
+    ) -> float | None:
+        if context is None or context.costs is not self.costs:
+            context = PairContext(g1, g2, self.costs)
+        result = context.ged_below(cap)
+        return None if result is None else result.distance
 
     def distance_interval(
         self,
@@ -92,6 +108,28 @@ class NormalizedEditDistance(DistanceMeasure):
     ) -> float:
         raw = self._edit.distance(g1, g2, context)
         return raw / (1.0 + raw)
+
+    def distance_below(
+        self,
+        g1: LabeledGraph,
+        g2: LabeledGraph,
+        context: PairContext | None = None,
+        cap: float = math.inf,
+    ) -> float | None:
+        if cap <= 0.0:
+            return None  # values are >= 0
+        # x / (1 + x) < cap  <=>  x < cap / (1 - cap). The raw cap errs
+        # high by a relative 1e-8, far above the rounding of either side,
+        # so no pair below ``cap`` is cut; the last word is the
+        # normalised comparison itself. Near 1 the cap is not used.
+        raw_cap = math.inf
+        if cap < _NEAR_ONE:
+            raw_cap = cap / (1.0 - cap) * (1.0 + 1e-8)
+        raw = self._edit.distance_below(g1, g2, context, raw_cap)
+        if raw is None:
+            return None
+        value = raw / (1.0 + raw)
+        return value if value < cap else None
 
     def distance_interval(
         self,

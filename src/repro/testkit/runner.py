@@ -20,12 +20,14 @@ The first check that disagrees stops the run and is reported as a
 the same way, so crash bugs shrink just like wrong-answer bugs.
 
 ``fault=`` injects a deliberately broken engine stage (see
-:data:`FAULTS`) — the harness's own smoke test: a sign-flipped bound
-must be caught and shrunk to a printable repro.
+:data:`FAULTS`) — the harness's own smoke test: a sign-flipped bound, or
+a solver cutoff one float too low, must be caught and shrunk to a
+printable repro.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import tempfile
@@ -42,9 +44,17 @@ from repro.api.spec import GraphQuery
 from repro.db.cache import PairCache
 from repro.db.database import GraphDatabase
 from repro.db.persistence import load_database, save_database
-from repro.engine.plan import Candidate, EvaluationPlan, Stage
+from repro.engine.plan import (
+    Candidate,
+    EvaluationPlan,
+    ParetoPruneStage,
+    RankBoundStage,
+    Stage,
+    ThresholdBoundStage,
+    kth_smallest,
+)
 from repro.errors import QueryError
-from repro.engine.evaluate import SerialEvaluator
+from repro.engine.evaluate import SOLVER_CUTOFF, SerialEvaluator
 from repro.graph.serialization import graph_to_dict
 from repro.shard.backend import ShardedBackend
 from repro.shard.store import ShardedGraphDatabase
@@ -145,9 +155,70 @@ class BrokenBoundIndexedBackend(IndexedBackend):
         )
 
 
+class _OffByOneParetoStage(ParetoPruneStage):
+    """Pareto caps without the equal-coordinate rule: a dominator that
+    only ties elsewhere cuts at its own value, not just past it."""
+
+    name = "pareto-bound(cutoff-off-by-one)"
+
+    def cap(self, values, dim):
+        thresholds = [
+            vector[dim]
+            for vector in self._exact
+            if all(
+                mine <= theirs
+                for index, (mine, theirs) in enumerate(zip(vector, values))
+                if index != dim
+            )
+        ]
+        return kth_smallest(thresholds, self.prune_limit)
+
+
+class _OffByOneRankStage(RankBoundStage):
+    """Top-k cap at the k-th value itself: ties at the k-th are cut."""
+
+    name = "rank-bound(cutoff-off-by-one)"
+
+    def cap(self, values, dim):
+        return self._best[-1] if len(self._best) >= self.k else None
+
+
+class _OffByOneThresholdStage(ThresholdBoundStage):
+    """Range cap at the threshold itself: values equal to it are cut."""
+
+    name = "threshold-bound(cutoff-off-by-one)"
+
+    def cap(self, values, dim):
+        return self.threshold
+
+
+def _off_by_one_bound_pruning(ctx) -> Stage:
+    spec = ctx.spec
+    if spec.kind == "skyline":
+        return _OffByOneParetoStage(1, spec.tolerance)
+    if spec.kind == "skyband":
+        return _OffByOneParetoStage(spec.k, spec.tolerance)
+    if spec.kind == "topk":
+        return _OffByOneRankStage(spec.k)
+    return _OffByOneThresholdStage(spec.threshold)
+
+
+class OffByOneCutoffIndexedBackend(IndexedBackend):
+    """The ``indexed`` backend whose solver cutoffs are one float low."""
+
+    def build_plan(self, spec: GraphQuery) -> EvaluationPlan:
+        plan = super().build_plan(spec)
+        if not self.use_index:
+            return plan
+        return dataclasses.replace(
+            plan, cascade=(_off_by_one_bound_pruning,) + plan.cascade[1:]
+        )
+
+
 #: Injectable faults: name -> replacement class for the indexed backend.
 FAULTS: dict[str, type[ExecutionBackend]] = {
     "flip-bound": BrokenBoundIndexedBackend,
+    "cutoff-off-by-one": OffByOneCutoffIndexedBackend,
 }
 
 
@@ -200,6 +271,8 @@ class RunReport:
     answer_hits: int = 0
     answer_replays: int = 0
     answer_misses: int = 0
+    #: Pairs the engine's solvers cut at a bound stage's cap.
+    solver_cutoffs: int = 0
     elapsed: float = 0.0
     divergence: Divergence | None = None
 
@@ -217,7 +290,8 @@ class RunReport:
             f"{self.skipped} skipped) in {self.elapsed:.2f}s; "
             f"pair cache {self.cache_hits} hits / {self.cache_misses} misses; "
             f"answer store {self.answer_hits} hits / {self.answer_replays} "
-            f"replays / {self.answer_misses} misses"
+            f"replays / {self.answer_misses} misses; "
+            f"{self.solver_cutoffs} solver cutoffs"
         )
 
 
@@ -365,6 +439,9 @@ class WorkloadRunner:
         expected = self.oracle.answer(step.query)
         for cached in (False, True):
             result = self.session(step.backend, cached).execute(step.query)
+            report.solver_cutoffs += result.stats.pruned_by_stage.get(
+                SOLVER_CUTOFF, 0
+            )
             actual = self._translate(result.ids)
             if actual != expected:
                 return Divergence(

@@ -1,13 +1,16 @@
 """The block walk decides exactly like the per-candidate walk.
 
 ``run_plan`` judges whole windows of bound rows with one
-``prune_mask`` call and re-judges only after feedback. The reference
+``prune_mask`` call and re-judges only after feedback, and its serial
+evaluator solves against the leading bound stage's cap. The reference
 below is the plain per-candidate loop over the same sources and stages
 (every candidate materialized, every stage's ``decide`` called in
-order). Twin setups run the same query/delete sequence, one through each
-loop, and every observable decision must match: answers, pruned ids in
-order, per-stage prune counts, the work counters and the pair cache's
-hit/miss counts.
+order), solving every survivor exactly and applying the cutoff by brute
+force: a solved pair is cut when the leading stage's own rule prunes its
+exact vector. Twin setups run the same query/delete sequence, one
+through each loop, and every observable decision must match: answers,
+pruned ids in order, per-stage prune counts, the work counters and the
+pair cache's hit/miss counts.
 """
 
 from __future__ import annotations
@@ -25,9 +28,22 @@ from repro.engine import scatter as scatter_module
 from repro.engine.consume import finish_distances, finish_vectors
 from repro.engine.core import make_context
 from repro.engine.evaluate import SerialEvaluator
+from repro.engine.plan import BoundStage, Candidate
 from repro.core.gcs import CompoundSimilarity
 from repro.graph.generators import random_labeled_graph
+from repro.measures.base import DistanceMeasure
 from repro.shard.store import ShardedGraphDatabase
+
+
+def _cut_by(stage, measures):
+    """The stage whose rule cuts solved pairs, or ``None`` (no cap)."""
+    if not isinstance(stage, BoundStage) or getattr(stage, "tolerance", 0) > 0:
+        return None
+    bounded = any(
+        type(measure).distance_below is not DistanceMeasure.distance_below
+        for measure in measures
+    )
+    return stage if bounded else None
 
 
 def reference_run_plan(database, spec, plan, cache=None):
@@ -38,6 +54,9 @@ def reference_run_plan(database, spec, plan, cache=None):
     evaluator = plan.evaluator or SerialEvaluator()
     candidates = list(plan.source.candidates(ctx))
     stages = [factory(ctx) for factory in plan.cascade]
+    cutter = None
+    if stages and evaluator.interleaved:
+        cutter = _cut_by(stages[0], ctx.measures)
     evaluator.begin(ctx)
     exact = {}
     pruned_ids = list(ctx.prefiltered)
@@ -69,7 +88,14 @@ def reference_run_plan(database, spec, plan, cache=None):
             record(candidate.graph_id, verdict)
         else:
             values = evaluator.evaluate(ctx, candidate)
-            if values is not None:
+            if values is None:
+                continue
+            solved = Candidate(candidate.graph_id, values)
+            if cutter is not None and cutter.decide(solved) == "prune":
+                stats.pruned_by_index += 1
+                stats.count_prune("solver-cutoff")
+                pruned_ids.append(candidate.graph_id)
+            else:
                 stats.exact_evaluations += 1
                 record(candidate.graph_id, values)
     for graph_id, values in evaluator.drain(ctx):

@@ -92,6 +92,28 @@ def test_sign_flipped_bound_is_caught_and_shrunk():
     assert "expected" in divergence.describe()
 
 
+def test_off_by_one_solver_cutoff_is_caught_and_shrunk():
+    # Caps one float low (no nextafter, no equal-coordinate rule) cut a
+    # pair sitting exactly at the cutoff: a tie the answer keeps.
+    workload = generate_workload(seed=7, n_steps=120)
+    assert run_workload(workload).ok
+    report = run_workload(workload, fault="cutoff-off-by-one")
+    assert not report.ok, "the off-by-one cutoff went undetected"
+    assert report.divergence.backend == "indexed"
+    minimal, _ = shrink_workload(
+        workload,
+        lambda cand: run_workload(cand, fault="cutoff-off-by-one").divergence,
+    )
+    assert len(minimal) <= 10
+    assert run_workload(minimal, fault="cutoff-off-by-one").divergence is not None
+
+
+def test_summary_counts_solver_cutoffs():
+    report = run_workload(generate_workload(seed=3, n_steps=60))
+    assert report.ok and report.solver_cutoffs > 0
+    assert f"{report.solver_cutoffs} solver cutoffs" in report.summary()
+
+
 def test_unknown_fault_rejected():
     from repro.errors import QueryError
 

@@ -299,6 +299,45 @@ def test_handle_eval_frontier_skips_dominated_and_publishes(workload):
         board.release()
 
 
+@needs_shm
+def test_handle_eval_cuts_solves_at_the_frontier_cap(workload):
+    db, query = workload
+    ids = sorted(db.ids())[:6]
+    measures = resolve_measures(("edit",))
+    exact = {gid: pair_values(db.get(gid), query, measures) for gid in ids}
+    best = min(exact.values())
+    board = FrontierBuffer.create(regions=2, dims=1)
+    frontiers: OrderedDict = OrderedDict()
+    try:
+        # Another graph's exact value, already on the board: with k = 1
+        # every candidate strictly worse is out, and its solve is cut.
+        board.publish(0, 10**9, best)
+        task = {
+            "id": "t3",
+            "query": query,
+            "measures": ("edit",),
+            "ids": ids,
+            "pairs": [(gid, db.get(gid)) for gid in ids],
+            "frontier": {
+                "name": board.name,
+                "mode": "rank",
+                "limit": 1,
+                "tolerance": 0.0,
+            },
+        }
+        out = handle_eval(task, OrderedDict(), OrderedDict(), frontiers, region=1)
+        tied = [gid for gid in ids if exact[gid] == best]
+        assert out["results"] == [(gid, exact[gid]) for gid in tied]
+        assert out["cut"] == [gid for gid in ids if gid not in tied]
+        assert out["cut"] and out["skipped"] == []
+        # Cut pairs are never published.
+        assert out["stats"]["published"] == len(tied)
+    finally:
+        for buffer in frontiers.values():
+            buffer.release()
+        board.release()
+
+
 # ----------------------------------------------------------------------
 # End-to-end: pruning recovery, parity, robustness
 # ----------------------------------------------------------------------
@@ -315,6 +354,7 @@ def test_sharded_parallel_recovers_cross_shard_pruning():
     w = make_workload(n_graphs=96, query_size=6, seed=7)
     query = w.queries[0]
     serial_session, parallel_session = _sharded_pair(w.database)
+    pooled_cuts = 0
     with serial_session, parallel_session:
         for spec in (
             Query(query).skyline().build(),
@@ -325,13 +365,22 @@ def test_sharded_parallel_recovers_cross_shard_pruning():
             parallel = parallel_session.execute(spec)
             assert parallel.ids == serial.ids
             # The tentpole gate: deferred evaluation must no longer
-            # forfeit bound pruning (it used to evaluate ~7× more).
-            assert (
-                parallel.stats.exact_evaluations
-                <= 2 * serial.stats.exact_evaluations
-            )
+            # forfeit bound pruning (it used to evaluate ~7× more). Both
+            # sides count every pair handed to a solver: evaluations plus
+            # solves cut at a cap (the bound stage's, the frontier's).
+            def handed(stats):
+                return stats.exact_evaluations + stats.pruned_by_stage.get(
+                    "solver-cutoff", 0
+                )
+
+            assert handed(parallel.stats) <= 2 * handed(serial.stats)
             assert parallel.stats.pool is not None
             assert parallel.stats.pool["waves"] >= 1
+            pooled_cuts += parallel.stats.pruned_by_stage.get("solver-cutoff", 0)
+    # Pooled solves run against the shared frontier's cap too (workers
+    # see it only through the shared-memory board).
+    if shared_memory_available():
+        assert pooled_cuts > 0
 
 
 def test_sharded_parallel_parity_threshold_and_tolerance():
