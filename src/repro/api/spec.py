@@ -76,7 +76,10 @@ class GraphQuery:
         expansions per evaluation pass). Setting either opts the query
         into **anytime** execution: every exact evaluation runs under the
         budget, candidates carry certified ``[lower, upper]`` intervals,
-        and straddling candidates are refined progressively. With only
+        and straddling candidates are refined progressively. Every
+        evaluation solves against the bound stage's cutoff, as exact
+        reads do: a candidate proved out of the answer is a
+        ``solver-cutoff`` prune and carries no interval. With only
         ``budget_nodes`` the engine refines until every interval settles
         (the answer is exact); with ``budget_ms`` the answer may come back
         flagged approximate, over intervals.

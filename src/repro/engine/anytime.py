@@ -19,6 +19,11 @@ vectors the measures return:
    are re-evaluated, widest interval first, with the per-pass expansion
    budget doubled each round. Candidates whose intervals already decide
    their fate are never touched again, however wide their intervals.
+   Both steps solve against the leading bound stage's live cap by the
+   serial evaluator's rule and floors (:func:`~repro.engine.evaluate.
+   solve_pair` under a budget). A pair *proved* at or above the cap is a
+   ``solver-cutoff`` prune, as in the exact path; one the budget cannot
+   decide keeps its certified interval.
 3. **Consume over intervals** — the top-k / threshold / skyline /
    skyband consumers select over intervals. When no straddlers remain
    the answer is *certified* equal to the exhaustive oracle's (proof
@@ -26,10 +31,23 @@ vectors the measures return:
    answer is the best-effort selection over certified upper bounds and
    the result is flagged ``approximate``.
 
+Dropping a cut candidate from the interval analysis is sound. Its
+exact vector has >= ``prune_limit`` settled dominators among the run's
+observed vectors, which stay in the analysis. Whatever it truly
+dominates, they truly dominate too (transitivity), and a settled vector
+that truly dominates a candidate possibly dominates its interval. So
+:func:`vector_membership` / :func:`straddler_ids` decide every other
+candidate as they would with it. Top-k and threshold cuts lie past the
+k-th best settled value or the threshold. Shards share one bound stage,
+so a shard's dominators may sit in another shard's intervals: the
+sharded merge re-certifies over their union (and flags the answer
+approximate where that union cannot decide it).
+
 A deadline (:mod:`repro.engine.deadline`) tightens the wall clock, and
 :class:`~repro.errors.DeadlineExceeded` is raised only when it expired
-before a *single* evaluation pass completed — an expired deadline with
-work done returns the partial, certified answer instead of failing.
+before a *single* evaluation pass completed (a pass that cut its pair
+counts) — an expired deadline with work done returns the partial,
+certified answer instead of failing.
 
 This path is deliberately serial (``plan.evaluator`` is ignored):
 restart-based refinement keeps per-pair state in a
@@ -49,7 +67,8 @@ from repro.db.stats import PhaseTimer
 from repro.graph.budget import Budget, Interval
 from repro.measures.base import PairContext
 from repro.engine.consume import finish_distances, finish_vectors
-from repro.engine.plan import Stage
+from repro.engine.evaluate import SOLVER_CUTOFF, solve_pair
+from repro.engine.plan import BoundStage, Stage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.backends import BackendAnswer
@@ -120,26 +139,25 @@ def _evaluate(
     state: _CandidateState,
     slice_end: float | None,
     refining: bool,
-) -> None:
-    """One budgeted evaluation pass over every measure dimension."""
+) -> bool:
+    """One budgeted evaluation pass over every measure dimension;
+    ``False`` when it cut the pair at the run's cap."""
     stats = ctx.stats
     anytime = stats.anytime
-    graph = ctx.database.get(state.graph_id)
     if state.context is None:
-        state.context = PairContext(graph, ctx.spec.graph)
+        state.context = PairContext(ctx.database.get(state.graph_id), ctx.spec.graph)
     budget = Budget(expires_at=slice_end, node_limit=state.node_budget)
-    values = tuple(
-        measure.distance_interval(graph, ctx.spec.graph, state.context, budget)
-        for measure in ctx.measures
-    )
-    base = _intervals_of(ctx, state)
-    state.intervals = tuple(
-        before.intersect(after) for before, after in zip(base, values)
-    )
+    values = solve_pair(ctx, state.graph_id, budget, state.context)
     state.passes += 1
     anytime["passes"] += 1
     if refining:
         anytime["refined"] += 1
+    if values == SOLVER_CUTOFF:
+        return False
+    base = _intervals_of(ctx, state)
+    state.intervals = tuple(
+        before.intersect(after) for before, after in zip(base, values)
+    )
     if not state.observed and state.settled:
         # Settled == exact: feed the stages like the exact engine does
         # (cache write-back, cross-candidate bound feedback).
@@ -148,6 +166,7 @@ def _evaluate(
         exact = tuple(interval.upper for interval in state.intervals)
         for stage in stages:
             stage.observe(state.graph_id, exact)
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -295,6 +314,8 @@ def run_plan_anytime(ctx: "RunContext", plan: "EvaluationPlan") -> "BackendAnswe
     else:
         candidates = list(plan.source.candidates(ctx))
     stages: list[Stage] = [factory(ctx) for factory in plan.cascade]
+    if stages and isinstance(stages[0], BoundStage):
+        ctx.cutoff = stages[0]
 
     pruned_ids: list[int] = list(ctx.prefiltered)
     stats.candidates_considered += len(ctx.prefiltered)
@@ -307,6 +328,12 @@ def run_plan_anytime(ctx: "RunContext", plan: "EvaluationPlan") -> "BackendAnswe
 
     def expired() -> bool:
         return wall is not None and time.monotonic() >= wall
+
+    def cut(graph_id: int) -> None:  # a prune, as in the exact path
+        del states[graph_id]
+        stats.pruned_by_index += 1
+        stats.count_prune(SOLVER_CUTOFF)
+        pruned_ids.append(graph_id)
 
     def slice_end(remaining: int) -> float | None:
         if wall is None:
@@ -349,7 +376,9 @@ def run_plan_anytime(ctx: "RunContext", plan: "EvaluationPlan") -> "BackendAnswe
                 continue
             if expired():
                 continue  # starved: interval stays at the index bounds
-            _evaluate(ctx, stages, state, slice_end(remaining + 1), refining=False)
+            end = slice_end(remaining + 1)
+            if not _evaluate(ctx, stages, state, end, refining=False):
+                cut(state.graph_id)
 
         # Progressive refinement: straddlers only, widest interval first,
         # expansion budget doubled per round.
@@ -367,16 +396,15 @@ def run_plan_anytime(ctx: "RunContext", plan: "EvaluationPlan") -> "BackendAnswe
                     break
                 if state.node_budget is not None:
                     state.node_budget *= 2
-                _evaluate(
-                    ctx,
-                    stages,
-                    state,
-                    slice_end(len(straddlers) - position),
-                    refining=True,
-                )
+                end = slice_end(len(straddlers) - position)
+                if not _evaluate(ctx, stages, state, end, refining=True):
+                    cut(state.graph_id)
 
-    evaluated_any = any(s.intervals is not None for s in states.values())
-    if deadline is not None and deadline.expired() and not evaluated_any:
+    # Cut pairs left ``states``: count passes (cuts included) and hits.
+    progressed = anytime["passes"] > 0 or any(
+        s.intervals is not None for s in states.values()
+    )
+    if deadline is not None and deadline.expired() and not progressed:
         deadline.check()  # raises DeadlineExceeded: zero passes completed
 
     straddlers = _straddlers(ctx, states)

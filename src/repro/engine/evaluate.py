@@ -8,11 +8,12 @@ pruning cascade and produces their exact measure vectors, either
   engine loop right away, which is what lets feedback-driven stages
   (Pareto pruning, the top-k cutoff) tighten as the scan progresses. It
   also solves against the leading bound stage's live cutoff
-  (:func:`pair_values` with a ``stage``): a pair whose exact value would
-  reach the cutoff comes back :data:`SOLVER_CUTOFF` after a bounded
-  search, and the engine prunes it. The cap it reached is kept in the
-  run's pair cache as the pair's floor, so a later run over that cache
-  cuts it at any cap up to the floor without a search; or
+  (:func:`solve_pair`): a pair whose exact value would reach the cutoff
+  comes back :data:`SOLVER_CUTOFF` after a bounded search, and the
+  engine prunes it. The cap it reached is kept in the run's pair cache
+  as the pair's floor, so a later run over that cache cuts it at any cap
+  up to the floor without a search. The anytime driver
+  (:mod:`repro.engine.anytime`) applies the same rule under a budget; or
 * deferred (``PooledEvaluator``) — candidates accumulate and are solved
   in chunks on the **persistent worker pool**
   (:mod:`repro.engine.workers`): long-lived processes holding
@@ -42,6 +43,7 @@ import abc
 import math
 from typing import TYPE_CHECKING
 
+from repro.graph.budget import Budget
 from repro.graph.labeled_graph import LabeledGraph
 from repro.measures.base import DistanceMeasure, PairContext
 
@@ -69,8 +71,10 @@ def pair_values(
     measures: tuple[DistanceMeasure, ...],
     stage: "BoundStage | None" = None,
     floor: float = -math.inf,
-) -> tuple[float, ...] | float:
-    """Exact measure vector of one (graph, query) pair (shared context).
+    budget: Budget | None = None,
+    context: PairContext | None = None,
+) -> tuple | float:
+    """Measure vector of one (graph, query) pair (shared ``context``).
 
     With a ``stage``, the first measure that overrides
     :meth:`~repro.measures.base.DistanceMeasure.distance_below` is solved
@@ -80,26 +84,64 @@ def pair_values(
     which proves the value is at least that much. ``floor`` is such a
     proof from an earlier solve; a cap at or below it cuts the pair
     without a search.
+
+    With a ``budget`` the vector holds certified intervals, and the other
+    dimensions' lower bounds stand in for their exact values in the cap:
+    an exact vector no worse than them is no worse than the exact values
+    (and strictly better where strictly below a lower bound).
     """
-    context = PairContext(graph, query)
+    if context is None:
+        context = PairContext(graph, query)
+
+    def solve(measure: DistanceMeasure):
+        if budget is None:
+            return measure.distance(graph, query, context)
+        return measure.distance_interval(graph, query, context, budget)
+
     dim = None if stage is None else _bounded_dimension(measures)
     if dim is None:
-        return tuple(measure.distance(graph, query, context) for measure in measures)
+        return tuple(solve(measure) for measure in measures)
     values = [
-        math.nan if index == dim else measure.distance(graph, query, context)
+        math.nan if index == dim else solve(measure)
         for index, measure in enumerate(measures)
     ]
-    cap = stage.cap(values, dim)
+    known = values
+    if budget is not None:  # interval lower bounds; values[dim] is NaN
+        known = [math.nan if i == dim else v.lower for i, v in enumerate(values)]
+    cap = stage.cap(known, dim)
     if cap is None:
-        values[dim] = measures[dim].distance(graph, query, context)
+        values[dim] = solve(measures[dim])
         return tuple(values)
     if floor >= cap:
         return cap
-    value = measures[dim].distance_below(graph, query, context, cap)
+    value = measures[dim].distance_below(graph, query, context, cap, budget)
     if value is None:
         return cap
     values[dim] = value
     return tuple(values)
+
+
+def solve_pair(
+    ctx: "RunContext",
+    graph_id: int,
+    budget: Budget | None = None,
+    context: PairContext | None = None,
+) -> tuple | str:
+    """:func:`pair_values` of one candidate against ``ctx.cutoff``: the
+    vector, or :data:`SOLVER_CUTOFF` with the cap kept as the pair's
+    floor in the pair cache. The per-pair rule of serial and anytime
+    (``budget``) evaluation alike."""
+    key = _floor_key(ctx, graph_id)
+    floor = -math.inf if key is None else ctx.cache.floor(*key)
+    graph = ctx.database.get(graph_id)
+    values = pair_values(
+        graph, ctx.spec.graph, ctx.measures, ctx.cutoff, floor, budget, context
+    )
+    if isinstance(values, tuple):
+        return values
+    if key is not None:
+        ctx.cache.raise_floor(*key, values)
+    return SOLVER_CUTOFF
 
 
 class Evaluator(abc.ABC):
@@ -144,15 +186,7 @@ class SerialEvaluator(Evaluator):
     interleaved = True
 
     def evaluate(self, ctx, candidate):
-        graph = ctx.database.get(candidate.graph_id)
-        key = _floor_key(ctx, candidate.graph_id)
-        floor = -math.inf if key is None else ctx.cache.floor(*key)
-        values = pair_values(graph, ctx.spec.graph, ctx.measures, ctx.cutoff, floor)
-        if isinstance(values, tuple):
-            return values
-        if key is not None:
-            ctx.cache.raise_floor(*key, values)
-        return SOLVER_CUTOFF
+        return solve_pair(ctx, candidate.graph_id)
 
 
 def _floor_key(ctx: "RunContext", graph_id: int) -> tuple | None:

@@ -22,6 +22,7 @@ values of Fig. 1 / Table III are integers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Hashable
 
@@ -89,11 +90,15 @@ class GedResult:
     found: bool = True
 
     def interval(self) -> Interval:
-        """Certified ``[lower, upper]`` interval around the exact distance."""
+        """Certified ``[lower, upper]`` interval around the exact distance
+        (``upper`` is ``inf`` unless a mapping realises ``distance``)."""
         lower = self.lower_bound
         if lower is None:
             lower = self.distance if self.optimal else 0.0
-        return Interval(lower=max(0.0, min(lower, self.distance)), upper=self.distance)
+        return Interval(
+            lower=max(0.0, min(lower, self.distance)),
+            upper=self.distance if self.found else math.inf,
+        )
 
 
 def _levels(side: GraphSide) -> tuple:

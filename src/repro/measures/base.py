@@ -18,6 +18,7 @@ specified with plain strings (``measures=("edit", "mcs", "union")``).
 from __future__ import annotations
 
 import abc
+import dataclasses
 import math
 from collections.abc import Callable, Iterable, Sequence
 
@@ -80,62 +81,51 @@ class PairContext:
     @property
     def ged(self) -> GedResult:
         """Exact graph edit distance (computed once)."""
-        if self._ged is None:
-            self._ged = graph_edit_distance(
-                self.g1, self.g2, costs=self.costs, _view=self.view
-            )
-        return self._ged
+        return self.ged_within()
 
-    def ged_below(self, cap: float) -> GedResult | None:
-        """The exact GED if it is below ``cap``, else ``None``.
+    def ged_within(
+        self, budget: Budget | None = None, cap: float = math.inf
+    ) -> GedResult | None:
+        """Best GED certificate obtainable in ``budget``, solved against ``cap``.
 
-        A finite ``cap`` (plus the seed's 1e-9, so float sums that round
-        above an equal-cost mapping cannot hide it) is the search's
-        incumbent, with no seed: only mappings cheaper than that
-        complete, so a found result is the exact optimum and becomes the
-        memo, and a miss proves the distance is at least ``cap``
-        (nothing is memoised).
+        ``None`` proves the distance is at least ``cap``: a search ran to
+        completion with no mapping below ``cap + 1e-9`` (so float sums
+        that round above an equal-cost mapping cannot hide it), or the
+        memoised exact value reaches it. Otherwise the result brackets
+        the exact distance; an optimal one is the memo. A finite cap is
+        the search's incumbent, with no seed. A truncated result is kept
+        and the next call resumes from the tighter of ``cap`` and its
+        realised incumbent. One that found nothing below the cap has
+        ``min(frontier bound, cap)`` as its lower side and the realised
+        seed (bipartite estimate, or full rewrite) as its upper side.
         """
-        if self._ged is None and cap < math.inf:
-            result = graph_edit_distance(
-                self.g1,
-                self.g2,
-                costs=self.costs,
-                upper_bound=cap + 1e-9,
-                _view=self.view,
+        if self._ged is None:
+            if budget is not None and budget.unlimited:
+                budget = None
+            prev = self._ged_partial
+            capped = prev is None or cap + 1e-9 < prev.distance
+            upper = None  # seeded: the first uncapped run
+            if not capped:
+                upper = prev.distance
+            elif cap < math.inf:
+                upper = cap + 1e-9
+            run = graph_edit_distance(
+                self.g1, self.g2, self.costs, upper, budget=budget, _view=self.view
             )
-            if not result.found:
-                return None
+            if capped and not run.found:  # nothing below the cap
+                if run.optimal:
+                    return None
+                run = dataclasses.replace(run, lower_bound=min(run.lower_bound, cap))
+                if prev is None:  # no expansion: just the realised seed
+                    prev = graph_edit_distance(
+                        self.g1, self.g2, self.costs, node_limit=0, _view=self.view
+                    )
+            result = run if prev is None else _merge_ged(prev, run)
+            if not result.optimal:
+                self._ged_partial = result
+                return result
             self._ged = result
-        result = self.ged
-        return result if result.distance < cap else None
-
-    def ged_within(self, budget: Budget | None) -> GedResult:
-        """Best (possibly partial) GED certificate obtainable in ``budget``."""
-        if budget is None or budget.unlimited:
-            return self.ged
-        if self._ged is not None:
-            return self._ged
-        prev = self._ged_partial
-        if prev is None:
-            result = graph_edit_distance(
-                self.g1, self.g2, costs=self.costs, budget=budget, _view=self.view
-            )
-        else:
-            rerun = graph_edit_distance(
-                self.g1,
-                self.g2,
-                costs=self.costs,
-                upper_bound=prev.distance,
-                budget=budget,
-                _view=self.view,
-            )
-            result = _merge_ged(prev, rerun)
-        if result.optimal:
-            self._ged = result
-        else:
-            self._ged_partial = result
-        return result
+        return self._ged if self._ged.distance < cap else None
 
     def mcs_within(self, budget: Budget | None) -> McsResult:
         """Best (possibly partial) MCS certificate obtainable in ``budget``."""
@@ -245,16 +235,23 @@ class DistanceMeasure(abc.ABC):
         g2: LabeledGraph,
         context: PairContext | None = None,
         cap: float = math.inf,
-    ) -> float | None:
+        budget: Budget | None = None,
+    ) -> float | Interval | None:
         """The exact distance if it is below ``cap``, else ``None``.
 
         The verification form of :meth:`distance`: a search that knows
         the cutoff may stop once it proves the value is at least ``cap``.
-        The default computes the exact value and compares; measures built
-        on a bounded search override this.
+        With a ``budget`` it is the verification form of
+        :meth:`distance_interval` instead: the certified interval, or
+        ``None`` once its lower side reaches ``cap``. The default
+        computes the value and compares; measures built on a bounded
+        search override this.
         """
-        value = self.distance(g1, g2, context)
-        return value if value < cap else None
+        if budget is None:
+            value = self.distance(g1, g2, context)
+            return value if value < cap else None
+        interval = self.distance_interval(g1, g2, context, budget)
+        return interval if interval.lower < cap else None
 
     def __call__(
         self,

@@ -44,11 +44,7 @@ class EditDistance(DistanceMeasure):
         g2: LabeledGraph,
         context: PairContext | None = None,
     ) -> float:
-        if context is not None and context.costs is self.costs:
-            return context.ged.distance
-        from repro.graph.ged import graph_edit_distance
-
-        return graph_edit_distance(g1, g2, costs=self.costs).distance
+        return self.distance_below(g1, g2, context)
 
     def distance_below(
         self,
@@ -56,11 +52,17 @@ class EditDistance(DistanceMeasure):
         g2: LabeledGraph,
         context: PairContext | None = None,
         cap: float = math.inf,
-    ) -> float | None:
+        budget: Budget | None = None,
+    ) -> float | Interval | None:
         if context is None or context.costs is not self.costs:
             context = PairContext(g1, g2, self.costs)
-        result = context.ged_below(cap)
-        return None if result is None else result.distance
+        result = context.ged_within(budget, cap)
+        if result is None:
+            return None
+        if budget is None:
+            return result.distance
+        interval = result.interval()
+        return interval if interval.lower < cap else None
 
     def distance_interval(
         self,
@@ -69,20 +71,8 @@ class EditDistance(DistanceMeasure):
         context: PairContext | None = None,
         budget: Budget | None = None,
     ) -> Interval:
-        return self._budgeted_result(g1, g2, context, budget).interval()
-
-    def _budgeted_result(
-        self,
-        g1: LabeledGraph,
-        g2: LabeledGraph,
-        context: PairContext | None,
-        budget: Budget | None,
-    ):
-        if context is not None and context.costs is self.costs:
-            return context.ged_within(budget)
-        from repro.graph.ged import graph_edit_distance
-
-        return graph_edit_distance(g1, g2, costs=self.costs, budget=budget)
+        # The uncapped verification, in interval form: never None.
+        return self.distance_below(g1, g2, context, math.inf, budget or Budget())
 
 
 class NormalizedEditDistance(DistanceMeasure):
@@ -115,7 +105,8 @@ class NormalizedEditDistance(DistanceMeasure):
         g2: LabeledGraph,
         context: PairContext | None = None,
         cap: float = math.inf,
-    ) -> float | None:
+        budget: Budget | None = None,
+    ) -> float | Interval | None:
         if cap <= 0.0:
             return None  # values are >= 0
         # x / (1 + x) < cap  <=>  x < cap / (1 - cap). The raw cap errs
@@ -125,11 +116,14 @@ class NormalizedEditDistance(DistanceMeasure):
         raw_cap = math.inf
         if cap < _NEAR_ONE:
             raw_cap = cap / (1.0 - cap) * (1.0 + 1e-8)
-        raw = self._edit.distance_below(g1, g2, context, raw_cap)
+        raw = self._edit.distance_below(g1, g2, context, raw_cap, budget)
         if raw is None:
             return None
-        value = raw / (1.0 + raw)
-        return value if value < cap else None
+        if budget is None:
+            value = raw / (1.0 + raw)
+            return value if value < cap else None
+        interval = _normalised(raw)
+        return interval if interval.lower < cap else None
 
     def distance_interval(
         self,
@@ -138,13 +132,16 @@ class NormalizedEditDistance(DistanceMeasure):
         context: PairContext | None = None,
         budget: Budget | None = None,
     ) -> Interval:
-        raw = self._edit.distance_interval(g1, g2, context, budget)
-        # x / (1 + x) is increasing, so it maps interval endpoints directly
-        # (sup over x -> inf is 1, the measure's bound).
-        return Interval(
-            lower=raw.lower / (1.0 + raw.lower),
-            upper=1.0 if math.isinf(raw.upper) else raw.upper / (1.0 + raw.upper),
-        )
+        return _normalised(self._edit.distance_interval(g1, g2, context, budget))
+
+
+def _normalised(raw: Interval) -> Interval:
+    """``x / (1 + x)`` maps interval endpoints directly: it is increasing
+    (and its sup over x -> inf is 1, the measure's bound)."""
+    return Interval(
+        lower=raw.lower / (1.0 + raw.lower),
+        upper=1.0 if math.isinf(raw.upper) else raw.upper / (1.0 + raw.upper),
+    )
 
 
 register_measure("edit", EditDistance)

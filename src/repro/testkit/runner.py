@@ -273,6 +273,8 @@ class RunReport:
     answer_misses: int = 0
     #: Pairs the engine's solvers cut at a bound stage's cap.
     solver_cutoffs: int = 0
+    #: Of those, the ones cut on budgeted (anytime) specs.
+    anytime_cutoffs: int = 0
     elapsed: float = 0.0
     divergence: Divergence | None = None
 
@@ -291,7 +293,8 @@ class RunReport:
             f"pair cache {self.cache_hits} hits / {self.cache_misses} misses; "
             f"answer store {self.answer_hits} hits / {self.answer_replays} "
             f"replays / {self.answer_misses} misses; "
-            f"{self.solver_cutoffs} solver cutoffs"
+            f"{self.solver_cutoffs} solver cutoffs, "
+            f"{self.anytime_cutoffs} anytime cutoffs"
         )
 
 
@@ -439,9 +442,10 @@ class WorkloadRunner:
         expected = self.oracle.answer(step.query)
         for cached in (False, True):
             result = self.session(step.backend, cached).execute(step.query)
-            report.solver_cutoffs += result.stats.pruned_by_stage.get(
-                SOLVER_CUTOFF, 0
-            )
+            cut = result.stats.pruned_by_stage.get(SOLVER_CUTOFF, 0)
+            report.solver_cutoffs += cut
+            if step.query.anytime:
+                report.anytime_cutoffs += cut
             actual = self._translate(result.ids)
             if actual != expected:
                 return Divergence(

@@ -239,6 +239,34 @@ def reference_values(g1: LabeledGraph, g2: LabeledGraph, distance: float) -> dic
     }
 
 
+def respelled(graph: LabeledGraph, spelling) -> LabeledGraph:
+    """``graph`` with its smallest vertex label spelled ``spelling``."""
+    first = min(graph.vertex_label(v) for v in graph.vertices())
+    out = LabeledGraph(name=graph.name)
+    for v in graph.vertices():
+        label = graph.vertex_label(v)
+        out.add_vertex(v, spelling if label == first else label)
+    for u, v, label in graph.edges():
+        out.add_edge(u, v, label)
+    return out
+
+
+def exact_pairs() -> list[tuple[LabeledGraph, LabeledGraph]]:
+    """Stored pairs small enough to solve exactly; every other one with
+    a label spelled ``1`` / ``1.0`` / ``True`` across the two graphs."""
+    spellings = [(1, True), (1.0, 1), (True, 1.0)]
+    pairs = []
+    for index, entry in enumerate(load()):
+        if "ged/uniform" not in entry["calls"]:
+            continue
+        g1, g2 = graph_from_dict(entry["g1"]), graph_from_dict(entry["g2"])
+        if index % 2:
+            one, two = spellings[index % 3]
+            g1, g2 = respelled(g1, one), respelled(g2, two)
+        pairs.append((g1, g2))
+    return pairs
+
+
 def generate() -> dict[str, Any]:
     entries = []
     for index, (g1, g2) in enumerate(build_pairs()):

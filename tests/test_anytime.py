@@ -134,6 +134,19 @@ def test_ged_found_flag_distinguishes_unrealized_truncation():
     assert not result.optimal
 
 
+def test_unrealized_truncation_interval_has_an_open_upper_side():
+    # Nothing was found below the bare cap: the cap is no realised
+    # mapping, so it must not be reported as an upper bound.
+    g1, g2 = _pair(9)
+    exact = graph_edit_distance(g1, g2).distance
+    result = graph_edit_distance(
+        g1, g2, upper_bound=1e-6, budget=Budget(node_limit=0)
+    )
+    interval = result.interval()
+    assert interval.upper == math.inf
+    assert 0.0 <= interval.lower <= min(result.distance, exact)
+
+
 def test_ged_astar_budget_interval_brackets_exact():
     g1, g2 = _pair(11, n=5, m=6)
     exact = graph_edit_distance_astar(g1, g2)

@@ -24,8 +24,9 @@ from repro.db.stats import QueryStats
 from repro.engine.planner import QueryPlanner, SelectivityProfile
 from repro.engine.plan import ParetoPruneStage, RankBoundStage, ThresholdBoundStage
 from repro.engine.workers import FrontierCutoff, FrontierJudge
-from repro.graph import LabeledGraph, graph_edit_distance, graph_from_dict
+from repro.graph import graph_edit_distance
 from repro.graph.generators import random_labeled_graph
+from repro.measures import base as measures_base
 from repro.measures.base import PairContext
 from repro.measures.edit_distance import EditDistance, NormalizedEditDistance
 from repro.skyline.utils import dominates
@@ -137,38 +138,10 @@ def test_rank_and_threshold_caps_still_solve_ties():
 # ----------------------------------------------------------------------
 # Bounded GED search
 # ----------------------------------------------------------------------
-def _respelled(graph: LabeledGraph, spelling) -> LabeledGraph:
-    """``graph`` with its smallest vertex label spelled ``spelling``."""
-    first = min(graph.vertex_label(v) for v in graph.vertices())
-    out = LabeledGraph(name=graph.name)
-    for v in graph.vertices():
-        label = graph.vertex_label(v)
-        out.add_vertex(v, spelling if label == first else label)
-    for u, v, label in graph.edges():
-        out.add_edge(u, v, label)
-    return out
-
-
-def _golden_pairs():
-    """Stored pairs small enough to solve exactly; every other one with
-    a label spelled ``1`` / ``1.0`` / ``True`` across the two graphs."""
-    spellings = [(1, True), (1.0, 1), (True, 1.0)]
-    pairs = []
-    for index, entry in enumerate(solver_golden.load()):
-        if "ged/uniform" not in entry["calls"]:
-            continue
-        g1, g2 = graph_from_dict(entry["g1"]), graph_from_dict(entry["g2"])
-        if index % 2:
-            one, two = spellings[index % 3]
-            g1, g2 = _respelled(g1, one), _respelled(g2, two)
-        pairs.append((g1, g2))
-    return pairs
-
-
 @pytest.mark.parametrize("model", sorted(solver_golden.COST_MODELS))
-def test_ged_below_is_none_iff_the_exact_value_reaches_the_cap(model):
+def test_capped_ged_is_none_iff_the_exact_value_reaches_the_cap(model):
     costs = solver_golden.COST_MODELS[model]
-    pairs = _golden_pairs()
+    pairs = solver_golden.exact_pairs()
     assert len(pairs) >= 100
     for g1, g2 in pairs:
         exact = graph_edit_distance(g1, g2, costs=costs)
@@ -181,7 +154,7 @@ def test_ged_below_is_none_iff_the_exact_value_reaches_the_cap(model):
             math.inf,
         ):
             context = PairContext(g1, g2, costs)
-            result = context.ged_below(cap)
+            result = context.ged_within(None, cap)
             if distance >= cap:
                 assert result is None, (g1.name, g2.name, model, cap)
                 # Only a found (hence exact) result is ever memoised.
@@ -200,7 +173,7 @@ def test_ged_below_is_none_iff_the_exact_value_reaches_the_cap(model):
 
 def test_normalized_edit_distance_at_boundary_caps():
     measure = NormalizedEditDistance()
-    for g1, g2 in _golden_pairs()[:40]:
+    for g1, g2 in solver_golden.exact_pairs()[:40]:
         value = measure.distance(g1, g2)
         for cap in (
             value,
@@ -288,13 +261,13 @@ def test_a_second_run_cuts_at_the_floor_without_a_search(monkeypatch):
     cut = first.stats.pruned_by_stage.get("solver-cutoff", 0)
     assert cut > 0
     searches = []
-    bounded = PairContext.ged_below
+    solve = measures_base.graph_edit_distance
 
-    def spy(context, cap):
-        searches.append(cap)
-        return bounded(context, cap)
+    def spy(*args, **kwargs):
+        searches.append(kwargs.get("upper_bound"))
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(PairContext, "ged_below", spy)
+    monkeypatch.setattr(measures_base, "graph_edit_distance", spy)
     # A new session (no stored answer) over the same cache: solved pairs
     # are served, cut pairs are cut again at their floors.
     with connect(graphs, backend="indexed", cache=cache) as session:

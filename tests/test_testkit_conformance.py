@@ -112,6 +112,9 @@ def test_summary_counts_solver_cutoffs():
     report = run_workload(generate_workload(seed=3, n_steps=60))
     assert report.ok and report.solver_cutoffs > 0
     assert f"{report.solver_cutoffs} solver cutoffs" in report.summary()
+    # Budgeted specs solve against the cutoff too.
+    assert 0 < report.anytime_cutoffs <= report.solver_cutoffs
+    assert f"{report.anytime_cutoffs} anytime cutoffs" in report.summary()
 
 
 def test_unknown_fault_rejected():
