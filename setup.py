@@ -1,9 +1,10 @@
-"""Setuptools shim.
+"""Package metadata.
 
-The canonical metadata lives in ``pyproject.toml``. This file exists so the
-package can be installed in environments without the ``wheel`` package
-(offline boxes), where PEP 517 editable installs are unavailable:
-``python setup.py develop`` or ``pip install -e . --no-build-isolation``.
+This file is the package's only build configuration (there is no
+``pyproject.toml``). Install with ``pip install -e .``, or
+``pip install -e ".[solver]"`` to add SciPy; offline boxes without the
+``wheel`` package can use ``python setup.py develop`` or
+``pip install -e . --no-build-isolation``.
 """
 
 from setuptools import find_packages, setup
@@ -25,4 +26,9 @@ setup(
     # registered and the scalar bounds remain in use (tests for the
     # vectorized path skip themselves).
     install_requires=["numpy>=1.22"],
+    # SciPy's assignment solver gives the exact GED solver its seed and
+    # its pre-search bracket (repro.graph.ged_approx). Without it the seed
+    # is the full rewrite, the bracket decides nothing, and answers are
+    # the same.
+    extras_require={"solver": ["scipy>=1.8"]},
 )

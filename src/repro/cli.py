@@ -647,8 +647,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "gather smoke)")
     p_fuzz.add_argument("--fault", default=None,
                         help="inject a known-broken engine stage "
-                             "(harness self-test: flip-bound or "
-                             "cutoff-off-by-one)")
+                             "(harness self-test: flip-bound, "
+                             "cutoff-off-by-one or "
+                             "bracket-lower-plus-one)")
     p_fuzz.add_argument("--no-shrink", action="store_true",
                         help="report the first divergence without minimizing")
     p_fuzz.add_argument("--save-failure", default=None,

@@ -147,7 +147,7 @@ def _evaluate(
     if state.context is None:
         state.context = PairContext(ctx.database.get(state.graph_id), ctx.spec.graph)
     budget = Budget(expires_at=slice_end, node_limit=state.node_budget)
-    values = solve_pair(ctx, state.graph_id, budget, state.context)
+    values = solve_pair(ctx, state.graph_id, budget, state.context, state.bounds)
     state.passes += 1
     anytime["passes"] += 1
     if refining:

@@ -126,13 +126,23 @@ def solve_pair(
     graph_id: int,
     budget: Budget | None = None,
     context: PairContext | None = None,
+    bounds: tuple[float, ...] | None = None,
 ) -> tuple | str:
     """:func:`pair_values` of one candidate against ``ctx.cutoff``: the
     vector, or :data:`SOLVER_CUTOFF` with the cap kept as the pair's
     floor in the pair cache. The per-pair rule of serial and anytime
-    (``budget``) evaluation alike."""
+    (``budget``) evaluation alike.
+
+    The floor is the higher of the cached one and the candidate's
+    optimistic ``bounds`` on the bounded dimension: once the other
+    dimensions are exact the cap can drop to that bound, and the pair is
+    then cut without a solve."""
     key = _floor_key(ctx, graph_id)
     floor = -math.inf if key is None else ctx.cache.floor(*key)
+    if bounds is not None and ctx.cutoff is not None:
+        dim = _bounded_dimension(ctx.measures)
+        if dim is not None and dim < len(bounds) and bounds[dim] > floor:
+            floor = bounds[dim]
     graph = ctx.database.get(graph_id)
     values = pair_values(
         graph, ctx.spec.graph, ctx.measures, ctx.cutoff, floor, budget, context
@@ -186,7 +196,7 @@ class SerialEvaluator(Evaluator):
     interleaved = True
 
     def evaluate(self, ctx, candidate):
-        return solve_pair(ctx, candidate.graph_id)
+        return solve_pair(ctx, candidate.graph_id, bounds=candidate.bounds)
 
 
 def _floor_key(ctx: "RunContext", graph_id: int) -> tuple | None:

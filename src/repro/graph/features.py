@@ -34,7 +34,6 @@ class GraphFeatures:
     size: int
     vertex_labels: tuple[tuple[Hashable, int], ...]
     edge_labels: tuple[tuple[Hashable, int], ...]
-    degree_sequence: tuple[int, ...]
 
     @classmethod
     def of(cls, graph: LabeledGraph) -> "GraphFeatures":
@@ -44,9 +43,6 @@ class GraphFeatures:
             size=graph.size,
             vertex_labels=_freeze(graph.vertex_label_multiset()),
             edge_labels=_freeze(graph.edge_label_multiset()),
-            degree_sequence=tuple(
-                sorted((graph.degree(v) for v in graph.vertices()), reverse=True)
-            ),
         )
 
     # The Counter forms are materialized once per (frozen, immutable)

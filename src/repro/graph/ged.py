@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from collections.abc import Hashable
 
 from repro.graph.budget import Budget, Interval
+from repro.graph.ged_approx import GedBracket, ged_bracket
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.operations import (
     CostModel,
@@ -341,34 +342,6 @@ def _df_ged(
     )
 
 
-def _seed_incumbent(
-    view: PairView,
-    tables: CostTables,
-    costs: CostModel,
-) -> tuple[float, dict[VertexId, VertexId | None]]:
-    """A finite *realised* incumbent for any cost model.
-
-    Prefers the bipartite-assignment estimate (its distance is the exact
-    induced cost of its mapping, for every cost model); when SciPy/NumPy
-    are unavailable, falls back to the full-rewrite mapping (delete all of
-    ``g1``, insert all of ``g2``), which every cost model can price. Either
-    way the search starts from a complete assignment, so a truncated run
-    always has a realised solution to hand back (never an ``inf`` or
-    unrealised "upper bound").
-    """
-    # Local import: ged_approx builds on the same cost models but must
-    # stay importable without the exact solver.
-    from repro.graph.ged_approx import _bipartite_estimate, _induced_cost
-
-    try:
-        estimate = _bipartite_estimate(view, tables, costs)
-        return estimate.distance, estimate.mapping
-    except ImportError:  # no scipy/numpy: worst-case full rewrite
-        ids1, n2 = view.side1.ids, len(view.side2.ids)
-        mapping = {v: DELETED for v in ids1}
-        return _induced_cost(view, tables, [n2] * len(ids1)), mapping
-
-
 def graph_edit_distance(
     g1: LabeledGraph,
     g2: LabeledGraph,
@@ -378,6 +351,7 @@ def graph_edit_distance(
     budget: Budget | None = None,
     *,
     _view: PairView | None = None,
+    _bracket: GedBracket | None = None,
 ) -> GedResult:
     """Exact ``DistEd(g1, g2)`` with the realising vertex mapping.
 
@@ -399,19 +373,25 @@ def graph_edit_distance(
         expansions) checked inside the expansion loop; exhaustion
         truncates exactly like ``node_limit``.
 
-    ``_view`` is internal: :class:`~repro.measures.base.PairContext` hands
-    over the pair view it already built for ``(g1, g2)``; bare calls build
-    their own.
+    ``_view`` and ``_bracket`` are internal:
+    :class:`~repro.measures.base.PairContext` hands over the pair view it
+    already built for ``(g1, g2)`` and the bracket it already solved for
+    them (whose mapping is the seed); bare calls build their own.
     """
     view = PairView(g1, g2) if _view is None else _view
     tables = CostTables(view, costs)
     seed_mapping = None
     seed = upper_bound
     if seed is None:
-        seed_cost, seed_mapping = _seed_incumbent(view, tables, costs)
+        # A realised seed for any cost model: the bipartite assignment's
+        # mapping, or the full rewrite without SciPy/NumPy. Either way a
+        # truncated run has a complete solution to hand back.
+        if _bracket is None:
+            _bracket = ged_bracket(view, tables, costs)
+        seed_mapping = _bracket.mapping
         # Tiny epsilon: the search may re-find an equal-cost complete
         # mapping and record it (pruning uses >= best).
-        seed = seed_cost + 1e-9
+        seed = _bracket.upper + 1e-9
     result = _df_ged(
         view, tables, costs, float(seed), node_limit, budget, seed_mapping
     )

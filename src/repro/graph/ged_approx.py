@@ -9,7 +9,9 @@ Three estimators complement the exact solver of :mod:`repro.graph.ged`:
   of both graphs are matched by solving one linear assignment problem over
   a cost matrix that prices each substitution together with an estimate of
   its incident-edge costs; the induced edit cost of that full mapping is a
-  valid upper bound.
+  valid upper bound. Under the uniform model the assignment's optimum is
+  also a lower bound (BRANCH, Blumenthal & Gamper 2018), so one solve
+  gives the certified :class:`GedBracket` the exact solver starts from.
 * :func:`beam_ged` — a beam-limited variant of the exact depth-first
   search; wider beams tighten the bound at higher cost.
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from collections.abc import Hashable
@@ -146,6 +149,45 @@ def ged_lower_bound(
     return vertex_part + edge_part
 
 
+class GedBracket:
+    """Certified ``[lower, upper]`` around ``DistEd`` from one assignment.
+
+    ``upper`` is the induced cost of the assignment's complete mapping
+    (:attr:`mapping`), priced on first use: a caller that only needs to
+    know that ``lower`` reaches a cutoff never pays for it. ``lower`` is
+    the assignment's optimum when that is a proof (BRANCH under the
+    uniform model with integral prices, rounded up since the distance is
+    then an integer) and ``0.0`` otherwise. ``lower == upper`` pins the
+    exact distance.
+    """
+
+    __slots__ = ("lower", "_view", "_tables", "_image", "_upper")
+
+    def __init__(
+        self, lower: float, view: PairView, tables: CostTables, image: list[int]
+    ) -> None:
+        self.lower = lower
+        self._view = view
+        self._tables = tables
+        self._image = image  # g2 index per g1 vertex, n2 = deleted
+        self._upper: float | None = None
+
+    @property
+    def upper(self) -> float:
+        if self._upper is None:
+            self._upper = _induced_cost(self._view, self._tables, self._image)
+        return self._upper
+
+    @property
+    def mapping(self) -> dict[VertexId, VertexId | None]:
+        targets = self._view.side2.ids + [DELETED]
+        return {u: targets[w] for u, w in zip(self._view.side1.ids, self._image)}
+
+    @property
+    def settled(self) -> bool:
+        return self.lower == self.upper
+
+
 def bipartite_ged(
     g1: LabeledGraph,
     g2: LabeledGraph,
@@ -159,26 +201,61 @@ def bipartite_ged(
     assignment problem, and prices the resulting complete mapping exactly.
     """
     view = PairView(g1, g2)
-    return _bipartite_estimate(view, CostTables(view, costs), costs)
+    bracket = _bipartite_estimate(view, CostTables(view, costs), costs)
+    return GedEstimate(bracket.upper, bracket.mapping)
 
 
-def _incident_labels(side: GraphSide) -> list[dict[int, int]]:
-    """Per vertex: ``edge-label id -> count`` over its incident edges,
-    keyed in adjacency order (the order the sums below associate in).
-    Memoised per side."""
-    incident = []
+def ged_bracket(view: PairView, tables: CostTables, costs: CostModel) -> GedBracket:
+    """The exact solver's starting bracket: :func:`bipartite_ged`'s
+    assignment, or without SciPy/NumPy the full rewrite (delete all of
+    ``g1``, insert all of ``g2``) with no lower side."""
+    try:
+        return _bipartite_estimate(view, tables, costs)
+    except ImportError:
+        n1, n2 = len(view.side1.ids), len(view.side2.ids)
+        return GedBracket(0.0, view, tables, [n2] * n1)
+
+
+def _branch_data(side: GraphSide) -> tuple:
+    """Per vertex: its degree, and ``edge-label id -> count`` over its
+    incident edges (as a dict and as its items), keyed in adjacency order
+    (the order the sums below associate in). Memoised per side."""
+    degrees, items, incident = [], [], []
     for row, adjacent in zip(side.rows, side.neighbors):
         counts: dict[int, int] = {}
         for j in adjacent:
             counts[row[j]] = counts.get(row[j], 0) + 1
+        degrees.append(len(adjacent))
+        items.append(list(counts.items()))
         incident.append(counts)
-    return incident
+    return degrees, items, incident
+
+
+def _incident_sum(prices: list[float], counts: list[tuple[int, int]]) -> float:
+    """One price per incident edge, added edge by edge in adjacency order.
+
+    Float addition is not associative, and the assignment chosen among
+    equal-cost ties follows the matrix to the last bit; that choice is
+    DF-GED's seed, pinned by ``tests/data/solver_golden.json``."""
+    total = 0.0
+    for price, (_, count) in zip(prices, counts):
+        for _ in range(count):
+            total += price
+    return total
 
 
 def _bipartite_estimate(
     view: PairView, tables: CostTables, costs: CostModel
-) -> GedEstimate:
-    """:func:`bipartite_ged` over a pair view (the exact solver's seed)."""
+) -> GedBracket:
+    """:func:`bipartite_ged`'s assignment over a pair view, as a bracket.
+
+    Every entry prices a vertex operation plus half the optimal
+    assignment of its incident edges (:func:`~repro.graph.pairview.
+    assignment_bound`, inlined), so under the uniform model the matrix
+    optimum never exceeds the cost of any complete mapping: the BRANCH
+    lower bound. Other models get a conservative edge estimate that
+    proves nothing.
+    """
     import numpy
     from scipy.optimize import linear_sum_assignment
 
@@ -186,47 +263,59 @@ def _bipartite_estimate(
     n1, n2 = len(side1.ids), len(side2.ids)
     size = n1 + n2
     if size == 0:
-        return GedEstimate(0.0, {})
-    if isinstance(costs, UniformCostModel):
+        return GedBracket(0.0, view, tables, [])
+    proves = isinstance(costs, UniformCostModel)
+    if proves:
         indel, mismatch = costs.indel_cost, costs.mismatch_cost
+        proves = float(indel).is_integer() and float(mismatch).is_integer()
     else:  # conservative generic estimates for the edge term
         indel, mismatch = 1.0, 1.0
-    edge = tables.edge
-    incident1, incident2 = side1.memo(_incident_labels), side2.memo(_incident_labels)
+    pair = mismatch if mismatch < 2.0 * indel else 2.0 * indel
+    edge, labels1, labels2 = tables.edge, side1.labels, side2.labels
+    degrees1, items1, _ = side1.memo(_branch_data)
+    degrees2, items2, incident2 = side2.memo(_branch_data)
     edge_to2 = view.edge_to2
     big = 1e9
-    matrix = [[big] * size for _ in range(n1)]
-    matrix += [[big] * n2 + [0.0] * n1 for _ in range(n2)]
-    for i, counts1 in enumerate(incident1):
-        row = matrix[i]
-        substitution = tables.vertex_sub[side1.labels[i]]
-        degree = len(side1.neighbors[i])
+    matrix = []
+    for i, counts1 in enumerate(items1):
+        substitution = tables.vertex_sub[labels1[i]]
+        degree = degrees1[i]
         # The same labels in g2's ids, where the overlaps look them up.
-        shared = [(edge_to2[label], count) for label, count in counts1.items()]
-        for j, counts2 in enumerate(incident2):
+        shared = [(edge_to2[label], count) for label, count in counts1]
+        row = [big] * size
+        for j, degree2 in enumerate(degrees2):
             overlap = 0
-            for label, count in shared:
-                other = counts2.get(label, 0)
-                overlap += count if count < other else other
-            edge_term = assignment_bound(
-                degree, len(side2.neighbors[j]), overlap, indel, mismatch
-            ) / 2.0
-            row[j] = substitution[side2.labels[j]] + edge_term
-        row[n2 + i] = tables.vertex_del[side1.labels[i]] + sum(
-            edge[label][NO_EDGE] for label, count in counts1.items() for _ in range(count)
+            if shared:
+                counts2 = incident2[j]
+                for label, count in shared:
+                    other = counts2.get(label, 0)
+                    overlap += count if count < other else other
+            if degree < degree2:
+                term = (degree2 - degree) * indel + (degree - overlap) * pair
+            else:
+                term = (degree - degree2) * indel + (degree2 - overlap) * pair
+            row[j] = substitution[labels2[j]] + term / 2.0
+        row[n2 + i] = tables.vertex_del[labels1[i]] + _incident_sum(
+            [edge[label][NO_EDGE] for label, _ in counts1], counts1
         ) / 2.0
-    for j, counts2 in enumerate(incident2):
-        matrix[n1 + j][j] = tables.vertex_ins[side2.labels[j]] + sum(
-            edge[NO_EDGE][label] for label, count in counts2.items() for _ in range(count)
+        matrix.append(row)
+    free = [0.0] * n1
+    insert = edge[NO_EDGE]
+    for j, counts2 in enumerate(items2):
+        row = [big] * n2 + free
+        row[j] = tables.vertex_ins[labels2[j]] + _incident_sum(
+            [insert[label] for label, _ in counts2], counts2
         ) / 2.0
+        matrix.append(row)
     rows, cols = linear_sum_assignment(numpy.array(matrix))
     image = [n2] * n1
+    optimum = 0.0
     for i, j in zip(rows.tolist(), cols.tolist()):
+        optimum += matrix[i][j]  # halves and integers: an exact sum
         if i < n1 and j < n2:
             image[i] = j
-    targets = side2.ids + [DELETED]
-    mapping = {u: targets[w] for u, w in zip(side1.ids, image)}
-    return GedEstimate(_induced_cost(view, tables, image), mapping)
+    lower = float(math.ceil(optimum)) if proves else 0.0
+    return GedBracket(lower, view, tables, image)
 
 
 def beam_ged(

@@ -26,9 +26,10 @@ from repro.errors import QueryError
 from repro.graph.budget import Budget, Interval
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.ged import GedResult, graph_edit_distance
+from repro.graph.ged_approx import GedBracket, ged_bracket
 from repro.graph.mcs import McsResult, maximum_common_subgraph
 from repro.graph.operations import CostModel, UNIFORM_COSTS
-from repro.graph.pairview import PairView
+from repro.graph.pairview import CostTables, PairView
 
 
 class PairContext:
@@ -40,6 +41,9 @@ class PairContext:
     re-run starts from the previous incumbent as its upper bound, an MCS
     re-run seeds its pruning incumbent with the previous realised size,
     and results are merged monotonically (bounds only ever tighten).
+
+    The GED bracket (:meth:`ged_bracket`) is solved once too: its
+    assignment is every seeded GED run's starting mapping.
 
     Every solver run of the pair — GED, its bipartite seed, MCS, and each
     refinement re-run — works on one :class:`~repro.graph.pairview.PairView`,
@@ -62,6 +66,7 @@ class PairContext:
         self._ged: GedResult | None = None
         self._mcs_partial: McsResult | None = None
         self._ged_partial: GedResult | None = None
+        self._bracket: GedBracket | None = None
         self._view: PairView | None = None
 
     @property
@@ -77,6 +82,16 @@ class PairContext:
         if self._mcs is None:
             self._mcs = maximum_common_subgraph(self.g1, self.g2, _view=self.view)
         return self._mcs
+
+    def ged_bracket(self) -> GedBracket:
+        """Certified ``[lower, upper]`` around the exact GED from one
+        bipartite assignment (solved once; see
+        :class:`~repro.graph.ged_approx.GedBracket`)."""
+        if self._bracket is None:
+            self._bracket = ged_bracket(
+                self.view, CostTables(self.view, self.costs), self.costs
+            )
+        return self._bracket
 
     @property
     def ged(self) -> GedResult:
@@ -104,13 +119,15 @@ class PairContext:
                 budget = None
             prev = self._ged_partial
             capped = prev is None or cap + 1e-9 < prev.distance
-            upper = None  # seeded: the first uncapped run
+            upper = None  # seeded from the bracket: the first uncapped run
             if not capped:
                 upper = prev.distance
             elif cap < math.inf:
                 upper = cap + 1e-9
+            seed = self.ged_bracket() if upper is None else None
             run = graph_edit_distance(
-                self.g1, self.g2, self.costs, upper, budget=budget, _view=self.view
+                self.g1, self.g2, self.costs, upper, budget=budget,
+                _view=self.view, _bracket=seed,
             )
             if capped and not run.found:  # nothing below the cap
                 if run.optimal:
@@ -118,7 +135,8 @@ class PairContext:
                 run = dataclasses.replace(run, lower_bound=min(run.lower_bound, cap))
                 if prev is None:  # no expansion: just the realised seed
                     prev = graph_edit_distance(
-                        self.g1, self.g2, self.costs, node_limit=0, _view=self.view
+                        self.g1, self.g2, self.costs, node_limit=0,
+                        _view=self.view, _bracket=self.ged_bracket(),
                     )
             result = run if prev is None else _merge_ged(prev, run)
             if not result.optimal:

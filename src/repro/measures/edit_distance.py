@@ -12,7 +12,7 @@ import math
 
 from repro.graph.budget import Budget, Interval
 from repro.graph.labeled_graph import LabeledGraph
-from repro.graph.operations import CostModel, UNIFORM_COSTS
+from repro.graph.operations import CostModel, UNIFORM_COSTS, UniformCostModel
 from repro.measures.base import DistanceMeasure, PairContext, register_measure
 
 #: Normalised caps at or above this are not mapped to a raw cap: there
@@ -33,10 +33,21 @@ class EditDistance(DistanceMeasure):
 
     name = "edit"
     normalized = False
-    is_metric = True
 
     def __init__(self, costs: CostModel = UNIFORM_COSTS) -> None:
         self.costs = costs
+
+    @property
+    def is_metric(self) -> bool:
+        """Only the uniform model with positive prices is known to give a
+        metric: weighted or per-label prices can break the triangle
+        inequality, and a zero price makes distinct graphs coincide."""
+        costs = self.costs
+        return (
+            isinstance(costs, UniformCostModel)
+            and costs.indel_cost > 0.0
+            and costs.mismatch_cost > 0.0
+        )
 
     def distance(
         self,
@@ -56,6 +67,13 @@ class EditDistance(DistanceMeasure):
     ) -> float | Interval | None:
         if context is None or context.costs is not self.costs:
             context = PairContext(g1, g2, self.costs)
+        # The pair's bracket decides most pairs without a search: a lower
+        # side at the cap cuts it, a closed bracket is the exact value.
+        bracket = context.ged_bracket()
+        if bracket.lower >= cap:
+            return None
+        if bracket.settled:
+            return bracket.upper if budget is None else Interval.exact(bracket.upper)
         result = context.ged_within(budget, cap)
         if result is None:
             return None
@@ -85,10 +103,14 @@ class NormalizedEditDistance(DistanceMeasure):
 
     name = "edit-normalized"
     normalized = True
-    is_metric = True  # f(x) = x/(1+x) is subadditive and increasing
 
     def __init__(self, costs: CostModel = UNIFORM_COSTS) -> None:
         self._edit = EditDistance(costs)
+
+    @property
+    def is_metric(self) -> bool:
+        # f(x) = x/(1+x) is subadditive and increasing: a metric stays one.
+        return self._edit.is_metric
 
     def distance(
         self,

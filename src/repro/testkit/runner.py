@@ -20,13 +20,14 @@ The first check that disagrees stops the run and is reported as a
 the same way, so crash bugs shrink just like wrong-answer bugs.
 
 ``fault=`` injects a deliberately broken engine stage (see
-:data:`FAULTS`) — the harness's own smoke test: a sign-flipped bound, or
-a solver cutoff one float too low, must be caught and shrunk to a
-printable repro.
+:data:`FAULTS`) — the harness's own smoke test: a sign-flipped bound, a
+solver cutoff one float too low, or a GED bracket whose lower side is
+one too high must be caught and shrunk to a printable repro.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -54,8 +55,9 @@ from repro.engine.plan import (
     kth_smallest,
 )
 from repro.errors import QueryError
-from repro.engine.evaluate import SOLVER_CUTOFF, SerialEvaluator
+from repro.engine.evaluate import SOLVER_CUTOFF, SerialEvaluator, solve_pair
 from repro.graph.serialization import graph_to_dict
+from repro.measures.base import PairContext
 from repro.shard.backend import ShardedBackend
 from repro.shard.store import ShardedGraphDatabase
 from repro.skyline.utils import dominates
@@ -215,10 +217,39 @@ class OffByOneCutoffIndexedBackend(IndexedBackend):
         )
 
 
+class _RaisedBracketContext(PairContext):
+    """A pair context whose GED bracket claims one price unit (of the
+    paper's uniform model) more than its assignment proves."""
+
+    def ged_bracket(self):
+        bracket = copy.copy(super().ged_bracket())
+        bracket.lower += 1.0
+        return bracket
+
+
+class _RaisedBracketEvaluator(SerialEvaluator):
+    def evaluate(self, ctx, candidate):
+        context = _RaisedBracketContext(
+            ctx.database.get(candidate.graph_id), ctx.spec.graph
+        )
+        return solve_pair(ctx, candidate.graph_id, None, context, candidate.bounds)
+
+
+class RaisedBracketIndexedBackend(IndexedBackend):
+    """The ``indexed`` backend whose GED brackets' lower side is one high:
+    it cuts pairs at a cap they stay below, or settles them one high."""
+
+    def build_plan(self, spec: GraphQuery) -> EvaluationPlan:
+        return dataclasses.replace(
+            super().build_plan(spec), evaluator=_RaisedBracketEvaluator()
+        )
+
+
 #: Injectable faults: name -> replacement class for the indexed backend.
 FAULTS: dict[str, type[ExecutionBackend]] = {
     "flip-bound": BrokenBoundIndexedBackend,
     "cutoff-off-by-one": OffByOneCutoffIndexedBackend,
+    "bracket-lower-plus-one": RaisedBracketIndexedBackend,
 }
 
 

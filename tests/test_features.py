@@ -21,7 +21,6 @@ def test_features_extraction():
     features = GraphFeatures.of(g)
     assert features.order == 3
     assert features.size == 2
-    assert features.degree_sequence == (2, 1, 1)
     assert features.vertex_label_counter() == {"A": 2, "B": 1}
 
 

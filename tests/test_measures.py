@@ -25,6 +25,7 @@ from repro.measures import (
     mcs_similarity,
     resolve_measures,
 )
+from tests import solver_golden
 from tests.conftest import make_random_graph
 
 
@@ -214,3 +215,15 @@ def test_property_harness_triangle_toggle():
         McsDistance(), graphs, check_triangle=False
     )
     assert report.checked_triples == 0
+
+
+@pytest.mark.parametrize("model", sorted(solver_golden.COST_MODELS))
+def test_edit_distances_claim_metricity_only_under_the_uniform_model(model):
+    from repro.graph.operations import UniformCostModel
+
+    costs = solver_golden.COST_MODELS[model]
+    uniform = isinstance(costs, UniformCostModel)
+    assert EditDistance(costs).is_metric is uniform
+    assert NormalizedEditDistance(costs).is_metric is uniform
+    assert EditDistance().is_metric and NormalizedEditDistance().is_metric
+    assert not EditDistance(UniformCostModel(mismatch_cost=0.0)).is_metric

@@ -108,6 +108,21 @@ def test_off_by_one_solver_cutoff_is_caught_and_shrunk():
     assert run_workload(minimal, fault="cutoff-off-by-one").divergence is not None
 
 
+def test_raised_bracket_lower_side_is_caught_and_shrunk():
+    # A lower side one above what the assignment proves cuts pairs at a
+    # cap they stay below, or settles them one too high.
+    pytest.importorskip("scipy")
+    workload = generate_workload(seed=7, n_steps=120)
+    report = run_workload(workload, fault="bracket-lower-plus-one")
+    assert not report.ok, "the raised bracket went undetected"
+    assert report.divergence.backend == "indexed"
+    minimal, _ = shrink_workload(
+        workload,
+        lambda cand: run_workload(cand, fault="bracket-lower-plus-one").divergence,
+    )
+    assert len(minimal) <= 10
+
+
 def test_summary_counts_solver_cutoffs():
     report = run_workload(generate_workload(seed=3, n_steps=60))
     assert report.ok and report.solver_cutoffs > 0
