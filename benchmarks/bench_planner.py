@@ -1,4 +1,4 @@
-"""Bench A10 — cost-based adaptive planner: ``auto`` versus every fixed backend.
+"""Bench A10 — rule-based adaptive planner: ``auto`` versus every fixed backend.
 
 Runs two workload classes through every fixed backend (``memory``,
 ``indexed``, ``parallel``, ``vectorized`` when NumPy is present,
@@ -13,7 +13,7 @@ Runs two workload classes through every fixed backend (``memory``,
   exactly while the index-backed plans prune most of them.
 
 Each session runs the whole spec list once untimed (index/store build,
-pool spawn, planner calibration — all session-persistent), then the
+pool spawn — both session-persistent), then the
 timed measurements interleave backends round-robin for ``REPEATS``
 rounds — slow drift in machine load hits every backend equally instead
 of whichever ran last. Per spec the best round counts, and the class
@@ -94,8 +94,8 @@ def _run_class(database, specs, backends):
     }
     try:
         for session in sessions.values():
-            for spec in specs:  # warmup: index/store build, pool spawn,
-                session.execute(spec)  # planner calibration
+            for spec in specs:  # warmup: index/store build, pool spawn
+                session.execute(spec)
         best = {}
 
         def _round(names):

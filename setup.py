@@ -2,7 +2,8 @@
 
 This file is the package's only build configuration (there is no
 ``pyproject.toml``). Install with ``pip install -e .``, or
-``pip install -e ".[solver]"`` to add SciPy; offline boxes without the
+``pip install -e ".[solver]"`` to add SciPy and ``".[reference]"`` to
+add NetworkX; offline boxes without the
 ``wheel`` package can use ``python setup.py develop`` or
 ``pip install -e . --no-build-isolation``.
 """
@@ -30,5 +31,10 @@ setup(
     # its pre-search bracket (repro.graph.ged_approx). Without it the seed
     # is the full rewrite, the bracket decides nothing, and answers are
     # the same.
-    extras_require={"solver": ["scipy>=1.8"]},
+    # NetworkX is the independent exact-GED reference that the solver
+    # cross-checks in tests/ compare against; they skip without it.
+    extras_require={
+        "solver": ["scipy>=1.8"],
+        "reference": ["networkx>=2.8"],
+    },
 )

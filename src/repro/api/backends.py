@@ -40,7 +40,7 @@ from repro.errors import QueryError
 from repro.measures.base import DistanceMeasure
 from repro.core.gcs import CompoundSimilarity
 from repro.db.database import GraphDatabase
-from repro.db.index import FeatureIndex
+from repro.db.index import FeatureIndex, VersionedIndex
 from repro.db.stats import QueryStats
 from repro.api.spec import GraphQuery
 from repro.engine.core import resolved_measures, run_plan, single_measure
@@ -222,23 +222,18 @@ class IndexedBackend(ExecutionBackend):
         super().__init__(database)
         self.use_index = use_index
         self.cache = cache
-        self.index = FeatureIndex()
-        self._index_version = -1
+        #: Returns the feature index, rebuilt iff the database changed.
+        self._ensure_index = VersionedIndex(database)
         self._ensure_index()
 
-    # -- index maintenance ---------------------------------------------
-    def _ensure_index(self) -> FeatureIndex:
-        """Rebuild the feature index iff the database changed under us."""
-        if self._index_version != self.database.version:
-            self.index = FeatureIndex()
-            for entry in self.database.entries():
-                self.index.add(entry.graph_id, entry.features)
-            self._index_version = self.database.version
-        return self.index
+    @property
+    def index(self) -> FeatureIndex:
+        """The live feature index."""
+        return self._ensure_index()
 
     def refresh_index(self) -> None:
         """Force an index rebuild (kept for the legacy executor API)."""
-        self._index_version = -1
+        self._ensure_index.invalidate()
         self._ensure_index()
 
     def _candidate_order(self, query_features, measures):

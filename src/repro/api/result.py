@@ -257,35 +257,14 @@ class ResultSet:
             )
         if self.stats.planner is not None:
             planner = self.stats.planner
-            lines.append(
-                f"planner: chose {planner.get('summary', 'auto')} "
-                f"(profile: {planner.get('profile_queries', 0)} queries "
-                "observed)"
-            )
-            predicted = planner.get("predicted") or {}
-            observed = planner.get("observed") or {}
-            for stage in predicted:
-                lines.append(
-                    f"  stage {stage}: predicted {predicted[stage]:.1%} "
-                    f"prune, observed {observed.get(stage, 0.0):.1%}"
-                )
-            costs = planner.get("costs_ms") or {}
-            if costs:
-                ranked = sorted(costs.items(), key=lambda item: item[1])
-                lines.append(
-                    "  considered: "
-                    + "  ".join(
-                        f"{label}={ms:.1f}ms" for label, ms in ranked
-                    )
-                )
+            lines.append(f"planner: chose {planner.get('summary', 'auto')}")
+            for reason in planner.get("reasons") or []:
+                lines.append(f"  rule: {reason}")
             for row in planner.get("per_shard") or []:
                 lines.append(
                     "  shard {shard}: evaluator={evaluator} "
-                    "predicted_survivors={predicted_survivors} "
                     "(size {size})".format(**row)
                 )
-            for reason in planner.get("reasons") or []:
-                lines.append(f"  note: {reason}")
         if self.stats.pruned_by_stage:
             breakdown = ", ".join(
                 f"{name}: {count}"

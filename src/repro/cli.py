@@ -399,7 +399,7 @@ _BACKEND_NOTES = {
     "vectorized": "NumPy batched bound kernels + flat threshold pre-filter",
     "parallel": "exhaustive fan-out on the persistent process pool",
     "sharded": "scatter-gather over a sharded store (connect shards=N)",
-    "auto": "cost-based planner: picks source/stages/evaluator per query",
+    "auto": "rule-based planner: picks source/stages/evaluator per query",
 }
 
 
@@ -429,6 +429,16 @@ def _cmd_backends(args: argparse.Namespace) -> int:
     else:
         pool_note += "; no pool started yet"
     print(f"cpu count: {info['cpu_count']} — pooled evaluation {pool_note}")
+    bounds = (
+        f"batched bounds from {info['batch_min_rows']} rows, scalar below"
+        if info["numpy"] else "scalar bounds"
+    )
+    break_even = info["pool_break_even_s"]
+    print(
+        f"auto rule: {bounds}; pooled once rows × per-pair prior exceed "
+        f"{break_even['cold'] * 1e3:.0f} ms (cold pool) or "
+        f"{break_even['warm'] * 1e3:.0f} ms (warm pool), serial otherwise"
+    )
     if args.database:
         path = Path(args.database)
         if path.is_dir():
@@ -443,7 +453,7 @@ def _cmd_backends(args: argparse.Namespace) -> int:
             )
             print(f"database {args.database}: {len(database)} graphs "
                   f"({topology}, mean order {avg:.1f}) — what `auto` "
-                  "feeds its cost model")
+                  "feeds its rule")
     return 0
 
 

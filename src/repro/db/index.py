@@ -70,6 +70,14 @@ class FeatureIndex:
     def __init__(self) -> None:
         self._features: dict[int, GraphFeatures] = {}
 
+    @classmethod
+    def of(cls, database) -> "FeatureIndex":
+        """An index over every entry of ``database``, in database order."""
+        index = cls()
+        for entry in database.entries():
+            index.add(entry.graph_id, entry.features)
+        return index
+
     def add(self, graph_id: int, features: GraphFeatures) -> None:
         """Register (or refresh) the features of ``graph_id``."""
         self._features[graph_id] = features
@@ -123,3 +131,27 @@ class FeatureIndex:
             for graph_id, features in self._features.items()
             if bound_function(features, query_features) <= threshold
         ]
+
+
+class VersionedIndex:
+    """The :class:`FeatureIndex` of one database, rebuilt on demand.
+
+    Calling the holder returns the index, rebuilt first iff the
+    database's mutation version moved since the last build — so a
+    backend (or one shard's source) never needs a manual refresh.
+    """
+
+    def __init__(self, database) -> None:
+        self.database = database
+        self.index = FeatureIndex()
+        self._version = -1
+
+    def __call__(self) -> FeatureIndex:
+        if self._version != self.database.version:
+            self.index = FeatureIndex.of(self.database)
+            self._version = self.database.version
+        return self.index
+
+    def invalidate(self) -> None:
+        """Force a rebuild on the next call."""
+        self._version = -1

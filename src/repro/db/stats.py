@@ -32,9 +32,8 @@ class QueryStats:
     pruned_by_stage: dict[str, int] = field(default_factory=dict)
     phase_seconds: dict[str, float] = field(default_factory=dict)
     #: Planner decision record (``None`` unless the query ran on the
-    #: ``auto`` backend): chosen source/stages/evaluator, predicted vs
-    #: observed per-stage selectivities, the predicted cost of every
-    #: considered plan and, on the scatter path, per-shard evaluators.
+    #: ``auto`` backend): chosen source/stages/evaluator, the planning
+    #: rule's reasons and, on the scatter path, per-shard evaluators.
     planner: dict[str, object] | None = None
     #: Scatter-gather breakdown: one row per shard (``shard``, ``size``,
     #: ``candidates``, ``pruned``, ``evaluated``, ``served``), in shard

@@ -75,11 +75,7 @@ from repro.engine.workers import (
 )
 from repro.engine.anytime import run_plan_anytime
 from repro.engine.core import RunContext, make_context, run_plan
-from repro.engine.planner import (
-    PlanDecision,
-    QueryPlanner,
-    SelectivityProfile,
-)
+from repro.engine.planner import PlanDecision, QueryPlanner
 from repro.engine.deadline import Deadline, current_deadline, deadline_scope
 from repro.engine.scatter import (
     FrontierMerge,
@@ -124,7 +120,6 @@ __all__ = [
     "run_plan_anytime",
     "PlanDecision",
     "QueryPlanner",
-    "SelectivityProfile",
     "Deadline",
     "current_deadline",
     "deadline_scope",

@@ -45,8 +45,7 @@ import math
 import time
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
-from repro.db.database import GraphDatabase
-from repro.db.index import FeatureIndex
+from repro.db.index import VersionedIndex
 from repro.db.stats import QueryStats
 from repro.engine.core import resolved_measures, run_plan
 from repro.engine.evaluate import Evaluator
@@ -65,28 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.backends import BackendAnswer
     from repro.engine.core import RunContext
     from repro.shard.store import ShardedGraphDatabase
-
-
-class _ShardIndexProvider:
-    """A shard-local :class:`FeatureIndex`, rebuilt off the shard version.
-
-    The scalar fallback when NumPy is absent; mirrors the ``indexed``
-    backend's self-healing maintenance, but scoped to one shard: only
-    mutations landing on *this* shard trigger a rebuild.
-    """
-
-    def __init__(self, shard: GraphDatabase) -> None:
-        self.shard = shard
-        self.index = FeatureIndex()
-        self._version = -1
-
-    def __call__(self) -> FeatureIndex:
-        if self._version != self.shard.version:
-            self.index = FeatureIndex()
-            for entry in self.shard.entries():
-                self.index.add(entry.graph_id, entry.features)
-            self._version = self.shard.version
-        return self.index
 
 
 class ShardedSource(CandidateSource):
@@ -129,7 +106,7 @@ class ShardedSource(CandidateSource):
                     lambda store=store: store, prefilter=self.use_index
                 )
             else:
-                source = BoundOrderedSource(_ShardIndexProvider(shard))
+                source = BoundOrderedSource(VersionedIndex(shard))
             self._sources[index] = source
         return source
 

@@ -1,17 +1,20 @@
-"""The cost-based adaptive planner and the ``auto`` backend.
+"""The rule-based planner and the ``auto`` backend.
 
 Answer-set parity with the exhaustive reference across all four kinds is
 also fuzzed (``auto`` sits in the testkit backend rotation); this file
-pins the decision layer itself — selectivity-profile feedback, soundness
-gates, static cost crossovers, NumPy-absent degradation, the regret
-pins (a plan chosen once never evaluates much more than ``indexed``),
-the ``explain()`` / ``to_dict()`` reporting, the sharded scatter path,
-the ``repro backends`` CLI, and the shared profile behind the server.
+pins the decision layer itself — the rule's soundness gates and
+crossovers, plans that do not depend on read history, NumPy-absent
+degradation, the regret pins (a plan chosen once never evaluates much
+more than ``indexed``), ``auto`` against the fixed backend the rule
+names, the ``explain()`` / ``to_dict()`` reporting, the sharded scatter
+path, the ``repro backends`` CLI, and plans behind the server.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro import GraphDatabase, PairCache, Query
@@ -19,18 +22,27 @@ from repro.api.auto import AutoBackend
 from repro.api.backends import available_backends
 from repro.api.spec import GraphQuery
 from repro.datasets import make_workload
-from repro.db.stats import QueryStats
-from repro.engine.planner import QueryPlanner, SelectivityProfile, availability
+from repro.engine.planner import (
+    BATCH_MIN_ROWS,
+    POOL_START_SECONDS,
+    POOL_WARM_SECONDS,
+    QueryPlanner,
+    availability,
+)
 from repro.shard import ShardedGraphDatabase
 
 from tests.conftest import make_random_graph
 
 
+def _random_database(n_graphs: int) -> GraphDatabase:
+    return GraphDatabase.from_graphs(
+        [make_random_graph(seed, max_vertices=5) for seed in range(n_graphs)]
+    )
+
+
 @pytest.fixture
 def database() -> GraphDatabase:
-    return GraphDatabase.from_graphs(
-        [make_random_graph(seed, max_vertices=5) for seed in range(14)]
-    )
+    return _random_database(14)
 
 
 @pytest.fixture
@@ -72,10 +84,10 @@ def test_auto_matches_memory(database, query_graph, build):
     assert result.ids == expected.ids
     planner = result.stats.planner
     assert planner is not None and planner["backend"] == "auto"
-    # The decision names source, stages, evaluator, and selectivities.
+    # The decision names source, stages, evaluator, and the rule's reasons.
     assert planner["source"] in ("database-order", "bound-ordered", "indexed")
     assert planner["evaluator"]
-    assert set(planner["observed"]) == set(planner["predicted"])
+    assert planner["reasons"]
 
 
 def test_tolerant_skyline_disables_pruning(database, query_graph):
@@ -93,13 +105,15 @@ def test_explain_and_to_dict_carry_the_decision(database, query_graph):
     with repro.connect(database, backend="auto") as session:
         result = session.execute(_skyline_spec(query_graph))
     text = result.explain()
-    assert "planner: chose" in text
-    assert "predicted" in text and "observed" in text
-    assert "considered:" in text
+    assert "planner: chose bound-ordered+pareto-bound/" in text
+    assert f"rule: rows 14 < {BATCH_MIN_ROWS}: scalar bounds" in text
     payload = result.to_dict()
     planner = payload["stats"]["planner"]
     assert planner["summary"] == result.stats.planner["summary"]
-    assert "scalar-index/serial" in planner["costs_ms"]
+    assert planner["reasons"] == result.stats.planner["reasons"]
+    assert set(planner) == {
+        "backend", "summary", "source", "stages", "evaluator", "reasons"
+    }
     assert payload["stats"]["pruned_by_stage"] == dict(
         result.stats.pruned_by_stage
     )
@@ -127,111 +141,26 @@ def test_execute_decides_once_and_explains_the_plan_that_ran(
     assert f"cascade: {' → '.join(ran)}" in result.explain()
 
 
-def test_profile_learns_across_queries(database, query_graph):
-    backend = AutoBackend(database)
-    spec = _skyline_spec(query_graph)
-    first = backend.run(spec)
-    assert first.stats.planner["profile_queries"] == 0
-    second = backend.run(spec)
-    assert second.stats.planner["profile_queries"] == 1
-    kind_stage = backend.profile.selectivity(
-        "skyline", first.stats.planner["stages"][0]
-    )
-    assert kind_stage is not None
-    assert backend.profile.pair_seconds("skyline") > 0.0
-
-
 # ----------------------------------------------------------------------
-# SelectivityProfile
-# ----------------------------------------------------------------------
-def _stats(considered, pruned_by_stage=None, batch=0, evals=0, evaluate_s=0.0):
-    stats = QueryStats(
-        candidates_considered=considered,
-        pruned_by_batch=batch,
-        exact_evaluations=evals,
-    )
-    stats.pruned_by_stage.update(pruned_by_stage or {})
-    if evaluate_s:
-        stats.phase_seconds["evaluate"] = evaluate_s
-    return stats
-
-
-def test_profile_ewma_update():
-    profile = SelectivityProfile(alpha=0.5)
-    profile.observe(
-        "skyline",
-        _stats(100, {"pareto-bound": 80}),
-        stage_names=("pareto-bound",),
-    )
-    assert profile.selectivity("skyline", "pareto-bound") == pytest.approx(0.8)
-    profile.observe(
-        "skyline",
-        _stats(100, {"pareto-bound": 40}),
-        stage_names=("pareto-bound",),
-    )
-    # EWMA: 0.8 + 0.5 * (0.4 - 0.8)
-    assert profile.selectivity("skyline", "pareto-bound") == pytest.approx(0.6)
-    assert profile.queries == 2
-
-
-def test_profile_records_zero_selectivity_for_planned_stages():
-    profile = SelectivityProfile()
-    profile.observe("topk", _stats(50), stage_names=("rank-bound",))
-    assert profile.selectivity("topk", "rank-bound") == 0.0
-
-
-def test_profile_pair_seconds_and_prefilter():
-    profile = SelectivityProfile()
-    profile.observe(
-        "threshold",
-        _stats(40, batch=30, evals=10, evaluate_s=0.02),
-        stage_names=("batch-prefilter", "threshold-bound"),
-    )
-    assert profile.selectivity("threshold", "batch-prefilter") == pytest.approx(
-        0.75
-    )
-    assert profile.pair_seconds("threshold") == pytest.approx(0.002)
-    snapshot = profile.snapshot()
-    assert snapshot["queries"] == 1
-    assert "threshold/batch-prefilter" in snapshot["selectivity"]
-    assert snapshot["pair_ms"]["threshold"] == pytest.approx(2.0)
-
-
-def test_batch_and_scalar_stage_names_share_observations():
-    profile = SelectivityProfile()
-    profile.observe(
-        "skyline",
-        _stats(100, {"pareto-bound(batch)": 70}),
-        stage_names=("pareto-bound(batch)",),
-    )
-    planner = QueryPlanner(profile, numpy_available=True, max_workers=1)
-    assert planner._predicted_selectivity(
-        "skyline", "pareto-bound"
-    ) == pytest.approx(0.7)
-    assert planner._predicted_selectivity(
-        "skyline", "pareto-bound(batch)"
-    ) == pytest.approx(0.7)
-
-
-# ----------------------------------------------------------------------
-# Static decisions
+# The rule
 # ----------------------------------------------------------------------
 def test_decide_prefers_scalar_small_batch_large(query_graph):
-    planner = QueryPlanner(
-        SelectivityProfile(), numpy_available=True, max_workers=1
-    )
+    planner = QueryPlanner(numpy_available=True, max_workers=1)
     spec = _skyline_spec(query_graph)
     small = planner.decide(spec, db_size=20, avg_order=5.0)
     assert small.stage == "pareto-bound" and not small.batch
     large = planner.decide(spec, db_size=2000, avg_order=5.0)
     assert large.stage == "pareto-bound(batch)" and large.batch
     assert large.source == "indexed"
+    below = planner.decide(spec, db_size=BATCH_MIN_ROWS - 1, avg_order=5.0)
+    at = planner.decide(spec, db_size=BATCH_MIN_ROWS, avg_order=5.0)
+    assert (below.batch, at.batch) == (False, True)
+    assert below.reasons[0] == f"rows {BATCH_MIN_ROWS - 1} < 79: scalar bounds"
+    assert at.reasons[0] == f"rows {BATCH_MIN_ROWS} ≥ 79: batched bounds"
 
 
 def test_decide_without_numpy_never_batches(query_graph):
-    planner = QueryPlanner(
-        SelectivityProfile(), numpy_available=False, max_workers=1
-    )
+    planner = QueryPlanner(numpy_available=False, max_workers=1)
     for build in (
         lambda q: Query(q).measures("edit", "mcs").skyline(),
         lambda q: Query(q).topk(3, "edit"),
@@ -243,9 +172,7 @@ def test_decide_without_numpy_never_batches(query_graph):
 
 
 def test_decide_anytime_is_serial(query_graph):
-    planner = QueryPlanner(
-        SelectivityProfile(), numpy_available=True, max_workers=8
-    )
+    planner = QueryPlanner(numpy_available=True, max_workers=8)
     spec = Query(query_graph).measures("edit", "mcs").skyline().budget(
         ms=50
     ).build()
@@ -255,54 +182,95 @@ def test_decide_anytime_is_serial(query_graph):
 
 
 def test_decide_single_core_cannot_pool(query_graph):
-    planner = QueryPlanner(
-        SelectivityProfile(), numpy_available=True, max_workers=1
-    )
-    decision = planner.decide(_skyline_spec(query_graph), 500, 5.0)
+    planner = QueryPlanner(numpy_available=True, max_workers=1)
+    decision = planner.decide(_skyline_spec(query_graph), 5000, 8.0)
     assert decision.evaluator == "serial"
-    assert all("/pooled" not in label for label in decision.costs)
+    assert decision.reasons[-1] == "pool not usable (workers=1)"
 
 
 def test_decide_serial_winner_still_costs_the_pool(query_graph):
-    planner = QueryPlanner(
-        SelectivityProfile(), numpy_available=True, max_workers=4
+    # 40 rows of order 4 are ~8 ms of prior solver work: below both the
+    # cold and the warm break-even, and the reason says by how much.
+    planner = QueryPlanner(numpy_available=True, max_workers=4)
+    spec = _skyline_spec(query_graph)
+    cold = planner.decide(spec, 40, 4.0)
+    warm = planner.decide(spec, 40, 4.0, pool_started=True)
+    assert cold.evaluator == warm.evaluator == "serial"
+    assert cold.reasons[-1] == (
+        f"solver prior 8.3ms ≤ cold pool break-even "
+        f"{POOL_START_SECONDS * 1e3:.0f}ms"
     )
-    decision = planner.decide(_skyline_spec(query_graph), 40, 4.0)
-    assert decision.evaluator == "serial"
-    assert "scalar-index/pooled" in decision.costs
+    assert "warm pool break-even" in warm.reasons[-1]
 
 
 def test_decide_offers_exhaustive_only_when_pruning_is_unsound(query_graph):
-    profile = SelectivityProfile()
-    # A profile that has seen the rank stage prune nothing, ever.
-    profile.observe(
-        "topk",
-        _stats(100, {"rank-bound": 0}, evals=100, evaluate_s=0.01),
-        stage_names=("rank-bound",),
-    )
-    planner = QueryPlanner(profile, numpy_available=True, max_workers=1)
+    planner = QueryPlanner(numpy_available=True, max_workers=1)
     topk = planner.decide(Query(query_graph).topk(3, "edit").build(), 150, 5.0)
-    assert topk.stage == "rank-bound"
-    assert not any(label.startswith("exhaustive") for label in topk.costs)
+    assert topk.stage == "rank-bound" and topk.source == "indexed"
     tolerant_spec = (
         Query(query_graph).measures("edit", "mcs").skyline(tolerance=0.25)
     ).build()
     tolerant = planner.decide(tolerant_spec, 150, 5.0)
     assert tolerant.stage is None and tolerant.source == "database-order"
-    assert set(tolerant.costs) == {"exhaustive/serial"}
+    assert tolerant.summary == "database-order+no-prune/serial"
+    assert "tolerant" in tolerant.reasons[0]
 
 
 def test_decide_huge_survivor_count_goes_pooled(query_graph):
-    profile = SelectivityProfile()
-    # Teach the profile that pairs are expensive and pruning is useless.
-    profile.observe(
-        "skyline",
-        _stats(100, {"pareto-bound": 0}, evals=100, evaluate_s=5.0),
-        stage_names=("pareto-bound",),
-    )
-    planner = QueryPlanner(profile, numpy_available=True, max_workers=4)
-    decision = planner.decide(_skyline_spec(query_graph), 5000, 8.0)
-    assert decision.evaluator == "pooled"
+    # 5000 rows of order 8: ~4.2 s of prior solver work pays a cold pool;
+    # 500 rows (~0.4 s) pay only a warm one.
+    planner = QueryPlanner(numpy_available=True, max_workers=4)
+    spec = _skyline_spec(query_graph)
+    assert planner.decide(spec, 5000, 8.0).evaluator == "pooled"
+    assert planner.decide(spec, 500, 8.0).evaluator == "serial"
+    warm = planner.decide(spec, 500, 8.0, pool_started=True)
+    assert warm.evaluator == "pooled"
+    assert warm.summary == "indexed+pareto-bound(batch)/pooled"
+
+
+# ----------------------------------------------------------------------
+# Plans follow the input, not the read history
+# ----------------------------------------------------------------------
+def test_threshold_plan_does_not_follow_a_read_that_pruned_nothing(
+    query_graph,
+):
+    # threshold(20.0) prunes nothing; a planner that priced stages from
+    # observed prune rates would plan the next threshold read on the
+    # batched source.
+    database = _random_database(30)
+    with repro.connect(database, backend="auto", max_workers=1) as session:
+        loose = session.execute(Query(query_graph).threshold(20.0, "edit"))
+        tight = session.execute(Query(query_graph).threshold(0.5, "edit"))
+    expected = "bound-ordered+threshold-bound/serial"
+    assert loose.stats.planner["summary"] == expected
+    assert tight.stats.planner["summary"] == expected
+
+
+_READS = [
+    lambda q: Query(q).threshold(20.0, "edit"),
+    lambda q: Query(q).threshold(0.5, "edit"),
+    lambda q: Query(q).topk(1, "edit"),
+    lambda q: Query(q).topk(12, "edit"),
+    lambda q: Query(q).measures("edit", "mcs").skyline(),
+    lambda q: Query(q).measures("edit", "mcs").skyband(3),
+    lambda q: Query(q).measures("edit", "mcs").skyline(tolerance=0.25),
+]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    history=st.lists(st.sampled_from(_READS), max_size=4),
+    final=st.sampled_from(_READS),
+)
+def test_decisions_do_not_depend_on_prior_reads(history, final):
+    database = _random_database(12)
+    query = make_random_graph(99, max_vertices=5)
+    spec = final(query).build()
+    fresh = AutoBackend(database, max_workers=1)
+    trained = AutoBackend(database, max_workers=1)
+    for build in history:
+        trained.run(build(query).build())
+    assert trained._decide(spec) == fresh._decide(spec)
 
 
 # ----------------------------------------------------------------------
@@ -349,9 +317,9 @@ def _indexed_and_memory(database, build):
 
 
 def test_topk_after_neighbours_removed_evaluates_like_indexed():
-    # A read trains the profile, then the query's 20 nearest neighbours
-    # are deleted: the next read's bound-ordered prefix prunes nothing
-    # for well over 32 candidates before the rank cutoff starts biting.
+    # After one read the query's 20 nearest neighbours are deleted: the
+    # next read's bound-ordered prefix prunes nothing for well over 32
+    # candidates before the rank cutoff starts biting.
     database, query = _topk_workload(150)
     build = lambda: Query(query).topk(3, "edit")  # noqa: E731
     with repro.connect(database, backend="auto", max_workers=1) as session:
@@ -371,9 +339,8 @@ def test_topk_after_neighbours_removed_evaluates_like_indexed():
 
 
 def test_poisoned_topk_profile_keeps_the_rank_stage():
-    # k = |db| top-k queries prune nothing and drive the profile's
-    # rank-bound estimate towards zero; a later k = 3 read must still
-    # plan the stage, or every top-k query becomes a full scan.
+    # k = |db| top-k queries prune nothing; a later k = 3 read must
+    # still plan the stage, or every top-k query becomes a full scan.
     database, query = _topk_workload(150)
     build = lambda: Query(query).topk(3, "edit")  # noqa: E731
     with repro.connect(database, backend="auto", max_workers=1) as session:
@@ -399,20 +366,15 @@ def test_poisoned_topk_profile_keeps_the_rank_stage():
     ids=["skyline", "topk"],
 )
 def test_pooled_monolithic_plan_prunes_like_serial(build):
-    # Expensive pairs and a middling prune rate: the planner keeps the
-    # bound stage and goes pooled. The pooled drain must prune against
-    # the query's exact vectors, not ship every survivor in one wave.
-    database, query = _topk_workload(60)
-    spec = build(query).build()
-    stage = "rank-bound" if spec.kind == "topk" else "pareto-bound"
-    profile = SelectivityProfile()
-    profile.observe(
-        spec.kind,
-        _stats(100, {stage: 50}, evals=100, evaluate_s=500.0),
-        stage_names=(stage,),
-    )
-    backend = AutoBackend(database, profile=profile, max_workers=2)
-    with repro.connect(database, backend=backend) as session:
+    # 500 rows of average order ~4.3 are ~0.12 s of prior solver work,
+    # past a warm pool's break-even: the planner keeps the bound stage
+    # and goes pooled. The pooled drain must prune against the query's
+    # exact vectors, not ship every survivor in one wave.
+    from repro.engine.workers import get_pool
+
+    get_pool(2).ensure_started()
+    database, query = _topk_workload(500)
+    with repro.connect(database, backend="auto", max_workers=2) as session:
         result = session.execute(build(query))
     indexed, expected = _indexed_and_memory(database, lambda: build(query))
     assert result.ids == expected.ids
@@ -421,6 +383,54 @@ def test_pooled_monolithic_plan_prunes_like_serial(build):
     assert (
         result.stats.exact_evaluations <= 2 * indexed.stats.exact_evaluations
     )
+
+
+# ----------------------------------------------------------------------
+# auto runs the plan of the fixed backend the rule names
+# ----------------------------------------------------------------------
+#: The two workload classes of ``benchmarks/bench_planner.py``: graphs,
+#: query size, seed and spec mix.
+_BENCH_CLASSES = {
+    "interactive": (36, 6, 101, [
+        lambda q: Query(q).measures("edit", "mcs").skyline(),
+        lambda q: Query(q).measures("edit", "mcs").skyband(2),
+        lambda q: Query(q).topk(3, "edit"),
+        lambda q: Query(q).threshold(0.5, "edit"),
+    ]),
+    "bulk-pruned": (120, 5, 202, [
+        lambda q: Query(q).measures("edit", "mcs").skyline(),
+        lambda q: Query(q).topk(5, "edit"),
+        lambda q: Query(q).threshold(0.4, "edit"),
+    ]),
+}
+#: The candidate source each fixed backend's plan reads.
+_FIXED_SOURCE = {"indexed": "bound-ordered", "vectorized": "indexed"}
+
+
+@pytest.mark.parametrize("name", list(_BENCH_CLASSES))
+def test_auto_runs_the_plan_of_the_fixed_backend_the_rule_names(name):
+    n_graphs, query_size, seed, builds = _BENCH_CLASSES[name]
+    workload = make_workload(
+        n_graphs=n_graphs, query_size=query_size, seed=seed
+    )
+    database = GraphDatabase.from_graphs(workload.database)
+    query = workload.queries[0]
+    fixed = "indexed"
+    if len(database) >= BATCH_MIN_ROWS and (
+        "vectorized" in available_backends()
+    ):
+        fixed = "vectorized"
+    for build in builds:
+        with repro.connect(database, backend=fixed) as session:
+            named = session.execute(build(query))
+        with repro.connect(database, backend="auto") as session:
+            result = session.execute(build(query))
+        shape = f"{_FIXED_SOURCE[fixed]}+{named.plan.stages[0]}/serial"
+        assert result.stats.planner["summary"] == shape
+        assert (
+            result.stats.exact_evaluations == named.stats.exact_evaluations
+        )
+        assert result.ids == _reference(database, lambda: build(query)).ids
 
 
 # ----------------------------------------------------------------------
@@ -437,7 +447,7 @@ def test_sharded_auto_parity_and_per_shard_plans(database, query_graph):
     assert planner["source"] == "scatter×3"
     rows = planner["per_shard"]
     assert [row["shard"] for row in rows] == [0, 1, 2]
-    assert all(row["evaluator"] for row in rows)
+    assert all(set(row) == {"shard", "size", "evaluator"} for row in rows)
     assert sum(row["size"] for row in rows) == len(database)
     assert "shard 0:" in result.explain()
 
@@ -451,6 +461,11 @@ def test_availability_reports_planner_inputs():
     assert info["cpu_count"] >= 1
     assert info["pool_usable"] == (info["cpu_count"] > 1)
     assert isinstance(info["pools_started"], list)
+    assert info["batch_min_rows"] == BATCH_MIN_ROWS == 79
+    assert info["pool_break_even_s"] == {
+        "cold": POOL_START_SECONDS,
+        "warm": POOL_WARM_SECONDS,
+    }
 
 
 def test_cli_backends_lists_every_backend(capsys):
@@ -461,6 +476,7 @@ def test_cli_backends_lists_every_backend(capsys):
     for name in ("auto", "memory", "indexed", "parallel", "sharded"):
         assert name in out
     assert "cpu" in out
+    assert "auto rule: " in out and "1200 ms (cold pool)" in out
 
 
 def test_cli_fuzz_accepts_auto_backend():
@@ -470,19 +486,22 @@ def test_cli_fuzz_accepts_auto_backend():
 
 
 # ----------------------------------------------------------------------
-# Server: one shared profile across clients
+# Server: every client gets the plan its spec names
 # ----------------------------------------------------------------------
-def test_server_clients_share_one_profile(database, query_graph):
+def test_server_clients_get_the_same_plan(database, query_graph):
     import http.client
     import json
 
     from repro.server import ServerConfig, serve_in_thread
 
-    # Distinct specs: a repeat would be served by the answer store, not
-    # planned.
+    # Budgeted specs always run (the answer store never serves them), so
+    # both clients' reads are planned; another client's read that prunes
+    # nothing runs between them.
+    spec = Query(query_graph).threshold(0.5, "edit").budget(ms=60_000)
     specs = [
-        _skyline_spec(query_graph),
-        Query(query_graph).measures("edit", "mcs").skyband(2).build(),
+        spec.build(),
+        Query(query_graph).threshold(20.0, "edit").budget(ms=60_000).build(),
+        spec.build(),
     ]
     with serve_in_thread(database, ServerConfig()) as server:
         seen = []
@@ -501,7 +520,5 @@ def test_server_clients_share_one_profile(database, query_graph):
                 payload = json.loads(response.read())
             finally:
                 conn.close()
-            seen.append(payload["stats"]["planner"]["profile_queries"])
-    # The second client's query ran against a profile already trained by
-    # the first — the server shares one auto session across clients.
-    assert seen == [0, 1]
+            seen.append(payload["stats"]["planner"]["summary"])
+    assert seen[0] == seen[2] == "bound-ordered+threshold-bound/serial"

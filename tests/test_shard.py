@@ -396,12 +396,12 @@ def test_representative_plan_runs_standalone(sharded_fig3):
 
 
 def test_scalar_shard_index_fallback(sharded_fig3):
-    # The non-NumPy path: a per-shard FeatureIndex provider rebuilt off
+    # The non-NumPy path: a per-shard FeatureIndex holder rebuilt off
     # the shard's own version counter.
-    from repro.engine.scatter import _ShardIndexProvider
+    from repro.db.index import VersionedIndex
 
     shard = sharded_fig3.shards[0]
-    provider = _ShardIndexProvider(shard)
+    provider = VersionedIndex(shard)
     index = provider()
     assert sorted(index.ids()) == sorted(shard.ids())
     assert provider() is index  # unchanged shard -> cached index

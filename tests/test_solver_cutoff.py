@@ -20,8 +20,6 @@ from hypothesis import strategies as st
 
 from repro import PairCache, Query, connect
 from repro.db.cache import QueryCache
-from repro.db.stats import QueryStats
-from repro.engine.planner import QueryPlanner, SelectivityProfile
 from repro.engine.plan import ParetoPruneStage, RankBoundStage, ThresholdBoundStage
 from repro.engine.workers import FrontierCutoff, FrontierJudge
 from repro.graph import graph_edit_distance
@@ -328,40 +326,3 @@ def test_floor_bookkeeping_in_both_cache_flavours():
     legacy.invalidate_graph(7)
     assert legacy.floor(7, "q", "edit") == -math.inf
     assert legacy.floor(8, "q", "edit") == 4.0
-
-
-def test_profile_divides_evaluate_time_by_pairs_handed_to_a_solver():
-    profile = SelectivityProfile()
-    stats = QueryStats(candidates_considered=10, exact_evaluations=2)
-    stats.count_prune("solver-cutoff", 2)
-    stats.count_prune("rank-bound", 6)
-    stats.pruned_by_index = 8
-    stats.phase_seconds["evaluate"] = 0.4
-    profile.observe("topk", stats, stage_names=("rank-bound",))
-    assert profile.pair_seconds("topk") == pytest.approx(0.1)
-    assert profile.selectivity("topk", "rank-bound") == pytest.approx(0.6)
-
-
-def _profile(evaluations: int, cut: int) -> SelectivityProfile:
-    """A top-k profile: 100 candidates, none bound-pruned, 50 ms of solving."""
-    stats = QueryStats(candidates_considered=100, exact_evaluations=evaluations)
-    if cut:
-        stats.count_prune("solver-cutoff", cut)
-        stats.pruned_by_index = cut
-    stats.phase_seconds["evaluate"] = 0.05
-    profile = SelectivityProfile()
-    profile.observe("topk", stats, stage_names=("rank-bound",))
-    return profile
-
-
-def test_planner_stays_serial_when_most_solves_are_cut():
-    # 98 of 100 solves cut: 0.5 ms per pair handed to a solver, so 20
-    # pairs do not pay for 16 pool chunks. Dividing the same time by the
-    # two evaluations alone (25 ms per pair) would pick the pool.
-    query = random_labeled_graph(4, 4, vertex_labels=("a", "b"), seed=1)
-    spec = Query(query).topk(3, "edit").build()
-    decide = dict(db_size=20, avg_order=5.0, pool_started=True)
-    honest = QueryPlanner(_profile(2, 98), numpy_available=False, max_workers=4)
-    assert honest.decide(spec, **decide).evaluator == "serial"
-    inflated = QueryPlanner(_profile(2, 0), numpy_available=False, max_workers=4)
-    assert inflated.decide(spec, **decide).evaluator == "pooled"
