@@ -658,8 +658,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--fault", default=None,
                         help="inject a known-broken engine stage "
                              "(harness self-test: flip-bound, "
-                             "cutoff-off-by-one or "
-                             "bracket-lower-plus-one)")
+                             "cutoff-off-by-one, "
+                             "bracket-lower-plus-one or "
+                             "mcs-upper-minus-one)")
     p_fuzz.add_argument("--no-shrink", action="store_true",
                         help="report the first divergence without minimizing")
     p_fuzz.add_argument("--save-failure", default=None,

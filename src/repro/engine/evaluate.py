@@ -73,6 +73,7 @@ def pair_values(
     floor: float = -math.inf,
     budget: Budget | None = None,
     context: PairContext | None = None,
+    bounds: tuple[float, ...] | None = None,
 ) -> tuple | float:
     """Measure vector of one (graph, query) pair (shared ``context``).
 
@@ -89,6 +90,13 @@ def pair_values(
     dimensions' lower bounds stand in for their exact values in the cap:
     an exact vector no worse than them is no worse than the exact values
     (and strictly better where strictly below a lower bound).
+
+    Before any dimension is solved, the cap is asked once with every
+    other dimension at its search-free lower bound
+    (:meth:`~repro.measures.base.DistanceMeasure.pair_lower_bound`, or
+    the candidate's optimistic ``bounds`` where higher). Lowering values
+    outside ``dim`` never lowers a cap, so a pair whose ``floor`` or own
+    lower bound already reaches that cap is cut with nothing solved.
     """
     if context is None:
         context = PairContext(graph, query)
@@ -101,6 +109,15 @@ def pair_values(
     dim = None if stage is None else _bounded_dimension(measures)
     if dim is None:
         return tuple(solve(measure) for measure in measures)
+    if len(measures) > 1:
+        cap = stage.cap(
+            _lower_bounds(graph, query, measures, dim, context, bounds), dim
+        )
+        if cap is not None and (
+            floor >= cap
+            or measures[dim].pair_lower_bound(graph, query, context) >= cap
+        ):
+            return cap
     values = [
         math.nan if index == dim else solve(measure)
         for index, measure in enumerate(measures)
@@ -119,6 +136,28 @@ def pair_values(
         return cap
     values[dim] = value
     return tuple(values)
+
+
+def _lower_bounds(
+    graph: LabeledGraph,
+    query: LabeledGraph,
+    measures: tuple[DistanceMeasure, ...],
+    dim: int,
+    context: PairContext,
+    bounds: tuple[float, ...] | None,
+) -> list[float]:
+    """Search-free lower bounds of every dimension but ``dim`` (NaN): the
+    higher of the measure's pair bound and the candidate's own."""
+    lower = []
+    for index, measure in enumerate(measures):
+        if index == dim:
+            lower.append(math.nan)
+            continue
+        value = measure.pair_lower_bound(graph, query, context)
+        if bounds is not None and index < len(bounds) and bounds[index] > value:
+            value = bounds[index]
+        lower.append(value)
+    return lower
 
 
 def solve_pair(
@@ -145,7 +184,8 @@ def solve_pair(
             floor = bounds[dim]
     graph = ctx.database.get(graph_id)
     values = pair_values(
-        graph, ctx.spec.graph, ctx.measures, ctx.cutoff, floor, budget, context
+        graph, ctx.spec.graph, ctx.measures, ctx.cutoff, floor, budget, context,
+        bounds,
     )
     if isinstance(values, tuple):
         return values

@@ -166,6 +166,13 @@ class BoundStage(Stage):
         A candidate whose exact value reaches the cap would be pruned by
         this stage's own rule applied to its exact vector, so the solver
         may stop once it proves that instead of computing the value.
+
+        The cap is monotone: lowering ``values`` outside ``dim`` never
+        lowers it (``None`` counts as highest). So a cap asked with lower
+        bounds in place of exact values is never below the exact one,
+        and a pair whose ``dim`` value provably reaches it is out; the
+        evaluator's pre-cut (:func:`~repro.engine.evaluate.pair_values`)
+        rests on this. Every override must keep it.
         """
         return None
 

@@ -548,7 +548,8 @@ class FrontierCutoff:
     def cap(self, values, dim: int) -> float | None:
         """The in-process stage's :meth:`~repro.engine.plan.BoundStage.cap`
         over the published vectors: the smallest value of ``dim`` at
-        which the judge would prune the candidate's exact vector."""
+        which the judge would prune the candidate's exact vector. Monotone
+        like it: lowering ``values`` outside ``dim`` never lowers it."""
         judge = self.judge
         if judge.tolerance > 0:
             return None

@@ -20,6 +20,13 @@ The solver is a McGregor-style branch and bound:
 * the bound ``matched + min(available g1 edges, available g2 edges)`` prunes
   hopeless branches.
 
+Before any search, :func:`mcs_edge_bound` certifies an upper bound on
+``|mcs|`` from one relaxation: every matched edge is counted at both of
+its mapped endpoints, and a vertex pair can match at most as many
+incident edges as their signatures (edge label, far-end label) share.
+The bound lets a caller cut a pair without a search, and lets the search
+stop once its incumbent reaches it.
+
 Both objectives of Definition 7 are supported: ``"edges"`` (used by every
 numeric example in the paper — the default) and ``"vertices"`` (the literal
 reading of the definition text).
@@ -134,11 +141,68 @@ def _ranked2(side: GraphSide) -> tuple:
     return by_rank, masks, same_label, by_label
 
 
+def _signatures(side: GraphSide) -> dict[int, list[dict[tuple[int, int], int]]]:
+    """Per vertex-label key, the signatures of the non-isolated vertices
+    carrying it: ``(edge-label key, far-end vertex-label key) -> count``
+    over the vertex's incident edges. Vocabulary keys, so signatures
+    compare across sides."""
+    vertex_keys, edge_keys = side.vertex_keys, side.edge_keys
+    groups: dict[int, list[dict[tuple[int, int], int]]] = {}
+    for u, (row, adjacent) in enumerate(zip(side.rows, side.neighbors)):
+        if not adjacent:
+            continue
+        signature: dict[tuple[int, int], int] = {}
+        for v in adjacent:
+            key = (edge_keys[row[v] - 1], vertex_keys[side.labels[v]])
+            signature[key] = signature.get(key, 0) + 1
+        groups.setdefault(vertex_keys[side.labels[u]], []).append(signature)
+    return groups
+
+
+def mcs_edge_bound(view: PairView) -> int:
+    """A certified upper bound on ``|mcs(g1, g2)|`` (edges), with no search.
+
+    ``w(u, v)`` is the overlap of two equal-label vertices' signatures
+    (see :func:`_signatures`): a mapping ``u -> v`` matches at most that
+    many edges at ``u``. Every matched edge is counted at both of its
+    endpoints, so twice ``|mcs|`` is at most the sum, over either side's
+    vertices, of their best ``w``. The bound is half the smaller sum,
+    capped at the smaller edge count.
+    """
+    side1, side2 = view.side1, view.side2
+    bound = min(len(side1.edges), len(side2.edges))
+    if bound == 0:
+        return 0
+    groups2 = side2.memo(_signatures)
+    total1 = total2 = 0
+    for key, signatures1 in side1.memo(_signatures).items():
+        signatures2 = groups2.get(key)
+        if signatures2 is None:
+            continue
+        best2 = [0] * len(signatures2)
+        for signature1 in signatures1:
+            best1 = 0
+            for j, signature2 in enumerate(signatures2):
+                overlap = 0
+                for pair, count in signature1.items():
+                    other = signature2.get(pair)
+                    if other:
+                        overlap += count if count < other else other
+                if overlap > best1:
+                    best1 = overlap
+                if overlap > best2[j]:
+                    best2[j] = overlap
+            total1 += best1
+        total2 += sum(best2)
+    return min(min(total1, total2) // 2, bound)
+
+
 def _mcgregor(
     view: PairView,
     objective: str,
     budget: Budget | None,
     initial_best_edges: int | None,
+    upper: int | None,
 ) -> McsResult:
     """One McGregor branch-and-bound run over the pair view.
 
@@ -149,6 +213,8 @@ def _mcgregor(
     image list plus a handful of masks and counters handed down the
     recursion, so the optimistic bounds — available edges on either side,
     open vertices — are adjusted per push rather than recounted per node.
+    With the edges objective, an incumbent that reaches ``upper`` (a
+    certified bound on the optimum) ends the search.
     """
     side1, side2 = view.side1, view.side2
     n1, n2 = len(side1.ids), len(side2.ids)
@@ -174,6 +240,8 @@ def _mcgregor(
     width = (n2 + 1).bit_length()
 
     edges_first = objective == "edges"
+    if not edges_first:
+        upper = None
     expanded = 0
     truncated = False
     # Best optimistic edge bound over states the truncation abandoned;
@@ -191,9 +259,11 @@ def _mcgregor(
     image = [0] * n1
     path: list[tuple[int, int]] = []
     forbidden = 0
+    # Set once the edges incumbent reaches ``upper``: nothing can beat it.
+    done = False
 
     def record(matched: int) -> None:
-        nonlocal best_edges, best_order, best_path, best_matched
+        nonlocal best_edges, best_order, best_path, best_matched, done
         n_matched, order = matched.bit_count(), len(path)
         if edges_first:
             better = (n_matched, order) > (best_edges, best_order)
@@ -203,6 +273,7 @@ def _mcgregor(
             best_edges, best_order = n_matched, order
             best_path = path[:]
             best_matched = matched
+            done = upper is not None and n_matched >= upper
 
     def extend(
         mapped: int,
@@ -219,6 +290,8 @@ def _mcgregor(
         # branch would be incomplete. Memoising visited partial mappings
         # removes the duplicate orderings this enumeration creates.
         nonlocal expanded, truncated, abandoned_edges
+        if done:
+            return
         edge_bound = matched.bit_count() + min(available1, available2)
         if truncated or (budget is not None and budget.exhausted(expanded)):
             # Record the state as a (realised) incumbent candidate, then
@@ -290,6 +363,8 @@ def _mcgregor(
     record(0)
     inside_forbidden = 0  # g1 edges with both ends before the seed
     for v0 in range(n1):
+        if done:
+            break
         if truncated or (budget is not None and budget.exhausted(expanded)):
             # Remaining seeds were never explored: only the global
             # bound min(|g1|, |g2|) covers them.
@@ -321,14 +396,16 @@ def _mcgregor(
         for number, (u, v, _) in enumerate(side1.edges)
         if best_matched >> number & 1
     )
-    upper = None
-    if truncated:
-        upper = max(best_edges, abandoned_edges, 0)
+    size_upper = None
+    if truncated and not done:  # done: the incumbent is optimal
+        size_upper = max(best_edges, abandoned_edges, 0)
+        if upper is not None and upper < size_upper:
+            size_upper = upper
     return McsResult(
         {ids1[by_rank1[v]]: ids2[by_rank2[w]] for v, w in best_path},
         matched_edges,
-        optimal=not truncated,
-        size_upper=upper,
+        optimal=size_upper is None,
+        size_upper=size_upper,
     )
 
 
@@ -340,6 +417,7 @@ def maximum_common_subgraph(
     initial_best_edges: int | None = None,
     *,
     _view: PairView | None = None,
+    _upper: int | None = None,
 ) -> McsResult:
     """Compute ``mcs(g1, g2)`` (Definition 7).
 
@@ -360,12 +438,15 @@ def maximum_common_subgraph(
 
     ``_view`` is internal: :class:`~repro.measures.base.PairContext` hands
     over the pair view it already built for ``(g1, g2)``; bare calls build
-    their own.
+    their own. ``_upper`` is internal too: a certified upper bound on the
+    optimum (:func:`mcs_edge_bound`, or the exact size). With the edges
+    objective the search returns once its incumbent reaches it, still
+    optimal, and a truncated run's ``size_upper`` is clamped to it.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
     view = PairView(g1, g2) if _view is None else _view
-    return _mcgregor(view, objective, budget, initial_best_edges)
+    return _mcgregor(view, objective, budget, initial_best_edges, _upper)
 
 
 def mcs_size(g1: LabeledGraph, g2: LabeledGraph) -> int:

@@ -27,7 +27,7 @@ from repro.graph.budget import Budget, Interval
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.ged import GedResult, graph_edit_distance
 from repro.graph.ged_approx import GedBracket, ged_bracket
-from repro.graph.mcs import McsResult, maximum_common_subgraph
+from repro.graph.mcs import McsResult, maximum_common_subgraph, mcs_edge_bound
 from repro.graph.operations import CostModel, UNIFORM_COSTS
 from repro.graph.pairview import CostTables, PairView
 
@@ -43,7 +43,8 @@ class PairContext:
     and results are merged monotonically (bounds only ever tighten).
 
     The GED bracket (:meth:`ged_bracket`) is solved once too: its
-    assignment is every seeded GED run's starting mapping.
+    assignment is every seeded GED run's starting mapping. So is the
+    |mcs| bound (:meth:`mcs_upper`): every MCS run stops at it.
 
     Every solver run of the pair — GED, its bipartite seed, MCS, and each
     refinement re-run — works on one :class:`~repro.graph.pairview.PairView`,
@@ -67,6 +68,7 @@ class PairContext:
         self._mcs_partial: McsResult | None = None
         self._ged_partial: GedResult | None = None
         self._bracket: GedBracket | None = None
+        self._mcs_bound: int | None = None
         self._view: PairView | None = None
 
     @property
@@ -80,8 +82,19 @@ class PairContext:
     def mcs(self) -> McsResult:
         """Maximum common connected subgraph (computed once)."""
         if self._mcs is None:
-            self._mcs = maximum_common_subgraph(self.g1, self.g2, _view=self.view)
+            self._mcs = maximum_common_subgraph(
+                self.g1, self.g2, _view=self.view, _upper=self.mcs_upper()
+            )
         return self._mcs
+
+    def mcs_upper(self) -> int:
+        """Certified upper bound on ``|mcs|``: the exact size once known,
+        else :func:`~repro.graph.mcs.mcs_edge_bound` (computed once)."""
+        if self._mcs is not None:
+            return self._mcs.size
+        if self._mcs_bound is None:
+            self._mcs_bound = mcs_edge_bound(self.view)
+        return self._mcs_bound
 
     def ged_bracket(self) -> GedBracket:
         """Certified ``[lower, upper]`` around the exact GED from one
@@ -158,6 +171,7 @@ class PairContext:
             budget=budget,
             initial_best_edges=None if prev is None else prev.size,
             _view=self.view,
+            _upper=self.mcs_upper(),
         )
         if prev is not None:
             result = _merge_mcs(prev, result)
@@ -270,6 +284,21 @@ class DistanceMeasure(abc.ABC):
             return value if value < cap else None
         interval = self.distance_interval(g1, g2, context, budget)
         return interval if interval.lower < cap else None
+
+    def pair_lower_bound(
+        self,
+        g1: LabeledGraph,
+        g2: LabeledGraph,
+        context: PairContext,
+    ) -> float:
+        """A certified lower bound on the distance that costs no search.
+
+        Asked before any dimension of a pair is solved, so that a pair
+        whose bounds already put it out of the answer is cut for free.
+        The default proves nothing; measures with a search-free bound
+        in ``context`` override this.
+        """
+        return 0.0
 
     def __call__(
         self,

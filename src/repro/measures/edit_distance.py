@@ -92,6 +92,18 @@ class EditDistance(DistanceMeasure):
         # The uncapped verification, in interval form: never None.
         return self.distance_below(g1, g2, context, math.inf, budget or Budget())
 
+    def pair_lower_bound(
+        self,
+        g1: LabeledGraph,
+        g2: LabeledGraph,
+        context: PairContext,
+    ) -> float:
+        # The bracket's lower side (0.0 unless it is a proof). A context
+        # priced by another model would solve a bracket nobody reuses.
+        if context.costs is not self.costs:
+            return 0.0
+        return context.ged_bracket().lower
+
 
 class NormalizedEditDistance(DistanceMeasure):
     """``DistN-Ed = DistEd / (1 + DistEd)`` (Section VII).
@@ -155,6 +167,15 @@ class NormalizedEditDistance(DistanceMeasure):
         budget: Budget | None = None,
     ) -> Interval:
         return _normalised(self._edit.distance_interval(g1, g2, context, budget))
+
+    def pair_lower_bound(
+        self,
+        g1: LabeledGraph,
+        g2: LabeledGraph,
+        context: PairContext,
+    ) -> float:
+        raw = self._edit.pair_lower_bound(g1, g2, context)
+        return raw / (1.0 + raw)
 
 
 def _normalised(raw: Interval) -> Interval:

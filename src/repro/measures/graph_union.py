@@ -60,17 +60,33 @@ class GraphUnionDistance(DistanceMeasure):
             else maximum_common_subgraph(g1, g2, budget=budget)
         )
         size_low, size_high = result.size_interval()
-        size_high = min(size_high, min(g1.size, g2.size))
-
-        def dist(size: int) -> float:
-            union_size = total - size
-            return 1.0 - (size / union_size if union_size else 1.0)
-
         # 1 - sz/(total - sz) is decreasing in sz: endpoints swap.
         return Interval(
-            lower=max(0.0, dist(size_high)),
-            upper=min(1.0, dist(size_low)),
+            lower=_at_most(g1, g2, size_high),
+            upper=min(1.0, _union_distance(total, size_low)),
         )
+
+    def pair_lower_bound(
+        self,
+        g1: LabeledGraph,
+        g2: LabeledGraph,
+        context: PairContext,
+    ) -> float:
+        if g1.size + g2.size == 0:
+            return 0.0
+        return _at_most(g1, g2, context.mcs_upper())
+
+
+def _union_distance(total: int, size: int) -> float:
+    """``DistGu`` at ``|mcs| = size``, with ``total = |g1| + |g2|``."""
+    union_size = total - size
+    return 1.0 - (size / union_size if union_size else 1.0)
+
+
+def _at_most(g1: LabeledGraph, g2: LabeledGraph, size_high: int) -> float:
+    """``DistGu`` where ``|mcs|`` is at most ``size_high``: a lower bound."""
+    size_high = min(size_high, g1.size, g2.size)
+    return max(0.0, _union_distance(g1.size + g2.size, size_high))
 
 
 register_measure("union", GraphUnionDistance)

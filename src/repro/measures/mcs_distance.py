@@ -61,9 +61,25 @@ class McsDistance(DistanceMeasure):
         # 1 - sz/denominator is decreasing in sz: the size interval maps
         # to the distance interval with endpoints swapped.
         return Interval(
-            lower=max(0.0, 1.0 - min(size_high, denominator) / denominator),
+            lower=_at_most(size_high, denominator),
             upper=min(1.0, 1.0 - size_low / denominator),
         )
+
+    def pair_lower_bound(
+        self,
+        g1: LabeledGraph,
+        g2: LabeledGraph,
+        context: PairContext,
+    ) -> float:
+        denominator = max(g1.size, g2.size)
+        if denominator == 0:
+            return 0.0
+        return _at_most(context.mcs_upper(), denominator)
+
+
+def _at_most(size_high: int, denominator: int) -> float:
+    """``DistMcs`` where ``|mcs|`` is at most ``size_high``: a lower bound."""
+    return max(0.0, 1.0 - min(size_high, denominator) / denominator)
 
 
 register_measure("mcs", McsDistance)

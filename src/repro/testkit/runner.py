@@ -21,8 +21,9 @@ the same way, so crash bugs shrink just like wrong-answer bugs.
 
 ``fault=`` injects a deliberately broken engine stage (see
 :data:`FAULTS`) — the harness's own smoke test: a sign-flipped bound, a
-solver cutoff one float too low, or a GED bracket whose lower side is
-one too high must be caught and shrunk to a printable repro.
+solver cutoff one float too low, a GED bracket whose lower side is one
+too high, or an |mcs| bound one too low must be caught and shrunk to a
+printable repro.
 """
 
 from __future__ import annotations
@@ -227,22 +228,49 @@ class _RaisedBracketContext(PairContext):
         return bracket
 
 
-class _RaisedBracketEvaluator(SerialEvaluator):
+class _LoweredMcsBoundContext(PairContext):
+    """A pair context whose |mcs| bound is one edge below what it proves."""
+
+    def mcs_upper(self):
+        return max(super().mcs_upper() - 1, 0)
+
+
+class _FaultyContextEvaluator(SerialEvaluator):
+    """The serial evaluator, solving every pair in a broken context."""
+
+    def __init__(self, context_class: type[PairContext]) -> None:
+        self.context_class = context_class
+
     def evaluate(self, ctx, candidate):
-        context = _RaisedBracketContext(
+        context = self.context_class(
             ctx.database.get(candidate.graph_id), ctx.spec.graph
         )
         return solve_pair(ctx, candidate.graph_id, None, context, candidate.bounds)
 
 
-class RaisedBracketIndexedBackend(IndexedBackend):
-    """The ``indexed`` backend whose GED brackets' lower side is one high:
-    it cuts pairs at a cap they stay below, or settles them one high."""
+class _FaultyContextIndexedBackend(IndexedBackend):
+    context_class: type[PairContext]
 
     def build_plan(self, spec: GraphQuery) -> EvaluationPlan:
         return dataclasses.replace(
-            super().build_plan(spec), evaluator=_RaisedBracketEvaluator()
+            super().build_plan(spec),
+            evaluator=_FaultyContextEvaluator(self.context_class),
         )
+
+
+class RaisedBracketIndexedBackend(_FaultyContextIndexedBackend):
+    """The ``indexed`` backend whose GED brackets' lower side is one high:
+    it cuts pairs at a cap they stay below, or settles them one high."""
+
+    context_class = _RaisedBracketContext
+
+
+class LoweredMcsBoundIndexedBackend(_FaultyContextIndexedBackend):
+    """The ``indexed`` backend whose |mcs| bounds are one low: it cuts
+    pairs on a DistMcs/DistGu lower bound they do not have, and stops
+    McGregor one edge short of the optimum."""
+
+    context_class = _LoweredMcsBoundContext
 
 
 #: Injectable faults: name -> replacement class for the indexed backend.
@@ -250,6 +278,7 @@ FAULTS: dict[str, type[ExecutionBackend]] = {
     "flip-bound": BrokenBoundIndexedBackend,
     "cutoff-off-by-one": OffByOneCutoffIndexedBackend,
     "bracket-lower-plus-one": RaisedBracketIndexedBackend,
+    "mcs-upper-minus-one": LoweredMcsBoundIndexedBackend,
 }
 
 

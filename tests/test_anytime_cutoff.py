@@ -145,7 +145,10 @@ def test_refinement_under_doubling_budgets_converges_to_the_capped_solve(model):
 
 def test_budgeted_cap_is_asked_with_the_other_dimensions_lower_bounds():
     # An exact vector no worse than a candidate's lower bounds is no
-    # worse than its exact values; its upper bounds prove nothing.
+    # worse than its exact values; its upper bounds prove nothing. The
+    # cap is asked twice: first on the search-free pair bounds (the
+    # pre-cut), then on the solved dimensions' interval lower bounds,
+    # which are never below the first.
     class Recording(RankBoundStage):
         def cap(self, values, dim):
             asked.append((list(values), dim))
@@ -158,9 +161,13 @@ def test_budgeted_cap_is_asked_with_the_other_dimensions_lower_bounds():
         values = pair_values(
             g1, g2, measures, Recording(1), budget=Budget(node_limit=1)
         )
-        (known, dim), = asked
-        assert dim == 1 and math.isnan(known[1])
-        assert known[0] == values[0].lower and known[2] == values[2].lower
+        (first, first_dim), (known, dim) = asked
+        assert first_dim == dim == 1
+        assert math.isnan(first[1]) and math.isnan(known[1])
+        fresh = PairContext(g1, g2)
+        for index in (0, 2):
+            assert first[index] == measures[index].pair_lower_bound(g1, g2, fresh)
+            assert first[index] <= known[index] == values[index].lower
         checked += not (values[0].settled and values[2].settled)
     assert checked > 0
 

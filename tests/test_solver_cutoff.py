@@ -103,6 +103,49 @@ def test_rank_frontier_cap_is_where_k_values_are_strictly_better(best, k):
     assert frontier.cap((math.nan,), 0) == expected
 
 
+_FINITE_OR_INF = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.0, math.inf])
+
+
+def _no_cap_is_highest(cap: float | None) -> float:
+    return math.inf if cap is None else cap
+
+
+@given(
+    data=st.data(),
+    dims=st.integers(2, 3),
+    limit=st.sampled_from([1, 1, 2, 3]),
+)
+def test_lowering_the_other_dimensions_never_lowers_a_cap(data, dims, limit):
+    # The engine's pre-cut asks the cap with every other dimension at a
+    # lower bound of its exact value; it may cut only because that cap
+    # is never below the cap of the exact values.
+    vector = st.tuples(*[_COORDINATE] * dims)
+    exact = data.draw(st.lists(vector, max_size=8))
+    values = list(data.draw(st.tuples(*[_FINITE_OR_INF] * dims)))
+    dim = data.draw(st.integers(0, dims - 1))
+    lowered = [
+        value if index == dim else data.draw(
+            st.sampled_from([x for x in (-math.inf, 0.0, 0.5, 1.0, 2.0, value)
+                             if x <= value])
+        )
+        for index, value in enumerate(values)
+    ]
+    values[dim] = lowered[dim] = math.nan
+    stages = _pareto_stages(limit) + [RankBoundStage(limit), ThresholdBoundStage(1.0)]
+    for stage in stages:
+        for graph_id, observed in enumerate(exact):
+            stage.observe(graph_id, observed)
+    vectors = dict(enumerate(exact))
+    stages += [
+        FrontierCutoff(FrontierJudge("pareto", limit), vectors),
+        FrontierCutoff(FrontierJudge("rank", limit), vectors),
+    ]
+    for stage in stages:
+        assert _no_cap_is_highest(stage.cap(lowered, dim)) >= _no_cap_is_highest(
+            stage.cap(values, dim)
+        ), type(stage).__name__
+
+
 def test_pareto_cap_ties_and_tolerance():
     for stage in _pareto_stages(1):
         assert stage.cap((math.nan, 0.5), 0) is None  # nothing observed
@@ -303,6 +346,40 @@ def test_floors_never_cut_a_pair_below_a_later_cap():
         with connect(graphs, backend="indexed", cache=cache) as session:
             result = session.execute(spec)
         assert [f"g{graph_id}" for graph_id in result.ids] == oracle.answer(spec), spec
+
+
+def test_a_pair_cut_on_its_bounds_runs_no_solver_and_keeps_the_cap(monkeypatch):
+    # A dominator no worse than the pair's search-free lower bounds puts
+    # it out before any dimension is solved.
+    from repro.db import GraphDatabase
+    from repro.engine.core import make_context
+    from repro.engine.evaluate import SOLVER_CUTOFF, _floor_key, solve_pair
+
+    query = random_labeled_graph(4, 4, vertex_labels=("a", "b"), seed=10_001)
+    database = GraphDatabase()
+    graph_id = database.insert(
+        random_labeled_graph(4, 3, vertex_labels=("c",), seed=3)
+    )
+    cache = PairCache()
+    ctx = make_context(database, Query(query).skyline().build(), cache)
+    stage = ctx.cutoff = ParetoPruneStage(1, 0.0)
+    stage.observe(-1, (0.0, 0.0, 0.0))  # the query itself, say
+    context = PairContext(database.get(graph_id), query)
+    lower = [math.nan] + [
+        measure.pair_lower_bound(database.get(graph_id), query, context)
+        for measure in ctx.measures[1:]
+    ]
+    assert lower[1:] == [1.0, 1.0]  # no common label: |mcs| <= 0
+    cap = stage.cap(lower, 0)
+    assert cap == 0.0
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("a pre-cut pair reached a solver")
+
+    monkeypatch.setattr(measures_base, "maximum_common_subgraph", no_solver)
+    monkeypatch.setattr(measures_base, "graph_edit_distance", no_solver)
+    assert solve_pair(ctx, graph_id, context=context) == SOLVER_CUTOFF
+    assert cache.floor(*_floor_key(ctx, graph_id)) == cap
 
 
 def test_floor_bookkeeping_in_both_cache_flavours():
