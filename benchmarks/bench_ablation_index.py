@@ -1,6 +1,6 @@
-"""Bench A4 — ablation: index pruning on vs off in the executor.
+"""Bench A4 — ablation: index pruning on vs off in the ``indexed`` backend.
 
-The executor can skip the exact GED/MCS of candidates whose optimistic
+The ``indexed`` backend can skip the exact GED/MCS of candidates whose optimistic
 (lower-bound) GCS vector is already dominated by an evaluated exact
 vector. This bench runs the same query with pruning enabled and disabled,
 asserts identical skylines, and reports how many exact evaluations the
@@ -10,9 +10,10 @@ workloads with many far-away distractors.
 
 import pytest
 
+import repro
 from repro.bench import render_table
 from repro.datasets import make_workload
-from repro.db import GraphDatabase, SkylineExecutor
+from repro.db import GraphDatabase
 
 
 @pytest.fixture(scope="module")
@@ -28,14 +29,16 @@ def setup():
 @pytest.mark.parametrize("use_index", [True, False], ids=["pruned", "full"])
 def test_executor_index_ablation(benchmark, setup, use_index):
     db, query = setup
-    executor = SkylineExecutor(db, use_index=use_index)
+    spec = repro.Query(query).skyline()
+    session = repro.connect(db, backend="indexed", use_index=use_index)
 
     result = benchmark.pedantic(
-        executor.execute, args=(query,), rounds=1, iterations=1
+        session.execute, args=(spec,), rounds=1, iterations=1
     )
 
-    reference = SkylineExecutor(db, use_index=False).execute(query)
-    assert result.skyline_ids == reference.skyline_ids
+    with repro.connect(db, backend="indexed", use_index=False) as reference:
+        assert result.ids == reference.execute(spec).ids
+    session.close()
 
     stats = result.stats
     print()
@@ -48,5 +51,5 @@ def test_executor_index_ablation(benchmark, setup, use_index):
             round(stats.pruning_ratio, 3),
             stats.skyline_size,
         ]],
-        title="A4 — executor pruning",
+        title="A4 — index pruning",
     ))

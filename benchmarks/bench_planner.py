@@ -1,8 +1,8 @@
 """Bench A10 — rule-based adaptive planner: ``auto`` versus every fixed backend.
 
 Runs two workload classes through every fixed backend (``memory``,
-``indexed``, ``parallel``, ``vectorized`` when NumPy is present,
-``sharded`` over a 2-shard split) plus the adaptive ``auto`` backend:
+``indexed``, ``parallel``, ``vectorized`` (the same plan as ``indexed``
+under its second name), ``sharded`` over a 2-shard split) plus the adaptive ``auto`` backend:
 
 * ``interactive`` — a small database with the full testkit query-kind
   mix (skyline, skyband, top-k, threshold). Fixed overheads dominate
@@ -69,10 +69,7 @@ def _specs(query, kind_class):
 
 
 def _fixed_backends():
-    names = ["memory", "indexed", "parallel", "sharded"]
-    if "vectorized" in repro.available_backends():
-        names.insert(2, "vectorized")
-    return names
+    return ["memory", "indexed", "vectorized", "parallel", "sharded"]
 
 
 def _session_options(backend):

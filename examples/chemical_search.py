@@ -12,7 +12,7 @@ which some compounds are small perturbations of a query molecule, then:
 Run:  python examples/chemical_search.py
 """
 
-from repro import SimilarityQueryEngine
+import repro
 from repro.bench import render_table
 from repro.datasets import make_workload
 
@@ -31,16 +31,17 @@ def main() -> None:
         for graph, origin in zip(workload.database, workload.provenance)
     }
 
-    engine = SimilarityQueryEngine()
-    answer = engine.query(workload.database, query, refine_k=3)
-    skyline = answer.skyline
+    session = repro.connect(workload.database)
+    answer = session.execute(repro.Query(query).skyline().refine(k=3))
+    members = set(answer.ids)
 
     print(f"database: {workload.size} compounds; query: {query.order} atoms, "
           f"{query.size} bonds")
     print()
 
     rows = []
-    for graph, vector in zip(skyline.graphs, skyline.vectors):
+    for graph_id, vector in answer.vectors.items():
+        graph = session.database.get(graph_id)
         kind, _, radius = provenance[graph.name]
         rows.append([
             graph.name,
@@ -48,7 +49,7 @@ def main() -> None:
             vector.values[0],
             round(vector.values[1], 2),
             round(vector.values[2], 2),
-            "*" if graph in skyline.skyline else "",
+            "*" if graph_id in members else "",
         ])
     rows.sort(key=lambda row: row[2])
     print(render_table(
@@ -58,15 +59,14 @@ def main() -> None:
     ))
     print()
 
-    print(f"similarity skyline: {len(skyline.skyline)} compounds")
+    print(f"similarity skyline: {len(answer.ids)} compounds")
     if answer.refinement is not None:
         names = [graph.name for graph in answer.refinement.subset]
         print(f"3 diverse representatives: {names}")
     print()
 
-    top3 = engine.top_k(workload.database, query, 3)
-    top_names = [workload.database[i].name for i in top3.indices]
-    skyline_names = {graph.name for graph in skyline.skyline}
+    top_names = session.execute(repro.Query(query).topk(3)).names
+    skyline_names = set(answer.names)
     only_topk = [name for name in top_names if name not in skyline_names]
     print(f"classic top-3 by edit distance: {top_names}")
     if only_topk:

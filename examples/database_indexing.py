@@ -9,14 +9,14 @@ Demonstrates the machinery around the core algorithm:
    avoided, for an identical answer;
 3. range ("threshold") queries: all compounds within a given edit
    distance, verified exactly but pre-filtered by sound lower bounds;
-4. the deprecated :class:`SkylineExecutor` shim, kept working for old
-   callers — it routes through the same ``indexed`` backend.
+4. the pruning ablation: the ``indexed`` backend with ``use_index=False``
+   evaluates every graph and returns the same skyline.
 
 Run:  python examples/database_indexing.py
 """
 
 import repro
-from repro import GraphDatabase, Query, SkylineExecutor
+from repro import GraphDatabase, Query
 from repro.bench import render_table
 from repro.datasets import make_workload
 
@@ -72,11 +72,11 @@ def main() -> None:
             print(f"compounds within DistEd <= {tau:.0f}: {names or '(none)'}")
     print()
 
-    # --- the deprecated executor shim still works ---------------------
-    executor = SkylineExecutor(database)  # deprecated; routes through 'indexed'
-    legacy = executor.execute(query)
-    print("legacy SkylineExecutor shim agrees: "
-          f"{[g.name for g in legacy.skyline_graphs(database)]}")
+    # --- pruning off: same answer, every graph solved -----------------
+    with repro.connect(database, backend="indexed", use_index=False) as session:
+        full = session.execute(Query(query).skyline())
+    print(f"indexed with use_index=False agrees: {full.names} "
+          f"({full.stats.exact_evaluations} exact evaluations)")
 
 
 if __name__ == "__main__":

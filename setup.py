@@ -20,12 +20,9 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    # NumPy backs repro.index (the vectorized bound kernels, packed
-    # feature matrix and VP-tree) and the "vectorized" backend, so
-    # installed users always get the fast path. Source checkouts that
-    # cannot install it still import cleanly: the backend is simply not
-    # registered and the scalar bounds remain in use (tests for the
-    # vectorized path skip themselves).
+    # NumPy backs repro.index (the batched bound kernels and the packed
+    # feature matrix), which every full run that prunes bounds over; the
+    # package does not import without it.
     install_requires=["numpy>=1.22"],
     # SciPy's assignment solver gives the exact GED solver its seed and
     # its pre-search bracket (repro.graph.ged_approx). Without it the seed

@@ -10,7 +10,8 @@ Quick tour
 ----------
 The declarative session API is the front door: open a session over any
 graph collection, describe the query with the fluent builder, and execute
-it on a pluggable backend (``memory``, ``indexed``, ``parallel``):
+it on a pluggable backend (``memory``, ``indexed``, ``parallel``,
+``sharded``, ``auto``):
 
 >>> import repro
 >>> from repro.datasets import figure3_database, figure3_query
@@ -36,9 +37,9 @@ Packages
 ``repro.measures``  DistEd / DistMcs / DistGu (+ extensions)
 ``repro.skyline``   generic Pareto skyline algorithms
 ``repro.core``      GCS, similarity-dominance, GSS, diversity refinement
-``repro.db``        database storage, feature index, pruning executor
+``repro.db``        database storage, caches, persistence, write-ahead log
 ``repro.shard``     sharded store, placement policies, scatter-gather backend
-``repro.index``     vectorized feature store and bound kernels (NumPy)
+``repro.index``     packed feature store and batched bound kernels
 ``repro.datasets``  paper examples and synthetic workloads
 ``repro.testkit``   differential workload fuzzing against a trusted oracle
 ``repro.bench``     harness utilities for the reproduction benchmarks
@@ -75,8 +76,6 @@ from repro.measures import (
 from repro.skyline import dominates, skyline
 from repro.core import (
     CompoundSimilarity,
-    QueryAnswer,
-    SimilarityQueryEngine,
     SkylineResult,
     compound_similarity,
     gcs_matrix,
@@ -85,7 +84,7 @@ from repro.core import (
     similarity_dominates,
     top_k_by_measure,
 )
-from repro.db import GraphDatabase, PairCache, SkylineExecutor
+from repro.db import GraphDatabase, PairCache
 from repro.shard import ShardedGraphDatabase
 from repro.api import (
     ExecutionBackend,
@@ -141,12 +140,9 @@ __all__ = [
     "SkylineResult",
     "refine_by_diversity",
     "top_k_by_measure",
-    "SimilarityQueryEngine",
-    "QueryAnswer",
     # db
     "GraphDatabase",
     "PairCache",
-    "SkylineExecutor",
     # shard
     "ShardedGraphDatabase",
     # api

@@ -11,16 +11,14 @@ The unified API the rest of the library routes through:
   + ``explain()`` + ``to_rows()``/``to_json()``);
 * :class:`ExecutionBackend` — the strategy ABC behind
   :func:`register_backend`; shipped backends are ``memory`` (serial
-  exhaustive), ``indexed`` (feature-index lower-bound pruning) and
-  ``parallel`` (process-pool fan-out) — all thin plan configurations
-  over the staged engine (:mod:`repro.engine`), all accepting a shared
-  ``cache=`` (:class:`repro.db.cache.PairCache`);
+  exhaustive), ``indexed`` (batched lower-bound pruning over the packed
+  feature matrix, also spelled ``vectorized``), ``parallel``
+  (process-pool fan-out), ``sharded`` (scatter-gather) and ``auto``
+  (rule-based planning) — all thin plan configurations over the staged
+  engine (:mod:`repro.engine`), all accepting a shared ``cache=``
+  (:class:`repro.db.cache.PairCache`);
 * :class:`LiveView` — ``Session.watch(query)``: a materialized skyline
   kept incrementally correct under database mutation.
-
-The legacy entry points (:class:`repro.core.SimilarityQueryEngine`,
-:class:`repro.db.SkylineExecutor`) are thin deprecated shims over this
-layer.
 """
 
 from repro.api.spec import (

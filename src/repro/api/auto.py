@@ -21,22 +21,15 @@ choices are reported individually.
 from __future__ import annotations
 
 from repro.db.database import GraphDatabase
-from repro.db.index import VersionedIndex
 from repro.api.spec import GraphQuery
 from repro.api.backends import (
     BackendAnswer,
     ExecutionBackend,
-    _numpy_available,
     register_backend,
 )
 from repro.engine.core import run_plan
 from repro.engine.evaluate import Evaluator, SerialEvaluator
-from repro.engine.plan import (
-    BoundOrderedSource,
-    DatabaseOrderSource,
-    EvaluationPlan,
-    bound_stage_for,
-)
+from repro.engine.plan import DatabaseOrderSource, EvaluationPlan
 from repro.engine.planner import PlanDecision, QueryPlanner
 from repro.engine.scatter import (
     ShardedSource,
@@ -80,13 +73,10 @@ class AutoBackend(ExecutionBackend):
         super().__init__(database)
         self.cache = cache
         self.use_index = True  # duck-typed by Session.plan()
-        self.planner = QueryPlanner(
-            numpy_available=_numpy_available(), max_workers=max_workers
-        )
+        self.planner = QueryPlanner(max_workers=max_workers)
         self._max_workers = max_workers
         self._chunk_size = chunk_size
-        # Monolithic providers, built lazily and version-synced.
-        self._index = VersionedIndex(database)
+        # The monolithic feature store, built lazily and version-synced.
         self._store = None
         # Pooled evaluators keyed by shard index (``None``: monolithic).
         self._pooled: dict[int | None, object] = {}
@@ -136,10 +126,7 @@ class AutoBackend(ExecutionBackend):
         if decision.source == "indexed":
             from repro.index import IndexedSource
 
-            store = self._feature_store()
-            return IndexedSource(lambda: store, prefilter=True)
-        if decision.source == "bound-ordered":
-            return BoundOrderedSource(self._index)
+            return IndexedSource(self._feature_store(), prefilter=True)
         return DatabaseOrderSource()
 
     def _cascade(self, spec: GraphQuery, decision: PlanDecision) -> tuple:
@@ -147,12 +134,9 @@ class AutoBackend(ExecutionBackend):
         shared by every shard run — the cross-shard pruning channel)."""
         if decision.stage is None:
             return self._cache_stages()
-        if decision.batch:
-            from repro.index.source import batch_bound_stage_for
+        from repro.index.source import batch_bound_stage_for
 
-            stage = batch_bound_stage_for(spec)
-        else:
-            stage = bound_stage_for(spec)
+        stage = batch_bound_stage_for(spec)
         return ((lambda ctx: stage),) + self._cache_stages()
 
     def _evaluator(self, name: str, shard: int | None = None) -> Evaluator:
@@ -198,7 +182,7 @@ class AutoBackend(ExecutionBackend):
     # -- execution --------------------------------------------------------
     def run(self, spec: GraphQuery) -> BackendAnswer:
         spec.validate()
-        # Pruning/batching is one global decision; on the scatter path
+        # Pruning is one global decision; on the scatter path
         # evaluators are then chosen per shard, before the loop.
         decision = self._decide(spec)
         prunes = decision.stage is not None
@@ -244,10 +228,7 @@ class AutoBackend(ExecutionBackend):
             }
         else:
             plan = self._plan(spec, decision)
-            matrix_source = (
-                self._feature_store if self.planner.numpy_available else None
-            )
-            shared = {plan.evaluator: matrix_source} if prunes else {}
+            shared = {plan.evaluator: self._feature_store} if prunes else {}
             with bound_sharing(spec, shared):
                 answer = run_plan(self.database, spec, plan, cache=self.cache)
         answer.stats.planner = {

@@ -10,21 +10,18 @@ executes it. All backends return identical answer *sets*
 
 * ``memory``  — database-order source, empty cascade, serial evaluator
   (the reference semantics);
-* ``indexed`` — bound-ordered source, :func:`~repro.engine.bound_pruning`
-  cascade stage: candidates whose optimistic vector is already dominated
-  never reach the exact solvers;
-* ``parallel`` — database-order source, chunked process-pool evaluator
-  (:class:`~repro.engine.PooledEvaluator`);
-* ``vectorized`` (when NumPy is installed) — :class:`repro.index.
+* ``indexed`` (also spelled ``vectorized``) — :class:`repro.index.
   IndexedSource` over an incrementally-maintained packed feature matrix:
   optimistic vectors for the whole database in one batched kernel call,
   a flat bound-mask pre-filter for threshold queries, and the batched
-  Pareto stage in the cascade.
+  bound stage in the cascade, so candidates whose optimistic vector is
+  already dominated never reach the exact solvers;
+* ``parallel`` — database-order source, chunked process-pool evaluator
+  (:class:`~repro.engine.PooledEvaluator`).
 
-Every backend accepts ``cache=`` (a :class:`~repro.db.cache.PairCache`
-or legacy :class:`~repro.db.cache.QueryCache`), which appends the
-cached-pairs cascade stage — pruning, caching and batching compose
-instead of living in per-backend code paths.
+Every backend accepts ``cache=`` (a :class:`~repro.db.cache.PairCache`),
+which appends the cached-pairs cascade stage — pruning, caching and
+batching compose instead of living in per-backend code paths.
 
 Backends are registered by name (:func:`register_backend`) so sessions
 can be opened with ``repro.connect(db, backend="indexed")`` and new
@@ -40,31 +37,16 @@ from repro.errors import QueryError
 from repro.measures.base import DistanceMeasure
 from repro.core.gcs import CompoundSimilarity
 from repro.db.database import GraphDatabase
-from repro.db.index import FeatureIndex, VersionedIndex
 from repro.db.stats import QueryStats
 from repro.api.spec import GraphQuery
 from repro.engine.core import resolved_measures, run_plan, single_measure
 from repro.engine.evaluate import SerialEvaluator
 from repro.engine.plan import (
-    BoundOrderedSource,
     CachedPairStage,
     DatabaseOrderSource,
     EvaluationPlan,
-    ParetoPruneStage,
-    RankBoundStage,
-    ThresholdBoundStage,
-    bound_pruning,
     cached_pairs,
 )
-
-#: Display label of the bound-pruning stage per query kind (mirrors the
-#: dispatch in :func:`repro.engine.plan.bound_pruning`).
-_BOUND_STAGE_LABELS = {
-    "skyline": ParetoPruneStage.name,
-    "skyband": ParetoPruneStage.name,
-    "topk": RankBoundStage.name,
-    "threshold": ThresholdBoundStage.name,
-}
 
 
 @dataclass
@@ -197,7 +179,7 @@ class MemoryBackend(ExecutionBackend):
 
 
 # ----------------------------------------------------------------------
-# indexed — feature-index lower-bound pruning
+# indexed — batched lower-bound pruning over the packed feature matrix
 # ----------------------------------------------------------------------
 class IndexedBackend(ExecutionBackend):
     """Prunes never-in-the-answer candidates via sound index lower bounds.
@@ -205,10 +187,13 @@ class IndexedBackend(ExecutionBackend):
     The pruning argument (see :mod:`repro.engine.plan`): optimistic
     vectors are componentwise ≤ the exact vectors, so a candidate whose
     optimistic vector is already Pareto-dominated by an exact vector can
-    never enter the skyline. The index is *self-healing*: database
-    mutations bump :attr:`GraphDatabase.version`, and every query checks
-    the recorded version before trusting the index — no manual
-    ``refresh_index()`` required.
+    never enter the skyline. One batched kernel call bounds every row of
+    the packed :class:`~repro.index.SignatureMatrix` of a
+    :class:`~repro.index.FeatureStore`, threshold queries are
+    pre-filtered with one flat bound mask, and the cascade runs the
+    batched bound stage for the kind. The store follows database
+    mutation through the ``version`` dirty flag, row by row, so no
+    manual refresh is ever needed.
     """
 
     name = "indexed"
@@ -219,104 +204,39 @@ class IndexedBackend(ExecutionBackend):
         use_index: bool = True,
         cache=None,
     ) -> None:
-        super().__init__(database)
-        self.use_index = use_index
-        self.cache = cache
-        #: Returns the feature index, rebuilt iff the database changed.
-        self._ensure_index = VersionedIndex(database)
-        self._ensure_index()
-
-    @property
-    def index(self) -> FeatureIndex:
-        """The live feature index."""
-        return self._ensure_index()
-
-    def refresh_index(self) -> None:
-        """Force an index rebuild (kept for the legacy executor API)."""
-        self._ensure_index.invalidate()
-        self._ensure_index()
-
-    def _candidate_order(self, query_features, measures):
-        """(id, optimistic vector) pairs, most promising candidates first
-        (legacy executor hook; the engine's bound-ordered source)."""
-        return BoundOrderedSource(self._ensure_index).pairs(
-            query_features, measures
-        )
-
-    def build_plan(self, spec: GraphQuery) -> EvaluationPlan:
-        prune = (bound_pruning,) if self.use_index else ()
-        labels = (_BOUND_STAGE_LABELS[spec.kind],) if self.use_index else ()
-        return EvaluationPlan(
-            source=BoundOrderedSource(self._ensure_index),
-            cascade=prune + self._cache_stages(),
-            evaluator=SerialEvaluator(),
-            stage_labels=labels + self._cache_labels(),
-        )
-
-
-# ----------------------------------------------------------------------
-# vectorized — batched NumPy bound kernels over a packed feature matrix
-# ----------------------------------------------------------------------
-def _numpy_available() -> bool:
-    import importlib.util
-
-    return importlib.util.find_spec("numpy") is not None
-
-
-class VectorizedBackend(ExecutionBackend):
-    """Array-speed pruning: one batched kernel call bounds the whole db.
-
-    Same answer sets as ``memory``/``indexed`` (property- and
-    fuzz-tested), but the candidate-filtering layer runs over the packed
-    :class:`~repro.index.SignatureMatrix` of a
-    :class:`~repro.index.FeatureStore` instead of per-graph Python
-    objects: bounds and visiting order come from vectorized kernels,
-    threshold queries are pre-filtered with one flat bound mask, and the
-    skyline/skyband cascade uses the batched Pareto stage. The
-    store follows database mutation through the same ``version`` dirty
-    flag as ``indexed``, with row-level invalidation instead of a
-    rebuild.
-    """
-
-    name = "vectorized"
-
-    def __init__(
-        self,
-        database: GraphDatabase,
-        use_index: bool = True,
-        cache=None,
-    ) -> None:
-        super().__init__(database)
+        # repro.index (NumPy) loads with the first bounded backend, not
+        # with ``import repro``.
         from repro.index import FeatureStore
 
+        super().__init__(database)
         self.use_index = use_index
         self.cache = cache
         self.store = FeatureStore(database)
 
-    def _synced_store(self):
-        self.store.sync()
-        return self.store
-
     def build_plan(self, spec: GraphQuery) -> EvaluationPlan:
-        from repro.index import BatchParetoStage, IndexedSource, batch_bound_pruning
+        from repro.index.source import (
+            IndexedSource,
+            batch_bound_pruning,
+            batch_bound_stage_for,
+        )
 
-        batch_labels = {
-            "skyline": BatchParetoStage.name,
-            "skyband": BatchParetoStage.name,
-            "topk": RankBoundStage.name,
-            "threshold": ThresholdBoundStage.name,
-        }
         prune = (batch_bound_pruning,) if self.use_index else ()
-        labels = (batch_labels[spec.kind],) if self.use_index else ()
+        labels = (batch_bound_stage_for(spec).name,) if self.use_index else ()
         return EvaluationPlan(
-            source=IndexedSource(self._synced_store, prefilter=self.use_index),
+            source=IndexedSource(self.store, prefilter=self.use_index),
             cascade=prune + self._cache_stages(),
             evaluator=SerialEvaluator(),
             stage_labels=labels + self._cache_labels(),
         )
 
 
+class VectorizedBackend(IndexedBackend):
+    """``indexed`` under the name it had while it was the NumPy-only
+    variant; kept so ``backend="vectorized"`` stays a valid spelling."""
+
+    name = "vectorized"
+
+
 register_backend(MemoryBackend.name, MemoryBackend)
 register_backend(IndexedBackend.name, IndexedBackend)
-if _numpy_available():
-    register_backend(VectorizedBackend.name, VectorizedBackend)
+register_backend(VectorizedBackend.name, VectorizedBackend)

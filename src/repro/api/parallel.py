@@ -24,7 +24,7 @@ from __future__ import annotations
 from repro.db.database import GraphDatabase
 from repro.api.spec import GraphQuery
 from repro.api.backends import ExecutionBackend, register_backend
-from repro.engine.evaluate import PooledEvaluator, shutdown_pool  # noqa: F401
+from repro.engine.workers import PooledEvaluator, shutdown_pool  # noqa: F401
 from repro.engine.plan import DatabaseOrderSource, EvaluationPlan
 
 

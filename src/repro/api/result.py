@@ -1,13 +1,11 @@
 """Unified result sets for the declarative query API.
 
-:class:`ResultSet` replaces the three divergent result shapes the entry
-points used to return (:class:`~repro.core.gss.SkylineResult`,
-:class:`~repro.core.pipeline.QueryAnswer`,
-:class:`~repro.db.executor.ExecutionResult`): one object carrying the
-answer graphs *and* their ids, the exact GCS vectors (or single-measure
-distances) of everything that was evaluated, the execution statistics, the
-diversity refinement when requested, and renderers (``to_rows``,
-``to_json``, ``explain``) every caller — library, CLI, benches — shares.
+:class:`ResultSet` is the one result shape of every query: one object
+carrying the answer graphs *and* their ids, the exact GCS vectors (or
+single-measure distances) of everything that was evaluated, the execution
+statistics, the diversity refinement when requested, and renderers
+(``to_rows``, ``to_json``, ``explain``) every caller — library, CLI,
+benches — shares.
 """
 
 from __future__ import annotations

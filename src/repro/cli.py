@@ -395,8 +395,8 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 #: One-line strategy notes for ``repro backends`` (registry-keyed).
 _BACKEND_NOTES = {
     "memory": "exhaustive serial scan (reference semantics)",
-    "indexed": "scalar feature-index lower bounds, most promising first",
-    "vectorized": "NumPy batched bound kernels + flat threshold pre-filter",
+    "indexed": "batched bound kernels over the packed feature matrix",
+    "vectorized": "alias of indexed (batched bounds + threshold pre-filter)",
     "parallel": "exhaustive fan-out on the persistent process pool",
     "sharded": "scatter-gather over a sharded store (connect shards=N)",
     "auto": "rule-based planner: picks source/stages/evaluator per query",
@@ -414,11 +414,7 @@ def _cmd_backends(args: argparse.Namespace) -> int:
     print(render_table(["backend", "strategy"], rows,
                        title="registered backends"))
     print()
-    numpy_note = (
-        info["numpy"]
-        or "absent — vectorized source and batch stages gated off"
-    )
-    print(f"numpy: {numpy_note}")
+    print(f"numpy: {info['numpy']}")
     pool_note = (
         "usable" if info["pool_usable"]
         else "not worth starting (single CPU)"
@@ -429,13 +425,10 @@ def _cmd_backends(args: argparse.Namespace) -> int:
     else:
         pool_note += "; no pool started yet"
     print(f"cpu count: {info['cpu_count']} — pooled evaluation {pool_note}")
-    bounds = (
-        f"batched bounds from {info['batch_min_rows']} rows, scalar below"
-        if info["numpy"] else "scalar bounds"
-    )
     break_even = info["pool_break_even_s"]
     print(
-        f"auto rule: {bounds}; pooled once rows × per-pair prior exceed "
+        "auto rule: batched bounds wherever pruning is sound; pooled "
+        "once rows × per-pair prior exceed "
         f"{break_even['cold'] * 1e3:.0f} ms (cold pool) or "
         f"{break_even['warm'] * 1e3:.0f} ms (warm pool), serial otherwise"
     )

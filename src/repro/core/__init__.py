@@ -5,7 +5,9 @@
 * :func:`graph_similarity_skyline` — Equation 4 / Section V.
 * :func:`refine_by_diversity` — Section VII.
 * :func:`top_k_by_measure` — the single-measure baseline of Section VI.
-* :class:`SimilarityQueryEngine` — all of the above behind one facade.
+
+Database-backed queries over the same semantics go through
+:func:`repro.connect` (:mod:`repro.api`).
 """
 
 from repro.core.gcs import CompoundSimilarity, compound_similarity, gcs_matrix
@@ -20,7 +22,6 @@ from repro.core.diversity import (
     subset_diversity,
 )
 from repro.core.topk import TopKResult, top_k_by_measure
-from repro.core.pipeline import QueryAnswer, SimilarityQueryEngine
 from repro.core.explain import (
     Domination,
     MembershipExplanation,
@@ -44,8 +45,6 @@ __all__ = [
     "subset_diversity",
     "TopKResult",
     "top_k_by_measure",
-    "QueryAnswer",
-    "SimilarityQueryEngine",
     "Domination",
     "MembershipExplanation",
     "explain_membership",

@@ -1,17 +1,16 @@
-"""Graph-database layer: storage, feature index, pruning executor.
+"""Graph-database layer: storage, caches, persistence, write-ahead log.
 
 Wraps the core GSS computation with the machinery a database system needs:
-an id-addressed store with iso-deduplication, a feature index providing
-sound lower bounds on the paper's measures, an executor that prunes
-never-in-the-skyline candidates before running exact solvers, and query
-statistics making the savings measurable.
+an id-addressed store with iso-deduplication and a mutation version, the
+pair cache and answer store that let repeated queries skip exact solves,
+query statistics making the savings measurable, and durable storage
+(snapshots plus a write-ahead log). The bound index the engine prunes
+with lives in :mod:`repro.index`; queries run through :mod:`repro.api`.
 """
 
 from repro.db.database import GraphDatabase, StoredGraph
-from repro.db.index import FeatureIndex
 from repro.db.stats import PhaseTimer, QueryStats
-from repro.db.executor import ExecutionResult, SkylineExecutor
-from repro.db.cache import PairCache, QueryCache
+from repro.db.cache import PairCache
 from repro.db.persistence import (
     atomic_write_text,
     database_from_dict,
@@ -24,13 +23,9 @@ from repro.db.wal import DurableLog, RecoveredState, SyncPolicy, recover
 __all__ = [
     "GraphDatabase",
     "StoredGraph",
-    "FeatureIndex",
     "QueryStats",
     "PhaseTimer",
-    "ExecutionResult",
-    "SkylineExecutor",
     "PairCache",
-    "QueryCache",
     "database_to_dict",
     "database_from_dict",
     "save_database",

@@ -3,20 +3,15 @@
 Interactive sessions issue many queries against the same database, often
 re-using query graphs (refinement after inspection, parameter tweaks) —
 and essentially all query time goes into exact per-pair GED/MCS solving.
-Two pair-cache flavours share one bounded-LRU core and one lookup protocol
-(:meth:`subject_key` / :meth:`get` / :meth:`put`), so the evaluation
-engine's cached-pair cascade stage works against either:
-
-* :class:`PairCache` — the canonical cross-query cache. Entries are keyed
-  by the *canonical hashes* of the two graphs plus one measure name, so a
-  solved pair is re-used across queries, sessions, measure subsets, and
-  even isomorphic re-submissions of the same graph. Because keys identify
-  graph structure rather than storage slots, entries stay sound under
-  database mutation: a removed graph's entries are merely unused (and
-  eventually LRU-evicted), never wrong.
-* :class:`QueryCache` — the legacy per-executor cache keyed by database
-  graph id and the full measure-name tuple. Kept for existing callers;
-  prefer :class:`PairCache` in new code.
+:class:`PairCache` is the canonical cross-query cache the engine's
+cached-pair cascade stage reads and writes through its lookup protocol
+(:meth:`~PairCache.subject_key` / :meth:`~PairCache.get` /
+:meth:`~PairCache.put`). Entries are keyed by the *canonical hashes* of
+the two graphs plus one measure name, so a solved pair is re-used across
+queries, sessions, measure subsets, and even isomorphic re-submissions of
+the same graph. Because keys identify graph structure rather than storage
+slots, entries stay sound under database mutation: a removed graph's
+entries are merely unused (and eventually LRU-evicted), never wrong.
 
 Canonical hashing is iso-invariant (:mod:`repro.graph.canonical`); the
 measures shipped with the paper depend only on graph structure and labels,
@@ -24,7 +19,7 @@ so serving a cached value for an isomorphic pair is exact, not
 approximate. Construct :class:`PairCache` with ``symmetric=False`` when
 caching a non-symmetric custom measure.
 
-Beside the exact values, both flavours keep **floors**: per pair and
+Beside the exact values, the cache keeps **floors**: per pair and
 measure, the highest cap a bounded solve of the pair reached (a proof
 that the value is at least that much, see
 :func:`repro.engine.evaluate.pair_values`). A pair cut at a cap has no
@@ -152,7 +147,7 @@ class PairCache:
         """How many query graphs the hash memo currently pins."""
         return len(self._hash_memo)
 
-    # -- lookup protocol (shared with QueryCache) -----------------------
+    # -- lookup protocol (read by the cached-pairs stage) ---------------
     def query_hash(self, query: LabeledGraph) -> str:
         """Canonical hash of the query graph, memoised soundly.
 
@@ -266,65 +261,6 @@ class PairCache:
             f"<{type(self).__name__}: {len(self)} entries, "
             f"hit rate {self.hit_rate:.0%}>"
         )
-
-
-class QueryCache(PairCache):
-    """Legacy bounded LRU cache keyed by database graph id.
-
-    Predates :class:`PairCache`: entries are keyed by ``(graph id, query
-    hash, full measure-name tuple)`` and store whole vectors, so nothing
-    is shared across measure subsets and entries die with their database
-    slot (:meth:`invalidate_graph` after updates). Kept because existing
-    callers rely on exactly those semantics; new code should use
-    :class:`PairCache`.
-    """
-
-    def __init__(
-        self, max_entries: int = 50_000, pin_limit: int | None = None
-    ) -> None:
-        super().__init__(
-            max_entries=max_entries, symmetric=False, pin_limit=pin_limit
-        )
-
-    def subject_key(self, entry) -> Hashable:
-        return entry.graph_id
-
-    def get(
-        self,
-        graph_id: Hashable,
-        query_hash: str,
-        measures: tuple[str, ...],
-    ) -> tuple[float, ...] | None:
-        """Cached vector, or ``None``; refreshes LRU position on hit."""
-        vector = self._store.get((graph_id, query_hash, tuple(measures)))
-        if vector is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return vector
-
-    def put(
-        self,
-        graph_id: Hashable,
-        query_hash: str,
-        measures: tuple[str, ...],
-        vector: tuple[float, ...],
-    ) -> None:
-        """Store a vector, evicting the least recently used beyond the cap."""
-        self._store.put((graph_id, query_hash, tuple(measures)), tuple(vector))
-
-    def _floor_key(self, graph_id: Hashable, query_hash: str, name: str) -> tuple:
-        return (graph_id, query_hash, name)
-
-    def invalidate_graph(self, graph_id: int) -> None:
-        """Drop all entries and floors of one database graph (after
-        update/removal)."""
-        self._store.drop_where(lambda key: key[0] == graph_id)
-        self._floors.drop_where(lambda key: key[0] == graph_id)
-        self.generation += 1
-
-    # This class keys by graph id, so the subject IS the graph id.
-    invalidate_subject = invalidate_graph
 
 
 class AnswerStore:

@@ -72,10 +72,10 @@ class GraphDatabase:
     def version(self) -> int:
         """Mutation counter, bumped on every insert/remove.
 
-        Derived structures (the executor's feature index, the ``indexed``
-        backend) record the version they were built against and rebuild
-        themselves when it changes, so callers never need to remember to
-        call ``refresh_index()`` after mutating the database.
+        Derived structures (the :class:`~repro.index.FeatureStore` of
+        every bounded plan, the session's answer store) record the
+        version they were built against and bring themselves up to date
+        when it changes, so callers never refresh anything by hand.
         """
         return self._version
 

@@ -1,7 +1,7 @@
 """Staged evaluation engine: the one execution path behind every backend.
 
-Every query the library answers — through sessions, the legacy shims, the
-CLI or the benches — runs as an :class:`EvaluationPlan` in this package:
+Every query the library answers — through sessions, the server, the CLI
+or the benches — runs as an :class:`EvaluationPlan` in this package:
 
     candidate source → pruning cascade → exact evaluator → consumer
 
@@ -9,8 +9,11 @@ The shipped backends (:mod:`repro.api.backends`) are thin plan
 configurations over these parts; nothing else in the codebase owns a
 candidate loop. The pieces compose freely:
 
-* sources — :class:`DatabaseOrderSource` (exhaustive) and
-  :class:`BoundOrderedSource` (feature-index lower bounds, best first);
+* sources — :class:`DatabaseOrderSource` (exhaustive),
+  :class:`repro.index.IndexedSource` (batched lower bounds over the
+  packed feature matrix, best first) and
+  :class:`~repro.engine.plan.DeltaSource` (a replay's added graphs,
+  bounded row by row);
 * cascade stages — :func:`bound_pruning` (Pareto / top-k cutoff /
   threshold bounds, per query kind) and :func:`cached_pairs` (the shared
   :class:`~repro.db.cache.PairCache`); custom :class:`Stage`
@@ -44,7 +47,6 @@ property-tested in ``tests/test_engine_cascade_property.py``.
 """
 
 from repro.engine.plan import (
-    BoundOrderedSource,
     Candidate,
     CandidateBlock,
     CandidateSource,
@@ -90,7 +92,6 @@ from repro.engine.scatter import (
 from repro.engine.views import LiveView
 
 __all__ = [
-    "BoundOrderedSource",
     "Candidate",
     "CandidateBlock",
     "CandidateSource",

@@ -28,13 +28,9 @@ against exact vectors published by other workers/shards);
 :meth:`Evaluator.drained_pruned_ids` reports those ids so the engine
 counts them exactly like cascade prunes.
 
-The pool machinery lives in :mod:`repro.engine.workers`; its public
-names (``PooledEvaluator``, ``shared_pool``, ``shutdown_pool``, …) are
-re-exported here lazily (module ``__getattr__``) for backward
-compatibility without an import cycle — :mod:`repro.engine.workers`
-imports this module's :class:`Evaluator` and :func:`pair_values` at the
-top level, this module never imports it until one of those names is
-actually touched.
+The pool machinery (``PooledEvaluator``, ``shared_pool``,
+``shutdown_pool``, …) lives in :mod:`repro.engine.workers`, which
+imports this module's :class:`Evaluator` and :func:`pair_values`.
 """
 
 from __future__ import annotations
@@ -253,30 +249,3 @@ def _floor_key(ctx: "RunContext", graph_id: int) -> tuple | None:
         cache.query_hash(ctx.spec.graph),
         ctx.names[dim],
     )
-
-
-#: Names living in :mod:`repro.engine.workers`, importable from here for
-#: backward compatibility (tests and backends predate the split).
-_WORKER_NAMES = (
-    "PooledEvaluator",
-    "PersistentPoolEvaluator",
-    "WorkerPool",
-    "WorkerPoolError",
-    "BoundSharing",
-    "get_pool",
-    "shared_pool",
-    "shutdown_pool",
-    "live_segments",
-)
-
-
-def __getattr__(name: str):
-    if name in _WORKER_NAMES:
-        from repro.engine import workers
-
-        return getattr(workers, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(list(globals()) + list(_WORKER_NAMES))

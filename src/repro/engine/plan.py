@@ -38,7 +38,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from repro.db.index import optimistic_vector
+from repro.graph.features import optimistic_vector
 from repro.skyline.utils import dominates
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -63,11 +63,12 @@ class CandidateBlock:
     """A run's candidates as two columns, in visiting order.
 
     ``ids`` is a list of graph ids; ``bounds`` holds the matching
-    optimistic vectors — an ``(n, d)`` NumPy array from the vectorized
-    index, a list of tuples from the scalar index, or ``None`` when the
-    source computes no bounds. The engine walks the columns directly;
-    :class:`Candidate` objects are built only when a row is indexed or
-    the block is iterated (survivors, the anytime driver, the pool).
+    optimistic vectors — an ``(n, d)`` NumPy array from the packed
+    index, a list of tuples from a replay's per-row bounds, or ``None``
+    when the source computes no bounds. The engine walks the columns
+    directly; :class:`Candidate` objects are built only when a row is
+    indexed or the block is iterated (survivors, the anytime driver, the
+    pool).
     """
 
     __slots__ = ("ids", "bounds")
@@ -98,13 +99,13 @@ class CandidateBlock:
 
     @classmethod
     def concat(cls, blocks: "list[CandidateBlock]") -> "CandidateBlock":
-        """One block visiting ``blocks`` in order (same bound form)."""
+        """One block visiting ``blocks`` in order (the per-shard blocks of
+        :class:`~repro.engine.scatter.ShardedSource`: bound arrays, or
+        no bounds at all)."""
         ids = [graph_id for block in blocks for graph_id in block.ids]
         columns = [block.bounds for block in blocks if len(block)]
         if not columns or columns[0] is None:
             return cls(ids)
-        if isinstance(columns[0], list):
-            return cls(ids, [row for column in columns for row in column])
         import numpy as np
 
         return cls(ids, np.concatenate(columns))
@@ -133,7 +134,7 @@ class BoundStage(Stage):
     """A stage that prunes on optimistic bounds alone, a window at a time.
 
     :meth:`prune_mask` judges a window of bound rows at once (an ``(n,
-    d)`` array, or a list of tuples on the NumPy-free path) and returns
+    d)`` array, or a list of tuples on a replay) and returns
     one flag per row. Two rules let the engine judge whole windows and
     still decide exactly like a per-candidate walk:
 
@@ -324,7 +325,7 @@ class ThresholdBoundStage(BoundStage):
 class CachedPairStage(Stage):
     """Serve exact vectors from a shared pair cache; write back new ones.
 
-    Works with both cache flavours in :mod:`repro.db.cache` through the
+    Works with :class:`~repro.db.cache.PairCache` through its
     ``subject_key``/``get``/``put`` protocol. The stage never prunes —
     a hit replaces the exact solve, a miss passes through — so it is
     sound in any cascade position; placing it after the bound stages
@@ -359,15 +360,13 @@ class CachedPairStage(Stage):
             )
 
 
-def bound_stage_for(spec) -> Stage:
-    """The scalar bound-pruning stage for ``spec``'s query kind.
-
-    The single definition of the kind → stage dispatch: Pareto dominator
-    counting for skyline/skyband, the k-th-best cutoff for topk, the
-    bound-vs-threshold test for range queries. Callers that hold a spec
-    but no run context (e.g. the sharded backend, which shares one stage
-    instance across its per-shard runs) use this directly.
-    """
+def bound_pruning(ctx: "RunContext") -> Stage:
+    """The per-row bound-pruning stage for the run's query kind: Pareto
+    dominator counting for skyline/skyband, the k-th-best cutoff for
+    topk, the bound-vs-threshold test for range queries. A replay's
+    cascade (:class:`DeltaSource`) runs it; full runs run the batched
+    stages of :func:`repro.index.source.batch_bound_stage_for`."""
+    spec = ctx.spec
     if spec.kind == "skyline":
         return ParetoPruneStage(1, spec.tolerance)
     if spec.kind == "skyband":
@@ -375,12 +374,6 @@ def bound_stage_for(spec) -> Stage:
     if spec.kind == "topk":
         return RankBoundStage(spec.k)
     return ThresholdBoundStage(spec.threshold)
-
-
-def bound_pruning(ctx: "RunContext") -> Stage:
-    """Cascade entry for :func:`bound_stage_for` (one pluggable factory
-    covers all four kinds, so plans stay kind-agnostic)."""
-    return bound_stage_for(ctx.spec)
 
 
 def cached_pairs(ctx: "RunContext") -> Stage:
@@ -417,55 +410,14 @@ class DatabaseOrderSource(CandidateSource):
         return CandidateBlock(list(ctx.database.ids()))
 
 
-class BoundOrderedSource(CandidateSource):
-    """Candidates with feature-index lower bounds, most promising first.
-
-    Vector kinds are visited in ascending optimistic-sum order (strong
-    dominators surface early, maximizing Pareto prunes); topk in ascending
-    scalar-bound order (the sorted-scan cutoff); threshold keeps database
-    order (pruning there is order-independent). Ties break by id, so the
-    order is deterministic.
-    """
-
-    computes_bounds = True
-
-    def __init__(self, index_provider: Callable[[], "object"]) -> None:
-        self._index_provider = index_provider
-
-    def pairs(
-        self, query_features, measures
-    ) -> list[tuple[int, tuple[float, ...]]]:
-        """(id, optimistic vector) pairs sorted by (sum, id) — the legacy
-        executor's candidate order, kept observable for its tests."""
-        index = self._index_provider()
-        order = [
-            (graph_id, index.optimistic_vector(graph_id, query_features, measures))
-            for graph_id in index.ids()
-        ]
-        order.sort(key=lambda item: (sum(item[1]), item[0]))
-        return order
-
-    def candidates(self, ctx: "RunContext") -> CandidateBlock:
-        index = self._index_provider()
-        return _bound_ordered(
-            ctx,
-            [
-                (
-                    graph_id,
-                    index.optimistic_vector(
-                        graph_id, ctx.query_features, ctx.measures
-                    ),
-                )
-                for graph_id in index.ids()
-            ],
-        )
-
-
 def _bound_ordered(
     ctx: "RunContext", bounded: list[tuple[int, tuple[float, ...]]]
 ) -> CandidateBlock:
-    """``(id, bounds)`` pairs as a block in :class:`BoundOrderedSource`'s
-    visiting order."""
+    """``(id, bounds)`` pairs as a block in the visiting order of
+    :class:`~repro.index.IndexedSource`: ascending optimistic sum for
+    skyline/skyband (strong dominators surface early), ascending bound
+    for topk (the sorted-scan cutoff), id order for threshold; ties
+    break by id."""
     if ctx.spec.kind in ("skyline", "skyband"):
         bounded.sort(key=lambda item: (sum(item[1]), item[0]))
     elif ctx.spec.kind == "topk":
@@ -479,12 +431,13 @@ def _bound_ordered(
 class DeltaSource(CandidateSource):
     """A replay's candidates: the graphs added since a stored answer.
 
-    Each added graph is bounded from its stored features by the scalar
-    index's bound functions and visited in :class:`BoundOrderedSource`'s
-    order. The stored answer's exact values (``known``, removed graphs
-    already dropped) become ``ctx.seeded``: the engine records them
-    before the walk, so the bound stage prunes added graphs against them
-    and the consumer selects over them. See
+    Each added graph is bounded from its stored features by
+    :func:`~repro.graph.features.optimistic_vector` — a replay judges a
+    handful of graphs, where per-row bounds beat packing a matrix — and
+    visited in a full run's order. The stored answer's exact values
+    (``known``, removed graphs already dropped) become ``ctx.seeded``:
+    the engine records them before the walk, so the bound stage prunes
+    added graphs against them and the consumer selects over them. See
     :meth:`repro.api.session.Session._replay` for when a replay equals a
     full run.
     """

@@ -3,16 +3,14 @@
 The fixed backends are hand-picked points in one plan space — candidate
 source × bound stage × evaluator. ``auto`` picks a point per query by a
 rule over static inputs only: the spec, the row count, the average graph
-order, NumPy, the worker count and whether a pool is already warm.
+order, the worker count and whether a pool is already warm.
 
 * **exhaustive** — ``database-order`` with no bound stage, only where
   bound pruning is unsound (tolerant skyline/skyband: tolerant dominance
-  is not transitive). Everywhere else a sound bound stage is in the
-  plan: it costs microseconds per candidate, one exact GED/MCS pair
-  costs milliseconds.
-* **batched** — the packed ``indexed`` source and the batch bound stage
-  iff NumPy is present and there are at least :data:`BATCH_MIN_ROWS`
-  rows; otherwise the scalar ``bound-ordered`` source and stage.
+  is not transitive).
+* **bounded** — everywhere else: the packed ``indexed`` source and the
+  batched bound stage for the kind, at any row count. The bounds cost
+  microseconds per candidate, one exact GED/MCS pair costs milliseconds.
 * **pooled** — iff the pool is usable (more than one worker, no anytime
   budget) and the rows' prior solver time exceeds the pool's break-even:
   :data:`POOL_START_SECONDS` while it is cold, :data:`POOL_WARM_SECONDS`
@@ -32,10 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.spec import GraphQuery
 
 
-#: Rows from which batched bounds win: the batch kernels' fixed set-up
-#: (~1.5 ms of dispatch, packing and store sync) over the ~19 µs per row
-#: they save against scalar bounds.
-BATCH_MIN_ROWS = 79
 #: Pool break-even, cold: the worker pool's start (fork + first
 #: shared-memory attachment).
 POOL_START_SECONDS = 1.2
@@ -54,14 +48,13 @@ PAIR_SECONDS_PER_ORDER2 = 1.3e-5
 class PlanDecision:
     """One planner verdict: which plan to run and the rule's reasons.
 
-    ``source`` ∈ ``database-order`` / ``bound-ordered`` / ``indexed``;
-    ``stage`` is the bound stage's display name, ``None`` only where
-    pruning is unsound; ``evaluator`` ∈ ``serial`` / ``pooled``.
+    ``source`` ∈ ``database-order`` / ``indexed``; ``stage`` is the
+    bound stage's display name, ``None`` only where pruning is unsound;
+    ``evaluator`` ∈ ``serial`` / ``pooled``.
     """
 
     source: str
     stage: str | None
-    batch: bool
     evaluator: str
     reasons: tuple[str, ...] = ()
 
@@ -72,18 +65,9 @@ class PlanDecision:
 
 
 class QueryPlanner:
-    """The planning rule over one host's NumPy and worker count."""
+    """The planning rule over one host's worker count."""
 
-    def __init__(
-        self,
-        numpy_available: bool | None = None,
-        max_workers: int | None = None,
-    ) -> None:
-        if numpy_available is None:
-            from repro.api.backends import _numpy_available
-
-            numpy_available = _numpy_available()
-        self.numpy_available = numpy_available
+    def __init__(self, max_workers: int | None = None) -> None:
         self.max_workers = max(1, max_workers or os.cpu_count() or 1)
 
     @staticmethod
@@ -126,53 +110,40 @@ class QueryPlanner:
         pool_started: bool = False,
     ) -> PlanDecision:
         """The plan the rule names for ``spec`` over ``db_size`` rows."""
-        from repro.engine.plan import bound_stage_for
+        if self.prunes(spec):
+            from repro.index.source import batch_bound_stage_for
 
-        stage = bound_stage_for(spec).name
-        source, batch = "bound-ordered", False
-        if not self.prunes(spec):
+            source, stage = "indexed", batch_bound_stage_for(spec).name
+            reason = f"pruning is sound: batched bounds over {db_size} rows"
+        else:
             source, stage = "database-order", None
             reason = "tolerant dominance is not transitive: bound pruning off"
-        elif not self.numpy_available:
-            reason = "NumPy absent: scalar bounds"
-        elif db_size < BATCH_MIN_ROWS:
-            reason = f"rows {db_size} < {BATCH_MIN_ROWS}: scalar bounds"
-        else:
-            source, batch = "indexed", True
-            if spec.kind in ("skyline", "skyband"):
-                stage = f"{stage}(batch)"
-            reason = f"rows {db_size} ≥ {BATCH_MIN_ROWS}: batched bounds"
         evaluator, why = self.evaluator(spec, db_size, avg_order, pool_started)
-        return PlanDecision(source, stage, batch, evaluator, (reason, why))
+        return PlanDecision(source, stage, evaluator, (reason, why))
 
 
 def availability() -> dict:
     """What the planner has to work with on this host, and its rule.
 
     Reported by ``python -m repro backends`` so users can see why
-    ``auto`` picked what it picked: NumPy and ``batch_min_rows`` gate
-    the batched source and stages, ``cpu_count`` and the pool break-even
-    gate pooled evaluation, and an already-started pool lowers the
-    break-even.
+    ``auto`` picked what it picked: ``cpu_count`` and the pool
+    break-even gate pooled evaluation, and an already-started pool
+    lowers the break-even.
     """
-    from repro.api.backends import _numpy_available, available_backends
+    import numpy
+
+    from repro.api.backends import available_backends
     from repro.engine import workers
 
-    numpy_version: str | None = None
-    if _numpy_available():
-        import numpy
-
-        numpy_version = numpy.__version__
     cpu_count = os.cpu_count() or 1
     return {
         "backends": available_backends(),
-        "numpy": numpy_version,
+        "numpy": numpy.__version__,
         "cpu_count": cpu_count,
         "pool_usable": cpu_count > 1,
         "pools_started": sorted(
             size for size, pool in workers._POOLS.items() if pool.started
         ),
-        "batch_min_rows": BATCH_MIN_ROWS,
         "pool_break_even_s": {
             "cold": POOL_START_SECONDS,
             "warm": POOL_WARM_SECONDS,

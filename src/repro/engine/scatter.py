@@ -7,13 +7,11 @@ fans out per shard without losing soundness, and only the cheap
 selection step needs a gather phase. Three parts live here:
 
 * :class:`ShardedSource` — the scatter counterpart of
-  :class:`~repro.engine.plan.BoundOrderedSource`: one candidate
-  sub-source per shard, each over a **shard-local index**
-  (:class:`~repro.index.store.FeatureStore` with its SignatureMatrix
-  when NumPy is present, the scalar
-  :class:`~repro.db.index.FeatureIndex` otherwise) maintained off the
-  shard's own ``version`` counter — a mutation on one shard never
-  invalidates another shard's index rows.
+  :class:`~repro.index.IndexedSource`: one candidate sub-source per
+  shard, each over a **shard-local index** (a
+  :class:`~repro.index.store.FeatureStore` and its SignatureMatrix)
+  maintained off the shard's own ``version`` counter — a mutation on
+  one shard never invalidates another shard's index rows.
 * merge consumers — :class:`SkylineMerge` (local skyline/skyband per
   shard, then one global dominance pass over the union) and
   :class:`FrontierMerge` (per-shard top-k frontiers / threshold matches
@@ -45,16 +43,10 @@ import math
 import time
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
-from repro.db.index import VersionedIndex
 from repro.db.stats import QueryStats
 from repro.engine.core import resolved_measures, run_plan
 from repro.engine.evaluate import Evaluator
-from repro.engine.plan import (
-    BoundOrderedSource,
-    CandidateBlock,
-    CandidateSource,
-    EvaluationPlan,
-)
+from repro.engine.plan import CandidateBlock, CandidateSource, EvaluationPlan
 from repro.engine.workers import BoundSharing, PooledEvaluator
 from repro.skyline import skyline as vector_skyline
 from repro.skyline.skyband import k_skyband
@@ -81,14 +73,8 @@ class ShardedSource(CandidateSource):
     def __init__(
         self, database: "ShardedGraphDatabase", use_index: bool = True
     ) -> None:
-        # One NumPy gate for the whole library (same probe that registers
-        # the vectorized backend); imported lazily to keep module import
-        # order between repro.engine and repro.api unconstrained.
-        from repro.api.backends import _numpy_available
-
         self.database = database
         self.use_index = use_index
-        self._vectorized = _numpy_available()
         self._sources: dict[int, CandidateSource] = {}
         self._stores: dict[int, object] = {}
 
@@ -96,26 +82,22 @@ class ShardedSource(CandidateSource):
         """The candidate source bound to shard ``index``."""
         source = self._sources.get(index)
         if source is None:
-            shard = self.database.shards[index]
-            if self._vectorized:
-                from repro.index import FeatureStore, IndexedSource
+            # Imported here: repro.index imports repro.engine.plan.
+            from repro.index import FeatureStore, IndexedSource
 
-                store = FeatureStore(shard)
-                self._stores[index] = store
-                source = IndexedSource(
-                    lambda store=store: store, prefilter=self.use_index
-                )
-            else:
-                source = BoundOrderedSource(VersionedIndex(shard))
-            self._sources[index] = source
+            shard = self.database.shards[index]
+            store = self._stores[index] = FeatureStore(shard)
+            source = self._sources[index] = IndexedSource(
+                store, prefilter=self.use_index
+            )
         return source
 
     def shard_store(self, index: int):
-        """Shard ``index``'s :class:`~repro.index.store.FeatureStore`
-        (``None`` on the scalar fallback path) — the worker pool exports
-        its SignatureMatrix to shared memory from here."""
+        """Shard ``index``'s :class:`~repro.index.store.FeatureStore` —
+        the worker pool exports its SignatureMatrix to shared memory
+        from here."""
         self.shard_source(index)
-        return self._stores.get(index)
+        return self._stores[index]
 
     def candidates(self, ctx: "RunContext") -> CandidateBlock:
         return CandidateBlock.concat(

@@ -616,14 +616,12 @@ class BoundSharing:
 
     def split(self, items):
         """``(kept, pruned_ids)`` of ``[(graph_id, bounds)]`` work items
-        against every known exact vector (NumPy fast path when present)."""
+        against every known exact vector (array form past 256 cells)."""
         if not self._vectors:
             return items, []
         vectors = list(self._vectors.values())
         if len(items) * len(vectors) > 256:
-            split = self._split_numpy(items, vectors)
-            if split is not None:
-                return split
+            return self._split_numpy(items, vectors)
         kept, pruned = [], []
         judge = self.judge
         for graph_id, bounds in items:
@@ -634,10 +632,8 @@ class BoundSharing:
         return kept, pruned
 
     def _split_numpy(self, items, vectors):
-        try:
-            import numpy as np
-        except Exception:
-            return None
+        import numpy as np
+
         rows = [i for i, (_, bounds) in enumerate(items) if bounds is not None]
         if not rows:
             return items, []
@@ -1385,8 +1381,6 @@ class PooledEvaluator(Evaluator):
         try:
             store = self.matrix_source()
         except Exception:
-            return None
-        if store is None:
             return None
         exported = pool.export_matrix(store)
         if exported is None:

@@ -1,11 +1,15 @@
 """Cheap iso-invariant graph features for index filtering.
 
-The database layer (S13) prunes candidates with features that bound the
-paper's distance measures from below:
+Candidates are pruned with features that bound the paper's distance
+measures from below:
 
 * size difference bounds ``DistEd`` (every edit changes at most one edge);
 * ``|mcs|`` is bounded above by the overlap of edge-label multisets, which
   bounds ``DistMcs`` / ``DistGu`` from below.
+
+:func:`optimistic_vector` assembles one graph's lower-bound vector; a
+replay bounds its few added graphs with it. Full runs bound every row at
+once with the bit-identical kernels of :mod:`repro.index.kernels`.
 
 Labels are kept as the label objects themselves and matched by equality,
 the rule of every cost model and solver: ``1``, ``1.0`` and ``True`` are
@@ -15,7 +19,7 @@ one label here too, so no bound can exceed the distance it bounds.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Hashable
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -110,6 +114,40 @@ def dist_gu_lower_bound(f1: GraphFeatures, f2: GraphFeatures) -> float:
     if union <= 0:
         return 0.0
     return 1.0 - mcs_cap / union
+
+
+def _normalized_edit_bound(f1: GraphFeatures, f2: GraphFeatures) -> float:
+    raw = edit_distance_lower_bound(f1, f2)
+    return raw / (1.0 + raw)
+
+
+#: Per-measure lower-bound functions over feature pairs. Measures without
+#: an entry get the trivial bound 0 (never pruned incorrectly).
+_BOUND_FUNCTIONS = {
+    "edit": edit_distance_lower_bound,
+    "edit-normalized": _normalized_edit_bound,
+    "mcs": dist_mcs_lower_bound,
+    "union": dist_gu_lower_bound,
+}
+
+
+def optimistic_vector(
+    features: GraphFeatures, query_features: GraphFeatures, measures: Sequence
+) -> tuple[float, ...]:
+    """Componentwise lower bound on ``GCS(graph, query)`` from features.
+
+    Guaranteed ≤ the exact vector on every dimension; dimensions whose
+    measure (by ``name``) has no known bound contribute 0.
+    """
+    bounds = []
+    for measure in measures:
+        bound_function = _BOUND_FUNCTIONS.get(measure.name)
+        bounds.append(
+            0.0
+            if bound_function is None
+            else float(bound_function(features, query_features))
+        )
+    return tuple(bounds)
 
 
 def _overlap(counter1: Counter, counter2: Counter) -> int:

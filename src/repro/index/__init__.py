@@ -1,6 +1,6 @@
-"""repro.index — vectorized feature store and bound kernels.
+"""repro.index — packed feature store and batched bound kernels.
 
-The array-speed candidate-filtering layer (requires NumPy):
+The candidate-filtering layer of every full run that prunes:
 
 * :class:`~repro.index.matrix.SignatureMatrix` — every graph's
   label-multiset/size signature packed into shared interned-vocabulary
@@ -14,7 +14,8 @@ The array-speed candidate-filtering layer (requires NumPy):
   ``version`` dirty flag;
 * :class:`~repro.index.source.IndexedSource` /
   :func:`~repro.index.source.batch_bound_pruning` — the engine plan
-  parts the ``vectorized`` backend is made of.
+  parts the ``indexed`` backend (alias ``vectorized``), ``auto`` and the
+  shard scatter are made of.
 """
 
 from repro.index.kernels import (

@@ -7,12 +7,13 @@ per-graph Python loop. The kernels are **bit-identical** to their scalar
 counterparts in :mod:`repro.graph.features` (property-tested with exact
 ``==``): every intermediate is integer arithmetic on counts below 2⁵³
 followed by the same IEEE-754 double operations the scalar code performs,
-so the optimistic vectors the engine prunes with do not change by a single
-ulp when the vectorized path is enabled.
+so a full run and a replay (which bounds its added graphs one at a time
+with :func:`repro.graph.features.optimistic_vector`) prune on the same
+optimistic vectors, to the last ulp.
 
 Bound registry: :func:`bound_matrix` assembles the full ``(n, d)``
 optimistic-vector matrix for a measure tuple, mirroring the per-measure
-dispatch of :data:`repro.db.index._BOUND_FUNCTIONS` (measures without a
+dispatch of :data:`repro.graph.features._BOUND_FUNCTIONS` (measures without a
 kernel contribute an all-zero column — never pruned incorrectly).
 
 :func:`dominator_counts` is the one array form of "how many exact vectors

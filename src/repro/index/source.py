@@ -1,9 +1,8 @@
-"""Engine wiring for the vectorized index: candidate source + batch stage.
+"""Engine wiring for the packed index: candidate source + batch stage.
 
-:class:`IndexedSource` is the array-speed counterpart of
-:class:`~repro.engine.plan.BoundOrderedSource`: one batched kernel call
-computes the optimistic vectors of *every* candidate, NumPy sorts the
-visiting order, and the source returns one
+:class:`IndexedSource` is the source of every full run that prunes: one
+batched kernel call computes the optimistic vectors of *every*
+candidate, NumPy sorts the visiting order, and the source returns one
 :class:`~repro.engine.plan.CandidateBlock` (ids plus the bound rows,
 no per-candidate objects). Where a sound upfront filter exists,
 candidates are **pre-filtered before the cascade ever sees them**:
@@ -27,7 +26,7 @@ window of bound rows with :func:`~repro.index.kernels.dominator_counts`
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -47,20 +46,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class IndexedSource(CandidateSource):
-    """Vectorized bound computation, ordering and threshold pre-filtering."""
+    """Vectorized bound computation, ordering and threshold pre-filtering
+    over ``store``, synced to its database on every run."""
 
     computes_bounds = True
 
-    def __init__(
-        self,
-        store_provider: Callable[[], FeatureStore],
-        prefilter: bool = True,
-    ) -> None:
-        self._store_provider = store_provider
+    def __init__(self, store: FeatureStore, prefilter: bool = True) -> None:
+        self._store = store
         self._prefilter = prefilter
 
     def candidates(self, ctx: "RunContext") -> CandidateBlock:
-        matrix = self._store_provider().sync()
+        matrix = self._store.sync()
         query = matrix.pack_query(ctx.query_features)
         kind = ctx.spec.kind
         ids = matrix.ids
@@ -96,7 +92,10 @@ class BatchParetoStage(BoundStage):
 
     Drop-in replacement for :class:`~repro.engine.plan.ParetoPruneStage`
     with identical semantics; one :meth:`prune_mask` call judges a whole
-    window of bound rows against every observed exact vector.
+    window of bound rows against every observed exact vector. The
+    observations are also kept as a list of tuples for :meth:`cap`, which
+    runs once or twice per solved pair: unpacking the array on each call
+    would cost more than the cap itself.
     """
 
     name = "pareto-bound(batch)"
@@ -105,42 +104,41 @@ class BatchParetoStage(BoundStage):
         self.prune_limit = prune_limit
         self.tolerance = tolerance
         self._exact: np.ndarray | None = None
-        self._count = 0
+        self._observed: list[tuple[float, ...]] = []
 
     def prune_mask(self, bounds) -> np.ndarray:
-        if self._count == 0:
+        count = len(self._observed)
+        if count == 0:
             return np.zeros(len(bounds), dtype=bool)
-        counts = dominator_counts(
-            self._exact[: self._count], bounds, self.tolerance
-        )
+        counts = dominator_counts(self._exact[:count], bounds, self.tolerance)
         return counts >= self.prune_limit
 
     def cap(self, values, dim: int) -> float | None:
-        if self.tolerance > 0 or self._count == 0:
+        if self.tolerance > 0:
             return None
-        exact = self._exact[: self._count].tolist()
-        return pareto_cap(exact, values, dim, self.prune_limit)
+        return pareto_cap(self._observed, values, dim, self.prune_limit)
 
     def observe(self, graph_id: int, values: tuple[float, ...]) -> None:
+        count = len(self._observed)
         if self._exact is None:
             self._exact = np.empty((8, len(values)), dtype=np.float64)
-        elif self._count == self._exact.shape[0]:
-            grown = np.empty(
-                (2 * self._exact.shape[0], self._exact.shape[1]), dtype=np.float64
-            )
-            grown[: self._count] = self._exact[: self._count]
+        elif count == self._exact.shape[0]:
+            grown = np.empty((2 * count, self._exact.shape[1]), dtype=np.float64)
+            grown[:count] = self._exact
             self._exact = grown
-        self._exact[self._count] = values
-        self._count += 1
+        self._exact[count] = values
+        self._observed.append(values)
         self.revision += 1
 
 
 def batch_bound_stage_for(spec) -> BoundStage:
-    """The vectorized bound-pruning stage for ``spec``'s query kind.
+    """The bound-pruning stage of a full run for ``spec``'s query kind.
 
     Skyline/skyband get the batched Pareto stage; the topk/threshold
     stages already judge array windows with one comparison, so the
-    scalar-path classes are reused as-is.
+    classes a replay uses (:func:`repro.engine.plan.bound_pruning`) are
+    reused as-is. The planner and the scatter path, which share one
+    stage instance across shard runs, call this directly.
     """
     if spec.kind == "skyline":
         return BatchParetoStage(1, spec.tolerance)

@@ -1,9 +1,8 @@
 """Incrementally-maintained feature store bound to one ``GraphDatabase``.
 
 :class:`FeatureStore` keeps a :class:`~repro.index.matrix.SignatureMatrix`
-in sync with a database through the same ``GraphDatabase.version``
-dirty flag the ``indexed`` backend uses — but instead of rebuilding per-graph feature
-objects, :meth:`sync` diffs the live id set against the matrix rows and
+in sync with a database through its ``GraphDatabase.version`` dirty
+flag: :meth:`sync` diffs the live id set against the matrix rows and
 applies **row-level invalidation**: removed ids drop their row in O(row),
 new ids append one row, untouched graphs are never re-featurized. Graph
 ids are never reused and stored features are frozen at insert, so the id

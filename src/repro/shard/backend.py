@@ -42,13 +42,10 @@ from __future__ import annotations
 from repro.errors import QueryError
 from repro.db.database import GraphDatabase
 from repro.api.spec import GraphQuery
-from repro.api.backends import (
-    ExecutionBackend,
-    _numpy_available,
-    register_backend,
-)
-from repro.engine.evaluate import Evaluator, PooledEvaluator, SerialEvaluator
-from repro.engine.plan import EvaluationPlan, Stage, bound_stage_for
+from repro.api.backends import ExecutionBackend, register_backend
+from repro.engine.evaluate import Evaluator, SerialEvaluator
+from repro.engine.workers import PooledEvaluator
+from repro.engine.plan import EvaluationPlan, Stage
 from repro.engine.planner import QueryPlanner
 from repro.engine.scatter import ShardedSource, merge_consumer, scatter_run
 from repro.shard.store import ShardedGraphDatabase
@@ -71,7 +68,7 @@ class ShardedBackend(ExecutionBackend):
         pool, shipping per-shard payloads; serial otherwise.
     max_workers / chunk_size:
         Pool sizing for ``parallel=True`` (see
-        :class:`~repro.engine.evaluate.PooledEvaluator`).
+        :class:`~repro.engine.workers.PooledEvaluator`).
     cache:
         Optional shared :class:`~repro.db.cache.PairCache`; the
         cached-pairs stage joins every shard's cascade.
@@ -141,11 +138,9 @@ class ShardedBackend(ExecutionBackend):
     def _shared_bound_stage(self, spec: GraphQuery) -> Stage:
         """One bound-stage instance reused by every shard run (the
         cross-shard pruning channel; see the module docstring)."""
-        if _numpy_available():
-            from repro.index.source import batch_bound_stage_for
+        from repro.index.source import batch_bound_stage_for
 
-            return batch_bound_stage_for(spec)
-        return bound_stage_for(spec)
+        return batch_bound_stage_for(spec)
 
     def _cascade(self, spec: GraphQuery) -> tuple:
         if not self._prunes(spec):

@@ -12,9 +12,8 @@ change to the paper's pruning arguments:
 
 * ids are allocated globally (never reused) and forced into the owning
   shard, so a shard database *is* a plain ``GraphDatabase`` whose ids
-  happen to be a subset of the global id space — every existing index
-  structure (:class:`~repro.db.index.FeatureIndex`,
-  :class:`~repro.index.store.FeatureStore`) binds to a shard unchanged
+  happen to be a subset of the global id space — the index
+  (:class:`~repro.index.store.FeatureStore`) binds to a shard unchanged
   and follows that shard's own ``version`` counter;
 * the global database remains fully usable as a monolith: every backend
   (``memory``, ``indexed``, ``parallel``, ``vectorized``) runs over a

@@ -38,7 +38,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.api.backends import ExecutionBackend, IndexedBackend, MemoryBackend
+import numpy as np
+
+from repro.api.backends import (
+    ExecutionBackend,
+    IndexedBackend,
+    MemoryBackend,
+    VectorizedBackend,
+)
 from repro.api.ops import applicable, apply_mutation
 from repro.api.parallel import ParallelBackend
 from repro.api.session import Session
@@ -47,17 +54,16 @@ from repro.db.cache import PairCache
 from repro.db.database import GraphDatabase
 from repro.db.persistence import load_database, save_database
 from repro.engine.plan import (
-    Candidate,
+    BoundStage,
     EvaluationPlan,
-    ParetoPruneStage,
     RankBoundStage,
-    Stage,
     ThresholdBoundStage,
     kth_smallest,
 )
 from repro.errors import QueryError
 from repro.engine.evaluate import SOLVER_CUTOFF, SerialEvaluator, solve_pair
 from repro.graph.serialization import graph_to_dict
+from repro.index import BatchParetoStage
 from repro.measures.base import PairContext
 from repro.shard.backend import ShardedBackend
 from repro.shard.store import ShardedGraphDatabase
@@ -79,86 +85,42 @@ from repro.testkit.workload import (
 # ----------------------------------------------------------------------
 # Fault injection: deliberately unsound engine stages
 # ----------------------------------------------------------------------
-class _FlippedParetoStage(Stage):
+class _FlippedParetoStage(BatchParetoStage):
     """Pareto pruning with the dominance test backwards: prunes a
     candidate when its *optimistic bound* dominates a known exact vector
     — i.e. exactly the promising candidates."""
 
     name = "pareto-bound(sign-flipped)"
 
-    def __init__(self, tolerance: float) -> None:
-        self.tolerance = tolerance
-        self._exact: list[tuple[float, ...]] = []
-
-    def decide(self, candidate: Candidate) -> "str | None":
-        if candidate.bounds is None:
-            return None
-        for vector in self._exact:
-            if dominates(candidate.bounds, vector, self.tolerance):
-                return "prune"
-        return None
-
-    def observe(self, graph_id: int, values: tuple[float, ...]) -> None:
-        self._exact.append(values)
+    def prune_mask(self, bounds) -> list[bool]:
+        exact = self._observed
+        return [
+            any(dominates(row, vector, self.tolerance) for vector in exact)
+            for row in bounds
+        ]
 
 
-class _FlippedRankStage(Stage):
-    """Top-k cutoff backwards: prunes bounds *below* the k-th best."""
+class _FlippedRankStage(RankBoundStage):
+    """Top-k cutoff backwards: prunes bounds *at or below* the k-th best."""
 
     name = "rank-bound(sign-flipped)"
 
-    def __init__(self, k: int) -> None:
-        self.k = k
-        self._best: list[float] = []
-
-    def decide(self, candidate: Candidate) -> "str | None":
-        if candidate.bounds is None or len(self._best) < self.k:
-            return None
-        if candidate.bounds[0] <= sorted(self._best)[self.k - 1]:
-            return "prune"
-        return None
-
-    def observe(self, graph_id: int, values: tuple[float, ...]) -> None:
-        self._best.append(values[0])
+    def prune_mask(self, bounds):
+        if len(self._best) < self.k:
+            return [False] * len(bounds)
+        return np.asarray(bounds)[:, 0] <= self._best[-1]
 
 
-class _FlippedThresholdStage(Stage):
+class _FlippedThresholdStage(ThresholdBoundStage):
     """Range pruning backwards: prunes bounds *within* the threshold."""
 
     name = "threshold-bound(sign-flipped)"
 
-    def __init__(self, threshold: float) -> None:
-        self.threshold = threshold
-
-    def decide(self, candidate: Candidate) -> "str | None":
-        if candidate.bounds is not None and candidate.bounds[0] <= self.threshold:
-            return "prune"
-        return None
+    def prune_mask(self, bounds):
+        return np.asarray(bounds)[:, 0] <= self.threshold
 
 
-def _flipped_bound_pruning(ctx) -> Stage:
-    spec = ctx.spec
-    if spec.kind in ("skyline", "skyband"):
-        return _FlippedParetoStage(spec.tolerance)
-    if spec.kind == "topk":
-        return _FlippedRankStage(spec.k)
-    return _FlippedThresholdStage(spec.threshold)
-
-
-class BrokenBoundIndexedBackend(IndexedBackend):
-    """The ``indexed`` backend with its bound stage sign-flipped."""
-
-    def build_plan(self, spec: GraphQuery) -> EvaluationPlan:
-        prune = (_flipped_bound_pruning,) if self.use_index else ()
-        return EvaluationPlan(
-            source=super().build_plan(spec).source,
-            cascade=prune + self._cache_stages(),
-            evaluator=SerialEvaluator(),
-            stage_labels=("bound(sign-flipped)",) + self._cache_labels(),
-        )
-
-
-class _OffByOneParetoStage(ParetoPruneStage):
+class _OffByOneParetoStage(BatchParetoStage):
     """Pareto caps without the equal-coordinate rule: a dominator that
     only ties elsewhere cuts at its own value, not just past it."""
 
@@ -167,7 +129,7 @@ class _OffByOneParetoStage(ParetoPruneStage):
     def cap(self, values, dim):
         thresholds = [
             vector[dim]
-            for vector in self._exact
+            for vector in self._observed
             if all(
                 mine <= theirs
                 for index, (mine, theirs) in enumerate(zip(vector, values))
@@ -195,27 +157,56 @@ class _OffByOneThresholdStage(ThresholdBoundStage):
         return self.threshold
 
 
-def _off_by_one_bound_pruning(ctx) -> Stage:
-    spec = ctx.spec
-    if spec.kind == "skyline":
-        return _OffByOneParetoStage(1, spec.tolerance)
-    if spec.kind == "skyband":
-        return _OffByOneParetoStage(spec.k, spec.tolerance)
-    if spec.kind == "topk":
-        return _OffByOneRankStage(spec.k)
-    return _OffByOneThresholdStage(spec.threshold)
+def _stage_family(pareto, rank, threshold):
+    """A cascade factory dispatching on the kind the way
+    :func:`~repro.index.source.batch_bound_stage_for` does."""
+
+    def factory(ctx) -> BoundStage:
+        spec = ctx.spec
+        if spec.kind == "skyline":
+            return pareto(1, spec.tolerance)
+        if spec.kind == "skyband":
+            return pareto(spec.k, spec.tolerance)
+        if spec.kind == "topk":
+            return rank(spec.k)
+        return threshold(spec.threshold)
+
+    return factory
 
 
-class OffByOneCutoffIndexedBackend(IndexedBackend):
-    """The ``indexed`` backend whose solver cutoffs are one float low."""
+class _FaultyStageIndexedBackend(IndexedBackend):
+    """The ``indexed`` backend with its bound stage replaced."""
+
+    #: Cascade factory of the replacement bound stage.
+    stages: Any
 
     def build_plan(self, spec: GraphQuery) -> EvaluationPlan:
         plan = super().build_plan(spec)
         if not self.use_index:
             return plan
         return dataclasses.replace(
-            plan, cascade=(_off_by_one_bound_pruning,) + plan.cascade[1:]
+            plan, cascade=(self.stages,) + plan.cascade[1:]
         )
+
+
+class BrokenBoundIndexedBackend(_FaultyStageIndexedBackend):
+    """The ``indexed`` backend with its bound stage sign-flipped."""
+
+    stages = staticmethod(
+        _stage_family(
+            _FlippedParetoStage, _FlippedRankStage, _FlippedThresholdStage
+        )
+    )
+
+
+class OffByOneCutoffIndexedBackend(_FaultyStageIndexedBackend):
+    """The ``indexed`` backend whose solver cutoffs are one float low."""
+
+    stages = staticmethod(
+        _stage_family(
+            _OffByOneParetoStage, _OffByOneRankStage, _OffByOneThresholdStage
+        )
+    )
 
 
 class _RaisedBracketContext(PairContext):
@@ -428,8 +419,6 @@ class WorkloadRunner:
             cls = FAULTS[self.fault] if self.fault else IndexedBackend
             return cls(self.database, cache=cache)
         if name == "vectorized":
-            from repro.api.backends import VectorizedBackend
-
             return VectorizedBackend(self.database, cache=cache)
         if name == "parallel":
             return ParallelBackend(

@@ -41,18 +41,12 @@ from repro.errors import SerializationError
 from repro.graph.generators import mutate
 from repro.graph.labeled_graph import LabeledGraph
 
-from repro.api.backends import _numpy_available
-
-#: Backends every generated workload exercises (``vectorized`` joins the
-#: rotation whenever NumPy is importable — the same gate that registers
-#: the backend). The runner's database is itself sharded (see
-#: :class:`~repro.testkit.runner.WorkloadRunner`), so every backend is
-#: fuzzed over the shard store and ``sharded`` adds the scatter-gather
-#: execution path on top.
+#: Backends every generated workload exercises. The runner's database is
+#: itself sharded (see :class:`~repro.testkit.runner.WorkloadRunner`), so
+#: every backend is fuzzed over the shard store and ``sharded`` adds the
+#: scatter-gather execution path on top.
 WORKLOAD_BACKENDS: tuple[str, ...] = (
-    ("memory", "indexed", "parallel", "vectorized", "sharded", "auto")
-    if _numpy_available()
-    else ("memory", "indexed", "parallel", "sharded", "auto")
+    "memory", "indexed", "parallel", "vectorized", "sharded", "auto"
 )
 
 #: Backends whose cascade prunes by index bounds. Tolerant dominance is

@@ -380,7 +380,6 @@ def test_anytime_expired_deadline_with_progress_returns_partial(
 
 
 def test_block_walk_stops_within_one_window_of_an_expired_deadline():
-    pytest.importorskip("numpy")
     from repro.engine import EvaluationPlan, run_plan
     from repro.engine.plan import BoundStage
     from repro.index import FeatureStore, IndexedSource
@@ -406,7 +405,7 @@ def test_block_walk_stops_within_one_window_of_an_expired_deadline():
     deadline = Deadline.after(60.0)
     stage = ExpiringStage(deadline)
     plan = EvaluationPlan(
-        source=IndexedSource(lambda: store), cascade=(lambda ctx: stage,)
+        source=IndexedSource(store), cascade=(lambda ctx: stage,)
     )
     with deadline_scope(deadline):
         with pytest.raises(DeadlineExceeded, match="deadline exceeded"):

@@ -18,7 +18,7 @@ from repro.api import (
 from repro.api.backends import BackendAnswer
 from repro.core import graph_similarity_skyline, top_k_by_measure
 from repro.datasets import figure3_database, figure3_query
-from repro.db import GraphDatabase, SkylineExecutor, save_database
+from repro.db import GraphDatabase, save_database
 from repro.errors import QueryError, SerializationError
 from repro.graph import graph_to_json
 from repro.measures import EditDistance
@@ -298,11 +298,13 @@ def test_skyband_contains_skyline(paper_database, paper_query):
 
 
 def test_threshold_query_matches_executor(paper_database, paper_query):
-    executor = SkylineExecutor(paper_database)
-    expected = executor.threshold_search(paper_query, "edit", 3.0)
-    with connect(paper_database, backend="indexed") as session:
-        result = session.execute(Query(paper_query).threshold(3.0, "edit"))
-    assert [(i, result.distance(i)) for i in result.ids] == expected
+    """The pruned ``indexed`` range query equals the exhaustive one."""
+    answers = []
+    for backend in ("memory", "indexed"):
+        with connect(paper_database, backend=backend) as session:
+            result = session.execute(Query(paper_query).threshold(3.0, "edit"))
+        answers.append([(i, result.distance(i)) for i in result.ids])
+    assert answers[0] == answers[1]
 
 
 # ----------------------------------------------------------------------
@@ -322,22 +324,22 @@ def test_indexed_backend_heals_after_insert(paper_db, paper_query):
 
 def test_executor_heals_without_refresh_index(paper_db, paper_query):
     database = GraphDatabase.from_graphs(paper_db[:3])
-    executor = SkylineExecutor(database)
+    backend = IndexedBackend(database)
     database.insert(paper_db[3])
-    result = executor.execute(paper_query)  # no refresh_index() call
-    assert result.stats.database_size == 4
-    assert 3 in executor.index
+    answer = backend.run(Query(paper_query).skyline().build())  # no refresh
+    assert answer.stats.database_size == 4
+    assert 3 in backend.store.matrix.row_of
 
 
 def test_index_heals_after_remove(paper_db, paper_query):
     database = GraphDatabase.from_graphs(paper_db)
-    executor = SkylineExecutor(database)
-    executor.execute(paper_query)
+    backend = IndexedBackend(database)
+    backend.run(Query(paper_query).skyline().build())
     database.remove(0)  # drop g1
-    result = executor.execute(paper_query)
-    names = sorted(g.name for g in result.skyline_graphs(database))
+    answer = backend.run(Query(paper_query).skyline().build())
+    names = sorted(database.get(i).name for i in answer.ids)
     assert "g1" not in names
-    assert 0 not in executor.index
+    assert 0 not in backend.store.matrix.row_of
 
 
 def test_database_version_counts_mutations(paper_db):
@@ -388,19 +390,14 @@ def test_parallel_backend_chunking(paper_database, paper_query):
 
 
 # ----------------------------------------------------------------------
-# Deprecated shims still route through the unified layer
+# Sessions over a view database
 # ----------------------------------------------------------------------
 def test_engine_shim_preserves_graph_identity(paper_db, paper_query):
-    from repro import SimilarityQueryEngine
-
-    result = SimilarityQueryEngine().skyline(paper_db, paper_query)
-    assert result.skyline[0] is paper_db[0]  # no defensive copies
-
-
-def test_executor_shim_exposes_backend(paper_database):
-    executor = SkylineExecutor(paper_database)
-    assert isinstance(executor._backend, ExecutionBackend)
-    assert len(executor.index) == 7
+    """A session over ``from_graphs(..., copy=False)`` answers with the
+    caller's own graph objects."""
+    database = GraphDatabase.from_graphs(paper_db, copy=False)
+    result = connect(database).execute(Query(paper_query).skyline())
+    assert result.graphs[0] is paper_db[0]  # no defensive copies
 
 
 def test_backend_answer_shape(paper_database, paper_query):

@@ -159,8 +159,6 @@ def _specs(query):
 
 
 def _run_twins(name: str, shards: int, cached: bool, monkeypatch):
-    if name == "vectorized":
-        pytest.importorskip("numpy")
     query = random_labeled_graph(4, 4, vertex_labels=("a", "b"), seed=10_001)
     rng = random.Random(5)
     twins = []

@@ -1,11 +1,15 @@
-"""Tests for the database store and feature index."""
+"""Tests for the database store, feature bounds and the packed index."""
 
 import pytest
 
-from repro.db import FeatureIndex, GraphDatabase
+from repro import Query
+from repro.db import GraphDatabase
 from repro.db import database as database_module
 from repro.errors import DatasetError
+from repro.engine.core import make_context
 from repro.graph import GraphFeatures, LabeledGraph, path_graph
+from repro.graph.features import optimistic_vector
+from repro.index import FeatureStore, IndexedSource
 from repro.measures import EditDistance, default_measures
 from repro.shard import ShardedGraphDatabase
 from tests.conftest import make_random_graph
@@ -123,30 +127,28 @@ def test_repr():
 
 
 # ----------------------------------------------------------------------
-# FeatureIndex
+# Feature bounds and the packed index
 # ----------------------------------------------------------------------
 def test_index_add_discard():
-    index = FeatureIndex()
-    features = GraphFeatures.of(path_graph(["A", "B"]))
-    index.add(1, features)
-    assert 1 in index
-    assert len(index) == 1
-    assert index.features(1) is features
-    index.discard(1)
-    assert 1 not in index
-    index.discard(1)  # idempotent
+    db = GraphDatabase()
+    store = FeatureStore(db)
+    graph_id = db.insert(path_graph(["A", "B"]))
+    assert graph_id in store.sync().row_of
+    assert len(store.matrix) == 1
+    db.remove(graph_id)
+    assert graph_id not in store.sync().row_of
+    assert len(store.matrix) == 0
 
 
 def test_optimistic_vector_is_lower_bound(paper_db, paper_query):
     from repro.measures import PairContext
 
-    index = FeatureIndex()
-    for i, graph in enumerate(paper_db):
-        index.add(i, GraphFeatures.of(graph))
     measures = default_measures()
     query_features = GraphFeatures.of(paper_query)
-    for i, graph in enumerate(paper_db):
-        optimistic = index.optimistic_vector(i, query_features, measures)
+    for graph in paper_db:
+        optimistic = optimistic_vector(
+            GraphFeatures.of(graph), query_features, measures
+        )
         context = PairContext(graph, paper_query)
         exact = tuple(m.distance(graph, paper_query, context) for m in measures)
         assert all(o <= e + 1e-9 for o, e in zip(optimistic, exact)), graph.name
@@ -155,22 +157,27 @@ def test_optimistic_vector_is_lower_bound(paper_db, paper_query):
 def test_optimistic_vector_unknown_measure_gets_zero(paper_db, paper_query):
     from repro.measures import FunctionMeasure
 
-    index = FeatureIndex()
-    index.add(0, GraphFeatures.of(paper_db[0]))
     odd = FunctionMeasure(lambda a, b: 42.0, name="odd")
-    vector = index.optimistic_vector(0, GraphFeatures.of(paper_query), [odd])
+    vector = optimistic_vector(
+        GraphFeatures.of(paper_db[0]), GraphFeatures.of(paper_query), [odd]
+    )
     assert vector == (0.0,)
 
 
+def _threshold_candidates(graphs, query, measure, threshold):
+    """The ids the packed index's threshold pre-filter lets through."""
+    db = GraphDatabase.from_graphs(graphs)
+    spec = Query(query).threshold(threshold, measure).build()
+    ctx = make_context(db, spec)
+    block = IndexedSource(FeatureStore(db)).candidates(ctx)
+    assert sorted(block.ids + ctx.prefiltered) == sorted(db.ids())
+    return set(block.ids)
+
+
 def test_threshold_candidates_sound(paper_db, paper_query):
-    index = FeatureIndex()
-    for i, graph in enumerate(paper_db):
-        index.add(i, GraphFeatures.of(graph))
     measure = EditDistance()
     threshold = 3.0
-    candidates = set(
-        index.threshold_candidates(GraphFeatures.of(paper_query), measure, threshold)
-    )
+    candidates = _threshold_candidates(paper_db, paper_query, measure, threshold)
     # every graph truly within the threshold must be among the candidates
     for i, graph in enumerate(paper_db):
         if measure.distance(graph, paper_query) <= threshold:
@@ -180,9 +187,6 @@ def test_threshold_candidates_sound(paper_db, paper_query):
 def test_threshold_candidates_unknown_measure_returns_all(paper_db, paper_query):
     from repro.measures import FunctionMeasure
 
-    index = FeatureIndex()
-    for i, graph in enumerate(paper_db):
-        index.add(i, GraphFeatures.of(graph))
     odd = FunctionMeasure(lambda a, b: 0.0, name="odd")
-    assert len(index.threshold_candidates(
-        GraphFeatures.of(paper_query), odd, 0.1)) == len(paper_db)
+    candidates = _threshold_candidates(paper_db, paper_query, odd, 0.1)
+    assert len(candidates) == len(paper_db)

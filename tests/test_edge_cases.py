@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from repro.core import SimilarityQueryEngine, graph_similarity_skyline
+from repro import Query, connect
+from repro.core import graph_similarity_skyline
 from repro.db.stats import PhaseTimer, QueryStats
 from repro.errors import QueryError
 from repro.graph import (
@@ -118,9 +119,9 @@ def test_query_stats_pruning_ratio_zero_division():
 # ----------------------------------------------------------------------
 # Engine misconfiguration
 # ----------------------------------------------------------------------
-def test_engine_rejects_empty_measures():
+def test_engine_rejects_empty_measures(paper_db, paper_query):
     with pytest.raises(QueryError):
-        SimilarityQueryEngine(measures=())
+        connect(paper_db).execute(Query(paper_query).measures().skyline())
 
 
 def test_engine_tolerance_merges_near_ties(paper_db, paper_query):
@@ -133,18 +134,25 @@ def test_engine_tolerance_merges_near_ties(paper_db, paper_query):
 
 
 # ----------------------------------------------------------------------
-# Deterministic candidate order in the executor
+# Deterministic candidate order of the bound source
 # ----------------------------------------------------------------------
 def test_executor_candidate_order_is_stable(paper_db, paper_query):
-    from repro.db import GraphDatabase, SkylineExecutor
-    from repro.graph import GraphFeatures
+    from repro.db import GraphDatabase
+    from repro.engine.core import make_context
+    from repro.index import FeatureStore, IndexedSource
 
     db = GraphDatabase.from_graphs(paper_db)
-    executor = SkylineExecutor(db)
-    features = GraphFeatures.of(paper_query)
-    first = executor._candidate_order(features)
-    second = executor._candidate_order(features)
-    assert first == second
+    store = FeatureStore(db)
+    source = IndexedSource(store)
+    ctx = make_context(db, Query(paper_query).skyline().build())
+    first = source.candidates(ctx)
+    second = source.candidates(ctx)
+    assert first.ids == second.ids
+    assert first.bounds.tolist() == second.bounds.tolist()
+    # visiting order: ascending optimistic sum, ties by id
+    keys = [(sum(row), graph_id) for graph_id, row in
+            zip(first.ids, first.bounds.tolist())]
+    assert keys == sorted(keys)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ from repro.datasets import make_workload
 from repro.api.backends import IndexedBackend, MemoryBackend
 from repro.api.parallel import ParallelBackend
 from repro.engine import (
-    BoundOrderedSource,
     Candidate,
     DatabaseOrderSource,
     EvaluationPlan,
@@ -23,10 +22,10 @@ from repro.engine import (
     SerialEvaluator,
     Stage,
     ThresholdBoundStage,
-    bound_pruning,
     cached_pairs,
     run_plan,
 )
+from repro.index import IndexedSource, batch_bound_pruning
 
 
 # The figure-3 fixtures live in conftest.py; module-local aliases keep
@@ -50,9 +49,9 @@ def test_backend_plans_are_declarative(db, query):
     assert isinstance(memory.source, DatabaseOrderSource)
     assert memory.cascade == ()
     indexed = IndexedBackend(db).build_plan(spec)
-    assert isinstance(indexed.source, BoundOrderedSource)
-    assert indexed.cascade == (bound_pruning,)
-    assert indexed.stage_labels == ("pareto-bound",)
+    assert isinstance(indexed.source, IndexedSource)
+    assert indexed.cascade == (batch_bound_pruning,)
+    assert indexed.stage_labels == ("pareto-bound(batch)",)
     parallel = ParallelBackend(db, max_workers=2).build_plan(spec)
     assert isinstance(parallel.evaluator, PooledEvaluator)
     cached = MemoryBackend(db, cache=PairCache()).build_plan(spec)
@@ -71,8 +70,8 @@ def test_bound_stage_label_follows_kind(db, query):
         }.items()
     }
     assert labels == {
-        "skyline": "pareto-bound",
-        "skyband": "pareto-bound",
+        "skyline": "pareto-bound(batch)",
+        "skyband": "pareto-bound(batch)",
         "topk": "rank-bound",
         "threshold": "threshold-bound",
     }
@@ -81,8 +80,8 @@ def test_bound_stage_label_follows_kind(db, query):
 def test_plan_describe_shows_cascade(db, query):
     with connect(db, backend="indexed", cache=PairCache()) as session:
         plan = session.plan(Query(query).skyline())
-        assert plan.stages == ("pareto-bound", "cached-pairs")
-        assert "pareto-bound" in plan.describe()
+        assert plan.stages == ("pareto-bound(batch)", "cached-pairs")
+        assert "pareto-bound(batch)" in plan.describe()
 
 
 def test_run_plan_direct_matches_backend(db, query):
@@ -120,8 +119,8 @@ def test_parallel_composes_with_cache(db, query):
 
 
 def test_custom_plan_composition(db, query):
-    """A plan the shipped backends don't offer: bound-ordered pruning with
-    a cache, assembled from engine parts."""
+    """A plan the shipped backends don't offer: bound pruning with a
+    cache, assembled from engine parts."""
     cache = PairCache()
     backend = IndexedBackend(db, cache=cache)
     spec = Query(query).skyband(2).build()

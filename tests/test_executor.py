@@ -1,39 +1,49 @@
-"""Tests for the pruning query executor."""
+"""Tests for the pruning ``indexed`` session (the executor path)."""
 
 import pytest
 
+from repro import Query, connect
 from repro.core import graph_similarity_skyline
 from repro.datasets import make_workload
-from repro.db import GraphDatabase, SkylineExecutor
-from repro.graph import path_graph
+from repro.db import GraphDatabase
 from repro.measures import EditDistance
 
 
 @pytest.fixture
 def paper_executor(paper_db):
-    return SkylineExecutor(GraphDatabase.from_graphs(paper_db))
+    with connect(GraphDatabase.from_graphs(paper_db), backend="indexed") as session:
+        yield session
+
+
+def _skyline(db, query, use_index=True):
+    with connect(db, backend="indexed", use_index=use_index) as session:
+        return session.execute(Query(query).skyline())
+
+
+def _threshold_matches(session, query, measure, threshold):
+    result = session.execute(Query(query).threshold(threshold, measure))
+    return [(graph_id, result.distance(graph_id)) for graph_id in result.ids]
 
 
 def test_executor_reproduces_paper_skyline(paper_executor, paper_db, paper_query):
-    result = paper_executor.execute(paper_query)
-    names = [g.name for g in result.skyline_graphs(paper_executor.database)]
-    assert names == ["g1", "g4", "g5", "g7"]
+    result = paper_executor.execute(Query(paper_query).skyline())
+    assert result.names == ["g1", "g4", "g5", "g7"]
 
 
 def test_pruned_equals_unpruned_on_paper(paper_db, paper_query):
     db = GraphDatabase.from_graphs(paper_db)
-    with_index = SkylineExecutor(db, use_index=True).execute(paper_query)
-    without_index = SkylineExecutor(db, use_index=False).execute(paper_query)
-    assert with_index.skyline_ids == without_index.skyline_ids
+    with_index = _skyline(db, paper_query, use_index=True)
+    without_index = _skyline(db, paper_query, use_index=False)
+    assert with_index.ids == without_index.ids
 
 
 def test_pruned_equals_unpruned_on_synthetic_workload():
     workload = make_workload(n_graphs=24, query_size=6, seed=11)
     db = GraphDatabase.from_graphs(workload.database)
     query = workload.queries[0]
-    pruned = SkylineExecutor(db, use_index=True).execute(query)
-    full = SkylineExecutor(db, use_index=False).execute(query)
-    assert pruned.skyline_ids == full.skyline_ids
+    pruned = _skyline(db, query, use_index=True)
+    full = _skyline(db, query, use_index=False)
+    assert pruned.ids == full.ids
     # sanity: the unpruned executor evaluated everything
     assert full.stats.exact_evaluations == len(db)
     assert pruned.stats.exact_evaluations <= full.stats.exact_evaluations
@@ -43,17 +53,14 @@ def test_executor_matches_core_gss_on_synthetic():
     workload = make_workload(n_graphs=18, query_size=6, seed=3)
     db = GraphDatabase.from_graphs(workload.database)
     query = workload.queries[0]
-    executor_result = SkylineExecutor(db).execute(query)
+    executor_result = _skyline(db, query)
     core_result = graph_similarity_skyline(db.graphs(), query)
     core_names = sorted(g.name for g in core_result.skyline)
-    executor_names = sorted(
-        db.get(i).name for i in executor_result.skyline_ids
-    )
-    assert executor_names == core_names
+    assert sorted(executor_result.names) == core_names
 
 
 def test_stats_are_recorded(paper_executor, paper_query):
-    result = paper_executor.execute(paper_query)
+    result = paper_executor.execute(Query(paper_query).skyline())
     stats = result.stats
     assert stats.database_size == 7
     assert stats.candidates_considered == 7
@@ -65,27 +72,18 @@ def test_stats_are_recorded(paper_executor, paper_query):
 
 
 def test_executor_with_refinement(paper_executor, paper_query):
-    result = paper_executor.execute(paper_query, refine_k=2)
+    result = paper_executor.execute(Query(paper_query).skyline().refine(k=2))
     assert result.refinement is not None
     assert [g.name for g in result.refinement.subset] == ["g1", "g4"]
 
 
 def test_executor_refinement_skipped_when_not_needed(paper_executor, paper_query):
-    result = paper_executor.execute(paper_query, refine_k=4)
+    result = paper_executor.execute(Query(paper_query).skyline().refine(k=4))
     assert result.refinement is None
 
 
-def test_executor_refresh_index(paper_db, paper_query):
-    db = GraphDatabase.from_graphs(paper_db[:3])
-    executor = SkylineExecutor(db)
-    db.insert(paper_db[3])
-    executor.refresh_index()
-    result = executor.execute(paper_query)
-    assert result.stats.database_size == 4
-
-
 def test_threshold_search_exact(paper_executor, paper_query):
-    matches = paper_executor.threshold_search(paper_query, "edit", 3.0)
+    matches = _threshold_matches(paper_executor, paper_query, "edit", 3.0)
     names = sorted(
         paper_executor.database.get(gid).name for gid, _ in matches
     )
@@ -96,12 +94,11 @@ def test_threshold_search_exact(paper_executor, paper_query):
 
 
 def test_threshold_search_measure_instance(paper_executor, paper_query):
-    matches = paper_executor.threshold_search(paper_query, EditDistance(), 0.0)
+    matches = _threshold_matches(paper_executor, paper_query, EditDistance(), 0.0)
     assert matches == []
 
 
 def test_executor_empty_database(paper_query):
-    executor = SkylineExecutor(GraphDatabase())
-    result = executor.execute(paper_query)
-    assert result.skyline_ids == []
+    result = _skyline(GraphDatabase(), paper_query)
+    assert result.ids == []
     assert result.stats.skyline_size == 0

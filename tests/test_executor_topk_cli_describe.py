@@ -2,20 +2,27 @@
 
 import pytest
 
+from repro import Query, connect
 from repro.cli import main
 from repro.core import top_k_by_measure
 from repro.datasets import figure3_database, make_workload
-from repro.db import GraphDatabase, SkylineExecutor, save_database
+from repro.db import GraphDatabase, save_database
 
 
 # ----------------------------------------------------------------------
-# Executor top-k with bound pruning
+# Indexed top-k with bound pruning
 # ----------------------------------------------------------------------
+def _top_k(db, query, measure, k, use_index=True):
+    """``[(id, distance)]`` of an ``indexed`` session's top-k answer."""
+    with connect(db, backend="indexed", use_index=use_index) as session:
+        result = session.execute(Query(query).topk(k, measure))
+    return [(graph_id, result.distance(graph_id)) for graph_id in result.ids]
+
+
 def test_executor_topk_matches_core(paper_db, paper_query):
     db = GraphDatabase.from_graphs(paper_db)
-    executor = SkylineExecutor(db)
     for k in (1, 3, 7):
-        accelerated = executor.top_k_search(paper_query, "edit", k)
+        accelerated = _top_k(db, paper_query, "edit", k)
         reference = top_k_by_measure(db.graphs(), paper_query, "edit", k)
         assert [gid for gid, _ in accelerated] == reference.indices
         assert [d for _, d in accelerated] == pytest.approx(
@@ -28,21 +35,21 @@ def test_executor_topk_pruned_equals_unpruned_on_workload():
     db = GraphDatabase.from_graphs(workload.database)
     query = workload.queries[0]
     for measure in ("edit", "mcs", "union"):
-        pruned = SkylineExecutor(db, use_index=True).top_k_search(query, measure, 5)
-        full = SkylineExecutor(db, use_index=False).top_k_search(query, measure, 5)
+        pruned = _top_k(db, query, measure, 5, use_index=True)
+        full = _top_k(db, query, measure, 5, use_index=False)
         assert pruned == full, measure
 
 
 def test_executor_topk_k_larger_than_database(paper_db, paper_query):
     db = GraphDatabase.from_graphs(paper_db)
-    result = SkylineExecutor(db).top_k_search(paper_query, "edit", 100)
+    result = _top_k(db, paper_query, "edit", 100)
     assert len(result) == len(paper_db)
 
 
 def test_executor_topk_validation(paper_db, paper_query):
     db = GraphDatabase.from_graphs(paper_db)
     with pytest.raises(ValueError):
-        SkylineExecutor(db).top_k_search(paper_query, "edit", 0)
+        _top_k(db, paper_query, "edit", 0)
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,9 @@ import math
 
 import pytest
 
+from repro import Query, connect
 from repro.core import graph_similarity_skyline
-from repro.db import GraphDatabase, QueryCache, SkylineExecutor
+from repro.db import GraphDatabase, PairCache
 from repro.measures import FunctionMeasure
 from repro.skyline import IncrementalSkyline, dominates, naive_skyline
 
@@ -33,30 +34,28 @@ def _exploding_measure(after: int) -> FunctionMeasure:
 
 def test_executor_propagates_measure_failure_and_recovers(paper_db, paper_query):
     db = GraphDatabase.from_graphs(paper_db)
-    executor = SkylineExecutor(db, measures=[_exploding_measure(after=3)],
-                               use_index=False)
-    with pytest.raises(_Exploding):
-        executor.execute(paper_query)
-    # the executor holds no corrupted state: a fresh measure works
-    healthy = SkylineExecutor(db, use_index=False)
-    result = healthy.execute(paper_query)
+    with connect(db, backend="indexed", use_index=False) as session:
+        with pytest.raises(_Exploding):
+            session.execute(
+                Query(paper_query).measures(_exploding_measure(after=3)).skyline()
+            )
+        # the session holds no corrupted state: a fresh measure works
+        result = session.execute(Query(paper_query).skyline())
     assert result.stats.exact_evaluations == len(paper_db)
 
 
 def test_failure_does_not_poison_shared_cache(paper_db, paper_query):
     db = GraphDatabase.from_graphs(paper_db)
-    cache = QueryCache()
-    exploding = SkylineExecutor(
-        db, measures=[_exploding_measure(after=2)], use_index=False, cache=cache
-    )
-    with pytest.raises(_Exploding):
-        exploding.execute(paper_query)
+    cache = PairCache()
+    exploding = Query(paper_query).measures(_exploding_measure(after=2)).skyline()
+    with connect(db, backend="indexed", use_index=False, cache=cache) as session:
+        with pytest.raises(_Exploding):
+            session.execute(exploding)
     # entries cached before the failure are for the exploding measure's
     # name only; the default-measure query is unaffected
-    healthy = SkylineExecutor(db, use_index=False, cache=cache)
-    result = healthy.execute(paper_query)
-    names = sorted(db.get(i).name for i in result.skyline_ids)
-    assert names == ["g1", "g4", "g5", "g7"]
+    with connect(db, backend="indexed", use_index=False, cache=cache) as session:
+        result = session.execute(Query(paper_query).skyline())
+    assert sorted(result.names) == ["g1", "g4", "g5", "g7"]
 
 
 def test_gss_with_nan_producing_measure(paper_db, paper_query):

@@ -1,11 +1,12 @@
-"""Tests for incremental skylines, explanations and the query cache."""
+"""Tests for incremental skylines, explanations and the pair cache."""
 
 import random
 
 import pytest
 
 from repro.core import explain_all, explain_membership, graph_similarity_skyline
-from repro.db import GraphDatabase, QueryCache, SkylineExecutor
+from repro import Query, connect
+from repro.db import GraphDatabase, PairCache
 from repro.errors import QueryError
 from repro.skyline import IncrementalSkyline, incremental_skyline, naive_skyline
 
@@ -150,58 +151,64 @@ def test_explain_all_covers_database(paper_db, paper_query):
 
 
 # ----------------------------------------------------------------------
-# QueryCache
+# PairCache across sessions
 # ----------------------------------------------------------------------
+def _skyline(db, query, cache, measures=None):
+    """One fresh exhaustive session over ``cache`` (a repeat inside one
+    session would be served whole by its answer store)."""
+    spec = Query(query).skyline()
+    if measures is not None:
+        spec = spec.measures(*measures)
+    with connect(db, backend="indexed", use_index=False, cache=cache) as session:
+        return session.execute(spec)
+
+
 def test_cache_hits_on_repeated_query(paper_db, paper_query):
     db = GraphDatabase.from_graphs(paper_db)
-    cache = QueryCache()
-    executor = SkylineExecutor(db, use_index=False, cache=cache)
-    first = executor.execute(paper_query)
+    cache = PairCache()
+    first = _skyline(db, paper_query, cache)
     assert first.stats.exact_evaluations == 7
-    second = executor.execute(paper_query)
+    second = _skyline(db, paper_query, cache)
     assert second.stats.exact_evaluations == 0  # all served from cache
-    assert second.skyline_ids == first.skyline_ids
+    assert second.ids == first.ids
     assert cache.hits == 7
     assert cache.hit_rate > 0
 
 
 def test_cache_respects_measures_key(paper_db, paper_query):
     db = GraphDatabase.from_graphs(paper_db)
-    cache = QueryCache()
-    SkylineExecutor(db, use_index=False, cache=cache).execute(paper_query)
-    edit_only = SkylineExecutor(
-        db, measures=("edit",), use_index=False, cache=cache
-    ).execute(paper_query)
-    assert edit_only.stats.exact_evaluations == 7  # different measure vector
+    cache = PairCache()
+    _skyline(db, paper_query, cache, measures=("edit", "mcs"))
+    union_only = _skyline(db, paper_query, cache, measures=("union",))
+    assert union_only.stats.exact_evaluations == 7  # a measure never solved
 
 
 def test_cache_invalidate_graph(paper_db, paper_query):
     db = GraphDatabase.from_graphs(paper_db)
-    cache = QueryCache()
-    executor = SkylineExecutor(db, use_index=False, cache=cache)
-    executor.execute(paper_query)
-    cache.invalidate_graph(0)
-    rerun = executor.execute(paper_query)
+    cache = PairCache()
+    _skyline(db, paper_query, cache)
+    cache.invalidate_subject(db.entry(0).iso_hash)
+    rerun = _skyline(db, paper_query, cache)
     assert rerun.stats.exact_evaluations == 1  # only g1 recomputed
 
 
 def test_cache_lru_eviction():
-    cache = QueryCache(max_entries=2)
-    cache.put(1, "q", ("edit",), (1.0,))
-    cache.put(2, "q", ("edit",), (2.0,))
-    cache.get(1, "q", ("edit",))  # refresh 1
-    cache.put(3, "q", ("edit",), (3.0,))  # evicts 2
-    assert cache.get(2, "q", ("edit",)) is None
-    assert cache.get(1, "q", ("edit",)) == (1.0,)
+    cache = PairCache(max_entries=2)
+    cache.put("g1", "q", ("edit",), (1.0,))
+    cache.put("g2", "q", ("edit",), (2.0,))
+    cache.get("g1", "q", ("edit",))  # refresh g1
+    cache.put("g3", "q", ("edit",), (3.0,))  # evicts g2
+    assert cache.get("g2", "q", ("edit",)) is None
+    assert cache.get("g1", "q", ("edit",)) == (1.0,)
     assert len(cache) == 2
 
 
 def test_cache_clear_and_validation():
     with pytest.raises(ValueError):
-        QueryCache(max_entries=0)
-    cache = QueryCache()
-    cache.put(1, "q", ("edit",), (1.0,))
-    cache.get(1, "q", ("edit",))
+        PairCache(max_entries=0)
+    cache = PairCache()
+    cache.put("g1", "q", ("edit",), (1.0,))
+    cache.get("g1", "q", ("edit",))
     cache.clear()
     assert len(cache) == 0
     assert cache.hits == 0

@@ -1,7 +1,8 @@
 """Vectorized bound kernels must equal the scalar bounds *bit for bit*.
 
-The acceptance contract of the vectorized index: enabling the batched
-path changes nothing but speed. Every kernel output is compared to its
+The acceptance contract of the packed index: a full run bounds with the
+kernels and a replay bounds its added graphs one at a time with the
+scalar bounds, and both must prune on the same vectors. Every kernel output is compared to its
 scalar ``features.py`` counterpart with exact ``==`` (no tolerance), on
 hypothesis-generated graph populations and queries — including graphs
 with disjoint label vocabularies, empty graphs, and a matrix that
@@ -9,21 +10,19 @@ reached its state through incremental adds/removes rather than a bulk
 build.
 """
 
-import pytest
-
-np = pytest.importorskip("numpy", reason="repro.index requires NumPy")
-
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.db.index import _normalized_edit_bound
 from repro.graph import LabeledGraph
 from repro.graph.features import (
     GraphFeatures,
+    _normalized_edit_bound,
     dist_gu_lower_bound,
     dist_mcs_lower_bound,
     edit_distance_lower_bound,
     mcs_upper_bound,
+    optimistic_vector,
 )
 from repro.index import (
     FeatureStore,
@@ -98,20 +97,15 @@ def test_kernels_bit_identical_to_scalar_bounds(graphs, query):
 @relaxed
 @given(graphs=pop_graphs, query=query_graphs)
 def test_bound_matrix_matches_scalar_optimistic_vectors(graphs, query):
-    """The full (n, d) matrix equals FeatureIndex.optimistic_vector rows."""
-    from repro.db.index import FeatureIndex
-
+    """The full (n, d) matrix equals the per-row optimistic vectors."""
     matrix, features = _matrix_of(graphs)
     query_features = GraphFeatures.of(query)
     measures = resolve_measures(("edit", "edit-normalized", "mcs", "union"))
     packed = matrix.pack_query(query_features)
     batched = bound_matrix(matrix, packed, measures)
 
-    index = FeatureIndex()
-    for graph_id, f in enumerate(features):
-        index.add(graph_id, f)
     for row, graph_id in enumerate(matrix.ids.tolist()):
-        scalar = index.optimistic_vector(graph_id, query_features, measures)
+        scalar = optimistic_vector(features[graph_id], query_features, measures)
         assert tuple(batched[row].tolist()) == scalar
 
 
@@ -243,7 +237,7 @@ def test_threshold_prefilter_is_the_flat_bound_mask(graphs, query, threshold, me
     store = FeatureStore(database)
     spec = Query(query).threshold(threshold, measure).build()
     ctx = make_context(database, spec)
-    block = IndexedSource(lambda: store).candidates(ctx)
+    block = IndexedSource(store).candidates(ctx)
 
     matrix = store.matrix
     packed = matrix.pack_query(GraphFeatures.of(query))

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core import SimilarityQueryEngine, graph_similarity_skyline
+from repro import Query, connect
+from repro.core import graph_similarity_skyline
 from repro.datasets import make_workload, molecule_like_graph
-from repro.db import GraphDatabase, SkylineExecutor
+from repro.db import GraphDatabase
 from repro.errors import DatasetError
 from repro.graph import ged
 from repro.skyline.utils import dominates
@@ -49,16 +50,18 @@ def test_molecule_graph_shape():
 
 def test_end_to_end_engine_on_synthetic():
     workload = make_workload(n_graphs=16, query_size=6, seed=21)
-    engine = SimilarityQueryEngine()
-    answer = engine.query(workload.database, workload.queries[0], refine_k=3)
-    assert 1 <= len(answer.skyline.skyline) <= 16
-    if answer.refinement is not None:
-        assert len(answer.graphs) == 3
+    with connect(workload.database) as session:
+        answer = session.execute(
+            Query(workload.queries[0]).skyline().refine(k=3)
+        )
+    assert 1 <= len(answer.ids) <= 16
+    if len(answer.ids) > 3:
+        assert len(answer.refinement.subset) == 3
     # close mutants should generally beat far distractors: check that the
     # skyline contains at least one graph whose GCS strictly dominates the
     # worst evaluated graph, unless everything is pairwise incomparable.
-    vectors = [v.values for v in answer.skyline.vectors]
-    members = set(answer.skyline.skyline_indices)
+    vectors = [answer.vectors[i].values for i in range(len(workload.database))]
+    members = set(answer.ids)
     for i, vector in enumerate(vectors):
         if i not in members:
             assert any(
@@ -77,17 +80,16 @@ def test_exact_match_always_in_skyline():
 
 
 def test_executor_and_engine_agree_on_workload():
+    """The pruned ``indexed`` session and the exhaustive functional core
+    agree on a synthetic workload."""
     workload = make_workload(n_graphs=14, query_size=6, seed=5)
     query = workload.queries[0]
     engine_names = sorted(
-        g.name
-        for g in SimilarityQueryEngine().skyline(workload.database, query).skyline
+        g.name for g in graph_similarity_skyline(workload.database, query).skyline
     )
     db = GraphDatabase.from_graphs(workload.database)
-    executor = SkylineExecutor(db)
-    executor_names = sorted(
-        db.get(i).name for i in executor.execute(query).skyline_ids
-    )
+    with connect(db, backend="indexed") as session:
+        executor_names = sorted(session.execute(Query(query).skyline()).names)
     assert engine_names == executor_names
 
 
@@ -113,8 +115,9 @@ def test_threshold_and_topk_consistency():
     workload = make_workload(n_graphs=12, query_size=6, seed=13)
     query = workload.queries[0]
     db = GraphDatabase.from_graphs(workload.database)
-    executor = SkylineExecutor(db)
-    matches = executor.threshold_search(query, "edit", 3.0)
+    with connect(db, backend="indexed") as session:
+        result = session.execute(Query(query).threshold(3.0, "edit"))
+    matches = [(graph_id, result.distance(graph_id)) for graph_id in result.ids]
     for graph_id, distance in matches:
         assert distance <= 3.0
         assert ged(db.get(graph_id), query) == pytest.approx(distance)

@@ -64,8 +64,6 @@ def _respelled(graph: LabeledGraph) -> LabeledGraph:
 
 
 def _connect(graphs: list[LabeledGraph], backend: str) -> repro.Session:
-    if backend == "vectorized":
-        pytest.importorskip("numpy")
     return repro.connect(graphs, backend=backend)
 
 

@@ -1,6 +1,6 @@
 """PairCache: canonical-hash-keyed cross-query/measure sharing.
 
-Also pins the fix for the legacy ``QueryCache.query_hash`` bug: it used
+Also pins the fix for an old ``query_hash`` bug: it used
 to memoise the canonical hash by ``id(query)``, so a mutated graph — or a
 new graph allocated at a recycled id after garbage collection — was
 served a stale hash for a *different* graph.
@@ -12,7 +12,6 @@ import pytest
 
 from repro import PairCache, Query, connect
 from repro.datasets import figure3_query
-from repro.db import QueryCache
 from repro.graph import LabeledGraph, path_graph
 from repro.graph.canonical import canonical_hash
 
@@ -27,7 +26,7 @@ def db(paper_database):
 # query_hash regression (satellite: id()-keyed memoisation was unsound)
 # ----------------------------------------------------------------------
 def test_query_hash_follows_mutation():
-    cache = QueryCache()
+    cache = PairCache()
     graph = LabeledGraph.from_edges([("A", "B", "-"), ("B", "C", "-")], name="p3")
     before = cache.query_hash(graph)
     assert before == canonical_hash(graph)
@@ -47,7 +46,7 @@ def test_query_hash_correct_for_recycled_ids():
     """
     import weakref
 
-    cache = QueryCache()
+    cache = PairCache()
     graph = path_graph(["A", "B", "C"], name="pinned")
     reference = weakref.ref(graph)
     cache.query_hash(graph)
@@ -204,15 +203,6 @@ def test_concurrent_lookups_survive_eviction_by_other_threads():
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert len(cache) <= 8 and cache.pinned <= 4
-
-
-def test_querycache_invalidate_subject_is_invalidate_graph():
-    cache = QueryCache()
-    cache.put(0, "q", ("edit",), (1.0,))
-    cache.put(1, "q", ("edit",), (2.0,))
-    cache.invalidate_subject(0)  # id-keyed subclass: subject == graph id
-    assert cache.get(0, "q", ("edit",)) is None
-    assert cache.get(1, "q", ("edit",)) == (2.0,)
 
 
 def test_invalidate_subject():

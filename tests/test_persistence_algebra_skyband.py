@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro import Query, connect
 from repro.datasets import figure3_database, make_workload
 from repro.db import (
     GraphDatabase,
-    SkylineExecutor,
     database_from_dict,
     database_to_dict,
     load_database,
@@ -64,14 +64,20 @@ def test_save_rejects_unserializable(tmp_path):
         save_database(db, tmp_path / "x.json")
 
 
+def _ids(db, query, use_index=True):
+    """Answer ids of ``query`` on an ``indexed`` session over ``db``."""
+    with connect(db, backend="indexed", use_index=use_index) as session:
+        return session.execute(query).ids
+
+
 def test_saved_database_queryable_after_reload(tmp_path):
     workload = make_workload(n_graphs=10, query_size=6, seed=2)
     db = GraphDatabase.from_graphs(workload.database)
     path = tmp_path / "w.json"
     save_database(db, path)
     loaded = load_database(path)
-    before = SkylineExecutor(db).execute(workload.queries[0]).skyline_ids
-    after = SkylineExecutor(loaded).execute(workload.queries[0]).skyline_ids
+    before = _ids(db, Query(workload.queries[0]).skyline())
+    after = _ids(loaded, Query(workload.queries[0]).skyline())
     assert before == after
 
 
@@ -181,19 +187,18 @@ def test_skyband_validation():
 
 def test_executor_skyband(paper_db, paper_query):
     db = GraphDatabase.from_graphs(paper_db)
-    executor = SkylineExecutor(db)
-    band1 = executor.skyband_search(paper_query, 1)
-    assert band1 == executor.execute(paper_query).skyline_ids
-    band2 = executor.skyband_search(paper_query, 2)
+    band1 = _ids(db, Query(paper_query).skyband(1))
+    assert band1 == _ids(db, Query(paper_query).skyline())
+    band2 = _ids(db, Query(paper_query).skyband(2))
     assert set(band1) <= set(band2)
     with pytest.raises(ValueError):
-        executor.skyband_search(paper_query, 0)
+        _ids(db, Query(paper_query).skyband(0))
 
 
 def test_executor_skyband_pruning_sound():
     workload = make_workload(n_graphs=20, query_size=6, seed=4)
     db = GraphDatabase.from_graphs(workload.database)
     query = workload.queries[0]
-    pruned = SkylineExecutor(db, use_index=True).skyband_search(query, 2)
-    full = SkylineExecutor(db, use_index=False).skyband_search(query, 2)
+    pruned = _ids(db, Query(query).skyband(2), use_index=True)
+    full = _ids(db, Query(query).skyband(2), use_index=False)
     assert pruned == full

@@ -3,8 +3,8 @@
 Answer-set parity with the exhaustive reference across all four kinds is
 also fuzzed (``auto`` sits in the testkit backend rotation); this file
 pins the decision layer itself — the rule's soundness gates and
-crossovers, plans that do not depend on read history, NumPy-absent
-degradation, the regret pins (a plan chosen once never evaluates much
+crossovers, plans that do not depend on read history, batched bounds
+at every row count, the regret pins (a plan chosen once never evaluates much
 more than ``indexed``), ``auto`` against the fixed backend the rule
 names, the ``explain()`` / ``to_dict()`` reporting, the sharded scatter
 path, the ``repro backends`` CLI, and plans behind the server.
@@ -23,7 +23,6 @@ from repro.api.backends import available_backends
 from repro.api.spec import GraphQuery
 from repro.datasets import make_workload
 from repro.engine.planner import (
-    BATCH_MIN_ROWS,
     POOL_START_SECONDS,
     POOL_WARM_SECONDS,
     QueryPlanner,
@@ -85,7 +84,7 @@ def test_auto_matches_memory(database, query_graph, build):
     planner = result.stats.planner
     assert planner is not None and planner["backend"] == "auto"
     # The decision names source, stages, evaluator, and the rule's reasons.
-    assert planner["source"] in ("database-order", "bound-ordered", "indexed")
+    assert planner["source"] in ("database-order", "indexed")
     assert planner["evaluator"]
     assert planner["reasons"]
 
@@ -105,8 +104,8 @@ def test_explain_and_to_dict_carry_the_decision(database, query_graph):
     with repro.connect(database, backend="auto") as session:
         result = session.execute(_skyline_spec(query_graph))
     text = result.explain()
-    assert "planner: chose bound-ordered+pareto-bound/" in text
-    assert f"rule: rows 14 < {BATCH_MIN_ROWS}: scalar bounds" in text
+    assert "planner: chose indexed+pareto-bound(batch)/" in text
+    assert "rule: pruning is sound: batched bounds over 14 rows" in text
     payload = result.to_dict()
     planner = payload["stats"]["planner"]
     assert planner["summary"] == result.stats.planner["summary"]
@@ -144,35 +143,36 @@ def test_execute_decides_once_and_explains_the_plan_that_ran(
 # ----------------------------------------------------------------------
 # The rule
 # ----------------------------------------------------------------------
-def test_decide_prefers_scalar_small_batch_large(query_graph):
-    planner = QueryPlanner(numpy_available=True, max_workers=1)
-    spec = _skyline_spec(query_graph)
-    small = planner.decide(spec, db_size=20, avg_order=5.0)
-    assert small.stage == "pareto-bound" and not small.batch
-    large = planner.decide(spec, db_size=2000, avg_order=5.0)
-    assert large.stage == "pareto-bound(batch)" and large.batch
-    assert large.source == "indexed"
-    below = planner.decide(spec, db_size=BATCH_MIN_ROWS - 1, avg_order=5.0)
-    at = planner.decide(spec, db_size=BATCH_MIN_ROWS, avg_order=5.0)
-    assert (below.batch, at.batch) == (False, True)
-    assert below.reasons[0] == f"rows {BATCH_MIN_ROWS - 1} < 79: scalar bounds"
-    assert at.reasons[0] == f"rows {BATCH_MIN_ROWS} ≥ 79: batched bounds"
-
-
-def test_decide_without_numpy_never_batches(query_graph):
-    planner = QueryPlanner(numpy_available=False, max_workers=1)
-    for build in (
+_KINDS = {
+    "skyline": (
         lambda q: Query(q).measures("edit", "mcs").skyline(),
-        lambda q: Query(q).topk(3, "edit"),
-        lambda q: Query(q).threshold(0.5, "edit"),
-    ):
-        decision = planner.decide(build(query_graph).build(), 2000, 5.0)
-        assert not decision.batch
-        assert decision.source in ("database-order", "bound-ordered")
+        "pareto-bound(batch)",
+    ),
+    "skyband": (
+        lambda q: Query(q).measures("edit", "mcs").skyband(2),
+        "pareto-bound(batch)",
+    ),
+    "topk": (lambda q: Query(q).topk(3, "edit"), "rank-bound"),
+    "threshold": (lambda q: Query(q).threshold(0.5, "edit"), "threshold-bound"),
+}
+
+
+@pytest.mark.parametrize("rows", [8, 30])
+@pytest.mark.parametrize("kind", list(_KINDS))
+def test_small_databases_plan_batched_bounds(query_graph, rows, kind):
+    build, stage = _KINDS[kind]
+    database = _random_database(rows)
+    with repro.connect(database, backend="auto", max_workers=1) as session:
+        result = session.execute(build(query_graph))
+    assert result.stats.planner["summary"] == f"indexed+{stage}/serial"
+    assert result.stats.planner["reasons"][0] == (
+        f"pruning is sound: batched bounds over {rows} rows"
+    )
+    assert result.ids == _reference(database, lambda: build(query_graph)).ids
 
 
 def test_decide_anytime_is_serial(query_graph):
-    planner = QueryPlanner(numpy_available=True, max_workers=8)
+    planner = QueryPlanner(max_workers=8)
     spec = Query(query_graph).measures("edit", "mcs").skyline().budget(
         ms=50
     ).build()
@@ -182,7 +182,7 @@ def test_decide_anytime_is_serial(query_graph):
 
 
 def test_decide_single_core_cannot_pool(query_graph):
-    planner = QueryPlanner(numpy_available=True, max_workers=1)
+    planner = QueryPlanner(max_workers=1)
     decision = planner.decide(_skyline_spec(query_graph), 5000, 8.0)
     assert decision.evaluator == "serial"
     assert decision.reasons[-1] == "pool not usable (workers=1)"
@@ -191,7 +191,7 @@ def test_decide_single_core_cannot_pool(query_graph):
 def test_decide_serial_winner_still_costs_the_pool(query_graph):
     # 40 rows of order 4 are ~8 ms of prior solver work: below both the
     # cold and the warm break-even, and the reason says by how much.
-    planner = QueryPlanner(numpy_available=True, max_workers=4)
+    planner = QueryPlanner(max_workers=4)
     spec = _skyline_spec(query_graph)
     cold = planner.decide(spec, 40, 4.0)
     warm = planner.decide(spec, 40, 4.0, pool_started=True)
@@ -204,7 +204,7 @@ def test_decide_serial_winner_still_costs_the_pool(query_graph):
 
 
 def test_decide_offers_exhaustive_only_when_pruning_is_unsound(query_graph):
-    planner = QueryPlanner(numpy_available=True, max_workers=1)
+    planner = QueryPlanner(max_workers=1)
     topk = planner.decide(Query(query_graph).topk(3, "edit").build(), 150, 5.0)
     assert topk.stage == "rank-bound" and topk.source == "indexed"
     tolerant_spec = (
@@ -219,7 +219,7 @@ def test_decide_offers_exhaustive_only_when_pruning_is_unsound(query_graph):
 def test_decide_huge_survivor_count_goes_pooled(query_graph):
     # 5000 rows of order 8: ~4.2 s of prior solver work pays a cold pool;
     # 500 rows (~0.4 s) pay only a warm one.
-    planner = QueryPlanner(numpy_available=True, max_workers=4)
+    planner = QueryPlanner(max_workers=4)
     spec = _skyline_spec(query_graph)
     assert planner.decide(spec, 5000, 8.0).evaluator == "pooled"
     assert planner.decide(spec, 500, 8.0).evaluator == "serial"
@@ -241,7 +241,7 @@ def test_threshold_plan_does_not_follow_a_read_that_pruned_nothing(
     with repro.connect(database, backend="auto", max_workers=1) as session:
         loose = session.execute(Query(query_graph).threshold(20.0, "edit"))
         tight = session.execute(Query(query_graph).threshold(0.5, "edit"))
-    expected = "bound-ordered+threshold-bound/serial"
+    expected = "indexed+threshold-bound/serial"
     assert loose.stats.planner["summary"] == expected
     assert tight.stats.planner["summary"] == expected
 
@@ -274,28 +274,6 @@ def test_decisions_do_not_depend_on_prior_reads(history, final):
 
 
 # ----------------------------------------------------------------------
-# NumPy-absent degradation (satellite: mirror the vectorized gating)
-# ----------------------------------------------------------------------
-def test_auto_degrades_to_scalar_without_numpy(
-    database, query_graph, monkeypatch
-):
-    monkeypatch.setattr("repro.api.auto._numpy_available", lambda: False)
-    backend = AutoBackend(database)
-    assert not backend.planner.numpy_available
-    for build in (
-        lambda q: Query(q).measures("edit", "mcs").skyline(),
-        lambda q: Query(q).topk(3, "edit"),
-        lambda q: Query(q).threshold(0.5, "edit"),
-    ):
-        expected = _reference(database, lambda: build(query_graph))
-        answer = backend.run(build(query_graph).build())
-        assert answer.ids == expected.ids
-        planner = answer.stats.planner
-        assert "(batch)" not in (planner["summary"] or "")
-        assert planner["source"] != "indexed"
-
-
-# ----------------------------------------------------------------------
 # Regret pins: a plan chosen once keeps its sound bound stage
 # ----------------------------------------------------------------------
 def _topk_workload(n_graphs: int):
@@ -318,7 +296,7 @@ def _indexed_and_memory(database, build):
 
 def test_topk_after_neighbours_removed_evaluates_like_indexed():
     # After one read the query's 20 nearest neighbours are deleted: the
-    # next read's bound-ordered prefix prunes nothing for well over 32
+    # next read's bound-sorted prefix prunes nothing for well over 32
     # candidates before the rank cutoff starts biting.
     database, query = _topk_workload(150)
     build = lambda: Query(query).topk(3, "edit")  # noqa: E731
@@ -403,8 +381,6 @@ _BENCH_CLASSES = {
         lambda q: Query(q).threshold(0.4, "edit"),
     ]),
 }
-#: The candidate source each fixed backend's plan reads.
-_FIXED_SOURCE = {"indexed": "bound-ordered", "vectorized": "indexed"}
 
 
 @pytest.mark.parametrize("name", list(_BENCH_CLASSES))
@@ -415,17 +391,12 @@ def test_auto_runs_the_plan_of_the_fixed_backend_the_rule_names(name):
     )
     database = GraphDatabase.from_graphs(workload.database)
     query = workload.queries[0]
-    fixed = "indexed"
-    if len(database) >= BATCH_MIN_ROWS and (
-        "vectorized" in available_backends()
-    ):
-        fixed = "vectorized"
     for build in builds:
-        with repro.connect(database, backend=fixed) as session:
+        with repro.connect(database, backend="indexed") as session:
             named = session.execute(build(query))
         with repro.connect(database, backend="auto") as session:
             result = session.execute(build(query))
-        shape = f"{_FIXED_SOURCE[fixed]}+{named.plan.stages[0]}/serial"
+        shape = f"indexed+{named.plan.stages[0]}/serial"
         assert result.stats.planner["summary"] == shape
         assert (
             result.stats.exact_evaluations == named.stats.exact_evaluations
@@ -461,7 +432,6 @@ def test_availability_reports_planner_inputs():
     assert info["cpu_count"] >= 1
     assert info["pool_usable"] == (info["cpu_count"] > 1)
     assert isinstance(info["pools_started"], list)
-    assert info["batch_min_rows"] == BATCH_MIN_ROWS == 79
     assert info["pool_break_even_s"] == {
         "cold": POOL_START_SECONDS,
         "warm": POOL_WARM_SECONDS,
@@ -521,4 +491,4 @@ def test_server_clients_get_the_same_plan(database, query_graph):
             finally:
                 conn.close()
             seen.append(payload["stats"]["planner"]["summary"])
-    assert seen[0] == seen[2] == "bound-ordered+threshold-bound/serial"
+    assert seen[0] == seen[2] == "indexed+threshold-bound/serial"

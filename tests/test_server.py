@@ -121,8 +121,6 @@ BACKENDS = ["memory", "indexed", "vectorized", "sharded"]
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_served_results_match_direct_session(corpus, backend):
-    if backend == "vectorized":
-        pytest.importorskip("numpy")
     database = _database(corpus)
     config = ServerConfig(shards=2 if backend == "sharded" else None)
     specs = [

@@ -395,23 +395,6 @@ def test_representative_plan_runs_standalone(sharded_fig3):
         assert answer.ids == session.execute(spec).ids
 
 
-def test_scalar_shard_index_fallback(sharded_fig3):
-    # The non-NumPy path: a per-shard FeatureIndex holder rebuilt off
-    # the shard's own version counter.
-    from repro.db.index import VersionedIndex
-
-    shard = sharded_fig3.shards[0]
-    provider = VersionedIndex(shard)
-    index = provider()
-    assert sorted(index.ids()) == sorted(shard.ids())
-    assert provider() is index  # unchanged shard -> cached index
-    new_id = sharded_fig3.insert(figure3_query())
-    if sharded_fig3.shard_of(new_id) == 0:
-        assert new_id in provider().ids()
-    else:
-        assert provider() is index  # other-shard mutation: no rebuild
-
-
 # ----------------------------------------------------------------------
 # Property: parity with memory for random databases/placements/shards
 # ----------------------------------------------------------------------

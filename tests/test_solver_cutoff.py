@@ -19,10 +19,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import PairCache, Query, connect
-from repro.db.cache import QueryCache
 from repro.engine.plan import ParetoPruneStage, RankBoundStage, ThresholdBoundStage
 from repro.engine.workers import FrontierCutoff, FrontierJudge
 from repro.graph import graph_edit_distance
+from repro.index.source import BatchParetoStage
 from repro.graph.generators import random_labeled_graph
 from repro.measures import base as measures_base
 from repro.measures.base import PairContext
@@ -36,12 +36,11 @@ from tests import solver_golden
 # Stage caps
 # ----------------------------------------------------------------------
 def _pareto_stages(prune_limit: int, tolerance: float = 0.0):
-    stages = [ParetoPruneStage(prune_limit, tolerance)]
-    try:
-        from repro.index.source import BatchParetoStage
-    except ImportError:  # pragma: no cover - NumPy-free leg
-        return stages
-    return stages + [BatchParetoStage(prune_limit, tolerance)]
+    """The scalar stage (replays) and the batched one (full runs)."""
+    return [
+        ParetoPruneStage(prune_limit, tolerance),
+        BatchParetoStage(prune_limit, tolerance),
+    ]
 
 
 def _brute_force_cap(exact, values, dim, prune_limit):
@@ -135,6 +134,11 @@ def test_lowering_the_other_dimensions_never_lowers_a_cap(data, dims, limit):
     for stage in stages:
         for graph_id, observed in enumerate(exact):
             stage.observe(graph_id, observed)
+    scalar, batched = stages[:2]
+    for asked in (values, lowered):
+        # The batched stage caps from its list of observations, exactly
+        # as the scalar stage does.
+        assert batched.cap(asked, dim) == scalar.cap(asked, dim)
     vectors = dict(enumerate(exact))
     stages += [
         FrontierCutoff(FrontierJudge("pareto", limit), vectors),
@@ -397,9 +401,3 @@ def test_floor_bookkeeping_in_both_cache_flavours():
     cache.clear()
     assert cache.floor("a", "q", "edit") == -math.inf
 
-    legacy = QueryCache()
-    legacy.raise_floor(7, "q", "edit", 3.0)
-    legacy.raise_floor(8, "q", "edit", 4.0)
-    legacy.invalidate_graph(7)
-    assert legacy.floor(7, "q", "edit") == -math.inf
-    assert legacy.floor(8, "q", "edit") == 4.0

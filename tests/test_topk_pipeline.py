@@ -1,14 +1,10 @@
-"""Tests for the top-k baseline and the end-to-end query engine."""
+"""Tests for the top-k baseline and end-to-end session queries."""
 
 import pytest
 
-from repro.core import (
-    QueryAnswer,
-    SimilarityQueryEngine,
-    top_k_by_measure,
-)
+from repro import Query, connect
+from repro.core import top_k_by_measure
 from repro.errors import QueryError
-from repro.graph import path_graph
 
 
 # ----------------------------------------------------------------------
@@ -57,50 +53,48 @@ def test_topk_validation(paper_db, paper_query):
 
 
 # ----------------------------------------------------------------------
-# Engine
+# Sessions over a plain graph list
 # ----------------------------------------------------------------------
+def _execute(graphs, query):
+    with connect(graphs) as session:
+        return session.execute(query)
+
+
 def test_engine_skyline_matches_function(paper_db, paper_query):
-    engine = SimilarityQueryEngine()
-    result = engine.skyline(paper_db, paper_query)
-    assert tuple(g.name for g in result.skyline) == ("g1", "g4", "g5", "g7")
+    result = _execute(paper_db, Query(paper_query).skyline())
+    assert tuple(result.names) == ("g1", "g4", "g5", "g7")
 
 
 def test_engine_query_with_refinement(paper_db, paper_query):
-    engine = SimilarityQueryEngine()
-    answer = engine.query(paper_db, paper_query, refine_k=2)
-    assert isinstance(answer, QueryAnswer)
-    assert answer.refinement is not None
-    assert [g.name for g in answer.graphs] == ["g1", "g4"]
+    result = _execute(paper_db, Query(paper_query).skyline().refine(k=2))
+    assert result.refinement is not None
+    assert [g.name for g in result.refinement.subset] == ["g1", "g4"]
 
 
 def test_engine_skips_refinement_when_skyline_small(paper_db, paper_query):
-    engine = SimilarityQueryEngine()
-    answer = engine.query(paper_db, paper_query, refine_k=4)
-    assert answer.refinement is None  # skyline already has 4 members
-    assert len(answer.graphs) == 4
+    result = _execute(paper_db, Query(paper_query).skyline().refine(k=4))
+    assert result.refinement is None  # skyline already has 4 members
+    assert len(result.graphs) == 4
 
 
 def test_engine_without_refinement(paper_db, paper_query):
-    answer = SimilarityQueryEngine().query(paper_db, paper_query)
-    assert answer.refinement is None
-    assert len(answer.graphs) == 4
+    result = _execute(paper_db, Query(paper_query).skyline())
+    assert result.refinement is None
+    assert len(result.graphs) == 4
 
 
 def test_engine_top_k_defaults_to_first_measure(paper_db, paper_query):
-    engine = SimilarityQueryEngine()
-    result = engine.top_k(paper_db, paper_query, 3)
-    assert result.measure == "edit"
+    result = _execute(paper_db, Query(paper_query).topk(3))
+    assert result.measures == ("edit",)
 
 
 def test_engine_custom_measures(paper_db, paper_query):
-    engine = SimilarityQueryEngine(measures=("mcs", "union"))
-    result = engine.skyline(paper_db, paper_query)
+    result = _execute(paper_db, Query(paper_query).measures("mcs", "union").skyline())
     assert result.measures == ("mcs", "union")
 
 
 def test_engine_greedy_refinement(paper_db, paper_query):
-    engine = SimilarityQueryEngine()
-    answer = engine.query(
-        paper_db, paper_query, refine_k=2, refine_method="greedy"
+    result = _execute(
+        paper_db, Query(paper_query).skyline().refine(k=2, method="greedy")
     )
-    assert len(answer.graphs) == 2
+    assert len(result.refinement.subset) == 2

@@ -11,12 +11,10 @@ that replaced per-chunk graph pickling in the parallel evaluator.
 
 import pytest
 
-pytest.importorskip("numpy", reason="the vectorized backend requires NumPy")
-
 import repro
 from repro import GraphDatabase, PairCache, Query
 from repro.api.backends import VectorizedBackend, available_backends
-from repro.engine.evaluate import PooledEvaluator, shutdown_pool
+from repro.engine.workers import PooledEvaluator, shutdown_pool
 
 from tests.conftest import make_random_graph
 

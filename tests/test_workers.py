@@ -131,7 +131,8 @@ def test_judge_rank_counts_strictly_better_scalars():
 
 
 def test_sharing_split_numpy_path_matches_scalar_judge():
-    np = pytest.importorskip("numpy")
+    import numpy as np
+
     rng = np.random.default_rng(3)
     judge = FrontierJudge("pareto", limit=2)
     sharing = BoundSharing(judge, dims=3, frontier=None)
