@@ -37,26 +37,27 @@ OUTPUT = Path(__file__).resolve().parent / "BENCH_bounds.json"
 
 @pytest.fixture(scope="module")
 def populations():
-    """Feature populations per size (graphs themselves are not needed)."""
+    """Graph populations per size with their features, and a query."""
     rng = random.Random(42)
-    features = [
-        GraphFeatures.of(molecule_like_graph(rng.randint(4, 9), seed=rng))
-        for _ in range(max(SIZES))
+    graphs = [
+        molecule_like_graph(rng.randint(4, 9), seed=rng) for _ in range(max(SIZES))
     ]
-    query = GraphFeatures.of(molecule_like_graph(6, seed=rng, name="q"))
-    return features, query
+    query = molecule_like_graph(6, seed=rng, name="q")
+    return graphs, [GraphFeatures.of(g) for g in graphs], query
 
 
-def _scalar_pass(features, query):
-    return [
-        (
-            edit_distance_lower_bound(f, query),
-            mcs_upper_bound(f, query),
-            dist_mcs_lower_bound(f, query),
-            dist_gu_lower_bound(f, query),
-        )
-        for f in features
-    ]
+def _scalar_pass(graphs, features, query):
+    query_features = GraphFeatures.of(query)
+    rows = []
+    for graph, f in zip(graphs, features):
+        cap = mcs_upper_bound(graph, query)
+        rows.append((
+            edit_distance_lower_bound(f, query_features),
+            cap,
+            dist_mcs_lower_bound(f, query_features, cap),
+            dist_gu_lower_bound(f, query_features, cap),
+        ))
+    return rows
 
 
 def _best_of(repeats, fn):
@@ -70,21 +71,21 @@ def _best_of(repeats, fn):
 
 @pytest.mark.benchmark(group="a8-bound-kernels")
 def test_bound_kernel_throughput(populations):
-    all_features, query = populations
+    all_graphs, all_features, query = populations
     measures = resolve_measures(("edit", "mcs", "union"))
     rows = []
     payload = {"sizes": {}, "speedup_floor": SPEEDUP_FLOOR}
 
     for size in SIZES:
-        features = all_features[:size]
+        graphs, features = all_graphs[:size], all_features[:size]
         matrix = SignatureMatrix()
-        for graph_id, f in enumerate(features):
-            matrix.add(graph_id, f)
-        packed = matrix.pack_query(query)
+        matrix.add_many(zip(range(size), graphs, features))
 
-        scalar_s, scalar_values = _best_of(3, lambda: _scalar_pass(features, query))
+        scalar_s, scalar_values = _best_of(
+            3, lambda: _scalar_pass(graphs, features, query)
+        )
         vector_s, batched = _best_of(
-            3, lambda: bound_matrix(matrix, packed, measures)
+            3, lambda: bound_matrix(matrix, matrix.pack_query(query), measures)
         )
         # The vectorized pass must be the same numbers, not just faster.
         sample = random.Random(7).sample(range(size), 50)

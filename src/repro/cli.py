@@ -652,8 +652,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="inject a known-broken engine stage "
                              "(harness self-test: flip-bound, "
                              "cutoff-off-by-one, "
-                             "bracket-lower-plus-one or "
-                             "mcs-upper-minus-one)")
+                             "bracket-lower-plus-one, "
+                             "mcs-upper-minus-one or "
+                             "mcs-column-minus-one)")
     p_fuzz.add_argument("--no-shrink", action="store_true",
                         help="report the first divergence without minimizing")
     p_fuzz.add_argument("--save-failure", default=None,

@@ -431,7 +431,8 @@ def _bound_ordered(
 class DeltaSource(CandidateSource):
     """A replay's candidates: the graphs added since a stored answer.
 
-    Each added graph is bounded from its stored features by
+    Each added graph is bounded from its stored features and both
+    graphs' edge types, counted on the fly, by
     :func:`~repro.graph.features.optimistic_vector` — a replay judges a
     handful of graphs, where per-row bounds beat packing a matrix — and
     visited in a full run's order. The stored answer's exact values
@@ -452,19 +453,21 @@ class DeltaSource(CandidateSource):
 
     def candidates(self, ctx: "RunContext") -> CandidateBlock:
         ctx.seeded.update(self.known)
-        entry = ctx.database.entry
+        query, query_features = ctx.spec.graph, ctx.query_features
         return _bound_ordered(
             ctx,
             [
                 (
-                    graph_id,
+                    entry.graph_id,
                     optimistic_vector(
-                        entry(graph_id).features,
-                        ctx.query_features,
+                        entry.graph,
+                        query,
                         ctx.measures,
+                        entry.features,
+                        query_features,
                     ),
                 )
-                for graph_id in self.added
+                for entry in map(ctx.database.entry, self.added)
             ],
         )
 

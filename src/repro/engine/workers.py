@@ -1390,12 +1390,13 @@ class PooledEvaluator(Evaluator):
         if any(graph_id not in row_of for graph_id, _ in pending):
             return None
         self._export_key = id(store)
-        packed = matrix.pack_query(ctx.query_features)
+        packed = matrix.pack_query(ctx.spec.graph, ctx.query_features)
         qsig = (
             packed.order,
             packed.size,
             packed.vertex_vector.tolist(),
             packed.edge_vector.tolist(),
+            packed.type_vector.tolist(),
         )
         return meta, dict(row_of), qsig
 

@@ -285,6 +285,13 @@ class LabeledGraph:
         rows = Counter(chain.from_iterable(map(dict.values, self._adjacency.values())))
         return Counter({label: count // 2 for label, count in rows.items()})
 
+    def label_maps(
+        self,
+    ) -> tuple[Mapping[VertexId, Label], Mapping[VertexId, Mapping[VertexId, Label]]]:
+        """The vertex labels and the adjacency ``u -> {v: edge label}``, as
+        stored: for walks over every edge that must not copy. Read-only."""
+        return self._vertex_labels, self._adjacency
+
     def label_set(self) -> set[Label]:
         """The set ``L`` of all labels appearing on vertices or edges."""
         labels: set[Label] = set(self._vertex_labels.values())

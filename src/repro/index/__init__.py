@@ -3,8 +3,9 @@
 The candidate-filtering layer of every full run that prunes:
 
 * :class:`~repro.index.matrix.SignatureMatrix` — every graph's
-  label-multiset/size signature packed into shared interned-vocabulary
-  ``int64`` matrices, maintained incrementally at row granularity;
+  label multisets, labelled edge-type histogram and order/size packed
+  into shared interned-vocabulary count matrices, maintained
+  incrementally at row granularity;
 * :mod:`~repro.index.kernels` — batched lower/upper-bound kernels that
   are bit-identical to the scalar bounds in :mod:`repro.graph.features`,
   plus :func:`~repro.index.kernels.dominator_counts`, the array form of

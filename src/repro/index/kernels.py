@@ -11,6 +11,11 @@ so a full run and a replay (which bounds its added graphs one at a time
 with :func:`repro.graph.features.optimistic_vector`) prune on the same
 optimistic vectors, to the last ulp.
 
+The ``DistMcs`` / ``DistGu`` kernels read one ``|mcs|`` bound per row,
+:func:`mcs_upper_bounds`: the overlap of labelled edge-type histograms.
+It is the only ``|mcs|`` bound of the index, so the skyline and skyband
+stages prune on it before any pair of a full run reaches the evaluator.
+
 Bound registry: :func:`bound_matrix` assembles the full ``(n, d)``
 optimistic-vector matrix for a measure tuple, mirroring the per-measure
 dispatch of :data:`repro.graph.features._BOUND_FUNCTIONS` (measures without a
@@ -71,8 +76,9 @@ def normalized_edit_lower_bounds(
 def mcs_upper_bounds(
     matrix: SignatureMatrix, query: QuerySignature
 ) -> np.ndarray:
-    """``mcs_upper_bound`` against every row, ``(n,) int64``."""
-    return _overlaps(matrix.edge_counts, query.edge_vector)
+    """``mcs_upper_bound`` against every row, ``(n,) int64``: the overlap
+    of the labelled edge-type histograms (the matrix's type block)."""
+    return _overlaps(matrix.type_counts, query.type_vector)
 
 
 def dist_mcs_lower_bounds(

@@ -5,8 +5,9 @@ frontier-check candidates against their optimistic bound vectors — but
 shipping one bound vector per candidate per chunk re-introduces exactly
 the per-task serialization this PR removes. Instead, the parent parks the
 shard's :class:`~repro.index.matrix.SignatureMatrix` **once per (store,
-version)**: :class:`SharedMatrixExport` copies the five live row windows
-(ids, orders, sizes, vertex/edge label counts) as raw bytes into a single
+version)**: :class:`SharedMatrixExport` copies the six live row windows
+(ids, orders, sizes, vertex/edge label and edge-type counts) as raw
+bytes into a single
 ``multiprocessing.shared_memory`` segment and describes the layout in a
 small picklable meta dict. Workers map the segment back into zero-copy
 NumPy views (:func:`attach_matrix`) and recompute any chunk's bound rows
@@ -38,7 +39,9 @@ from repro.index.kernels import bound_matrix
 from repro.index.matrix import QuerySignature
 
 #: The row windows shipped, in segment layout order.
-_ARRAYS = ("ids", "orders", "sizes", "vertex_counts", "edge_counts")
+_ARRAYS = (
+    "ids", "orders", "sizes", "vertex_counts", "edge_counts", "type_counts"
+)
 
 #: Attached segments cached per worker (keyed by segment name — names are
 #: unique per export version, so a name change *is* the invalidation).
@@ -128,7 +131,7 @@ class _AttachedMatrix:
 
     Duck-typed for :func:`repro.index.kernels.bound_matrix` row subsets
     via :meth:`rows` — the kernels only need ``len``, ``orders``,
-    ``sizes`` and the two count windows. Holds the segment handle so the
+    ``sizes`` and the three count windows. Holds the segment handle so the
     views stay mapped for the object's lifetime.
     """
 
@@ -153,6 +156,7 @@ class _AttachedMatrix:
             sizes=self.arrays["sizes"][indices],
             vertex_counts=self.arrays["vertex_counts"][indices],
             edge_counts=self.arrays["edge_counts"][indices],
+            type_counts=self.arrays["type_counts"][indices],
         )
 
     def ids(self, indices: np.ndarray) -> np.ndarray:
@@ -171,13 +175,14 @@ class _AttachedMatrix:
 class _RowSubset:
     """The selected rows, shaped like a matrix for the bound kernels."""
 
-    __slots__ = ("orders", "sizes", "vertex_counts", "edge_counts")
+    __slots__ = ("orders", "sizes", "vertex_counts", "edge_counts", "type_counts")
 
-    def __init__(self, orders, sizes, vertex_counts, edge_counts) -> None:
+    def __init__(self, orders, sizes, vertex_counts, edge_counts, type_counts) -> None:
         self.orders = orders
         self.sizes = sizes
         self.vertex_counts = vertex_counts
         self.edge_counts = edge_counts
+        self.type_counts = type_counts
 
     def __len__(self) -> int:
         return int(self.orders.shape[0])
@@ -207,12 +212,9 @@ def matrix_bounds(
     """Per-graph-id optimistic vectors of a chunk, from the shared matrix."""
     attached = attach_matrix(meta, cache)
     indices = np.asarray(rows, dtype=np.int64)
-    order, size, vertex_vector, edge_vector = qsig
+    order, size, *vectors = qsig
     query = QuerySignature(
-        order=order,
-        size=size,
-        vertex_vector=np.asarray(vertex_vector, dtype=np.int64),
-        edge_vector=np.asarray(edge_vector, dtype=np.int64),
+        order, size, *(np.asarray(vector, dtype=np.int64) for vector in vectors)
     )
     bounds = bound_matrix(attached.rows(indices), query, measures)
     ids = attached.ids(indices)

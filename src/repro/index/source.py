@@ -57,7 +57,7 @@ class IndexedSource(CandidateSource):
 
     def candidates(self, ctx: "RunContext") -> CandidateBlock:
         matrix = self._store.sync()
-        query = matrix.pack_query(ctx.query_features)
+        query = matrix.pack_query(ctx.spec.graph, ctx.query_features)
         kind = ctx.spec.kind
         ids = matrix.ids
         if kind == "threshold" and self._prefilter:

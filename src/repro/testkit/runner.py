@@ -22,12 +22,14 @@ the same way, so crash bugs shrink just like wrong-answer bugs.
 ``fault=`` injects a deliberately broken engine stage (see
 :data:`FAULTS`) — the harness's own smoke test: a sign-flipped bound, a
 solver cutoff one float too low, a GED bracket whose lower side is one
-too high, or an |mcs| bound one too low must be caught and shrunk to a
-printable repro.
+too high, or an |mcs| bound one too low (the solvers' per-pair bound, or
+the index's edge-type bound) must be caught and shrunk to a printable
+repro.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import hashlib
@@ -264,12 +266,43 @@ class LoweredMcsBoundIndexedBackend(_FaultyContextIndexedBackend):
     context_class = _LoweredMcsBoundContext
 
 
+@contextlib.contextmanager
+def _lowered_mcs_column():
+    """Every |mcs| bound of the index one edge low while active: the
+    batched column full runs bound with and the per-row bound replays
+    bound with, so bound stages drop graphs on a DistMcs/DistGu lower
+    bound their exact values do not reach."""
+    from repro.graph import features
+    from repro.index import kernels
+
+    column, per_row = kernels.mcs_upper_bounds, features.mcs_upper_bound
+    kernels.mcs_upper_bounds = lambda matrix, query: np.maximum(
+        column(matrix, query) - 1, 0
+    )
+    features.mcs_upper_bound = lambda g1, g2: max(per_row(g1, g2) - 1, 0)
+    try:
+        yield
+    finally:
+        kernels.mcs_upper_bounds, features.mcs_upper_bound = column, per_row
+
+
+class LoweredMcsColumnIndexedBackend(IndexedBackend):
+    """The ``indexed`` backend, replayed while the index's |mcs| bound is
+    one edge low everywhere (:attr:`installed`). Replays bound outside
+    any backend, so this fault is patched in for the whole workload."""
+
+    installed = staticmethod(_lowered_mcs_column)
+
+
 #: Injectable faults: name -> replacement class for the indexed backend.
+#: A class with an ``installed`` context manager also breaks something
+#: every backend shares; the runner keeps it entered for the whole replay.
 FAULTS: dict[str, type[ExecutionBackend]] = {
     "flip-bound": BrokenBoundIndexedBackend,
     "cutoff-off-by-one": OffByOneCutoffIndexedBackend,
     "bracket-lower-plus-one": RaisedBracketIndexedBackend,
     "mcs-upper-minus-one": LoweredMcsBoundIndexedBackend,
+    "mcs-column-minus-one": LoweredMcsColumnIndexedBackend,
 }
 
 
@@ -577,17 +610,19 @@ class WorkloadRunner:
         """Replay ``workload`` until done or first divergence."""
         report = RunReport()
         start = time.perf_counter()
-        for index, step in enumerate(workload.steps):
-            try:
-                divergence = self.apply(index, step, report)
-            except Exception as exc:  # crash bugs shrink like wrong answers
-                divergence = Divergence(
-                    index, step, "exception", [], [f"{type(exc).__name__}: {exc}"]
-                )
-            report.steps_run += 1
-            if divergence is not None:
-                report.divergence = divergence
-                break
+        installed = getattr(FAULTS.get(self.fault), "installed", contextlib.nullcontext)
+        with installed():
+            for index, step in enumerate(workload.steps):
+                try:
+                    divergence = self.apply(index, step, report)
+                except Exception as exc:  # crash bugs shrink like wrong answers
+                    divergence = Divergence(
+                        index, step, "exception", [], [f"{type(exc).__name__}: {exc}"]
+                    )
+                report.steps_run += 1
+                if divergence is not None:
+                    report.divergence = divergence
+                    break
         report.elapsed = time.perf_counter() - start
         report.cache_hits = self.cache.hits
         report.cache_misses = self.cache.misses

@@ -147,7 +147,7 @@ def test_optimistic_vector_is_lower_bound(paper_db, paper_query):
     query_features = GraphFeatures.of(paper_query)
     for graph in paper_db:
         optimistic = optimistic_vector(
-            GraphFeatures.of(graph), query_features, measures
+            graph, paper_query, measures, GraphFeatures.of(graph), query_features
         )
         context = PairContext(graph, paper_query)
         exact = tuple(m.distance(graph, paper_query, context) for m in measures)
@@ -158,9 +158,7 @@ def test_optimistic_vector_unknown_measure_gets_zero(paper_db, paper_query):
     from repro.measures import FunctionMeasure
 
     odd = FunctionMeasure(lambda a, b: 42.0, name="odd")
-    vector = optimistic_vector(
-        GraphFeatures.of(paper_db[0]), GraphFeatures.of(paper_query), [odd]
-    )
+    vector = optimistic_vector(paper_db[0], paper_query, [odd])
     assert vector == (0.0,)
 
 

@@ -7,10 +7,13 @@ scalar ``features.py`` counterpart with exact ``==`` (no tolerance), on
 hypothesis-generated graph populations and queries — including graphs
 with disjoint label vocabularies, empty graphs, and a matrix that
 reached its state through incremental adds/removes rather than a bulk
-build.
+build. Labels mix spellings that are equal by ``==`` (``1``, ``1.0``,
+``True``) with plain strings, so the edge-type columns are keyed the way
+the scalar bound matches labels.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -47,29 +50,37 @@ relaxed = settings(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
-# Two disjoint label alphabets, so vocabularies are genuinely partial.
-pop_graphs = st.lists(
-    st.one_of(
-        small_labeled_graphs(max_vertices=5),
-        small_labeled_graphs(
-            max_vertices=4, vertex_labels=("D", "E"), edge_labels=("z",)
-        ),
+#: Equal-by-``==`` spellings beside plain strings.
+MIXED_LABELS = (1, 1.0, True, "D", "E")
+
+# Disjoint label alphabets, so vocabularies are genuinely partial, and a
+# mixed one whose equal spellings must share a column.
+pop_graph = st.one_of(
+    small_labeled_graphs(max_vertices=5),
+    small_labeled_graphs(max_vertices=4, vertex_labels=("D", "E"), edge_labels=("z",)),
+    small_labeled_graphs(
+        max_vertices=4, vertex_labels=MIXED_LABELS, edge_labels=(1, "z")
     ),
-    min_size=0,
-    max_size=8,
 )
+pop_graphs = st.lists(pop_graph, min_size=0, max_size=8)
 query_graphs = st.one_of(
     small_labeled_graphs(max_vertices=5),
-    small_labeled_graphs(max_vertices=4, vertex_labels=("D",), edge_labels=("z",)),
+    small_labeled_graphs(max_vertices=4, vertex_labels=("D", "E"), edge_labels=("z",)),
+    small_labeled_graphs(
+        max_vertices=4, vertex_labels=(1.0, True, "E", "F"), edge_labels=(True, "z")
+    ),
 )
+
+
+def _rows(pairs):
+    """``(graph_id, graph)`` pairs as the matrix's row triples."""
+    return [(graph_id, graph, GraphFeatures.of(graph)) for graph_id, graph in pairs]
 
 
 def _matrix_of(graphs) -> tuple[SignatureMatrix, list[GraphFeatures]]:
     matrix = SignatureMatrix()
-    features = [GraphFeatures.of(g) for g in graphs]
-    for graph_id, f in enumerate(features):
-        matrix.add(graph_id, f)
-    return matrix, features
+    matrix.add_many(_rows(enumerate(graphs)))
+    return matrix, [GraphFeatures.of(g) for g in graphs]
 
 
 @relaxed
@@ -77,7 +88,7 @@ def _matrix_of(graphs) -> tuple[SignatureMatrix, list[GraphFeatures]]:
 def test_kernels_bit_identical_to_scalar_bounds(graphs, query):
     matrix, features = _matrix_of(graphs)
     query_features = GraphFeatures.of(query)
-    packed = matrix.pack_query(query_features)
+    packed = matrix.pack_query(query)
 
     edit = edit_lower_bounds(matrix, packed)
     norm = normalized_edit_lower_bounds(matrix, packed)
@@ -87,46 +98,48 @@ def test_kernels_bit_identical_to_scalar_bounds(graphs, query):
 
     for row, graph_id in enumerate(matrix.ids.tolist()):
         f = features[graph_id]
+        cap = mcs_upper_bound(graphs[graph_id], query)
         assert edit[row] == edit_distance_lower_bound(f, query_features)
         assert norm[row] == _normalized_edit_bound(f, query_features)
-        assert mcs_ub[row] == mcs_upper_bound(f, query_features)
-        assert d_mcs[row] == dist_mcs_lower_bound(f, query_features)
-        assert d_gu[row] == dist_gu_lower_bound(f, query_features)
+        assert mcs_ub[row] == cap
+        assert d_mcs[row] == dist_mcs_lower_bound(f, query_features, cap)
+        assert d_gu[row] == dist_gu_lower_bound(f, query_features, cap)
 
 
 @relaxed
 @given(graphs=pop_graphs, query=query_graphs)
 def test_bound_matrix_matches_scalar_optimistic_vectors(graphs, query):
-    """The full (n, d) matrix equals the per-row optimistic vectors."""
+    """The full (n, d) matrix equals the per-row optimistic vectors a
+    replay bounds its added graphs with."""
     matrix, features = _matrix_of(graphs)
     query_features = GraphFeatures.of(query)
     measures = resolve_measures(("edit", "edit-normalized", "mcs", "union"))
-    packed = matrix.pack_query(query_features)
+    packed = matrix.pack_query(query)
     batched = bound_matrix(matrix, packed, measures)
 
     for row, graph_id in enumerate(matrix.ids.tolist()):
-        scalar = optimistic_vector(features[graph_id], query_features, measures)
+        scalar = optimistic_vector(
+            graphs[graph_id], query, measures, features[graph_id], query_features
+        )
         assert tuple(batched[row].tolist()) == scalar
 
 
 def test_unknown_measure_gets_zero_column():
     matrix, _ = _matrix_of([make_random_graph(3), make_random_graph(4)])
-    query_features = GraphFeatures.of(make_random_graph(5))
     measures = resolve_measures(("edit", "jaccard-edges"))
-    batched = bound_matrix(matrix, matrix.pack_query(query_features), measures)
+    batched = bound_matrix(matrix, matrix.pack_query(make_random_graph(5)), measures)
     assert batched.shape == (2, 2)
     assert np.all(batched[:, 1] == 0.0)
 
 
 def test_empty_matrix_and_empty_graphs():
     matrix = SignatureMatrix()
-    empty_features = GraphFeatures.of(LabeledGraph())
     measures = resolve_measures(("edit", "mcs", "union"))
-    packed = matrix.pack_query(empty_features)
+    packed = matrix.pack_query(LabeledGraph())
     assert bound_matrix(matrix, packed, measures).shape == (0, 3)
 
-    matrix.add(0, empty_features)
-    packed = matrix.pack_query(empty_features)
+    matrix.add(0, LabeledGraph())
+    packed = matrix.pack_query(LabeledGraph())
     assert tuple(bound_matrix(matrix, packed, measures)[0].tolist()) == (
         0.0,
         0.0,
@@ -146,27 +159,120 @@ def test_empty_matrix_and_empty_graphs():
 )
 def test_incremental_maintenance_equals_rebuild(graphs, removals, query):
     incremental = SignatureMatrix()
-    live: dict[int, GraphFeatures] = {}
+    live: dict[int, LabeledGraph] = {}
     for graph_id, graph in enumerate(graphs):
-        features = GraphFeatures.of(graph)
-        incremental.add(graph_id, features)
-        live[graph_id] = features
+        incremental.add(graph_id, graph)
+        live[graph_id] = graph
     for victim in removals:
         incremental.discard(victim)  # no-op when already gone
         live.pop(victim, None)
 
     rebuilt = SignatureMatrix()
-    for graph_id, features in live.items():
-        rebuilt.add(graph_id, features)
+    rebuilt.add_many(_rows(live.items()))
 
     assert set(incremental.ids.tolist()) == set(rebuilt.ids.tolist())
-    query_features = GraphFeatures.of(query)
     measures = resolve_measures(("edit", "mcs", "union"))
-    bounds_a = bound_matrix(incremental, incremental.pack_query(query_features), measures)
-    bounds_b = bound_matrix(rebuilt, rebuilt.pack_query(query_features), measures)
+    bounds_a = bound_matrix(incremental, incremental.pack_query(query), measures)
+    bounds_b = bound_matrix(rebuilt, rebuilt.pack_query(query), measures)
     by_id_a = dict(zip(incremental.ids.tolist(), map(tuple, bounds_a.tolist())))
     by_id_b = dict(zip(rebuilt.ids.tolist(), map(tuple, bounds_b.tolist())))
     assert by_id_a == by_id_b
+
+
+def _state(matrix: SignatureMatrix):
+    """Every array and vocabulary of ``matrix``, comparable with ``==``."""
+    arrays = (
+        matrix.ids,
+        matrix.orders,
+        matrix.sizes,
+        matrix.vertex_counts,
+        matrix.edge_counts,
+        matrix.type_counts,
+    )
+    blocks = (matrix.vertex_block, matrix.edge_block, matrix.type_block)
+    return (
+        [array.tolist() for array in arrays],
+        [list(block.vocab._ids.items()) for block in blocks],
+        dict(matrix.row_of),
+    )
+
+
+@relaxed
+@given(
+    batches=st.lists(
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=7), pop_graph),
+            max_size=4,
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    removals=st.lists(st.integers(min_value=0, max_value=7), max_size=4),
+)
+def test_bulk_writer_equals_row_by_row_adds(batches, removals):
+    """``add_many`` leaves the arrays and vocabularies ``add`` would, across
+    adds, discards and re-adds of present ids (overwrites)."""
+    bulk, single = SignatureMatrix(), SignatureMatrix()
+    for index, batch in enumerate(batches):
+        bulk.add_many(_rows(batch))
+        for graph_id, graph in batch:
+            single.add(graph_id, graph)
+        for victim in removals[index::len(batches)]:
+            bulk.discard(victim)
+            single.discard(victim)
+        assert _state(bulk) == _state(single)
+
+
+def test_bulk_writer_grows_every_block_at_once():
+    graphs = [make_random_graph(seed, labels=("A", "B", 1, 2.0)) for seed in range(40)]
+    bulk = SignatureMatrix()
+    bulk.add_many(_rows(enumerate(graphs)))
+    single = SignatureMatrix()
+    for graph_id, graph in enumerate(graphs):
+        single.add(graph_id, graph)
+    assert _state(bulk) == _state(single)
+    assert len(bulk) == 40 and len(bulk.type_block.vocab) > 8
+
+
+def test_pooled_row_subsets_bound_like_the_parent_matrix():
+    """A worker's bounds over the shared-memory export equal the parent's
+    ``bound_matrix`` rows, edge-type column included."""
+    from collections import OrderedDict
+
+    from repro.engine.workers import shared_memory_available
+    from repro.index.shm import SharedMatrixExport, matrix_bounds
+
+    if not shared_memory_available():
+        pytest.skip("multiprocessing.shared_memory unavailable")
+    graphs = [
+        make_random_graph(seed, labels=("A", "B", 1, 1.0), edge_labels=("-", "=", True))
+        for seed in range(30)
+    ]
+    database = GraphDatabase.from_graphs(graphs)
+    store = FeatureStore(database)
+    export = SharedMatrixExport(store)
+    measures = resolve_measures(("edit", "edit-normalized", "mcs", "union"))
+    query = make_random_graph(77, labels=("A", 1.0, True), edge_labels=("-", 1))
+    cache: OrderedDict = OrderedDict()
+    try:
+        meta, matrix = export.refresh()
+        packed = matrix.pack_query(query)
+        qsig = (
+            packed.order,
+            packed.size,
+            packed.vertex_vector.tolist(),
+            packed.edge_vector.tolist(),
+            packed.type_vector.tolist(),
+        )
+        expected = bound_matrix(matrix, packed, measures)
+        rows = [3, 0, 17, 29, 11]
+        pooled = matrix_bounds(meta, rows, qsig, measures, cache)
+        ids = matrix.ids.tolist()
+        assert pooled == {ids[row]: tuple(expected[row]) for row in rows}
+    finally:
+        for attached in cache.values():
+            attached.release()
+        export.release()
 
 
 def test_feature_store_row_level_invalidation():
@@ -192,12 +298,12 @@ def test_feature_store_row_level_invalidation():
 
 def test_vocabulary_growth_backfills_zero():
     matrix = SignatureMatrix()
-    matrix.add(0, GraphFeatures.of(make_random_graph(1, labels=("A", "B"))))
+    matrix.add(0, make_random_graph(1, labels=("A", "B")))
     # A later graph introduces labels the first row has never seen.
     newcomer = make_random_graph(2, labels=("X", "Y"), edge_labels=("q",))
-    matrix.add(1, GraphFeatures.of(newcomer))
+    matrix.add(1, newcomer)
     query_features = GraphFeatures.of(newcomer)
-    packed = matrix.pack_query(query_features)
+    packed = matrix.pack_query(newcomer)
     edit = edit_lower_bounds(matrix, packed)
     f0 = GraphFeatures.of(make_random_graph(1, labels=("A", "B")))
     assert edit[matrix.row_of[0]] == edit_distance_lower_bound(f0, query_features)
@@ -207,11 +313,11 @@ def test_vocabulary_growth_backfills_zero():
 def test_signature_distances_is_a_metric_on_samples():
     """Spot-check that the signature edit bound (edit_lower_bounds) is a metric."""
     graphs = [make_random_graph(seed, max_vertices=6) for seed in range(12)]
-    matrix, features = _matrix_of(graphs)
+    matrix, _ = _matrix_of(graphs)
     n = len(graphs)
     d = np.zeros((n, n))
     for i in range(n):
-        d[i] = edit_lower_bounds(matrix, matrix.pack_query(features[i]))
+        d[i] = edit_lower_bounds(matrix, matrix.pack_query(graphs[i]))
     for i in range(n):
         assert d[i, i] == 0.0
         for j in range(n):
@@ -240,7 +346,7 @@ def test_threshold_prefilter_is_the_flat_bound_mask(graphs, query, threshold, me
     block = IndexedSource(store).candidates(ctx)
 
     matrix = store.matrix
-    packed = matrix.pack_query(GraphFeatures.of(query))
+    packed = matrix.pack_query(query)
     values = bound_matrix(matrix, packed, ctx.measures)[:, 0]
     by_id = dict(zip(matrix.ids.tolist(), values.tolist()))
     assert block.ids == sorted(g for g, v in by_id.items() if v <= threshold)
