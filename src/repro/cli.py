@@ -653,8 +653,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "(harness self-test: flip-bound, "
                              "cutoff-off-by-one, "
                              "bracket-lower-plus-one, "
-                             "mcs-upper-minus-one or "
-                             "mcs-column-minus-one)")
+                             "mcs-upper-minus-one, "
+                             "mcs-column-minus-one or "
+                             "replay-bound-plus-one)")
     p_fuzz.add_argument("--no-shrink", action="store_true",
                         help="report the first divergence without minimizing")
     p_fuzz.add_argument("--save-failure", default=None,

@@ -38,7 +38,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from repro.graph.features import optimistic_vector
+from repro.graph.features import QueryBounds
 from repro.skyline.utils import dominates
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -431,11 +431,14 @@ def _bound_ordered(
 class DeltaSource(CandidateSource):
     """A replay's candidates: the graphs added since a stored answer.
 
-    Each added graph is bounded from its stored features and both
-    graphs' edge types, counted on the fly, by
-    :func:`~repro.graph.features.optimistic_vector` — a replay judges a
-    handful of graphs, where per-row bounds beat packing a matrix — and
-    visited in a full run's order. The stored answer's exact values
+    The query's side of the bound is prepared once per read
+    (:class:`~repro.graph.features.QueryBounds`); each added graph is
+    then bounded from its stored features and its edge list, one
+    :meth:`~repro.graph.features.QueryBounds.vector` call per graph, and
+    visited in a full run's order. Replays stay per-row: packing the
+    added graphs into a fresh matrix costs more than bounding them one
+    by one, from one added graph to the ~60 a write-heavy replay judges.
+    The stored answer's exact values
     (``known``, removed graphs already dropped) become ``ctx.seeded``:
     the engine records them before the walk, so the bound stage prunes
     added graphs against them and the consumer selects over them. See
@@ -453,20 +456,11 @@ class DeltaSource(CandidateSource):
 
     def candidates(self, ctx: "RunContext") -> CandidateBlock:
         ctx.seeded.update(self.known)
-        query, query_features = ctx.spec.graph, ctx.query_features
+        bounds = QueryBounds(ctx.spec.graph, ctx.measures, ctx.query_features)
         return _bound_ordered(
             ctx,
             [
-                (
-                    entry.graph_id,
-                    optimistic_vector(
-                        entry.graph,
-                        query,
-                        ctx.measures,
-                        entry.features,
-                        query_features,
-                    ),
-                )
+                (entry.graph_id, bounds.vector(entry.graph, entry.features))
                 for entry in map(ctx.database.entry, self.added)
             ],
         )

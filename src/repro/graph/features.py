@@ -10,10 +10,14 @@ measures from below:
   below.
 
 The edge types are counted from the graphs themselves, never stored:
-:class:`GraphFeatures` keeps the label multisets only.
-:func:`optimistic_vector` assembles one graph's lower-bound vector; a
-replay bounds its few added graphs with it. Full runs bound every row at
-once with the bit-identical kernels of :mod:`repro.index.kernels`.
+:class:`GraphFeatures` keeps the frozen label multisets only.
+:class:`QueryBounds` is a query's side of the lower-bound vector,
+prepared once per read; a replay bounds each graph it adds with
+:meth:`QueryBounds.vector`, a loop over that graph's stored multisets and
+edge list. Full runs bound every row at once with the bit-identical
+kernels of :mod:`repro.index.kernels`. The per-pair functions
+(:func:`edit_distance_lower_bound`, :func:`mcs_upper_bound`, …) share
+the helpers of :class:`QueryBounds`, so there is one scalar form.
 
 Labels are kept as the label objects themselves and matched by equality,
 the rule of every cost model and solver: ``1``, ``1.0`` and ``True`` are
@@ -23,9 +27,8 @@ one label here too, so no bound can exceed the distance it bounds.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.graph.labeled_graph import LabeledGraph
 
@@ -53,49 +56,103 @@ class GraphFeatures:
             edge_labels=_freeze(graph.edge_label_multiset()),
         )
 
-    # The Counter forms are materialized once per (frozen, immutable)
-    # instance — the scalar bounds below are called per database pair,
-    # and rebuilding a Counter for every pair dominated their cost.
-    # ``cached_property`` writes straight into ``__dict__``, which a
-    # frozen dataclass permits; equality/hash use the fields only.
-    @cached_property
-    def _vertex_counter(self) -> Counter:
-        return Counter(dict(self.vertex_labels))
-
-    @cached_property
-    def _edge_counter(self) -> Counter:
-        return Counter(dict(self.edge_labels))
-
-    def vertex_label_counter(self) -> Counter:
-        """The vertex-label multiset as a :class:`collections.Counter`.
-
-        The same object on every call — treat it as read-only.
-        """
-        return self._vertex_counter
-
-    def edge_label_counter(self) -> Counter:
-        """The edge-label multiset as a :class:`collections.Counter`.
-
-        The same object on every call — treat it as read-only.
-        """
-        return self._edge_counter
-
 
 def _freeze(counter: Counter) -> tuple[tuple[Hashable, int], ...]:
     return tuple(sorted(counter.items(), key=lambda item: repr(item[0])))
 
 
+def _overlap(labels: tuple[tuple[Hashable, int], ...], counts: Mapping) -> int:
+    """Size of the intersection of a frozen multiset and a label -> count map."""
+    common = 0
+    for label, count in labels:
+        other = counts.get(label)
+        if other:
+            common += count if count < other else other
+    return common
+
+
+def _edit_bound(
+    features: GraphFeatures,
+    order: int,
+    size: int,
+    vertex_counts: Mapping,
+    edge_counts: Mapping,
+) -> int:
+    """Uniform-cost ``DistEd`` lower bound against a graph of ``order``
+    vertices and ``size`` edges with these label counts: the edits
+    between the vertex-label multisets plus those between the edge-label
+    multisets. Between multisets of ``n1`` and ``n2`` labels sharing
+    ``c`` that is ``|n1 - n2| + min(n1, n2) - c = max(n1, n2) - c``."""
+    return (
+        max(features.order, order)
+        - _overlap(features.vertex_labels, vertex_counts)
+        + max(features.size, size)
+        - _overlap(features.edge_labels, edge_counts)
+    )
+
+
+def _mcs_cap(graph: LabeledGraph, types: Mapping) -> int:
+    """:func:`mcs_upper_bound` of ``graph`` against a graph whose directed
+    edge types (:func:`_directed_edge_types`) are ``types``.
+
+    Walks ``graph``'s edges once, each in both orientations, and takes
+    every type from a copy of ``types`` while it lasts: that counts
+    ``sum_t min(c_graph(t), types[t])`` without a histogram of ``graph``.
+    """
+    if not types:
+        return 0
+    labels, adjacency = graph.label_maps()
+    left = dict(types)
+    common = 0
+    for u, row in adjacency.items():
+        label_u = labels[u]
+        for v, label in row.items():
+            key = (label_u, labels[v], label)
+            count = left.get(key)
+            if count:
+                left[key] = count - 1
+                common += 1
+    return common // 2
+
+
+def _directed_edge_types(graph: LabeledGraph) -> Counter:
+    """``(l(u), l(v), l(u, v))`` counts, every edge once per orientation:
+    an edge between equal labels adds 2 to one type."""
+    labels, adjacency = graph.label_maps()
+    return Counter(
+        (labels[u], labels[v], label)
+        for u, row in adjacency.items()
+        for v, label in row.items()
+    )
+
+
+def _dist_mcs(size1: int, size2: int, mcs_cap: int) -> float:
+    denominator = max(size1, size2)
+    if denominator == 0:
+        return 0.0
+    return 1.0 - min(mcs_cap, denominator) / denominator
+
+
+def _dist_gu(size1: int, size2: int, mcs_cap: int) -> float:
+    mcs_cap = min(mcs_cap, size1, size2)
+    union = size1 + size2 - mcs_cap
+    if union <= 0:
+        return 0.0
+    return 1.0 - mcs_cap / union
+
+
+def _normalized(raw: int) -> float:
+    raw = float(raw)
+    return raw / (1.0 + raw)
+
+
 def edit_distance_lower_bound(f1: GraphFeatures, f2: GraphFeatures) -> float:
     """Admissible ``DistEd`` lower bound from features alone (uniform costs)."""
-    vertex_part = _counter_bound(
-        f1.order,
-        f2.order,
-        _overlap(f1.vertex_label_counter(), f2.vertex_label_counter()),
+    return float(
+        _edit_bound(
+            f1, f2.order, f2.size, dict(f2.vertex_labels), dict(f2.edge_labels)
+        )
     )
-    edge_part = _counter_bound(
-        f1.size, f2.size, _overlap(f1.edge_label_counter(), f2.edge_label_counter())
-    )
-    return float(vertex_part + edge_part)
 
 
 def mcs_upper_bound(g1: LabeledGraph, g2: LabeledGraph) -> int:
@@ -120,99 +177,91 @@ def mcs_upper_bound(g1: LabeledGraph, g2: LabeledGraph) -> int:
     ``min(2x, 2y) = 2 min(x, y)``. Labels match by equality, as in the
     solvers, so the keys need no ordering of labels at all.
     """
-    return _overlap(_directed_edge_types(g1), _directed_edge_types(g2)) // 2
-
-
-def _directed_edge_types(graph: LabeledGraph) -> Counter:
-    """``(l(u), l(v), l(u, v))`` counts, every edge once per orientation:
-    an edge between equal labels adds 2 to one type."""
-    labels, adjacency = graph.label_maps()
-    return Counter(
-        (labels[u], labels[v], label)
-        for u, row in adjacency.items()
-        for v, label in row.items()
-    )
+    return _mcs_cap(g1, _directed_edge_types(g2))
 
 
 def dist_mcs_lower_bound(f1: GraphFeatures, f2: GraphFeatures, mcs_cap: int) -> float:
     """Lower bound on ``DistMcs`` given features and an ``|mcs|`` bound."""
-    denominator = max(f1.size, f2.size)
-    if denominator == 0:
-        return 0.0
-    return 1.0 - min(mcs_cap, denominator) / denominator
+    return _dist_mcs(f1.size, f2.size, mcs_cap)
 
 
 def dist_gu_lower_bound(f1: GraphFeatures, f2: GraphFeatures, mcs_cap: int) -> float:
     """Lower bound on ``DistGu`` given features and an ``|mcs|`` bound."""
-    mcs_cap = min(mcs_cap, min(f1.size, f2.size))
-    union = f1.size + f2.size - mcs_cap
-    if union <= 0:
-        return 0.0
-    return 1.0 - mcs_cap / union
+    return _dist_gu(f1.size, f2.size, mcs_cap)
 
 
 def _normalized_edit_bound(f1: GraphFeatures, f2: GraphFeatures) -> float:
-    raw = edit_distance_lower_bound(f1, f2)
-    return raw / (1.0 + raw)
+    return _normalized(edit_distance_lower_bound(f1, f2))
 
 
-#: Per-measure lower bounds over feature pairs: ``(function, takes_cap)``.
-#: A function that takes the cap is passed the pair's |mcs| bound too.
-#: Measures without an entry get the trivial bound 0 (never pruned
-#: incorrectly).
+#: Per-measure bound dimensions of :class:`QueryBounds`, by measure name:
+#: each maps ``(raw edit bound, |mcs| bound, graph size, query size)`` to
+#: the measure's lower bound. Measures without an entry get the trivial
+#: bound 0 (never pruned incorrectly). The edit entries read only the raw
+#: edit bound, the others only the |mcs| bound.
 _BOUND_FUNCTIONS = {
-    "edit": (edit_distance_lower_bound, False),
-    "edit-normalized": (_normalized_edit_bound, False),
-    "mcs": (dist_mcs_lower_bound, True),
-    "union": (dist_gu_lower_bound, True),
+    "edit": lambda raw, cap, size, query_size: float(raw),
+    "edit-normalized": lambda raw, cap, size, query_size: _normalized(raw),
+    "mcs": lambda raw, cap, size, query_size: _dist_mcs(size, query_size, cap),
+    "union": lambda raw, cap, size, query_size: _dist_gu(size, query_size, cap),
 }
+_EDIT_MEASURES = frozenset(("edit", "edit-normalized"))
+_MCS_MEASURES = frozenset(("mcs", "union"))
 
 
-def optimistic_vector(
-    graph: LabeledGraph,
-    query: LabeledGraph,
-    measures: Sequence,
-    features: GraphFeatures | None = None,
-    query_features: GraphFeatures | None = None,
-) -> tuple[float, ...]:
-    """Componentwise lower bound on ``GCS(graph, query)`` from features.
+def _no_bound(raw: int, cap: int, size: int, query_size: int) -> float:
+    return 0.0
 
-    Guaranteed ≤ the exact vector on every dimension; dimensions whose
-    measure (by ``name``) has no known bound contribute 0. ``features``
-    and ``query_features`` are the graphs' stored features (computed
-    here when not given); the |mcs| bound counts both graphs' edge types
-    on the fly, once per call and only for a measure that reads it.
+
+class QueryBounds:
+    """A query's side of the optimistic vector under ``measures``.
+
+    Built once per read: it resolves the per-measure dispatch, keeps the
+    query's order, size and label multisets (as dicts) and, only when an
+    ``mcs``/``union`` measure reads the |mcs| bound, its directed edge
+    types. :meth:`vector` then bounds one graph from its stored features
+    and its edge list, computing the raw edit bound and the |mcs| bound
+    at most once each. Nothing of it outlives the read.
     """
-    if features is None:
-        features = GraphFeatures.of(graph)
-    if query_features is None:
-        query_features = GraphFeatures.of(query)
-    mcs_cap = None
-    bounds = []
-    for measure in measures:
-        entry = _BOUND_FUNCTIONS.get(measure.name)
-        if entry is None:
-            bounds.append(0.0)
-            continue
-        function, takes_cap = entry
-        if not takes_cap:
-            bounds.append(float(function(features, query_features)))
-            continue
-        if mcs_cap is None:
-            mcs_cap = mcs_upper_bound(graph, query)
-        bounds.append(function(features, query_features, mcs_cap))
-    return tuple(bounds)
 
-
-def _overlap(counter1: Counter, counter2: Counter) -> int:
-    """Size of the intersection of two label multisets."""
-    return sum(
-        min(count, counter2[label])
-        for label, count in counter1.items()
-        if label in counter2
+    __slots__ = (
+        "_functions", "_order", "_size", "_vertex_counts", "_edge_counts",
+        "_edit", "_types",
     )
 
+    def __init__(
+        self,
+        query: LabeledGraph,
+        measures: Sequence,
+        features: GraphFeatures | None = None,
+    ) -> None:
+        if features is None:
+            features = GraphFeatures.of(query)
+        names = [measure.name for measure in measures]
+        self._functions = tuple(_BOUND_FUNCTIONS.get(name, _no_bound) for name in names)
+        self._order = features.order
+        self._size = features.size
+        self._vertex_counts = dict(features.vertex_labels)
+        self._edge_counts = dict(features.edge_labels)
+        self._edit = not _EDIT_MEASURES.isdisjoint(names)
+        self._types = (
+            _directed_edge_types(query) if not _MCS_MEASURES.isdisjoint(names) else None
+        )
 
-def _counter_bound(n1: int, n2: int, overlap: int) -> int:
-    """Uniform-cost edits between multisets of ``n1`` and ``n2`` labels."""
-    return abs(n1 - n2) + (min(n1, n2) - overlap)
+    def vector(self, graph: LabeledGraph, features: GraphFeatures) -> tuple[float, ...]:
+        """Componentwise lower bound on ``GCS(graph, query)``.
+
+        ``features`` are ``graph``'s stored features. Guaranteed ≤ the
+        exact vector on every dimension, and bit-identical to the row of
+        :func:`repro.index.bound_matrix` for ``graph``.
+        """
+        raw = (
+            _edit_bound(
+                features, self._order, self._size, self._vertex_counts, self._edge_counts
+            )
+            if self._edit
+            else 0
+        )
+        cap = _mcs_cap(graph, self._types) if self._types is not None else 0
+        size, query_size = features.size, self._size
+        return tuple([function(raw, cap, size, query_size) for function in self._functions])

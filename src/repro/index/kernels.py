@@ -8,7 +8,7 @@ counterparts in :mod:`repro.graph.features` (property-tested with exact
 ``==``): every intermediate is integer arithmetic on counts below 2⁵³
 followed by the same IEEE-754 double operations the scalar code performs,
 so a full run and a replay (which bounds its added graphs one at a time
-with :func:`repro.graph.features.optimistic_vector`) prune on the same
+with :meth:`repro.graph.features.QueryBounds.vector`) prune on the same
 optimistic vectors, to the last ulp.
 
 The ``DistMcs`` / ``DistGu`` kernels read one ``|mcs|`` bound per row,
@@ -18,7 +18,7 @@ stages prune on it before any pair of a full run reaches the evaluator.
 
 Bound registry: :func:`bound_matrix` assembles the full ``(n, d)``
 optimistic-vector matrix for a measure tuple, mirroring the per-measure
-dispatch of :data:`repro.graph.features._BOUND_FUNCTIONS` (measures without a
+dispatch of :class:`repro.graph.features.QueryBounds` (measures without a
 kernel contribute an all-zero column — never pruned incorrectly).
 
 :func:`dominator_counts` is the one array form of "how many exact vectors
@@ -46,7 +46,9 @@ def _overlaps(counts: np.ndarray, query_vector: np.ndarray) -> np.ndarray:
 def _counter_bounds(
     totals: np.ndarray, query_total: int, overlaps: np.ndarray
 ) -> np.ndarray:
-    """Vector form of ``features._counter_bound`` (int64)."""
+    """Uniform-cost edits between multisets of ``totals`` and
+    ``query_total`` labels sharing ``overlaps``: each half of
+    ``features._edit_bound``, per row (int64)."""
     return np.abs(totals - query_total) + (
         np.minimum(totals, query_total) - overlaps
     )

@@ -22,9 +22,9 @@ the same way, so crash bugs shrink just like wrong-answer bugs.
 ``fault=`` injects a deliberately broken engine stage (see
 :data:`FAULTS`) — the harness's own smoke test: a sign-flipped bound, a
 solver cutoff one float too low, a GED bracket whose lower side is one
-too high, or an |mcs| bound one too low (the solvers' per-pair bound, or
-the index's edge-type bound) must be caught and shrunk to a printable
-repro.
+too high, an |mcs| bound one too low (the solvers' per-pair bound, or
+the index's edge-type bound), or a replay's edit bound one too high must
+be caught and shrunk to a printable repro.
 """
 
 from __future__ import annotations
@@ -270,20 +270,23 @@ class LoweredMcsBoundIndexedBackend(_FaultyContextIndexedBackend):
 def _lowered_mcs_column():
     """Every |mcs| bound of the index one edge low while active: the
     batched column full runs bound with and the per-row bound replays
-    bound with, so bound stages drop graphs on a DistMcs/DistGu lower
-    bound their exact values do not reach."""
+    bound with (``features._mcs_cap``, behind both
+    :meth:`~repro.graph.features.QueryBounds.vector` and
+    :func:`~repro.graph.features.mcs_upper_bound`), so bound stages drop
+    graphs on a DistMcs/DistGu lower bound their exact values do not
+    reach."""
     from repro.graph import features
     from repro.index import kernels
 
-    column, per_row = kernels.mcs_upper_bounds, features.mcs_upper_bound
+    column, per_row = kernels.mcs_upper_bounds, features._mcs_cap
     kernels.mcs_upper_bounds = lambda matrix, query: np.maximum(
         column(matrix, query) - 1, 0
     )
-    features.mcs_upper_bound = lambda g1, g2: max(per_row(g1, g2) - 1, 0)
+    features._mcs_cap = lambda graph, types: max(per_row(graph, types) - 1, 0)
     try:
         yield
     finally:
-        kernels.mcs_upper_bounds, features.mcs_upper_bound = column, per_row
+        kernels.mcs_upper_bounds, features._mcs_cap = column, per_row
 
 
 class LoweredMcsColumnIndexedBackend(IndexedBackend):
@@ -292,6 +295,31 @@ class LoweredMcsColumnIndexedBackend(IndexedBackend):
     any backend, so this fault is patched in for the whole workload."""
 
     installed = staticmethod(_lowered_mcs_column)
+
+
+@contextlib.contextmanager
+def _raised_replay_bound():
+    """The replay bound's raw edit bound one edit high while active
+    (``features._edit_bound``, read by
+    :meth:`~repro.graph.features.QueryBounds.vector`): replays drop added
+    graphs on a DistEd lower bound their exact values do not reach. Full
+    runs bound with the kernels and stay sound."""
+    from repro.graph import features
+
+    edit_bound = features._edit_bound
+    features._edit_bound = lambda *args: edit_bound(*args) + 1
+    try:
+        yield
+    finally:
+        features._edit_bound = edit_bound
+
+
+class RaisedReplayBoundIndexedBackend(IndexedBackend):
+    """The ``indexed`` backend, replayed while every replay's edit bound
+    is one edit high (:attr:`installed`). Every cached session replays
+    through the same bound, so the fault spans all backends."""
+
+    installed = staticmethod(_raised_replay_bound)
 
 
 #: Injectable faults: name -> replacement class for the indexed backend.
@@ -303,6 +331,7 @@ FAULTS: dict[str, type[ExecutionBackend]] = {
     "bracket-lower-plus-one": RaisedBracketIndexedBackend,
     "mcs-upper-minus-one": LoweredMcsBoundIndexedBackend,
     "mcs-column-minus-one": LoweredMcsColumnIndexedBackend,
+    "replay-bound-plus-one": RaisedReplayBoundIndexedBackend,
 }
 
 

@@ -22,6 +22,7 @@ workload can be saved, attached to a bug report, and replayed with
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -384,6 +385,33 @@ def _repeated(rng: random.Random, earlier: list[RunQuery]) -> RunQuery:
     return RunQuery(dataclasses.replace(step.query, graph=graph), step.backend)
 
 
+def _burst(
+    rng: random.Random, step: RunQuery, handles: list[str]
+) -> list[Step]:
+    """Adds of near mutants of ``step``'s query graph (under ``handles``),
+    ``step`` again, then removes of the same graphs. A cached session
+    replays the re-read over the adds (the database is back as it was
+    afterwards). A mutant's edit bound is mostly exact, so the replay
+    judges graphs whose bounds sit right at its cutoffs: one or two edit
+    operations each, and for a threshold spec as many as the threshold's
+    whole part, a graph just inside it."""
+    spec = step.query
+    operations = [rng.randint(1, 2) for _ in handles]
+    if spec.kind == "threshold":
+        operations[0] = int(spec.threshold)
+    return [
+        *(
+            AddGraph(
+                handle,
+                mutate(spec.graph, count, ATOMS, BONDS, seed=rng, name=handle),
+            )
+            for handle, count in zip(handles, operations)
+        ),
+        step,
+        *(RemoveGraph(handle) for handle in handles),
+    ]
+
+
 def generate_workload(
     seed: int,
     n_steps: int,
@@ -402,14 +430,21 @@ def generate_workload(
 
     After the first full cycle of combinations, a quarter of the query
     steps are followed by an extra step repeating an earlier query (see
-    :func:`_repeated`). Anytime specs are never repeated: they bypass the
-    answer store. The repeat draws come from their own seed-derived
-    generator, so the other steps are, in order, those of the same
-    workload without repeats; the workload keeps ``n_steps`` steps, so
-    the repeats displace its tail.
+    :func:`_repeated`). From the start, one query step in five is
+    followed by a burst: adds of near mutants of its query graph, the
+    same query again, and removes of the mutants (see :func:`_burst`).
+    Anytime specs are never repeated or re-read: they bypass the answer
+    store. The repeat and burst draws come from their own
+    seed-derived generators, and a burst (handles ``b0``, ``b1``, …)
+    leaves the live graphs as it found them, so the other steps are, in
+    order, those of the same workload without repeats and bursts; the
+    workload keeps ``n_steps`` steps, so the extra steps displace its
+    tail, and a burst that would not fit whole is left out.
     """
     rng = random.Random(seed)
     repeat = random.Random(f"repeat-{seed}")
+    burst = random.Random(f"burst-{seed}")
+    burst_handles = itertools.count()
     earlier: list[RunQuery] = []
     combos = [
         (kind, backend)
@@ -475,9 +510,10 @@ def generate_workload(
             )
             recent_queries.append(spec.graph)
             del recent_queries[:-5]
-            steps.append(RunQuery(spec, backend))
+            query_step = RunQuery(spec, backend)
+            steps.append(query_step)
             if not spec.anytime:
-                earlier.append(steps[-1])
+                earlier.append(query_step)
             if (
                 earlier
                 and combo_cursor > len(combos)
@@ -485,6 +521,12 @@ def generate_workload(
                 and repeat.random() < 0.25
             ):
                 steps.append(_repeated(repeat, earlier))
+            if not spec.anytime and burst.random() < 0.2:
+                handles = [
+                    f"b{next(burst_handles)}" for _ in range(burst.randint(2, 3))
+                ]
+                if len(steps) + 2 * len(handles) < n_steps:
+                    steps.extend(_burst(burst, query_step, handles))
         elif roll < 0.86 and views_open < max_views:
             spec = _query_spec(
                 rng, _query_graph(rng, live, max_vertices, recent_queries), "skyline", "memory"

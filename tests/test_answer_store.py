@@ -13,6 +13,7 @@ import http.client
 import itertools
 import json
 import math
+import random
 import sys
 import threading
 
@@ -30,7 +31,7 @@ from repro.engine.core import run_plan
 from repro.db import cache as cache_module
 from repro.db import database as database_module
 from repro.db.cache import ANSWER_STORE_LIMIT, AnswerStore
-from repro.graph import LabeledGraph
+from repro.graph import LabeledGraph, mutate
 from repro.graph.canonical import canonical_hash
 from repro.measures import base as measures_base
 from repro.measures.base import DistanceMeasure, get_measure
@@ -519,6 +520,48 @@ def test_a_sharded_replay_equals_a_monolithic_one(kind, query_graph):
     assert sharded.stats.replayed_delta == monolithic.stats.replayed_delta == (1, 1)
     assert _answer(sharded) == _answer(monolithic)
     assert _answer(sharded) == _answer(_oracle(database, spec))
+
+
+def test_replays_over_a_large_delta_equal_a_full_run(query_graph):
+    """Sixty added graphs, every third a near mutant of the query (its
+    bounds tight, its exact values at the cutoffs): top-k, skyline and
+    threshold replays return a full run's ids and values."""
+    rng = random.Random(5)
+    added = [
+        mutate(
+            query_graph, rng.randint(1, 2), ("A", "B", "C"), ("-",),
+            seed=rng, name=f"near-{index}",
+        )
+        if index % 3 == 0
+        else make_random_graph(1000 + index, max_vertices=5)
+        for index in range(60)
+    ]
+    specs = [
+        Query(query_graph).topk(3, "edit"),
+        Query(query_graph).measures("edit-normalized", "union").topk(4),
+        Query(query_graph).measures("edit", "mcs", "union").skyline(),
+        Query(query_graph).measures("edit", "mcs").skyband(2),
+        Query(query_graph).threshold(2.0, "edit"),
+        Query(query_graph).threshold(0.5, "mcs"),
+    ]
+    database = _database()
+    with _cached(database) as session:
+        for spec in specs:
+            session.execute(spec)
+        for graph in added:
+            database.insert(graph)
+        replays = [session.execute(spec) for spec in specs]
+    with repro.connect(database, backend="auto") as full:
+        for spec, replay in zip(specs, replays):
+            assert replay.stats.replayed_delta == (60, 0)
+            run = full.execute(spec)
+            assert replay.ids == run.ids
+            assert _answer(replay) == _answer(run) == _answer(_oracle(database, spec))
+    assert any(
+        database.get(graph_id).name.startswith("near-")
+        for replay in replays
+        for graph_id in replay.ids
+    )
 
 
 _BATCHES = st.lists(

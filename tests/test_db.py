@@ -8,7 +8,7 @@ from repro.db import database as database_module
 from repro.errors import DatasetError
 from repro.engine.core import make_context
 from repro.graph import GraphFeatures, LabeledGraph, path_graph
-from repro.graph.features import optimistic_vector
+from repro.graph.features import QueryBounds
 from repro.index import FeatureStore, IndexedSource
 from repro.measures import EditDistance, default_measures
 from repro.shard import ShardedGraphDatabase
@@ -144,11 +144,9 @@ def test_optimistic_vector_is_lower_bound(paper_db, paper_query):
     from repro.measures import PairContext
 
     measures = default_measures()
-    query_features = GraphFeatures.of(paper_query)
+    bounds = QueryBounds(paper_query, measures)
     for graph in paper_db:
-        optimistic = optimistic_vector(
-            graph, paper_query, measures, GraphFeatures.of(graph), query_features
-        )
+        optimistic = bounds.vector(graph, GraphFeatures.of(graph))
         context = PairContext(graph, paper_query)
         exact = tuple(m.distance(graph, paper_query, context) for m in measures)
         assert all(o <= e + 1e-9 for o, e in zip(optimistic, exact)), graph.name
@@ -158,8 +156,8 @@ def test_optimistic_vector_unknown_measure_gets_zero(paper_db, paper_query):
     from repro.measures import FunctionMeasure
 
     odd = FunctionMeasure(lambda a, b: 42.0, name="odd")
-    vector = optimistic_vector(paper_db[0], paper_query, [odd])
-    assert vector == (0.0,)
+    bounds = QueryBounds(paper_query, [odd])
+    assert bounds.vector(paper_db[0], GraphFeatures.of(paper_db[0])) == (0.0,)
 
 
 def _threshold_candidates(graphs, query, measure, threshold):

@@ -1,15 +1,15 @@
 """Vectorized bound kernels must equal the scalar bounds *bit for bit*.
 
 The acceptance contract of the packed index: a full run bounds with the
-kernels and a replay bounds its added graphs one at a time with the
-scalar bounds, and both must prune on the same vectors. Every kernel output is compared to its
-scalar ``features.py`` counterpart with exact ``==`` (no tolerance), on
-hypothesis-generated graph populations and queries — including graphs
-with disjoint label vocabularies, empty graphs, and a matrix that
-reached its state through incremental adds/removes rather than a bulk
-build. Labels mix spellings that are equal by ``==`` (``1``, ``1.0``,
-``True``) with plain strings, so the edge-type columns are keyed the way
-the scalar bound matches labels.
+kernels and a replay bounds its added graphs one at a time with
+:class:`QueryBounds`, and both must prune on the same vectors. Every
+kernel output is compared to its scalar ``features.py`` counterpart with
+exact ``==`` (no tolerance), on hypothesis-generated graph populations
+and queries — including graphs with disjoint label vocabularies, empty
+graphs, and a matrix that reached its state through incremental
+adds/removes rather than a bulk build. Labels mix spellings that are
+equal by ``==`` (``1``, ``1.0``, ``True``) with plain strings, so the
+edge-type columns are keyed the way the scalar bound matches labels.
 """
 
 import numpy as np
@@ -20,12 +20,12 @@ from hypothesis import strategies as st
 from repro.graph import LabeledGraph
 from repro.graph.features import (
     GraphFeatures,
+    QueryBounds,
     _normalized_edit_bound,
     dist_gu_lower_bound,
     dist_mcs_lower_bound,
     edit_distance_lower_bound,
     mcs_upper_bound,
-    optimistic_vector,
 )
 from repro.index import (
     FeatureStore,
@@ -39,6 +39,7 @@ from repro.index import (
     normalized_edit_lower_bounds,
 )
 from repro.db import GraphDatabase
+from repro.measures import FunctionMeasure
 from repro.measures.base import resolve_measures
 from repro.skyline.utils import dominates
 
@@ -112,16 +113,74 @@ def test_bound_matrix_matches_scalar_optimistic_vectors(graphs, query):
     """The full (n, d) matrix equals the per-row optimistic vectors a
     replay bounds its added graphs with."""
     matrix, features = _matrix_of(graphs)
-    query_features = GraphFeatures.of(query)
     measures = resolve_measures(("edit", "edit-normalized", "mcs", "union"))
     packed = matrix.pack_query(query)
     batched = bound_matrix(matrix, packed, measures)
+    bounds = QueryBounds(query, measures)
 
     for row, graph_id in enumerate(matrix.ids.tolist()):
-        scalar = optimistic_vector(
-            graphs[graph_id], query, measures, features[graph_id], query_features
-        )
+        scalar = bounds.vector(graphs[graph_id], features[graph_id])
         assert tuple(batched[row].tolist()) == scalar
+
+
+#: A measure with no registered bound: its dimension is 0.0 everywhere.
+UNBOUNDED = FunctionMeasure(lambda g1, g2: 1.0, name="unbounded")
+
+
+def _edgeless(graph: LabeledGraph) -> LabeledGraph:
+    bare = LabeledGraph()
+    for vertex in graph.vertices():
+        bare.add_vertex(vertex, graph.vertex_label(vertex))
+    return bare
+
+
+#: Vertex and edge labels mixing equal spellings with strings, and
+#: edgeless graphs.
+prepared_graph = st.one_of(
+    small_labeled_graphs(
+        max_vertices=5, vertex_labels=MIXED_LABELS, edge_labels=(1, 1.0, True, "z")
+    ),
+    small_labeled_graphs(max_vertices=4, vertex_labels=(True, "D")).map(_edgeless),
+    small_labeled_graphs(max_vertices=4, vertex_labels=("D", "E"), edge_labels=("z",)),
+)
+
+
+@relaxed
+@given(
+    graphs=st.lists(prepared_graph, min_size=1, max_size=8),
+    query=st.one_of(st.just(LabeledGraph()), prepared_graph),
+    names=st.lists(
+        st.sampled_from(("edit", "edit-normalized", "mcs", "union", "unbounded")),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_prepared_bound_equals_per_pair_bounds_and_matrix_rows(graphs, query, names):
+    """One query side, prepared once, bounds every graph bit for bit like
+    the per-pair functions and the packed matrix's row, under any measure
+    tuple (repeats and an unbounded measure included)."""
+    measures = [
+        UNBOUNDED if name == "unbounded" else resolve_measures((name,))[0]
+        for name in names
+    ]
+    matrix, features = _matrix_of(graphs)
+    batched = bound_matrix(matrix, matrix.pack_query(query), measures)
+    bounds = QueryBounds(query, measures)
+    query_features = GraphFeatures.of(query)
+    for row, graph_id in enumerate(matrix.ids.tolist()):
+        graph, f = graphs[graph_id], features[graph_id]
+        cap = mcs_upper_bound(graph, query)
+        per_pair = {
+            "edit": edit_distance_lower_bound(f, query_features),
+            "edit-normalized": _normalized_edit_bound(f, query_features),
+            "mcs": dist_mcs_lower_bound(f, query_features, cap),
+            "union": dist_gu_lower_bound(f, query_features, cap),
+            "unbounded": 0.0,
+        }
+        prepared = bounds.vector(graph, f)
+        assert prepared == tuple(per_pair[name] for name in names)
+        assert prepared == tuple(batched[row].tolist())
+        assert all(type(value) is float for value in prepared)
 
 
 def test_unknown_measure_gets_zero_column():

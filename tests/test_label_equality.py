@@ -70,7 +70,8 @@ def _connect(graphs: list[LabeledGraph], backend: str) -> repro.Session:
 def test_features_match_labels_by_equality():
     f1 = GraphFeatures.of(_path([1, 2, 1], 1))
     f2 = GraphFeatures.of(_path([1.0, 2.0, True], True))
-    assert f1.vertex_label_counter() == f2.vertex_label_counter()
+    assert dict(f1.vertex_labels) == dict(f2.vertex_labels)
+    assert dict(f1.edge_labels) == dict(f2.edge_labels)
     assert edit_distance_lower_bound(f1, f2) == 0.0
 
 

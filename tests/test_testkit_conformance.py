@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro import PairCache, Query, connect
-from repro.cli import main
+from repro.cli import _remap_backend, main
 from repro.testkit import (
     FAULTS,
     Workload,
@@ -24,6 +24,7 @@ from repro.testkit import (
     run_workload,
     shrink_workload,
 )
+from repro.testkit.workload import RunQuery
 
 CORPUS = json.loads(
     (Path(__file__).parent / "fuzz_corpus.json").read_text(encoding="utf-8")
@@ -121,6 +122,55 @@ def test_raised_bracket_lower_side_is_caught_and_shrunk():
         lambda cand: run_workload(cand, fault="bracket-lower-plus-one").divergence,
     )
     assert len(minimal) <= 10
+
+
+def test_raised_replay_bound_is_caught_and_shrunk():
+    # A replay's edit bound one high drops a burst's near mutant that the
+    # answer keeps; only cached sessions replay, and full runs stay right.
+    workload = _remap_backend(generate_workload(seed=3, n_steps=120), "auto")
+    assert run_workload(workload).ok
+    report = run_workload(workload, fault="replay-bound-plus-one")
+    assert not report.ok, "the raised replay bound went undetected"
+    assert report.divergence.cached
+    minimal, _ = shrink_workload(
+        workload,
+        lambda cand: run_workload(cand, fault="replay-bound-plus-one").divergence,
+    )
+    assert len(minimal) <= 10
+    queries = [step for step in minimal.steps if isinstance(step, RunQuery)]
+    assert len(queries) >= 2 and queries[0] == queries[-1]  # a re-read
+
+
+@pytest.mark.parametrize(
+    "fault,names,lowered",
+    [
+        # Both halves of the index's |mcs| bound drop by one edge.
+        ("mcs-column-minus-one", ("mcs",), (0.5,)),
+        # Only the replay bound moves: the kernel column stays put.
+        ("replay-bound-plus-one", ("edit", "edit-normalized"), (1.0, 0.5)),
+    ],
+)
+def test_installed_faults_reach_the_replay_bound(fault, names, lowered):
+    """A fault patched into ``graph.features`` reaches the per-row bound
+    every replay computes (``QueryBounds``) and, for the |mcs| column,
+    the batched kernel full runs bound with."""
+    from repro.graph import GraphFeatures, path_graph
+    from repro.graph.features import QueryBounds
+    from repro.index import SignatureMatrix, bound_matrix
+    from repro.measures.base import resolve_measures
+
+    graph = path_graph(["A", "B", "A"])
+    measures = resolve_measures(names)
+    matrix = SignatureMatrix()
+    matrix.add_many([(0, graph, GraphFeatures.of(graph))])
+    with FAULTS[fault].installed():
+        replay = QueryBounds(graph, measures).vector(graph, GraphFeatures.of(graph))
+        column = tuple(bound_matrix(matrix, matrix.pack_query(graph), measures)[0])
+    assert replay == lowered
+    assert column == (lowered if fault == "mcs-column-minus-one" else (0.0, 0.0))
+    assert QueryBounds(graph, measures).vector(graph, GraphFeatures.of(graph)) == (
+        (0.0,) * len(names)
+    )
 
 
 def test_summary_counts_solver_cutoffs():
