@@ -1,10 +1,13 @@
-"""Dynamic databases: incremental skyline maintenance and explanations.
+"""Dynamic databases: a watched skyline under mutation, and explanations.
 
-Graph databases change; recomputing GCS vectors is the expensive part,
-and the skyline itself can be maintained online. This example:
+Graph databases change; recomputing GCS vectors is the expensive part.
+A live view (``Session.watch``) keeps a query's answer equal to
+executing it: with a pair cache, each refresh replays the view's last
+answer over the database's change log and judges only the added graphs.
+This example:
 
-1. streams compounds into an :class:`IncrementalSkyline`, paying one GCS
-   evaluation per insert and watching the answer set evolve;
+1. streams compounds into a database watched by a skyline view,
+   printing each refresh's exact evaluations and the answer set;
 2. deletes a skyline member and shows dominated compounds being promoted;
 3. asks the library to *explain* why a specific compound is (not) in the
    final answer.
@@ -12,33 +15,36 @@ and the skyline itself can be maintained online. This example:
 Run:  python examples/dynamic_database.py
 """
 
-from repro.core import compound_similarity, explain_membership, graph_similarity_skyline
+import repro
+from repro import GraphDatabase, PairCache, Query
+from repro.core import explain_membership, graph_similarity_skyline
 from repro.datasets import make_workload
-from repro.skyline import IncrementalSkyline
 
 
 def main() -> None:
     workload = make_workload(n_graphs=15, query_size=7, seed=12)
     query = workload.queries[0]
 
-    tracker = IncrementalSkyline(dimension=3)
-    print("streaming compounds in:")
-    for graph in workload.database:
-        vector = compound_similarity(graph, query)
-        joined = tracker.insert(graph.name, vector.values)
-        status = "joins the skyline" if joined else "dominated on arrival"
-        print(f"  + {graph.name:<14} GCS=({', '.join(f'{v:.2f}' for v in vector.values)}) "
-              f"-> {status}; skyline size {tracker.skyline_size}")
-    print()
-    members = tracker.skyline_keys()
-    print(f"final skyline: {members}")
-    print()
+    database = GraphDatabase()
+    with repro.connect(database, cache=PairCache()) as session:
+        view = session.watch(Query(query).skyline())
+        print("streaming compounds in:")
+        for graph in workload.database:
+            before = view.evaluations
+            database.insert(graph)
+            view.refresh()
+            print(f"  + {graph.name:<14} {view.evaluations - before} exact "
+                  f"evaluation(s); skyline size {len(view)}")
+        print()
+        print(f"final skyline: {view.names_in_answer}")
+        print()
 
-    victim = members[0]
-    tracker.remove(victim)
-    print(f"after deleting {victim}: skyline = {tracker.skyline_keys()}")
-    print("(previously dominated compounds are promoted automatically)")
-    print()
+        victim = view.ids[0]
+        name = database.get(victim).name
+        database.remove(victim)
+        print(f"after deleting {name}: skyline = {view.names_in_answer}")
+        print("(previously dominated compounds are promoted automatically)")
+        print()
 
     # Explanations come from the batch result object.
     result = graph_similarity_skyline(workload.database, query)

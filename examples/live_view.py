@@ -1,15 +1,17 @@
-"""Live views: a skyline that follows the database around.
+"""Live views: a query answer that follows the database around.
 
-``Session.watch(query)`` materializes a skyline answer and keeps it
-incrementally correct while graphs are inserted into or removed from the
-database — repairing only the affected candidates instead of re-running
-the query. Repairs ride on the shared :class:`repro.PairCache`, so a
-pair the session has ever solved (for any query, view, or backend) is
-never solved again. This example:
+``Session.watch(query)`` materializes any query's answer and keeps it
+equal to executing the query while graphs are inserted into or removed
+from the database. The view reads through the session's own read path
+over an answer entry of its own: with a pair cache, a refresh replays
+the last answer over the database's change log, judging only the added
+graphs through the bound stage and the shared :class:`repro.PairCache`.
+This example:
 
 1. opens a cached ``indexed`` session and watches a skyline query;
 2. streams new compounds in, showing the per-insert repair cost;
-3. deletes a skyline member, showing promotions at zero solving cost;
+3. deletes a skyline member, which re-runs the query (pruned by the
+   index, served by the pair cache);
 4. cross-checks the view against a from-scratch query.
 
 Run:  python examples/live_view.py
@@ -51,8 +53,8 @@ def main() -> None:
         view.refresh()
         print(
             f"after deleting {name}: skyline = {view.names_in_answer} "
-            f"({view.evaluations - before} evaluations spent; promotions "
-            "come from vectors the view already holds)"
+            f"({view.evaluations - before} evaluations spent; the re-run is "
+            "pruned by the index and served by the shared cache)"
         )
         print()
 
@@ -61,7 +63,7 @@ def main() -> None:
         print(f"view equals a from-scratch re-query: {agreement}")
         print(
             f"(the re-query solved {fresh.stats.exact_evaluations} pairs — "
-            "the view already put every live pair in the shared cache)"
+            "it is served from the session's answer store or the shared cache)"
         )
         print(
             f"view lifetime: {view.repairs} repairs, "

@@ -17,8 +17,9 @@ The unified API the rest of the library routes through:
   (rule-based planning) — all thin plan configurations over the staged
   engine (:mod:`repro.engine`), all accepting a shared ``cache=``
   (:class:`repro.db.cache.PairCache`);
-* :class:`LiveView` — ``Session.watch(query)``: a materialized skyline
-  kept incrementally correct under database mutation.
+* :class:`LiveView` — ``Session.watch(query)``: any query's answer kept
+  equal to executing it under database mutation, read through
+  ``Session.execute``'s path over an answer entry of its own.
 """
 
 from repro.api.spec import (

@@ -288,15 +288,25 @@ class Session:
         instead of re-run (see :meth:`_replay`; ``stats.replayed_from``).
         Anytime specs and specs holding measure instances always run.
         """
+        return self._read(self._materialize(query), self._answers)
+
+    def _read(self, spec: GraphQuery, store) -> ResultSet:
+        """Answer ``spec`` through ``store``: a hit on its entry at the
+        current version, a replay of an older entry, or a full run.
+
+        ``store`` is the session's :class:`~repro.db.cache.AnswerStore`
+        for :meth:`execute`, or a :class:`~repro.engine.views.LiveView`'s
+        one entry; both answer ``get``, ``put`` and ``count``. An answer
+        computed at one version is put back.
+        """
         if self._closed:
             raise QueryError("session is closed")
-        spec = self._materialize(query)
         cache = getattr(self._backend, "cache", None)
         key = _answer_key(spec, cache)
         version = self.database.version
-        entry = self._answers.get(key) if key is not None else None
+        entry = store.get(key) if key is not None else None
         if entry is not None and entry[0] == version:
-            self._answers.count("hits")
+            store.count("hits")
             plan, answer = entry[1].reuse(version)
             return self._result(spec, plan, answer, cache, (0, 0))
         probes = (cache.hits, cache.misses) if cache is not None else (0, 0)
@@ -304,11 +314,11 @@ class Session:
         if entry is not None:
             replayed = self._replay(spec, cache, *entry)
         if replayed is not None:
-            self._answers.count("replays")
+            store.count("replays")
             plan, answer = replayed
         else:
             if key is not None:
-                self._answers.count("misses")
+                store.count("misses")
             answer = self._backend.run(spec)
             plan = self._query_plan(spec, answer.stage_labels)
         if cache is not None:
@@ -316,7 +326,7 @@ class Session:
         # A mutation during the run may or may not be reflected in its
         # answer, so only an answer computed at one version is stored.
         if key is not None and self.database.version == version:
-            self._answers.put(version, key, _StoredAnswer.of(plan, answer))
+            store.put(version, key, _StoredAnswer.of(plan, answer))
         return self._result(spec, plan, answer, cache, probes)
 
     def _replay(
@@ -450,23 +460,17 @@ class Session:
             approximate=answer.approximate,
         )
 
-    def watch(self, query: "GraphQuery | Query", cache=None) -> "LiveView":
+    def watch(self, query: "GraphQuery | Query") -> "LiveView":
         """Materialize ``query`` as a live view that follows database
         mutation (see :class:`repro.engine.views.LiveView`).
 
-        Only plain ``skyline`` specs are watchable. The view shares the
-        backend's pair cache when one is configured (so executed queries
-        and views never solve the same pair twice); pass ``cache=`` to
-        share a different one.
+        Any spec is watchable: the view reads through :meth:`execute`'s
+        path over an answer entry of its own, so with a pair cache a
+        refresh replays the view's last answer over the change log.
         """
         from repro.engine.views import LiveView
 
-        if self._closed:
-            raise QueryError("session is closed")
-        spec = self._materialize(query)
-        if cache is None:
-            cache = getattr(self._backend, "cache", None)
-        return LiveView(self, spec, cache=cache)
+        return LiveView(self, self._materialize(query))
 
 
 def connect(

@@ -28,8 +28,10 @@ candidate loop. The pieces compose freely:
   :class:`FrontierMerge` gather consumers, and :func:`scatter_run`, the
   one scatter loop behind the ``sharded`` and ``auto`` backends
   (:mod:`repro.engine.scatter`);
-* :class:`LiveView` — a materialized skyline kept incrementally correct
-  under database mutation (``Session.watch``);
+* :class:`LiveView` — any query's answer kept equal to executing it
+  under database mutation (``Session.watch``): one answer entry read
+  through ``Session.execute``'s path, so a refresh is a hit, a replay
+  over the change log or a full pruned run;
 * deadlines — :func:`deadline_scope` makes a :class:`Deadline` ambient
   for every run inside it; the engine checks it cooperatively once per
   candidate and raises :class:`~repro.errors.DeadlineExceeded`

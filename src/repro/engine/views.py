@@ -1,82 +1,47 @@
-"""Live views: materialized skyline results under database mutation.
+"""Live views: query answers that follow database mutation.
 
-``Session.watch(query)`` returns a :class:`LiveView` — a skyline answer
-kept incrementally correct while graphs are added to or removed from the
-underlying :class:`~repro.db.database.GraphDatabase`. Instead of
-re-running the query, the view repairs itself:
-
-* staleness is detected through the database's mutation-version flag, so
-  an unchanged database costs one integer comparison per access, and the
-  database's change log (:meth:`~repro.db.database.GraphDatabase.
-  changes_since`) names the graphs added and removed since;
-* a repair exactly evaluates only the *affected* candidates — each newly
-  inserted graph costs one pair evaluation (cache-served when the shared
-  :class:`~repro.db.cache.PairCache` already knows the pair), and a
-  removal costs none;
-* membership updates ride on :class:`~repro.skyline.incremental.
-  IncrementalSkyline`, whose maintained set provably equals the batch
-  skyline of the live points.
-
-The view therefore holds exact vectors for *every* live graph (dominated
-ones included): a removal may promote previously dominated graphs, and
-promoting from known vectors is what makes removals free.
+``Session.watch(query)`` returns a :class:`LiveView` — any spec's answer
+kept equal to executing it while graphs are added to or removed from the
+underlying :class:`~repro.db.database.GraphDatabase`. The view holds one
+answer entry of its own and reads through the session's one read path
+(``Session.execute``'s): staleness is detected through the database's
+mutation version, so an unchanged database costs one integer comparison
+per access; a stale view with a pair cache replays its entry over the
+database's change log (only the added graphs are judged, through the
+kind's bound stage and the pair cache), and runs in full, pruned by the
+backend's cascade, where a replay cannot bring it forward (a removed
+answer member of a top-k, skyline or skyband answer, ``tolerance > 0``,
+a log that no longer reaches back, or no pair cache at all).
 """
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from typing import TYPE_CHECKING
 
-from repro.errors import QueryError
-from repro.core.gcs import CompoundSimilarity
-from repro.db.cache import PairCache
-from repro.db.stats import QueryStats
-from repro.skyline.incremental import IncrementalSkyline
-from repro.api.spec import GraphQuery
-from repro.engine.core import resolved_measures
-from repro.engine.evaluate import pair_values
-from repro.measures.base import measure_names
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api.spec import GraphQuery
     from repro.graph.labeled_graph import LabeledGraph
     from repro.api.result import ResultSet
     from repro.api.session import Session
 
 
 class LiveView:
-    """A skyline query result that follows database adds and removes.
+    """A query result that follows database adds and removes.
 
     Created through :meth:`repro.api.session.Session.watch`; every access
     to :attr:`ids`/:attr:`graphs`/:meth:`result` first :meth:`refresh`-es
-    the view, so reads are always consistent with the database. Only
-    plain ``skyline`` specs are watchable — diversity refinement is a
-    whole-answer-set computation with no incremental form.
+    the view, so reads are always consistent with the database.
     """
 
-    def __init__(
-        self,
-        session: "Session",
-        spec: GraphQuery,
-        cache: PairCache | None = None,
-    ) -> None:
-        spec.validate()
-        if spec.kind != "skyline":
-            raise QueryError(
-                f"only skyline queries can be watched, not {spec.kind!r}"
-            )
-        if spec.refine_k is not None:
-            raise QueryError(
-                "diversity refinement cannot be maintained incrementally; "
-                "watch the plain skyline and refine snapshots explicitly"
-            )
+    def __init__(self, session: "Session", spec: "GraphQuery") -> None:
         self.session = session
         self.database = session.database
         self.spec = spec
-        self.cache = cache if cache is not None else PairCache()
-        self.measures = resolved_measures(spec)
-        self.names = measure_names(self.measures)
-        self._query_hash = self.cache.query_hash(spec.graph)
-        self._tracker = IncrementalSkyline(len(self.measures), spec.tolerance)
-        self._vectors: dict[int, tuple[float, ...]] = {}
+        #: ``(answer key, version, stored answer)`` of the last read that
+        #: computed its answer at one version.
+        self._entry: tuple[Hashable, int, object] | None = None
+        self._result: "ResultSet | None" = None
         self._version: int | None = None
         #: Number of refresh passes that found work to do.
         self.repairs = 0
@@ -86,121 +51,72 @@ class LiveView:
         self.cache_served = 0
         self.refresh()
 
+    # -- the one-entry answer store Session._read reads and writes -------
+    def get(self, key: Hashable) -> "tuple[int, object] | None":
+        if self._entry is None or self._entry[0] != key:
+            return None
+        return self._entry[1:]
+
+    def put(self, version: int, key: Hashable, value: object) -> None:
+        self._entry = (key, version, value)
+
+    def count(self, outcome: str) -> None:
+        """A view's reads are counted by :attr:`repairs`, not by outcome."""
+
     # -- repair ---------------------------------------------------------
-    def _vector_for(self, graph_id: int) -> tuple[float, ...]:
-        entry = self.database.entry(graph_id)
-        subject = self.cache.subject_key(entry)
-        values = self.cache.get(subject, self._query_hash, self.names)
-        if values is not None:
-            self.cache_served += 1
-            return values
-        values = pair_values(entry.graph, self.spec.graph, self.measures)
-        self.cache.put(subject, self._query_hash, self.names, values)
-        self.evaluations += 1
-        return values
-
     def refresh(self) -> bool:
-        """Repair the view if the database changed; returns whether it did.
-
-        The database's change log names what changed since the view's
-        version, so work is proportional to the changes — untouched
-        candidates are never re-evaluated and the live ids are not
-        listed. Only a view further behind than the log reaches diffs
-        its tracked ids against the live ones.
-        """
-        if self._version == self.database.version:
+        """Re-read the view if the database changed; returns whether it did."""
+        version = self.database.version
+        if version == self._version:
             return False
-        delta = None
-        if self._version is not None:
-            delta = self.database.changes_since(self._version)
-        if delta is None:
-            live = set(self.database.ids())
-            removed = [i for i in self._vectors if i not in live]
-            added = live - self._vectors.keys()
-        else:
-            added, removed = delta
-        for graph_id in removed:
-            self._tracker.remove(graph_id)
-            del self._vectors[graph_id]
-        for graph_id in sorted(added):
-            values = self._vector_for(graph_id)
-            self._vectors[graph_id] = values
-            self._tracker.insert(graph_id, values)
+        result = self.session._read(self.spec, self)
         if self._version is not None:
             self.repairs += 1
-        self._version = self.database.version
+        self._version = version
+        self._result = result
+        self.evaluations += result.stats.exact_evaluations
+        self.cache_served += result.stats.served_from_cache
         return True
 
     # -- answer access ---------------------------------------------------
     @property
+    def names(self) -> tuple[str, ...]:
+        """The measure names the answer is computed over."""
+        return self.result().plan.measures
+
+    @property
     def ids(self) -> list[int]:
-        """Current skyline ids, ascending, ``spec.limit`` applied — the
-        same answer executing the spec would return."""
-        self.refresh()
-        ids = sorted(self._tracker.skyline_keys())
-        if self.spec.limit is not None:
-            ids = ids[: self.spec.limit]
-        return ids
+        """Current answer ids, ``spec.limit`` applied — the same answer
+        executing the spec would return."""
+        return list(self.result().ids)
 
     @property
     def graphs(self) -> "list[LabeledGraph]":
-        """Current skyline graphs, aligned with :attr:`ids`."""
+        """Current answer graphs, aligned with :attr:`ids`."""
         return [self.database.get(graph_id) for graph_id in self.ids]
 
     @property
     def names_in_answer(self) -> list[str]:
-        """Current skyline graph names (``#<id>`` fallback)."""
+        """Current answer graph names (``#<id>`` fallback)."""
         return [
             self.database.get(graph_id).name or f"#{graph_id}"
             for graph_id in self.ids
         ]
 
     def result(self) -> "ResultSet":
-        """A full :class:`~repro.api.result.ResultSet` snapshot of the view.
-
-        Carries the exact vectors of every live graph, so ``to_rows()`` /
-        ``explain()`` render exactly like an executed memory-backend query.
-        """
-        from repro.api.result import QueryPlan, ResultSet
-
-        ids = self.ids  # refreshes first
-        stats = QueryStats(
-            database_size=len(self.database),
-            candidates_considered=len(self._vectors),
-            exact_evaluations=self.evaluations,
-            served_from_cache=self.cache_served,
-            skyline_size=len(ids),
-        )
-        plan = QueryPlan(
-            backend="live-view",
-            kind="skyline",
-            database_size=len(self.database),
-            measures=self.names,
-            uses_index=False,
-            stages=("incremental-repair",),
-        )
-        vectors = {
-            graph_id: CompoundSimilarity(values=values, measures=self.names)
-            for graph_id, values in self._vectors.items()
-        }
-        return ResultSet(
-            spec=self.spec,
-            plan=plan,
-            database=self.database,
-            ids=ids,
-            evaluated_ids=sorted(self._vectors),
-            vectors=vectors,
-            distances=None,
-            stats=stats,
-        )
+        """The :class:`~repro.api.result.ResultSet` of the view's last
+        read, refreshed first: its stats say whether that read replayed
+        (``stats.replayed_from``) or ran in full."""
+        self.refresh()
+        assert self._result is not None
+        return self._result
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def __repr__(self) -> str:
-        self.refresh()
         return (
-            f"<LiveView skyline over {self.database.name!r}: "
-            f"{self._tracker.skyline_size} of {len(self._vectors)} graphs, "
+            f"<LiveView {self.spec.kind} over {self.database.name!r}: "
+            f"{len(self)} of {len(self.database)} graphs, "
             f"{self.repairs} repairs>"
         )

@@ -17,9 +17,8 @@ framing; no new dependencies):
 * :mod:`~repro.server.admission` — bounded-queue admission control with
   explicit 429-style rejection and per-query deadlines that cancel
   evaluation cooperatively (:mod:`repro.engine.deadline`);
-* :mod:`~repro.server.streaming` — the watch hub: incremental
-  :meth:`Session.watch` skyline updates streamed as newline-delimited
-  JSON events;
+* :mod:`~repro.server.streaming` — the watch hub: :meth:`Session.watch`
+  answer updates of any spec streamed as newline-delimited JSON events;
 * :mod:`~repro.server.app` — :class:`QueryServer` wiring it together,
   plus :func:`serve_in_thread` for tests/benches and the ``python -m
   repro serve`` CLI entry point.
@@ -30,7 +29,7 @@ Endpoints::
     GET  /v1/stats            admission / cache / watch counters
     POST /v1/query            GraphQuery JSON -> ResultSet JSON
     POST /v1/mutate           mutation op JSON -> acknowledgement
-    POST /v1/watch            skyline GraphQuery -> NDJSON event stream
+    POST /v1/watch            GraphQuery -> NDJSON event stream
 """
 
 from repro.server.admission import AdmissionController, AdmissionRejected

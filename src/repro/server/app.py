@@ -279,20 +279,22 @@ class QueryServer:
                     self._backend_locks[backend_name] = threading.Lock()
             return session
 
+    @contextlib.contextmanager
+    def _reading(self, backend_name: str) -> Iterator[Session]:
+        """The shared session for ``backend_name``, held under the
+        database read lock and, for a stateful backend, its lock."""
+        with self._db_lock.read():
+            session = self._session(backend_name)
+            with self._backend_locks.get(backend_name, contextlib.nullcontext()):
+                yield session
+
     def _run_query(
         self, spec: GraphQuery, backend_name: str, deadline_s: float | None
     ) -> dict[str, Any]:
         """Evaluate one query on an executor thread; returns the payload."""
         deadline = Deadline.after(deadline_s) if deadline_s else None
-        with deadline_scope(deadline):
-            with self._db_lock.read():
-                session = self._session(backend_name)
-                lock = self._backend_locks.get(backend_name)
-                if lock is not None:
-                    with lock:
-                        result = session.execute(spec)
-                        return result.to_dict()
-                return session.execute(spec).to_dict()
+        with deadline_scope(deadline), self._reading(backend_name) as session:
+            return session.execute(spec).to_dict()
 
     def _apply_mutation(self, op: MutationOp) -> dict[str, Any]:
         """Apply one mutation under the write lock (service executor)."""
@@ -305,17 +307,18 @@ class QueryServer:
             )
 
     def _create_view(self, spec: GraphQuery) -> Any:
-        """Build the LiveView for a watch (service executor, read side)."""
-        with self._db_lock.read():
-            return self._session("memory").watch(spec)
+        """Build the LiveView for a watch on the default backend's
+        session (service executor): its first read is a backend run."""
+        with self._reading(self.config.backend) as session:
+            return session.watch(spec)
 
     def _watch_refresh(
         self, handle: WatchHandle, event: str
     ) -> dict[str, Any] | None:
         """Refresh one watcher's view; ``None`` when the answer is
-        unchanged (coalesced mutations that didn't touch the skyline)."""
-        with self._db_lock.read():
-            ids = handle.view.ids  # refreshes incrementally
+        unchanged (coalesced mutations that didn't touch the answer)."""
+        with self._reading(self.config.backend):
+            ids = handle.view.ids  # a hit, a replay or a full run
             if event == "update" and ids == handle.last_ids:
                 return None
             return view_event(handle, event, self.database.version, ids)

@@ -1,4 +1,4 @@
-"""The watch hub: live skyline views streamed as NDJSON events.
+"""The watch hub: live query views streamed as NDJSON events.
 
 ``POST /v1/watch`` upgrades a connection into an event stream over one
 :class:`~repro.engine.views.LiveView` (``Session.watch``): the client
@@ -11,9 +11,10 @@ change.
 The hub is the fan-out point between the mutation path and the open
 streams: a mutation bumps the hub (one ``asyncio.Event`` per watcher),
 each watcher coalesces however many mutations happened since it last
-looked into a single refresh (LiveView repairs are incremental, so the
-cost is proportional to the symmetric difference, not the mutation
-count). Watcher bookkeeping is explicit — :meth:`register` /
+looked into a single refresh (a LiveView refresh replays its answer over
+the change log, judging only the added graphs, so the cost follows the
+changes, not the mutation count; removing an answer member runs the
+query in full). Watcher bookkeeping is explicit — :meth:`register` /
 :meth:`unregister` — so the disconnect tests can assert the hub drains
 to zero and no tasks leak.
 """

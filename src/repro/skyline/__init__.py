@@ -22,7 +22,6 @@ from repro.skyline.sfs import sfs_skyline
 from repro.skyline.dnc import dnc_skyline
 from repro.skyline.topk_dominating import dominance_counts, top_k_dominating
 from repro.skyline.skyband import dominator_counts, k_skyband
-from repro.skyline.incremental import IncrementalSkyline, incremental_skyline
 
 #: Registry of skyline algorithms usable by name.
 ALGORITHMS = {
@@ -67,8 +66,6 @@ __all__ = [
     "top_k_dominating",
     "dominator_counts",
     "k_skyband",
-    "IncrementalSkyline",
-    "incremental_skyline",
     "ALGORITHMS",
     "skyline",
 ]

@@ -531,15 +531,6 @@ def generate_workload(
             spec = _query_spec(
                 rng, _query_graph(rng, live, max_vertices, recent_queries), "skyline", "memory"
             )
-            if spec.refine_k is not None or spec.tolerance > 0:
-                # Views support neither refinement nor (soundly) tolerant
-                # incremental dominance; keep the rest of the spec.
-                spec = GraphQuery(
-                    graph=spec.graph,
-                    kind="skyline",
-                    measures=spec.measures,
-                    limit=spec.limit,
-                ).validate()
             steps.append(WatchView(f"v{views_open}", spec))
             views_open += 1
         elif roll < 0.94:

@@ -2,7 +2,7 @@
 
 Verifies that failures surface loudly and leave no corrupted state:
 measures that raise mid-query, non-finite distance values, partially
-invalid inputs, and misuse of the incremental structures.
+and partially invalid inputs.
 """
 
 import math
@@ -13,7 +13,7 @@ from repro import Query, connect
 from repro.core import graph_similarity_skyline
 from repro.db import GraphDatabase, PairCache
 from repro.measures import FunctionMeasure
-from repro.skyline import IncrementalSkyline, dominates, naive_skyline
+from repro.skyline import dominates, naive_skyline
 
 
 class _Exploding(Exception):
@@ -83,17 +83,6 @@ def test_dominates_with_nan_and_inf():
     vectors = [(nan, 1.0), (1.0, 1.0), (2.0, 2.0)]
     members = naive_skyline(vectors)
     assert 1 in members and 2 not in members
-
-
-def test_incremental_skyline_misuse():
-    tracker = IncrementalSkyline(dimension=2)
-    with pytest.raises(KeyError):
-        tracker.remove("ghost")
-    with pytest.raises(ValueError):
-        tracker.insert("a", (1.0, 2.0, 3.0))
-    # failed insert must not leave a phantom entry
-    assert "a" not in tracker
-    assert len(tracker) == 0
 
 
 def test_verifier_rejects_incomplete_assignment(paper_db, paper_query):

@@ -1,6 +1,4 @@
-"""Tests for incremental skylines, explanations and the pair cache."""
-
-import random
+"""Tests for explanations and the pair cache."""
 
 import pytest
 
@@ -8,105 +6,6 @@ from repro.core import explain_all, explain_membership, graph_similarity_skyline
 from repro import Query, connect
 from repro.db import GraphDatabase, PairCache
 from repro.errors import QueryError
-from repro.skyline import IncrementalSkyline, incremental_skyline, naive_skyline
-
-
-# ----------------------------------------------------------------------
-# IncrementalSkyline
-# ----------------------------------------------------------------------
-def test_incremental_basic_insertion():
-    tracker = IncrementalSkyline(dimension=2)
-    assert tracker.insert("a", (1.0, 3.0))
-    assert tracker.insert("b", (3.0, 1.0))
-    assert not tracker.insert("c", (4.0, 4.0))  # dominated by both
-    assert set(tracker.skyline_keys()) == {"a", "b"}
-    assert len(tracker) == 3
-    assert "c" in tracker
-    assert tracker.vector("c") == (4.0, 4.0)
-
-
-def test_incremental_eviction():
-    tracker = IncrementalSkyline(dimension=2)
-    tracker.insert("a", (2.0, 2.0))
-    assert tracker.insert("killer", (1.0, 1.0))
-    assert tracker.skyline_keys() == ["killer"]
-    assert tracker.skyline_size == 1
-
-
-def test_incremental_removal_promotes_pool():
-    tracker = IncrementalSkyline(dimension=2)
-    tracker.insert("best", (1.0, 1.0))
-    tracker.insert("shadowed", (2.0, 2.0))
-    tracker.insert("deep", (3.0, 3.0))
-    tracker.remove("best")
-    assert tracker.skyline_keys() == ["shadowed"]  # deep stays dominated
-    tracker.remove("shadowed")
-    assert tracker.skyline_keys() == ["deep"]
-
-
-def test_incremental_remove_pool_point_is_cheap():
-    tracker = IncrementalSkyline(dimension=1)
-    tracker.insert("a", (1.0,))
-    tracker.insert("b", (2.0,))
-    tracker.remove("b")
-    assert tracker.skyline_keys() == ["a"]
-    with pytest.raises(KeyError):
-        tracker.remove("b")
-
-
-def test_incremental_reinsert_replaces():
-    tracker = IncrementalSkyline(dimension=2)
-    tracker.insert("a", (5.0, 5.0))
-    tracker.insert("a", (1.0, 1.0))  # replacement, not duplicate
-    assert len(tracker) == 1
-    assert tracker.skyline_keys() == ["a"]
-
-
-def test_incremental_validation():
-    with pytest.raises(ValueError):
-        IncrementalSkyline(dimension=0)
-    tracker = IncrementalSkyline(dimension=2)
-    with pytest.raises(ValueError):
-        tracker.insert("a", (1.0,))
-
-
-def test_incremental_matches_batch_on_random_streams():
-    rng = random.Random(0)
-    for trial in range(20):
-        n = rng.randint(0, 25)
-        vectors = [
-            (float(rng.randint(0, 6)), float(rng.randint(0, 6))) for _ in range(n)
-        ]
-        stream = incremental_skyline(list(enumerate(vectors)))
-        assert sorted(stream) == naive_skyline(vectors), f"trial {trial}"
-
-
-def test_incremental_matches_batch_under_deletions():
-    rng = random.Random(1)
-    for trial in range(15):
-        tracker = IncrementalSkyline(dimension=2)
-        live: dict[int, tuple[float, float]] = {}
-        for step in range(30):
-            if live and rng.random() < 0.3:
-                victim = rng.choice(list(live))
-                tracker.remove(victim)
-                del live[victim]
-            else:
-                vector = (float(rng.randint(0, 5)), float(rng.randint(0, 5)))
-                tracker.insert(step, vector)
-                live[step] = vector
-            keys = list(live)
-            batch = {keys[i] for i in naive_skyline([live[k] for k in keys])}
-            assert set(tracker.skyline_keys()) == batch, f"trial {trial} step {step}"
-
-
-def test_incremental_rebuild_agrees():
-    tracker = IncrementalSkyline(dimension=2)
-    for i, vector in enumerate([(3.0, 1.0), (1.0, 3.0), (2.0, 2.0), (0.5, 4.0)]):
-        tracker.insert(i, vector)
-    before = set(tracker.skyline_keys())
-    tracker.rebuild()
-    assert set(tracker.skyline_keys()) == before
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Second property-based suite: algebra, ranks, skyband, incremental."""
+"""Second property-based suite: algebra, ranks, skyband."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.core.diversity import dense_ranks_descending
 from repro.graph import graph_intersection, graph_union
 from repro.skyline import (
-    IncrementalSkyline,
     dominator_counts,
     k_skyband,
     naive_skyline,
@@ -99,39 +98,3 @@ def test_topk_dominating_is_sorted_by_counts(vectors):
     counts = dominance_counts(vectors)
     scored = [counts[i] for i in order]
     assert scored == sorted(scored, reverse=True)
-
-
-# ----------------------------------------------------------------------
-# Incremental skyline
-# ----------------------------------------------------------------------
-@SETTINGS
-@given(vector_lists(max_points=25, max_dim=3))
-def test_incremental_insertions_match_batch(vectors):
-    if not vectors:
-        return
-    tracker = IncrementalSkyline(dimension=len(vectors[0]))
-    for index, vector in enumerate(vectors):
-        tracker.insert(index, vector)
-    assert sorted(tracker.skyline_keys()) == naive_skyline(vectors)
-
-
-@SETTINGS
-@given(
-    vector_lists(max_points=15, max_dim=2),
-    st.lists(st.integers(min_value=0, max_value=14), max_size=8),
-)
-def test_incremental_with_random_deletions_matches_batch(vectors, deletions):
-    if not vectors:
-        return
-    tracker = IncrementalSkyline(dimension=len(vectors[0]))
-    live = {}
-    for index, vector in enumerate(vectors):
-        tracker.insert(index, vector)
-        live[index] = vector
-    for victim in deletions:
-        if victim in live:
-            tracker.remove(victim)
-            del live[victim]
-    keys = list(live)
-    expected = {keys[i] for i in naive_skyline([live[k] for k in keys])}
-    assert set(tracker.skyline_keys()) == expected

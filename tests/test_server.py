@@ -370,11 +370,11 @@ def test_watch_limit_and_invalid_specs(corpus):
         stream2.close()
         sock2.close()
 
-        # non-skyline specs are not watchable -> structured query error
-        topk = GraphQuery(
-            graph=corpus.queries[0], kind="topk", k=2, measure="edit"
+        # an invalid spec (top-k with k=0) -> structured query error
+        invalid = GraphQuery(
+            graph=corpus.queries[0], kind="topk", k=0, measure="edit"
         )
-        sock3, stream3, status_line3 = _open_watch(server.port, topk)
+        sock3, stream3, status_line3 = _open_watch(server.port, invalid)
         assert b"400" in status_line3
         assert json.loads(stream3.read())["error"]["code"] == "query-error"
         stream3.close()

@@ -24,7 +24,7 @@ from repro.testkit import (
     run_workload,
     shrink_workload,
 )
-from repro.testkit.workload import RunQuery
+from repro.testkit.workload import RunQuery, WatchView
 
 CORPUS = json.loads(
     (Path(__file__).parent / "fuzz_corpus.json").read_text(encoding="utf-8")
@@ -126,19 +126,23 @@ def test_raised_bracket_lower_side_is_caught_and_shrunk():
 
 def test_raised_replay_bound_is_caught_and_shrunk():
     # A replay's edit bound one high drops a burst's near mutant that the
-    # answer keeps; only cached sessions replay, and full runs stay right.
+    # answer keeps; only cached sessions and live views (which read over
+    # the cached memory session) replay, and full runs stay right.
     workload = _remap_backend(generate_workload(seed=3, n_steps=120), "auto")
     assert run_workload(workload).ok
     report = run_workload(workload, fault="replay-bound-plus-one")
     assert not report.ok, "the raised replay bound went undetected"
-    assert report.divergence.cached
+    divergence = report.divergence
+    assert divergence.cached or divergence.check.startswith("view:")
     minimal, _ = shrink_workload(
         workload,
         lambda cand: run_workload(cand, fault="replay-bound-plus-one").divergence,
     )
     assert len(minimal) <= 10
     queries = [step for step in minimal.steps if isinstance(step, RunQuery)]
-    assert len(queries) >= 2 and queries[0] == queries[-1]  # a re-read
+    watched = any(isinstance(step, WatchView) for step in minimal.steps)
+    # a re-read: the same query again, or a view read after a write
+    assert watched or (len(queries) >= 2 and queries[0] == queries[-1])
 
 
 @pytest.mark.parametrize(
