@@ -1,10 +1,10 @@
-"""Bench A4 — ablation: index pruning on vs off in the ``indexed`` backend.
+"""Bench A4 — ablation: index pruning on (``indexed``) vs off (``memory``).
 
 The ``indexed`` backend can skip the exact GED/MCS of candidates whose optimistic
 (lower-bound) GCS vector is already dominated by an evaluated exact
-vector. This bench runs the same query with pruning enabled and disabled,
-asserts identical skylines, and reports how many exact evaluations the
-index saved. Expected shape: identical answers; pruning saves most work on
+vector. This bench runs the same query on ``indexed`` and on the
+exhaustive ``memory`` backend, asserts identical skylines, and reports
+how many exact evaluations the index saved. Expected shape: identical answers; pruning saves most work on
 workloads with many far-away distractors.
 """
 
@@ -30,13 +30,13 @@ def setup():
 def test_executor_index_ablation(benchmark, setup, use_index):
     db, query = setup
     spec = repro.Query(query).skyline()
-    session = repro.connect(db, backend="indexed", use_index=use_index)
+    session = repro.connect(db, backend="indexed" if use_index else "memory")
 
     result = benchmark.pedantic(
         session.execute, args=(spec,), rounds=1, iterations=1
     )
 
-    with repro.connect(db, backend="indexed", use_index=False) as reference:
+    with repro.connect(db, backend="memory") as reference:
         assert result.ids == reference.execute(spec).ids
     session.close()
 

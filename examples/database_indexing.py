@@ -3,14 +3,13 @@
 Demonstrates the machinery around the core algorithm:
 
 1. loading graphs into a :class:`GraphDatabase` (with iso-deduplication);
-2. executing the same declarative ``Query`` on the ``memory`` (full scan)
-   and ``indexed`` (lower-bound pruning) backends and comparing their
-   statistics — how many exact GED/MCS computations the feature index
-   avoided, for an identical answer;
+2. the pruning ablation: the same declarative ``Query`` on the
+   exhaustive ``memory`` backend (every graph solved) and on ``indexed``
+   (lower-bound pruning), comparing their statistics — how many exact
+   GED/MCS computations the feature index avoided, for an identical
+   answer;
 3. range ("threshold") queries: all compounds within a given edit
-   distance, verified exactly but pre-filtered by sound lower bounds;
-4. the pruning ablation: the ``indexed`` backend with ``use_index=False``
-   evaluates every graph and returns the same skyline.
+   distance, verified exactly but pre-filtered by sound lower bounds.
 
 Run:  python examples/database_indexing.py
 """
@@ -70,13 +69,6 @@ def main() -> None:
                 for gid in result.ids
             ]
             print(f"compounds within DistEd <= {tau:.0f}: {names or '(none)'}")
-    print()
-
-    # --- pruning off: same answer, every graph solved -----------------
-    with repro.connect(database, backend="indexed", use_index=False) as session:
-        full = session.execute(Query(query).skyline())
-    print(f"indexed with use_index=False agrees: {full.names} "
-          f"({full.stats.exact_evaluations} exact evaluations)")
 
 
 if __name__ == "__main__":

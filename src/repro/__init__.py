@@ -96,7 +96,6 @@ from repro.api import (
     Session,
     available_backends,
     connect,
-    register_backend,
 )
 
 __version__ = "1.0.0"
@@ -153,7 +152,6 @@ __all__ = [
     "ResultSet",
     "QueryPlan",
     "ExecutionBackend",
-    "register_backend",
     "available_backends",
     "LiveView",
 ]

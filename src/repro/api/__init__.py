@@ -9,13 +9,14 @@ The unified API the rest of the library routes through:
   spec;
 * :class:`ResultSet` — the single result shape (graphs + vectors + stats
   + ``explain()`` + ``to_rows()``/``to_json()``);
-* :class:`ExecutionBackend` — the strategy ABC behind
-  :func:`register_backend`; shipped backends are ``memory`` (serial
-  exhaustive), ``indexed`` (batched lower-bound pruning over the packed
-  feature matrix, also spelled ``vectorized``), ``parallel``
-  (process-pool fan-out), ``sharded`` (scatter-gather) and ``auto``
-  (rule-based planning) — all thin plan configurations over the staged
-  engine (:mod:`repro.engine`), all accepting a shared ``cache=``
+* :class:`ExecutionBackend` — the one executor behind every backend
+  name. Each name is a preset that picks a plan decision per query:
+  ``memory`` (serial exhaustive), ``indexed`` (batched lower-bound
+  pruning over the packed feature matrix wherever pruning is sound, also
+  spelled ``vectorized``), ``parallel`` (exhaustive, process-pool
+  fan-out), ``sharded`` (``indexed``'s decision, scatter-gathered) and
+  ``auto`` (the planner's rule). All run on the staged engine
+  (:mod:`repro.engine`) and accept a shared ``cache=``
   (:class:`repro.db.cache.PairCache`);
 * :class:`LiveView` — ``Session.watch(query)``: any query's answer kept
   equal to executing it under database mutation, read through
@@ -31,13 +32,8 @@ from repro.api.spec import (
 from repro.api.backends import (
     BackendAnswer,
     ExecutionBackend,
-    IndexedBackend,
-    MemoryBackend,
     available_backends,
-    create_backend,
-    register_backend,
 )
-from repro.api.parallel import ParallelBackend, shutdown_pool
 from repro.api.result import QueryPlan, ResultSet
 from repro.api.session import Session, connect
 from repro.engine.views import LiveView
@@ -49,13 +45,7 @@ __all__ = [
     "REFINE_METHODS",
     "BackendAnswer",
     "ExecutionBackend",
-    "MemoryBackend",
-    "IndexedBackend",
-    "ParallelBackend",
     "available_backends",
-    "create_backend",
-    "register_backend",
-    "shutdown_pool",
     "QueryPlan",
     "ResultSet",
     "Session",

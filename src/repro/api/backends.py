@@ -1,52 +1,117 @@
-"""Pluggable execution backends: thin plan configurations over the engine.
+"""One executor for every backend name: presets over the staged engine.
 
-A backend knows how to answer any :class:`~repro.api.spec.GraphQuery`
-against a :class:`~repro.db.database.GraphDatabase`. Since the staged
-engine refactor, no backend owns a candidate loop: each one merely
-configures an :class:`~repro.engine.plan.EvaluationPlan` — candidate
-source, pruning cascade, evaluator — and :func:`repro.engine.run_plan`
-executes it. All backends return identical answer *sets*
-(property-tested) and differ only in how much work they do:
+A backend answers any :class:`~repro.api.spec.GraphQuery` against a
+:class:`~repro.db.database.GraphDatabase`. One class,
+:class:`ExecutionBackend`, does it for every name; a name is a
+:class:`Preset`, the rule that picks one
+:class:`~repro.engine.planner.PlanDecision` per query — candidate source,
+bound stage, evaluator:
 
-* ``memory``  — database-order source, empty cascade, serial evaluator
-  (the reference semantics);
-* ``indexed`` (also spelled ``vectorized``) — :class:`repro.index.
-  IndexedSource` over an incrementally-maintained packed feature matrix:
-  optimistic vectors for the whole database in one batched kernel call,
-  a flat bound-mask pre-filter for threshold queries, and the batched
-  bound stage in the cascade, so candidates whose optimistic vector is
-  already dominated never reach the exact solvers;
-* ``parallel`` — database-order source, chunked process-pool evaluator
-  (:class:`~repro.engine.PooledEvaluator`).
+* ``memory`` — database order, no bound stage, serial (the reference
+  semantics);
+* ``indexed`` (also spelled ``vectorized``) — ``auto``'s source and
+  stage: the packed :class:`~repro.index.IndexedSource` and the batched
+  bound stage for the kind wherever
+  :meth:`~repro.engine.planner.QueryPlanner.prunes` says pruning is
+  sound, database order otherwise; serial;
+* ``parallel`` — database order, no bound stage, pooled
+  (:class:`~repro.engine.workers.PooledEvaluator`);
+* ``sharded`` — ``indexed``'s decision, scattered over a
+  :class:`~repro.shard.store.ShardedGraphDatabase`;
+* ``auto`` — :meth:`QueryPlanner.decide
+  <repro.engine.planner.QueryPlanner.decide>`: ``indexed``'s source and
+  stage, pooled where the rows' prior solver time pays the pool.
 
-Every backend accepts ``cache=`` (a :class:`~repro.db.cache.PairCache`),
-which appends the cached-pairs cascade stage — pruning, caching and
-batching compose instead of living in per-backend code paths.
+The executor materialises the decision — the lazily built
+:class:`~repro.index.FeatureStore`, one bound-stage instance per query,
+pooled evaluators cached per shard — and runs it. Over a sharded store,
+``sharded`` and ``auto`` go through
+:func:`~repro.engine.scatter.scatter_run`, each shard's evaluator chosen
+by the same rule over the shard's rows; every other case is one
+:func:`~repro.engine.core.run_plan` under
+:func:`~repro.engine.scatter.bound_sharing`. So every name returns the
+exhaustive answer and differs only in how much work it does. Every run
+records its decision in ``stats.planner``, and the session's
+:class:`~repro.api.result.QueryPlan` is built from it.
 
-Backends are registered by name (:func:`register_backend`) so sessions
-can be opened with ``repro.connect(db, backend="indexed")`` and new
-strategies plug in without touching callers.
+``cache=`` (a :class:`~repro.db.cache.PairCache`) appends the
+cached-pairs stage to every cascade; ``max_workers=`` sizes the pool of
+a pooled plan.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
 
-from repro.errors import QueryError
-from repro.measures.base import DistanceMeasure
 from repro.core.gcs import CompoundSimilarity
 from repro.db.database import GraphDatabase
 from repro.db.stats import QueryStats
 from repro.api.spec import GraphQuery
-from repro.engine.core import resolved_measures, run_plan, single_measure
-from repro.engine.evaluate import SerialEvaluator
+from repro.engine.core import run_plan
+from repro.engine.evaluate import Evaluator, SerialEvaluator
 from repro.engine.plan import (
+    BoundStage,
     CachedPairStage,
     DatabaseOrderSource,
     EvaluationPlan,
     cached_pairs,
 )
+from repro.engine.planner import PlanDecision, QueryPlanner
+from repro.engine.scatter import (
+    ShardedSource,
+    bound_sharing,
+    merge_consumer,
+    scatter_run,
+)
+from repro.engine.workers import PooledEvaluator
+from repro.errors import QueryError
+from repro.shard.store import ShardedGraphDatabase
+
+
+@dataclass(frozen=True)
+class Preset:
+    """A backend name's plan rule.
+
+    ``prunes``: the bound stage joins the cascade wherever
+    :meth:`QueryPlanner.prunes` allows it, else never. ``evaluator``:
+    ``serial`` or ``pooled``, or ``None`` for the planner's cost rule.
+    ``scatters``: over a sharded store, runs shard by shard.
+    """
+
+    prunes: bool
+    evaluator: str | None
+    scatters: bool = False
+
+
+PRESETS: dict[str, Preset] = {
+    "memory": Preset(prunes=False, evaluator="serial"),
+    "indexed": Preset(prunes=True, evaluator="serial"),
+    "vectorized": Preset(prunes=True, evaluator="serial"),
+    "parallel": Preset(prunes=False, evaluator="pooled"),
+    "sharded": Preset(prunes=True, evaluator="serial", scatters=True),
+    "auto": Preset(prunes=True, evaluator=None, scatters=True),
+}
+
+
+def available_backends() -> list[str]:
+    """Every backend name."""
+    return sorted(PRESETS)
+
+
+@dataclass(frozen=True)
+class Execution:
+    """One spec's run as its preset decided it.
+
+    ``stages`` are the cascade labels (plus the merge consumer's on the
+    scatter path); ``per_shard`` maps each non-empty shard to its
+    evaluator on the scatter path and is ``None`` for a single run;
+    ``workers`` is the pool size when an evaluator is pooled, else 1.
+    """
+
+    decision: PlanDecision
+    stages: tuple[str, ...]
+    per_shard: dict[int, str] | None = None
+    workers: int = 1
 
 
 @dataclass
@@ -65,10 +130,9 @@ class BackendAnswer:
     the budget expired with straddling intervals left, i.e. the answer is
     best-effort rather than certified equal to the exhaustive oracle's.
 
-    ``stage_labels`` are the labels of the plan the run executed (set by
-    :func:`~repro.engine.core.run_plan` and
-    :func:`~repro.engine.scatter.scatter_run`), so the session reports
-    the plan that ran without planning a second time.
+    ``execution`` is the decision the backend ran (``None`` for an engine
+    run outside a backend), so the session reports the plan that ran
+    without planning a second time.
     """
 
     ids: list[int]
@@ -79,164 +143,237 @@ class BackendAnswer:
     pruned_ids: list[int] = field(default_factory=list)
     intervals: dict[int, tuple] | None = None
     approximate: bool = False
-    stage_labels: tuple[str, ...] = ()
+    execution: Execution | None = None
 
 
-class ExecutionBackend(abc.ABC):
-    """Strategy interface: configures evaluation plans for query specs."""
+def _pool_started() -> bool:
+    """Whether a persistent worker pool is already warm in this process
+    (lowers the planner's pool break-even)."""
+    from repro.engine import workers
 
-    #: Registry key; subclasses must override.
-    name: str = "abstract"
-
-    def __init__(self, database: GraphDatabase) -> None:
-        self.database = database
-        self.cache = None
-
-    @abc.abstractmethod
-    def build_plan(self, spec: GraphQuery) -> EvaluationPlan:
-        """The evaluation plan this backend uses for ``spec``."""
-
-    def run(self, spec: GraphQuery) -> BackendAnswer:
-        """Answer ``spec`` (validated first) against the bound database."""
-        spec.validate()
-        return run_plan(self.database, spec, self.build_plan(spec), cache=self.cache)
-
-    def close(self) -> None:
-        """Release backend resources (pools, sockets); default no-op."""
-
-    # -- helpers shared with the session planner ------------------------
-    @staticmethod
-    def _resolve_measures(spec: GraphQuery) -> tuple[DistanceMeasure, ...]:
-        return resolved_measures(spec)
-
-    @staticmethod
-    def _single_measure(
-        spec: GraphQuery, measures: tuple[DistanceMeasure, ...]
-    ) -> DistanceMeasure:
-        """The measure of a topk/threshold query (first dimension default)."""
-        return single_measure(spec, measures)
-
-    def _cache_stages(self) -> tuple:
-        """Cascade tail shared by every backend: cached pairs, when enabled."""
-        return (cached_pairs,) if self.cache is not None else ()
-
-    def _cache_labels(self) -> tuple[str, ...]:
-        return (CachedPairStage.name,) if self.cache is not None else ()
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} over {self.database!r}>"
+    return any(pool.started for pool in workers._POOLS.values())
 
 
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-_BACKENDS: dict[str, type[ExecutionBackend]] = {}
+class ExecutionBackend:
+    """Runs the :data:`PRESETS` rule named ``name`` over ``database``.
 
-
-def register_backend(name: str, backend: type[ExecutionBackend]) -> None:
-    """Register a backend class under ``name`` (overwrites silently)."""
-    _BACKENDS[name] = backend
-
-
-def available_backends() -> list[str]:
-    """Names of every registered execution backend."""
-    return sorted(_BACKENDS)
-
-
-def create_backend(
-    name: str, database: GraphDatabase, **options: object
-) -> ExecutionBackend:
-    """Instantiate the backend registered under ``name``."""
-    try:
-        backend = _BACKENDS[name]
-    except KeyError:
-        raise QueryError(
-            f"unknown backend {name!r}; "
-            f"available: {', '.join(available_backends())}"
-        ) from None
-    return backend(database, **options)
-
-
-# ----------------------------------------------------------------------
-# memory — serial exhaustive evaluation (reference semantics)
-# ----------------------------------------------------------------------
-class MemoryBackend(ExecutionBackend):
-    """Evaluates every database graph exactly, in insertion order."""
-
-    name = "memory"
-
-    def __init__(self, database: GraphDatabase, cache=None) -> None:
-        super().__init__(database)
-        self.cache = cache
-
-    def build_plan(self, spec: GraphQuery) -> EvaluationPlan:
-        return EvaluationPlan(
-            source=DatabaseOrderSource(),
-            cascade=self._cache_stages(),
-            evaluator=SerialEvaluator(),
-            stage_labels=self._cache_labels(),
-        )
-
-
-# ----------------------------------------------------------------------
-# indexed — batched lower-bound pruning over the packed feature matrix
-# ----------------------------------------------------------------------
-class IndexedBackend(ExecutionBackend):
-    """Prunes never-in-the-answer candidates via sound index lower bounds.
-
-    The pruning argument (see :mod:`repro.engine.plan`): optimistic
-    vectors are componentwise ≤ the exact vectors, so a candidate whose
-    optimistic vector is already Pareto-dominated by an exact vector can
-    never enter the skyline. One batched kernel call bounds every row of
-    the packed :class:`~repro.index.SignatureMatrix` of a
-    :class:`~repro.index.FeatureStore`, threshold queries are
-    pre-filtered with one flat bound mask, and the cascade runs the
-    batched bound stage for the kind. The store follows database
-    mutation through the ``version`` dirty flag, row by row, so no
-    manual refresh is ever needed.
+    Parameters
+    ----------
+    database:
+        Monolithic or sharded; ``sharded`` needs a sharded one
+        (``connect(..., shards=N)`` partitions where the caller keeps the
+        reference, so later mutations reach the shards).
+    name:
+        A :data:`PRESETS` key.
+    cache:
+        Optional shared pair cache (the cached-pairs stage joins every
+        plan).
+    max_workers:
+        Pool size of a pooled plan (default: the CPU count).
     """
-
-    name = "indexed"
 
     def __init__(
         self,
         database: GraphDatabase,
-        use_index: bool = True,
+        name: str = "memory",
         cache=None,
+        max_workers: int | None = None,
     ) -> None:
-        # repro.index (NumPy) loads with the first bounded backend, not
-        # with ``import repro``.
-        from repro.index import FeatureStore
-
-        super().__init__(database)
-        self.use_index = use_index
+        if name not in PRESETS:
+            raise QueryError(
+                f"unknown backend {name!r}; "
+                f"available: {', '.join(available_backends())}"
+            )
+        sharded = isinstance(database, ShardedGraphDatabase)
+        if name == "sharded" and not sharded:
+            raise QueryError(
+                "the sharded backend needs a ShardedGraphDatabase; open the "
+                "session with connect(..., shards=N) or re-partition via "
+                "ShardedGraphDatabase.from_database(...)"
+            )
+        self.name = name
+        self.preset = PRESETS[name]
+        self.database = database
         self.cache = cache
-        self.store = FeatureStore(database)
-
-    def build_plan(self, spec: GraphQuery) -> EvaluationPlan:
-        from repro.index.source import (
-            IndexedSource,
-            batch_bound_pruning,
-            batch_bound_stage_for,
+        self.planner = QueryPlanner(max_workers=max_workers)
+        self._store = None
+        # Pooled evaluators keyed by shard index (``None``: a single run).
+        self._pooled: dict[int | None, PooledEvaluator] = {}
+        self._scatter = (
+            ShardedSource(database) if sharded and self.preset.scatters else None
         )
 
-        prune = (batch_bound_pruning,) if self.use_index else ()
-        labels = (batch_bound_stage_for(spec).name,) if self.use_index else ()
+    def close(self) -> None:
+        """Release pool attachments this backend created (the persistent
+        pool itself stays warm for other sessions)."""
+        for evaluator in self._pooled.values():
+            evaluator.release()
+
+    def __repr__(self) -> str:
+        return f"<ExecutionBackend {self.name!r} over {self.database!r}>"
+
+    @property
+    def store(self):
+        """The monolithic feature store, built on first use and synced to
+        the database on every indexed run."""
+        if self._store is None:
+            from repro.index import FeatureStore
+
+            self._store = FeatureStore(self.database)
+        return self._store
+
+    # -- deciding ---------------------------------------------------------
+    def _avg_order(self) -> float:
+        size = len(self.database)
+        return self.database.vertex_load / size if size else 1.0
+
+    def decide(self, spec: GraphQuery) -> PlanDecision:
+        """The preset's plan decision for ``spec`` over the whole database."""
+        rows = len(self.database)
+        preset = self.preset
+        if preset.evaluator is None:
+            return self.planner.decide(
+                spec,
+                db_size=rows,
+                avg_order=self._avg_order(),
+                pool_started=_pool_started(),
+            )
+        if preset.prunes:
+            source, stage, reason = QueryPlanner.pruning(spec, rows)
+        else:
+            source, stage = "database-order", None
+            reason = f"{self.name} preset: exhaustive scan"
+        evaluator = preset.evaluator
+        why = f"{self.name} preset: {evaluator}"
+        if spec.anytime:
+            evaluator, why = "serial", "anytime budget: evaluation is serial"
+        return PlanDecision(source, stage, evaluator, (reason, why))
+
+    def execution(self, spec: GraphQuery) -> Execution:
+        """What :meth:`run` executes for ``spec``: the decision, and on
+        the scatter path each shard's evaluator by the same rule."""
+        decision = self.decide(spec)
+        stages = () if decision.stage is None else (decision.stage,)
+        if self.cache is not None:
+            stages += (CachedPairStage.name,)
+        per_shard = None
+        evaluators = {decision.evaluator}
+        if self._scatter is not None:
+            stages += (merge_consumer(spec).name,)
+            rule = self.planner.evaluator
+            planned = self.preset.evaluator is None
+            avg_order, warm = self._avg_order(), _pool_started()
+            per_shard = {
+                index: rule(spec, len(shard), avg_order, warm)[0]
+                if planned
+                else decision.evaluator
+                for index, shard in enumerate(self.database.shards)
+                if len(shard)
+            }
+            evaluators = set(per_shard.values())
+        workers = self.planner.max_workers if "pooled" in evaluators else 1
+        return Execution(decision, stages, per_shard, workers)
+
+    # -- materialising ----------------------------------------------------
+    def _bound_stage(self, spec: GraphQuery) -> BoundStage:
+        """The query's bound stage, one instance per run (shared by every
+        shard run: the cross-shard pruning channel)."""
+        from repro.index.source import batch_bound_stage_for
+
+        return batch_bound_stage_for(spec)
+
+    def _cascade(self, spec: GraphQuery, decision: PlanDecision) -> tuple:
+        tail = (cached_pairs,) if self.cache is not None else ()
+        if decision.stage is None:
+            return tail
+        stage = self._bound_stage(spec)
+        return ((lambda ctx: stage),) + tail
+
+    def _evaluator(self, name: str, shard: int | None = None) -> Evaluator:
+        if name != "pooled":
+            return SerialEvaluator()
+        evaluator = self._pooled.get(shard)
+        if evaluator is None:
+            evaluator = self._pooled[shard] = PooledEvaluator(
+                max_workers=self.planner.max_workers
+            )
+        return evaluator
+
+    def build_plan(
+        self, spec: GraphQuery, execution: Execution | None = None
+    ) -> EvaluationPlan:
+        """The single-run plan of ``spec``'s decision (on the scatter path
+        its concatenated-shards form, which :meth:`run` does not use)."""
+        decision = (execution or self.execution(spec)).decision
+        if self._scatter is not None:
+            source = self._scatter
+        elif decision.source == "indexed":
+            from repro.index import IndexedSource
+
+            source = IndexedSource(self.store)
+        else:
+            source = DatabaseOrderSource()
         return EvaluationPlan(
-            source=IndexedSource(self.store, prefilter=self.use_index),
-            cascade=prune + self._cache_stages(),
-            evaluator=SerialEvaluator(),
-            stage_labels=labels + self._cache_labels(),
+            source=source,
+            cascade=self._cascade(spec, decision),
+            evaluator=self._evaluator(decision.evaluator),
         )
 
+    # -- running ----------------------------------------------------------
+    def run(self, spec: GraphQuery) -> BackendAnswer:
+        """Answer ``spec`` (validated first) against the bound database."""
+        spec.validate()
+        execution = self.execution(spec)
+        decision = execution.decision
+        prunes = decision.stage is not None
+        if execution.per_shard is not None:
+            answer = scatter_run(
+                self.database,
+                spec,
+                self._scatter,
+                self._cascade(spec, decision),
+                {
+                    index: self._evaluator(name, index)
+                    for index, name in execution.per_shard.items()
+                },
+                prunes=prunes,
+                cache=self.cache,
+            )
+        else:
+            plan = self.build_plan(spec, execution)
+            shared = {plan.evaluator: lambda: self.store} if prunes else {}
+            with bound_sharing(spec, shared):
+                answer = run_plan(self.database, spec, plan, cache=self.cache)
+        answer.execution = execution
+        answer.stats.planner = self._record(spec, execution)
+        return answer
 
-class VectorizedBackend(IndexedBackend):
-    """``indexed`` under the name it had while it was the NumPy-only
-    variant; kept so ``backend="vectorized"`` stays a valid spelling."""
-
-    name = "vectorized"
-
-
-register_backend(MemoryBackend.name, MemoryBackend)
-register_backend(IndexedBackend.name, IndexedBackend)
-register_backend(VectorizedBackend.name, VectorizedBackend)
+    def _record(self, spec: GraphQuery, execution: Execution) -> dict:
+        """``stats.planner``: the decision, its reasons and, on the
+        scatter path, each shard's evaluator."""
+        decision = execution.decision
+        anytime = "serial(anytime)" if spec.anytime else None
+        record = {
+            "backend": self.name,
+            "summary": decision.summary,
+            "source": decision.source,
+            "stages": list(execution.stages),
+            "evaluator": anytime or decision.evaluator,
+            "reasons": list(decision.reasons),
+        }
+        if execution.per_shard is not None:
+            source = f"scatter×{self.database.shard_count}"
+            record.update(
+                source=source,
+                summary=f"{source}+{decision.stage or 'no-prune'}/per-shard",
+                evaluator="per-shard",
+                per_shard=[
+                    {
+                        "shard": index,
+                        "size": len(self.database.shards[index]),
+                        "evaluator": anytime or name,
+                    }
+                    for index, name in execution.per_shard.items()
+                ],
+            )
+        return record

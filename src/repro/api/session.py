@@ -35,22 +35,14 @@ from repro.db.database import GraphDatabase
 from repro.db.stats import QueryStats
 from repro.api.spec import GraphQuery, Query
 from repro.api.result import QueryPlan, ResultSet
-from repro.api.backends import (
-    BackendAnswer,
-    ExecutionBackend,
-    create_backend,
-)
-from repro.engine.core import run_plan
+from repro.api.backends import BackendAnswer, Execution, ExecutionBackend
+from repro.engine.core import resolved_measures, run_plan, single_measure
 from repro.engine.plan import (
     DeltaSource,
     EvaluationPlan,
     bound_pruning,
     cached_pairs,
 )
-# Importing these modules registers the "parallel" and "sharded" backends.
-from repro.api import parallel as _parallel  # noqa: F401
-from repro.api import auto as _auto  # noqa: F401
-from repro.shard import backend as _sharded  # noqa: F401
 from repro.shard.store import ShardedGraphDatabase
 
 
@@ -152,8 +144,8 @@ class Session:
     database:
         The target database.
     backend:
-        A registered backend name (``memory``/``indexed``/``parallel``)
-        or a ready :class:`~repro.api.backends.ExecutionBackend` instance.
+        A backend name (see :data:`~repro.api.backends.PRESETS`) or a
+        ready :class:`~repro.api.backends.ExecutionBackend` instance.
     measures:
         Session-wide default GCS dimensions, used whenever a spec leaves
         ``measures`` unset (``None`` keeps the paper's default).
@@ -168,8 +160,8 @@ class Session:
         Shard placement policy name (``"hash"``/``"size-balanced"``) or
         instance; only consulted when a (re-)partition happens.
     backend_options:
-        Forwarded to the backend constructor (e.g. ``use_index=False``,
-        ``cache=...``, ``max_workers=4``, ``parallel=True``).
+        Forwarded to the backend constructor: ``cache=...`` and
+        ``max_workers=...``.
     """
 
     def __init__(
@@ -208,7 +200,7 @@ class Session:
                 )
             self._backend = backend
         else:
-            self._backend = create_backend(backend, database, **backend_options)
+            self._backend = ExecutionBackend(database, backend, **backend_options)
         self._answers = AnswerStore()
         self._closed = False
 
@@ -252,28 +244,25 @@ class Session:
     def plan(self, query: "GraphQuery | Query") -> QueryPlan:
         """How this session would execute ``query`` (no evaluation)."""
         spec = self._materialize(query)
-        return self._query_plan(spec, self._backend.build_plan(spec).stage_labels)
+        return self._query_plan(spec, self._backend.execution(spec))
 
-    def _query_plan(self, spec: GraphQuery, stages: tuple[str, ...]) -> QueryPlan:
-        measures = ExecutionBackend._resolve_measures(spec)
+    def _query_plan(self, spec: GraphQuery, execution: Execution) -> QueryPlan:
+        """The plan of ``execution``, the decision a run of ``spec`` took."""
+        measures = resolved_measures(spec)
         if spec.kind in ("topk", "threshold"):
-            single = ExecutionBackend._single_measure(spec, measures)
-            names: tuple[str, ...] = (single.name,)
+            names: tuple[str, ...] = (single_measure(spec, measures).name,)
         else:
             names = measure_names(measures)
-        # Duck-typed: any backend with a truthy ``use_index`` (``indexed``,
-        # ``vectorized``, custom registrations) counts as index-pruning.
-        uses_index = bool(getattr(self._backend, "use_index", False))
-        workers = getattr(self._backend, "max_workers", 1)
+        scattered = execution.per_shard is not None
         return QueryPlan(
             backend=self.backend_name,
             kind=spec.kind,
             database_size=len(self.database),
             measures=names,
-            uses_index=uses_index,
-            workers=workers,
-            stages=stages,
-            shards=getattr(self._backend, "shard_count", 1),
+            uses_index=execution.decision.stage is not None,
+            workers=execution.workers,
+            stages=execution.stages,
+            shards=self.database.shard_count if scattered else 1,
         )
 
     def execute(self, query: "GraphQuery | Query") -> ResultSet:
@@ -301,7 +290,7 @@ class Session:
         """
         if self._closed:
             raise QueryError("session is closed")
-        cache = getattr(self._backend, "cache", None)
+        cache = self._backend.cache
         key = _answer_key(spec, cache)
         version = self.database.version
         entry = store.get(key) if key is not None else None
@@ -320,7 +309,7 @@ class Session:
             if key is not None:
                 store.count("misses")
             answer = self._backend.run(spec)
-            plan = self._query_plan(spec, answer.stage_labels)
+            plan = self._query_plan(spec, answer.execution)
         if cache is not None:
             probes = (cache.hits - probes[0], cache.misses - probes[1])
         # A mutation during the run may or may not be reflected in its

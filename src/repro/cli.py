@@ -155,25 +155,18 @@ def _fuzz_one(
 def _remap_backend(workload, backend: str):
     """Force every query step of ``workload`` onto ``backend`` (the
     ``--backend`` smoke mode: concentrate a whole workload's queries on
-    one execution path, e.g. ``--backend sharded``).
-
-    Remapping must preserve the generator's invariant that pruning
-    backends only see ``tolerance == 0`` specs (tolerant dominance is
-    not transitive, so bound pruning under it can legitimately differ
-    from the oracle — a semantics caveat, not a divergence worth
-    reporting), so tolerant specs are zeroed when the target prunes.
+    one execution path, e.g. ``--backend sharded``). Specs are kept as
+    generated: every backend follows ``QueryPlanner.prunes``, so
+    tolerant specs run exhaustively wherever they land.
     """
     import dataclasses
 
-    from repro.testkit.workload import PRUNING_BACKENDS, RunQuery, Workload
+    from repro.testkit.workload import RunQuery, Workload
 
     def remap(step):
         if not isinstance(step, RunQuery):
             return step
-        query = step.query
-        if backend in PRUNING_BACKENDS and query.tolerance > 0:
-            query = dataclasses.replace(query, tolerance=0.0)
-        return dataclasses.replace(step, backend=backend, query=query)
+        return dataclasses.replace(step, backend=backend)
 
     return Workload(seed=workload.seed, steps=tuple(map(remap, workload.steps)))
 
@@ -392,14 +385,17 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     return 0
 
 
-#: One-line strategy notes for ``repro backends`` (registry-keyed).
+#: One-line preset notes for ``repro backends``: the plan decision each
+#: name takes per query (one executor runs them all).
 _BACKEND_NOTES = {
-    "memory": "exhaustive serial scan (reference semantics)",
-    "indexed": "batched bound kernels over the packed feature matrix",
-    "vectorized": "alias of indexed (batched bounds + threshold pre-filter)",
-    "parallel": "exhaustive fan-out on the persistent process pool",
-    "sharded": "scatter-gather over a sharded store (connect shards=N)",
-    "auto": "rule-based planner: picks source/stages/evaluator per query",
+    "memory": "database order, no bound stage, serial (reference semantics)",
+    "indexed": "batched bounds over the packed feature matrix where "
+               "pruning is sound, serial",
+    "vectorized": "alias of indexed",
+    "parallel": "database order, no bound stage, pooled",
+    "sharded": "indexed's decision, scatter-gathered (connect shards=N)",
+    "auto": "the planner's rule: indexed's source and stage, pooled when "
+            "the rows pay the pool",
 }
 
 
@@ -407,12 +403,9 @@ def _cmd_backends(args: argparse.Namespace) -> int:
     from repro.engine.planner import availability
 
     info = availability()
-    rows = [
-        [name, _BACKEND_NOTES.get(name, "(custom registration)")]
-        for name in info["backends"]
-    ]
-    print(render_table(["backend", "strategy"], rows,
-                       title="registered backends"))
+    rows = [[name, _BACKEND_NOTES[name]] for name in info["backends"]]
+    print(render_table(["backend", "plan decision"], rows,
+                       title="backend presets"))
     print()
     print(f"numpy: {info['numpy']}")
     pool_note = (
@@ -614,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_backends = sub.add_parser(
         "backends",
-        help="registered execution backends + availability diagnostics",
+        help="backend presets + availability diagnostics",
     )
     p_backends.add_argument(
         "database", nargs="?", default=None,
@@ -639,12 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--replay", default=None,
                         help="replay a saved workload JSON instead of generating")
     p_fuzz.add_argument("--backend", default=None,
-                        choices=tuple(
-                            name
-                            for name in ("memory", "indexed", "parallel",
-                                         "vectorized", "sharded", "auto")
-                            if name in available_backends()
-                        ),
+                        choices=available_backends(),
                         help="force every query step onto one backend "
                              "(e.g. --backend sharded for a scatter-"
                              "gather smoke)")

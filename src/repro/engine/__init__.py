@@ -5,8 +5,9 @@ or the benches — runs as an :class:`EvaluationPlan` in this package:
 
     candidate source → pruning cascade → exact evaluator → consumer
 
-The shipped backends (:mod:`repro.api.backends`) are thin plan
-configurations over these parts; nothing else in the codebase owns a
+Every backend name is a preset of one executor
+(:mod:`repro.api.backends`) that picks a plan decision per query and
+assembles it from these parts; nothing else in the codebase owns a
 candidate loop. The pieces compose freely:
 
 * sources — :class:`DatabaseOrderSource` (exhaustive),

@@ -25,8 +25,10 @@ A source may also seed the run with exact values it already knows
 (``RunContext.seeded``): a replayed answer's stored values are recorded
 before the walk, exactly like values solved during it.
 
-The engine is the only place counting statistics, so ``memory``,
-``indexed`` and ``parallel`` report comparable numbers by construction.
+Every backend name is a plan decision run here (or, over shards, once
+per shard by :func:`~repro.engine.scatter.scatter_run`), and the engine
+is the only place counting statistics, so every name reports comparable
+numbers by construction.
 """
 
 from __future__ import annotations
@@ -162,9 +164,7 @@ def run_plan(
     if spec.anytime:
         from repro.engine.anytime import run_plan_anytime
 
-        answer = run_plan_anytime(ctx, plan)
-        answer.stage_labels = plan.stage_labels
-        return answer
+        return run_plan_anytime(ctx, plan)
     stats = ctx.stats
     evaluator: Evaluator = plan.evaluator or SerialEvaluator()
 
@@ -314,9 +314,6 @@ def run_plan(
             graph_id: CompoundSimilarity(values=values, measures=ctx.names)
             for graph_id, values in exact.items()
         }
-        answer = finish_vectors(spec, vectors, stats, pruned_ids)
-    else:
-        distances = {graph_id: values[0] for graph_id, values in exact.items()}
-        answer = finish_distances(spec, distances, stats, pruned_ids)
-    answer.stage_labels = plan.stage_labels
-    return answer
+        return finish_vectors(spec, vectors, stats, pruned_ids)
+    distances = {graph_id: values[0] for graph_id, values in exact.items()}
+    return finish_distances(spec, distances, stats, pruned_ids)

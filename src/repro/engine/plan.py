@@ -35,7 +35,7 @@ import abc
 import math
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.graph.features import QueryBounds
@@ -470,8 +470,8 @@ class DeltaSource(CandidateSource):
 class EvaluationPlan:
     """One engine configuration: source → cascade → evaluator.
 
-    The three shipped backends are nothing but instances of this — see
-    :mod:`repro.api.backends` — and custom plans compose the same parts
+    Every backend name's plan decision materialises as one of these —
+    see :mod:`repro.api.backends` — and custom plans compose the same parts
     (e.g. bound pruning with a pooled evaluator, or a cache-only cascade
     over database order).
     """
@@ -479,5 +479,3 @@ class EvaluationPlan:
     source: CandidateSource
     cascade: tuple[StageFactory, ...] = ()
     evaluator: "Evaluator | None" = None
-    #: Cascade stage labels for plan descriptions (no stages instantiated).
-    stage_labels: tuple[str, ...] = field(default=())

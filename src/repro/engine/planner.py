@@ -1,9 +1,12 @@
 """Rule-based planning: which point of the plan space ``auto`` runs.
 
-The fixed backends are hand-picked points in one plan space — candidate
-source × bound stage × evaluator. ``auto`` picks a point per query by a
-rule over static inputs only: the spec, the row count, the average graph
-order, the worker count and whether a pool is already warm.
+Every backend name is a preset over one plan space — candidate source ×
+bound stage × evaluator (:data:`repro.api.backends.PRESETS`). The fixed
+names pin the evaluator and, through :meth:`QueryPlanner.pruning`, take
+the same source and stage as ``auto``, or none. ``auto`` picks its point
+per query by a rule over static inputs only: the spec, the row count,
+the average graph order, the worker count and whether a pool is already
+warm.
 
 * **exhaustive** — ``database-order`` with no bound stage, only where
   bound pruning is unsound (tolerant skyline/skyband: tolerant dominance
@@ -102,6 +105,26 @@ class QueryPlanner:
             f"{break_even * 1e3:.0f}ms",
         )
 
+    @classmethod
+    def pruning(
+        cls, spec: "GraphQuery", db_size: int
+    ) -> tuple[str, str | None, str]:
+        """``(source, stage, reason)``: the packed source and the batched
+        bound stage wherever :meth:`prunes`, database order otherwise."""
+        if cls.prunes(spec):
+            from repro.index.source import batch_bound_stage_for
+
+            return (
+                "indexed",
+                batch_bound_stage_for(spec).name,
+                f"pruning is sound: batched bounds over {db_size} rows",
+            )
+        return (
+            "database-order",
+            None,
+            "tolerant dominance is not transitive: bound pruning off",
+        )
+
     def decide(
         self,
         spec: "GraphQuery",
@@ -110,25 +133,19 @@ class QueryPlanner:
         pool_started: bool = False,
     ) -> PlanDecision:
         """The plan the rule names for ``spec`` over ``db_size`` rows."""
-        if self.prunes(spec):
-            from repro.index.source import batch_bound_stage_for
-
-            source, stage = "indexed", batch_bound_stage_for(spec).name
-            reason = f"pruning is sound: batched bounds over {db_size} rows"
-        else:
-            source, stage = "database-order", None
-            reason = "tolerant dominance is not transitive: bound pruning off"
+        source, stage, reason = self.pruning(spec, db_size)
         evaluator, why = self.evaluator(spec, db_size, avg_order, pool_started)
         return PlanDecision(source, stage, evaluator, (reason, why))
 
 
 def availability() -> dict:
-    """What the planner has to work with on this host, and its rule.
+    """The backend presets, what the planner has to work with on this
+    host, and its rule.
 
-    Reported by ``python -m repro backends`` so users can see why
-    ``auto`` picked what it picked: ``cpu_count`` and the pool
-    break-even gate pooled evaluation, and an already-started pool
-    lowers the break-even.
+    Reported by ``python -m repro backends`` so users can see every name
+    the one executor runs and why ``auto`` picked what it picked:
+    ``cpu_count`` and the pool break-even gate pooled evaluation, and an
+    already-started pool lowers the break-even.
     """
     import numpy
 

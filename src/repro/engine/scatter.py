@@ -70,11 +70,8 @@ class ShardedSource(CandidateSource):
 
     computes_bounds = True
 
-    def __init__(
-        self, database: "ShardedGraphDatabase", use_index: bool = True
-    ) -> None:
+    def __init__(self, database: "ShardedGraphDatabase") -> None:
         self.database = database
-        self.use_index = use_index
         self._sources: dict[int, CandidateSource] = {}
         self._stores: dict[int, object] = {}
 
@@ -87,9 +84,7 @@ class ShardedSource(CandidateSource):
 
             shard = self.database.shards[index]
             store = self._stores[index] = FeatureStore(shard)
-            source = self._sources[index] = IndexedSource(
-                store, prefilter=self.use_index
-            )
+            source = self._sources[index] = IndexedSource(store)
         return source
 
     def shard_store(self, index: int):
@@ -473,7 +468,6 @@ def scatter_run(
     spec: GraphQuery,
     source: ShardedSource,
     cascade: tuple,
-    stage_labels: tuple[str, ...],
     evaluators: "Mapping[int, Evaluator]",
     prunes: bool,
     cache=None,
@@ -512,7 +506,6 @@ def scatter_run(
                 source=source.shard_source(index),
                 cascade=cascade,
                 evaluator=evaluator,
-                stage_labels=stage_labels,
             )
             shard_spec = spec
             if anytime_wall is not None:
@@ -526,6 +519,4 @@ def scatter_run(
             shard_stats[index] = answer.stats
             answers.append(answer)
     stats = merged_stats(database, shard_stats)
-    answer = merge_consumer(spec).merge(spec, answers, stats)
-    answer.stage_labels = stage_labels
-    return answer
+    return merge_consumer(spec).merge(spec, answers, stats)

@@ -1,8 +1,7 @@
 """Persistent shared-memory worker pool: long-lived processes, shipped bounds.
 
 The per-query ``ProcessPoolExecutor`` this module replaces paid two taxes
-that swamped the actual work (see ``BENCH_sharded.json`` before this
-module existed): every query re-shipped its database payload across the
+that swamped the actual work: every query re-shipped its database payload across the
 process boundary, and deferred evaluation blinded the bound stages — a
 pooled run evaluated ~7× more pairs than the serial scan it was supposed
 to beat. Three mechanisms fix the economics:

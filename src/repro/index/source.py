@@ -51,16 +51,15 @@ class IndexedSource(CandidateSource):
 
     computes_bounds = True
 
-    def __init__(self, store: FeatureStore, prefilter: bool = True) -> None:
+    def __init__(self, store: FeatureStore) -> None:
         self._store = store
-        self._prefilter = prefilter
 
     def candidates(self, ctx: "RunContext") -> CandidateBlock:
         matrix = self._store.sync()
         query = matrix.pack_query(ctx.spec.graph, ctx.query_features)
         kind = ctx.spec.kind
         ids = matrix.ids
-        if kind == "threshold" and self._prefilter:
+        if kind == "threshold":
             kernel = BATCH_BOUND_KERNELS.get(ctx.measures[0].name)
             if kernel is None:
                 # No bound for this measure: nothing can be filtered.
@@ -75,12 +74,10 @@ class IndexedSource(CandidateSource):
             order = np.argsort(ids)
             return CandidateBlock(ids[order].tolist(), values[order, np.newaxis])
         bounds = bound_matrix(matrix, query, ctx.measures)
-        if kind in ("skyline", "skyband"):
-            order = np.lexsort((ids, bounds.sum(axis=1)))
-        elif kind == "topk":
+        if kind == "topk":
             order = np.lexsort((ids, bounds[:, 0]))
-        else:  # threshold with pre-filtering disabled: id order
-            order = np.argsort(ids)
+        else:
+            order = np.lexsort((ids, bounds.sum(axis=1)))
         return CandidateBlock(ids[order].tolist(), bounds[order])
 
 

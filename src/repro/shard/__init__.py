@@ -4,9 +4,9 @@ The horizontal-scaling layer: :class:`ShardedGraphDatabase` partitions a
 graph database across N shard databases behind the unchanged
 :class:`~repro.db.database.GraphDatabase` interface (see
 :mod:`repro.shard.store`), :mod:`repro.shard.placement` supplies the
-pluggable placement policies, and :class:`ShardedBackend` (registered as
-``"sharded"``) executes queries as per-shard pruning cascades with
-cross-shard bound sharing and merge consumers
+pluggable placement policies, and the ``sharded`` and ``auto`` backends
+(:mod:`repro.api.backends`) execute queries over it as per-shard pruning
+cascades with cross-shard bound sharing and merge consumers
 (:mod:`repro.engine.scatter`). Open one with::
 
     import repro
@@ -25,7 +25,6 @@ from repro.shard.placement import (
     register_placement,
 )
 from repro.shard.store import ShardedGraphDatabase
-from repro.shard.backend import ShardedBackend
 
 __all__ = [
     "HashPlacement",
@@ -35,5 +34,4 @@ __all__ = [
     "get_placement",
     "register_placement",
     "ShardedGraphDatabase",
-    "ShardedBackend",
 ]

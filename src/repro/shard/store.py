@@ -20,9 +20,9 @@ change to the paper's pruning arguments:
   sharded store through the inherited interface, which is how the
   differential testkit fuzzes mutations that land on different shards
   under *all* execution strategies;
-* the ``sharded`` backend (:mod:`repro.shard.backend`) additionally
-  exploits the partitioning: per-shard cascades, per-shard payload
-  shipping, and merge consumers over per-shard answers.
+* the ``sharded`` and ``auto`` backends (:mod:`repro.api.backends`)
+  additionally exploit the partitioning: per-shard cascades, per-shard
+  evaluators, and merge consumers over per-shard answers.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import dataclasses
 import hashlib
 import json
 import tempfile
@@ -42,14 +41,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.api.backends import (
-    ExecutionBackend,
-    IndexedBackend,
-    MemoryBackend,
-    VectorizedBackend,
-)
+from repro.api.backends import PRESETS, ExecutionBackend
 from repro.api.ops import applicable, apply_mutation
-from repro.api.parallel import ParallelBackend
 from repro.api.session import Session
 from repro.api.spec import GraphQuery
 from repro.db.cache import PairCache
@@ -57,7 +50,6 @@ from repro.db.database import GraphDatabase
 from repro.db.persistence import load_database, save_database
 from repro.engine.plan import (
     BoundStage,
-    EvaluationPlan,
     RankBoundStage,
     ThresholdBoundStage,
     kth_smallest,
@@ -67,7 +59,6 @@ from repro.engine.evaluate import SOLVER_CUTOFF, SerialEvaluator, solve_pair
 from repro.graph.serialization import graph_to_dict
 from repro.index import BatchParetoStage
 from repro.measures.base import PairContext
-from repro.shard.backend import ShardedBackend
 from repro.shard.store import ShardedGraphDatabase
 from repro.skyline.utils import dominates
 from repro.testkit.oracle import Oracle
@@ -160,11 +151,10 @@ class _OffByOneThresholdStage(ThresholdBoundStage):
 
 
 def _stage_family(pareto, rank, threshold):
-    """A cascade factory dispatching on the kind the way
+    """A bound-stage factory dispatching on the kind the way
     :func:`~repro.index.source.batch_bound_stage_for` does."""
 
-    def factory(ctx) -> BoundStage:
-        spec = ctx.spec
+    def factory(spec) -> BoundStage:
         if spec.kind == "skyline":
             return pareto(1, spec.tolerance)
         if spec.kind == "skyband":
@@ -176,19 +166,21 @@ def _stage_family(pareto, rank, threshold):
     return factory
 
 
-class _FaultyStageIndexedBackend(IndexedBackend):
+class _IndexedFault(ExecutionBackend):
+    """The ``indexed`` preset with one part deliberately broken."""
+
+    def __init__(self, database, name: str = "indexed", **options) -> None:
+        super().__init__(database, name, **options)
+
+
+class _FaultyStageIndexedBackend(_IndexedFault):
     """The ``indexed`` backend with its bound stage replaced."""
 
-    #: Cascade factory of the replacement bound stage.
+    #: Factory of the replacement bound stage, called with the spec.
     stages: Any
 
-    def build_plan(self, spec: GraphQuery) -> EvaluationPlan:
-        plan = super().build_plan(spec)
-        if not self.use_index:
-            return plan
-        return dataclasses.replace(
-            plan, cascade=(self.stages,) + plan.cascade[1:]
-        )
+    def _bound_stage(self, spec: GraphQuery) -> BoundStage:
+        return self.stages(spec)
 
 
 class BrokenBoundIndexedBackend(_FaultyStageIndexedBackend):
@@ -241,14 +233,11 @@ class _FaultyContextEvaluator(SerialEvaluator):
         return solve_pair(ctx, candidate.graph_id, None, context, candidate.bounds)
 
 
-class _FaultyContextIndexedBackend(IndexedBackend):
+class _FaultyContextIndexedBackend(_IndexedFault):
     context_class: type[PairContext]
 
-    def build_plan(self, spec: GraphQuery) -> EvaluationPlan:
-        return dataclasses.replace(
-            super().build_plan(spec),
-            evaluator=_FaultyContextEvaluator(self.context_class),
-        )
+    def _evaluator(self, name: str, shard: int | None = None):
+        return _FaultyContextEvaluator(self.context_class)
 
 
 class RaisedBracketIndexedBackend(_FaultyContextIndexedBackend):
@@ -289,7 +278,7 @@ def _lowered_mcs_column():
         kernels.mcs_upper_bounds, features._mcs_cap = column, per_row
 
 
-class LoweredMcsColumnIndexedBackend(IndexedBackend):
+class LoweredMcsColumnIndexedBackend(_IndexedFault):
     """The ``indexed`` backend, replayed while the index's |mcs| bound is
     one edge low everywhere (:attr:`installed`). Replays bound outside
     any backend, so this fault is patched in for the whole workload."""
@@ -314,7 +303,7 @@ def _raised_replay_bound():
         features._edit_bound = edit_bound
 
 
-class RaisedReplayBoundIndexedBackend(IndexedBackend):
+class RaisedReplayBoundIndexedBackend(_IndexedFault):
     """The ``indexed`` backend, replayed while every replay's edit bound
     is one edit high (:attr:`installed`). Every cached session replays
     through the same bound, so the fault spans all backends."""
@@ -428,7 +417,7 @@ class WorkloadRunner:
         Optional :data:`FAULTS` key; replaces the ``indexed`` backend
         with the deliberately broken variant (harness self-test).
     max_workers:
-        Pool size for the ``parallel`` backend sessions.
+        Pool size of the ``parallel`` and ``auto`` sessions.
     shards:
         Shard count of the runner's database. The system under test is a
         :class:`~repro.shard.store.ShardedGraphDatabase` by default, so
@@ -466,35 +455,23 @@ class WorkloadRunner:
 
     # -- sessions --------------------------------------------------------
     def _backend(self, name: str, cached: bool) -> ExecutionBackend:
-        if name not in (
-            "memory", "indexed", "parallel", "vectorized", "sharded", "auto"
-        ):
+        if name not in PRESETS:
             # Reject rather than fall back: a typo'd backend in a
             # hand-edited workload would silently run memory semantics
             # and trivially "pass" against the oracle.
             raise QueryError(
                 f"unknown workload backend {name!r}; available: "
-                "memory, indexed, parallel, vectorized, sharded, auto"
+                f"{', '.join(PRESETS)}"
             )
-        cache = self.cache if cached else None
-        if name == "indexed":
-            cls = FAULTS[self.fault] if self.fault else IndexedBackend
-            return cls(self.database, cache=cache)
-        if name == "vectorized":
-            return VectorizedBackend(self.database, cache=cache)
-        if name == "parallel":
-            return ParallelBackend(
-                self.database, max_workers=self.max_workers, cache=cache
-            )
-        if name == "sharded":
-            return ShardedBackend(self.database, cache=cache)
-        if name == "auto":
-            from repro.api.auto import AutoBackend
-
-            return AutoBackend(
-                self.database, cache=cache, max_workers=self.max_workers
-            )
-        return MemoryBackend(self.database, cache=cache)
+        cls = ExecutionBackend
+        if self.fault and name == "indexed":
+            cls = FAULTS[self.fault]
+        return cls(
+            self.database,
+            name,
+            cache=self.cache if cached else None,
+            max_workers=self.max_workers,
+        )
 
     def session(self, name: str, cached: bool) -> Session:
         key = (name, cached)

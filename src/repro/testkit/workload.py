@@ -50,16 +50,11 @@ WORKLOAD_BACKENDS: tuple[str, ...] = (
     "memory", "indexed", "parallel", "vectorized", "sharded", "auto"
 )
 
-#: Backends whose cascade prunes by index bounds. Tolerant dominance is
-#: not transitive, so pruning-then-selecting can legitimately differ
-#: from exhaustive selection under tolerance > 0 — generated specs keep
-#: tolerance at 0 for these. ``sharded`` is deliberately *not* listed:
-#: it guards the caveat itself (tolerance > 0 disables its pruning and
-#: pools every evaluated vector), so tolerant specs are sound there and
-#: generating them fuzzes that fallback path against the oracle.
-#: ``auto`` is omitted for the same reason: its planner refuses bound
-#: pruning for tolerant vector kinds, and tolerant specs fuzz exactly
-#: that decision.
+#: Backends whose generated specs never draw a tolerance. Every backend
+#: now follows ``QueryPlanner.prunes`` and runs tolerant specs
+#: exhaustively, so the exclusion guards nothing any more; it stays
+#: because the draw below consumes the generator's random stream, and
+#: dropping it would reseed every pinned corpus entry and CI fuzz line.
 PRUNING_BACKENDS: tuple[str, ...] = ("indexed", "vectorized")
 
 #: GCS measure subsets queries cycle through (``None`` = paper default).

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api.backends import create_backend
+from repro.api.backends import ExecutionBackend
 from repro.api.spec import Query
 from repro.db import GraphDatabase
 from repro.engine.deadline import Deadline, deadline_scope
@@ -254,7 +254,7 @@ def small_query():
 
 @pytest.mark.parametrize("backend_name", ["memory", "indexed"])
 def test_node_budget_answers_equal_oracle(backend_name, small_db, small_query):
-    backend = create_backend(backend_name, small_db)
+    backend = ExecutionBackend(small_db, backend_name)
     builders = (
         Query(small_query).topk(3),
         Query(small_query).threshold(0.5),
@@ -277,7 +277,7 @@ def test_node_budget_answers_equal_oracle(backend_name, small_db, small_query):
 
 
 def test_interval_payload_brackets_exact_distances(small_db, small_query):
-    backend = create_backend("memory", small_db)
+    backend = ExecutionBackend(small_db, "memory")
     spec = Query(small_query).topk(3).budget(nodes=50).build()
     answer = backend.run(spec)
     exact = backend.run(Query(small_query).topk(len(small_db)).build())
@@ -308,7 +308,7 @@ def test_wall_budget_returns_promptly_and_flags_approximate(small_db):
     # A query graph large enough that exact evaluation of every pair
     # would take far longer than the budget.
     query = random_labeled_graph(13, 22, vertex_labels=("a", "b"), seed=5)
-    backend = create_backend("memory", small_db)
+    backend = ExecutionBackend(small_db, "memory")
     backend.run(Query(query).topk(1).budget(ms=50).build())  # warm imports
     started = time.monotonic()
     answer = backend.run(Query(query).skyline().budget(ms=100).build())
@@ -335,7 +335,7 @@ def test_topk_budget_beats_slow_exact_pair_with_certified_intervals():
     probe = graph_edit_distance(slow, query, budget=Budget.of(seconds=1.0))
     assert not probe.optimal
 
-    backend = create_backend("memory", database)
+    backend = ExecutionBackend(database, "memory")
     backend.run(Query(query).topk(1).budget(ms=50).build())  # warm imports
     started = time.monotonic()
     answer = backend.run(Query(query).topk(3).budget(ms=100).build())
@@ -357,7 +357,7 @@ def test_topk_budget_beats_slow_exact_pair_with_certified_intervals():
 # Deadlines: zero-pass raises; the block walk is interruptible
 # ----------------------------------------------------------------------
 def test_anytime_zero_pass_expired_deadline_raises(small_db, small_query):
-    backend = create_backend("memory", small_db)
+    backend = ExecutionBackend(small_db, "memory")
     spec = Query(small_query).topk(2).budget(ms=5000).build()
     with deadline_scope(Deadline.after(1e-9)):
         time.sleep(0.001)
@@ -371,7 +371,7 @@ def test_anytime_expired_deadline_with_progress_returns_partial(
     # Plenty of budget for at least one pass; the deadline expires during
     # the run — the engine must return the partial interval answer
     # instead of raising.
-    backend = create_backend("memory", small_db)
+    backend = ExecutionBackend(small_db, "memory")
     spec = Query(small_query).skyline().budget(ms=10_000).build()
     with deadline_scope(Deadline.after(0.15)):
         answer = backend.run(spec)

@@ -23,7 +23,7 @@ import time
 import pytest
 
 from repro import PairCache, Query, connect
-from repro.api.backends import create_backend
+from repro.api.backends import ExecutionBackend
 from repro.db import GraphDatabase
 from repro.engine import anytime
 from repro.engine.deadline import Deadline, deadline_scope
@@ -211,7 +211,7 @@ def test_budgeted_cuts_keep_oracle_answers_and_partition(backend_name):
         database = ShardedGraphDatabase.from_graphs(graphs, name="db", shards=3)
     else:
         database = GraphDatabase.from_graphs(graphs)
-    backend = create_backend(backend_name, database)
+    backend = ExecutionBackend(database, backend_name)
     cut = 0
     for builder in _builders():
         unbudgeted = backend.run(builder.build())
@@ -296,7 +296,7 @@ def test_deadline_after_a_pass_of_only_cuts_returns_the_certified_answer(
         if graph_edit_distance(graph, _QUERY).distance > 1.0
     ]
     oracle = _oracle(graphs)
-    backend = create_backend("indexed", GraphDatabase.from_graphs(graphs))
+    backend = ExecutionBackend(GraphDatabase.from_graphs(graphs), "indexed")
     spec = Query(_QUERY).threshold(1.0, "edit").budget(nodes=5000).build()
     assert oracle.answer(spec) == []
     deadline = Deadline.after(60.0)

@@ -6,15 +6,7 @@ import pytest
 
 import repro
 from repro import GraphQuery, Query, connect
-from repro.api import (
-    ExecutionBackend,
-    IndexedBackend,
-    MemoryBackend,
-    ParallelBackend,
-    available_backends,
-    create_backend,
-    register_backend,
-)
+from repro.api import ExecutionBackend, available_backends
 from repro.api.backends import BackendAnswer
 from repro.core import graph_similarity_skyline, top_k_by_measure
 from repro.datasets import figure3_database, figure3_query
@@ -168,16 +160,16 @@ def test_connect_unknown_backend(paper_database):
 
 
 def test_session_accepts_backend_instance(paper_database, paper_query):
-    backend = IndexedBackend(paper_database, use_index=False)
+    backend = ExecutionBackend(paper_database, "indexed")
     with connect(paper_database, backend=backend) as session:
         assert session.backend is backend
         assert session.execute(Query(paper_query).skyline()).names == SEED_SKYLINE
 
 
 def test_session_rejects_options_with_instance(paper_database):
-    backend = MemoryBackend(paper_database)
+    backend = ExecutionBackend(paper_database)
     with pytest.raises(QueryError, match="backend options"):
-        connect(paper_database, backend=backend, use_index=False)
+        connect(paper_database, backend=backend, max_workers=2)
 
 
 def test_closed_session_rejects_queries(paper_database, paper_query):
@@ -324,7 +316,7 @@ def test_indexed_backend_heals_after_insert(paper_db, paper_query):
 
 def test_executor_heals_without_refresh_index(paper_db, paper_query):
     database = GraphDatabase.from_graphs(paper_db[:3])
-    backend = IndexedBackend(database)
+    backend = ExecutionBackend(database, "indexed")
     database.insert(paper_db[3])
     answer = backend.run(Query(paper_query).skyline().build())  # no refresh
     assert answer.stats.database_size == 4
@@ -333,7 +325,7 @@ def test_executor_heals_without_refresh_index(paper_db, paper_query):
 
 def test_index_heals_after_remove(paper_db, paper_query):
     database = GraphDatabase.from_graphs(paper_db)
-    backend = IndexedBackend(database)
+    backend = ExecutionBackend(database, "indexed")
     backend.run(Query(paper_query).skyline().build())
     database.remove(0)  # drop g1
     answer = backend.run(Query(paper_query).skyline().build())
@@ -353,26 +345,12 @@ def test_database_version_counts_mutations(paper_db):
 
 
 # ----------------------------------------------------------------------
-# Backend registry
+# Backend names
 # ----------------------------------------------------------------------
 def test_registry_lists_shipped_backends():
-    assert {"memory", "indexed", "parallel"} <= set(available_backends())
-
-
-def test_custom_backend_pluggable(paper_database, paper_query):
-    class EchoBackend(MemoryBackend):
-        name = "echo"
-
-    register_backend("echo", EchoBackend)
-    try:
-        backend = create_backend("echo", paper_database)
-        assert isinstance(backend, EchoBackend)
-        with connect(paper_database, backend="echo") as session:
-            assert session.execute(Query(paper_query).skyline()).names == SEED_SKYLINE
-    finally:
-        from repro.api.backends import _BACKENDS
-
-        _BACKENDS.pop("echo", None)
+    assert available_backends() == [
+        "auto", "indexed", "memory", "parallel", "sharded", "vectorized"
+    ]
 
 
 def test_parallel_backend_empty_database(paper_query):
@@ -382,9 +360,10 @@ def test_parallel_backend_empty_database(paper_query):
 
 
 def test_parallel_backend_chunking(paper_database, paper_query):
-    backend = ParallelBackend(paper_database, max_workers=2, chunk_size=2)
-    chunks = backend._chunks()
-    assert [len(c) for c in chunks] == [2, 2, 2, 1]
+    # Auto-sized: about four chunks per worker.
+    backend = ExecutionBackend(paper_database, "parallel", max_workers=2)
+    chunks = backend._evaluator("pooled").chunk(list(paper_database))
+    assert [len(c) for c in chunks] == [1] * 7
     with connect(paper_database, backend=backend) as session:
         assert session.execute(Query(paper_query).skyline()).names == SEED_SKYLINE
 
@@ -401,7 +380,7 @@ def test_engine_shim_preserves_graph_identity(paper_db, paper_query):
 
 
 def test_backend_answer_shape(paper_database, paper_query):
-    answer = MemoryBackend(paper_database).run(
+    answer = ExecutionBackend(paper_database).run(
         Query(paper_query).skyline().build()
     )
     assert isinstance(answer, BackendAnswer)

@@ -20,9 +20,8 @@ import random
 import pytest
 
 from repro import PairCache, Query
-from repro.api import auto as auto_module
 from repro.api import backends as backends_module
-from repro.api.backends import create_backend
+from repro.api.backends import ExecutionBackend
 from repro.db import GraphDatabase
 from repro.engine import scatter as scatter_module
 from repro.engine.consume import finish_distances, finish_vectors
@@ -132,7 +131,7 @@ def _backend(name: str, database, cache):
     options = {"cache": cache}
     if name == "auto":
         options["max_workers"] = 1
-    return create_backend(name, database, **options)
+    return ExecutionBackend(database, name, **options)
 
 
 def _decisions(answer, cache):
@@ -171,7 +170,7 @@ def _run_twins(name: str, shards: int, cached: bool, monkeypatch):
         _, cache, backend = twin
         with monkeypatch.context() as patch:
             if reference:
-                for module in (backends_module, scatter_module, auto_module):
+                for module in (backends_module, scatter_module):
                     patch.setattr(module, "run_plan", reference_run_plan)
             return _decisions(backend.run(spec), cache)
 

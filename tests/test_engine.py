@@ -10,8 +10,7 @@ import pytest
 
 from repro import GraphDatabase, PairCache, Query, connect
 from repro.datasets import make_workload
-from repro.api.backends import IndexedBackend, MemoryBackend
-from repro.api.parallel import ParallelBackend
+from repro.api.backends import ExecutionBackend
 from repro.engine import (
     Candidate,
     DatabaseOrderSource,
@@ -25,7 +24,7 @@ from repro.engine import (
     cached_pairs,
     run_plan,
 )
-from repro.index import IndexedSource, batch_bound_pruning
+from repro.index import IndexedSource
 
 
 # The figure-3 fixtures live in conftest.py; module-local aliases keep
@@ -45,23 +44,25 @@ def query(paper_query):
 # ----------------------------------------------------------------------
 def test_backend_plans_are_declarative(db, query):
     spec = Query(query).skyline().build()
-    memory = MemoryBackend(db).build_plan(spec)
+    memory = ExecutionBackend(db).build_plan(spec)
     assert isinstance(memory.source, DatabaseOrderSource)
     assert memory.cascade == ()
-    indexed = IndexedBackend(db).build_plan(spec)
+    indexed = ExecutionBackend(db, "indexed").build_plan(spec)
     assert isinstance(indexed.source, IndexedSource)
-    assert indexed.cascade == (batch_bound_pruning,)
-    assert indexed.stage_labels == ("pareto-bound(batch)",)
-    parallel = ParallelBackend(db, max_workers=2).build_plan(spec)
+    assert len(indexed.cascade) == 1
+    assert ExecutionBackend(db, "indexed").execution(spec).stages == (
+        "pareto-bound(batch)",
+    )
+    parallel = ExecutionBackend(db, "parallel", max_workers=2).build_plan(spec)
     assert isinstance(parallel.evaluator, PooledEvaluator)
-    cached = MemoryBackend(db, cache=PairCache()).build_plan(spec)
+    cached = ExecutionBackend(db, cache=PairCache()).build_plan(spec)
     assert cached.cascade == (cached_pairs,)
 
 
 def test_bound_stage_label_follows_kind(db, query):
-    backend = IndexedBackend(db)
+    backend = ExecutionBackend(db, "indexed")
     labels = {
-        kind: backend.build_plan(spec).stage_labels[0]
+        kind: backend.execution(spec).stages[0]
         for kind, spec in {
             "skyline": Query(query).skyline().build(),
             "skyband": Query(query).skyband(2).build(),
@@ -87,7 +88,7 @@ def test_plan_describe_shows_cascade(db, query):
 def test_run_plan_direct_matches_backend(db, query):
     spec = Query(query).skyline().build()
     direct = run_plan(db, spec, EvaluationPlan(source=DatabaseOrderSource()))
-    via_backend = MemoryBackend(db).run(spec)
+    via_backend = ExecutionBackend(db).run(spec)
     assert direct.ids == via_backend.ids
     assert direct.vectors.keys() == via_backend.vectors.keys()
 
@@ -122,7 +123,7 @@ def test_custom_plan_composition(db, query):
     """A plan the shipped backends don't offer: bound pruning with a
     cache, assembled from engine parts."""
     cache = PairCache()
-    backend = IndexedBackend(db, cache=cache)
+    backend = ExecutionBackend(db, "indexed", cache=cache)
     spec = Query(query).skyband(2).build()
     first = run_plan(db, spec, backend.build_plan(spec), cache=cache)
     second = run_plan(db, spec, backend.build_plan(spec), cache=cache)
@@ -194,7 +195,7 @@ def test_candidate_accounting_is_exhaustive(backend, query):
 
 
 def test_pruned_ids_reported(db, query):
-    answer = IndexedBackend(db).run(Query(query).topk(2).build())
+    answer = ExecutionBackend(db, "indexed").run(Query(query).topk(2).build())
     assert len(answer.pruned_ids) == answer.stats.pruned_by_index
     assert set(answer.pruned_ids).isdisjoint(answer.evaluated_ids)
 

@@ -16,7 +16,7 @@ def paper_executor(paper_db):
 
 
 def _skyline(db, query, use_index=True):
-    with connect(db, backend="indexed", use_index=use_index) as session:
+    with connect(db, backend="indexed" if use_index else "memory") as session:
         return session.execute(Query(query).skyline())
 
 

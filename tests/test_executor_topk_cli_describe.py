@@ -13,8 +13,9 @@ from repro.db import GraphDatabase, save_database
 # Indexed top-k with bound pruning
 # ----------------------------------------------------------------------
 def _top_k(db, query, measure, k, use_index=True):
-    """``[(id, distance)]`` of an ``indexed`` session's top-k answer."""
-    with connect(db, backend="indexed", use_index=use_index) as session:
+    """``[(id, distance)]`` of an ``indexed`` (or, without the index,
+    ``memory``) session's top-k answer."""
+    with connect(db, backend="indexed" if use_index else "memory") as session:
         result = session.execute(Query(query).topk(k, measure))
     return [(graph_id, result.distance(graph_id)) for graph_id in result.ids]
 

@@ -34,7 +34,7 @@ def _exploding_measure(after: int) -> FunctionMeasure:
 
 def test_executor_propagates_measure_failure_and_recovers(paper_db, paper_query):
     db = GraphDatabase.from_graphs(paper_db)
-    with connect(db, backend="indexed", use_index=False) as session:
+    with connect(db, backend="memory") as session:
         with pytest.raises(_Exploding):
             session.execute(
                 Query(paper_query).measures(_exploding_measure(after=3)).skyline()
@@ -48,12 +48,12 @@ def test_failure_does_not_poison_shared_cache(paper_db, paper_query):
     db = GraphDatabase.from_graphs(paper_db)
     cache = PairCache()
     exploding = Query(paper_query).measures(_exploding_measure(after=2)).skyline()
-    with connect(db, backend="indexed", use_index=False, cache=cache) as session:
+    with connect(db, backend="memory", cache=cache) as session:
         with pytest.raises(_Exploding):
             session.execute(exploding)
     # entries cached before the failure are for the exploding measure's
     # name only; the default-measure query is unaffected
-    with connect(db, backend="indexed", use_index=False, cache=cache) as session:
+    with connect(db, backend="memory", cache=cache) as session:
         result = session.execute(Query(paper_query).skyline())
     assert sorted(result.names) == ["g1", "g4", "g5", "g7"]
 

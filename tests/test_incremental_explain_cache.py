@@ -58,7 +58,7 @@ def _skyline(db, query, cache, measures=None):
     spec = Query(query).skyline()
     if measures is not None:
         spec = spec.measures(*measures)
-    with connect(db, backend="indexed", use_index=False, cache=cache) as session:
+    with connect(db, backend="memory", cache=cache) as session:
         return session.execute(spec)
 
 

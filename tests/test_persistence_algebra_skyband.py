@@ -65,8 +65,9 @@ def test_save_rejects_unserializable(tmp_path):
 
 
 def _ids(db, query, use_index=True):
-    """Answer ids of ``query`` on an ``indexed`` session over ``db``."""
-    with connect(db, backend="indexed", use_index=use_index) as session:
+    """Answer ids of ``query`` on an ``indexed`` (or, without the index,
+    ``memory``) session over ``db``."""
+    with connect(db, backend="indexed" if use_index else "memory") as session:
         return session.execute(query).ids
 
 

@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro import GraphDatabase, PairCache, Query
-from repro.api.auto import AutoBackend
-from repro.api.backends import available_backends
+from repro.api.backends import ExecutionBackend, available_backends
 from repro.api.spec import GraphQuery
 from repro.datasets import make_workload
 from repro.engine.planner import (
@@ -266,11 +265,11 @@ def test_decisions_do_not_depend_on_prior_reads(history, final):
     database = _random_database(12)
     query = make_random_graph(99, max_vertices=5)
     spec = final(query).build()
-    fresh = AutoBackend(database, max_workers=1)
-    trained = AutoBackend(database, max_workers=1)
+    fresh = ExecutionBackend(database, "auto", max_workers=1)
+    trained = ExecutionBackend(database, "auto", max_workers=1)
     for build in history:
         trained.run(build(query).build())
-    assert trained._decide(spec) == fresh._decide(spec)
+    assert trained.decide(spec) == fresh.decide(spec)
 
 
 # ----------------------------------------------------------------------

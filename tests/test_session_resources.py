@@ -50,10 +50,10 @@ def test_parallel_session_releases_attachment(database):
         assert len(result.ids) == 3
         assert result.stats.pool is not None
         # The drain parked a database attachment on the pool.
-        assert session.backend._evaluator._attachment_key is not None
+        assert session.backend._pooled[None]._attachment_key is not None
     # Closing the session released it: no attachment reference, and no
     # shared-memory segment this session created is still alive.
-    assert session.backend._evaluator._attachment_key is None
+    assert session.backend._pooled[None]._attachment_key is None
     assert set(live_segments()) <= before
 
 
@@ -63,7 +63,7 @@ def test_parallel_mutation_ships_delta_not_rollover(database):
     with repro.connect(db, backend="parallel", max_workers=2) as session:
         first = session.execute(Query(query).topk(2, "edit"))
         assert first.stats.pool["attach"].get("cold") == 1
-        pool = session.backend._evaluator._pool
+        pool = session.backend._pooled[None]._pool
         attachment = pool._attachments[id(db)]
         assert attachment.delta_count == 0
         db.insert(query.copy(name="fresh"))

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro import PairCache, Query, connect
+from repro import ExecutionBackend, PairCache, Query, connect
 from repro.datasets import figure3_database, figure3_query
 from repro.db import GraphDatabase, load_database, save_database
 from repro.db import database as database_module
@@ -22,7 +22,6 @@ from repro.graph import GraphFeatures
 from repro.shard import store as store_module
 from repro.shard import (
     HashPlacement,
-    ShardedBackend,
     ShardedGraphDatabase,
     SizeBalancedPlacement,
     available_placements,
@@ -242,20 +241,26 @@ def test_sharded_backend_matches_memory_all_kinds(sharded_fig3):
             assert session.execute(builder).ids == expected[kind], kind
 
 
-def test_parallel_scatter_ships_shard_payloads(sharded_fig3):
+def test_parallel_scatter_ships_shard_payloads(sharded_fig3, monkeypatch):
+    # A zero pool break-even makes ``auto`` pool every non-empty shard.
+    from repro.engine import planner
+
+    monkeypatch.setattr(planner, "POOL_START_SECONDS", 0.0)
+    monkeypatch.setattr(planner, "POOL_WARM_SECONDS", 0.0)
     query = figure3_query()
     with connect(figure3_database(), backend="memory") as session:
         expected = session.execute(Query(query).topk(3, "edit")).ids
-    with connect(
-        sharded_fig3, backend="sharded", parallel=True, max_workers=2
-    ) as session:
+    with connect(sharded_fig3, backend="auto", max_workers=2) as session:
         result = session.execute(Query(query).topk(3, "edit"))
         assert result.ids == expected
-        assert session.backend.max_workers == 2
+        assert result.plan.workers == 2
+        assert result.stats.pool is not None
         # One pooled evaluator per touched shard, each holding (at most)
         # that shard's payload — never a whole-database payload.
-        evaluators = session.backend._evaluators
-        assert set(evaluators) <= set(range(sharded_fig3.shard_count))
+        evaluators = session.backend._pooled
+        assert evaluators and set(evaluators) <= set(
+            range(sharded_fig3.shard_count)
+        )
 
 
 def test_tolerant_queries_fall_back_to_exhaustive_merge(sharded_fig3):
@@ -276,26 +281,24 @@ def test_tolerant_queries_fall_back_to_exhaustive_merge(sharded_fig3):
 def test_sharded_backend_rejects_monolithic_database():
     database = GraphDatabase.from_graphs(figure3_database())
     with pytest.raises(QueryError, match="shards=N"):
-        ShardedBackend(database)
+        ExecutionBackend(database, "sharded")
 
 
 def test_shards_rejected_with_backend_instance():
     # Re-partitioning would desynchronize session.database from the
     # database a ready-made backend instance is bound to.
-    from repro.api.backends import MemoryBackend
-
     database = GraphDatabase.from_graphs(figure3_database())
     with pytest.raises(QueryError, match="backend instance"):
-        repro.Session(database, backend=MemoryBackend(database), shards=2)
+        repro.Session(database, backend=ExecutionBackend(database), shards=2)
 
 
-def test_fuzz_backend_remap_zeroes_tolerance_for_pruning_backends():
+def test_fuzz_backend_remap_keeps_tolerant_specs():
     from repro.cli import _remap_backend
     from repro.testkit import generate_workload
     from repro.testkit.workload import RunQuery
 
-    # Seeds are cheap: find a workload containing a tolerant spec (only
-    # generated for non-pruning backends).
+    # Seeds are cheap: find a workload containing a tolerant spec (never
+    # drawn for indexed/vectorized steps).
     for seed in range(60):
         workload = generate_workload(seed=seed, n_steps=60)
         if any(
@@ -308,7 +311,13 @@ def test_fuzz_backend_remap_zeroes_tolerance_for_pruning_backends():
     remapped = _remap_backend(workload, "indexed")
     queries = [s for s in remapped.steps if isinstance(s, RunQuery)]
     assert queries and all(s.backend == "indexed" for s in queries)
-    assert all(s.query.tolerance == 0.0 for s in queries)
+    original = [s.query for s in workload.steps if isinstance(s, RunQuery)]
+    assert [s.query for s in queries] == original
+    # Every backend follows QueryPlanner.prunes, so tolerant specs on
+    # indexed still match the oracle.
+    from repro.testkit import run_workload
+
+    assert run_workload(remapped).ok
 
 
 def test_session_repartitions_and_follows_mutations(sharded_fig3):
@@ -389,7 +398,7 @@ def test_representative_plan_runs_standalone(sharded_fig3):
 
     query = figure3_query()
     spec = Query(query).measures("edit", "mcs").skyline().build()
-    backend = ShardedBackend(sharded_fig3)
+    backend = ExecutionBackend(sharded_fig3, "sharded")
     answer = run_plan(sharded_fig3, spec, backend.build_plan(spec))
     with connect(figure3_database(), backend="memory") as session:
         assert answer.ids == session.execute(spec).ids

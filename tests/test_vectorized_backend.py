@@ -13,7 +13,7 @@ import pytest
 
 import repro
 from repro import GraphDatabase, PairCache, Query
-from repro.api.backends import VectorizedBackend, available_backends
+from repro.api.backends import available_backends
 from repro.engine.workers import PooledEvaluator, shutdown_pool
 
 from tests.conftest import make_random_graph
@@ -97,16 +97,6 @@ def test_plan_reports_index_and_batch_stage(random_database, paper_query):
         assert "threshold-bound" in plan.stages
 
 
-def test_use_index_false_disables_pruning(random_database, paper_query):
-    with repro.connect(
-        random_database, backend="vectorized", use_index=False
-    ) as session:
-        result = session.execute(Query(paper_query).threshold(0.5, "edit"))
-        assert result.stats.pruned_by_index == 0
-        assert result.stats.exact_evaluations == len(random_database)
-        assert not session.plan(Query(paper_query).skyline()).stages
-
-
 def test_store_heals_after_mutation(random_database, paper_query):
     with repro.connect(random_database, backend="vectorized") as session:
         before = session.execute(Query(paper_query).skyline())
@@ -116,7 +106,7 @@ def test_store_heals_after_mutation(random_database, paper_query):
         reference = _reference(random_database, lambda: Query(paper_query).skyline())
         assert after.ids == reference.ids
         backend = session.backend
-        assert isinstance(backend, VectorizedBackend)
+        assert backend.name == "vectorized"
         assert added in backend.store.matrix
         # Row-level repair: one add + one drop, not a rebuild.
         assert backend.store.rows_dropped == 1
@@ -156,7 +146,7 @@ def test_pooled_attachment_warm_until_mutation_then_delta(
         # Mutation shipped a row-level delta, not a full re-park.
         assert third.stats.pool["attach"].get("delta") == 1
     # close() released the attachment; answers stayed parity-correct.
-    assert session.backend._evaluator._attachment_key is None
+    assert session.backend._pooled[None]._attachment_key is None
     reference = _reference(random_database, lambda: Query(paper_query).skyline())
     assert third.ids == reference.ids
     assert first.ids == second.ids

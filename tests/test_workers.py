@@ -2,7 +2,8 @@
 robustness, degradation, and leak hygiene.
 
 The expensive machinery (worker processes, shared-memory segments) is
-exercised end-to-end through the ``parallel`` and ``sharded`` backends;
+exercised end-to-end through the ``parallel`` backend and through
+``auto`` scattering over shards with its pool break-even set to zero;
 the protocol pieces (:class:`FrontierBuffer`, :class:`FrontierJudge`,
 :func:`ensure_payload`, :func:`handle_eval`) are additionally unit-tested
 in-process, both for precision and because code running inside forked
@@ -342,16 +343,23 @@ def test_handle_eval_cuts_solves_at_the_frontier_cap(workload):
 # ----------------------------------------------------------------------
 # End-to-end: pruning recovery, parity, robustness
 # ----------------------------------------------------------------------
+@pytest.fixture
+def pool_always(monkeypatch):
+    """``auto`` pools every shard: a zero pool break-even."""
+    from repro.engine import planner
+
+    monkeypatch.setattr(planner, "POOL_START_SECONDS", 0.0)
+    monkeypatch.setattr(planner, "POOL_WARM_SECONDS", 0.0)
+
+
 def _sharded_pair(database, shards=4):
     return (
         repro.connect(database, backend="sharded", shards=shards),
-        repro.connect(
-            database, backend="sharded", shards=shards, parallel=True, max_workers=2
-        ),
+        repro.connect(database, backend="auto", shards=shards, max_workers=2),
     )
 
 
-def test_sharded_parallel_recovers_cross_shard_pruning():
+def test_sharded_parallel_recovers_cross_shard_pruning(pool_always):
     w = make_workload(n_graphs=96, query_size=6, seed=7)
     query = w.queries[0]
     serial_session, parallel_session = _sharded_pair(w.database)
@@ -384,7 +392,7 @@ def test_sharded_parallel_recovers_cross_shard_pruning():
         assert pooled_cuts > 0
 
 
-def test_sharded_parallel_parity_threshold_and_tolerance():
+def test_sharded_parallel_parity_threshold_and_tolerance(pool_always):
     w = make_workload(n_graphs=48, query_size=5, seed=19)
     query = w.queries[0]
     serial_session, parallel_session = _sharded_pair(w.database)
@@ -398,10 +406,10 @@ def test_sharded_parallel_parity_threshold_and_tolerance():
             )
 
 
-def test_pool_telemetry_surfaces_in_explain_and_to_dict():
+def test_pool_telemetry_surfaces_in_explain_and_to_dict(pool_always):
     w = make_workload(n_graphs=48, query_size=5, seed=23)
     with repro.connect(
-        w.database, backend="sharded", shards=2, parallel=True, max_workers=2
+        w.database, backend="auto", shards=2, max_workers=2
     ) as session:
         result = session.execute(Query(w.queries[0]).skyline())
     stats = result.to_dict()["stats"]
@@ -450,7 +458,7 @@ def test_killed_worker_respawns_and_query_matches_oracle(tmp_path, workload):
 # ----------------------------------------------------------------------
 # Degradation ladder
 # ----------------------------------------------------------------------
-def test_sharded_parallel_parity_without_shared_memory(monkeypatch):
+def test_sharded_parallel_parity_without_shared_memory(monkeypatch, pool_always):
     monkeypatch.setattr(workers, "_SHM_DISABLED", True)
     w = make_workload(n_graphs=48, query_size=5, seed=29)
     query = w.queries[0]
@@ -486,11 +494,9 @@ def test_pool_start_failure_falls_back_to_inline_evaluation(
 # ----------------------------------------------------------------------
 # Leak hygiene
 # ----------------------------------------------------------------------
-def test_shutdown_pool_releases_every_segment():
+def test_shutdown_pool_releases_every_segment(pool_always):
     w = make_workload(n_graphs=32, query_size=5, seed=31)
-    session = repro.connect(
-        w.database, backend="sharded", shards=2, parallel=True, max_workers=2
-    )
+    session = repro.connect(w.database, backend="auto", shards=2, max_workers=2)
     session.execute(Query(w.queries[0]).skyline())
     # Leak on purpose: no session.close(). shutdown_pool is the backstop
     # (and the atexit hook), and must still release everything.
