@@ -42,7 +42,7 @@ Packages
 ``repro.index``     packed feature store and batched bound kernels
 ``repro.datasets``  paper examples and synthetic workloads
 ``repro.testkit``   differential workload fuzzing against a trusted oracle
-``repro.bench``     harness utilities for the reproduction benchmarks
+``repro.bench``     the paper-example report and its plain-text tables
 """
 
 from repro.errors import (

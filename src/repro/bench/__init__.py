@@ -1,23 +1,11 @@
-"""Benchmark harness utilities (table rendering, paper-example pipeline)."""
+"""The paper-example report and the plain-text tables it prints."""
 
-from repro.bench.harness import (
-    PaperExampleReport,
-    compute_paper_example_report,
-    query_side_vectors,
-)
-from repro.bench.reporting import (
-    agreement_summary,
-    comparison_rows,
-    format_value,
-    render_table,
-)
+from repro.bench.harness import PaperExampleReport, compute_paper_example_report
+from repro.bench.reporting import format_value, render_table
 
 __all__ = [
     "PaperExampleReport",
     "compute_paper_example_report",
-    "query_side_vectors",
     "render_table",
     "format_value",
-    "comparison_rows",
-    "agreement_summary",
 ]

@@ -1,10 +1,10 @@
-"""Experiment harness shared by the reproduction benchmarks.
+"""The paper's worked example, measured end to end.
 
-Each bench in ``benchmarks/`` regenerates one artifact of the paper
-(table, figure, or announced experiment). The harness centralises the
-recurring mechanics: building the paper datasets, computing the
-full set of measured table values, and packaging paper-vs-measured
-verdicts that benches print and tests assert on.
+:func:`compute_paper_example_report` runs the exact solvers over the
+reconstructed datasets (:mod:`repro.datasets`) and collects every
+quantity the paper prints: Table I, Figs. 1–2 (Examples 2–4) and Tables
+II–V. ``python -m repro paper-example`` prints the report beside the
+paper's values, and the golden tests assert on it.
 """
 
 from __future__ import annotations
@@ -15,17 +15,25 @@ from dataclasses import dataclass, field
 from repro.core.diversity import refine_by_diversity
 from repro.core.gss import graph_similarity_skyline
 from repro.core.topk import top_k_by_measure
-from repro.datasets import paper_example
-from repro.graph.ged import graph_edit_distance
-from repro.graph.labeled_graph import LabeledGraph
+from repro.datasets import hotels, paper_example
+from repro.graph.ged import edit_path_from_mapping, graph_edit_distance
 from repro.graph.mcs import mcs_size
 from repro.measures.base import PairContext, default_measures
+from repro.measures.graph_union import GraphUnionDistance
+from repro.measures.mcs_distance import McsDistance
+from repro.skyline import skyline
 
 
 @dataclass
 class PaperExampleReport:
-    """Every measured quantity of the Section-VI worked example."""
+    """Every measured quantity of the paper's worked example."""
 
+    hotel_skyline: list[str] = field(default_factory=list)
+    figure1_ged: float = 0.0
+    figure1_operations: list[str] = field(default_factory=list)
+    figure1_mcs: int = 0
+    figure1_dist_mcs: float = 0.0
+    figure1_dist_gu: float = 0.0
     mcs_with_query: dict[str, int] = field(default_factory=dict)
     gcs: dict[str, tuple[float, float, float]] = field(default_factory=dict)
     skyline: list[str] = field(default_factory=list)
@@ -41,8 +49,22 @@ class PaperExampleReport:
 
 
 def compute_paper_example_report(k: int = 2, topk: int = 3) -> PaperExampleReport:
-    """Run the full Section VI + VII pipeline on the reconstructed data."""
+    """Run Examples 1–4 and the Section VI + VII pipeline on the datasets."""
     report = PaperExampleReport()
+    names = hotels.hotel_names()
+    report.hotel_skyline = [names[i] for i in skyline(hotels.hotel_vectors())]
+
+    g1, g2 = paper_example.figure1_pair()
+    edit = graph_edit_distance(g1, g2)
+    report.figure1_ged = edit.distance
+    report.figure1_operations = sorted(
+        type(op).__name__ for op in edit_path_from_mapping(g1, g2, edit.mapping)
+    )
+    context = PairContext(g1, g2)
+    report.figure1_mcs = context.mcs.size
+    report.figure1_dist_mcs = McsDistance().distance(g1, g2, context)
+    report.figure1_dist_gu = GraphUnionDistance().distance(g1, g2, context)
+
     database = paper_example.figure3_database()
     query = paper_example.figure3_query()
 
@@ -71,16 +93,3 @@ def compute_paper_example_report(k: int = 2, topk: int = 3) -> PaperExampleRepor
         report.diversity_val[key] = candidate.val
     report.diverse_subset = [graph.name for graph in refined.subset]
     return report
-
-
-def query_side_vectors(
-    database: list[LabeledGraph], query: LabeledGraph
-) -> dict[str, tuple[float, ...]]:
-    """GCS vectors (default measures) keyed by graph name."""
-    vectors = {}
-    for graph in database:
-        context = PairContext(graph, query)
-        vectors[graph.name] = tuple(
-            measure.distance(graph, query, context) for measure in default_measures()
-        )
-    return vectors

@@ -1,13 +1,12 @@
-"""Plain-text table rendering for the reproduction benches.
+"""Plain-text table rendering for the CLI and the examples.
 
-Renders rows the way the paper prints them (fixed-width columns, rounded
-values) and produces paper-vs-measured comparison tables so every bench
-can show its verdict inline in the pytest-benchmark output.
+Renders rows the way the paper prints them: fixed-width columns and
+rounded values.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 
 def format_value(value: object, digits: int = 2) -> str:
@@ -43,27 +42,4 @@ def render_table(
     lines.append("-" * len(header_line))
     for row in formatted:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def comparison_rows(
-    paper: Mapping[str, float],
-    measured: Mapping[str, float],
-    tolerance: float = 0.01,
-) -> list[list[object]]:
-    """Rows (key, paper, measured, |delta|, verdict) for aligned mappings."""
-    rows: list[list[object]] = []
-    for key in paper:
-        expected = paper[key]
-        actual = measured[key]
-        delta = abs(actual - expected)
-        rows.append(
-            [key, expected, actual, round(delta, 4), "OK" if delta <= tolerance else "DIFF"]
-        )
-    return rows
-
-
-def agreement_summary(rows: Sequence[Sequence[object]]) -> str:
-    """'x/y cells agree' line for a comparison table."""
-    agreeing = sum(1 for row in rows if row[-1] == "OK")
-    return f"{agreeing}/{len(rows)} cells agree with the paper"
+    return "\n".join(line.rstrip() for line in lines)

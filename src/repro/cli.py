@@ -445,8 +445,33 @@ def _cmd_backends(args: argparse.Namespace) -> int:
 
 def _cmd_paper_example(args: argparse.Namespace) -> int:
     from repro.bench import compute_paper_example_report
+    from repro.datasets import (
+        HOTELS,
+        TABLE4_PAIRWISE_GED_PAPER,
+        TABLE4_PAPER,
+        TABLE5_PAPER,
+    )
 
     report = compute_paper_example_report()
+    print(render_table(
+        ["hotel", "price", "distance (km)", "skyline"],
+        [
+            [hotel.name, hotel.price, hotel.distance_km,
+             hotel.name in report.hotel_skyline]
+            for hotel in HOTELS
+        ],
+        title="Table I",
+        digits=1,
+    ))
+    print(f"skyline = {report.hotel_skyline}")
+    print()
+    print("Figs. 1-2 (Examples 2-4)")
+    print(f"DistEd(g1, g2) = {report.figure1_ged:.0f} via "
+          f"{', '.join(report.figure1_operations)}")
+    print(f"|mcs(g1, g2)| = {report.figure1_mcs}")
+    print(f"DistMcs(g1, g2) = {report.figure1_dist_mcs:.2f}")
+    print(f"DistGu(g1, g2) = {report.figure1_dist_gu:.2f}")
+    print()
     print(render_table(
         ["pair", "|mcs|"],
         [[f"({name}, q)", value] for name, value in report.mcs_with_query.items()],
@@ -463,6 +488,35 @@ def _cmd_paper_example(args: argparse.Namespace) -> int:
     ))
     print()
     print(f"GSS = {report.skyline}")
+    print()
+    print(render_table(
+        ["S", "DistEd", "v1", "v2", "v3"],
+        [
+            [
+                "{" + ",".join(key) + "}",
+                f"{report.pairwise_ged[key]}/{TABLE4_PAIRWISE_GED_PAPER[key]}",
+                *(f"{m:.2f}/{p:.2f}"
+                  for m, p in zip(report.diversity_vectors[key], paper)),
+            ]
+            for key, paper in TABLE4_PAPER.items()
+        ],
+        title="Table IV (measured/paper)",
+    ))
+    print()
+    print(render_table(
+        ["S", "ranks", "val", "paper ranks", "paper val"],
+        [
+            [
+                "{" + ",".join(key) + "}",
+                str(report.diversity_ranks[key]),
+                report.diversity_val[key],
+                str(paper_ranks),
+                paper_val,
+            ]
+            for key, (paper_ranks, paper_val) in TABLE5_PAPER.items()
+        ],
+        title="Table V",
+    ))
     print(f"diverse subset (k=2) = {report.diverse_subset}")
     return 0
 

@@ -20,7 +20,7 @@ from Kukkonen & Lampinen's ranking-dominance):
 The exhaustive method enumerates all C(|GSS|, k) subsets, exactly as the
 paper describes. For large skylines this explodes, so a greedy max-min
 heuristic (classic farthest-point diversity) is provided as a documented
-extension and compared in ablation bench A3.
+extension.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 * :mod:`repro.datasets.hotels` — Table I (Example 1).
 * :mod:`repro.datasets.paper_example` — reconstructions of Figs. 1–3 with
-  every published statistic, used by the golden tests and the benches.
+  every published statistic, used by the golden tests and
+  ``python -m repro paper-example``.
 * :mod:`repro.datasets.synthetic` — molecule-like workload generator for
   the scalability experiments the paper announces as future work.
 """

@@ -2,7 +2,7 @@
 
 Seven hotels with price and beach distance; both dimensions are minimised.
 The paper's skyline is S = {H2, H4, H6}; H1 is dominated by H2 and H7 by
-H6. Used by bench T1 and the quickstart example.
+H6. Used by ``python -m repro paper-example`` and the quickstart example.
 """
 
 from __future__ import annotations

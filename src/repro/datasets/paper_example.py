@@ -25,8 +25,8 @@ together with the (exactly reproduced) query-side constraints are
 instead of the paper's 5/7/5 — constraint analysis shows the paper's full
 pairwise matrix is not simultaneously realisable with Table III (the
 value 5 for (g4,g7) in particular contradicts GED(q,g4) = 2,
-GED(q,g7) = 4 and q ⊆ g7 for any label assignment). EXPERIMENTS.md
-reports both matrices cell by cell.
+GED(q,g7) = 4 and q ⊆ g7 for any label assignment). Table IV of
+``python -m repro paper-example`` prints both matrices cell by cell.
 """
 
 from __future__ import annotations

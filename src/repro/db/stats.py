@@ -1,8 +1,8 @@
 """Execution statistics for similarity-skyline queries.
 
-Collected by the executor and surfaced in benches: how many candidates the
-index pruned, how many exact evaluations ran, and wall-clock phase
-timings. The counters make the effect of the pruning ablation (bench A4)
+Collected by the executor and surfaced in results and traces: how many
+candidates the index pruned, how many exact evaluations ran, and
+wall-clock phase timings. The counters make the effect of pruning
 directly observable rather than inferred from timings alone.
 """
 

@@ -71,7 +71,7 @@ class GedResult:
         ``False`` only when a ``node_limit`` or :class:`Budget` stopped the
         search early; the reported distance is then an upper bound.
     expanded_nodes:
-        Number of search-tree nodes expanded (used by the ablation bench).
+        Number of search-tree nodes expanded (pinned by the solver goldens).
     lower_bound:
         Certified lower bound on the exact distance. Equals ``distance``
         when ``optimal``; on truncation it is the best admissible bound

@@ -2,13 +2,13 @@
 
 An independent second exact engine for Definition 8, cross-checked
 against the depth-first branch-and-bound solver (:mod:`repro.graph.ged`)
-in the tests and compared in ablation bench A7. Same state space (partial
+in the tests. Same state space (partial
 vertex assignments in a fixed order, incremental edge costs, completion
 by inserting the untouched part of ``g2``) but explored best-first with a
 priority queue ordered by ``g + h``, where ``h`` is the admissible
 label-multiset bound. A* expands the provably minimal number of states
 for a given heuristic at the price of keeping the frontier in memory —
-the classic trade-off the bench makes visible.
+the classic trade-off between the two engines.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """Maximum common connected subgraph via the modular edge-product graph.
 
 An independent second implementation of Definition 7, used to cross-check
-the McGregor-style solver (:mod:`repro.graph.mcs`) in the test suite and
-compared against it in ablation bench A6.
+the McGregor-style solver (:mod:`repro.graph.mcs`) in the test suite.
 
 Construction (classic maximum-common-edge-subgraph reduction):
 

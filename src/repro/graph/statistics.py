@@ -1,9 +1,9 @@
 """Descriptive statistics of labeled graphs and graph collections.
 
-Used by EXPERIMENTS.md-style dataset characterisation, the CLI's
-``generate`` output, and anyone validating that a synthetic workload
-resembles the intended domain (densities, label entropies, degree
-profiles of chemical datasets).
+Used for dataset characterisation, the CLI's ``generate`` output, and
+by anyone validating that a synthetic workload resembles the intended
+domain (densities, label entropies, degree profiles of chemical
+datasets).
 """
 
 from __future__ import annotations

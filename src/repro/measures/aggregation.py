@@ -3,7 +3,7 @@
 The classical alternative to the paper's Pareto semantics is to *weight*
 the local measures into a single score and rank by it. These adapters
 make that family of baselines first-class measures so they can be
-compared against the skyline (ablation bench A5): a weighted sum can only
+compared against the skyline: a weighted sum can only
 ever return points on (or near) the convex hull of the skyline, silently
 discarding non-convex Pareto optima — the concrete argument for
 similarity *skylines* over similarity *scores*.
@@ -104,7 +104,7 @@ def weighted_sum_ranking_is_skyline_subset(
     weights: Sequence[float],
 ) -> bool:
     """Check that every strictly-positive-weight scalarization minimiser
-    is a skyline member (a textbook fact; used by tests and bench A5)."""
+    is a skyline member (a textbook fact; used by the tests)."""
     from repro.core.gss import graph_similarity_skyline
     from repro.core.topk import top_k_by_measure
 

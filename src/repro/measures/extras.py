@@ -1,8 +1,8 @@
 """Additional local distance measures (extensions beyond the paper's three).
 
 The paper argues graph similarity is inherently multi-faceted; these
-measures supply extra GCS dimensions for the dimensionality experiments
-(bench E2) and for users whose notion of similarity involves global
+measures supply extra GCS dimensions for dimensionality experiments
+and for users whose notion of similarity involves global
 structure rather than exact substructures:
 
 * :class:`JaccardEdgeDistance` — label-multiset Jaccard over edge

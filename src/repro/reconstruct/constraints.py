@@ -15,7 +15,8 @@ This module encodes those targets declaratively so the verifier
 the local search (:mod:`repro.reconstruct.search`) can optimise one.
 Query-side constraints are *hard* (Tables II/III must stay exact — they
 determine the skyline and the top-k contrast); pairwise constraints are
-*soft* (DESIGN.md §4 proves they cannot all hold simultaneously).
+*soft* (the :mod:`repro.datasets.paper_example` docstring shows they
+cannot all hold simultaneously).
 """
 
 from __future__ import annotations

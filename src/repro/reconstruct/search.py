@@ -10,7 +10,8 @@ edit moves and keeps the mutation only when
    (with occasional sideways moves to escape plateaus).
 
 This is the tool that produced / validated the shipped reconstruction.
-Because DESIGN.md §4 proves the soft system cannot reach deviation 0, the
+Because the soft system cannot reach deviation 0 (the
+:mod:`repro.datasets.paper_example` docstring shows why), the
 search is expected to terminate at a positive floor; its value is in
 certifying "no better neighbour" and in exploring alternative label
 assignments (including repeated labels) without hand analysis.

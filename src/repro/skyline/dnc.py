@@ -4,8 +4,7 @@ Split the points at the median of the first discriminating dimension;
 points in the low half can never be dominated by the high half, so the
 result is ``skyline(low) ∪ filter(skyline(high), skyline(low))``. Small
 partitions fall back to the naive loop. With genuinely multidimensional
-data this does asymptotically less work than the nested loops; the
-ablation bench (A1) measures where the crossover sits in practice.
+data this does asymptotically less work than the nested loops.
 """
 
 from __future__ import annotations

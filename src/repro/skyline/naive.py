@@ -1,7 +1,7 @@
 """Naive O(n^2) skyline: compare every point against every other.
 
 The reference implementation — trivially correct, used as the oracle in
-tests and as the baseline in the algorithm ablation bench (A1).
+tests and as the baseline the other algorithms are compared against.
 """
 
 from __future__ import annotations

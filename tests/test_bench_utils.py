@@ -1,15 +1,9 @@
-"""Tests for the bench harness utilities (rendering, comparisons, report)."""
+"""Tests for repro.bench: table rendering and the paper-example report."""
 
 import pytest
 
-from repro.bench import (
-    agreement_summary,
-    comparison_rows,
-    compute_paper_example_report,
-    format_value,
-    query_side_vectors,
-    render_table,
-)
+from repro.bench import compute_paper_example_report, format_value, render_table
+from repro.core.gcs import gcs_matrix
 from repro.datasets import figure3_database, figure3_query
 
 
@@ -38,23 +32,12 @@ def test_render_table_alignment():
     assert set(lines[2]) == {"-"}
     assert "alpha" in lines[3]
     assert "20" in lines[4]
+    assert all(line == line.rstrip() for line in lines)
 
 
 def test_render_table_empty_rows():
     table = render_table(["a", "b"], [])
     assert "a" in table and "b" in table
-
-
-# ----------------------------------------------------------------------
-# comparison helpers
-# ----------------------------------------------------------------------
-def test_comparison_rows_and_summary():
-    paper = {"x": 0.33, "y": 0.50}
-    measured = {"x": 0.3333, "y": 0.61}
-    rows = comparison_rows(paper, measured, tolerance=0.01)
-    verdicts = {row[0]: row[-1] for row in rows}
-    assert verdicts == {"x": "OK", "y": "DIFF"}
-    assert agreement_summary(rows) == "1/2 cells agree with the paper"
 
 
 # ----------------------------------------------------------------------
@@ -81,7 +64,22 @@ def test_report_val_equals_rank_sum(report):
         assert report.diversity_val[key] == sum(ranks)
 
 
-def test_query_side_vectors_match_report(report):
-    vectors = query_side_vectors(figure3_database(), figure3_query())
-    for name, vector in vectors.items():
-        assert vector == pytest.approx(report.gcs[name])
+def test_report_table1_and_figure_values(report):
+    """Example 1's hotel skyline and Examples 2-4's values for Figs. 1-2."""
+    assert report.hotel_skyline == ["H2", "H4", "H6"]
+    assert report.figure1_ged == 4
+    assert report.figure1_operations == [
+        "EdgeDeletion", "EdgeInsertion", "EdgeRelabeling", "VertexRelabeling",
+    ]
+    assert report.figure1_mcs == 4
+    assert report.figure1_dist_mcs == pytest.approx(0.33, abs=0.005)
+    assert report.figure1_dist_gu == pytest.approx(0.50, abs=0.005)
+
+
+def test_report_gcs_equals_gcs_matrix(report):
+    """The skyline run's GCS vectors equal the standalone computation."""
+    database = figure3_database()
+    matrix = gcs_matrix(database, figure3_query())
+    assert list(report.gcs) == [graph.name for graph in database]
+    for graph, vector in zip(database, matrix):
+        assert report.gcs[graph.name] == pytest.approx(tuple(vector.values))

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -103,11 +104,15 @@ def test_generated_workload_queryable(tmp_path, capsys):
 
 
 def test_paper_example_command(capsys):
+    """Tables I-V and the Fig. 1-2 values print exactly as committed in
+    ``tests/data/paper_example.txt``; regenerate it with
+    ``python -m repro paper-example > tests/data/paper_example.txt``."""
     assert main(["paper-example"]) == 0
     out = capsys.readouterr().out
-    assert "Table II" in out
     assert "GSS = ['g1', 'g4', 'g5', 'g7']" in out
     assert "diverse subset (k=2) = ['g1', 'g4']" in out
+    golden = Path(__file__).parent / "data" / "paper_example.txt"
+    assert out == golden.read_text(encoding="utf-8")
 
 
 def test_missing_file_is_reported(tmp_path, capsys):

@@ -95,7 +95,7 @@ def test_executor_and_engine_agree_on_workload():
 
 def test_skyline_size_grows_with_dimensions():
     """More similarity facets -> weakly larger skylines (typical Pareto
-    behaviour; exercised here as a smoke check of the d-sweep bench)."""
+    behaviour; a smoke check over a nested measure sweep)."""
     workload = make_workload(n_graphs=15, query_size=6, seed=8)
     query = workload.queries[0]
     small = graph_similarity_skyline(

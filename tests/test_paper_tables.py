@@ -187,8 +187,10 @@ def test_table4_mcs_columns_match_paper_printout():
 
 def test_table4_v1_column_agreement():
     """v1 (DistN-Ed) agrees in the three cells whose pairwise edit
-    distances are realisable together with Table III (see DESIGN.md §4);
-    the remaining cells are within 0.04."""
+    distances are realisable together with Table III (see the
+    repro.datasets.paper_example docstring and Table IV of
+    ``python -m repro paper-example``); the remaining cells are within
+    0.04."""
     report = compute_paper_example_report()
     exact_cells = {("g1", "g4"), ("g4", "g5"), ("g5", "g7")}
     for key, (v1_paper, _, _) in TABLE4_PAPER.items():

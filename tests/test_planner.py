@@ -365,8 +365,10 @@ def test_pooled_monolithic_plan_prunes_like_serial(build):
 # ----------------------------------------------------------------------
 # auto runs the plan of the fixed backend the rule names
 # ----------------------------------------------------------------------
-#: The two workload classes of ``benchmarks/bench_planner.py``: graphs,
-#: query size, seed and spec mix.
+#: Two database shapes on which the rule must name the serial indexed
+#: plan: a small one with every query kind, where a pool's start-up
+#: would cost more than the pairs, and a larger one, where bound pruning
+#: decides most pairs. Graphs, query size, seed and spec mix.
 _BENCH_CLASSES = {
     "interactive": (36, 6, 101, [
         lambda q: Query(q).measures("edit", "mcs").skyline(),

@@ -31,7 +31,8 @@ def test_shipped_dataset_satisfies_all_hard_constraints(shipped):
 
 def test_shipped_dataset_soft_agreement(shipped):
     """All 6 pairwise-mcs cells exact; 3 of 6 pairwise-ged cells exact;
-    total soft deviation is exactly 3 edits (DESIGN.md §4)."""
+    total soft deviation is exactly 3 edits (see the
+    repro.datasets.paper_example docstring)."""
     assignment, query = shipped
     report = verify_assignment(assignment, query)
     mcs_cells = [c for c in report.soft_cells if c.kind == "pair-mcs"]
