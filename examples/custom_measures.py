@@ -4,8 +4,7 @@ The paper's point is that similarity is multi-faceted: the GCS vector
 (Definition 11) accepts *any* local distance measures. This example:
 
 1. defines a custom measure from a plain function (size gap);
-2. uses the library's extension measures (WL-kernel, Jaccard-edges);
-3. shows how the skyline changes as facets are added — more dimensions
+2. shows how the skyline changes as facets are added — more dimensions
    means more Pareto-incomparable graphs, i.e. a richer answer set.
 
 Run:  python examples/custom_measures.py
@@ -29,7 +28,6 @@ def main() -> None:
     stacks = {
         "edit only": ("edit",),
         "paper (edit, mcs, union)": ("edit", "mcs", "union"),
-        "+ WL kernel": ("edit", "mcs", "union", "wl-kernel"),
         "+ custom size gap": (
             "edit",
             "mcs",

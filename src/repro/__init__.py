@@ -34,8 +34,8 @@ Packages
 ``repro.api``       declarative queries, sessions, pluggable backends
 ``repro.engine``    staged evaluation engine: plans, cascade, live views
 ``repro.graph``     labeled graphs, isomorphism, MCS, exact/approx GED
-``repro.measures``  DistEd / DistMcs / DistGu (+ extensions)
-``repro.skyline``   generic Pareto skyline algorithms
+``repro.measures``  DistEd / DistMcs / DistGu
+``repro.skyline``   Pareto skyline and k-skyband selection
 ``repro.core``      GCS, similarity-dominance, GSS, diversity refinement
 ``repro.db``        database storage, caches, persistence, write-ahead log
 ``repro.shard``     sharded store, placement policies, scatter-gather backend

@@ -74,7 +74,6 @@ def _answer_key(spec: GraphQuery, cache) -> tuple | None:
         spec.kind,
         measures,
         spec.measure,
-        spec.algorithm,
         spec.tolerance,
         spec.k,
         spec.threshold,

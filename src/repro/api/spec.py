@@ -2,8 +2,8 @@
 
 A :class:`GraphQuery` is an immutable, backend-agnostic description of one
 similarity query over a graph database — what to retrieve (``skyline``,
-``skyband``, ``topk`` or ``threshold``), under which measure vector, with
-which skyline algorithm, and how to post-process the answer (diversity
+``skyband``, ``topk`` or ``threshold``), under which measure vector and
+dominance tolerance, and how to post-process the answer (diversity
 refinement, result limit). Because the spec carries no execution state it
 can be validated eagerly, shipped over a wire as JSON, replayed against a
 different backend, and compared for equality in tests.
@@ -13,7 +13,7 @@ noise::
 
     spec = (Query(q)
             .measures("edit", "mcs")
-            .skyline(algorithm="sfs")
+            .skyline(tolerance=0.01)
             .refine(k=2)
             .build())
 
@@ -32,7 +32,6 @@ from repro.errors import QueryError, SerializationError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.serialization import graph_from_dict, graph_to_dict
 from repro.measures.base import DistanceMeasure, available_measures, get_measure
-from repro.skyline import ALGORITHMS
 
 #: The query kinds every execution backend must support.
 QUERY_KINDS = ("skyline", "skyband", "topk", "threshold")
@@ -56,8 +55,6 @@ class GraphQuery:
     measures:
         GCS dimensions as registry names (or measure instances); ``None``
         means the paper's default ``(edit, mcs, union)``.
-    algorithm:
-        Generic skyline algorithm for ``skyline``/``skyband`` kinds.
     tolerance:
         Dominance tolerance for floating-point measure values.
     k:
@@ -88,7 +85,6 @@ class GraphQuery:
     graph: LabeledGraph
     kind: str = "skyline"
     measures: tuple[Any, ...] | None = None
-    algorithm: str = "bnl"
     tolerance: float = 0.0
     k: int | None = None
     measure: Any | None = None
@@ -112,8 +108,7 @@ class GraphQuery:
         """Check the spec for consistency; returns ``self`` for chaining.
 
         Raises :class:`~repro.errors.QueryError` with an available-names
-        hint on unknown kinds, measures or algorithms, mirroring the style
-        of :func:`repro.skyline.skyline`.
+        hint on unknown kinds, measures or refinement methods.
         """
         if not isinstance(self.graph, LabeledGraph):
             raise QueryError("query graph must be a LabeledGraph")
@@ -121,11 +116,6 @@ class GraphQuery:
             raise QueryError(
                 f"unknown query kind {self.kind!r}; "
                 f"available: {', '.join(QUERY_KINDS)}"
-            )
-        if self.algorithm not in ALGORITHMS:
-            raise QueryError(
-                f"unknown skyline algorithm {self.algorithm!r}; "
-                f"available: {', '.join(sorted(ALGORITHMS))}"
             )
         if self.measures is not None:
             if not self.measures:
@@ -182,7 +172,6 @@ class GraphQuery:
             "graph": graph_to_dict(self.graph),
             "kind": self.kind,
             "measures": _measure_names(self.measures),
-            "algorithm": self.algorithm,
             "tolerance": self.tolerance,
             "k": self.k,
             "measure": _measure_name(self.measure),
@@ -208,7 +197,6 @@ class GraphQuery:
             graph=graph,
             kind=payload.get("kind", "skyline"),
             measures=tuple(measures) if measures is not None else None,
-            algorithm=payload.get("algorithm", "bnl"),
             tolerance=float(payload.get("tolerance", 0.0)),
             k=payload.get("k"),
             measure=payload.get("measure"),
@@ -278,32 +266,21 @@ class Query:
         """Set the GCS dimensions (names or measure instances)."""
         return self._replace(measures=tuple(specs))
 
-    def algorithm(self, name: str) -> "Query":
-        """Set the generic skyline algorithm."""
-        return self._replace(algorithm=name)
-
     def tolerance(self, value: float) -> "Query":
         """Set the dominance tolerance."""
         return self._replace(tolerance=value)
 
     # -- query kinds ---------------------------------------------------
-    def skyline(
-        self, algorithm: str | None = None, tolerance: float | None = None
-    ) -> "Query":
+    def skyline(self, tolerance: float | None = None) -> "Query":
         """Retrieve the graph similarity skyline ``GSS(D, q)``."""
         changes: dict[str, Any] = {"kind": "skyline"}
-        if algorithm is not None:
-            changes["algorithm"] = algorithm
         if tolerance is not None:
             changes["tolerance"] = tolerance
         return self._replace(**changes)
 
-    def skyband(self, k: int, algorithm: str | None = None) -> "Query":
+    def skyband(self, k: int) -> "Query":
         """Retrieve the k-skyband (graphs dominated by fewer than ``k``)."""
-        changes: dict[str, Any] = {"kind": "skyband", "k": k}
-        if algorithm is not None:
-            changes["algorithm"] = algorithm
-        return self._replace(**changes)
+        return self._replace(kind="skyband", k=k)
 
     def topk(self, k: int, measure: Any | None = None) -> "Query":
         """Retrieve the single-measure top-k baseline."""

@@ -37,7 +37,6 @@ from repro.errors import ReproError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.serialization import graph_from_json, graph_to_json
 from repro.measures.base import available_measures
-from repro.skyline import ALGORITHMS
 
 
 def _load_graph(path: str) -> LabeledGraph:
@@ -52,7 +51,7 @@ def _parse_measures(spec: str | None) -> tuple[str, ...] | None:
 
 def _cmd_skyline(args: argparse.Namespace) -> int:
     database = load_database(args.database)
-    builder = Query(_load_graph(args.query)).skyline(algorithm=args.algorithm)
+    builder = Query(_load_graph(args.query)).skyline()
     measures = _parse_measures(args.measures)
     if measures is not None:
         builder = builder.measures(*measures)
@@ -367,24 +366,6 @@ def _cmd_wal(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_describe(args: argparse.Namespace) -> int:
-    from repro.graph.statistics import collection_statistics, describe_graph
-
-    database = load_database(args.database)
-    stats = collection_statistics(database.graphs())
-    print(f"database {database.name!r}: {stats.count} graphs, "
-          f"{stats.total_vertices} vertices, {stats.total_edges} edges")
-    print(f"  sizes: min {stats.min_size}, mean {stats.mean_size:.1f}, "
-          f"max {stats.max_size}; connected: {stats.connected_fraction:.0%}")
-    print(f"  vertex labels: {', '.join(stats.vertex_label_vocabulary)}")
-    print(f"  edge labels: {', '.join(stats.edge_label_vocabulary)}")
-    if args.verbose:
-        print()
-        for graph in database.graphs():
-            print(describe_graph(graph))
-    return 0
-
-
 #: One-line preset notes for ``repro backends``: the plan decision each
 #: name takes per query (one executor runs them all).
 _BACKEND_NOTES = {
@@ -535,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sky.add_argument("query", help="query graph JSON file")
     p_sky.add_argument("--measures", default=None,
                        help=f"comma-separated; available: {', '.join(available_measures())}")
-    p_sky.add_argument("--algorithm", default="bnl", choices=sorted(ALGORITHMS))
     p_sky.add_argument("--backend", default="memory",
                        choices=available_backends(),
                        help="execution backend (default: memory; 'indexed' "
@@ -649,12 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="point-in-time: stop replay at this "
                                     "LSN (default: replay everything)")
     p_wal_restore.set_defaults(handler=_cmd_wal)
-
-    p_desc = sub.add_parser("describe", help="database statistics")
-    p_desc.add_argument("database")
-    p_desc.add_argument("--verbose", action="store_true",
-                        help="also describe every graph")
-    p_desc.set_defaults(handler=_cmd_describe)
 
     p_paper = sub.add_parser("paper-example", help="print the reproduced tables")
     p_paper.set_defaults(handler=_cmd_paper_example)

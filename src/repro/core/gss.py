@@ -6,7 +6,8 @@ graphs in the Pareto sense. Computation proceeds in two phases:
 
 1. evaluate the GCS vector of every database graph against the query
    (the expensive part — exact GED and MCS per pair);
-2. run any generic skyline algorithm over the resulting n × d matrix.
+2. select the skyline (:func:`repro.skyline.skyline`) of the resulting
+   n × d matrix.
 
 The :class:`SkylineResult` keeps the full matrix so callers can render
 Table-III-style reports, inspect who dominated whom, and feed the skyline
@@ -48,7 +49,6 @@ class SkylineResult:
     vectors: list[CompoundSimilarity]
     skyline_indices: list[int]
     measures: tuple[str, ...]
-    algorithm: str = "bnl"
     tolerance: float = 0.0
     _dominators: dict[int, list[int]] | None = field(default=None, repr=False)
 
@@ -100,7 +100,6 @@ def graph_similarity_skyline(
     graphs: Sequence[LabeledGraph],
     query: LabeledGraph,
     measures: Iterable["str | DistanceMeasure"] | None = None,
-    algorithm: str = "bnl",
     tolerance: float = 0.0,
 ) -> SkylineResult:
     """Compute ``GSS(D, q)`` (Equation 4).
@@ -113,16 +112,13 @@ def graph_similarity_skyline(
         The graph similarity query ``q``.
     measures:
         GCS dimensions; defaults to the paper's (DistEd, DistMcs, DistGu).
-    algorithm:
-        Skyline algorithm over the GCS matrix (``naive``/``bnl``/``sfs``/
-        ``dnc`` — identical output, different speed).
     tolerance:
         Treat dimension values within ``tolerance`` as equal when checking
         dominance (useful for floating-point measure values).
     """
     vectors = gcs_matrix(graphs, query, measures)
     raw = [vector.values for vector in vectors]
-    indices = vector_skyline(raw, algorithm=algorithm, tolerance=tolerance)
+    indices = vector_skyline(raw, tolerance)
     measure_labels = vectors[0].measures if vectors else ()
     return SkylineResult(
         query=query,
@@ -130,6 +126,5 @@ def graph_similarity_skyline(
         vectors=vectors,
         skyline_indices=indices,
         measures=measure_labels,
-        algorithm=algorithm,
         tolerance=tolerance,
     )

@@ -66,7 +66,7 @@ from repro.core.gcs import CompoundSimilarity
 from repro.db.stats import PhaseTimer
 from repro.graph.budget import Budget, Interval
 from repro.measures.base import PairContext
-from repro.engine.consume import finish_distances, finish_vectors
+from repro.engine.consume import finish_distances, finish_vectors, select
 from repro.engine.evaluate import SOLVER_CUTOFF, solve_pair
 from repro.engine.plan import BoundStage, Stage
 
@@ -477,18 +477,7 @@ def _consume(
             # Best effort: ordinary selection over the upper-bound
             # vectors of everything evaluated.
             with PhaseTimer(stats, "skyline"):
-                from repro.skyline import skyline as vector_skyline
-                from repro.skyline.skyband import k_skyband
-
-                ids = list(vectors)
-                values = [vectors[i].values for i in ids]
-                if spec.kind == "skyband":
-                    positions = k_skyband(values, spec.k, tolerance=spec.tolerance)
-                else:
-                    positions = vector_skyline(
-                        values, algorithm=spec.algorithm, tolerance=spec.tolerance
-                    )
-                answer = sorted(ids[p] for p in positions)
+                answer = select(spec, vectors)
         stats.skyline_size = len(answer)
         return BackendAnswer(answer, list(vectors), vectors, None, stats, pruned_ids)
 

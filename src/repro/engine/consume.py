@@ -1,19 +1,32 @@
 """Consumers: turn exact vectors into the answer for each query kind.
 
 The selection step over exact vectors is cheap but semantically load
-bearing: algorithm choice, tolerance and tie-breaking define the
-backend-parity contract. Every plan the engine runs funnels through these
-two functions, so answer-set semantics are defined exactly once and
-cannot drift per backend.
+bearing: tolerance and tie-breaking define the backend-parity contract.
+Every plan the engine runs funnels through these functions, and every
+vector answer (the shard merges' and anytime's best effort too) is
+chosen by :func:`select`, so answer-set semantics are defined exactly
+once and cannot drift per backend.
 """
 
 from __future__ import annotations
 
 from repro.core.gcs import CompoundSimilarity
 from repro.db.stats import PhaseTimer, QueryStats
-from repro.skyline import skyline as vector_skyline
-from repro.skyline.skyband import k_skyband
+from repro.skyline import k_skyband
 from repro.api.spec import GraphQuery
+
+
+def select(
+    spec: GraphQuery,
+    vectors: dict[int, CompoundSimilarity],
+    pool: list[int] | None = None,
+) -> list[int]:
+    """Sorted ids of ``spec``'s skyline (or k-skyband) over ``pool``'s
+    vectors; ``pool`` defaults to every id in ``vectors``."""
+    ids = list(vectors) if pool is None else pool
+    k = spec.k if spec.kind == "skyband" else 1
+    positions = k_skyband([vectors[i].values for i in ids], k, spec.tolerance)
+    return sorted(ids[p] for p in positions)
 
 
 def finish_vectors(
@@ -26,17 +39,9 @@ def finish_vectors(
     from repro.api.backends import BackendAnswer
 
     with PhaseTimer(stats, "skyline"):
-        ids = list(vectors)
-        values = [vectors[i].values for i in ids]
-        if spec.kind == "skyband":
-            positions = k_skyband(values, spec.k, tolerance=spec.tolerance)
-        else:
-            positions = vector_skyline(
-                values, algorithm=spec.algorithm, tolerance=spec.tolerance
-            )
-        answer = sorted(ids[p] for p in positions)
+        answer = select(spec, vectors)
     stats.skyline_size = len(answer)
-    return BackendAnswer(answer, ids, vectors, None, stats, pruned_ids)
+    return BackendAnswer(answer, list(vectors), vectors, None, stats, pruned_ids)
 
 
 def finish_distances(

@@ -48,8 +48,7 @@ from repro.engine.core import resolved_measures, run_plan
 from repro.engine.evaluate import Evaluator
 from repro.engine.plan import CandidateBlock, CandidateSource, EvaluationPlan
 from repro.engine.workers import BoundSharing, PooledEvaluator
-from repro.skyline import skyline as vector_skyline
-from repro.skyline.skyband import k_skyband
+from repro.engine.consume import select
 from repro.api.spec import GraphQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -206,15 +205,7 @@ class SkylineMerge(MergeConsumer):
                 approximate = False
             else:
                 approximate = True
-                pool = list(vectors)
-                values = [vectors[graph_id].values for graph_id in pool]
-                if spec.kind == "skyband":
-                    positions = k_skyband(values, spec.k, tolerance=spec.tolerance)
-                else:
-                    positions = vector_skyline(
-                        values, algorithm=spec.algorithm, tolerance=spec.tolerance
-                    )
-                answer_ids = sorted(pool[position] for position in positions)
+                answer_ids = select(spec, vectors)
             stats.skyline_size = len(answer_ids)
             return BackendAnswer(
                 answer_ids, evaluated, vectors, None, stats, pruned,
@@ -227,14 +218,7 @@ class SkylineMerge(MergeConsumer):
             for value in vector.values
         ):
             pool = list(vectors)
-        values = [vectors[graph_id].values for graph_id in pool]
-        if spec.kind == "skyband":
-            positions = k_skyband(values, spec.k, tolerance=spec.tolerance)
-        else:
-            positions = vector_skyline(
-                values, algorithm=spec.algorithm, tolerance=spec.tolerance
-            )
-        answer_ids = sorted(pool[position] for position in positions)
+        answer_ids = select(spec, vectors, pool)
         stats.skyline_size = len(answer_ids)
         return BackendAnswer(
             answer_ids, evaluated, vectors, None, stats, pruned,

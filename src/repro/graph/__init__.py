@@ -38,7 +38,6 @@ from repro.graph.ged import GedResult, edit_path_from_mapping, ged, graph_edit_d
 from repro.graph.ged_astar import graph_edit_distance_astar
 from repro.graph.ged_approx import (
     GedEstimate,
-    beam_ged,
     bipartite_ged,
     ged_lower_bound,
     induced_edit_cost,
@@ -68,15 +67,7 @@ from repro.graph.serialization import (
     graph_to_json,
     graph_to_text,
 )
-from repro.graph.algebra import graph_difference, graph_intersection, graph_union
 from repro.graph.cost_models import LabelMatrixCostModel, WeightedCostModel
-from repro.graph.statistics import (
-    CollectionStatistics,
-    GraphStatistics,
-    collection_statistics,
-    describe_graph,
-    graph_statistics,
-)
 
 __all__ = [
     "Budget",
@@ -114,7 +105,6 @@ __all__ = [
     "edit_path_from_mapping",
     "GedEstimate",
     "bipartite_ged",
-    "beam_ged",
     "ged_lower_bound",
     "induced_edit_cost",
     "canonical_form",
@@ -138,14 +128,6 @@ __all__ = [
     "graph_from_json",
     "graph_to_text",
     "graph_from_text",
-    "graph_union",
-    "graph_intersection",
-    "graph_difference",
     "WeightedCostModel",
     "LabelMatrixCostModel",
-    "GraphStatistics",
-    "CollectionStatistics",
-    "graph_statistics",
-    "collection_statistics",
-    "describe_graph",
 ]

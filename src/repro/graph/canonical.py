@@ -1,6 +1,6 @@
 """Isomorphism-invariant canonical forms and hashing.
 
-Used to deduplicate graphs (database ingestion, the reconstruction search)
+Used to deduplicate graphs (database ingestion)
 and to memoise pairwise computations. Colour refinement (1-dimensional
 Weisfeiler–Leman) over vertex and incident-edge labels splits the vertices
 into classes; the form is the smallest labeled edge list over the vertex

@@ -1,6 +1,6 @@
-"""Approximate graph edit distance: bounds, bipartite assignment, beam search.
+"""Approximate graph edit distance: bounds and bipartite assignment.
 
-Three estimators complement the exact solver of :mod:`repro.graph.ged`:
+Two estimators complement the exact solver of :mod:`repro.graph.ged`:
 
 * :func:`ged_lower_bound` — a cheap admissible bound from vertex- and
   edge-label multisets (never exceeds the exact distance). The database
@@ -12,18 +12,14 @@ Three estimators complement the exact solver of :mod:`repro.graph.ged`:
   valid upper bound. Under the uniform model the assignment's optimum is
   also a lower bound (BRANCH, Blumenthal & Gamper 2018), so one solve
   gives the certified :class:`GedBracket` the exact solver starts from.
-* :func:`beam_ged` — a beam-limited variant of the exact depth-first
-  search; wider beams tighten the bound at higher cost.
 
-All estimators return a :class:`GedEstimate` whose ``distance`` comes from
-:func:`induced_edit_cost`, so every reported value is the true cost of a
-concrete vertex mapping (hence always an upper bound for the heuristics).
+:func:`bipartite_ged` returns a :class:`GedEstimate` whose ``distance``
+comes from :func:`induced_edit_cost`, so the reported value is the true
+cost of a concrete vertex mapping (hence always an upper bound).
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -316,71 +312,3 @@ def _bipartite_estimate(
             image[i] = j
     lower = float(math.ceil(optimum)) if proves else 0.0
     return GedBracket(lower, view, tables, image)
-
-
-def beam_ged(
-    g1: LabeledGraph,
-    g2: LabeledGraph,
-    costs: CostModel = UNIFORM_COSTS,
-    beam_width: int = 16,
-) -> GedEstimate:
-    """Beam-limited assignment search (upper bound).
-
-    Explores the same tree as the exact solver but keeps only the
-    ``beam_width`` cheapest partial assignments per level. ``beam_width``
-    of 1 is a greedy matcher; very large widths converge to the exact
-    distance.
-    """
-    if beam_width < 1:
-        raise ValueError("beam_width must be at least 1")
-    order = sorted(g1.vertices(), key=lambda v: (-g1.degree(v), repr(v)))
-    v2 = list(g2.vertices())
-    counter = itertools.count()  # tie-breaker: heapq must never compare dicts
-    beam: list[tuple[float, int, dict[VertexId, VertexId | None]]] = [(0.0, next(counter), {})]
-
-    def partial_cost(mapping: dict, u: VertexId, w: VertexId | None) -> float:
-        if w is DELETED:
-            cost = costs.vertex_deletion(g1.vertex_label(u))
-            for prev in mapping:
-                if g1.has_edge(u, prev):
-                    cost += costs.edge_deletion(g1.edge_label(u, prev))
-            return cost
-        cost = costs.vertex_substitution(g1.vertex_label(u), g2.vertex_label(w))
-        for prev, image in mapping.items():
-            edge1 = g1.has_edge(u, prev)
-            edge2 = image is not DELETED and g2.has_edge(w, image)
-            if edge1 and edge2:
-                cost += costs.edge_substitution(
-                    g1.edge_label(u, prev), g2.edge_label(w, image)
-                )
-            elif edge1:
-                cost += costs.edge_deletion(g1.edge_label(u, prev))
-            elif edge2:
-                cost += costs.edge_insertion(g2.edge_label(w, image))
-        return cost
-
-    for u in order:
-        next_beam: list[tuple[float, int, dict]] = []
-        for cost_so_far, _, mapping in beam:
-            used = {w for w in mapping.values() if w is not DELETED}
-            options: list[VertexId | None] = [w for w in v2 if w not in used]
-            options.append(DELETED)
-            for w in options:
-                new_cost = cost_so_far + partial_cost(mapping, u, w)
-                entry = (new_cost, next(counter), {**mapping, u: w})
-                if len(next_beam) < beam_width:
-                    heapq.heappush(next_beam, _negate(entry))
-                elif new_cost < -next_beam[0][0]:
-                    heapq.heapreplace(next_beam, _negate(entry))
-        beam = sorted(_negate(entry) for entry in next_beam)
-    best_mapping = min(
-        beam,
-        key=lambda item: induced_edit_cost(g1, g2, item[2], costs),
-    )[2]
-    return GedEstimate(induced_edit_cost(g1, g2, best_mapping, costs), best_mapping)
-
-
-def _negate(entry: tuple[float, int, dict]) -> tuple[float, int, dict]:
-    """Flip the cost sign so heapq's min-heap acts as a bounded max-heap."""
-    cost, tie, mapping = entry
-    return (-cost, tie, mapping)

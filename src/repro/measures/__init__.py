@@ -1,9 +1,9 @@
-"""Graph distance measures (Section IV of the paper) plus extensions.
+"""Graph distance measures (Section IV of the paper).
 
 The paper's three local measures — ``DistEd`` (edit distance), ``DistMcs``
 (Bunke–Shearer), ``DistGu`` (graph union / Jaccard-like) — with the
-normalised edit distance used by the diversity refinement and several
-extension measures for higher-dimensional compound similarities.
+normalised edit distance used by the diversity refinement, plus
+aggregations and the measures' semantic-property checks.
 """
 
 from repro.graph.budget import Budget, Interval
@@ -22,12 +22,6 @@ from repro.measures.base import (
 from repro.measures.edit_distance import EditDistance, NormalizedEditDistance
 from repro.measures.mcs_distance import McsDistance, mcs_similarity
 from repro.measures.graph_union import GraphUnionDistance, graph_union_similarity
-from repro.measures.extras import (
-    DegreeSequenceDistance,
-    JaccardEdgeDistance,
-    SpectralDistance,
-    WLKernelDistance,
-)
 from repro.measures.properties import (
     PropertyReport,
     check_gu_dominated_by_mcs,
@@ -58,10 +52,6 @@ __all__ = [
     "mcs_similarity",
     "GraphUnionDistance",
     "graph_union_similarity",
-    "JaccardEdgeDistance",
-    "DegreeSequenceDistance",
-    "WLKernelDistance",
-    "SpectralDistance",
     "PropertyReport",
     "check_measure_properties",
     "check_gu_dominated_by_mcs",

@@ -1,14 +1,18 @@
-"""Generic skyline algorithms over numeric vectors (Section II-A).
+"""Skyline selection over numeric vectors (Section II-A, Definitions 1–2).
 
-Four interchangeable skyline implementations (naive, BNL, SFS, divide &
-conquer) plus top-k dominating. All operate on sequences of equal-length
-float vectors under minimisation and return sorted input indices, so any
-of them can back the graph similarity skyline.
+One definitional selector: :func:`k_skyband` keeps every vector that
+fewer than ``k`` other vectors dominate, and :func:`skyline` is its
+``k = 1`` case. Vectors are equal-length float sequences under
+minimisation; both return sorted input indices.
+
+Each row's dominators are counted against every other row, so the answer
+is the definition's for every tolerance and with NaN coordinates, where
+dominance is not transitive and window algorithms (BNL, SFS, divide and
+conquer) keep rows the definition excludes.
 """
 
 from collections.abc import Sequence
 
-from repro.errors import QueryError
 from repro.skyline.utils import (
     Vector,
     dominates,
@@ -16,40 +20,42 @@ from repro.skyline.utils import (
     is_skyline,
     validate_vectors,
 )
-from repro.skyline.naive import naive_skyline
-from repro.skyline.bnl import bnl_skyline
-from repro.skyline.sfs import sfs_skyline
-from repro.skyline.dnc import dnc_skyline
-from repro.skyline.topk_dominating import dominance_counts, top_k_dominating
-from repro.skyline.skyband import dominator_counts, k_skyband
-
-#: Registry of skyline algorithms usable by name.
-ALGORITHMS = {
-    "naive": naive_skyline,
-    "bnl": bnl_skyline,
-    "sfs": sfs_skyline,
-    "dnc": dnc_skyline,
-}
 
 
-def skyline(
+def k_skyband(
     vectors: Sequence[Vector],
-    algorithm: str = "bnl",
+    k: int,
     tolerance: float = 0.0,
 ) -> list[int]:
-    """Indices of the Pareto-optimal vectors (Definition 2).
+    """Indices of the vectors dominated by fewer than ``k`` others.
 
-    ``algorithm`` is one of ``naive``, ``bnl``, ``sfs``, ``dnc``; all return
-    identical results (property-tested), differing only in running time.
+    ``k = 1`` gives exactly the skyline; larger ``k`` relaxes membership
+    monotonically (the k-skyband contains the (k-1)-skyband). Candidate
+    dominators are scanned in ascending coordinate-sum order, where a
+    dominator usually sits, and a row's count stops at ``k``. The order
+    only decides how soon a count stops: a row is kept only after every
+    other row was checked, so NaN sums may sort anywhere.
     """
-    try:
-        implementation = ALGORITHMS[algorithm]
-    except KeyError:
-        raise QueryError(
-            f"unknown skyline algorithm {algorithm!r}; "
-            f"available: {', '.join(sorted(ALGORITHMS))}"
-        ) from None
-    return implementation(vectors, tolerance=tolerance)
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    validate_vectors(vectors)
+    order = sorted(range(len(vectors)), key=lambda i: sum(vectors[i]))
+    band = []
+    for i, candidate in enumerate(vectors):
+        count = 0
+        for j in order:
+            if j != i and dominates(vectors[j], candidate, tolerance):
+                count += 1
+                if count == k:
+                    break
+        else:
+            band.append(i)
+    return band
+
+
+def skyline(vectors: Sequence[Vector], tolerance: float = 0.0) -> list[int]:
+    """Indices of the Pareto-optimal vectors (Definition 2)."""
+    return k_skyband(vectors, 1, tolerance)
 
 
 __all__ = [
@@ -58,14 +64,6 @@ __all__ = [
     "incomparable",
     "is_skyline",
     "validate_vectors",
-    "naive_skyline",
-    "bnl_skyline",
-    "sfs_skyline",
-    "dnc_skyline",
-    "dominance_counts",
-    "top_k_dominating",
-    "dominator_counts",
     "k_skyband",
-    "ALGORITHMS",
     "skyline",
 ]

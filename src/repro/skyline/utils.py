@@ -1,6 +1,6 @@
 """Pareto-dominance primitives over numeric vectors (Definitions 1–2).
 
-All skyline algorithms in this package share these helpers. Vectors are
+The skyline selector in this package builds on these helpers. Vectors are
 sequences of floats where **smaller is better** on every dimension (the
 paper's convention). A point ``p`` dominates ``q`` iff ``p`` is no worse
 everywhere and strictly better somewhere; the skyline is the set of

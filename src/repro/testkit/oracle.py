@@ -4,7 +4,8 @@ The oracle answers any :class:`~repro.api.spec.GraphQuery` by computing
 the exact measure vector of *every* live graph and selecting the answer
 from first principles — a direct transcription of the paper's
 definitions with no index, no pruning cascade, no shared cache, no
-canonical hashing, and no skyline-algorithm choice. Everything it shares
+canonical hashing, and its own dominator count instead of
+:mod:`repro.skyline`. Everything it shares
 with the system under test is the measure registry and the per-pair
 solvers (:func:`repro.engine.evaluate.pair_values`), which *are* the
 semantics being queried over; everything the staged engine adds on top

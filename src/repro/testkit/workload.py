@@ -50,13 +50,6 @@ WORKLOAD_BACKENDS: tuple[str, ...] = (
     "memory", "indexed", "parallel", "vectorized", "sharded", "auto"
 )
 
-#: Backends whose generated specs never draw a tolerance. Every backend
-#: now follows ``QueryPlanner.prunes`` and runs tolerant specs
-#: exhaustively, so the exclusion guards nothing any more; it stays
-#: because the draw below consumes the generator's random stream, and
-#: dropping it would reseed every pinned corpus entry and CI fuzz line.
-PRUNING_BACKENDS: tuple[str, ...] = ("indexed", "vectorized")
-
 #: GCS measure subsets queries cycle through (``None`` = paper default).
 MEASURE_POOLS: tuple[tuple[str, ...] | None, ...] = (
     None,
@@ -309,16 +302,14 @@ def _query_spec(
     rng: random.Random,
     graph: LabeledGraph,
     kind: str,
-    backend: str,
     budgeted: bool = False,
 ) -> GraphQuery:
-    """One concrete validated spec for (kind, backend).
+    """One concrete validated spec of ``kind``.
 
-    Tolerance > 0 is only generated for non-pruning backends with the
-    definitional ``naive`` algorithm: tolerant dominance is not
-    transitive, so pruning-then-selecting can legitimately differ from
-    exhaustive selection — that is a semantics caveat, not a bug the
-    harness should report.
+    About one spec in seven carries tolerance 0.25 on every backend.
+    Tolerant dominance is not transitive, so every backend runs such a
+    spec unpruned (``QueryPlanner.prunes``) and selects its answer by the
+    definition; the answer must equal the oracle's.
 
     With ``budgeted`` (``RunQuery`` steps only — live views don't take
     budgets), a slice of specs carries ``budget_nodes``: a pure expansion
@@ -327,17 +318,12 @@ def _query_spec(
     oracle's — fuzzing the whole budgeted path deterministically.
     """
     measures = rng.choice(MEASURE_POOLS)
-    algorithm = rng.choice(("bnl", "sfs", "dnc", "naive"))
-    tolerance = 0.0
-    if backend not in PRUNING_BACKENDS and rng.random() < 0.15:
-        tolerance = 0.25
-        algorithm = "naive"
+    tolerance = 0.25 if rng.random() < 0.15 else 0.0
     limit = rng.randint(1, 4) if rng.random() < 0.2 else None
     kwargs: dict[str, Any] = {
         "graph": graph,
         "kind": kind,
         "measures": measures,
-        "algorithm": algorithm,
         "tolerance": tolerance,
         "limit": limit,
     }
@@ -500,7 +486,6 @@ def generate_workload(
                 rng,
                 _query_graph(rng, live, max_vertices, recent_queries),
                 kind,
-                backend,
                 budgeted=True,
             )
             recent_queries.append(spec.graph)
@@ -524,7 +509,7 @@ def generate_workload(
                     steps.extend(_burst(burst, query_step, handles))
         elif roll < 0.86 and views_open < max_views:
             spec = _query_spec(
-                rng, _query_graph(rng, live, max_vertices, recent_queries), "skyline", "memory"
+                rng, _query_graph(rng, live, max_vertices, recent_queries), "skyline"
             )
             steps.append(WatchView(f"v{views_open}", spec))
             views_open += 1
@@ -532,7 +517,7 @@ def generate_workload(
             steps.append(CheckViews())
         else:
             spec = _query_spec(
-                rng, _query_graph(rng, live, max_vertices, recent_queries), "skyline", "memory"
+                rng, _query_graph(rng, live, max_vertices, recent_queries), "skyline"
             )
             steps.append(SaveLoad(spec))
     return Workload(seed=seed, steps=tuple(steps))

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api.backends import ExecutionBackend
+import repro
+from repro.api.backends import PRESETS, ExecutionBackend
 from repro.api.spec import Query
 from repro.db import GraphDatabase
 from repro.engine.deadline import Deadline, deadline_scope
@@ -37,7 +38,7 @@ from repro.measures import (
     NormalizedEditDistance,
     PairContext,
 )
-from tests.conftest import small_labeled_graphs
+from tests.conftest import make_random_graph, small_labeled_graphs
 
 MEASURES = (
     EditDistance(),
@@ -274,6 +275,31 @@ def test_node_budget_answers_equal_oracle(backend_name, small_db, small_query):
         )
         anytime = budgeted.stats.anytime
         assert anytime is not None and anytime["passes"] >= 1
+
+
+@pytest.mark.parametrize(
+    "backend_name, shards",
+    [(name, None) for name in sorted(PRESETS) if name != "sharded"]
+    + [(name, 2) for name in sorted(PRESETS)],
+)
+def test_tolerant_budgeted_skyline_selects_by_the_definition(
+    backend_name, shards
+):
+    """A tolerant budgeted skyline takes the best-effort selection; under
+    tolerance 0.25 graph 1 is dominated by graph 7, which graph 3
+    dominates in turn, so graph 1 stays out."""
+    graphs = [make_random_graph(5800 + i, max_vertices=5) for i in range(10)]
+    query = make_random_graph(5899, max_vertices=5)
+    spec = Query(query).skyline(tolerance=0.25).budget(nodes=100)
+    with repro.connect(
+        GraphDatabase.from_graphs(graphs),
+        backend=backend_name,
+        shards=shards,
+        max_workers=2,
+    ) as session:
+        result = session.execute(spec)
+    assert result.stats.anytime is not None
+    assert result.ids == [0, 8]
 
 
 def test_interval_payload_brackets_exact_distances(small_db, small_query):

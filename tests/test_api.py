@@ -14,6 +14,7 @@ from repro.db import GraphDatabase, save_database
 from repro.errors import QueryError, SerializationError
 from repro.graph import graph_to_json
 from repro.measures import EditDistance
+from tests.conftest import make_random_graph
 
 SEED_SKYLINE = ["g1", "g4", "g5", "g7"]
 
@@ -37,11 +38,6 @@ def test_unknown_kind_rejected_with_hint(paper_query):
 def test_unknown_measure_rejected_with_hint(paper_query):
     with pytest.raises(QueryError, match="available: .*edit"):
         Query(paper_query).measures("edit", "nope").build()
-
-
-def test_unknown_algorithm_rejected_with_hint(paper_query):
-    with pytest.raises(QueryError, match="available: bnl, dnc, naive, sfs"):
-        Query(paper_query).skyline(algorithm="quantum").build()
 
 
 def test_topk_requires_positive_k(paper_query):
@@ -80,12 +76,12 @@ def test_empty_measures_rejected(paper_query):
 
 def test_builder_steps_do_not_mutate(paper_query):
     base = Query(paper_query).measures("edit")
-    fork_a = base.skyline(algorithm="sfs")
+    fork_a = base.skyline(tolerance=0.25)
     fork_b = base.topk(2)
     assert fork_a.build().kind == "skyline"
     assert fork_b.build().kind == "topk"
     assert base.build().kind == "skyline"
-    assert base.build().algorithm == "bnl"  # untouched by fork_a
+    assert base.build().tolerance == 0.0  # untouched by fork_a
 
 
 # ----------------------------------------------------------------------
@@ -95,7 +91,7 @@ def test_query_json_round_trip(paper_query):
     spec = (
         Query(paper_query)
         .measures("edit", "mcs")
-        .skyline(algorithm="sfs", tolerance=0.25)
+        .skyline(tolerance=0.25)
         .refine(k=2, method="greedy")
         .limit(3)
         .build()
@@ -103,10 +99,30 @@ def test_query_json_round_trip(paper_query):
     restored = GraphQuery.from_json(spec.to_json())
     assert restored == spec
     assert restored.measures == ("edit", "mcs")
-    assert restored.algorithm == "sfs"
+    assert restored.tolerance == 0.25
     assert restored.refine_k == 2
     assert restored.refine_method == "greedy"
     assert restored.limit == 3
+    # from_dict ignores keys it does not know, so an older payload that
+    # names a skyline algorithm still parses, to the same spec.
+    assert GraphQuery.from_dict({**spec.to_dict(), "algorithm": "sfs"}) == spec
+
+
+@pytest.mark.parametrize("legacy", ["bnl", "dnc", "naive", "sfs"])
+def test_legacy_algorithm_payload_gets_the_definitional_answer(legacy):
+    """A payload naming a retired skyline algorithm runs the one selector:
+    under tolerance 0.25 graph 1 is dominated (by graph 7) although its
+    dominator is itself dominated, which window algorithms missed."""
+    graphs = [make_random_graph(5800 + i, max_vertices=5) for i in range(10)]
+    spec = Query(make_random_graph(5899, max_vertices=5)).skyline(
+        tolerance=0.25
+    ).build()
+    legacy_spec = GraphQuery.from_json(
+        json.dumps({**json.loads(spec.to_json()), "algorithm": legacy})
+    )
+    assert legacy_spec == spec
+    with connect(GraphDatabase.from_graphs(graphs)) as session:
+        assert session.execute(legacy_spec).ids == [0, 8]
 
 
 def test_query_json_round_trip_threshold(paper_query):

@@ -23,7 +23,7 @@ _KINDS = {
     "skyline": lambda q: Query(q).measures("edit", "mcs").skyline(),
     "tolerant-skyline": lambda q: Query(q)
     .measures("edit", "mcs")
-    .skyline(tolerance=0.25, algorithm="naive"),
+    .skyline(tolerance=0.25),
     "skyband": lambda q: Query(q).measures("edit", "mcs").skyband(2),
     "topk": lambda q: Query(q).topk(3, "edit"),
     "threshold": lambda q: Query(q).threshold(2.0, "edit"),
@@ -71,7 +71,7 @@ def test_every_preset_matches_memory_and_reports_the_plan_that_ran(
     )
 
 
-def test_tolerant_skyband_is_exhaustive_on_every_name():
+def _tolerant_skyband():
     workload = make_workload(
         n_graphs=30, query_size=4, seed=24, mutant_fraction=0.5
     )
@@ -80,13 +80,32 @@ def test_tolerant_skyband_is_exhaustive_on_every_name():
         kind="skyband",
         k=2,
         tolerance=0.2,
-        algorithm="naive",
         measures=("edit-normalized", "mcs"),
     )
-    for name in sorted(PRESETS):
-        database = GraphDatabase.from_graphs(workload.database)
-        with repro.connect(database, backend=name, max_workers=2) as session:
-            assert session.execute(spec).ids == [1, 16, 18, 19], name
+    return workload.database, spec, [1, 16, 18, 19]
+
+
+def _intransitive_skyline():
+    """Under tolerance 0.25 graph 7 dominates graph 1, and graph 3
+    dominates graph 7 but not graph 1: graph 1 is dominated, though a
+    selection that drops graph 7 before comparing it keeps graph 1."""
+    graphs = [make_random_graph(5800 + i, max_vertices=5) for i in range(10)]
+    query = make_random_graph(5899, max_vertices=5)
+    return graphs, Query(query).skyline(tolerance=0.25).build(), [0, 8]
+
+
+@pytest.mark.parametrize("case", [_tolerant_skyband, _intransitive_skyline])
+@pytest.mark.parametrize("shards", [None, 2], ids=["monolith", "2-shards"])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_tolerant_selection_is_exhaustive_and_definitional_on_every_name(
+    name, shards, case
+):
+    graphs, spec, expected = case()
+    database = GraphDatabase.from_graphs(graphs)
+    with repro.connect(
+        database, backend=name, shards=shards, max_workers=2
+    ) as session:
+        assert session.execute(spec).ids == expected
 
 
 def test_auto_plan_reports_the_work_it_did(graphs, query_graph):

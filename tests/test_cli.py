@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api.backends import available_backends
 from repro.cli import build_parser, main
 from repro.datasets import figure3_database, figure3_query
 from repro.db import GraphDatabase, save_database
@@ -131,11 +132,11 @@ def test_distance_with_custom_measures(tmp_path, capsys):
     assert "mcs:" in out and "union:" in out and "edit:" not in out
 
 
-def test_skyline_algorithm_flag(paper_files, capsys):
+@pytest.mark.parametrize("backend", available_backends())
+def test_skyline_backend_flag(paper_files, backend, capsys):
     db_path, query_path = paper_files
-    for algorithm in ("naive", "sfs", "dnc"):
-        assert main(["skyline", db_path, query_path, "--algorithm", algorithm]) == 0
-        assert "skyline: ['g1', 'g4', 'g5', 'g7']" in capsys.readouterr().out
+    assert main(["skyline", db_path, query_path, "--backend", backend]) == 0
+    assert "skyline: ['g1', 'g4', 'g5', 'g7']" in capsys.readouterr().out
 
 
 def test_module_entry_point_runs_in_subprocess():

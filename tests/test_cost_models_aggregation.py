@@ -1,16 +1,12 @@
-"""Tests for extension cost models, scalarization measures and statistics."""
+"""Tests for extension cost models and scalarization measures."""
 
 import pytest
 
 from repro.errors import QueryError
 from repro.graph import (
-    LabeledGraph,
     LabelMatrixCostModel,
     WeightedCostModel,
-    collection_statistics,
-    describe_graph,
     ged,
-    graph_statistics,
     path_graph,
 )
 from repro.measures import (
@@ -127,51 +123,3 @@ def test_weighted_sum_check_rejects_zero_weights():
         weighted_sum_ranking_is_skyline_subset(
             figure3_database(), figure3_query(), ("edit",), (0.0,)
         )
-
-
-# ----------------------------------------------------------------------
-# Statistics
-# ----------------------------------------------------------------------
-def test_graph_statistics_basic():
-    g = path_graph(["A", "A", "B"], name="p3")
-    stats = graph_statistics(g)
-    assert stats.order == 3
-    assert stats.size == 2
-    assert stats.density == pytest.approx(2 / 3)
-    assert stats.connected
-    assert stats.components == 1
-    assert stats.min_degree == 1
-    assert stats.max_degree == 2
-    assert stats.mean_degree == pytest.approx(4 / 3)
-    assert stats.distinct_vertex_labels == 2
-    assert 0.9 < stats.vertex_label_entropy < 1.0  # 2/3-1/3 split
-
-
-def test_graph_statistics_empty_graph():
-    stats = graph_statistics(LabeledGraph())
-    assert stats.order == 0
-    assert stats.density == 0.0
-    assert stats.vertex_label_entropy == 0.0
-
-
-def test_collection_statistics():
-    graphs = figure3_database()
-    stats = collection_statistics(graphs)
-    assert stats.count == 7
-    assert stats.min_size == 6
-    assert stats.max_size == 10
-    assert stats.connected_fraction == 1.0
-    assert stats.mean_size == pytest.approx(sum(g.size for g in graphs) / 7)
-
-
-def test_collection_statistics_empty():
-    stats = collection_statistics([])
-    assert stats.count == 0
-    assert stats.vertex_label_vocabulary == ()
-
-
-def test_describe_graph_text():
-    text = describe_graph(path_graph(["A", "B", "C"], name="demo"))
-    assert "graph demo" in text
-    assert "3 vertices, 2 edges" in text
-    assert "connected" in text

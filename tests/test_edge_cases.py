@@ -18,7 +18,7 @@ from repro.graph import (
     path_graph,
     star_graph,
 )
-from repro.skyline import dnc_skyline, naive_skyline
+from repro.skyline import is_skyline, k_skyband, skyline
 
 
 # ----------------------------------------------------------------------
@@ -49,16 +49,19 @@ def test_edit_path_total_replacement():
 
 
 # ----------------------------------------------------------------------
-# Divide & conquer fallback partitions
+# Skyline selection over degenerate vector sets
 # ----------------------------------------------------------------------
-def test_dnc_with_all_identical_vectors():
-    vectors = [(1.0, 1.0)] * 40  # no dimension can split: fallback path
-    assert dnc_skyline(vectors) == list(range(40))
+def test_skyline_with_all_identical_vectors():
+    vectors = [(1.0, 1.0)] * 40  # nobody dominates a copy of itself
+    assert skyline(vectors) == list(range(40))
+    assert k_skyband(vectors, 1, tolerance=0.5) == list(range(40))
 
 
-def test_dnc_with_single_splittable_dimension():
+def test_skyline_with_single_splittable_dimension():
     vectors = [(1.0, float(i % 5)) for i in range(40)]
-    assert dnc_skyline(vectors) == naive_skyline(vectors)
+    answer = skyline(vectors)
+    assert answer == list(range(0, 40, 5))  # every copy of (1, 0)
+    assert is_skyline(vectors, answer)
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,6 @@ def test_examples_directory_complete():
     names = {path.name for path in EXAMPLES_DIR.glob("*.py")}
     assert {
         "quickstart.py",
-        "paper_walkthrough.py",
         "chemical_search.py",
         "custom_measures.py",
         "database_indexing.py",
@@ -47,13 +46,6 @@ def test_quickstart_example():
     out = run_example("quickstart.py")
     assert "answer (maximally similar in the Pareto sense):" in out
     assert "path-abcd" in out
-
-
-def test_paper_walkthrough_example():
-    out = run_example("paper_walkthrough.py")
-    assert "DistEd(g1, g2) = 4 (paper: 4)" in out
-    assert "GSS(D, q) = {g1, g4, g5, g7}" in out
-    assert "maximally diverse subset: ['g1', 'g4']" in out
 
 
 def test_chemical_search_example():

@@ -1,12 +1,11 @@
-"""Tests for index-accelerated top-k search and the describe command."""
+"""Tests for index-accelerated top-k search."""
 
 import pytest
 
 from repro import Query, connect
-from repro.cli import main
 from repro.core import top_k_by_measure
-from repro.datasets import figure3_database, make_workload
-from repro.db import GraphDatabase, save_database
+from repro.datasets import make_workload
+from repro.db import GraphDatabase
 
 
 # ----------------------------------------------------------------------
@@ -51,29 +50,3 @@ def test_executor_topk_validation(paper_db, paper_query):
     db = GraphDatabase.from_graphs(paper_db)
     with pytest.raises(ValueError):
         _top_k(db, paper_query, "edit", 0)
-
-
-# ----------------------------------------------------------------------
-# CLI describe
-# ----------------------------------------------------------------------
-@pytest.fixture
-def db_file(tmp_path):
-    path = tmp_path / "db.json"
-    save_database(GraphDatabase.from_graphs(figure3_database(), name="fig3"), path)
-    return str(path)
-
-
-def test_describe_command(db_file, capsys):
-    assert main(["describe", db_file]) == 0
-    out = capsys.readouterr().out
-    assert "database 'fig3': 7 graphs" in out
-    assert "sizes: min 6" in out
-    assert "max 10" in out
-    assert "connected: 100%" in out
-
-
-def test_describe_verbose(db_file, capsys):
-    assert main(["describe", db_file, "--verbose"]) == 0
-    out = capsys.readouterr().out
-    assert "graph g1:" in out
-    assert "graph g7:" in out

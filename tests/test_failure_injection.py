@@ -13,7 +13,7 @@ from repro import Query, connect
 from repro.core import graph_similarity_skyline
 from repro.db import GraphDatabase, PairCache
 from repro.measures import FunctionMeasure
-from repro.skyline import dominates, naive_skyline
+from repro.skyline import dominates, skyline
 
 
 class _Exploding(Exception):
@@ -81,16 +81,8 @@ def test_dominates_with_nan_and_inf():
     assert not dominates((inf, 1.0), (1.0, 1.0))
     # skyline over vectors containing NaN still terminates and is stable
     vectors = [(nan, 1.0), (1.0, 1.0), (2.0, 2.0)]
-    members = naive_skyline(vectors)
+    members = skyline(vectors)
     assert 1 in members and 2 not in members
-
-
-def test_verifier_rejects_incomplete_assignment(paper_db, paper_query):
-    from repro.reconstruct import verify_assignment
-
-    partial = {"g1": paper_db[0]}  # g2..g7 missing
-    with pytest.raises(KeyError):
-        verify_assignment(partial, paper_query)
 
 
 def test_database_survives_failed_bulk_load():

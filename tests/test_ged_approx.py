@@ -1,11 +1,10 @@
-"""Tests for GED bounds and heuristics (bipartite / beam / lower bound)."""
+"""Tests for GED bounds and heuristics (bipartite / lower bound)."""
 
 import pytest
 
 from repro.graph import (
     LabeledGraph,
     UniformCostModel,
-    beam_ged,
     bipartite_ged,
     ged,
     ged_lower_bound,
@@ -83,33 +82,6 @@ def test_bipartite_empty_graphs():
     assert bipartite_ged(empty, empty).distance == 0.0
     g = path_graph(["A", "B"])
     assert bipartite_ged(empty, g).distance == 3.0  # 2 vertices + 1 edge
-
-
-def test_beam_is_upper_bound_and_tightens():
-    for seed in (3, 9, 15):
-        g1 = make_random_graph(seed, max_vertices=5)
-        g2 = make_random_graph(seed + 333, max_vertices=5)
-        exact = ged(g1, g2)
-        narrow = beam_ged(g1, g2, beam_width=1).distance
-        wide = beam_ged(g1, g2, beam_width=64).distance
-        assert narrow >= exact - 1e-9
-        assert wide >= exact - 1e-9
-        assert wide <= narrow + 1e-9  # wider beam never hurts
-
-
-def test_beam_wide_matches_exact_on_small_graphs():
-    for seed in (2, 8):
-        g1 = make_random_graph(seed, max_vertices=4)
-        g2 = make_random_graph(seed + 555, max_vertices=4)
-        assert beam_ged(g1, g2, beam_width=4096).distance == pytest.approx(
-            ged(g1, g2)
-        )
-
-
-def test_beam_rejects_bad_width():
-    g = path_graph(["A", "B"])
-    with pytest.raises(ValueError):
-        beam_ged(g, g, beam_width=0)
 
 
 def test_induced_cost_of_explicit_mapping():

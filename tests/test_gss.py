@@ -2,16 +2,29 @@
 
 import pytest
 
+import repro
+from repro import GraphDatabase, Query
+from repro.api.backends import available_backends
 from repro.core import graph_similarity_skyline
 from repro.datasets import EXPECTED_GSS
 from repro.graph import path_graph
-from repro.skyline import ALGORITHMS
 
 
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-def test_paper_skyline_every_algorithm(paper_db, paper_query, algorithm):
-    result = graph_similarity_skyline(paper_db, paper_query, algorithm=algorithm)
+def test_paper_skyline(paper_db, paper_query):
+    result = graph_similarity_skyline(paper_db, paper_query)
     assert tuple(g.name for g in result.skyline) == EXPECTED_GSS
+
+
+@pytest.mark.parametrize("shards", [None, 3], ids=["monolith", "3-shards"])
+@pytest.mark.parametrize("name", available_backends())
+def test_paper_skyline_on_every_backend(name, shards, paper_db, paper_query):
+    """Eq. 4 does not depend on how a session plans or spreads the work."""
+    database = GraphDatabase.from_graphs(paper_db)
+    with repro.connect(
+        database, backend=name, shards=shards, max_workers=2
+    ) as session:
+        result = session.execute(Query(paper_query).skyline())
+    assert tuple(result.names) == EXPECTED_GSS
 
 
 def test_result_metadata(paper_db, paper_query):

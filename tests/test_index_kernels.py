@@ -185,7 +185,7 @@ def test_prepared_bound_equals_per_pair_bounds_and_matrix_rows(graphs, query, na
 
 def test_unknown_measure_gets_zero_column():
     matrix, _ = _matrix_of([make_random_graph(3), make_random_graph(4)])
-    measures = resolve_measures(("edit", "jaccard-edges"))
+    measures = (resolve_measures(("edit",))[0], UNBOUNDED)
     batched = bound_matrix(matrix, matrix.pack_query(make_random_graph(5)), measures)
     assert batched.shape == (2, 2)
     assert np.all(batched[:, 1] == 0.0)

@@ -1,4 +1,4 @@
-"""Tests for database persistence, graph algebra and k-skyband."""
+"""Tests for database persistence and k-skyband."""
 
 import pytest
 
@@ -11,15 +11,10 @@ from repro.db import (
     load_database,
     save_database,
 )
-from repro.errors import GraphError, SerializationError
-from repro.graph import (
-    LabeledGraph,
-    graph_difference,
-    graph_intersection,
-    graph_union,
-    path_graph,
-)
-from repro.skyline import dominator_counts, k_skyband, skyline
+from repro.errors import SerializationError
+from repro.graph import LabeledGraph, path_graph
+from repro.index.kernels import dominator_counts
+from repro.skyline import k_skyband, skyline
 
 
 # ----------------------------------------------------------------------
@@ -83,88 +78,13 @@ def test_saved_database_queryable_after_reload(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Graph algebra
-# ----------------------------------------------------------------------
-@pytest.fixture
-def algebra_pair():
-    g1 = LabeledGraph.from_edges(
-        [("a", "b", "x"), ("b", "c", "x")],
-        vertex_labels={"a": "A", "b": "B", "c": "C"},
-    )
-    g2 = LabeledGraph.from_edges(
-        [("b", "c", "x"), ("c", "d", "y")],
-        vertex_labels={"b": "B", "c": "C", "d": "D"},
-    )
-    return g1, g2
-
-
-def test_union(algebra_pair):
-    g1, g2 = algebra_pair
-    union = graph_union(g1, g2)
-    assert union.order == 4
-    assert union.size == 3
-    assert union.has_edge("a", "b") and union.has_edge("c", "d")
-
-
-def test_intersection(algebra_pair):
-    g1, g2 = algebra_pair
-    intersection = graph_intersection(g1, g2)
-    assert intersection.order == 2  # b, c
-    assert intersection.size == 1  # b-c
-    assert intersection.edge_label("b", "c") == "x"
-
-
-def test_difference(algebra_pair):
-    g1, g2 = algebra_pair
-    difference = graph_difference(g1, g2)
-    assert difference.size == 1
-    assert difference.has_edge("a", "b")
-    assert not difference.has_vertex("c") or difference.degree("c") > 0
-
-
-def test_union_size_identity(algebra_pair):
-    """|union| = |g1| + |g2| - |intersection| on edge counts."""
-    g1, g2 = algebra_pair
-    union = graph_union(g1, g2)
-    intersection = graph_intersection(g1, g2)
-    assert union.size == g1.size + g2.size - intersection.size
-
-
-def test_algebra_label_conflicts_rejected():
-    g1 = LabeledGraph.from_edges([(1, 2, "x")], vertex_labels={1: "A", 2: "B"})
-    g2 = LabeledGraph.from_edges([(1, 2, "x")], vertex_labels={1: "Z", 2: "B"})
-    with pytest.raises(GraphError):
-        graph_union(g1, g2)
-    g3 = LabeledGraph.from_edges([(1, 2, "y")], vertex_labels={1: "A", 2: "B"})
-    with pytest.raises(GraphError):
-        graph_union(g1, g3)
-
-
-def test_intersection_with_disjoint_graphs():
-    g1 = path_graph(["A", "B"])
-    g2 = LabeledGraph.from_edges([("x", "y")], vertex_labels={"x": "A", "y": "B"})
-    intersection = graph_intersection(g1, g2)
-    assert intersection.order == 0
-
-
-def test_edge_label_mismatch_excluded_from_intersection():
-    """Intersection silently drops shared edges whose labels disagree
-    (union, by contrast, rejects the conflict)."""
-    g1 = LabeledGraph.from_edges([(1, 2, "x")], vertex_labels={1: "A", 2: "B"})
-    g2 = LabeledGraph.from_edges([(1, 2, "x")], vertex_labels={1: "A", 2: "B"})
-    assert graph_intersection(g1, g2).size == 1
-    g2.relabel_edge(1, 2, "y")
-    assert graph_intersection(g1, g2).size == 0
-    with pytest.raises(GraphError):
-        graph_union(g1, g2)
-
-
-# ----------------------------------------------------------------------
 # k-skyband
 # ----------------------------------------------------------------------
 def test_dominator_counts():
     vectors = [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
-    assert dominator_counts(vectors) == [0, 1, 2]
+    assert dominator_counts(vectors, vectors).tolist() == [0, 1, 2]
+    for k in (1, 2, 3):
+        assert k_skyband(vectors, k) == list(range(k))
 
 
 def test_one_skyband_is_skyline():

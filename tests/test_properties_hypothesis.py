@@ -22,15 +22,7 @@ from repro.measures import (
     graph_union_similarity,
     mcs_similarity,
 )
-from repro.skyline import (
-    bnl_skyline,
-    dnc_skyline,
-    dominates,
-    is_skyline,
-    naive_skyline,
-    sfs_skyline,
-    top_k_dominating,
-)
+from repro.skyline import dominates, is_skyline, skyline
 from tests.conftest import (
     MIXED_EDGE_LABELS,
     MIXED_VERTEX_LABELS,
@@ -127,23 +119,14 @@ def test_canonical_form_isomorphism_invariant(g1, g2):
 # ----------------------------------------------------------------------
 @VECTOR_SETTINGS
 @given(vector_lists())
-def test_all_skyline_algorithms_agree(vectors):
-    reference = naive_skyline(vectors)
-    assert bnl_skyline(vectors) == reference
-    assert sfs_skyline(vectors) == reference
-    assert dnc_skyline(vectors) == reference
-
-
-@VECTOR_SETTINGS
-@given(vector_lists())
 def test_skyline_is_sound_and_complete(vectors):
-    assert is_skyline(vectors, naive_skyline(vectors))
+    assert is_skyline(vectors, skyline(vectors))
 
 
 @VECTOR_SETTINGS
 @given(vector_lists(max_points=15))
 def test_skyline_members_undominated_nonmembers_dominated(vectors):
-    members = set(bnl_skyline(vectors))
+    members = set(skyline(vectors))
     for i, p in enumerate(vectors):
         dominated = any(
             dominates(q, p) for j, q in enumerate(vectors) if j != i
@@ -173,22 +156,10 @@ def test_skyline_invariant_under_duplication(vectors):
     """Appending a copy of a skyline point must keep both copies in."""
     if not vectors:
         return
-    base = naive_skyline(vectors)
+    base = skyline(vectors)
     if not base:
         return
     duplicated = list(vectors) + [vectors[base[0]]]
-    result = set(naive_skyline(duplicated))
+    result = set(skyline(duplicated))
     assert base[0] in result
     assert len(duplicated) - 1 in result
-
-
-@VECTOR_SETTINGS
-@given(vector_lists(max_points=20))
-def test_topk_dominating_contains_best_point(vectors):
-    if not vectors:
-        return
-    top = top_k_dominating(vectors, 1)
-    counts = [
-        sum(1 for q in vectors if dominates(p, q)) for p in vectors
-    ]
-    assert counts[top[0]] == max(counts)

@@ -21,11 +21,7 @@ def sample_graphs():
     return [make_random_graph(seed, max_vertices=5) for seed in range(5)]
 
 
-@pytest.mark.parametrize("name", sorted(
-    # resolve lazily so new registrations are picked up automatically
-    ["edit", "edit-normalized", "mcs", "union",
-     "jaccard-edges", "degree-sequence", "wl-kernel", "spectral"]
-))
+@pytest.mark.parametrize("name", ["edit", "edit-normalized", "mcs", "union"])
 def test_registered_measure_axioms(name, sample_graphs):
     measure = get_measure(name)
     for graph in sample_graphs:
@@ -45,10 +41,7 @@ def test_registered_measure_axioms(name, sample_graphs):
 
 
 def test_registry_covers_expected_measures():
-    assert set(available_measures()) >= {
-        "edit", "edit-normalized", "mcs", "union",
-        "jaccard-edges", "degree-sequence", "wl-kernel", "spectral",
-    }
+    assert set(available_measures()) >= {"edit", "edit-normalized", "mcs", "union"}
 
 
 # ----------------------------------------------------------------------

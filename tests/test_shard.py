@@ -265,10 +265,7 @@ def test_parallel_scatter_ships_shard_payloads(sharded_fig3, monkeypatch):
 
 def test_tolerant_queries_fall_back_to_exhaustive_merge(sharded_fig3):
     query = figure3_query()
-    spec = Query(query).skyline(algorithm="naive")
-    import dataclasses
-
-    tolerant = dataclasses.replace(spec.build(), tolerance=0.4)
+    tolerant = Query(query).skyline(tolerance=0.4).build()
     with connect(figure3_database(), backend="memory") as session:
         expected = session.execute(tolerant).ids
     with connect(sharded_fig3, backend="sharded") as session:

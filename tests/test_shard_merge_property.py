@@ -86,7 +86,7 @@ def _compound(values):
     tolerance=st.sampled_from([0.0, 0.0, 0.5]),
 )
 def test_skyline_merge_equals_monolithic(values, placement, shards, tolerance):
-    spec = _spec("skyline", algorithm="naive", tolerance=tolerance)
+    spec = _spec("skyline", tolerance=tolerance)
     vectors = _compound(values)
     monolithic = finish_vectors(spec, dict(vectors), QueryStats(), [])
     merged = SkylineMerge().merge(

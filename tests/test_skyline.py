@@ -1,25 +1,59 @@
-"""Tests for the generic skyline algorithms (Section II-A)."""
+"""Tests for skyline selection (Section II-A, Definitions 1–2)."""
 
+import math
+
+import numpy as np
 import pytest
 
-from repro.datasets import EXPECTED_SKYLINE, hotel_names, hotel_vectors
-from repro.errors import QueryError
+from repro.api.spec import GraphQuery
+from repro.core.gcs import CompoundSimilarity
+from repro.datasets import EXPECTED_SKYLINE, figure3_query, hotel_names, hotel_vectors
+from repro.engine.consume import select
+from repro.index.kernels import dominator_counts
 from repro.skyline import (
-    ALGORITHMS,
-    bnl_skyline,
-    dnc_skyline,
-    dominance_counts,
     dominates,
     incomparable,
     is_skyline,
-    naive_skyline,
-    sfs_skyline,
+    k_skyband,
     skyline,
-    top_k_dominating,
     validate_vectors,
 )
 
-ALL_ALGOS = sorted(ALGORITHMS)
+
+def _select_through_spec(vectors, tolerance=0.0):
+    """The engine's selection site: a skyline spec over GCS vectors."""
+    spec = GraphQuery(
+        graph=figure3_query(), kind="skyline", tolerance=tolerance
+    ).validate()
+    compound = {
+        i: CompoundSimilarity(values=tuple(v), measures=("edit",) * len(v))
+        for i, v in enumerate(vectors)
+    }
+    return select(spec, compound)
+
+
+def _undominated_by_kernel(vectors, tolerance=0.0):
+    """Rows the vectorised dominator count (the pruning kernel) leaves
+    at zero: it must draw the selector's line."""
+    if not vectors:
+        return []
+    matrix = np.asarray(vectors, dtype=np.float64)
+    counts = dominator_counts(matrix, matrix, tolerance)
+    return [i for i, count in enumerate(counts.tolist()) if count == 0]
+
+
+#: Every way the library selects a skyline; each must give the
+#: definitional answer (a vector never dominates itself, so the kernel
+#: can compare the matrix with itself).
+SELECTORS = {
+    "skyline": skyline,
+    "k_skyband-1": lambda vectors, tolerance=0.0: k_skyband(vectors, 1, tolerance),
+    "engine-select": _select_through_spec,
+    "kernel-counts": _undominated_by_kernel,
+}
+selectors = pytest.mark.parametrize(
+    "select_skyline", list(SELECTORS.values()), ids=list(SELECTORS)
+)
 
 
 # ----------------------------------------------------------------------
@@ -62,11 +96,11 @@ def test_validate_vectors():
 # ----------------------------------------------------------------------
 # Table I (Example 1)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("algorithm", ALL_ALGOS)
-def test_hotel_skyline_matches_paper(algorithm):
+@selectors
+def test_hotel_skyline_matches_paper(select_skyline):
     vectors = hotel_vectors()
     names = hotel_names()
-    indices = skyline(vectors, algorithm=algorithm)
+    indices = select_skyline(vectors)
     assert tuple(names[i] for i in indices) == EXPECTED_SKYLINE
 
 
@@ -78,58 +112,86 @@ def test_hotel_dominance_examples():
 
 
 # ----------------------------------------------------------------------
-# Algorithm correctness & agreement
+# Selector correctness & agreement
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("algorithm", ALL_ALGOS)
-def test_empty_and_singleton(algorithm):
-    assert skyline([], algorithm=algorithm) == []
-    assert skyline([(1.0, 2.0)], algorithm=algorithm) == [0]
+@selectors
+def test_empty_and_singleton(select_skyline):
+    assert select_skyline([]) == []
+    assert select_skyline([(1.0, 2.0)]) == [0]
 
 
-@pytest.mark.parametrize("algorithm", ALL_ALGOS)
-def test_duplicates_all_kept(algorithm):
+@selectors
+def test_duplicates_all_kept(select_skyline):
     vectors = [(1.0, 1.0), (1.0, 1.0), (2.0, 2.0)]
-    assert skyline(vectors, algorithm=algorithm) == [0, 1]
+    assert select_skyline(vectors) == [0, 1]
 
 
-@pytest.mark.parametrize("algorithm", ALL_ALGOS)
-def test_single_dimension(algorithm):
+@selectors
+def test_single_dimension(select_skyline):
     vectors = [(3.0,), (1.0,), (2.0,), (1.0,)]
-    assert skyline(vectors, algorithm=algorithm) == [1, 3]
+    assert select_skyline(vectors) == [1, 3]
 
 
-@pytest.mark.parametrize("algorithm", ALL_ALGOS)
-def test_total_order_chain(algorithm):
+@selectors
+def test_total_order_chain(select_skyline):
     vectors = [(float(i), float(i)) for i in range(10)]
-    assert skyline(vectors, algorithm=algorithm) == [0]
+    assert select_skyline(vectors) == [0]
 
 
-@pytest.mark.parametrize("algorithm", ALL_ALGOS)
-def test_anti_chain_everyone_survives(algorithm):
+@selectors
+def test_anti_chain_everyone_survives(select_skyline):
     vectors = [(float(i), float(10 - i)) for i in range(10)]
-    assert skyline(vectors, algorithm=algorithm) == list(range(10))
+    assert select_skyline(vectors) == list(range(10))
 
 
-def test_algorithms_agree_on_random_data():
+#: Inputs where dominance is not transitive. Row 5 dominates row 1 and
+#: row 3 dominates row 5 but not row 1, so a window algorithm that drops
+#: row 5 keeps row 1; NaN compares as a tie, so (0, 2) dominates
+#: (nan, 0) and (3, nan) dominates nothing.
+_INTRANSITIVE = [
+    (
+        [(1.36, 0.82, 0.38), (0.78, 1.57, 1.6), (1.92, 1.78, 1.36),
+         (1.04, 1.45, 0.37), (1.85, 1.43, 1.19), (0.87, 1.27, 1.24)],
+        0.25,
+        [0, 3],
+    ),
+    ([(math.nan, 0.0), (3.0, math.nan), (0.0, 2.0)], 0.0, [0]),
+]
+
+
+@selectors
+def test_skyline_matches_the_definition(select_skyline):
     import random
 
     rng = random.Random(0)
-    for trial in range(25):
+    cases = list(_INTRANSITIVE)
+    for _ in range(25):
         n = rng.randint(0, 40)
         d = rng.randint(1, 4)
         vectors = [
             tuple(float(rng.randint(0, 8)) for _ in range(d)) for _ in range(n)
         ]
-        reference = naive_skyline(vectors)
-        assert is_skyline(vectors, reference)
-        assert bnl_skyline(vectors) == reference, f"bnl trial {trial}"
-        assert sfs_skyline(vectors) == reference, f"sfs trial {trial}"
-        assert dnc_skyline(vectors) == reference, f"dnc trial {trial}"
+        cases.append((vectors, 0.0, None))
+    for vectors, tolerance, expected in cases:
+        answer = select_skyline(vectors, tolerance)
+        assert is_skyline(vectors, answer, tolerance), vectors
+        assert answer == skyline(vectors, tolerance)
+        if expected is not None:
+            assert answer == expected
 
 
-def test_unknown_algorithm_rejected():
-    with pytest.raises(QueryError):
-        skyline([(1.0,)], algorithm="quantum")
+#: Dominator counts 0, 1, 2, 4, 2: (1, 3) is dominated by (0, 0) and
+#: (1, 1); (3, 3) by every other row.
+_BANDED = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (1.0, 3.0)]
+
+
+@pytest.mark.parametrize(
+    "k, expected",
+    [(1, [0]), (2, [0, 1]), (3, [0, 1, 2, 4]), (4, [0, 1, 2, 4]),
+     (5, [0, 1, 2, 3, 4])],
+)
+def test_skyband_keeps_rows_with_fewer_than_k_dominators(k, expected):
+    assert k_skyband(_BANDED, k) == expected
 
 
 def test_is_skyline_detects_bad_answers():
@@ -137,25 +199,3 @@ def test_is_skyline_detects_bad_answers():
     assert is_skyline(vectors, [0])
     assert not is_skyline(vectors, [0, 1])  # includes dominated point
     assert not is_skyline(vectors, [])  # misses skyline point
-
-
-# ----------------------------------------------------------------------
-# Top-k dominating
-# ----------------------------------------------------------------------
-def test_dominance_counts():
-    vectors = [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
-    assert dominance_counts(vectors) == [2, 1, 0]
-
-
-def test_top_k_dominating_ranking():
-    vectors = [(3.0, 3.0), (1.0, 1.0), (2.0, 2.0)]
-    assert top_k_dominating(vectors, 2) == [1, 2]
-    assert top_k_dominating(vectors, 10) == [1, 2, 0]  # capped at n
-    with pytest.raises(ValueError):
-        top_k_dominating(vectors, -1)
-
-
-def test_top_k_dominating_tie_broken_by_order():
-    vectors = [(1.0, 2.0), (2.0, 1.0), (3.0, 3.0)]
-    # both 0 and 1 dominate exactly {2}; input order wins
-    assert top_k_dominating(vectors, 1) == [0]

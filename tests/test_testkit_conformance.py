@@ -64,7 +64,7 @@ def test_pinned_corpus_replays_divergence_free(entry):
 # Harness self-test: a sign-flipped bound must be caught and shrunk
 # ----------------------------------------------------------------------
 def test_sign_flipped_bound_is_caught_and_shrunk():
-    workload = generate_workload(seed=7, n_steps=80)
+    workload = generate_workload(seed=1, n_steps=80)
     report = run_workload(workload, fault="flip-bound")
     assert not report.ok, "the unsound bound stage went undetected"
     assert report.divergence.backend == "indexed"
@@ -96,7 +96,7 @@ def test_sign_flipped_bound_is_caught_and_shrunk():
 def test_off_by_one_solver_cutoff_is_caught_and_shrunk():
     # Caps one float low (no nextafter, no equal-coordinate rule) cut a
     # pair sitting exactly at the cutoff: a tie the answer keeps.
-    workload = generate_workload(seed=7, n_steps=120)
+    workload = generate_workload(seed=1, n_steps=120)
     assert run_workload(workload).ok
     report = run_workload(workload, fault="cutoff-off-by-one")
     assert not report.ok, "the off-by-one cutoff went undetected"
@@ -113,7 +113,7 @@ def test_raised_bracket_lower_side_is_caught_and_shrunk():
     # A lower side one above what the assignment proves cuts pairs at a
     # cap they stay below, or settles them one too high.
     pytest.importorskip("scipy")
-    workload = generate_workload(seed=7, n_steps=120)
+    workload = generate_workload(seed=1, n_steps=120)
     report = run_workload(workload, fault="bracket-lower-plus-one")
     assert not report.ok, "the raised bracket went undetected"
     assert report.divergence.backend == "indexed"
@@ -178,7 +178,7 @@ def test_installed_faults_reach_the_replay_bound(fault, names, lowered):
 
 
 def test_summary_counts_solver_cutoffs():
-    report = run_workload(generate_workload(seed=3, n_steps=60))
+    report = run_workload(generate_workload(seed=2, n_steps=60))
     assert report.ok and report.solver_cutoffs > 0
     assert f"{report.solver_cutoffs} solver cutoffs" in report.summary()
     # Budgeted specs solve against the cutoff too.
@@ -255,7 +255,7 @@ def test_fuzz_cli_clean_run(capsys):
 def test_fuzz_cli_catches_fault_and_saves_repro(tmp_path, capsys):
     failure = tmp_path / "failure.json"
     code = main([
-        "fuzz", "--seed", "7", "--steps", "60",
+        "fuzz", "--seed", "1", "--steps", "60",
         "--fault", "flip-bound", "--save-failure", str(failure),
     ])
     assert code == 1
