@@ -254,7 +254,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
     import signal
 
     from repro.server import QueryServer, ServerConfig
@@ -285,29 +284,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         compact_every=args.compact_every,
     )
     server = QueryServer(database, config)
-
-    async def _serve() -> None:
-        await server.start()
-        # Printed after the bind so scripts (and the CI smoke test) can
-        # wait for the line, then read the ephemeral port from it.
-        print(f"serving {len(server.database)} graphs on {server.url}",
-              flush=True)
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except NotImplementedError:  # pragma: no cover - non-POSIX
-                pass
-        try:
-            await stop.wait()
-        finally:
-            await server.stop()
-
+    server.start()
+    # Printed after the bind so scripts (and the CI smoke test) can
+    # wait for the line, then read the ephemeral port from it.
+    print(f"serving {len(server.database)} graphs on {server.url}",
+          flush=True)
+    # The handlers only shut the listener: the accept below returns and
+    # stop() drops every connection and joins its thread.
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(sig, lambda *_: server.shutdown())
     try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:  # pragma: no cover - signal-handler race
-        pass
+        server.serve_forever()
+    finally:
+        server.stop()
     print("server stopped", flush=True)
     return 0
 

@@ -14,8 +14,7 @@ than through every backend signature: callers wrap execution in
 created inside the scope — including the per-shard contexts of the
 scatter-gather backend — picks it up via :func:`current_deadline`. The
 contextvar is thread-local by construction, so concurrent server
-requests running on an executor thread pool each see only their own
-deadline.
+requests, each on its connection's thread, see only their own deadline.
 """
 
 from __future__ import annotations

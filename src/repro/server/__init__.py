@@ -1,4 +1,4 @@
-"""``repro.server`` — the asyncio query service over the library core.
+"""``repro.server`` — the threaded query service over the library core.
 
 The network front door that turns the library into a system: one shared
 :class:`~repro.db.database.GraphDatabase` (optionally sharded) and one
@@ -9,8 +9,8 @@ mutation ops encoded identically to the testkit's workload steps
 (:mod:`repro.api.ops`), so served mutations stay fuzzable against the
 oracle.
 
-Pieces (stdlib only — ``asyncio`` streams plus hand-rolled HTTP/1.1
-framing; no new dependencies):
+Pieces (stdlib only — one thread per connection over blocking sockets
+plus hand-rolled HTTP/1.1 framing; no new dependencies):
 
 * :mod:`~repro.server.protocol` — request/response envelopes, error
   codes, and the minimal HTTP framing;
@@ -26,7 +26,7 @@ framing; no new dependencies):
 Endpoints::
 
     GET  /v1/health           liveness + database size
-    GET  /v1/stats            admission / cache / watch counters
+    GET  /v1/stats            admission / connection / cache / watch counters
     POST /v1/query            GraphQuery JSON -> ResultSet JSON
     POST /v1/mutate           mutation op JSON -> acknowledgement
     POST /v1/watch            GraphQuery -> NDJSON event stream

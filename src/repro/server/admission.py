@@ -4,8 +4,8 @@ A server over an exponential-cost query language (exact GED) must refuse
 work it cannot finish; this module makes the refusal explicit and
 structured instead of letting latency collapse:
 
-* at most ``max_concurrency`` queries *evaluate* at once (that many
-  executor threads exist, so the bound is physical, not advisory);
+* at most ``max_concurrency`` queries *evaluate* at once (a connection
+  thread past that waits in :meth:`AdmissionController.acquire`);
 * at most ``max_queue`` more may *wait*; anything beyond is rejected
   immediately with a ``queue-full`` error the transport maps to HTTP
   429 — a full server answers in microseconds, it never hangs;
@@ -14,16 +14,16 @@ structured instead of letting latency collapse:
   (:mod:`repro.engine.deadline`), so an expired query stops burning its
   slot at the next candidate boundary rather than running to completion.
 
-The controller is a plain counter machine on the event loop (no lock
-contention with the evaluation threads); ``snapshot()`` feeds the
-``/v1/stats`` endpoint and the load-shedding tests.
+The controller is a counter machine under one ``threading.Condition``,
+held only to count, never while a query evaluates; ``snapshot()`` feeds
+the ``/v1/stats`` endpoint and the load-shedding tests.
 """
 
 from __future__ import annotations
 
-import asyncio
-from contextlib import asynccontextmanager
-from collections.abc import AsyncIterator
+import threading
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 
 class AdmissionRejected(Exception):
@@ -45,7 +45,7 @@ class AdmissionController:
     Parameters
     ----------
     max_concurrency:
-        Queries evaluating simultaneously (also the executor width).
+        Queries evaluating simultaneously.
     max_queue:
         Admitted-but-waiting requests beyond the active ones; ``0``
         means reject the moment every slot is busy.
@@ -67,60 +67,65 @@ class AdmissionController:
         self.deadline_expired = 0
         self.peak_active = 0
         self.peak_waiting = 0
-        self._cond = asyncio.Condition()
+        self._cond = threading.Condition()
 
-    async def acquire(self) -> None:
+    def acquire(self) -> None:
         """Take a slot, waiting in the bounded queue if needed.
 
         Raises :class:`AdmissionRejected` without waiting when the queue
         is already at capacity — rejection is the fast path.
         """
-        if (
-            self.active >= self.max_concurrency
-            and self.waiting >= self.max_queue
-        ):
-            self.rejected += 1
-            raise AdmissionRejected(self.active, self.waiting, self.max_queue)
-        self.waiting += 1
-        self.peak_waiting = max(self.peak_waiting, self.waiting)
-        try:
-            async with self._cond:
-                await self._cond.wait_for(
-                    lambda: self.active < self.max_concurrency
-                )
-                self.active += 1
-        finally:
-            self.waiting -= 1
-        self.admitted += 1
-        self.peak_active = max(self.peak_active, self.active)
+        with self._cond:
+            if self.active >= self.max_concurrency:
+                if self.waiting >= self.max_queue:
+                    self.rejected += 1
+                    raise AdmissionRejected(
+                        self.active, self.waiting, self.max_queue
+                    )
+                self.waiting += 1
+                self.peak_waiting = max(self.peak_waiting, self.waiting)
+                try:
+                    self._cond.wait_for(
+                        lambda: self.active < self.max_concurrency
+                    )
+                finally:
+                    self.waiting -= 1
+            self.active += 1
+            self.admitted += 1
+            self.peak_active = max(self.peak_active, self.active)
 
-    async def release(self) -> None:
+    def release(self) -> None:
         """Free a slot and wake one waiter."""
-        async with self._cond:
+        with self._cond:
             self.active -= 1
             self.completed += 1
             self._cond.notify(1)
 
-    @asynccontextmanager
-    async def slot(self) -> AsyncIterator[None]:
-        """``async with controller.slot():`` — acquire/release bracket."""
-        await self.acquire()
+    @contextmanager
+    def slot(self) -> Iterator[None]:
+        """``with controller.slot():`` — acquire/release bracket."""
+        self.acquire()
         try:
             yield
         finally:
-            await self.release()
+            self.release()
+
+    def note_deadline_expired(self) -> None:
+        with self._cond:
+            self.deadline_expired += 1
 
     def snapshot(self) -> dict[str, int]:
         """Counters for ``/v1/stats`` (and the saturation tests)."""
-        return {
-            "max_concurrency": self.max_concurrency,
-            "max_queue": self.max_queue,
-            "active": self.active,
-            "waiting": self.waiting,
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "completed": self.completed,
-            "deadline_expired": self.deadline_expired,
-            "peak_active": self.peak_active,
-            "peak_waiting": self.peak_waiting,
-        }
+        with self._cond:
+            return {
+                "max_concurrency": self.max_concurrency,
+                "max_queue": self.max_queue,
+                "active": self.active,
+                "waiting": self.waiting,
+                "admitted": self.admitted,
+                "rejected": self.rejected,
+                "completed": self.completed,
+                "deadline_expired": self.deadline_expired,
+                "peak_active": self.peak_active,
+                "peak_waiting": self.peak_waiting,
+            }

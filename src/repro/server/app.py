@@ -13,36 +13,38 @@ at an older version is replayed over the graphs changed since
 
 Concurrency model
 -----------------
-The event loop only frames requests and schedules work; evaluation is
-CPU-bound Python and runs on executor threads:
-
-* a *query executor* of exactly ``max_concurrency`` threads (the
-  admission controller's physical bound);
-* a single-thread *service executor* for mutations and watch refreshes,
-  so writes and stream repairs keep making progress while the query pool
-  is saturated.
+One thread per connection: :meth:`QueryServer.serve_forever` hands each
+accepted socket to its own thread, which reads requests with the
+blocking :func:`~repro.server.protocol.read_request`, runs them inline
+(queries through the :class:`AdmissionController`) and writes the
+response back. Evaluation is GIL-bound Python: handing it to another
+thread would buy no parallelism, only thread switches. At most
+:attr:`QueryServer.max_connections` threads run; a connection past that
+gets a structured ``429 connection-limit``. A watch stream keeps its
+thread, asleep in ``select`` on its socket and its hub wake-up, so it
+refreshes on every mutation and ends as soon as the client hangs up or
+the server stops.
 
 Shared state is guarded by a readers-writer lock: queries and watch
 refreshes read, mutations write. Backends that carry mutable run state
 (index rebuilds, pooled workers, shard routers) additionally serialize
 behind a per-backend lock; the stateless ``memory`` backend runs fully
 concurrently. Deadlines enter through
-:func:`~repro.engine.deadline.deadline_scope` *inside* the worker thread,
-so the engine's per-candidate checks see the right ambient deadline no
-matter which thread evaluates.
+:func:`~repro.engine.deadline.deadline_scope` on the connection's
+thread, so the engine's per-candidate checks see the right deadline.
 """
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
 import contextlib
 import dataclasses
+import select
+import socket
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, BinaryIO
 
 from repro.api.ops import MutationOp, apply_mutation, mutation_from_dict
 from repro.api.session import Session
@@ -57,11 +59,13 @@ from repro.errors import (
 )
 from repro.server.admission import AdmissionController, AdmissionRejected
 from repro.server.protocol import (
+    MAX_LINE_BYTES,
     ProtocolError,
     Request,
     encode_event,
     encode_response,
     encode_stream_header,
+    error_payload,
     read_request,
 )
 from repro.server.streaming import WatchHandle, WatchHub, view_event
@@ -82,7 +86,7 @@ class ServerConfig:
     backend: str = "memory"
     #: Partition the database into this many shards (``None``: as given).
     shards: int | None = None
-    #: Queries evaluating simultaneously (query-executor width).
+    #: Queries evaluating simultaneously.
     max_concurrency: int = 4
     #: Admitted-but-waiting requests beyond the active ones.
     max_queue: int = 16
@@ -157,19 +161,24 @@ class _ReadWriteLock:
                 self._cond.notify_all()
 
 
-@dataclass
 class _Counters:
-    """Lifetime request counters (mutated only on the event loop)."""
+    """Lifetime request counters, bumped from every connection thread."""
 
-    queries_served: int = 0
-    mutations_applied: int = 0
-    mutations_rejected: int = 0
-    requests_handled: int = 0
-    protocol_errors: int = 0
-    internal_errors: int = 0
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._counts = dict.fromkeys(
+            ("queries_served", "mutations_applied", "mutations_rejected",
+             "requests_handled", "protocol_errors", "internal_errors"),
+            0,
+        )
+
+    def bump(self, name: str) -> None:
+        with self._lock:
+            self._counts[name] += 1
 
     def snapshot(self) -> dict[str, int]:
-        return dict(self.__dict__)
+        with self._lock:
+            return dict(self._counts)
 
 
 @dataclass
@@ -181,7 +190,8 @@ class _HandleBook:
 
 
 class QueryServer:
-    """The asyncio HTTP front end over one shared database + cache."""
+    """The thread-per-connection HTTP front end over one shared
+    database + cache."""
 
     def __init__(
         self, database: "GraphDatabase", config: ServerConfig | None = None
@@ -226,15 +236,15 @@ class QueryServer:
         #: Per-backend serialization for backends with mutable run state;
         #: ``memory`` is stateless and stays lock-free (truly concurrent).
         self._backend_locks: dict[str, threading.Lock] = {}
-        self._query_executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=config.max_concurrency,
-            thread_name_prefix="repro-query",
+        #: Connection threads at once; a connection past it gets a 429.
+        self.max_connections = (
+            config.max_concurrency + config.max_queue + config.max_watches
         )
-        self._service_executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-service"
-        )
-        self._server: asyncio.base_events.Server | None = None
-        self._conn_tasks: set[asyncio.Task[None]] = set()
+        self._conns: dict[socket.socket, threading.Thread] = {}
+        self._conn_lock = threading.Lock()
+        self._conn_peak = self._conn_refused = 0
+        self._stopped = False
+        self._listener: socket.socket | None = None
         self.port: int | None = None
 
     def _open_durable(
@@ -265,7 +275,7 @@ class QueryServer:
             return state.database
         return database
 
-    # -- shared-state helpers (called from executor threads) -------------
+    # -- shared-state helpers (called from connection threads) -----------
     def _session(self, backend_name: str) -> Session:
         """The lazily created shared session for ``backend_name``."""
         with self._sessions_guard:
@@ -291,13 +301,14 @@ class QueryServer:
     def _run_query(
         self, spec: GraphQuery, backend_name: str, deadline_s: float | None
     ) -> dict[str, Any]:
-        """Evaluate one query on an executor thread; returns the payload."""
+        """Evaluate one query on the caller's thread; returns the payload."""
         deadline = Deadline.after(deadline_s) if deadline_s else None
         with deadline_scope(deadline), self._reading(backend_name) as session:
             return session.execute(spec).to_dict()
 
     def _apply_mutation(self, op: MutationOp) -> dict[str, Any]:
-        """Apply one mutation under the write lock (service executor)."""
+        """Apply one mutation under the write lock, which also orders
+        the WAL appends: LSNs increase in apply order."""
         with self._db_lock.write():
             return apply_mutation(
                 self.database,
@@ -305,12 +316,6 @@ class QueryServer:
                 self._handles.handle_to_id,
                 self._handles.id_to_handle,
             )
-
-    def _create_view(self, spec: GraphQuery) -> Any:
-        """Build the LiveView for a watch on the default backend's
-        session (service executor): its first read is a backend run."""
-        with self._reading(self.config.backend) as session:
-            return session.watch(spec)
 
     def _watch_refresh(
         self, handle: WatchHandle, event: str
@@ -323,7 +328,7 @@ class QueryServer:
                 return None
             return view_event(handle, event, self.database.version, ids)
 
-    # -- request plumbing (event loop) ------------------------------------
+    # -- request plumbing -------------------------------------------------
     def _check_auth(self, request: Request) -> None:
         token = self.config.token
         if token is None or request.path == "/v1/health":
@@ -393,7 +398,7 @@ class QueryServer:
         return dataclasses.replace(spec, budget_ms=budget_ms).validate()
 
     # -- handlers ---------------------------------------------------------
-    async def _handle_health(self, request: Request) -> dict[str, Any]:
+    def _handle_health(self, request: Request) -> dict[str, Any]:
         payload = {
             "ok": True,
             "graphs": len(self.database),
@@ -408,12 +413,19 @@ class QueryServer:
             }
         return payload
 
-    async def _handle_stats(self, request: Request) -> dict[str, Any]:
+    def _handle_stats(self, request: Request) -> dict[str, Any]:
         with self._sessions_guard:
             sessions = dict(self._sessions)
+        with self._conn_lock:
+            connections = {
+                "open": len(self._conns),
+                "peak": self._conn_peak,
+                "refused": self._conn_refused,
+            }
         payload = {
             "admission": self.admission.snapshot(),
             "watches": self.hub.snapshot(),
+            "connections": connections,
             "counters": self.counters.snapshot(),
             "cache": {"hits": self.cache.hits, "misses": self.cache.misses},
             "answers": {
@@ -437,21 +449,14 @@ class QueryServer:
             }
         return payload
 
-    async def _handle_query(self, request: Request) -> dict[str, Any]:
+    def _handle_query(self, request: Request) -> dict[str, Any]:
         spec = self._parse_spec(request.json())
         backend_name = request.query.get("backend") or self.config.backend
         deadline_s = self._deadline_seconds(request)
         spec = self._apply_anytime(request, spec, deadline_s)
-        loop = asyncio.get_running_loop()
         try:
-            async with self.admission.slot():
-                payload = await loop.run_in_executor(
-                    self._query_executor,
-                    self._run_query,
-                    spec,
-                    backend_name,
-                    deadline_s,
-                )
+            with self.admission.slot():
+                payload = self._run_query(spec, backend_name, deadline_s)
         except AdmissionRejected as exc:
             raise ProtocolError(
                 "queue-full",
@@ -461,7 +466,7 @@ class QueryServer:
                 max_queue=exc.max_queue,
             ) from exc
         except DeadlineExceeded as exc:
-            self.admission.deadline_expired += 1
+            self.admission.note_deadline_expired()
             raise ProtocolError(
                 "deadline-exceeded",
                 str(exc),
@@ -469,10 +474,10 @@ class QueryServer:
             ) from exc
         except QueryError as exc:
             raise ProtocolError("query-error", str(exc)) from exc
-        self.counters.queries_served += 1
+        self.counters.bump("queries_served")
         return payload
 
-    async def _handle_mutate(self, request: Request) -> dict[str, Any]:
+    def _handle_mutate(self, request: Request) -> dict[str, Any]:
         payload = request.json()
         if not isinstance(payload, dict):
             raise ProtocolError(
@@ -482,36 +487,27 @@ class QueryServer:
             op = mutation_from_dict(payload)
         except SerializationError as exc:
             raise ProtocolError("bad-request", str(exc)) from exc
-        loop = asyncio.get_running_loop()
         try:
-            ack = await loop.run_in_executor(
-                self._service_executor, self._apply_mutation, op
-            )
+            ack = self._apply_mutation(op)
         except StaleHandleError as exc:
-            self.counters.mutations_rejected += 1
+            self.counters.bump("mutations_rejected")
             raise ProtocolError(
                 "stale-handle", str(exc), op=exc.op, handle=str(exc.handle)
             ) from exc
         except QueryError as exc:
-            self.counters.mutations_rejected += 1
+            self.counters.bump("mutations_rejected")
             raise ProtocolError("conflict", str(exc)) from exc
-        self.counters.mutations_applied += 1
+        self.counters.bump("mutations_applied")
         self.hub.notify()
         return ack
 
-    async def _handle_watch(
-        self,
-        request: Request,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    def _handle_watch(self, request: Request, conn: socket.socket) -> None:
         """Stream NDJSON view events until either side hangs up."""
+        self._check_auth(request)
         spec = self._parse_spec(request.json())
-        loop = asyncio.get_running_loop()
-        try:
-            view = await loop.run_in_executor(
-                self._service_executor, self._create_view, spec
-            )
+        try:  # the view's first read is a backend run
+            with self._reading(self.config.backend) as session:
+                view = session.watch(spec)
         except QueryError as exc:
             raise ProtocolError("query-error", str(exc)) from exc
         handle = self.hub.register(view)
@@ -522,48 +518,23 @@ class QueryServer:
                 f"(limit {self.hub.max_watches}); retry later",
                 max_watches=self.hub.max_watches,
             )
-        # Any client bytes after the request — or EOF — end the stream.
-        eof_task = asyncio.ensure_future(reader.read(1))
-        wakeup_task: asyncio.Task[Any] | None = None
         try:
-            writer.write(encode_stream_header())
-            first = await loop.run_in_executor(
-                self._service_executor, self._watch_refresh, handle, "snapshot"
-            )
-            writer.write(encode_event(first))
-            await writer.drain()
+            first = self._watch_refresh(handle, "snapshot")
+            conn.sendall(encode_stream_header() + encode_event(first))
             while True:
+                # Client bytes, a hang-up or stop() make conn readable.
+                ready, _, _ = select.select([conn, handle.wakeup], [], [])
+                if conn in ready:
+                    return
                 handle.wakeup.clear()
-                wakeup_task = asyncio.ensure_future(handle.wakeup.wait())
-                done, _ = await asyncio.wait(
-                    {wakeup_task, eof_task},
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                if eof_task in done:
-                    break
-                event = await loop.run_in_executor(
-                    self._service_executor,
-                    self._watch_refresh,
-                    handle,
-                    "update",
-                )
+                event = self._watch_refresh(handle, "update")
                 if event is not None:
-                    writer.write(encode_event(event))
-                    await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-stream; clean up below
+                    conn.sendall(encode_event(event))
         finally:
             self.hub.unregister(handle)
-            for task in (eof_task, wakeup_task):
-                if task is not None and not task.done():
-                    task.cancel()
-                    with contextlib.suppress(
-                        asyncio.CancelledError, Exception
-                    ):
-                        await task
 
     # -- connection lifecycle ---------------------------------------------
-    async def _dispatch(self, request: Request) -> tuple[int, Any]:
+    def _dispatch(self, request: Request) -> tuple[int, Any]:
         self._check_auth(request)
         routes = {
             ("GET", "/v1/health"): self._handle_health,
@@ -580,109 +551,125 @@ class QueryServer:
                     f"{request.method} not supported on {request.path}",
                 )
             raise ProtocolError("not-found", f"unknown path {request.path}")
-        return 200, await handler(request)
+        return 200, handler(request)
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
+    def _serve_connection(self, conn: socket.socket) -> None:
+        """One connection's thread: request, response, until close."""
         try:
-            await self._serve_connection(reader, writer)
-        except asyncio.CancelledError:
-            pass  # server shutdown cancelled the connection; just clean up
+            with conn, conn.makefile("rb") as stream:
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                while self._serve_request(conn, stream):
+                    pass
+        except OSError:
+            pass  # the client went away, or stop() shut the socket
         finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            writer.close()
-            with contextlib.suppress(ConnectionError):
-                await writer.wait_closed()
+            with self._conn_lock:
+                del self._conns[conn]
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        while True:
+    def _serve_request(self, conn: socket.socket, stream: BinaryIO) -> bool:
+        """Answer one request; ``False`` once the connection is done."""
+        try:
+            request = read_request(stream)
+        except ProtocolError as exc:
+            self.counters.bump("protocol_errors")
+            conn.sendall(encode_response(exc.status, exc.payload(), False))
+            return False
+        if request is None:
+            return False
+        self.counters.bump("requests_handled")
+        if request.path == "/v1/watch" and request.method == "POST":
             try:
-                request = await read_request(reader)
+                self._handle_watch(request, conn)
             except ProtocolError as exc:
-                self.counters.protocol_errors += 1
-                writer.write(
+                self.counters.bump("protocol_errors")
+                conn.sendall(
                     encode_response(exc.status, exc.payload(), False)
                 )
-                await writer.drain()
-                break
-            except (ConnectionError, asyncio.IncompleteReadError):
-                break
-            if request is None:
-                break
-            self.counters.requests_handled += 1
-            if request.path == "/v1/watch" and request.method == "POST":
-                try:
-                    self._check_auth(request)
-                    await self._handle_watch(request, reader, writer)
-                except ProtocolError as exc:
-                    self.counters.protocol_errors += 1
-                    writer.write(
-                        encode_response(exc.status, exc.payload(), False)
-                    )
-                    with contextlib.suppress(ConnectionError):
-                        await writer.drain()
-                break  # watch streams are framed by connection close
-            try:
-                status, payload = await self._dispatch(request)
-            except ProtocolError as exc:
-                self.counters.protocol_errors += 1
-                status, payload = exc.status, exc.payload()
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:  # pragma: no cover - safety net
-                self.counters.internal_errors += 1
-                from repro.server.protocol import error_payload
-
-                status = 500
-                payload = error_payload(
-                    "internal", f"{type(exc).__name__}: {exc}"
-                )
-            writer.write(
-                encode_response(status, payload, request.keep_alive)
+            return False  # watch streams are framed by connection close
+        try:
+            status, payload = self._dispatch(request)
+        except ProtocolError as exc:
+            self.counters.bump("protocol_errors")
+            status, payload = exc.status, exc.payload()
+        except Exception as exc:  # pragma: no cover - safety net
+            self.counters.bump("internal_errors")
+            status, payload = 500, error_payload(
+                "internal", f"{type(exc).__name__}: {exc}"
             )
-            try:
-                await writer.drain()
-            except ConnectionError:
-                break
-            if not request.keep_alive:
-                break
+        conn.sendall(encode_response(status, payload, request.keep_alive))
+        return request.keep_alive
 
-    async def start(self) -> None:
-        """Bind and start accepting connections (non-blocking)."""
-        self._server = await asyncio.start_server(
-            self._handle_client, self.config.host, self.config.port
+    def _admit(self, conn: socket.socket) -> None:
+        """Give ``conn`` a thread, or a 429 past :attr:`max_connections`."""
+        with self._conn_lock:
+            if self._stopped:
+                conn.close()
+                return
+            if len(self._conns) < self.max_connections:
+                thread = threading.Thread(
+                    target=self._serve_connection,
+                    args=(conn,),
+                    name="repro-conn",
+                    daemon=True,
+                )
+                self._conns[conn] = thread
+                self._conn_peak = max(self._conn_peak, len(self._conns))
+                thread.start()  # before stop() can snapshot and join it
+                return
+            self._conn_refused += 1
+        refusal = ProtocolError(
+            "connection-limit",
+            f"too many open connections (limit {self.max_connections}); "
+            f"retry later",
+            max_connections=self.max_connections,
         )
-        self.port = self._server.sockets[0].getsockname()[1]
+        with conn, contextlib.suppress(OSError):
+            conn.sendall(encode_response(429, refusal.payload(), False))
+            conn.shutdown(socket.SHUT_WR)
+            # Drain a sent request: the close is then a FIN, not a reset.
+            conn.setblocking(False)
+            conn.recv(MAX_LINE_BYTES)
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+    def start(self) -> None:
+        """Bind the listening socket (``port`` 0 picks an ephemeral one)."""
+        family = socket.getaddrinfo(self.config.host, None)[0][0]
+        self._listener = socket.create_server(
+            (self.config.host, self.config.port), family=family
+        )
+        self.port = self._listener.getsockname()[1]
 
-    async def stop(self) -> None:
-        """Stop accepting, drop open connections, release backends."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        self._query_executor.shutdown(wait=True, cancel_futures=True)
-        self._service_executor.shutdown(wait=True, cancel_futures=True)
+    def serve_forever(self) -> None:
+        """Accept on the calling thread, after :meth:`start`, until
+        :meth:`shutdown`."""
+        with self._listener:
+            while not self._stopped:
+                try:
+                    conn, _ = self._listener.accept()
+                except OSError:
+                    continue  # stop() shut the listener: the loop ends
+                self._admit(conn)
+
+    def shutdown(self) -> None:
+        """Stop accepting (idempotent, safe in a signal handler):
+        :meth:`serve_forever` returns."""
+        self._stopped = True
+        if self._listener is not None:
+            with contextlib.suppress(OSError):
+                self._listener.shutdown(socket.SHUT_RDWR)
+
+    def stop(self) -> None:
+        """Stop accepting, drop open connections, join their threads,
+        release backends; safe to call twice."""
+        with self._conn_lock:
+            self.shutdown()
+            conns = dict(self._conns)
+        for conn in conns:
+            with contextlib.suppress(OSError):
+                conn.shutdown(socket.SHUT_RDWR)
+        for thread in conns.values():
+            thread.join()
         if self.wal is not None:
-            # After the service executor drained: no in-flight mutation
-            # can append once we fsync-and-close.
+            # Connection threads are joined: no mutation can append now.
             self.database.detach_wal()
             self.wal.close()
         with self._sessions_guard:
@@ -701,47 +688,25 @@ class QueryServer:
 def serve_in_thread(
     database: "GraphDatabase", config: ServerConfig | None = None
 ) -> Iterator[QueryServer]:
-    """Run a :class:`QueryServer` on a background event-loop thread.
+    """Run a :class:`QueryServer`'s accept loop on a background thread.
 
     The tests, benches, and examples all use this bracket: the server is
     bound (ephemeral port unless configured) before the body runs, and
-    fully stopped — connections dropped, executors drained, sessions
-    closed — before the bracket exits.
+    fully stopped — connections dropped, their threads joined, sessions
+    and the WAL closed — before the bracket exits.
     """
     server = QueryServer(database, config)
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-    startup_error: list[BaseException] = []
-
-    def _run() -> None:
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(server.start())
-        except BaseException as exc:  # bind failures surface to the caller
-            startup_error.append(exc)
-            started.set()
-            return
-        started.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
-
+    try:
+        server.start()
+    except OSError as exc:
+        server.stop()
+        raise RuntimeError("server failed to bind") from exc
     thread = threading.Thread(
-        target=_run, name="repro-server", daemon=True
+        target=server.serve_forever, name="repro-server", daemon=True
     )
     thread.start()
-    if not started.wait(timeout=30):
-        raise RuntimeError("server failed to start within 30s")
-    if startup_error:
-        thread.join(timeout=5)
-        raise RuntimeError("server failed to bind") from startup_error[0]
     try:
         yield server
     finally:
-        future = asyncio.run_coroutine_threadsafe(server.stop(), loop)
-        with contextlib.suppress(Exception):
-            future.result(timeout=30)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=30)
+        server.stop()
+        thread.join()

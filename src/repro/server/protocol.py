@@ -14,8 +14,8 @@ with a stable machine-readable ``code`` per failure class (mapped to an
 HTTP status by :data:`ERROR_STATUS`), so clients never parse prose.
 
 HTTP framing is deliberately minimal — request line, headers,
-``Content-Length`` bodies, keep-alive — implemented over
-``asyncio.StreamReader``/``StreamWriter``. Watch streams answer with no
+``Content-Length`` bodies, keep-alive — read off a connection's blocking
+``socket.makefile("rb")`` stream. Watch streams answer with no
 ``Content-Length`` and ``Connection: close``: events are newline-
 delimited JSON and the stream ends when either side hangs up.
 """
@@ -24,9 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any
-
-import asyncio
+from typing import Any, BinaryIO
 
 #: Machine-readable error codes -> HTTP status.
 ERROR_STATUS: dict[str, int] = {
@@ -41,6 +39,7 @@ ERROR_STATUS: dict[str, int] = {
     "query-error": 400,
     "deadline-exceeded": 504,
     "watch-limit": 429,
+    "connection-limit": 429,
     "internal": 500,
 }
 
@@ -122,16 +121,14 @@ def _parse_target(target: str) -> tuple[str, dict[str, str]]:
     return path, query
 
 
-async def read_request(reader: asyncio.StreamReader) -> Request | None:
-    """Parse one request off the stream; ``None`` on a closed connection.
+def read_request(stream: BinaryIO) -> Request | None:
+    """Parse one request off a blocking binary stream; ``None`` on a
+    connection closed before or inside it.
 
     Raises :class:`ProtocolError` on malformed framing or oversized
     payloads — the caller answers with the structured error and closes.
     """
-    try:
-        request_line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
-        return None
+    request_line = stream.readline(MAX_LINE_BYTES + 1)
     if not request_line:
         return None
     if len(request_line) > MAX_LINE_BYTES:
@@ -145,11 +142,13 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
 
     headers: dict[str, str] = {}
     while True:
-        line = await reader.readline()
+        line = stream.readline(MAX_LINE_BYTES + 1)
         if line in (b"\r\n", b"\n", b""):
             break
-        if len(headers) >= MAX_HEADER_COUNT:
-            raise ProtocolError("bad-request", "too many headers")
+        if len(headers) >= MAX_HEADER_COUNT or len(line) > MAX_LINE_BYTES:
+            raise ProtocolError(
+                "bad-request", "too many headers or a header line too long"
+            )
         try:
             name, _, value = line.decode("latin-1").partition(":")
         except UnicodeDecodeError as exc:
@@ -171,7 +170,9 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
             f"request body of {length} bytes exceeds the "
             f"{MAX_BODY_BYTES}-byte limit",
         )
-    body = await reader.readexactly(length) if length else b""
+    body = stream.read(length) if length else b""
+    if len(body) < length:
+        return None
 
     connection = headers.get("connection", "").lower()
     keep_alive = version.upper() != "HTTP/1.0"

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import http.client
 import json
+import sys
+import threading
 
 import pytest
 
@@ -208,3 +210,72 @@ def test_seeded_corpus_initializes_snapshot(tmp_path):
     state = recover(tmp_path / "data")
     assert len(state.database) == 2
     assert sorted(state.handle_to_id) == ["a", "b"]
+
+
+def test_concurrent_writers_ack_increasing_lsns_and_recover(tmp_path):
+    """Three connections mutate at once. The write lock alone orders
+    the WAL appends, so the acked LSNs increase in apply order and the
+    log recovers exactly the live store."""
+    writers, per_writer = 3, 8
+    acks: list[dict] = []
+    errors: list[BaseException] = []
+    barrier = threading.Barrier(writers)
+
+    def writer(port: int, index: int) -> None:
+        client = _Client(port)
+        try:
+            barrier.wait(timeout=30)
+            for step in range(per_writer):
+                handle = f"w{index}-{step}"
+                status, ack = client.request(
+                    "POST",
+                    "/v1/mutate",
+                    AddOp(handle, make_graph(handle, 2 + step % 3)).to_dict(),
+                )
+                assert status == 200, ack
+                acks.append(ack)
+        except BaseException as exc:  # surfaced after join
+            errors.append(exc)
+        finally:
+            client.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the writers' bytecode
+    try:
+        with serve_in_thread(
+            GraphDatabase(name="d"), durable_config(tmp_path, sync="always")
+        ) as server:
+            threads = [
+                threading.Thread(target=writer, args=(server.port, index))
+                for index in range(writers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            probe = _Client(server.port)
+            _, stats = probe.request("GET", "/v1/stats")
+            probe.close()
+            live = server.database
+            live_store = {
+                graph_id: live.entry(graph_id).iso_hash
+                for graph_id in live.ids()
+            }
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert len(acks) == writers * per_writer
+    assert stats["counters"]["mutations_applied"] == writers * per_writer
+    in_apply_order = sorted(acks, key=lambda ack: ack["graph_id"])
+    assert [ack["lsn"] for ack in in_apply_order] == list(
+        range(1, writers * per_writer + 1)
+    )
+
+    state = recover(tmp_path / "data")
+    assert state.last_lsn == writers * per_writer
+    assert {
+        graph_id: state.database.entry(graph_id).iso_hash
+        for graph_id in state.database.ids()
+    } == live_store
+    assert state.handle_to_id == {ack["handle"]: ack["graph_id"] for ack in acks}

@@ -3,8 +3,9 @@ codec, HTTP framing, deadlines, admission control, and the watch hub."""
 
 from __future__ import annotations
 
-import asyncio
 import json
+import socket
+import threading
 import time
 
 import pytest
@@ -28,6 +29,7 @@ from repro.server import AdmissionController, AdmissionRejected, WatchHub
 from repro.server.protocol import (
     ERROR_STATUS,
     MAX_BODY_BYTES,
+    MAX_LINE_BYTES,
     ProtocolError,
     encode_event,
     encode_response,
@@ -202,13 +204,11 @@ def test_engine_run_honors_expired_deadline():
 # HTTP framing
 # ----------------------------------------------------------------------
 def _parse(raw: bytes):
-    async def run():
-        reader = asyncio.StreamReader()
-        reader.feed_data(raw)
-        reader.feed_eof()
-        return await read_request(reader)
-
-    return asyncio.run(run())
+    left, right = socket.socketpair()
+    with left, right, right.makefile("rb") as stream:
+        left.sendall(raw)
+        left.shutdown(socket.SHUT_WR)
+        return read_request(stream)
 
 
 def test_read_request_parses_body_and_query_string():
@@ -246,6 +246,17 @@ def test_read_request_rejects_malformed_and_oversized():
         _parse(b"POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n")
 
 
+def test_read_request_bounds_line_length():
+    """An over-long request or header line is a 400, read no further
+    than the limit, not a silently dropped connection."""
+    long = b"x" * (MAX_LINE_BYTES + 1)
+    with pytest.raises(ProtocolError, match="request line too long"):
+        _parse(b"GET /" + long + b" HTTP/1.1\r\n\r\n")
+    with pytest.raises(ProtocolError, match="header line too long") as exc:
+        _parse(b"GET / HTTP/1.1\r\nCookie: " + long + b"\r\n\r\n")
+    assert exc.value.status == 400
+
+
 def test_encode_response_and_event_shapes():
     raw = encode_response(429, error_payload("queue-full", "busy"), False)
     head, _, body = raw.partition(b"\r\n\r\n")
@@ -274,37 +285,45 @@ def test_error_codes_map_to_sensible_statuses():
 # Admission control
 # ----------------------------------------------------------------------
 def test_admission_rejects_beyond_queue():
-    async def run():
-        controller = AdmissionController(max_concurrency=1, max_queue=1)
-        await controller.acquire()  # slot taken
-        waiter = asyncio.ensure_future(controller.acquire())  # queued
-        await asyncio.sleep(0)  # let the waiter enter the queue
-        assert controller.active == 1 and controller.waiting == 1
-        with pytest.raises(AdmissionRejected) as exc:
-            await controller.acquire()
-        assert exc.value.max_queue == 1
-        assert controller.rejected == 1
-        await controller.release()  # frees the waiter
-        await asyncio.wait_for(waiter, timeout=5)
-        assert controller.active == 1 and controller.waiting == 0
-        await controller.release()
-        snap = controller.snapshot()
-        assert snap["admitted"] == 2 and snap["completed"] == 2
-        assert snap["peak_active"] == 1 and snap["peak_waiting"] == 1
-
-    asyncio.run(run())
+    controller = AdmissionController(max_concurrency=1, max_queue=1)
+    controller.acquire()  # slot taken
+    waiter = threading.Thread(target=controller.acquire)  # queued
+    waiter.start()
+    deadline = time.monotonic() + 5
+    while controller.waiting < 1 and time.monotonic() < deadline:
+        time.sleep(0.001)  # let the waiter enter the queue
+    assert controller.active == 1 and controller.waiting == 1
+    with pytest.raises(AdmissionRejected) as exc:
+        controller.acquire()
+    assert exc.value.max_queue == 1
+    assert controller.rejected == 1
+    controller.release()  # frees the waiter
+    waiter.join(timeout=5)
+    assert not waiter.is_alive()  # admitted once the slot was released
+    assert controller.active == 1 and controller.waiting == 0
+    controller.release()
+    snap = controller.snapshot()
+    assert snap["admitted"] == 2 and snap["completed"] == 2
+    assert snap["peak_active"] == 1 and snap["peak_waiting"] == 1
 
 
 def test_admission_slot_releases_on_error():
-    async def run():
-        controller = AdmissionController(max_concurrency=1, max_queue=0)
-        with pytest.raises(RuntimeError):
-            async with controller.slot():
-                assert controller.active == 1
-                raise RuntimeError("boom")
-        assert controller.active == 0 and controller.completed == 1
+    controller = AdmissionController(max_concurrency=1, max_queue=0)
+    with pytest.raises(RuntimeError):
+        with controller.slot():
+            assert controller.active == 1
+            raise RuntimeError("boom")
+    assert controller.active == 0 and controller.completed == 1
 
-    asyncio.run(run())
+
+def test_admission_counts_only_queries_that_waited():
+    controller = AdmissionController(max_concurrency=2, max_queue=4)
+    for _ in range(3):
+        with controller.slot():
+            pass
+    snap = controller.snapshot()
+    assert snap["admitted"] == 3 and snap["peak_active"] == 1
+    assert snap["peak_waiting"] == 0  # a free slot is taken, not queued for
 
 
 def test_admission_validates_configuration():
@@ -318,21 +337,19 @@ def test_admission_validates_configuration():
 # Watch hub
 # ----------------------------------------------------------------------
 def test_watch_hub_capacity_and_notify():
-    async def run():
-        hub = WatchHub(max_watches=2)
-        first = hub.register(view=object())
-        second = hub.register(view=object())
-        assert first is not None and second is not None
-        assert hub.register(view=object()) is None  # at capacity
-        assert hub.refused == 1 and hub.active == 2
+    hub = WatchHub(max_watches=2)
+    first = hub.register(view=object())
+    second = hub.register(view=object())
+    assert first is not None and second is not None
+    assert hub.register(view=object()) is None  # at capacity
+    assert hub.refused == 1 and hub.active == 2
 
-        hub.notify()
-        assert first.wakeup.is_set() and second.wakeup.is_set()
+    hub.notify()
+    assert first.wakeup.is_set() and second.wakeup.is_set()
 
-        hub.unregister(first)
-        hub.unregister(first)  # idempotent
-        assert hub.active == 1 and hub.closed == 1
-        snap = hub.snapshot()
-        assert snap["opened"] == 2 and snap["refused"] == 1
-
-    asyncio.run(run())
+    hub.unregister(first)
+    hub.unregister(first)  # idempotent
+    assert hub.active == 1 and hub.closed == 1
+    snap = hub.snapshot()
+    assert snap["opened"] == 2 and snap["refused"] == 1
+    hub.unregister(second)
