@@ -33,16 +33,16 @@ candidate loop. The pieces compose freely:
   under database mutation (``Session.watch``): one answer entry read
   through ``Session.execute``'s path, so a refresh is a hit, a replay
   over the change log or a full pruned run;
-* deadlines — :func:`deadline_scope` makes a :class:`Deadline` ambient
-  for every run inside it; the engine checks it cooperatively once per
-  candidate and raises :class:`~repro.errors.DeadlineExceeded`
-  (:mod:`repro.engine.deadline`, the hook ``repro.server`` cancels
-  expired queries through);
-* anytime — specs carrying ``budget_ms``/``budget_nodes`` route to
-  :func:`run_plan_anytime` (:mod:`repro.engine.anytime`): every solver
-  call runs under a :class:`~repro.graph.budget.Budget`, candidates are
-  progressively refined, and the answer is selected over certified
-  ``[lower, upper]`` intervals instead of blocking on exact searches.
+* budgets — every run evaluates under one
+  :class:`~repro.graph.budget.Budget`: the spec's ``budget_ms`` /
+  ``budget_nodes`` and the ambient deadline :func:`deadline_scope`
+  sets (:mod:`repro.engine.deadline`, the hook ``repro.server`` cancels
+  expired queries through). The searches stop inside a pair once it is
+  spent. An ordinary run then raises
+  :class:`~repro.errors.DeadlineExceeded`; an anytime run (a spec with
+  a budget knob) keeps the open pairs, refines them after the walk and
+  selects over certified ``[lower, upper]`` intervals
+  (:mod:`repro.engine.anytime`).
 
 :func:`run_plan` drives a plan; soundness of every cascade stage (a
 pruned candidate never appears in the exhaustive answer) is
@@ -78,10 +78,9 @@ from repro.engine.workers import (
     shared_pool,
     shutdown_pool,
 )
-from repro.engine.anytime import run_plan_anytime
 from repro.engine.core import RunContext, make_context, run_plan
 from repro.engine.planner import PlanDecision, QueryPlanner
-from repro.engine.deadline import Deadline, current_deadline, deadline_scope
+from repro.engine.deadline import current_deadline, deadline_scope
 from repro.engine.scatter import (
     FrontierMerge,
     MergeConsumer,
@@ -121,10 +120,8 @@ __all__ = [
     "RunContext",
     "make_context",
     "run_plan",
-    "run_plan_anytime",
     "PlanDecision",
     "QueryPlanner",
-    "Deadline",
     "current_deadline",
     "deadline_scope",
     "FrontierMerge",

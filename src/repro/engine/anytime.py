@@ -1,35 +1,30 @@
-"""Budget-aware anytime execution with certified distance intervals.
+"""Anytime runs: budgeted evaluation with certified distance intervals.
 
-:func:`run_plan_anytime` is the engine path behind every spec that
-carries a :attr:`~repro.api.spec.GraphQuery.budget_ms` /
-``budget_nodes`` knob. Where :func:`~repro.engine.core.run_plan` solves
-every cascade survivor *exactly* (and can therefore block arbitrarily
-long inside one exponential search), this path runs every evaluation
-under a :class:`~repro.graph.budget.Budget` and reasons over the
-certified ``[lower, upper]`` :class:`~repro.graph.budget.Interval`
-vectors the measures return:
+A spec with a :attr:`~repro.api.spec.GraphQuery.budget_ms` /
+``budget_nodes`` knob walks the same candidate loop as every run
+(:func:`~repro.engine.core.run_plan`) under its run budget, but where an
+ordinary run's deadline cancels it, an :class:`AnytimeRun` keeps the
+pairs the budget leaves open and reasons over the certified ``[lower,
+upper]`` :class:`~repro.graph.budget.Interval` vectors the measures
+return:
 
-1. **First pass** — candidates walk the same pruning cascade, then each
-   survivor gets one budgeted evaluation under a fair share of the
-   remaining wall clock (cache hits and bound prunes behave exactly as
-   in the exact path; settled vectors feed the stages, so cache
-   write-back and cross-candidate feedback are preserved).
-2. **Progressive refinement** — only candidates whose intervals
-   *straddle* the answer frontier (they could still change the answer)
-   are re-evaluated, widest interval first, with the per-pass expansion
-   budget doubled each round. Candidates whose intervals already decide
-   their fate are never touched again, however wide their intervals.
-   Both steps solve against the leading bound stage's live cap by the
-   serial evaluator's rule and floors (:func:`~repro.engine.evaluate.
-   solve_pair` under a budget). A pair *proved* at or above the cap is a
-   ``solver-cutoff`` prune, as in the exact path; one the budget cannot
-   decide keeps its certified interval.
-3. **Consume over intervals** — the top-k / threshold / skyline /
-   skyband consumers select over intervals. When no straddlers remain
-   the answer is *certified* equal to the exhaustive oracle's (proof
-   sketches inline below). When the wall clock expires first, the
-   answer is the best-effort selection over certified upper bounds and
-   the result is flagged ``approximate``.
+1. **First pass** (:meth:`AnytimeRun.first_pass`, called by the walk) —
+   each survivor gets one evaluation under a fair share of the remaining
+   wall clock and ``budget_nodes`` expansions. A settled vector goes back
+   to the walk as the pair's exact vector, a pair proved at or above the
+   leading bound stage's cap is a ``solver-cutoff`` prune, and any other
+   pair stays open. Once the wall clock has run out, survivors stay open
+   unsolved (starved), with their index lower bounds.
+2. **Progressive refinement** (:meth:`AnytimeRun.finish`) — only open
+   pairs whose intervals *straddle* the answer frontier (they could
+   still change the answer) are re-evaluated, widest interval first,
+   with the expansion budget doubled each round. Pairs whose intervals
+   already decide their fate are never touched again.
+3. **Consume over intervals** — the consumers select over intervals.
+   When no straddlers remain the answer is *certified* equal to the
+   exhaustive oracle's (proof sketches inline below). When the wall
+   clock expires first, the answer is the best-effort selection over
+   certified upper bounds, flagged ``approximate``.
 
 Dropping a cut candidate from the interval analysis is sound. Its
 exact vector has >= ``prune_limit`` settled dominators among the run's
@@ -43,17 +38,11 @@ so a shard's dominators may sit in another shard's intervals: the
 sharded merge re-certifies over their union (and flags the answer
 approximate where that union cannot decide it).
 
-A deadline (:mod:`repro.engine.deadline`) tightens the wall clock, and
-:class:`~repro.errors.DeadlineExceeded` is raised only when it expired
-before a *single* evaluation pass completed (a pass that cut its pair
-counts) — an expired deadline with work done returns the partial,
-certified answer instead of failing.
-
-This path is deliberately serial (``plan.evaluator`` is ignored):
-restart-based refinement keeps per-pair state in a
-:class:`~repro.measures.base.PairContext`, which cannot ship to pool
-workers cheaply. Sharded backends still scatter-gather: each shard runs
-this path and the merge consumers union intervals.
+The ambient deadline (:mod:`repro.engine.deadline`) caps the wall
+clock, and :class:`~repro.errors.DeadlineExceeded` is raised only when
+no evaluation pass (a cut counts) completed before it expired.
+Anytime runs are serial: refinement resumes each open pair from the
+certificates its :class:`~repro.measures.base.PairContext` keeps.
 """
 
 from __future__ import annotations
@@ -66,14 +55,14 @@ from repro.core.gcs import CompoundSimilarity
 from repro.db.stats import PhaseTimer
 from repro.graph.budget import Budget, Interval
 from repro.measures.base import PairContext
-from repro.engine.consume import finish_distances, finish_vectors, select
-from repro.engine.evaluate import SOLVER_CUTOFF, solve_pair
-from repro.engine.plan import BoundStage, Stage
+from repro.engine.consume import finish_distances, finish_vectors
+from repro.engine.deadline import current_deadline
+from repro.engine.evaluate import SOLVER_CUTOFF, settled, solve_pair
+from repro.engine.plan import Candidate, Stage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.backends import BackendAnswer
     from repro.engine.core import RunContext
-    from repro.engine.plan import EvaluationPlan
 
 #: Minimum wall-clock slice handed to one evaluation pass (seconds).
 _MIN_SLICE = 1e-3
@@ -88,17 +77,14 @@ _EPS = 1e-9
 class _CandidateState:
     """Mutable per-candidate record across evaluation passes."""
 
-    __slots__ = ("graph_id", "bounds", "context", "intervals", "passes",
-                 "node_budget", "observed")
+    __slots__ = ("graph_id", "bounds", "context", "intervals", "node_budget")
 
     def __init__(self, graph_id, bounds, node_budget):
         self.graph_id = graph_id
         self.bounds = bounds
         self.context: PairContext | None = None
         self.intervals: tuple[Interval, ...] | None = None
-        self.passes = 0
         self.node_budget = node_budget
-        self.observed = False
 
     @property
     def settled(self) -> bool:
@@ -131,42 +117,6 @@ def _intervals_of(ctx: "RunContext", state: _CandidateState) -> tuple:
 
 def _width(intervals: tuple[Interval, ...]) -> float:
     return max(interval.width for interval in intervals)
-
-
-def _evaluate(
-    ctx: "RunContext",
-    stages: list[Stage],
-    state: _CandidateState,
-    slice_end: float | None,
-    refining: bool,
-) -> bool:
-    """One budgeted evaluation pass over every measure dimension;
-    ``False`` when it cut the pair at the run's cap."""
-    stats = ctx.stats
-    anytime = stats.anytime
-    if state.context is None:
-        state.context = PairContext(ctx.database.get(state.graph_id), ctx.spec.graph)
-    budget = Budget(expires_at=slice_end, node_limit=state.node_budget)
-    values = solve_pair(ctx, state.graph_id, budget, state.context, state.bounds)
-    state.passes += 1
-    anytime["passes"] += 1
-    if refining:
-        anytime["refined"] += 1
-    if values == SOLVER_CUTOFF:
-        return False
-    base = _intervals_of(ctx, state)
-    state.intervals = tuple(
-        before.intersect(after) for before, after in zip(base, values)
-    )
-    if not state.observed and state.settled:
-        # Settled == exact: feed the stages like the exact engine does
-        # (cache write-back, cross-candidate bound feedback).
-        state.observed = True
-        stats.exact_evaluations += 1
-        exact = tuple(interval.upper for interval in state.intervals)
-        for stage in stages:
-            stage.observe(state.graph_id, exact)
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -284,144 +234,139 @@ def _straddlers(
 # The run
 # ----------------------------------------------------------------------
 
-def run_plan_anytime(ctx: "RunContext", plan: "EvaluationPlan") -> "BackendAnswer":
-    """Execute an anytime (budgeted) spec; see the module docstring."""
-    from repro.api.backends import BackendAnswer
+class AnytimeRun:
+    """The open pairs of one anytime run, from the walk's first pass to
+    the interval answer (see the module docstring)."""
 
-    spec = ctx.spec
-    stats = ctx.stats
-    deadline = ctx.deadline
-    started = time.monotonic()
-    wall: float | None = None
-    if spec.budget_ms is not None:
-        wall = started + spec.budget_ms / 1000.0
-    if deadline is not None:
-        wall = deadline.expires_at if wall is None else min(wall, deadline.expires_at)
+    def __init__(self, ctx: "RunContext", stages: list[Stage]) -> None:
+        self.ctx = ctx
+        self.stages = stages
+        self.states: dict[int, _CandidateState] = {}
+        self.started = time.monotonic()
+        self.wall = ctx.deadline.expires_at
+        self.nodes = ctx.deadline.node_limit
+        self.hard = current_deadline()
+        ctx.stats.anytime = {
+            "passes": 0,
+            "refined": 0,
+            "settled": 0,
+            "interval_pruned": 0,
+            "starved": 0,
+            "budget_spent_ms": 0.0,
+        }
 
-    anytime: dict[str, object] = {
-        "passes": 0,
-        "refined": 0,
-        "settled": 0,
-        "interval_pruned": 0,
-        "starved": 0,
-        "budget_spent_ms": 0.0,
-    }
-    stats.anytime = anytime
+    def expired(self) -> bool:
+        return self.wall is not None and time.monotonic() >= self.wall
 
-    if plan.source.computes_bounds:
-        with PhaseTimer(stats, "bounds"):
-            candidates = list(plan.source.candidates(ctx))
-    else:
-        candidates = list(plan.source.candidates(ctx))
-    stages: list[Stage] = [factory(ctx) for factory in plan.cascade]
-    if stages and isinstance(stages[0], BoundStage):
-        ctx.cutoff = stages[0]
+    def _evaluate(
+        self, state: _CandidateState, remaining: int, refining: bool
+    ) -> bool:
+        """One budgeted pass over every measure dimension, under a fair
+        share of the wall clock among ``remaining`` pairs; ``False`` when
+        it cut the pair at the run's cap."""
+        ctx = self.ctx
+        anytime = ctx.stats.anytime
+        end = None
+        if self.wall is not None:
+            now = time.monotonic()
+            share = max(_MIN_SLICE, (self.wall - now) / remaining)
+            end = min(self.wall, now + share)
+        if state.context is None:
+            graph = ctx.database.get(state.graph_id)
+            state.context = PairContext(graph, ctx.spec.graph)
+        budget = Budget(expires_at=end, node_limit=state.node_budget)
+        values = solve_pair(ctx, state.graph_id, budget, state.context, state.bounds)
+        anytime["passes"] += 1
+        if refining:
+            anytime["refined"] += 1
+        if values == SOLVER_CUTOFF:
+            return False
+        base = _intervals_of(ctx, state)
+        state.intervals = tuple(
+            before.intersect(after) for before, after in zip(base, values)
+        )
+        return True
 
-    pruned_ids: list[int] = list(ctx.prefiltered)
-    stats.candidates_considered += len(ctx.prefiltered)
-    stats.pruned_by_index += len(ctx.prefiltered)
-    stats.pruned_by_batch += len(ctx.prefiltered)
-    if ctx.prefiltered:
-        stats.count_prune("batch-prefilter", len(ctx.prefiltered))
+    def first_pass(
+        self, candidate: Candidate, remaining: int
+    ) -> "tuple[float, ...] | str | None":
+        """Evaluate a walk survivor once (``remaining`` counts it and the
+        candidates after it): its exact vector once settled,
+        :data:`~repro.engine.evaluate.SOLVER_CUTOFF` when cut, else
+        ``None`` with the pair kept open."""
+        state = _CandidateState(candidate.graph_id, candidate.bounds, self.nodes)
+        if not self.expired():  # else starved: it keeps its index bounds
+            if not self._evaluate(state, remaining, refining=False):
+                return SOLVER_CUTOFF
+            if state.settled:
+                return settled(state.intervals)
+        self.states[state.graph_id] = state
+        return None
 
-    states: dict[int, _CandidateState] = {}
+    def finish(
+        self, exact: dict[int, tuple[float, ...]], pruned_ids: list[int]
+    ) -> "BackendAnswer":
+        """Refine the straddlers, then select over intervals. ``exact``
+        holds the walk's settled vectors, ``pruned_ids`` its prunes."""
+        ctx = self.ctx
+        stats = ctx.stats
+        anytime = stats.anytime
+        states = self.states
+        for graph_id, values in exact.items():
+            state = _CandidateState(graph_id, None, None)
+            state.intervals = tuple(Interval.exact(value) for value in values)
+            states[graph_id] = state
 
-    def expired() -> bool:
-        return wall is not None and time.monotonic() >= wall
-
-    def cut(graph_id: int) -> None:  # a prune, as in the exact path
-        del states[graph_id]
-        stats.pruned_by_index += 1
-        stats.count_prune(SOLVER_CUTOFF)
-        pruned_ids.append(graph_id)
-
-    def slice_end(remaining: int) -> float | None:
-        if wall is None:
-            return None
-        now = time.monotonic()
-        share = max(_MIN_SLICE, (wall - now) / max(1, remaining))
-        return min(wall, now + share)
-
-    with PhaseTimer(stats, "evaluate"):
-        # First pass: cascade walk + one budgeted evaluation each, under
-        # a fair share of the remaining wall clock. Candidates the wall
-        # clock starves are still scanned (counters, cascade prunes) and
-        # enter the interval analysis with their index lower bounds.
-        remaining = len(candidates)
-        for candidate in candidates:
-            remaining -= 1
-            stats.candidates_considered += 1
-            verdict: "str | tuple | None" = None
-            decided: Stage | None = None
-            for stage in stages:
-                verdict = stage.decide(candidate)
-                if verdict is not None:
-                    decided = stage
+        with PhaseTimer(stats, "evaluate"):
+            # Straddlers only, widest interval first, expansion budget
+            # doubled per round.
+            rounds = 0
+            while not self.expired() and rounds < _MAX_ROUNDS:
+                straddlers = _straddlers(ctx, states)
+                if not straddlers:
                     break
-            if verdict == "prune":
-                stats.pruned_by_index += 1
-                stats.count_prune(getattr(decided, "name", "stage"))
-                pruned_ids.append(candidate.graph_id)
-                continue
-            state = _CandidateState(
-                candidate.graph_id, candidate.bounds, spec.budget_nodes
-            )
-            states[state.graph_id] = state
-            if isinstance(verdict, tuple):
-                stats.served_from_cache += 1
-                state.intervals = tuple(Interval.exact(v) for v in verdict)
-                state.observed = True
-                for stage in stages:
-                    stage.observe(state.graph_id, verdict)
-                continue
-            if expired():
-                continue  # starved: interval stays at the index bounds
-            end = slice_end(remaining + 1)
-            if not _evaluate(ctx, stages, state, end, refining=False):
-                cut(state.graph_id)
+                rounds += 1
+                straddlers.sort(
+                    key=lambda s: (-_width(_intervals_of(ctx, s)), s.graph_id)
+                )
+                for position, state in enumerate(straddlers):
+                    if self.expired():
+                        break
+                    if state.node_budget is not None:
+                        state.node_budget *= 2
+                    remaining = len(straddlers) - position
+                    if not self._evaluate(state, remaining, refining=True):
+                        del states[state.graph_id]  # a prune, as in the walk
+                        stats.pruned_by_index += 1
+                        stats.count_prune(SOLVER_CUTOFF)
+                        pruned_ids.append(state.graph_id)
+                    elif state.settled:
+                        # Settled == exact: feed the stages as the walk
+                        # does (cache write-back, bound feedback).
+                        stats.exact_evaluations += 1
+                        values = settled(state.intervals)
+                        for stage in self.stages:
+                            stage.observe(state.graph_id, values)
 
-        # Progressive refinement: straddlers only, widest interval first,
-        # expansion budget doubled per round.
-        rounds = 0
-        while not expired() and rounds < _MAX_ROUNDS:
-            straddlers = _straddlers(ctx, states)
-            if not straddlers:
-                break
-            rounds += 1
-            straddlers.sort(
-                key=lambda s: (-_width(_intervals_of(ctx, s)), s.graph_id)
-            )
-            for position, state in enumerate(straddlers):
-                if expired():
-                    break
-                if state.node_budget is not None:
-                    state.node_budget *= 2
-                end = slice_end(len(straddlers) - position)
-                if not _evaluate(ctx, stages, state, end, refining=True):
-                    cut(state.graph_id)
+        if self.hard is not None and not (anytime["passes"] or exact):
+            self.hard.check()  # no pass completed before the deadline
 
-    # Cut pairs left ``states``: count passes (cuts included) and hits.
-    progressed = anytime["passes"] > 0 or any(
-        s.intervals is not None for s in states.values()
-    )
-    if deadline is not None and deadline.expired() and not progressed:
-        deadline.check()  # raises DeadlineExceeded: zero passes completed
+        straddlers = _straddlers(ctx, states)
+        approximate = bool(straddlers)
+        unsettled = sum(1 for s in states.values() if not s.settled)
+        anytime["settled"] = len(states) - unsettled
+        anytime["interval_pruned"] = unsettled - len(straddlers)
+        anytime["starved"] = sum(1 for s in states.values() if s.intervals is None)
+        anytime["budget_spent_ms"] = round(
+            (time.monotonic() - self.started) * 1000.0, 3
+        )
 
-    straddlers = _straddlers(ctx, states)
-    approximate = bool(straddlers)
-    unsettled = sum(1 for s in states.values() if not s.settled)
-    anytime["settled"] = len(states) - unsettled
-    anytime["interval_pruned"] = unsettled - len(straddlers)
-    anytime["starved"] = sum(1 for s in states.values() if s.intervals is None)
-    anytime["budget_spent_ms"] = round((time.monotonic() - started) * 1000.0, 3)
-
-    intervals_payload = {
-        gid: _intervals_of(ctx, state) for gid, state in states.items()
-    }
-    answer_obj = _consume(ctx, states, approximate, pruned_ids)
-    answer_obj.intervals = intervals_payload
-    answer_obj.approximate = approximate
-    return answer_obj
+        answer = _consume(ctx, states, approximate, pruned_ids)
+        answer.intervals = {
+            gid: _intervals_of(ctx, state) for gid, state in states.items()
+        }
+        answer.approximate = approximate
+        return answer
 
 
 def _consume(
@@ -430,9 +375,11 @@ def _consume(
     approximate: bool,
     pruned_ids: list[int],
 ) -> "BackendAnswer":
-    """Select the answer over intervals (see :func:`_straddlers` for the
-    certification arguments; with ``approximate`` the same selections are
-    best-effort over certified upper bounds)."""
+    """Select the answer over intervals (see :func:`straddler_ids` for
+    the certification arguments). The shared consumers select over the
+    certified upper bounds: the exact values once every interval is
+    settled, a best effort when ``approximate``, and for top-k and
+    threshold a certified answer whenever nothing straddles."""
     from repro.api.backends import BackendAnswer
 
     spec = ctx.spec
@@ -442,50 +389,19 @@ def _consume(
         for gid, state in states.items()
         if state.intervals is not None
     }
-
-    if all(state.settled for state in states.values()):
-        # Fully settled: identical inputs to the exact engine, so
-        # delegate to the shared consumers for answer-set parity
-        # (including tolerance semantics).
-        if ctx.vector_kind:
-            vectors = {
-                gid: CompoundSimilarity(
-                    values=tuple(iv.upper for iv in intervals), measures=ctx.names
-                )
-                for gid, intervals in evaluated.items()
-            }
-            return finish_vectors(spec, vectors, stats, pruned_ids)
-        distances = {
-            gid: intervals[0].upper for gid, intervals in evaluated.items()
-        }
+    if not ctx.vector_kind:
+        distances = {gid: intervals[0].upper for gid, intervals in evaluated.items()}
         return finish_distances(spec, distances, stats, pruned_ids)
-
-    if ctx.vector_kind:
-        vectors = {
-            gid: CompoundSimilarity(
-                values=tuple(iv.upper for iv in intervals), measures=ctx.names
-            )
-            for gid, intervals in evaluated.items()
-        }
-        if not approximate and spec.tolerance == 0:
-            entries = {
-                gid: _intervals_of(ctx, state) for gid, state in states.items()
-            }
-            certain_in, _ = vector_membership(spec, entries)
-            answer = sorted(certain_in)
-        else:
-            # Best effort: ordinary selection over the upper-bound
-            # vectors of everything evaluated.
-            with PhaseTimer(stats, "skyline"):
-                answer = select(spec, vectors)
-        stats.skyline_size = len(answer)
-        return BackendAnswer(answer, list(vectors), vectors, None, stats, pruned_ids)
-
-    distances = {gid: intervals[0].upper for gid, intervals in evaluated.items()}
-    if spec.kind == "topk":
-        answer = sorted(distances, key=lambda i: (distances[i], i))[: spec.k]
-    else:
-        # upper <= t certifies membership even for open intervals.
-        answer = [i for i in distances if distances[i] <= spec.threshold]
-        answer.sort(key=lambda i: (distances[i], i))
-    return BackendAnswer(answer, list(distances), {}, distances, stats, pruned_ids)
+    vectors = {
+        gid: CompoundSimilarity(
+            values=tuple(iv.upper for iv in intervals), measures=ctx.names
+        )
+        for gid, intervals in evaluated.items()
+    }
+    if approximate or all(state.settled for state in states.values()):
+        return finish_vectors(spec, vectors, stats, pruned_ids)
+    # Certified over open intervals (tolerance 0: see straddler_ids).
+    entries = {gid: _intervals_of(ctx, state) for gid, state in states.items()}
+    answer = sorted(vector_membership(spec, entries)[0])
+    stats.skyline_size = len(answer)
+    return BackendAnswer(answer, list(vectors), vectors, None, stats, pruned_ids)

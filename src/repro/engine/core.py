@@ -21,6 +21,12 @@ under an :class:`~repro.engine.plan.EvaluationPlan`:
 4. every exact vector is fed back to the stages (``observe``), then the
    kind-specific consumer selects the answer.
 
+Every exact search runs under the run's one budget
+(:func:`run_budget`). An ordinary run raises
+:class:`~repro.errors.DeadlineExceeded` once it expires, between
+candidates or inside a pair; an anytime run keeps the pairs it leaves
+open (:class:`~repro.engine.anytime.AnytimeRun`).
+
 A source may also seed the run with exact values it already knows
 (``RunContext.seeded``): a replayed answer's stored values are recorded
 before the walk, exactly like values solved during it.
@@ -40,6 +46,7 @@ from typing import TYPE_CHECKING
 from repro.core.gcs import CompoundSimilarity
 from repro.db.database import GraphDatabase
 from repro.db.stats import PhaseTimer, QueryStats
+from repro.graph.budget import Budget
 from repro.graph.features import GraphFeatures
 from repro.measures.base import (
     DistanceMeasure,
@@ -50,7 +57,7 @@ from repro.measures.base import (
 )
 from repro.api.spec import GraphQuery
 from repro.engine.consume import finish_distances, finish_vectors
-from repro.engine.deadline import Deadline, current_deadline
+from repro.engine.deadline import current_deadline
 from repro.engine.evaluate import SOLVER_CUTOFF, Evaluator, SerialEvaluator
 from repro.engine.plan import BoundStage, EvaluationPlan, Stage
 
@@ -58,8 +65,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.backends import BackendAnswer
     from repro.db.cache import PairCache
 
-#: Rows a bound stage judges per mask call; the deadline is checked per
-#: window and per survivor.
+#: Rows a bound stage judges per mask call; a hard deadline is checked
+#: per window and per survivor.
 _WINDOW = 256
 
 
@@ -96,10 +103,9 @@ class RunContext:
     names: tuple[str, ...]
     measure_specs: tuple[object, ...] | None
     cache: "PairCache | None"
-    #: Cooperative cancellation hook (see :mod:`repro.engine.deadline`):
-    #: the engine loop and deferring evaluators call ``deadline.check()``
-    #: between exact evaluations and stop the run once it has passed.
-    deadline: Deadline | None = None
+    #: The run's budget (see :func:`run_budget`): every exact search runs
+    #: under it, and an ordinary run stops once its expiry has passed.
+    deadline: Budget | None = None
     stats: QueryStats = field(default_factory=QueryStats)
     #: Graph ids a candidate source soundly removed in one batched pass
     #: *before* the cascade (e.g. the vectorized threshold pre-filter).
@@ -128,6 +134,20 @@ class RunContext:
         return self._query_features
 
 
+def run_budget(spec: GraphQuery) -> Budget | None:
+    """The one budget of a run of ``spec``: the earlier of its
+    ``budget_ms`` and the ambient deadline, with ``budget_nodes`` as the
+    node limit; ``None`` when unlimited."""
+    ambient = current_deadline()
+    if spec.budget_ms is None and spec.budget_nodes is None:
+        return ambient
+    expires_at = None if ambient is None else ambient.expires_at
+    if spec.budget_ms is not None:
+        wall = time.monotonic() + spec.budget_ms / 1000.0
+        expires_at = wall if expires_at is None else min(expires_at, wall)
+    return Budget(expires_at=expires_at, node_limit=spec.budget_nodes)
+
+
 def make_context(
     database: GraphDatabase, spec: GraphQuery, cache: "PairCache | None" = None
 ) -> RunContext:
@@ -147,7 +167,7 @@ def make_context(
         names=measure_names(measures),
         measure_specs=measure_specs,
         cache=cache,
-        deadline=current_deadline(),
+        deadline=run_budget(spec),
         stats=QueryStats(database_size=len(database)),
     )
 
@@ -161,10 +181,6 @@ def run_plan(
     """Execute ``spec`` over ``database`` under ``plan`` (see module doc)."""
     spec.validate()
     ctx = make_context(database, spec, cache)
-    if spec.anytime:
-        from repro.engine.anytime import run_plan_anytime
-
-        return run_plan_anytime(ctx, plan)
     stats = ctx.stats
     evaluator: Evaluator = plan.evaluator or SerialEvaluator()
 
@@ -175,6 +191,14 @@ def run_plan(
         with PhaseTimer(stats, "source"):
             candidates = plan.source.candidates(ctx)
     stages: list[Stage] = [factory(ctx) for factory in plan.cascade]
+    anytime = None
+    if spec.anytime:
+        from repro.engine.anytime import AnytimeRun
+
+        # Serial by design: an open pair's resumable search state stays
+        # in this process.
+        anytime = AnytimeRun(ctx, stages)
+        evaluator = SerialEvaluator()
     evaluator.begin(ctx)
 
     exact: dict[int, tuple[float, ...]] = {}
@@ -235,21 +259,25 @@ def run_plan(
             record(candidate.graph_id, verdict)
             return
         begin = perf()
-        values = evaluator.evaluate(ctx, candidate)
+        if anytime is None:
+            values = evaluator.evaluate(ctx, candidate)
+        else:
+            values = anytime.first_pass(candidate, len(ids) - position)
         evaluate_s += perf() - begin
         if values == SOLVER_CUTOFF:
             # Out of the answer by the stage's own rule. Its exact value
             # is unknown, so no stage observes it and no value is cached
             # (the evaluator keeps the cap as the pair's floor).
             prune(position, position + 1, SOLVER_CUTOFF)
-        elif values is not None:
+        elif values is not None:  # ``None``: deferred, or left open
             stats.exact_evaluations += 1
             record(candidate.graph_id, values)
 
     for graph_id, values in ctx.seeded.items():
         record(graph_id, values)
 
-    deadline = ctx.deadline
+    # An anytime run answers from its open pairs instead of failing.
+    deadline = ctx.deadline if anytime is None else None
     masked = masker.name if masker is not None else "stage"
     stats.candidates_considered += len(ids)
     try:
@@ -309,6 +337,8 @@ def run_plan(
             stats.phase_seconds.get("evaluate", 0.0) + evaluate_s
         )
 
+    if anytime is not None:
+        return anytime.finish(exact, pruned_ids)
     if ctx.vector_kind:
         vectors = {
             graph_id: CompoundSimilarity(values=values, measures=ctx.names)

@@ -12,8 +12,11 @@ pruning cascade and produces their exact measure vectors, either
   comes back :data:`SOLVER_CUTOFF` after a bounded search, and the
   engine prunes it. The cap it reached is kept in the run's pair cache
   as the pair's floor, so a later run over that cache cuts it at any cap
-  up to the floor without a search. The anytime driver
-  (:mod:`repro.engine.anytime`) applies the same rule under a budget; or
+  up to the floor without a search. It solves under the run's budget
+  (``ctx.deadline``): a hard deadline that expires inside a pair raises
+  :class:`~repro.errors.DeadlineExceeded` at once. Anytime runs
+  (:mod:`repro.engine.anytime`) apply the same rule under slices of
+  their budget and keep open pairs instead; or
 * deferred (``PooledEvaluator``) — candidates accumulate and are solved
   in chunks on the **persistent worker pool**
   (:mod:`repro.engine.workers`): long-lived processes holding
@@ -39,6 +42,7 @@ import abc
 import math
 from typing import TYPE_CHECKING
 
+from repro.errors import DeadlineExceeded
 from repro.graph.budget import Budget
 from repro.graph.labeled_graph import LabeledGraph
 from repro.measures.base import DistanceMeasure, PairContext
@@ -190,6 +194,25 @@ def solve_pair(
     return SOLVER_CUTOFF
 
 
+def settled(values: tuple) -> tuple[float, ...] | None:
+    """A budgeted solve's interval vector as exact values, or ``None``
+    while the budget left any dimension open."""
+    if all(interval.settled for interval in values):
+        return tuple(interval.upper for interval in values)
+    return None
+
+
+def exact_values(values: tuple) -> tuple[float, ...]:
+    """:func:`settled` under a hard deadline: an open dimension means the
+    deadline expired inside the pair, so the run is cancelled."""
+    exact = settled(values)
+    if exact is None:
+        raise DeadlineExceeded(
+            "query deadline exceeded inside a pair; evaluation cancelled"
+        )
+    return exact
+
+
 class Evaluator(abc.ABC):
     """Solves cascade survivors exactly; see the module docstring."""
 
@@ -226,13 +249,18 @@ class Evaluator(abc.ABC):
 
 class SerialEvaluator(Evaluator):
     """Solve each pair in the scanning thread, immediately, against the
-    run's cutoff stage. With a pair cache, a cut pair's cap is kept as
-    its floor, and a floor already at the cap cuts without a search."""
+    run's cutoff stage and under its deadline. With a pair cache, a cut
+    pair's cap is kept as its floor, and a floor already at the cap cuts
+    without a search."""
 
     interleaved = True
 
     def evaluate(self, ctx, candidate):
-        return solve_pair(ctx, candidate.graph_id, bounds=candidate.bounds)
+        budget = ctx.deadline
+        values = solve_pair(ctx, candidate.graph_id, budget, bounds=candidate.bounds)
+        if budget is None or values == SOLVER_CUTOFF:
+            return values
+        return exact_values(values)
 
 
 def _floor_key(ctx: "RunContext", graph_id: int) -> tuple | None:

@@ -74,9 +74,16 @@ import weakref
 from collections import OrderedDict
 from typing import TYPE_CHECKING
 
-from repro.errors import ReproError
+from repro.errors import DeadlineExceeded, ReproError
+from repro.graph.budget import Budget
 from repro.skyline.utils import dominates
-from repro.engine.evaluate import SOLVER_CUTOFF, Evaluator, pair_values
+from repro.engine.evaluate import (
+    SOLVER_CUTOFF,
+    Evaluator,
+    exact_values,
+    pair_values,
+    settled,
+)
 from repro.engine.plan import cap_above, kth_smallest, pareto_cap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -762,8 +769,9 @@ def handle_eval(
     recomputes bounds from the shared matrix, then walks the chunk's ids:
     frontier-check, solve against the frontier's cap, publish. ``skipped``
     ids were frontier-pruned (never solved), ``cut`` ids reached the cap
-    (out of the answer, not published); ``partial`` flags a mid-chunk
-    deadline abandon.
+    (out of the answer, not published). Every pair is solved under the
+    task's ``deadline`` as an expiry-only budget; ``partial`` flags a
+    chunk that deadline cut short, between ids or inside a pair.
     """
     stats = {"frontier_pruned": 0, "published": 0, "partial": False}
     if task.get("pairs") is not None:
@@ -791,13 +799,14 @@ def handle_eval(
             frontier = None
     query = task["query"]
     expires_at = task.get("deadline")
+    budget = None if expires_at is None else Budget(expires_at=expires_at)
     # ``poll`` refreshes one dict in place, so the cutoff stays live.
     cutoff = None if frontier is None else FrontierCutoff(judge, frontier.poll())
     results: list[tuple[int, tuple[float, ...]]] = []
     skipped: list[int] = []
     cut: list[int] = []
     for graph_id in task["ids"]:
-        if expires_at is not None and time.monotonic() >= expires_at:
+        if budget is not None and budget.expired():
             stats["partial"] = True
             break
         if frontier is not None:
@@ -807,10 +816,15 @@ def handle_eval(
                 skipped.append(graph_id)
                 stats["frontier_pruned"] += 1
                 continue
-        values = pair_values(graphs[graph_id], query, measures, cutoff)
+        values = pair_values(graphs[graph_id], query, measures, cutoff, budget=budget)
         if not isinstance(values, tuple):
             cut.append(graph_id)  # out of the answer; nothing to publish
             continue
+        if budget is not None:
+            values = settled(values)
+            if values is None:  # the deadline stopped this pair's search
+                stats["partial"] = True
+                break
         results.append((graph_id, values))
         if frontier is not None and frontier.publish(region, graph_id, values):
             stats["published"] += 1
@@ -961,7 +975,8 @@ class WorkerPool:
         """Execute ``tasks``; results aligned with the input order.
 
         Raises :class:`~repro.errors.DeadlineExceeded` via ``deadline``
-        (abandoned tasks' late results are dropped as stale by run id)
+        (a :class:`~repro.graph.budget.Budget`; abandoned tasks' late
+        results are dropped as stale by run id)
         and :class:`WorkerPoolError` on a worker-reported failure or a
         rebuild-budget overrun.
         """
@@ -1256,10 +1271,11 @@ class PooledEvaluator(Evaluator):
         cutoff = None
         if sharing is not None:
             cutoff = FrontierCutoff(sharing.judge, sharing.vectors)
+        budget = ctx.deadline
         results = []
         for graph_id, bounds in pending:
-            if ctx.deadline is not None:
-                ctx.deadline.check()
+            if budget is not None:
+                budget.check()
             if sharing is not None:
                 sharing.poll()
                 if bounds is not None and sharing.judge.prunes(
@@ -1269,11 +1285,14 @@ class PooledEvaluator(Evaluator):
                     stats["frontier_pruned"] += 1
                     continue
             values = pair_values(
-                ctx.database.get(graph_id), ctx.spec.graph, ctx.measures, cutoff
+                ctx.database.get(graph_id), ctx.spec.graph, ctx.measures, cutoff,
+                budget=budget,
             )
             if not isinstance(values, tuple):
                 results.append((graph_id, SOLVER_CUTOFF))
                 continue
+            if budget is not None:
+                values = exact_values(values)
             results.append((graph_id, values))
             if sharing is not None:
                 sharing.observe(graph_id, values)
@@ -1350,7 +1369,13 @@ class PooledEvaluator(Evaluator):
             tasks = [build_task(chunk) for chunk in self.chunk(wave)]
             stats["chunks"] += len(tasks)
             stats["waves"] += 1
-            for out in pool.run(tasks, deadline=ctx.deadline):
+            outs = pool.run(tasks, deadline=ctx.deadline)
+            if any(out["stats"]["partial"] for out in outs):
+                raise DeadlineExceeded(
+                    "query deadline exceeded in a pooled chunk; "
+                    "evaluation cancelled"
+                )
+            for out in outs:
                 results.extend(out["results"])
                 results.extend((graph_id, SOLVER_CUTOFF) for graph_id in out["cut"])
                 if out["skipped"]:

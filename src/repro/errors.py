@@ -105,9 +105,11 @@ class WalCorruptionError(SerializationError):
 class DeadlineExceeded(ReproError, TimeoutError):
     """A query's deadline expired before evaluation finished.
 
-    Raised cooperatively by the staged engine (once per candidate, and
-    between pooled-evaluator chunks) when the ambient
-    :class:`repro.engine.deadline.Deadline` has passed — the run stops,
-    partial state is discarded, and the caller (e.g. ``repro.server``)
-    maps this to a structured timeout error.
+    Raised by the staged engine when the run budget's expiry (the
+    ambient deadline, an expiry-only
+    :class:`~repro.graph.budget.Budget`) has passed: between candidates,
+    between pooled waves, and inside a pair whose search it stopped. The
+    run stops, partial state is discarded, and the caller (e.g.
+    ``repro.server``) maps this to a structured timeout error. An
+    anytime run raises it only when no evaluation pass completed.
     """

@@ -14,6 +14,10 @@ out does not fail — it stops where it is and reports what it *knows*:
 through the measure and engine layers (an exact value is the degenerate
 interval ``lower == upper``). Both types live in the graph layer so the
 solvers can use them without importing the engine.
+
+A :class:`Budget` is also the engine's one cancellation type: a query
+deadline is an expiry-only budget (:mod:`repro.engine.deadline`), so the
+searches it reaches stop inside a pair, not only between pairs.
 """
 
 from __future__ import annotations
@@ -22,17 +26,19 @@ import math
 import time
 from dataclasses import dataclass
 
+from repro.errors import DeadlineExceeded
+
 #: Two interval endpoints within this of each other count as settled.
 SETTLED_EPSILON = 1e-9
 
 
 @dataclass(frozen=True)
 class Budget:
-    """A cap on one exact evaluation: wall clock and/or expansions.
+    """A cap on exact evaluation: wall clock and/or expansions.
 
     ``expires_at`` is an absolute :func:`time.monotonic` instant (``None``
     = no wall-clock cap); ``node_limit`` caps search-state expansions
-    (``None`` = no cap). A budget with neither is unlimited.
+    per search (``None`` = no cap). A budget with neither is unlimited.
     """
 
     expires_at: float | None = None
@@ -50,11 +56,20 @@ class Budget:
     def unlimited(self) -> bool:
         return self.expires_at is None and self.node_limit is None
 
+    def expired(self) -> bool:
+        """Whether the wall clock has reached ``expires_at``."""
+        return self.expires_at is not None and time.monotonic() >= self.expires_at
+
     def exhausted(self, expanded: int = 0) -> bool:
         """Whether a search that expanded ``expanded`` states must stop."""
         if self.node_limit is not None and expanded >= self.node_limit:
             return True
         return self.expires_at is not None and time.monotonic() >= self.expires_at
+
+    def check(self) -> None:
+        """Raise :class:`~repro.errors.DeadlineExceeded` once expired."""
+        if self.expired():
+            raise DeadlineExceeded("query deadline exceeded; evaluation cancelled")
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ plus hand-rolled HTTP/1.1 framing; no new dependencies):
 * :mod:`~repro.server.protocol` — request/response envelopes, error
   codes, and the minimal HTTP framing;
 * :mod:`~repro.server.admission` — bounded-queue admission control with
-  explicit 429-style rejection and per-query deadlines that cancel
-  evaluation cooperatively (:mod:`repro.engine.deadline`);
+  explicit 429-style rejection and per-query deadlines that stop
+  evaluation inside the pair it is in (:mod:`repro.engine.deadline`);
 * :mod:`~repro.server.streaming` — the watch hub: :meth:`Session.watch`
   answer updates of any spec streamed as newline-delimited JSON events;
 * :mod:`~repro.server.app` — :class:`QueryServer` wiring it together,

@@ -9,10 +9,11 @@ structured instead of letting latency collapse:
 * at most ``max_queue`` more may *wait*; anything beyond is rejected
   immediately with a ``queue-full`` error the transport maps to HTTP
   429 — a full server answers in microseconds, it never hangs;
-* every admitted query carries a :class:`~repro.engine.deadline.Deadline`
-  the engine checks cooperatively once per candidate
-  (:mod:`repro.engine.deadline`), so an expired query stops burning its
-  slot at the next candidate boundary rather than running to completion.
+* every admitted query carries a deadline, an expiry-only
+  :class:`~repro.graph.budget.Budget` (:mod:`repro.engine.deadline`)
+  that every exact search of the run is bounded by, so an expired query
+  stops burning its slot at once, inside the pair it is solving, rather
+  than running to completion.
 
 The controller is a counter machine under one ``threading.Condition``,
 held only to count, never while a query evaluates; ``snapshot()`` feeds

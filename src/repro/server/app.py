@@ -20,10 +20,11 @@ blocking :func:`~repro.server.protocol.read_request`, runs them inline
 response back. Evaluation is GIL-bound Python: handing it to another
 thread would buy no parallelism, only thread switches. At most
 :attr:`QueryServer.max_connections` threads run; a connection past that
-gets a structured ``429 connection-limit``. A watch stream keeps its
-thread, asleep in ``select`` on its socket and its hub wake-up, so it
-refreshes on every mutation and ends as soon as the client hangs up or
-the server stops.
+gets a structured ``429 connection-limit``, and one that idles past
+:data:`IDLE_TIMEOUT_SECONDS` before its next request is closed. A watch
+stream keeps its thread, asleep in ``select`` on its socket and its hub
+wake-up, so it refreshes on every mutation and ends as soon as the
+client hangs up or the server stops.
 
 Shared state is guarded by a readers-writer lock: queries and watch
 refreshes read, mutations write. Backends that carry mutable run state
@@ -31,7 +32,8 @@ refreshes read, mutations write. Backends that carry mutable run state
 behind a per-backend lock; the stateless ``memory`` backend runs fully
 concurrently. Deadlines enter through
 :func:`~repro.engine.deadline.deadline_scope` on the connection's
-thread, so the engine's per-candidate checks see the right deadline.
+thread, so the run budget every search is bounded by carries the right
+expiry.
 """
 
 from __future__ import annotations
@@ -50,13 +52,14 @@ from repro.api.ops import MutationOp, apply_mutation, mutation_from_dict
 from repro.api.session import Session
 from repro.api.spec import GraphQuery
 from repro.db.wal import MANIFEST_NAME, DurableLog
-from repro.engine.deadline import Deadline, deadline_scope
+from repro.engine.deadline import deadline_scope
 from repro.errors import (
     DeadlineExceeded,
     QueryError,
     SerializationError,
     StaleHandleError,
 )
+from repro.graph.budget import Budget
 from repro.server.admission import AdmissionController, AdmissionRejected
 from repro.server.protocol import (
     MAX_LINE_BYTES,
@@ -73,6 +76,12 @@ from repro.shard.store import ShardedGraphDatabase
 
 if TYPE_CHECKING:
     from repro.db.database import GraphDatabase
+
+#: Seconds a connection may wait for (or inside) a request, or take to
+#: accept a response, before it is closed: an idle keep-alive client
+#: cannot hold one of the bounded connection threads for long. Watch
+#: streams are exempt.
+IDLE_TIMEOUT_SECONDS = 30.0
 
 
 @dataclass(frozen=True)
@@ -302,7 +311,7 @@ class QueryServer:
         self, spec: GraphQuery, backend_name: str, deadline_s: float | None
     ) -> dict[str, Any]:
         """Evaluate one query on the caller's thread; returns the payload."""
-        deadline = Deadline.after(deadline_s) if deadline_s else None
+        deadline = Budget.of(seconds=deadline_s) if deadline_s else None
         with deadline_scope(deadline), self._reading(backend_name) as session:
             return session.execute(spec).to_dict()
 
@@ -558,10 +567,11 @@ class QueryServer:
         try:
             with conn, conn.makefile("rb") as stream:
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                conn.settimeout(IDLE_TIMEOUT_SECONDS)
                 while self._serve_request(conn, stream):
                     pass
         except OSError:
-            pass  # the client went away, or stop() shut the socket
+            pass  # the client went away or idled out, or stop() shut it
         finally:
             with self._conn_lock:
                 del self._conns[conn]
@@ -578,6 +588,7 @@ class QueryServer:
             return False
         self.counters.bump("requests_handled")
         if request.path == "/v1/watch" and request.method == "POST":
+            conn.settimeout(None)  # a stream may stay quiet indefinitely
             try:
                 self._handle_watch(request, conn)
             except ProtocolError as exc:

@@ -22,7 +22,7 @@ import repro
 from repro.api.backends import PRESETS, ExecutionBackend
 from repro.api.spec import Query
 from repro.db import GraphDatabase
-from repro.engine.deadline import Deadline, deadline_scope
+from repro.engine.deadline import deadline_scope
 from repro.errors import DeadlineExceeded
 from repro.graph import Budget, Interval, induced_edit_cost
 from repro.graph.cost_models import LabelMatrixCostModel, WeightedCostModel
@@ -93,6 +93,12 @@ def test_ged_budget_interval_brackets_exact():
         assert interval.lower <= exact.distance + 1e-9
         assert exact.distance <= interval.upper + 1e-9
         assert result.found  # the incumbent seed realizes every budget
+    # An expiry that never fires is no budget: the same search.
+    far = graph_edit_distance(g1, g2, budget=Budget.of(seconds=3600))
+    assert far.optimal
+    assert (far.distance, far.expanded_nodes) == (
+        exact.distance, exact.expanded_nodes
+    )
 
 
 @pytest.mark.parametrize(
@@ -380,15 +386,30 @@ def test_topk_budget_beats_slow_exact_pair_with_certified_intervals():
 
 
 # ----------------------------------------------------------------------
-# Deadlines: zero-pass raises; the block walk is interruptible
+# Deadlines: zero-pass raises; the block walk and the pair are interruptible
 # ----------------------------------------------------------------------
 def test_anytime_zero_pass_expired_deadline_raises(small_db, small_query):
     backend = ExecutionBackend(small_db, "memory")
     spec = Query(small_query).topk(2).budget(ms=5000).build()
-    with deadline_scope(Deadline.after(1e-9)):
+    with deadline_scope(Budget.of(seconds=1e-9)):
         time.sleep(0.001)
         with pytest.raises(DeadlineExceeded):
             backend.run(spec)
+
+
+def test_hard_deadline_stops_inside_the_slow_pair():
+    # The slow pair alone: the walk enters it before the deadline
+    # passes, so only the run budget inside its searches can stop it.
+    slow = random_labeled_graph(14, 26, vertex_labels=("a", "b"), seed=50)
+    query = random_labeled_graph(13, 24, vertex_labels=("a", "b"), seed=51)
+    backend = ExecutionBackend(GraphDatabase.from_graphs([slow]), "memory")
+    backend.run(Query(query).topk(1).budget(ms=50).build())  # warm imports
+    for builder in (Query(query).topk(1), Query(query).skyline()):
+        started = time.monotonic()
+        with deadline_scope(Budget.of(seconds=0.15)):
+            with pytest.raises(DeadlineExceeded, match="inside a pair"):
+                backend.run(builder.build())
+        assert time.monotonic() - started < 0.5
 
 
 def test_anytime_expired_deadline_with_progress_returns_partial(
@@ -399,7 +420,7 @@ def test_anytime_expired_deadline_with_progress_returns_partial(
     # instead of raising.
     backend = ExecutionBackend(small_db, "memory")
     spec = Query(small_query).skyline().budget(ms=10_000).build()
-    with deadline_scope(Deadline.after(0.15)):
+    with deadline_scope(Budget.of(seconds=0.15)):
         answer = backend.run(spec)
     assert answer.intervals is not None
     assert answer.stats.anytime["passes"] >= 1
@@ -419,7 +440,8 @@ def test_block_walk_stops_within_one_window_of_an_expired_deadline():
 
         def prune_mask(self, bounds):
             self.windows.append(len(bounds))
-            self.deadline.expires_at = time.monotonic() - 1.0
+            while not self.deadline.expired():
+                time.sleep(0.005)
             return [True] * len(bounds)
 
     graphs = [
@@ -428,7 +450,7 @@ def test_block_walk_stops_within_one_window_of_an_expired_deadline():
     ]
     store = FeatureStore(GraphDatabase.from_graphs(graphs))
     spec = Query(graphs[0]).topk(3, "edit").build()
-    deadline = Deadline.after(60.0)
+    deadline = Budget.of(seconds=0.5)
     stage = ExpiringStage(deadline)
     plan = EvaluationPlan(
         source=IndexedSource(store), cascade=(lambda ctx: stage,)

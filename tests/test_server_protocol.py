@@ -22,9 +22,9 @@ from repro.api.ops import (
     relabeled_copy,
 )
 from repro.db import GraphDatabase
-from repro.engine import Deadline, current_deadline, deadline_scope
+from repro.engine import current_deadline, deadline_scope
 from repro.errors import DeadlineExceeded, QueryError, SerializationError
-from repro.graph import path_graph
+from repro.graph import Budget, path_graph
 from repro.server import AdmissionController, AdmissionRejected, WatchHub
 from repro.server.protocol import (
     ERROR_STATUS,
@@ -153,28 +153,19 @@ def test_apply_mutation_rejects_inapplicable():
 # Deadlines (engine-level cooperative cancellation)
 # ----------------------------------------------------------------------
 def test_deadline_basic_lifecycle():
-    deadline = Deadline.after(60.0)
+    deadline = Budget.of(seconds=60.0)
     assert not deadline.expired()
-    assert 0 < deadline.remaining() <= 60.0
     deadline.check()  # does not raise
 
-    expired = Deadline(expires_at=time.monotonic() - 1.0, budget=0.001)
+    expired = Budget(expires_at=time.monotonic() - 1.0)
     assert expired.expired()
-    assert expired.remaining() < 0
     with pytest.raises(DeadlineExceeded):
         expired.check()
 
 
-def test_deadline_after_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        Deadline.after(0.0)
-    with pytest.raises(ValueError):
-        Deadline.after(-1.0)
-
-
 def test_deadline_scope_is_ambient_and_restored():
     assert current_deadline() is None
-    deadline = Deadline.after(60.0)
+    deadline = Budget.of(seconds=60.0)
     with deadline_scope(deadline):
         assert current_deadline() is deadline
         with deadline_scope(None):
@@ -191,7 +182,7 @@ def test_engine_run_honors_expired_deadline():
         [path_graph(["C", "N", "O"], name=f"g{i}") for i in range(4)]
     )
     spec = GraphQuery(graph=path_graph(["C", "N"], name="q"))
-    expired = Deadline(expires_at=time.monotonic() - 1.0, budget=0.001)
+    expired = Budget(expires_at=time.monotonic() - 1.0)
     with connect(database) as session:
         with deadline_scope(expired):
             with pytest.raises(DeadlineExceeded):

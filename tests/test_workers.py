@@ -15,6 +15,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+import time
 from collections import OrderedDict
 
 import pytest
@@ -37,6 +38,7 @@ from repro.engine.workers import (
     shared_memory_available,
     shutdown_pool,
 )
+from repro.graph.generators import random_labeled_graph
 from repro.measures.base import FunctionMeasure, register_measure, resolve_measures
 from repro.skyline.utils import dominates
 
@@ -260,6 +262,28 @@ def test_handle_eval_inline_pairs_matches_pair_values(workload):
     assert out["results"] == expected
     assert out["skipped"] == []
     assert out["stats"]["attach"] == "inline"
+
+
+def test_handle_eval_stops_inside_a_pair_at_the_deadline(workload):
+    db, query = workload
+    cheap = sorted(db.ids())[0]
+    warm = {"query": query, "measures": ("edit",), "ids": [cheap]}
+    warm["pairs"] = [(cheap, db.get(cheap))]
+    handle_eval(warm, OrderedDict(), OrderedDict(), OrderedDict(), region=1)
+    # One exact GED of this pair takes well over a second.
+    slow = random_labeled_graph(14, 26, vertex_labels=("a", "b"), seed=50)
+    task = {
+        "query": random_labeled_graph(13, 24, vertex_labels=("a", "b"), seed=51),
+        "measures": ("edit",),
+        "ids": [0, 1],
+        "pairs": [(0, slow), (1, slow)],
+        "deadline": time.monotonic() + 0.05,
+    }
+    started = time.monotonic()
+    out = handle_eval(task, OrderedDict(), OrderedDict(), OrderedDict(), region=1)
+    assert time.monotonic() - started < 0.5
+    assert out["stats"]["partial"] is True
+    assert out["results"] == [] and out["cut"] == []
 
 
 @needs_shm
@@ -512,13 +536,12 @@ def test_shutdown_pool_releases_every_segment(pool_always):
 
 
 def test_deadline_propagates_through_pool(workload):
-    import time
-
-    from repro.engine.deadline import Deadline, deadline_scope
+    from repro.engine.deadline import deadline_scope
     from repro.errors import DeadlineExceeded
+    from repro.graph.budget import Budget
 
     db, query = workload
-    expired = Deadline(expires_at=time.monotonic() - 1.0, budget=0.001)
+    expired = Budget(expires_at=time.monotonic() - 1.0)
     with repro.connect(db, backend="parallel", max_workers=2) as session:
         with deadline_scope(expired):
             with pytest.raises(DeadlineExceeded):
