@@ -8,7 +8,7 @@ pairs the budget leaves open and reasons over the certified ``[lower,
 upper]`` :class:`~repro.graph.budget.Interval` vectors the measures
 return:
 
-1. **First pass** (:meth:`AnytimeRun.first_pass`, called by the walk) —
+1. **First pass** (:meth:`AnytimeRun.evaluate`, the walk's evaluator) —
    each survivor gets one evaluation under a fair share of the remaining
    wall clock and ``budget_nodes`` expansions. A settled vector goes back
    to the walk as the pair's exact vector, a pair proved at or above the
@@ -38,11 +38,12 @@ so a shard's dominators may sit in another shard's intervals: the
 sharded merge re-certifies over their union (and flags the answer
 approximate where that union cannot decide it).
 
-The ambient deadline (:mod:`repro.engine.deadline`) caps the wall
-clock, and :class:`~repro.errors.DeadlineExceeded` is raised only when
-no evaluation pass (a cut counts) completed before it expired.
-Anytime runs are serial: refinement resumes each open pair from the
-certificates its :class:`~repro.measures.base.PairContext` keeps.
+The ambient deadline (:mod:`repro.engine.deadline`, kept as
+``RunContext.hard_deadline``) caps the wall clock, and
+:class:`~repro.errors.DeadlineExceeded` is raised only when no
+evaluation pass (a cut counts) completed before it expired. Anytime
+runs are serial: refinement resumes each open pair from the certificates
+its :class:`~repro.measures.base.PairContext` keeps.
 """
 
 from __future__ import annotations
@@ -56,8 +57,7 @@ from repro.db.stats import PhaseTimer
 from repro.graph.budget import Budget, Interval
 from repro.measures.base import PairContext
 from repro.engine.consume import finish_distances, finish_vectors
-from repro.engine.deadline import current_deadline
-from repro.engine.evaluate import SOLVER_CUTOFF, settled, solve_pair
+from repro.engine.evaluate import SOLVER_CUTOFF, Evaluator, settled, solve_pair
 from repro.engine.plan import Candidate, Stage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -234,18 +234,22 @@ def _straddlers(
 # The run
 # ----------------------------------------------------------------------
 
-class AnytimeRun:
-    """The open pairs of one anytime run, from the walk's first pass to
-    the interval answer (see the module docstring)."""
+class AnytimeRun(Evaluator):
+    """The evaluator of an anytime run: solves each walk survivor once
+    under a slice of the run budget and keeps the pairs it leaves open,
+    then answers from their intervals (see the module docstring)."""
 
-    def __init__(self, ctx: "RunContext", stages: list[Stage]) -> None:
-        self.ctx = ctx
+    def __init__(self, stages: list[Stage]) -> None:
         self.stages = stages
+
+    def begin(self, ctx: "RunContext", total: int) -> None:
+        self.ctx = ctx
         self.states: dict[int, _CandidateState] = {}
         self.started = time.monotonic()
         self.wall = ctx.deadline.expires_at
         self.nodes = ctx.deadline.node_limit
-        self.hard = current_deadline()
+        # Pairs not yet solved, for the first pass's fair wall-clock share.
+        self.remaining = total
         ctx.stats.anytime = {
             "passes": 0,
             "refined": 0,
@@ -287,13 +291,14 @@ class AnytimeRun:
         )
         return True
 
-    def first_pass(
-        self, candidate: Candidate, remaining: int
+    def evaluate(
+        self, ctx: "RunContext", candidate: Candidate
     ) -> "tuple[float, ...] | str | None":
-        """Evaluate a walk survivor once (``remaining`` counts it and the
-        candidates after it): its exact vector once settled,
-        :data:`~repro.engine.evaluate.SOLVER_CUTOFF` when cut, else
-        ``None`` with the pair kept open."""
+        """The first pass over a walk survivor: its exact vector once
+        settled, :data:`~repro.engine.evaluate.SOLVER_CUTOFF` when cut,
+        else ``None`` with the pair kept open."""
+        remaining = max(1, self.remaining)
+        self.remaining -= 1
         state = _CandidateState(candidate.graph_id, candidate.bounds, self.nodes)
         if not self.expired():  # else starved: it keeps its index bounds
             if not self._evaluate(state, remaining, refining=False):
@@ -348,8 +353,9 @@ class AnytimeRun:
                         for stage in self.stages:
                             stage.observe(state.graph_id, values)
 
-        if self.hard is not None and not (anytime["passes"] or exact):
-            self.hard.check()  # no pass completed before the deadline
+        hard = ctx.hard_deadline
+        if hard is not None and not (anytime["passes"] or exact):
+            hard.check()  # no pass completed before the deadline
 
         straddlers = _straddlers(ctx, states)
         approximate = bool(straddlers)

@@ -106,6 +106,9 @@ class RunContext:
     #: The run's budget (see :func:`run_budget`): every exact search runs
     #: under it, and an ordinary run stops once its expiry has passed.
     deadline: Budget | None = None
+    #: The ambient deadline folded into ``deadline``: an anytime run that
+    #: completed no evaluation pass before it expired still fails.
+    hard_deadline: Budget | None = None
     stats: QueryStats = field(default_factory=QueryStats)
     #: Graph ids a candidate source soundly removed in one batched pass
     #: *before* the cascade (e.g. the vectorized threshold pre-filter).
@@ -134,11 +137,10 @@ class RunContext:
         return self._query_features
 
 
-def run_budget(spec: GraphQuery) -> Budget | None:
+def run_budget(spec: GraphQuery, ambient: Budget | None) -> Budget | None:
     """The one budget of a run of ``spec``: the earlier of its
-    ``budget_ms`` and the ambient deadline, with ``budget_nodes`` as the
-    node limit; ``None`` when unlimited."""
-    ambient = current_deadline()
+    ``budget_ms`` and the ``ambient`` deadline, with ``budget_nodes`` as
+    the node limit; ``None`` when unlimited."""
     if spec.budget_ms is None and spec.budget_nodes is None:
         return ambient
     expires_at = None if ambient is None else ambient.expires_at
@@ -160,6 +162,7 @@ def make_context(
         single = single_measure(spec, gcs_measures)
         measures = (single,)
         measure_specs = (spec.measure,) if spec.measure is not None else (single,)
+    ambient = current_deadline()
     return RunContext(
         spec=spec,
         database=database,
@@ -167,7 +170,8 @@ def make_context(
         names=measure_names(measures),
         measure_specs=measure_specs,
         cache=cache,
-        deadline=run_budget(spec),
+        deadline=run_budget(spec, ambient),
+        hard_deadline=ambient,
         stats=QueryStats(database_size=len(database)),
     )
 
@@ -191,15 +195,13 @@ def run_plan(
         with PhaseTimer(stats, "source"):
             candidates = plan.source.candidates(ctx)
     stages: list[Stage] = [factory(ctx) for factory in plan.cascade]
-    anytime = None
     if spec.anytime:
         from repro.engine.anytime import AnytimeRun
 
         # Serial by design: an open pair's resumable search state stays
         # in this process.
-        anytime = AnytimeRun(ctx, stages)
-        evaluator = SerialEvaluator()
-    evaluator.begin(ctx)
+        evaluator = AnytimeRun(stages)
+    evaluator.begin(ctx, len(candidates.ids))
 
     exact: dict[int, tuple[float, ...]] = {}
     pruned_ids: list[int] = list(ctx.prefiltered)
@@ -259,10 +261,7 @@ def run_plan(
             record(candidate.graph_id, verdict)
             return
         begin = perf()
-        if anytime is None:
-            values = evaluator.evaluate(ctx, candidate)
-        else:
-            values = anytime.first_pass(candidate, len(ids) - position)
+        values = evaluator.evaluate(ctx, candidate)
         evaluate_s += perf() - begin
         if values == SOLVER_CUTOFF:
             # Out of the answer by the stage's own rule. Its exact value
@@ -277,7 +276,7 @@ def run_plan(
         record(graph_id, values)
 
     # An anytime run answers from its open pairs instead of failing.
-    deadline = ctx.deadline if anytime is None else None
+    deadline = None if spec.anytime else ctx.deadline
     masked = masker.name if masker is not None else "stage"
     stats.candidates_considered += len(ids)
     try:
@@ -337,8 +336,8 @@ def run_plan(
             stats.phase_seconds.get("evaluate", 0.0) + evaluate_s
         )
 
-    if anytime is not None:
-        return anytime.finish(exact, pruned_ids)
+    if spec.anytime:
+        return evaluator.finish(exact, pruned_ids)
     if ctx.vector_kind:
         vectors = {
             graph_id: CompoundSimilarity(values=values, measures=ctx.names)

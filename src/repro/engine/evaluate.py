@@ -219,8 +219,9 @@ class Evaluator(abc.ABC):
     #: Whether :meth:`evaluate` returns values immediately (stage feedback).
     interleaved: bool = True
 
-    def begin(self, ctx: "RunContext") -> None:
-        """Reset per-run state (called once before the candidate scan)."""
+    def begin(self, ctx: "RunContext", total: int) -> None:
+        """Reset per-run state (called once before the candidate scan of
+        ``total`` candidates)."""
 
     @abc.abstractmethod
     def evaluate(

@@ -1196,7 +1196,7 @@ class PooledEvaluator(Evaluator):
         self._attachment_key: int | None = None
         self._export_key: int | None = None
 
-    def begin(self, ctx) -> None:
+    def begin(self, ctx, total) -> None:
         self._pending = []
         self._drained_pruned = []
 

@@ -28,6 +28,10 @@ from dataclasses import dataclass
 
 from repro.errors import DeadlineExceeded
 
+#: A search reads the clock once per this many expansions: a node limit
+#: stays exact, an expiry may run late by fewer than this many.
+CLOCK_STRIDE = 64
+
 #: Two interval endpoints within this of each other count as settled.
 SETTLED_EPSILON = 1e-9
 
@@ -61,10 +65,13 @@ class Budget:
         return self.expires_at is not None and time.monotonic() >= self.expires_at
 
     def exhausted(self, expanded: int = 0) -> bool:
-        """Whether a search that expanded ``expanded`` states must stop."""
+        """Whether a search that expanded ``expanded`` states must stop;
+        the clock is read every :data:`CLOCK_STRIDE` expansions."""
         if self.node_limit is not None and expanded >= self.node_limit:
             return True
-        return self.expires_at is not None and time.monotonic() >= self.expires_at
+        if self.expires_at is None or expanded % CLOCK_STRIDE:
+            return False
+        return time.monotonic() >= self.expires_at
 
     def check(self) -> None:
         """Raise :class:`~repro.errors.DeadlineExceeded` once expired."""
@@ -97,8 +104,15 @@ class Interval:
 
     @property
     def settled(self) -> bool:
-        """Whether the interval pins the exact value (width ~ 0)."""
-        return self.upper - self.lower <= SETTLED_EPSILON
+        """Whether the interval pins the exact value (width ~ 0). A
+        degenerate interval is settled also where its width is NaN: an
+        exact ``inf``, or a measure's NaN value."""
+        lower, upper = self.lower, self.upper
+        return (
+            upper - lower <= SETTLED_EPSILON
+            or lower == upper
+            or (lower != lower and upper != upper)
+        )
 
     @property
     def width(self) -> float:

@@ -26,6 +26,7 @@ from repro import PairCache, Query, connect
 from repro.api.backends import ExecutionBackend
 from repro.db import GraphDatabase
 from repro.engine import anytime
+from repro.engine.deadline import deadline_scope
 from repro.engine.evaluate import pair_values
 from repro.engine.plan import RankBoundStage
 from repro.graph import Budget, graph_edit_distance, induced_edit_cost
@@ -300,9 +301,16 @@ def test_deadline_after_a_pass_of_only_cuts_returns_the_certified_answer(
     assert oracle.answer(spec) == []
     # The run's own wall clock never expires, but the deadline it answers
     # to at the end has: every pass was a cut, and cut passes count.
-    expired = Budget(expires_at=time.monotonic() - 1.0)
-    monkeypatch.setattr(anytime, "current_deadline", lambda: expired)
-    answer = backend.run(spec)
+    solve = anytime.solve_pair
+
+    def expire_after(ctx, *args, **kwargs):
+        values = solve(ctx, *args, **kwargs)
+        ctx.hard_deadline = Budget(expires_at=time.monotonic() - 1.0)
+        return values
+
+    monkeypatch.setattr(anytime, "solve_pair", expire_after)
+    with deadline_scope(Budget.of(seconds=60.0)):
+        answer = backend.run(spec)
     assert answer.stats.anytime["passes"] > 0
     assert answer.ids == [] and answer.intervals == {}
     assert answer.approximate is False

@@ -56,7 +56,7 @@ def reference_run_plan(database, spec, plan, cache=None):
     cutter = None
     if stages and evaluator.interleaved:
         cutter = _cut_by(stages[0], ctx.measures)
-    evaluator.begin(ctx)
+    evaluator.begin(ctx, len(candidates))
     exact = {}
     pruned_ids = list(ctx.prefiltered)
     stats.candidates_considered += len(ctx.prefiltered)

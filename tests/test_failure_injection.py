@@ -12,8 +12,14 @@ import pytest
 from repro import Query, connect
 from repro.core import graph_similarity_skyline
 from repro.db import GraphDatabase, PairCache
+from repro.engine.deadline import deadline_scope
+from repro.graph import Budget
 from repro.measures import FunctionMeasure
 from repro.skyline import dominates, skyline
+
+
+def _nan(g1, g2):
+    return math.nan
 
 
 class _Exploding(Exception):
@@ -66,6 +72,14 @@ def test_gss_with_nan_producing_measure(paper_db, paper_query):
     nan_measure = FunctionMeasure(lambda a, b: float("nan"), name="nan")
     result = graph_similarity_skyline(paper_db, paper_query, measures=[nan_measure])
     assert len(result.skyline) == len(paper_db)
+    # A NaN value is an exact (settled) one, also under a deadline that
+    # bounds every search of the run, serial and pooled alike.
+    spec = Query(paper_query).measures(FunctionMeasure(_nan, name="nan")).skyline()
+    for backend, options in (("memory", {}), ("parallel", {"max_workers": 2})):
+        with connect(paper_db, backend=backend, **options) as session:
+            with deadline_scope(Budget.of(seconds=30)):
+                answer = session.execute(spec)
+        assert len(answer.names) == len(paper_db), backend
 
 
 def test_dominates_with_nan_and_inf():
