@@ -93,6 +93,12 @@ class ResultSet:
         the answer is then the best-effort selection over certified
         upper bounds; reported vectors/distances of unsettled candidates
         are their upper bounds.
+    rendered:
+        Answer-store hits only: the stored answer's memo of rendered
+        ``(names, rows)`` tuples, keyed by the length of :attr:`ids`
+        (``limit`` variants share one stored answer). The first hit of
+        each length fills it; renderers return fresh copies of it.
+        ``None`` (every other read) renders from the database.
     """
 
     spec: GraphQuery
@@ -107,6 +113,18 @@ class ResultSet:
     cache_info: dict[str, int] | None = None
     intervals: dict[int, tuple] | None = None
     approximate: bool = False
+    rendered: dict[int, tuple] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        # A hit fills the stored answer's memo now, from the fresh copies
+        # it was just given, so nothing a caller later does to this
+        # result's containers can reach the memo. Only a whole tuple is
+        # assigned: threads that fill it at once store equal values.
+        if self.rendered is not None and len(self.ids) not in self.rendered:
+            names, rows = self._render()
+            self.rendered[len(self.ids)] = (tuple(names), tuple(rows))
 
     # -- answer access --------------------------------------------------
     @property
@@ -117,6 +135,9 @@ class ResultSet:
     @property
     def names(self) -> list[str]:
         """Answer graph names (``#<id>`` fallback), aligned with ids."""
+        memo = self._memo()
+        if memo is not None:
+            return list(memo[0])
         return [
             self.database.get(graph_id).name or f"#{graph_id}"
             for graph_id in self.ids
@@ -157,38 +178,71 @@ class ResultSet:
         distance kinds yield the measure column plus ``rank`` (``None``
         for evaluated graphs outside the answer).
         """
+        return self._rendered()[1]
+
+    def _render(self) -> tuple[list[str], list[dict[str, object]]]:
+        """Answer names and rows, one database lookup per evaluated id."""
+        get = self.database.get
+        named = [
+            (graph_id, get(graph_id).name or f"#{graph_id}")
+            for graph_id in sorted(self.evaluated_ids)
+        ]
         member = set(self.ids)
-        rows: list[dict[str, object]] = []
         if self.distances is not None:
             rank_of = {graph_id: rank for rank, graph_id in enumerate(self.ids, 1)}
-            for graph_id in sorted(self.evaluated_ids):
-                rows.append({
+            measure = self.measures[0]
+            rows = [
+                {
                     "id": graph_id,
-                    "graph": self.database.get(graph_id).name or f"#{graph_id}",
-                    self.measures[0]: self.distances[graph_id],
+                    "graph": name,
+                    measure: self.distances[graph_id],
                     "rank": rank_of.get(graph_id),
                     "in_answer": graph_id in member,
-                })
-            return rows
-        for graph_id in sorted(self.evaluated_ids):
-            row: dict[str, object] = {
-                "id": graph_id,
-                "graph": self.database.get(graph_id).name or f"#{graph_id}",
-            }
-            row.update(self.vectors[graph_id].as_dict())
-            row["in_answer"] = graph_id in member
-            rows.append(row)
-        return rows
+                }
+                for graph_id, name in named
+            ]
+        else:
+            rows = [
+                {
+                    "id": graph_id,
+                    "graph": name,
+                    **self.vectors[graph_id].as_dict(),
+                    "in_answer": graph_id in member,
+                }
+                for graph_id, name in named
+            ]
+        name_of = dict(named)
+        names = [
+            name_of[graph_id] if graph_id in name_of
+            else get(graph_id).name or f"#{graph_id}"
+            for graph_id in self.ids
+        ]
+        return names, rows
+
+    def _memo(self) -> tuple[tuple[str, ...], tuple[dict, ...]] | None:
+        """The stored answer's rendering of this answer, or ``None``."""
+        if self.rendered is None:
+            return None
+        return self.rendered.get(len(self.ids))
+
+    def _rendered(self) -> tuple[list[str], list[dict[str, object]]]:
+        """Fresh answer names and rows: copies of the memo on an
+        answer-store hit, else one render from the database."""
+        memo = self._memo()
+        if memo is None:
+            return self._render()
+        return list(memo[0]), [dict(row) for row in memo[1]]
 
     def to_dict(self) -> dict[str, object]:
         """Plain-data payload of the whole result (JSON-representable)."""
+        names, rows = self._rendered()
         payload: dict[str, object] = {
             "kind": self.spec.kind,
             "backend": self.plan.backend,
             "measures": list(self.measures),
             "ids": list(self.ids),
-            "answer": self.names,
-            "rows": self.to_rows(),
+            "answer": names,
+            "rows": rows,
             "stats": {
                 "database_size": self.stats.database_size,
                 "candidates_considered": self.stats.candidates_considered,

@@ -82,8 +82,11 @@ def _answer_key(spec: GraphQuery, cache) -> tuple | None:
 
 @dataclasses.dataclass(frozen=True)
 class _StoredAnswer:
-    """One answer as the store keeps it: the plan that ran, and private
-    copies of the answer's containers that no returned result shares."""
+    """One answer as the store keeps it: the plan that ran, private
+    copies of the answer's containers that no returned result shares,
+    and ``rendered``, the memo of the answer's rendered names and rows
+    that every hit's result shares (see ``ResultSet.rendered``). Its
+    values are whole tuples, never mutated; results hand out copies."""
 
     plan: QueryPlan
     ids: tuple[int, ...]
@@ -92,6 +95,7 @@ class _StoredAnswer:
     distances: dict | None
     database_size: int
     skyline_size: int
+    rendered: dict = dataclasses.field(default_factory=dict, compare=False)
 
     @classmethod
     def of(cls, plan: QueryPlan, answer: BackendAnswer) -> "_StoredAnswer":
@@ -295,8 +299,11 @@ class Session:
         entry = store.get(key) if key is not None else None
         if entry is not None and entry[0] == version:
             store.count("hits")
-            plan, answer = entry[1].reuse(version)
-            return self._result(spec, plan, answer, cache, (0, 0))
+            stored = entry[1]
+            plan, answer = stored.reuse(version)
+            return self._result(
+                spec, plan, answer, cache, (0, 0), stored.rendered
+            )
         probes = (cache.hits, cache.misses) if cache is not None else (0, 0)
         replayed = None
         if entry is not None:
@@ -404,9 +411,11 @@ class Session:
         answer: BackendAnswer,
         cache,
         probes: tuple[int, int],
+        rendered: dict | None = None,
     ) -> ResultSet:
-        """Package a backend answer: refinement, ``limit`` and the pair
-        cache's ``(hits, misses)`` during this read."""
+        """Package a backend answer: refinement, ``limit``, the pair
+        cache's ``(hits, misses)`` during this read and, on a hit, the
+        stored answer's memo of rendered rows."""
         cache_info = None
         if cache is not None:
             cache_info = {
@@ -446,6 +455,7 @@ class Session:
             cache_info=cache_info,
             intervals=answer.intervals,
             approximate=answer.approximate,
+            rendered=rendered,
         )
 
     def watch(self, query: "GraphQuery | Query") -> "LiveView":

@@ -139,7 +139,7 @@ def bound_matrix(
     return np.stack(columns, axis=1)
 
 
-#: Cap on the ``(bounds, exact, d)`` comparison cube one broadcast builds.
+#: Cap on the ``(bounds, exact)`` comparison matrix one chunk builds.
 _DOMINANCE_CELLS = 1 << 20
 
 
@@ -149,18 +149,31 @@ def dominator_counts(exact, bounds, tolerance: float = 0.0) -> np.ndarray:
     Mirrors :func:`repro.skyline.utils.dominates` exactly, NaN-as-tie
     included: ``p`` dominates ``q`` when no ``p_i > q_i + tol`` and some
     ``p_i < q_i - tol`` (a NaN comparison is False, so a NaN dimension
-    neither blocks nor helps). Bound rows are processed in chunks so the
-    comparison cube stays under :data:`_DOMINANCE_CELLS` cells.
+    neither blocks nor helps). Each dimension ORs one ``(bounds, exact)``
+    comparison into a ``worse`` and a ``better`` mask; bound rows are
+    processed in chunks so a mask stays under :data:`_DOMINANCE_CELLS`
+    cells.
     """
     exact = np.asarray(exact, dtype=np.float64)
     bounds = np.asarray(bounds, dtype=np.float64)
     counts = np.zeros(len(bounds), dtype=np.int64)
-    if not len(exact) or not len(bounds):
-        return counts
-    step = max(1, _DOMINANCE_CELLS // max(1, exact.size))
+    if not exact.size or not len(bounds):
+        return counts  # no rows, or no dimension to be better in
+    if exact.shape[1] != bounds.shape[1]:
+        raise ValueError(
+            f"dimension mismatch: {exact.shape[1]} vs {bounds.shape[1]}"
+        )
+    columns = exact.T
+    step = max(1, _DOMINANCE_CELLS // len(exact))
     for start in range(0, len(bounds), step):
-        chunk = bounds[start : start + step, np.newaxis, :]
-        no_dim_worse = np.logical_not(exact > chunk + tolerance).all(axis=2)
-        some_dim_better = (exact < chunk - tolerance).any(axis=2)
-        counts[start : start + step] = (no_dim_worse & some_dim_better).sum(axis=1)
+        rows = bounds[start : start + step].T[:, :, np.newaxis]
+        upper = rows + tolerance if tolerance else rows
+        lower = rows - tolerance if tolerance else rows
+        worse = columns[0] > upper[0]
+        better = columns[0] < lower[0]
+        for dim in range(1, len(columns)):
+            worse |= columns[dim] > upper[dim]
+            better |= columns[dim] < lower[dim]
+        # better > worse: better in some dimension and worse in none.
+        counts[start : start + step] = (better > worse).sum(axis=1)
     return counts

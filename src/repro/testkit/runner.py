@@ -8,7 +8,9 @@ PairCache` shared across all cached sessions, exactly like a production
 deployment) — and both answers must equal the oracle's. A cached session
 also keeps its answer store, so a repeated query is served whole when
 no mutation landed since, or replayed over the mutations that did, and
-must still equal the oracle. Live-view checks
+must still equal the oracle; a served-whole read's rendered ``answer``
+and ``rows`` must also equal a render from the database, bypassing the
+stored answer's memo. Live-view checks
 compare every open :class:`~repro.engine.views.LiveView` against the
 oracle's skyline; persistence steps save/load the database and require
 payload and answer parity.
@@ -35,7 +37,7 @@ import hashlib
 import json
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -540,6 +542,17 @@ class WorkloadRunner:
                     index, step, "query", expected, actual,
                     backend=step.backend, cached=cached,
                 )
+            if result.stats.reused:
+                # A hit renders the stored answer's memo; it must read
+                # exactly as a render from the database would.
+                served = result.to_dict()
+                fresh = replace(result, rendered=None).to_dict()
+                for key in ("answer", "rows"):
+                    if json.dumps(served[key]) != json.dumps(fresh[key]):
+                        return Divergence(
+                            index, step, f"render:{key}", fresh[key],
+                            served[key], backend=step.backend, cached=cached,
+                        )
         report.queries += 1
         combo = f"{step.query.kind}/{step.backend}"
         report.combos[combo] = report.combos.get(combo, 0) + 1

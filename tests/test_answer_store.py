@@ -9,6 +9,7 @@ oracle's."""
 
 from __future__ import annotations
 
+import dataclasses
 import http.client
 import itertools
 import json
@@ -183,6 +184,130 @@ def test_mutating_a_result_leaves_the_next_hit_intact(kind, query_graph):
         vandalize(second)
         third = session.execute(spec)
     assert third.stats.reused and contents(third) == expected
+
+
+#: Every kind with a non-empty answer over ``GRAPHS`` (``SPECS``'s
+#: threshold admits nothing), so every render has rows.
+ANSWERED = dict(SPECS, threshold=lambda q: Query(q).threshold(5.0, "edit"))
+
+
+def _fresh_render(result) -> dict:
+    """``result.to_dict()`` rendered from the database, bypassing the
+    stored answer's memo."""
+    return dataclasses.replace(result, rendered=None).to_dict()
+
+
+def _payload(result) -> str:
+    """``result``'s JSON without the keys a hit and a run differ in."""
+    payload = json.loads(result.to_json())
+    payload.pop("stats")
+    payload.pop("cache")
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("kind", ["topk", "skyband"])
+@pytest.mark.parametrize("limited_first", [False, True], ids=["full", "limit1"])
+def test_limit_variant_hits_render_their_own_answer_columns(
+    kind, limited_first, query_graph
+):
+    spec = SPECS[kind](query_graph)
+    reads = [spec.limit(1), spec] if limited_first else [spec, spec.limit(1)]
+    with _cached(_database()) as session:
+        results = [session.execute(read) for read in reads * 2]
+    assert [result.stats.reused for result in results] == [False, True, True, True]
+    full = results[1] if limited_first else results[0]
+    assert len(full.ids) > 1
+    for result in results:
+        rows = result.to_dict()["rows"]
+        assert result.to_dict() == _fresh_render(result)
+        assert [row["id"] for row in rows if row["in_answer"]] == sorted(result.ids)
+        if kind == "topk":
+            ranked = sorted(
+                (row["rank"], row["id"]) for row in rows if row["rank"] is not None
+            )
+            assert ranked == list(enumerate(result.ids, 1))
+    assert results[1].ids[:1] == results[0].ids[:1]
+
+
+def test_mutating_rendered_payloads_leaves_the_next_hit_intact(query_graph):
+    spec = SPECS["topk"](query_graph)
+    with _cached(_database()) as session:
+        expected = session.execute(spec).to_dict()
+        for _ in range(3):  # the first hit fills the memo, the rest copy it
+            hit = session.execute(spec)
+            payload = hit.to_dict()
+            assert payload["rows"] == expected["rows"]
+            assert payload["answer"] == expected["answer"]
+            payload["rows"][0]["graph"] = "vandal"
+            payload["rows"][0]["rank"] = -1
+            payload["rows"].append({"id": -1})
+            payload["answer"].append("vandal")
+            rows = hit.to_rows()
+            rows[0].clear()
+            rows.pop()
+            hit.names.clear()
+            again = hit.to_dict()
+            assert again["rows"] == expected["rows"]
+            assert again["answer"] == expected["answer"]
+            # A limit-2 prefix with no rows: rendered, and stored nowhere.
+            hit.ids.pop()
+            hit.evaluated_ids.clear()
+            assert hit.to_dict()["rows"] == []
+        limited = session.execute(spec.limit(2))
+    assert limited.stats.reused
+    assert len(limited.to_dict()["rows"]) == len(expected["rows"])
+    assert limited.to_dict() == _fresh_render(limited)
+
+
+def test_first_hit_after_an_add_renders_the_new_graph(query_graph):
+    spec = SPECS["threshold"](query_graph)
+    with _cached(_database()) as session:
+        session.execute(spec)
+        before = session.execute(spec).to_dict()  # fills the old memo
+        added = session.database.insert(query_graph.copy(name="copy"))
+        replayed = session.execute(spec)
+        hit = session.execute(spec)
+    assert replayed.stats.replayed_from is not None and hit.stats.reused
+    assert added not in [row["id"] for row in before["rows"]]
+    rows = hit.to_dict()["rows"]
+    assert {"id": added, "graph": "copy", "edit": 0.0, "rank": 1,
+            "in_answer": True} in rows
+    assert hit.to_dict()["answer"][0] == "copy"
+    assert rows == replayed.to_dict()["rows"] == _fresh_render(hit)["rows"]
+
+
+@pytest.mark.parametrize("kind", list(ANSWERED))
+def test_a_second_hit_renders_without_a_database_lookup(
+    kind, query_graph, monkeypatch
+):
+    database = _database()
+    lookups = []
+    get = database.get
+
+    def counting_get(graph_id):
+        lookups.append(graph_id)
+        return get(graph_id)
+
+    monkeypatch.setattr(database, "get", counting_get)
+    spec = ANSWERED[kind](query_graph)
+    with _cached(database) as session:
+        session.execute(spec)
+        first = session.execute(spec).to_dict()
+        assert lookups  # the first hit renders, and fills the memo
+        lookups.clear()
+        second = session.execute(spec).to_dict()
+    assert lookups == []
+    assert second == first
+
+
+@pytest.mark.parametrize("kind", list(ANSWERED))
+def test_a_hit_payload_equals_the_run_payload(kind, query_graph):
+    spec = ANSWERED[kind](query_graph)
+    with _cached(_database()) as session:
+        miss = session.execute(spec)
+        hits = [session.execute(spec) for _ in range(2)]
+    assert all(hit.stats.reused for hit in hits)
+    assert _payload(hits[0]) == _payload(hits[1]) == _payload(miss)
 
 
 # ----------------------------------------------------------------------
@@ -639,7 +764,10 @@ def test_threads_sharing_one_memory_session_get_the_serial_answers(
     cold = [Query(query_graph).threshold(0.25 * step, "edit") for step in range(16)]
     specs = hot + cold
     with _cached(database, "memory", cache) as serial:
-        expected = [serial.execute(spec).ids for spec in specs]
+        expected = [
+            (result.ids, result.names)
+            for result in map(serial.execute, specs)
+        ]
     shared = _cached(database, "memory", cache)
     results, errors = [], []
 
@@ -651,7 +779,9 @@ def test_threads_sharing_one_memory_session_get_the_serial_answers(
                     len(hot) + (4 * offset + step) % len(cold),
                 ):
                     result = shared.execute(specs[index])
-                    results.append((index, list(result.ids)))
+                    # Hits race to fill the stored answer's memo.
+                    answer = result.to_dict()["answer"]
+                    results.append((index, (list(result.ids), answer)))
                     result.ids.clear()  # no other client may see this
         except Exception as exc:  # collected; asserted below
             errors.append(exc)
@@ -670,7 +800,7 @@ def test_threads_sharing_one_memory_session_get_the_serial_answers(
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert len(results) == 4 * 200 * 2
-    assert all(ids == expected[index] for index, ids in results)
+    assert all(answer == expected[index] for index, answer in results)
     counters = shared.answer_store.snapshot()
     assert counters["hits"] + counters["misses"] == len(results)
     assert counters["hits"] > 0 and counters["entries"] <= 4

@@ -12,6 +12,9 @@ equal by ``==`` (``1``, ``1.0``, ``True``) with plain strings, so the
 edge-type columns are keyed the way the scalar bound matches labels.
 """
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -437,6 +440,48 @@ def test_dominator_counts_equal_dominates(dims, data, tolerance):
         np.asarray(bounds, dtype=np.float64).reshape(-1, dims),
         tolerance,
     )
+    assert counts.tolist() == [
+        sum(dominates(p, q, tolerance) for p in exact) for q in bounds
+    ]
+
+
+@relaxed
+@given(
+    shape=st.tuples(
+        st.integers(min_value=0, max_value=30),
+        st.integers(min_value=0, max_value=30),
+        st.integers(min_value=1, max_value=4),
+    ),
+    data=st.data(),
+    tolerance=st.one_of(
+        st.just(0.0), st.floats(min_value=0.0, max_value=2.0)
+    ),
+    cells=st.sampled_from((1, 7, 1 << 20)),
+)
+def test_dominator_counts_equal_pairwise_dominates_in_every_chunking(
+    shape, data, tolerance, cells
+):
+    """The per-dimension kernel against the scalar definition: NaN ties,
+    infinities, ``tolerance > 0`` and chunks from one row to the whole
+    window."""
+    from repro.index import kernels
+
+    rows, window, dims = shape
+    value = st.one_of(coordinates, st.sampled_from((math.inf, -math.inf)))
+
+    def matrix(count):
+        return data.draw(
+            st.lists(st.tuples(*[value] * dims), min_size=count, max_size=count)
+        )
+
+    exact, bounds = matrix(rows), matrix(window)
+    with mock.patch.object(kernels, "_DOMINANCE_CELLS", cells):
+        counts = dominator_counts(
+            np.asarray(exact, dtype=np.float64).reshape(-1, dims),
+            np.asarray(bounds, dtype=np.float64).reshape(-1, dims),
+            tolerance,
+        )
+    assert counts.dtype == np.int64
     assert counts.tolist() == [
         sum(dominates(p, q, tolerance) for p in exact) for q in bounds
     ]
