@@ -203,12 +203,6 @@ class ExecutionBackend:
             ShardedSource(database) if sharded and self.preset.scatters else None
         )
 
-    def close(self) -> None:
-        """Release pool attachments this backend created (the persistent
-        pool itself stays warm for other sessions)."""
-        for evaluator in self._pooled.values():
-            evaluator.release()
-
     def __repr__(self) -> str:
         return f"<ExecutionBackend {self.name!r} over {self.database!r}>"
 
@@ -341,7 +335,7 @@ class ExecutionBackend:
             )
         else:
             plan = self.build_plan(spec, execution)
-            shared = {plan.evaluator: lambda: self.store} if prunes else {}
+            shared = [plan.evaluator] if prunes else []
             with bound_sharing(spec, shared):
                 answer = run_plan(self.database, spec, plan, cache=self.cache)
         answer.execution = execution

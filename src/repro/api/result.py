@@ -351,26 +351,17 @@ class ResultSet:
                     "served={served}".format(**row)
                 )
                 if "chunks" in row:
-                    attach = ",".join(
-                        f"{kind}:{count}"
-                        for kind, count in sorted(row.get("attach", {}).items())
-                    )
                     line += (
-                        f" pool(attach={attach or 'none'}"
-                        f" chunks={row['chunks']} waves={row.get('waves', 0)}"
+                        f" pool(chunks={row['chunks']} waves={row.get('waves', 0)}"
                         f" frontier_pruned={row.get('frontier_pruned', 0)}"
                         f" published={row.get('published', 0)})"
                     )
                 lines.append(line)
         if self.stats.pool is not None:
             pool = self.stats.pool
-            attach = ",".join(
-                f"{kind}:{count}"
-                for kind, count in sorted(pool.get("attach", {}).items())
-            )
             lines.append(
                 f"worker pool: workers={pool.get('workers', 0)} "
-                f"attach={attach or 'none'} chunks={pool.get('chunks', 0)} "
+                f"chunks={pool.get('chunks', 0)} "
                 f"waves={pool.get('waves', 0)} "
                 f"frontier_pruned={pool.get('frontier_pruned', 0)} "
                 f"published={pool.get('published', 0)} "

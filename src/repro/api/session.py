@@ -84,9 +84,11 @@ def _answer_key(spec: GraphQuery, cache) -> tuple | None:
 class _StoredAnswer:
     """One answer as the store keeps it: the plan that ran, private
     copies of the answer's containers that no returned result shares,
-    and ``rendered``, the memo of the answer's rendered names and rows
-    that every hit's result shares (see ``ResultSet.rendered``). Its
-    values are whole tuples, never mutated; results hand out copies."""
+    ``rendered``, the memo of the answer's rendered names and rows
+    that every hit's result shares (see ``ResultSet.rendered``), and
+    ``refined``, the memo of its diversity refinements keyed by
+    ``(refine_k, refine_measures, refine_method)``. Memo values are
+    whole values, never mutated; results hand out copies."""
 
     plan: QueryPlan
     ids: tuple[int, ...]
@@ -96,6 +98,7 @@ class _StoredAnswer:
     database_size: int
     skyline_size: int
     rendered: dict = dataclasses.field(default_factory=dict, compare=False)
+    refined: dict = dataclasses.field(default_factory=dict, compare=False)
 
     @classmethod
     def of(cls, plan: QueryPlan, answer: BackendAnswer) -> "_StoredAnswer":
@@ -218,10 +221,8 @@ class Session:
         return self._backend.name
 
     def close(self) -> None:
-        """Release backend resources; further queries raise QueryError."""
-        if not self._closed:
-            self._backend.close()
-            self._closed = True
+        """Close the session; further queries raise QueryError."""
+        self._closed = True
 
     def __enter__(self) -> "Session":
         return self
@@ -302,7 +303,7 @@ class Session:
             stored = entry[1]
             plan, answer = stored.reuse(version)
             return self._result(
-                spec, plan, answer, cache, (0, 0), stored.rendered
+                spec, plan, answer, cache, (0, 0), stored.rendered, stored.refined
             )
         probes = (cache.hits, cache.misses) if cache is not None else (0, 0)
         replayed = None
@@ -320,9 +321,12 @@ class Session:
             probes = (cache.hits - probes[0], cache.misses - probes[1])
         # A mutation during the run may or may not be reflected in its
         # answer, so only an answer computed at one version is stored.
+        refined = None
         if key is not None and self.database.version == version:
-            store.put(version, key, _StoredAnswer.of(plan, answer))
-        return self._result(spec, plan, answer, cache, probes)
+            stored = _StoredAnswer.of(plan, answer)
+            store.put(version, key, stored)
+            refined = stored.refined
+        return self._result(spec, plan, answer, cache, probes, refined=refined)
 
     def _replay(
         self, spec: GraphQuery, cache, since: int, stored: _StoredAnswer
@@ -412,10 +416,12 @@ class Session:
         cache,
         probes: tuple[int, int],
         rendered: dict | None = None,
+        refined: dict | None = None,
     ) -> ResultSet:
         """Package a backend answer: refinement, ``limit``, the pair
         cache's ``(hits, misses)`` during this read and, on a hit, the
-        stored answer's memo of rendered rows."""
+        stored answer's memo of rendered rows. ``refined`` is the stored
+        answer's memo of refinements, when the answer is stored."""
         cache_info = None
         if cache is not None:
             cache_info = {
@@ -432,12 +438,7 @@ class Session:
             and spec.kind in ("skyline", "skyband")
             and spec.refine_k < len(answer.ids)
         ):
-            refinement = refine_by_diversity(
-                [self.database.get(graph_id) for graph_id in answer.ids],
-                spec.refine_k,
-                measures=spec.refine_measures,
-                method=spec.refine_method,
-            )
+            refinement = self._refine(spec, answer.ids, refined)
 
         ids = answer.ids
         if spec.limit is not None:
@@ -456,6 +457,33 @@ class Session:
             intervals=answer.intervals,
             approximate=answer.approximate,
             rendered=rendered,
+        )
+
+    def _refine(self, spec: GraphQuery, ids, memo: dict | None):
+        """``spec``'s diversity refinement of the answer ``ids``, through
+        the stored answer's ``memo`` when there is one: the stored ids
+        cannot change, so the refinement is solved once per key and every
+        read gets a copy. Specs refining over measure instances, which
+        are not keyed by a registry name, are always solved."""
+        key = (spec.refine_k, spec.refine_measures, spec.refine_method)
+        if spec.refine_measures is not None and not all(
+            isinstance(name, str) for name in spec.refine_measures
+        ):
+            memo = None
+        refinement = None if memo is None else memo.get(key)
+        if refinement is None:
+            refinement = refine_by_diversity(
+                [self.database.get(graph_id) for graph_id in ids],
+                spec.refine_k,
+                measures=spec.refine_measures,
+                method=spec.refine_method,
+            )
+            if memo is not None:
+                memo[key] = refinement
+        return dataclasses.replace(
+            refinement,
+            graphs=list(refinement.graphs),
+            candidates=list(refinement.candidates),
         )
 
     def watch(self, query: "GraphQuery | Query") -> "LiveView":

@@ -40,11 +40,8 @@ class QueryStats:
     #: order, empty shards included. ``None`` for monolithic runs.
     per_shard: list[dict[str, int]] | None = None
     #: Persistent worker-pool telemetry (``None`` for serial runs):
-    #: ``workers``, ``attach`` (per-kind counts — ``warm``/``delta``/
-    #: ``cold`` for the parent-side shared-memory attachment, ``broken``
-    #: when tasks shipped graphs inline, ``serial`` for the in-process
-    #: fallback, plus ``worker-cold``/``worker-delta`` when a worker had
-    #: to materialize), ``chunks`` shipped, ``waves`` drained,
+    #: ``workers`` (0 when the pool could not start and the drain solved
+    #: in-process), ``chunks`` shipped, ``waves`` drained,
     #: ``frontier_pruned`` (candidates eliminated by shared exact
     #: vectors instead of evaluation), ``published`` (vectors workers
     #: posted to the shared frontier), ``respawns`` (worker deaths
@@ -134,13 +131,8 @@ class QueryStats:
         )
         pool = ""
         if self.pool is not None:
-            attach = ",".join(
-                f"{kind}:{count}"
-                for kind, count in sorted(self.pool.get("attach", {}).items())
-            )
             pool = (
                 f" pool[workers={self.pool.get('workers', 0)}"
-                f" attach={attach or 'none'}"
                 f" chunks={self.pool.get('chunks', 0)}"
                 f" waves={self.pool.get('waves', 0)}"
                 f" frontier_pruned={self.pool.get('frontier_pruned', 0)}"

@@ -75,7 +75,6 @@ from repro.engine.workers import (
     WorkerPoolError,
     get_pool,
     live_segments,
-    shared_pool,
     shutdown_pool,
 )
 from repro.engine.core import RunContext, make_context, run_plan
@@ -115,7 +114,6 @@ __all__ = [
     "WorkerPoolError",
     "get_pool",
     "live_segments",
-    "shared_pool",
     "shutdown_pool",
     "RunContext",
     "make_context",

@@ -19,9 +19,9 @@ pruning cascade and produces their exact measure vectors, either
   their budget and keep open pairs instead; or
 * deferred (``PooledEvaluator``) — candidates accumulate and are solved
   in chunks on the **persistent worker pool**
-  (:mod:`repro.engine.workers`): long-lived processes holding
-  shared-memory database attachments, drained in bound-ordered waves
-  with a shared best-so-far frontier, so deferral no longer forfeits
+  (:mod:`repro.engine.workers`): long-lived processes sent each chunk's
+  graphs and bounds, drained in bound-ordered waves with a shared
+  best-so-far frontier, so deferral no longer forfeits
   bound-stage pruning. Pooled solves run against the frontier's cap
   (``FrontierCutoff``), and the drain reports a cut pair as
   :data:`SOLVER_CUTOFF`.
@@ -31,7 +31,7 @@ against exact vectors published by other workers/shards);
 :meth:`Evaluator.drained_pruned_ids` reports those ids so the engine
 counts them exactly like cascade prunes.
 
-The pool machinery (``PooledEvaluator``, ``shared_pool``,
+The pool machinery (``PooledEvaluator``, ``get_pool``,
 ``shutdown_pool``, …) lives in :mod:`repro.engine.workers`, which
 imports this module's :class:`Evaluator` and :func:`pair_values`.
 """

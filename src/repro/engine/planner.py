@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 #: Pool break-even, cold: the worker pool's start (fork + first
-#: shared-memory attachment).
+#: chunk round-trips).
 POOL_START_SECONDS = 1.2
 #: Pool break-even, warm: chunk pickling and queue round-trips. On a
 #: 2-vCPU host a warm 2-worker pool still lost to serial over 120

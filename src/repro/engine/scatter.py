@@ -41,7 +41,7 @@ import contextlib
 import dataclasses
 import math
 import time
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from repro.db.stats import QueryStats
 from repro.engine.core import resolved_measures, run_plan
@@ -72,7 +72,6 @@ class ShardedSource(CandidateSource):
     def __init__(self, database: "ShardedGraphDatabase") -> None:
         self.database = database
         self._sources: dict[int, CandidateSource] = {}
-        self._stores: dict[int, object] = {}
 
     def shard_source(self, index: int) -> CandidateSource:
         """The candidate source bound to shard ``index``."""
@@ -81,17 +80,9 @@ class ShardedSource(CandidateSource):
             # Imported here: repro.index imports repro.engine.plan.
             from repro.index import FeatureStore, IndexedSource
 
-            shard = self.database.shards[index]
-            store = self._stores[index] = FeatureStore(shard)
+            store = FeatureStore(self.database.shards[index])
             source = self._sources[index] = IndexedSource(store)
         return source
-
-    def shard_store(self, index: int):
-        """Shard ``index``'s :class:`~repro.index.store.FeatureStore` —
-        the worker pool exports its SignatureMatrix to shared memory
-        from here."""
-        self.shard_source(index)
-        return self._stores[index]
 
     def candidates(self, ctx: "RunContext") -> CandidateBlock:
         return CandidateBlock.concat(
@@ -335,10 +326,8 @@ def merged_stats(
             )
             if shard.pool is not None:
                 # Pool telemetry rides along per shard and sums globally
-                # (attach kinds merge as per-kind counts; ``workers`` is
-                # a pool property, not additive).
+                # (``workers`` is a pool property, not additive).
                 row.update(
-                    attach=dict(shard.pool.get("attach", {})),
                     chunks=shard.pool.get("chunks", 0),
                     waves=shard.pool.get("waves", 0),
                     frontier_pruned=shard.pool.get("frontier_pruned", 0),
@@ -347,7 +336,6 @@ def merged_stats(
                 if pool_total is None:
                     pool_total = {
                         "workers": 0,
-                        "attach": {},
                         "chunks": 0,
                         "waves": 0,
                         "frontier_pruned": 0,
@@ -365,10 +353,6 @@ def merged_stats(
                     "respawns",
                 ):
                     pool_total[key] += shard.pool.get(key, 0)
-                for kind, count in shard.pool.get("attach", {}).items():
-                    pool_total["attach"][kind] = (
-                        pool_total["attach"].get(kind, 0) + count
-                    )
             if shard.anytime is not None:
                 # Anytime telemetry sums across shards; the wall clock
                 # (``budget_spent_ms``) takes the slowest shard since the
@@ -406,24 +390,19 @@ def merged_stats(
 # ----------------------------------------------------------------------
 @contextlib.contextmanager
 def bound_sharing(
-    spec: GraphQuery, evaluators: "Mapping[Evaluator, Callable | None]"
+    spec: GraphQuery, evaluators: "Iterable[Evaluator]"
 ) -> Iterator[None]:
     """Attach one per-query :class:`~repro.engine.workers.BoundSharing`
     to every pooled evaluator of a pruning plan; release it on exit.
 
-    ``evaluators`` maps each evaluator of the plan to its
-    ``matrix_source`` (the FeatureStore its candidates' rows live in, or
-    ``None``); pass none for a plan without a bound stage. Without the
-    channel a pooled drain ships every deferred candidate in one wave and
-    forfeits the pruning a serial run gets from its bound stage. Serial
-    evaluators, and kinds that cannot share (threshold, tolerant
-    dominance), get nothing attached.
+    ``evaluators`` are the plan's evaluators; pass none for a plan
+    without a bound stage. Without the channel a pooled drain ships
+    every deferred candidate in one wave and forfeits the pruning a
+    serial run gets from its bound stage. Serial evaluators, and kinds
+    that cannot share (threshold, tolerant dominance), get nothing
+    attached.
     """
-    pooled = {
-        evaluator: matrix_source
-        for evaluator, matrix_source in evaluators.items()
-        if isinstance(evaluator, PooledEvaluator)
-    }
+    pooled = [e for e in evaluators if isinstance(e, PooledEvaluator)]
     sharing = None
     if pooled:
         dims = (
@@ -436,9 +415,8 @@ def bound_sharing(
     if sharing is None:
         yield
         return
-    for evaluator, matrix_source in pooled.items():
+    for evaluator in pooled:
         evaluator.sharing = sharing
-        evaluator.matrix_source = matrix_source
     try:
         yield
     finally:
@@ -473,12 +451,7 @@ def scatter_run(
         for index, evaluator in sorted(evaluators.items())
         if len(database.shards[index])
     }
-    shared = {}
-    if prunes:
-        shared = {
-            evaluator: (lambda index=index: source.shard_store(index))
-            for index, evaluator in runs.items()
-        }
+    shared = list(runs.values()) if prunes else []
     anytime_wall = None
     if spec.budget_ms is not None:
         anytime_wall = time.monotonic() + spec.budget_ms / 1000.0

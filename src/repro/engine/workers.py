@@ -1,10 +1,10 @@
-"""Persistent shared-memory worker pool: long-lived processes, shipped bounds.
+"""Persistent worker pool: long-lived processes, shipped bounds.
 
 The per-query ``ProcessPoolExecutor`` this module replaces paid two taxes
-that swamped the actual work: every query re-shipped its database payload across the
-process boundary, and deferred evaluation blinded the bound stages — a
-pooled run evaluated ~7× more pairs than the serial scan it was supposed
-to beat. Three mechanisms fix the economics:
+that swamped the actual work: every query started a fresh executor, and
+deferred evaluation blinded the bound stages — a pooled run evaluated ~7×
+more pairs than the serial scan it was supposed to beat. Two mechanisms
+fix the economics:
 
 **Persistent workers** (:class:`WorkerPool`). Workers are plain
 ``multiprocessing`` processes started once per pool size and reused by
@@ -14,20 +14,11 @@ signal) is detected by the result loop, the pool rebuilds itself and
 resubmits only the unfinished tasks — unlike ``ProcessPoolExecutor``,
 which turns one lost worker into a permanently broken pool.
 
-**Shared-memory attachments with row-level deltas**
-(:class:`DatabaseAttachment`). A database crosses the process boundary
-as a *base blob* (pickled ``{graph_id: graph}`` parked in a
-``multiprocessing.shared_memory`` segment, a temp file when shared
-memory is unavailable) plus a chain of *delta blobs* — ``(added graphs,
-removed ids)`` diffs keyed by ``database.version``. Graph ids are never
-reused and stored graphs never mutate in place (a relabel is
-remove + re-insert under a fresh id), so the id-set diff is exactly the
-set of stale entries; a mutation between queries ships kilobytes, not
-the database. Workers cache materialized payloads per attachment token
-and replay only the deltas they have not seen. The shard
-``SignatureMatrix`` additionally crosses as raw array bytes that workers
-map back into zero-copy NumPy views (:mod:`repro.index.shm`), so bound
-vectors need not be shipped per candidate at all.
+A task carries exactly what its chunk needs: the chunk's
+``(graph_id, graph)`` pairs and, when a frontier exists, its candidates'
+optimistic bounds, which the parent already computed. Bound pruning
+leaves few pairs to solve, so a chunk is small; no database copy is kept
+on the far side of the process boundary.
 
 **A shared best-so-far frontier** (:class:`FrontierBuffer` /
 :class:`BoundSharing`). Deferred evaluation loses mid-scan pruning: the
@@ -49,12 +40,11 @@ the graph id and readers deduplicate by it, so a resubmitted task
 double-publishing after a worker respawn can never inflate the
 dominator count (which would be unsound for skyband/top-k).
 
-Degradation is graceful and layered: no shared memory → blobs fall back
-to temp files and the frontier is simply absent (parent-side wave
-filtering still recovers most pruning); blobs unwritable → tasks ship
-graphs inline; ``multiprocessing`` unusable → the evaluator solves
-in-process, still frontier-filtered. Every owned segment is tracked and
-released by :func:`shutdown_pool` (also registered ``atexit``), and
+Degradation is graceful: no shared memory → the frontier is simply
+absent (parent-side wave filtering still recovers most pruning);
+``multiprocessing`` unusable → the evaluator solves in-process, still
+frontier-filtered. Every frontier segment is tracked and released by
+:func:`shutdown_pool` (also registered ``atexit``), and
 :func:`live_segments` exposes the live set so tests can assert nothing
 leaks.
 """
@@ -64,13 +54,9 @@ from __future__ import annotations
 import atexit
 import math
 import os
-import pickle
 import queue as queue_module
 import struct
-import tempfile
-import time
 import uuid
-import weakref
 from collections import OrderedDict
 from typing import TYPE_CHECKING
 
@@ -107,8 +93,8 @@ SEGMENT_PREFIX = "repro_"
 _SHM_DISABLED = False
 _SHM_PROBE: bool | None = None
 
-#: Every segment/file owner created by this process, for ``atexit``
-#: cleanup and the :func:`live_segments` leak check.
+#: Every frontier board this process owns, for ``atexit`` cleanup and
+#: the :func:`live_segments` leak check.
 _LIVE_OWNERS: "set[object]" = set()
 
 
@@ -171,197 +157,11 @@ def attach_segment(name: str):
 
 def live_segments() -> list[str]:
     """Names of the shared-memory segments this process currently owns
-    (blobs, frontiers, matrix exports) — the leak-check surface."""
+    (frontier boards) — the leak-check surface."""
     names: list[str] = []
     for owner in _LIVE_OWNERS:
         names.extend(owner.segment_names())
     return sorted(names)
-
-
-class _Blob:
-    """One immutable byte payload parked for workers to read.
-
-    Preferred transport is a shared-memory segment (attach is a page-table
-    mapping, not a copy); a temp file when shared memory is unavailable or
-    full. ``ref()`` is the picklable handle tasks carry; ``release()`` is
-    idempotent.
-    """
-
-    __slots__ = ("kind", "name", "size", "_segment")
-
-    def __init__(self, kind: str, name: str, size: int) -> None:
-        self.kind = kind  # "shm" | "file"
-        self.name = name
-        self.size = size
-        self._segment = None
-
-    @classmethod
-    def create(cls, data: bytes) -> "_Blob":
-        if shared_memory_available():
-            try:
-                from multiprocessing import shared_memory
-
-                segment = shared_memory.SharedMemory(
-                    create=True, size=max(1, len(data)), name=_segment_name()
-                )
-                segment.buf[: len(data)] = data
-                blob = cls("shm", segment.name, len(data))
-                blob._segment = segment
-                _LIVE_OWNERS.add(blob)
-                return blob
-            except Exception:
-                pass
-        handle, path = tempfile.mkstemp(prefix="repro-pool-", suffix=".blob")
-        with os.fdopen(handle, "wb") as stream:
-            stream.write(data)
-        blob = cls("file", path, len(data))
-        _LIVE_OWNERS.add(blob)
-        return blob
-
-    def ref(self) -> tuple[str, str, int]:
-        return (self.kind, self.name, self.size)
-
-    def segment_names(self) -> list[str]:
-        return [self.name] if self.kind == "shm" and self._segment else []
-
-    def release(self) -> None:
-        _LIVE_OWNERS.discard(self)
-        if self.kind == "shm":
-            segment, self._segment = self._segment, None
-            if segment is not None:
-                try:
-                    segment.close()
-                    segment.unlink()
-                except Exception:
-                    pass
-        else:
-            try:
-                os.remove(self.name)
-            except OSError:
-                pass
-
-
-def read_blob(ref: tuple[str, str, int]) -> bytes:
-    """Worker side: the bytes behind a :meth:`_Blob.ref` handle."""
-    kind, name, size = ref
-    if kind == "shm":
-        segment = attach_segment(name)
-        try:
-            return bytes(segment.buf[:size])
-        finally:
-            segment.close()
-    with open(name, "rb") as handle:
-        return handle.read()
-
-
-# ----------------------------------------------------------------------
-# Database attachments (base + delta chain)
-# ----------------------------------------------------------------------
-#: Deltas accumulated before the chain is rebased into a fresh base blob
-#: (cold workers replay the whole chain, so it must stay short).
-_REBASE_CHAIN_LIMIT = 8
-
-
-class DatabaseAttachment:
-    """One database parked across the process boundary, kept current by
-    version-keyed deltas instead of full payload rollover.
-
-    The id-set diff is sound as an invalidation unit because graph ids
-    are never reused and stored graphs never mutate in place — every
-    mutation is an insert or a remove of a whole entry (a relabel is
-    remove + re-insert under a fresh id), and ``database.version`` bumps
-    on each. A worker holding any version present in the shipped chain
-    replays only the later deltas; anything older (or a rebased-away
-    version) rebuilds from the base blob.
-    """
-
-    def __init__(self, database) -> None:
-        self.token = uuid.uuid4().hex
-        self.broken = False
-        self._database_ref = weakref.ref(database)
-        self._version: int | None = None
-        self._ids: frozenset[int] = frozenset()
-        self._base: tuple[int, _Blob] | None = None
-        self._deltas: list[tuple[int, _Blob]] = []
-
-    def database_ref(self):
-        return self._database_ref()
-
-    def refresh(self, database) -> str:
-        """Sync blobs with the database; ``"warm"``/``"delta"``/``"cold"``."""
-        if (
-            self._base is not None
-            and self._database_ref() is database
-            and self._version == database.version
-        ):
-            return "warm"
-        live = frozenset(database.ids())
-        cold = (
-            self._base is None
-            or self._database_ref() is not database
-            or len(self._deltas) >= _REBASE_CHAIN_LIMIT
-        )
-        if cold:
-            data = pickle.dumps(
-                {graph_id: database.get(graph_id) for graph_id in sorted(live)},
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            blob = _Blob.create(data)
-            self._drop_blobs()
-            self._base = (database.version, blob)
-        else:
-            added = {
-                graph_id: database.get(graph_id)
-                for graph_id in sorted(live - self._ids)
-            }
-            removed = sorted(self._ids - live)
-            data = pickle.dumps(
-                (added, removed), protocol=pickle.HIGHEST_PROTOCOL
-            )
-            self._deltas.append((database.version, _Blob.create(data)))
-        self._database_ref = weakref.ref(database)
-        self._version = database.version
-        self._ids = live
-        return "cold" if cold else "delta"
-
-    @property
-    def version(self) -> int | None:
-        return self._version
-
-    @property
-    def delta_count(self) -> int:
-        return len(self._deltas)
-
-    def chain(self) -> list[tuple[str, int, tuple[str, str, int]]]:
-        """The picklable blob chain tasks carry: base first, deltas in
-        version order."""
-        base_version, base_blob = self._base
-        links = [("base", base_version, base_blob.ref())]
-        links.extend(
-            ("delta", version, blob.ref()) for version, blob in self._deltas
-        )
-        return links
-
-    def spec(self) -> dict:
-        """The per-task attachment descriptor."""
-        return {
-            "token": self.token,
-            "version": self._version,
-            "chain": self.chain(),
-        }
-
-    def _drop_blobs(self) -> None:
-        if self._base is not None:
-            self._base[1].release()
-            self._base = None
-        for _, blob in self._deltas:
-            blob.release()
-        self._deltas = []
-
-    def release(self) -> None:
-        self._drop_blobs()
-        self._version = None
-        self._ids = frozenset()
 
 
 # ----------------------------------------------------------------------
@@ -679,9 +479,8 @@ class BoundSharing:
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-#: Materialized payloads per worker, keyed by attachment token (bounded:
-#: long-lived workers serving many databases must not hoard dead ones).
-_WORKER_PAYLOAD_LIMIT = 4
+#: Frontier boards one worker keeps attached (bounded: a long-lived
+#: worker must not hold the boards of finished queries open).
 _WORKER_FRONTIER_LIMIT = 4
 
 
@@ -691,43 +490,6 @@ def _resolve_worker_measures(measure_specs):
     if measure_specs is None:
         return default_measures()
     return resolve_measures(measure_specs)
-
-
-def ensure_payload(db_spec: dict, payloads: OrderedDict):
-    """Materialize (or update) one attachment in a worker's cache.
-
-    Returns ``(graphs, kind)`` where ``kind`` records how much shipping
-    the worker actually paid: ``"warm"`` (cache hit), ``"delta"`` (replayed
-    the chain suffix), ``"cold"`` (loaded the base blob).
-    """
-    token, version = db_spec["token"], db_spec["version"]
-    chain = db_spec["chain"]
-    entry = payloads.get(token)
-    if entry is not None and entry[0] == version:
-        payloads.move_to_end(token)
-        return entry[1], "warm"
-    versions = [link[1] for link in chain]
-    graphs = None
-    kind = "cold"
-    todo = chain
-    if entry is not None and entry[0] in versions:
-        graphs = entry[1]
-        todo = chain[versions.index(entry[0]) + 1 :]
-        kind = "delta"
-    for op, _, ref in todo:
-        data = read_blob(ref)
-        if op == "base":
-            graphs = pickle.loads(data)
-        else:
-            added, removed = pickle.loads(data)
-            for graph_id in removed:
-                graphs.pop(graph_id, None)
-            graphs.update(added)
-    payloads[token] = (version, graphs)
-    payloads.move_to_end(token)
-    while len(payloads) > _WORKER_PAYLOAD_LIMIT:
-        payloads.popitem(last=False)
-    return graphs, kind
 
 
 def _attach_frontier(config: dict, frontiers: OrderedDict):
@@ -743,49 +505,19 @@ def _attach_frontier(config: dict, frontiers: OrderedDict):
     return buffer
 
 
-def _matrix_bounds(task: dict, matrices: OrderedDict):
-    """Per-id optimistic vectors recomputed from the shared matrix."""
-    from repro.index.shm import matrix_bounds
-
-    return matrix_bounds(
-        task["matrix"],
-        task["rows"],
-        task["qsig"],
-        _resolve_worker_measures(task["measures"]),
-        matrices,
-    )
-
-
-def handle_eval(
-    task: dict,
-    payloads: OrderedDict,
-    matrices: OrderedDict,
-    frontiers: OrderedDict,
-    region: int,
-) -> dict:
+def handle_eval(task: dict, frontiers: OrderedDict, region: int) -> dict:
     """Evaluate one chunk task (pure: unit-testable in-process).
 
-    Resolves the graphs (attachment cache or inline pairs), optionally
-    recomputes bounds from the shared matrix, then walks the chunk's ids:
-    frontier-check, solve against the frontier's cap, publish. ``skipped``
+    Walks the chunk's ``pairs`` in order: frontier-check the graph's
+    shipped bound, solve against the frontier's cap, publish. ``skipped``
     ids were frontier-pruned (never solved), ``cut`` ids reached the cap
     (out of the answer, not published). Every pair is solved under the
     task's ``deadline`` as an expiry-only budget; ``partial`` flags a
-    chunk that deadline cut short, between ids or inside a pair.
+    chunk that deadline cut short, between pairs or inside one.
     """
     stats = {"frontier_pruned": 0, "published": 0, "partial": False}
-    if task.get("pairs") is not None:
-        graphs = dict(task["pairs"])
-        stats["attach"] = "inline"
-    else:
-        graphs, stats["attach"] = ensure_payload(task["db"], payloads)
     measures = _resolve_worker_measures(task["measures"])
     bounds_of = task.get("bounds") or {}
-    if task.get("matrix") is not None:
-        try:
-            bounds_of = _matrix_bounds(task, matrices)
-        except Exception:
-            bounds_of = {}  # no bounds → no worker-side pruning, still sound
     frontier = None
     judge = None
     config = task.get("frontier")
@@ -805,7 +537,7 @@ def handle_eval(
     results: list[tuple[int, tuple[float, ...]]] = []
     skipped: list[int] = []
     cut: list[int] = []
-    for graph_id in task["ids"]:
+    for graph_id, graph in task["pairs"]:
         if budget is not None and budget.expired():
             stats["partial"] = True
             break
@@ -816,7 +548,7 @@ def handle_eval(
                 skipped.append(graph_id)
                 stats["frontier_pruned"] += 1
                 continue
-        values = pair_values(graphs[graph_id], query, measures, cutoff, budget=budget)
+        values = pair_values(graph, query, measures, cutoff, budget=budget)
         if not isinstance(values, tuple):
             cut.append(graph_id)  # out of the answer; nothing to publish
             continue
@@ -833,8 +565,6 @@ def handle_eval(
 
 def _worker_main(slot: int, task_queue, result_queue) -> None:
     """Long-lived worker loop: pull task dicts, push result dicts."""
-    payloads: OrderedDict = OrderedDict()
-    matrices: OrderedDict = OrderedDict()
     frontiers: OrderedDict = OrderedDict()
     region = slot + 1  # region 0 is reserved for the parent
     while True:
@@ -842,7 +572,7 @@ def _worker_main(slot: int, task_queue, result_queue) -> None:
         if task is None:
             break
         try:
-            out = handle_eval(task, payloads, matrices, frontiers, region)
+            out = handle_eval(task, frontiers, region)
             out.update(id=task["id"], run=task.get("run"), ok=True)
         except Exception as exc:  # ship the failure, keep the worker alive
             out = {
@@ -857,8 +587,6 @@ def _worker_main(slot: int, task_queue, result_queue) -> None:
             break
     for buffer in frontiers.values():
         buffer.release()
-    for attached in matrices.values():
-        attached.release()
 
 
 # ----------------------------------------------------------------------
@@ -871,8 +599,7 @@ _POLL_SECONDS = 0.05
 
 
 class WorkerPool:
-    """A persistent set of worker processes plus this process's
-    attachments (databases, matrix exports) parked for them.
+    """A persistent set of worker processes.
 
     Tasks go down one queue, results come back up another; a ``run``
     scopes its results by a random run id, so results of abandoned tasks
@@ -896,8 +623,6 @@ class WorkerPool:
         self._processes: list = []
         self._task_queue = None
         self._result_queue = None
-        self._attachments: dict[int, DatabaseAttachment] = {}
-        self._exports: dict[int, object] = {}
         self._closed = False
         #: Full-pool rebuilds over the pool's lifetime (telemetry).
         self.respawns = 0
@@ -1018,63 +743,8 @@ class WorkerPool:
                 results[out["id"]] = out
             return [results[task["id"]] for task in tasks]
 
-    # -- parked state -----------------------------------------------------
-    def attach(self, database):
-        """``(attachment, kind)`` for ``database`` (``(None, "broken")``
-        when its payload cannot be parked — tasks then ship graphs
-        inline)."""
-        key = id(database)
-        attachment = self._attachments.get(key)
-        if attachment is not None and attachment.database_ref() is not database:
-            # id() reuse after the original database was collected.
-            attachment.release()
-            attachment = None
-        if attachment is None:
-            attachment = DatabaseAttachment(database)
-            self._attachments[key] = attachment
-        if attachment.broken:
-            return None, "broken"
-        try:
-            kind = attachment.refresh(database)
-        except OSError:
-            attachment.broken = True  # latched: retrying a full dump per
-            return None, "broken"  # drain would repeat the expense
-        return attachment, kind
-
-    def release_attachment(self, key: int) -> None:
-        attachment = self._attachments.pop(key, None)
-        if attachment is not None:
-            attachment.release()
-
-    def export_matrix(self, store):
-        """``(meta, matrix)`` of a shard's SignatureMatrix parked in
-        shared memory, or ``None`` (no NumPy / no shared memory / export
-        failure — callers fall back to inline bounds)."""
-        if not shared_memory_available():
-            return None
-        key = id(store)
-        export = self._exports.get(key)
-        if export is not None and export.store_ref() is not store:
-            export.release()
-            export = None
-            del self._exports[key]
-        try:
-            if export is None:
-                from repro.index.shm import SharedMatrixExport
-
-                export = SharedMatrixExport(store)
-                self._exports[key] = export
-            return export.refresh()
-        except Exception:
-            return None
-
-    def release_export(self, key: int) -> None:
-        export = self._exports.pop(key, None)
-        if export is not None:
-            export.release()
-
     def close(self) -> None:
-        """Stop the workers and release every parked segment."""
+        """Stop the workers."""
         self._closed = True
         if self._task_queue is not None:
             for _ in self._processes:
@@ -1096,10 +766,6 @@ class WorkerPool:
                     pass
         self._processes = []
         self._discard_queues()
-        for key in list(self._attachments):
-            self.release_attachment(key)
-        for key in list(self._exports):
-            self.release_export(key)
 
 
 # ----------------------------------------------------------------------
@@ -1121,11 +787,6 @@ def get_pool(max_workers: int) -> WorkerPool:
     if pool is None:
         pool = _POOLS[max_workers] = WorkerPool(max_workers)
     return pool
-
-
-def shared_pool(max_workers: int) -> WorkerPool:
-    """Backward-compatible alias of :func:`get_pool`."""
-    return get_pool(max_workers)
 
 
 def shutdown_pool() -> None:
@@ -1157,11 +818,10 @@ class PooledEvaluator(Evaluator):
     """Deferred evaluation on the persistent worker pool, drained in
     bound-ordered waves with cross-worker pruning.
 
-    ``evaluate`` only records ``(graph_id, bounds)``; ``drain`` attaches
-    the database (warm/delta/cold, see :class:`DatabaseAttachment`),
-    optionally parks the shard's SignatureMatrix (``matrix_source``), and
-    ships candidate-id chunks. With a :class:`BoundSharing` channel
-    (``sharing``, set per query by
+    ``evaluate`` only records ``(graph_id, bounds)``; ``drain`` ships
+    auto-sized chunks (~4 per worker within a wave), each carrying its
+    own graphs and, with a frontier, its candidates' bounds. With a
+    :class:`BoundSharing` channel (``sharing``, set per query by
     :func:`~repro.engine.scatter.bound_sharing` for pruning plans) the
     drain runs in **waves**: a small first wave of the most promising
     candidates, then — between waves — the parent filters everything not
@@ -1170,31 +830,19 @@ class PooledEvaluator(Evaluator):
     mid-chunk. Without sharing (the exhaustive ``parallel`` backend) the
     drain is a single full-throughput wave.
 
-    Degradation: broken attachment → tasks ship graphs inline; pool
-    start failure → in-process evaluation (still sharing-filtered). Both
-    keep answers identical, property-tested against serial.
-
-    Parameters match the pre-persistent evaluator: ``max_workers``
-    (default ``os.cpu_count()``), ``chunk_size`` (``None`` auto-sizes to
-    ~4 chunks per worker within a wave).
+    Degradation: pool start failure → in-process evaluation (still
+    sharing-filtered, ``stats.pool["workers"] == 0``). Answers stay
+    identical, property-tested against serial.
     """
 
     interleaved = False
 
-    def __init__(
-        self, max_workers: int | None = None, chunk_size: int | None = None
-    ) -> None:
+    def __init__(self, max_workers: int | None = None) -> None:
         self.max_workers = max(1, max_workers or os.cpu_count() or 1)
-        self.chunk_size = chunk_size
         #: Per-query :class:`BoundSharing` (pruning plans) or ``None``.
         self.sharing: BoundSharing | None = None
-        #: Zero-arg callable returning the shard's FeatureStore (or None).
-        self.matrix_source = None
         self._pending: list[tuple[int, tuple[float, ...] | None]] = []
         self._drained_pruned: list[int] = []
-        self._pool: WorkerPool | None = None
-        self._attachment_key: int | None = None
-        self._export_key: int | None = None
 
     def begin(self, ctx, total) -> None:
         self._pending = []
@@ -1208,31 +856,11 @@ class PooledEvaluator(Evaluator):
         return self._drained_pruned
 
     def chunk(self, pairs: list) -> list[list]:
-        """Split work items into pool tasks (auto-sized unless fixed)."""
+        """Split work items into pool tasks, ~4 per worker."""
         if not pairs:
             return []
-        size = self.chunk_size
-        if size is None:
-            size = max(1, -(-len(pairs) // (self.max_workers * 4)))
+        size = max(1, -(-len(pairs) // (self.max_workers * 4)))
         return [pairs[i : i + size] for i in range(0, len(pairs), size)]
-
-    # -- lifecycle --------------------------------------------------------
-    def release(self) -> None:
-        """Release this evaluator's parked state (attachment + matrix
-        export); the pool itself stays warm for other sessions."""
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        if self._attachment_key is not None:
-            pool.release_attachment(self._attachment_key)
-            self._attachment_key = None
-        if self._export_key is not None:
-            pool.release_export(self._export_key)
-            self._export_key = None
-
-    def discard_payload(self) -> None:
-        """Backward-compatible alias of :meth:`release`."""
-        self.release()
 
     # -- drain ------------------------------------------------------------
     def drain(self, ctx):
@@ -1243,7 +871,6 @@ class PooledEvaluator(Evaluator):
         sharing = self.sharing
         stats = {
             "workers": self.max_workers,
-            "attach": {},
             "chunks": 0,
             "waves": 0,
             "frontier_pruned": 0,
@@ -1267,7 +894,6 @@ class PooledEvaluator(Evaluator):
     def _drain_inline(self, ctx, pending, sharing, stats):
         """No usable pool: solve in-process, still sharing-filtered."""
         stats["workers"] = 0
-        stats["attach"] = {"serial": 1}
         cutoff = None
         if sharing is not None:
             cutoff = FrontierCutoff(sharing.judge, sharing.vectors)
@@ -1300,48 +926,27 @@ class PooledEvaluator(Evaluator):
 
     def _drain_pooled(self, ctx, pool, pending, sharing, stats):
         respawns_before = pool.respawns
-        self._pool = pool
-        attachment, attach_kind = pool.attach(ctx.database)
-        if attachment is not None:
-            self._attachment_key = id(ctx.database)
-            db_spec = attachment.spec()
-        else:
-            db_spec = None
-        stats["attach"] = {attach_kind: 1}
-
-        matrix_ship = self._matrix_ship(ctx, pool, pending, sharing)
         frontier_config = sharing.worker_config() if sharing is not None else None
         expires_at = ctx.deadline.expires_at if ctx.deadline is not None else None
 
         def build_task(chunk_items):
-            ids = [graph_id for graph_id, _ in chunk_items]
             task = {
                 "id": uuid.uuid4().hex,
-                "op": "eval",
                 "query": ctx.spec.graph,
                 "measures": ctx.measure_specs,
-                "ids": ids,
-                "db": db_spec,
+                "pairs": [
+                    (graph_id, ctx.database.get(graph_id))
+                    for graph_id, _ in chunk_items
+                ],
                 "deadline": expires_at,
             }
-            if db_spec is None:
-                task["pairs"] = [
-                    (graph_id, ctx.database.get(graph_id)) for graph_id in ids
-                ]
-                task["ids"] = ids
             if frontier_config is not None:
                 task["frontier"] = frontier_config
-                if matrix_ship is not None:
-                    meta, row_of, qsig = matrix_ship
-                    task["matrix"] = meta
-                    task["rows"] = [row_of[graph_id] for graph_id in ids]
-                    task["qsig"] = qsig
-                else:
-                    task["bounds"] = {
-                        graph_id: bounds
-                        for graph_id, bounds in chunk_items
-                        if bounds is not None
-                    }
+                task["bounds"] = {
+                    graph_id: bounds
+                    for graph_id, bounds in chunk_items
+                    if bounds is not None
+                }
             return task
 
         results = []
@@ -1383,47 +988,9 @@ class PooledEvaluator(Evaluator):
                 task_stats = out["stats"]
                 stats["frontier_pruned"] += task_stats["frontier_pruned"]
                 stats["published"] += task_stats["published"]
-                worker_attach = task_stats.get("attach")
-                if worker_attach and worker_attach != "warm":
-                    key = f"worker-{worker_attach}"
-                    stats["attach"][key] = stats["attach"].get(key, 0) + 1
                 if sharing is not None:
                     for graph_id, values in out["results"]:
                         sharing.observe(graph_id, values)
             wave_size *= _WAVE_GROWTH
         stats["respawns"] = pool.respawns - respawns_before
         return results
-
-    def _matrix_ship(self, ctx, pool, pending, sharing):
-        """``(meta, row_of, qsig)`` when candidate bounds can be
-        recomputed worker-side from the shared matrix; ``None`` → bounds
-        ship inline (only needed at all when a frontier exists)."""
-        if sharing is None or sharing.frontier is None:
-            return None
-        if self.matrix_source is None:
-            return None
-        try:
-            store = self.matrix_source()
-        except Exception:
-            return None
-        exported = pool.export_matrix(store)
-        if exported is None:
-            return None
-        meta, matrix = exported
-        row_of = matrix.row_of
-        if any(graph_id not in row_of for graph_id, _ in pending):
-            return None
-        self._export_key = id(store)
-        packed = matrix.pack_query(ctx.spec.graph, ctx.query_features)
-        qsig = (
-            packed.order,
-            packed.size,
-            packed.vertex_vector.tolist(),
-            packed.edge_vector.tolist(),
-            packed.type_vector.tolist(),
-        )
-        return meta, dict(row_of), qsig
-
-
-#: The evaluator's persistent-pool identity, under its historical name.
-PersistentPoolEvaluator = PooledEvaluator

@@ -300,6 +300,41 @@ def test_a_second_hit_renders_without_a_database_lookup(
     assert second == first
 
 
+def test_refined_hits_reuse_the_stored_refinement(query_graph, monkeypatch):
+    calls = []
+    refine = session_module.refine_by_diversity
+
+    def counting(graphs, k, **options):
+        calls.append((k, options["method"]))
+        return refine(graphs, k, **options)
+
+    monkeypatch.setattr(session_module, "refine_by_diversity", counting)
+    band = Query(query_graph).measures("edit", "mcs").skyband(4)
+    spec = band.refine(k=2)
+    with _cached(_database()) as cold_session:
+        cold = cold_session.execute(spec)
+    assert not cold.stats.reused and len(cold.ids) > 2 and calls == [(2, "exhaustive")]
+    calls.clear()
+    with _cached(_database()) as session:
+        session.execute(spec)
+        assert calls == [(2, "exhaustive")]  # the miss solves and stores it
+        calls.clear()
+        hits = [session.execute(spec) for _ in range(2)]
+        assert calls == []
+        # Another refinement of the same stored answer is its own entry.
+        session.execute(band.refine(k=2, method="greedy"))
+        session.execute(band.refine(k=2, method="greedy"))
+        assert calls == [(2, "greedy")]
+        # Each hit gets a copy: emptying one leaves the next intact.
+        hits[0].refinement.candidates.clear()
+        again = session.execute(spec)
+    for hit in hits[1:] + [again]:
+        assert hit.stats.reused
+        assert _payload(hit) == _payload(cold)
+        assert hit.refinement.candidates == cold.refinement.candidates
+        assert hit.refinement.best_index == cold.refinement.best_index
+
+
 @pytest.mark.parametrize("kind", list(ANSWERED))
 def test_a_hit_payload_equals_the_run_payload(kind, query_graph):
     spec = ANSWERED[kind](query_graph)

@@ -210,9 +210,10 @@ def test_serial_and_pooled_evaluators_agree(db, query):
         spec,
         EvaluationPlan(
             source=DatabaseOrderSource(),
-            evaluator=PooledEvaluator(max_workers=2, chunk_size=3),
+            evaluator=PooledEvaluator(max_workers=2),
         ),
     )
+    assert pooled.stats.pool["chunks"] > 1
     assert serial.ids == pooled.ids
     assert {i: v.values for i, v in serial.vectors.items()} == {
         i: v.values for i, v in pooled.vectors.items()

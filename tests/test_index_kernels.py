@@ -296,45 +296,43 @@ def test_bulk_writer_grows_every_block_at_once():
     assert len(bulk) == 40 and len(bulk.type_block.vocab) > 8
 
 
-def test_pooled_row_subsets_bound_like_the_parent_matrix():
-    """A worker's bounds over the shared-memory export equal the parent's
-    ``bound_matrix`` rows, edge-type column included."""
-    from collections import OrderedDict
+def test_pooled_chunks_ship_the_parent_matrix_bound_rows(monkeypatch):
+    """Each pooled chunk ships its candidates' bounds as the parent's
+    ``bound_matrix`` rows, edge-type column included: workers prune on
+    exactly the vectors the in-process bound stage used."""
+    import repro
+    from repro import Query
+    from repro.engine import planner, workers
 
-    from repro.engine.workers import shared_memory_available
-    from repro.index.shm import SharedMatrixExport, matrix_bounds
-
-    if not shared_memory_available():
+    if not workers.shared_memory_available():
         pytest.skip("multiprocessing.shared_memory unavailable")
+    monkeypatch.setattr(planner, "POOL_START_SECONDS", 0.0)
+    monkeypatch.setattr(planner, "POOL_WARM_SECONDS", 0.0)
+    shipped = []
+    run = workers.WorkerPool.run
+
+    def recording(self, tasks, deadline=None):
+        shipped.extend(tasks)
+        return run(self, tasks, deadline=deadline)
+
+    monkeypatch.setattr(workers.WorkerPool, "run", recording)
     graphs = [
         make_random_graph(seed, labels=("A", "B", 1, 1.0), edge_labels=("-", "=", True))
         for seed in range(30)
     ]
     database = GraphDatabase.from_graphs(graphs)
-    store = FeatureStore(database)
-    export = SharedMatrixExport(store)
-    measures = resolve_measures(("edit", "edit-normalized", "mcs", "union"))
+    names = ("edit", "edit-normalized", "mcs", "union")
     query = make_random_graph(77, labels=("A", 1.0, True), edge_labels=("-", 1))
-    cache: OrderedDict = OrderedDict()
-    try:
-        meta, matrix = export.refresh()
-        packed = matrix.pack_query(query)
-        qsig = (
-            packed.order,
-            packed.size,
-            packed.vertex_vector.tolist(),
-            packed.edge_vector.tolist(),
-            packed.type_vector.tolist(),
-        )
-        expected = bound_matrix(matrix, packed, measures)
-        rows = [3, 0, 17, 29, 11]
-        pooled = matrix_bounds(meta, rows, qsig, measures, cache)
-        ids = matrix.ids.tolist()
-        assert pooled == {ids[row]: tuple(expected[row]) for row in rows}
-    finally:
-        for attached in cache.values():
-            attached.release()
-        export.release()
+    with repro.connect(database, backend="auto", max_workers=2) as session:
+        session.execute(Query(query).measures(*names).skyline())
+        matrix = session.backend.store.matrix
+    expected = bound_matrix(matrix, matrix.pack_query(query), resolve_measures(names))
+    assert shipped
+    for task in shipped:
+        assert set(task["bounds"]) == {graph_id for graph_id, _ in task["pairs"]}
+        for graph_id, bounds in task["bounds"].items():
+            row = expected[matrix.row_of[graph_id]]
+            assert tuple(bounds) == tuple(row)
 
 
 def test_feature_store_row_level_invalidation():

@@ -1,10 +1,9 @@
-"""Session lifecycle: the context manager releases backend resources.
+"""Session lifecycle: the context manager closes the session.
 
 The serving layer holds sessions open across many requests, so leaks
 here compound; these tests pin the cleanup contract the server relies
 on — ``close()`` is idempotent, the context manager always calls it,
-and the parallel backend's shared-memory database attachment (and any
-``/dev/shm`` segments behind it) disappears with the session."""
+and a pooled run leaves no ``/dev/shm`` segment behind."""
 
 from __future__ import annotations
 
@@ -42,37 +41,37 @@ def test_session_close_propagates_on_exception(database):
         session.execute(Query(query).skyline())
 
 
-def test_parallel_session_releases_attachment(database):
+def test_pooled_session_leaves_no_segments(database, monkeypatch):
+    from repro.engine import planner
+
+    monkeypatch.setattr(planner, "POOL_START_SECONDS", 0.0)
+    monkeypatch.setattr(planner, "POOL_WARM_SECONDS", 0.0)
     db, query = database
     before = set(live_segments())
-    with repro.connect(db, backend="parallel", max_workers=2) as session:
-        result = session.execute(Query(query).topk(3, "edit"))
-        assert len(result.ids) == 3
+    with repro.connect(db, backend="auto", max_workers=2) as session:
+        result = session.execute(Query(query).skyline())
+        assert result.ids
         assert result.stats.pool is not None
-        # The drain parked a database attachment on the pool.
-        assert session.backend._pooled[None]._attachment_key is not None
-    # Closing the session released it: no attachment reference, and no
-    # shared-memory segment this session created is still alive.
-    assert session.backend._pooled[None]._attachment_key is None
+        # The query's frontier board went with the query.
+        assert set(live_segments()) <= before
+    # Closing the session leaves no shared-memory segment this session
+    # created alive either.
     assert set(live_segments()) <= before
 
 
-def test_parallel_mutation_ships_delta_not_rollover(database):
+def test_parallel_answers_follow_mutation(database):
     db, query = database
     db = GraphDatabase.from_graphs(db.graphs())  # private copy to mutate
-    with repro.connect(db, backend="parallel", max_workers=2) as session:
-        first = session.execute(Query(query).topk(2, "edit"))
-        assert first.stats.pool["attach"].get("cold") == 1
-        pool = session.backend._pooled[None]._pool
-        attachment = pool._attachments[id(db)]
-        assert attachment.delta_count == 0
-        db.insert(query.copy(name="fresh"))
-        second = session.execute(Query(query).topk(2, "edit"))
-        # The mutation shipped a row-level delta, not a full payload.
-        assert second.stats.pool["attach"].get("delta") == 1
-        assert attachment.delta_count == 1
-        assert attachment.version == db.version
-        third = session.execute(Query(query).topk(2, "edit"))
-        assert third.stats.pool["attach"].get("warm") == 1
-    # Session close dropped the attachment (and its blobs) from the pool.
-    assert id(db) not in pool._attachments
+    spec = Query(query).topk(2, "edit")
+    with repro.connect(db, backend="parallel", max_workers=2) as session, (
+        repro.connect(db, backend="memory")
+    ) as oracle:
+        first = session.execute(spec)
+        assert first.stats.pool is not None
+        assert first.ids == oracle.execute(spec).ids
+        fresh = db.insert(query.copy(name="fresh"))
+        second = session.execute(spec)
+        assert second.ids == oracle.execute(spec).ids
+        assert fresh in second.ids
+        third = session.execute(spec)
+        assert third.ids == second.ids

@@ -255,8 +255,8 @@ def test_parallel_scatter_ships_shard_payloads(sharded_fig3, monkeypatch):
         assert result.ids == expected
         assert result.plan.workers == 2
         assert result.stats.pool is not None
-        # One pooled evaluator per touched shard, each holding (at most)
-        # that shard's payload — never a whole-database payload.
+        # One pooled evaluator per touched shard, each shipping only
+        # that shard's candidates.
         evaluators = session.backend._pooled
         assert evaluators and set(evaluators) <= set(
             range(sharded_fig3.shard_count)

@@ -126,33 +126,24 @@ def test_cache_composes_with_vectorized_plan(random_database, paper_query):
 
 
 # ----------------------------------------------------------------------
-# Pool-shared database attachment (parallel serialization tax)
+# Pooled evaluation ships each chunk's graphs
 # ----------------------------------------------------------------------
-def test_pooled_attachment_warm_until_mutation_then_delta(
-    random_database, paper_query
-):
+def test_pooled_answers_stay_exact_across_mutation(random_database, paper_query):
     spec = Query(paper_query).skyline().build()
     with repro.connect(
         random_database, backend="parallel", max_workers=2
     ) as session:
         first = session.execute(spec)
-        # First drain parks the database on the persistent pool.
-        assert first.stats.pool["attach"].get("cold") == 1
+        assert first.stats.pool["chunks"] >= 1
         second = session.execute(spec)
-        # Unmutated database: the same attachment served both queries.
-        assert second.stats.pool["attach"].get("warm") == 1
         random_database.insert(make_random_graph(55))
         third = session.execute(spec)
-        # Mutation shipped a row-level delta, not a full re-park.
-        assert third.stats.pool["attach"].get("delta") == 1
-    # close() released the attachment; answers stayed parity-correct.
-    assert session.backend._pooled[None]._attachment_key is None
     reference = _reference(random_database, lambda: Query(paper_query).skyline())
     assert third.ids == reference.ids
     assert first.ids == second.ids
 
 
-def test_pooled_attachment_write_failure_ships_inline(
+def test_pooled_runs_need_no_shared_memory_or_temp_files(
     random_database, paper_query, monkeypatch
 ):
     import tempfile
@@ -162,7 +153,6 @@ def test_pooled_attachment_write_failure_ships_inline(
     def broken_mkstemp(*args, **kwargs):
         raise OSError("no temp space")
 
-    # Disable both blob transports: no shared memory and no temp files.
     monkeypatch.setattr(workers, "_SHM_DISABLED", True)
     monkeypatch.setattr(tempfile, "mkstemp", broken_mkstemp)
     spec = Query(paper_query).skyline().build()
@@ -170,7 +160,6 @@ def test_pooled_attachment_write_failure_ships_inline(
         random_database, backend="parallel", max_workers=2
     ) as session:
         result = session.execute(spec)
-        # The attachment latched broken; chunks shipped graphs inline.
-        assert result.stats.pool["attach"].get("broken") == 1
+        assert result.stats.pool["workers"] == 2
     reference = _reference(random_database, lambda: Query(paper_query).skyline())
     assert result.ids == reference.ids

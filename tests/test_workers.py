@@ -1,19 +1,18 @@
-"""The persistent worker pool: frontier protocol, payload deltas,
+"""The persistent worker pool: frontier protocol, chunk shipping,
 robustness, degradation, and leak hygiene.
 
 The expensive machinery (worker processes, shared-memory segments) is
 exercised end-to-end through the ``parallel`` backend and through
 ``auto`` scattering over shards with its pool break-even set to zero;
 the protocol pieces (:class:`FrontierBuffer`, :class:`FrontierJudge`,
-:func:`ensure_payload`, :func:`handle_eval`) are additionally unit-tested
-in-process, both for precision and because code running inside forked
-workers is invisible to coverage."""
+:func:`handle_eval`) are additionally unit-tested in-process, both for
+precision and because code running inside forked workers is invisible to
+coverage."""
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
 import signal
 import time
 from collections import OrderedDict
@@ -27,12 +26,9 @@ from repro.engine import workers
 from repro.engine.evaluate import pair_values
 from repro.engine.workers import (
     BoundSharing,
-    DatabaseAttachment,
     FrontierBuffer,
     FrontierJudge,
-    PooledEvaluator,
     WorkerPoolError,
-    ensure_payload,
     handle_eval,
     live_segments,
     shared_memory_available,
@@ -176,66 +172,6 @@ def test_sharing_for_spec_gates_unsound_kinds(workload):
 
 
 # ----------------------------------------------------------------------
-# Attachment deltas (in-process: parent refresh + worker replay)
-# ----------------------------------------------------------------------
-def test_attachment_delta_chain_replay(workload):
-    db, query = workload
-    db = GraphDatabase.from_graphs(db.graphs())
-    attachment = DatabaseAttachment(db)
-    worker_cache: OrderedDict = OrderedDict()
-    try:
-        assert attachment.refresh(db) == "cold"
-        graphs, kind = ensure_payload(attachment.spec(), worker_cache)
-        assert kind == "cold"
-        assert set(graphs) == set(db.ids())
-        assert attachment.refresh(db) == "warm"
-        _, kind = ensure_payload(attachment.spec(), worker_cache)
-        assert kind == "warm"
-
-        # Mutate: one insert, one remove. The refresh must ship only the
-        # id-set diff, and a warm worker must replay it incrementally.
-        removed_id = next(iter(db.ids()))
-        db.remove(removed_id)
-        added_id = db.insert(query.copy(name="fresh"))
-        assert attachment.refresh(db) == "delta"
-        spec = attachment.spec()
-        delta_links = [link for link in spec["chain"] if link[0] == "delta"]
-        assert len(delta_links) == 1
-        added, removed = pickle.loads(workers.read_blob(delta_links[0][2]))
-        assert set(added) == {added_id} and removed == [removed_id]
-        graphs, kind = ensure_payload(spec, worker_cache)
-        assert kind == "delta"
-        assert set(graphs) == set(db.ids())
-        assert graphs[added_id].name == "fresh"
-
-        # A cold worker (empty cache) replays base + every delta.
-        graphs, kind = ensure_payload(spec, OrderedDict())
-        assert kind == "cold"
-        assert set(graphs) == set(db.ids())
-    finally:
-        attachment.release()
-
-
-def test_attachment_rebases_after_long_delta_chain(workload):
-    db, query = workload
-    db = GraphDatabase.from_graphs(db.graphs())
-    attachment = DatabaseAttachment(db)
-    try:
-        attachment.refresh(db)
-        for round_number in range(workers._REBASE_CHAIN_LIMIT):
-            db.insert(query.copy(name=f"extra-{round_number}"))
-            assert attachment.refresh(db) == "delta"
-        db.insert(query.copy(name="the-last-straw"))
-        # Chain hit the limit: fold everything into a fresh base blob.
-        assert attachment.refresh(db) == "cold"
-        assert attachment.delta_count == 0
-        graphs, kind = ensure_payload(attachment.spec(), OrderedDict())
-        assert kind == "cold" and set(graphs) == set(db.ids())
-    finally:
-        attachment.release()
-
-
-# ----------------------------------------------------------------------
 # handle_eval in-process (the worker task body)
 # ----------------------------------------------------------------------
 register_measure(
@@ -253,34 +189,31 @@ def test_handle_eval_inline_pairs_matches_pair_values(workload):
         "id": "t1",
         "query": query,
         "measures": ("edit",),
-        "ids": ids,
         "pairs": [(gid, db.get(gid)) for gid in ids],
     }
-    out = handle_eval(task, OrderedDict(), OrderedDict(), OrderedDict(), region=1)
+    out = handle_eval(task, OrderedDict(), region=1)
     measures = resolve_measures(("edit",))
     expected = [(gid, pair_values(db.get(gid), query, measures)) for gid in ids]
     assert out["results"] == expected
     assert out["skipped"] == []
-    assert out["stats"]["attach"] == "inline"
 
 
 def test_handle_eval_stops_inside_a_pair_at_the_deadline(workload):
     db, query = workload
     cheap = sorted(db.ids())[0]
-    warm = {"query": query, "measures": ("edit",), "ids": [cheap]}
+    warm = {"query": query, "measures": ("edit",)}
     warm["pairs"] = [(cheap, db.get(cheap))]
-    handle_eval(warm, OrderedDict(), OrderedDict(), OrderedDict(), region=1)
+    handle_eval(warm, OrderedDict(), region=1)
     # One exact GED of this pair takes well over a second.
     slow = random_labeled_graph(14, 26, vertex_labels=("a", "b"), seed=50)
     task = {
         "query": random_labeled_graph(13, 24, vertex_labels=("a", "b"), seed=51),
         "measures": ("edit",),
-        "ids": [0, 1],
         "pairs": [(0, slow), (1, slow)],
         "deadline": time.monotonic() + 0.05,
     }
     started = time.monotonic()
-    out = handle_eval(task, OrderedDict(), OrderedDict(), OrderedDict(), region=1)
+    out = handle_eval(task, OrderedDict(), region=1)
     assert time.monotonic() - started < 0.5
     assert out["stats"]["partial"] is True
     assert out["results"] == [] and out["cut"] == []
@@ -300,7 +233,6 @@ def test_handle_eval_frontier_skips_dominated_and_publishes(workload):
             "id": "t2",
             "query": query,
             "measures": ("order-gap-test",),
-            "ids": ids,
             "pairs": [(gid, db.get(gid)) for gid in ids],
             # The second candidate's bound is already dominated by the
             # first candidate's exact value, which the worker publishes
@@ -313,7 +245,7 @@ def test_handle_eval_frontier_skips_dominated_and_publishes(workload):
                 "tolerance": 0.0,
             },
         }
-        out = handle_eval(task, OrderedDict(), OrderedDict(), frontiers, region=1)
+        out = handle_eval(task, frontiers, region=1)
         assert out["results"] == [(first, exact_first)]
         assert out["skipped"] == [second]
         assert out["stats"]["published"] == 1
@@ -342,7 +274,6 @@ def test_handle_eval_cuts_solves_at_the_frontier_cap(workload):
             "id": "t3",
             "query": query,
             "measures": ("edit",),
-            "ids": ids,
             "pairs": [(gid, db.get(gid)) for gid in ids],
             "frontier": {
                 "name": board.name,
@@ -351,7 +282,7 @@ def test_handle_eval_cuts_solves_at_the_frontier_cap(workload):
                 "tolerance": 0.0,
             },
         }
-        out = handle_eval(task, OrderedDict(), OrderedDict(), frontiers, region=1)
+        out = handle_eval(task, frontiers, region=1)
         tied = [gid for gid in ids if exact[gid] == best]
         assert out["results"] == [(gid, exact[gid]) for gid in tied]
         assert out["cut"] == [gid for gid in ids if gid not in tied]
@@ -442,7 +373,92 @@ def test_pool_telemetry_surfaces_in_explain_and_to_dict(pool_always):
     assert any("chunks" in row for row in stats["per_shard"])
     explained = result.explain()
     assert "worker pool:" in explained
-    assert "pool(attach=" in explained
+    assert "pool(chunks=" in explained
+
+
+def test_pooled_tasks_ship_only_their_chunk(monkeypatch, pool_always):
+    """A task carries its chunk's own graphs and, with a frontier, their
+    optimistic bounds — nothing of the rest of the database."""
+    shipped = []
+    run = workers.WorkerPool.run
+
+    def recording(self, tasks, deadline=None):
+        shipped.extend(tasks)
+        return run(self, tasks, deadline=deadline)
+
+    monkeypatch.setattr(workers.WorkerPool, "run", recording)
+    w = make_workload(n_graphs=48, query_size=5, seed=23)
+    with repro.connect(w.database, backend="auto", max_workers=2) as session:
+        result = session.execute(Query(w.queries[0]).skyline())
+        database = session.database
+    solved: set[int] = set()
+    for task in shipped:
+        ids = [graph_id for graph_id, _ in task["pairs"]]
+        assert solved.isdisjoint(ids)  # no pair is shipped twice
+        solved.update(ids)
+        for graph_id, graph in task["pairs"]:
+            assert graph is database.get(graph_id)
+        if shared_memory_available():
+            assert set(task["bounds"]) == set(ids)
+            for graph_id in set(ids) & set(result.vectors):
+                exact = result.vectors[graph_id].values
+                assert all(
+                    b <= e for b, e in zip(task["bounds"][graph_id], exact)
+                )
+        else:
+            assert "bounds" not in task
+    # Bound pruning left only some pairs to ship, and every evaluated
+    # pair was one of them.
+    assert set(result.evaluated_ids) <= solved < set(database.ids())
+
+
+def test_pooled_answers_follow_many_mutations(workload):
+    """Every run ships the graphs live at its version: removed graphs are
+    never solved, added ones are, however many versions go by."""
+    db, query = workload
+    db = GraphDatabase.from_graphs(db.graphs())  # private copy to mutate
+    spec = Query(query).topk(3, "edit").build()
+    with repro.connect(db, backend="parallel", max_workers=2) as session, (
+        repro.connect(db, backend="memory")
+    ) as oracle:
+        assert session.execute(spec).ids == oracle.execute(spec).ids
+        removed = next(iter(db.ids()))
+        db.remove(removed)
+        fresh = db.insert(query.copy(name="fresh"))
+        result = session.execute(spec)
+        assert result.ids == oracle.execute(spec).ids
+        assert fresh in result.ids and removed not in result.evaluated_ids
+        for round_number in range(9):
+            db.insert(query.copy(name=f"extra-{round_number}"))
+            result = session.execute(spec)
+            expected = oracle.execute(spec)
+            assert result.ids == expected.ids
+            assert result.distances == expected.distances
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pooled_pruning_workloads_match_the_oracle(seed, monkeypatch, pool_always):
+    """Differential cover of pooled waves with shipped bounds: every
+    query step of a generated workload runs on ``auto`` with the pool
+    always chosen, against the exhaustive oracle."""
+    from repro.cli import _remap_backend
+    from repro.testkit import generate_workload, run_workload
+
+    shipped_bounds = 0
+    run = workers.WorkerPool.run
+
+    def counting(self, tasks, deadline=None):
+        nonlocal shipped_bounds
+        shipped_bounds += sum("bounds" in task for task in tasks)
+        return run(self, tasks, deadline=deadline)
+
+    monkeypatch.setattr(workers.WorkerPool, "run", counting)
+    workload = _remap_backend(generate_workload(seed=seed, n_steps=120), "auto")
+    report = run_workload(workload, max_workers=2)
+    assert report.ok, report.divergence.describe()
+    assert report.queries > 0
+    if shared_memory_available():
+        assert shipped_bounds > 0
 
 
 @needs_fork
@@ -492,8 +508,8 @@ def test_sharded_parallel_parity_without_shared_memory(monkeypatch, pool_always)
         serial = serial_session.execute(spec)
         parallel = parallel_session.execute(spec)
     assert parallel.ids == serial.ids
-    # Blobs fell back to temp files; no frontier, but the parent-side
-    # wave filter still recovers pruning between waves.
+    # No frontier, but the parent-side wave filter still recovers
+    # pruning between waves.
     assert parallel.stats.pool["published"] == 0
 
 
@@ -508,7 +524,6 @@ def test_pool_start_failure_falls_back_to_inline_evaluation(
     monkeypatch.setattr(workers.WorkerPool, "ensure_started", refuse)
     with repro.connect(db, backend="parallel", max_workers=2) as session:
         result = session.execute(Query(query).skyline())
-        assert result.stats.pool["attach"] == {"serial": 1}
         assert result.stats.pool["workers"] == 0
     with repro.connect(db, backend="memory") as oracle_session:
         oracle = oracle_session.execute(Query(query).skyline())
