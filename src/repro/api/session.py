@@ -86,9 +86,9 @@ class _StoredAnswer:
     copies of the answer's containers that no returned result shares,
     ``rendered``, the memo of the answer's rendered names and rows
     that every hit's result shares (see ``ResultSet.rendered``), and
-    ``refined``, the memo of its diversity refinements keyed by
-    ``(refine_k, refine_measures, refine_method)``. Memo values are
-    whole values, never mutated; results hand out copies."""
+    ``refined``, the memo of the diversity refinements its hits asked
+    for, keyed by ``(refine_k, refine_measures, refine_method)``. Memo
+    values are whole values, never mutated; results hand out copies."""
 
     plan: QueryPlan
     ids: tuple[int, ...]
@@ -302,9 +302,7 @@ class Session:
             store.count("hits")
             stored = entry[1]
             plan, answer = stored.reuse(version)
-            return self._result(
-                spec, plan, answer, cache, (0, 0), stored.rendered, stored.refined
-            )
+            return self._result(spec, plan, answer, cache, (0, 0), stored)
         probes = (cache.hits, cache.misses) if cache is not None else (0, 0)
         replayed = None
         if entry is not None:
@@ -321,12 +319,9 @@ class Session:
             probes = (cache.hits - probes[0], cache.misses - probes[1])
         # A mutation during the run may or may not be reflected in its
         # answer, so only an answer computed at one version is stored.
-        refined = None
         if key is not None and self.database.version == version:
-            stored = _StoredAnswer.of(plan, answer)
-            store.put(version, key, stored)
-            refined = stored.refined
-        return self._result(spec, plan, answer, cache, probes, refined=refined)
+            store.put(version, key, _StoredAnswer.of(plan, answer))
+        return self._result(spec, plan, answer, cache, probes)
 
     def _replay(
         self, spec: GraphQuery, cache, since: int, stored: _StoredAnswer
@@ -415,13 +410,12 @@ class Session:
         answer: BackendAnswer,
         cache,
         probes: tuple[int, int],
-        rendered: dict | None = None,
-        refined: dict | None = None,
+        stored: _StoredAnswer | None = None,
     ) -> ResultSet:
-        """Package a backend answer: refinement, ``limit``, the pair
-        cache's ``(hits, misses)`` during this read and, on a hit, the
-        stored answer's memo of rendered rows. ``refined`` is the stored
-        answer's memo of refinements, when the answer is stored."""
+        """Package a backend answer: refinement, ``limit`` and the pair
+        cache's ``(hits, misses)`` during this read. On a hit, ``stored``
+        is the hit entry, whose memos of rendered rows and refinements
+        the result reads and fills."""
         cache_info = None
         if cache is not None:
             cache_info = {
@@ -438,7 +432,7 @@ class Session:
             and spec.kind in ("skyline", "skyband")
             and spec.refine_k < len(answer.ids)
         ):
-            refinement = self._refine(spec, answer.ids, refined)
+            refinement = self._refine(spec, answer.ids, stored)
 
         ids = answer.ids
         if spec.limit is not None:
@@ -456,16 +450,18 @@ class Session:
             cache_info=cache_info,
             intervals=answer.intervals,
             approximate=answer.approximate,
-            rendered=rendered,
+            rendered=None if stored is None else stored.rendered,
         )
 
-    def _refine(self, spec: GraphQuery, ids, memo: dict | None):
+    def _refine(self, spec: GraphQuery, ids, stored: _StoredAnswer | None):
         """``spec``'s diversity refinement of the answer ``ids``, through
-        the stored answer's ``memo`` when there is one: the stored ids
-        cannot change, so the refinement is solved once per key and every
-        read gets a copy. Specs refining over measure instances, which
-        are not keyed by a registry name, are always solved."""
+        the ``stored`` answer's memo on a hit: the stored ids cannot
+        change, so the first hit solves the refinement for its key and
+        every later one gets a copy. Specs refining over measure
+        instances, which are not keyed by a registry name, are always
+        solved."""
         key = (spec.refine_k, spec.refine_measures, spec.refine_method)
+        memo = None if stored is None else stored.refined
         if spec.refine_measures is not None and not all(
             isinstance(name, str) for name in spec.refine_measures
         ):

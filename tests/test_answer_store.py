@@ -317,15 +317,18 @@ def test_refined_hits_reuse_the_stored_refinement(query_graph, monkeypatch):
     calls.clear()
     with _cached(_database()) as session:
         session.execute(spec)
-        assert calls == [(2, "exhaustive")]  # the miss solves and stores it
+        first = session.execute(spec)
+        # The miss and the first hit solve it; the first hit memoes it.
+        assert calls == [(2, "exhaustive")] * 2
         calls.clear()
-        hits = [session.execute(spec) for _ in range(2)]
+        hits = [first] + [session.execute(spec) for _ in range(2)]
         assert calls == []
         # Another refinement of the same stored answer is its own entry.
         session.execute(band.refine(k=2, method="greedy"))
         session.execute(band.refine(k=2, method="greedy"))
         assert calls == [(2, "greedy")]
-        # Each hit gets a copy: emptying one leaves the next intact.
+        # Each hit gets a copy: emptying the one the memo was solved for
+        # leaves the next intact.
         hits[0].refinement.candidates.clear()
         again = session.execute(spec)
     for hit in hits[1:] + [again]:

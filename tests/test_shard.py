@@ -243,10 +243,18 @@ def test_sharded_backend_matches_memory_all_kinds(sharded_fig3):
 
 def test_parallel_scatter_ships_shard_payloads(sharded_fig3, monkeypatch):
     # A zero pool break-even makes ``auto`` pool every non-empty shard.
-    from repro.engine import planner
+    from repro.engine import planner, workers
 
     monkeypatch.setattr(planner, "POOL_START_SECONDS", 0.0)
     monkeypatch.setattr(planner, "POOL_WARM_SECONDS", 0.0)
+    waves = []
+    run = workers.WorkerPool.run
+
+    def recording(self, tasks, deadline=None):
+        waves.append(list(tasks))
+        return run(self, tasks, deadline=deadline)
+
+    monkeypatch.setattr(workers.WorkerPool, "run", recording)
     query = figure3_query()
     with connect(figure3_database(), backend="memory") as session:
         expected = session.execute(Query(query).topk(3, "edit")).ids
@@ -256,11 +264,20 @@ def test_parallel_scatter_ships_shard_payloads(sharded_fig3, monkeypatch):
         assert result.plan.workers == 2
         assert result.stats.pool is not None
         # One pooled evaluator per touched shard, each shipping only
-        # that shard's candidates.
+        # that shard's graphs: every wave's pairs lie in one shard.
         evaluators = session.backend._pooled
         assert evaluators and set(evaluators) <= set(
             range(sharded_fig3.shard_count)
         )
+    shipped = set()
+    for tasks in waves:
+        pairs = [pair for task in tasks for pair in task["pairs"]]
+        shards = {sharded_fig3.shard_of(graph_id) for graph_id, _ in pairs}
+        assert len(shards) == 1
+        shipped |= shards
+        for graph_id, graph in pairs:
+            assert graph is sharded_fig3.get(graph_id)
+    assert len(shipped) > 1 and shipped <= set(evaluators)
 
 
 def test_tolerant_queries_fall_back_to_exhaustive_merge(sharded_fig3):
