@@ -43,6 +43,7 @@ from collections import OrderedDict
 from collections.abc import Hashable
 
 from repro.graph.canonical import canonical_hash
+from repro.graph.features import GraphFeatures
 from repro.graph.labeled_graph import LabeledGraph
 
 #: Entry bound of a session's :class:`AnswerStore`.
@@ -82,6 +83,10 @@ class _LruStore:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+
+    def keys(self) -> list:
+        with self._lock:
+            return list(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -135,7 +140,8 @@ class PairCache:
         #: :meth:`invalidate_subject`); answers built from the values of
         #: an older generation are keyed by it and never served again.
         self.generation = 0
-        #: ``(id(graph), mutation_count)`` -> ``(graph, canonical hash)``.
+        #: ``(id(graph), mutation_count)`` -> ``[graph, canonical hash,
+        #: features or None]``.
         self._hash_memo = _LruStore(self.pin_limit)
 
     @property
@@ -163,13 +169,23 @@ class PairCache:
         LabeledGraph.mutation_count`, changing the key. The memo is a
         small LRU so pinned graphs cannot accumulate unboundedly.
         """
+        return self._query_entry(query)[1]
+
+    def query_features(self, query: LabeledGraph) -> GraphFeatures:
+        """The query graph's :class:`GraphFeatures`, kept on the same
+        memo entry as its :meth:`query_hash`."""
+        entry = self._query_entry(query)
+        if entry[2] is None:
+            entry[2] = GraphFeatures.of(query)
+        return entry[2]
+
+    def _query_entry(self, query: LabeledGraph) -> list:
         key = (id(query), query.mutation_count)
         entry = self._hash_memo.get(key)
-        if entry is not None and entry[0] is query:
-            return entry[1]
-        value = canonical_hash(query)
-        self._hash_memo.put(key, (query, value))
-        return value
+        if entry is None or entry[0] is not query:
+            entry = [query, canonical_hash(query), None]
+            self._hash_memo.put(key, entry)
+        return entry
 
     def subject_key(self, entry) -> Hashable:
         """Cache key component of a stored database graph (its iso hash)."""

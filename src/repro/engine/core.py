@@ -94,7 +94,8 @@ class RunContext:
     for skyline/skyband, a single-element tuple for topk/threshold — and
     ``names`` its registry names (cache keys). ``measure_specs`` is the
     picklable form shipped to pool workers. ``query_features`` is
-    computed lazily so plans without bound stages never pay for it.
+    computed lazily so plans without bound stages never pay for it, and
+    taken from the pair cache's query memo when the run has a cache.
     """
 
     spec: GraphQuery
@@ -133,7 +134,12 @@ class RunContext:
     @property
     def query_features(self) -> GraphFeatures:
         if self._query_features is None:
-            self._query_features = GraphFeatures.of(self.spec.graph)
+            graph = self.spec.graph
+            self._query_features = (
+                GraphFeatures.of(graph)
+                if self.cache is None
+                else self.cache.query_features(graph)
+            )
         return self._query_features
 
 

@@ -56,6 +56,7 @@ import math
 import os
 import queue as queue_module
 import struct
+import sys
 import uuid
 from collections import OrderedDict
 from typing import TYPE_CHECKING
@@ -790,8 +791,9 @@ def get_pool(max_workers: int) -> WorkerPool:
 
 
 def shutdown_pool() -> None:
-    """Tear down every pool and release every shared-memory segment this
-    process still owns (idempotent; also registered ``atexit``)."""
+    """Tear down every pool, release every shared-memory segment this
+    process still owns, then stop multiprocessing's resource tracker
+    (idempotent; also registered ``atexit``)."""
     while _POOLS:
         _, pool = _POOLS.popitem()
         pool.close()
@@ -800,6 +802,28 @@ def shutdown_pool() -> None:
             owner.release()
         except Exception:
             pass
+    _stop_resource_tracker()
+
+
+def _stop_resource_tracker() -> None:
+    """Stop the resource tracker process the first shared-memory segment
+    started; the next segment starts a fresh one.
+
+    It exits once every holder of its pipe has closed it, and forked
+    children inherit the pipe, so it is stopped only when every segment
+    is released and no ``multiprocessing`` child is left: waiting for it
+    while a child holds the pipe would never return.
+    """
+    tracker = sys.modules.get("multiprocessing.resource_tracker")
+    if tracker is None or _LIVE_OWNERS:
+        return
+    import multiprocessing
+
+    if multiprocessing.active_children():
+        return
+    stop = getattr(tracker._resource_tracker, "_stop", None)
+    if stop is not None:
+        stop()
 
 
 atexit.register(shutdown_pool)

@@ -34,6 +34,15 @@ concurrently. Deadlines enter through
 :func:`~repro.engine.deadline.deadline_scope` on the connection's
 thread, so the run budget every search is bounded by carries the right
 expiry.
+
+Connection threads share one intern map of parsed specs under its lock:
+a ``/v1/query`` or ``/v1/watch`` body seen before is answered with the
+:class:`~repro.api.spec.GraphQuery` its first successful parse produced,
+so the query graph's canonical hash and features, memoised by graph
+identity in the pair cache, are computed once per distinct body. It
+holds at most :data:`SPEC_INTERN_LIMIT` specs, least recently used
+first out, and never a body over :data:`SPEC_INTERN_MAX_BYTES`
+(``/v1/stats`` → ``specs``).
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ from typing import TYPE_CHECKING, Any, BinaryIO
 from repro.api.ops import MutationOp, apply_mutation, mutation_from_dict
 from repro.api.session import Session
 from repro.api.spec import GraphQuery
+from repro.db.cache import PairCache, _LruStore
 from repro.db.wal import MANIFEST_NAME, DurableLog
 from repro.engine.deadline import deadline_scope
 from repro.errors import (
@@ -82,6 +92,11 @@ if TYPE_CHECKING:
 #: cannot hold one of the bounded connection threads for long. Watch
 #: streams are exempt.
 IDLE_TIMEOUT_SECONDS = 30.0
+
+#: Parsed specs the server keeps for repeat bodies (see :class:`_SpecIntern`).
+SPEC_INTERN_LIMIT = 256
+#: A body longer than this is parsed on every request and never kept.
+SPEC_INTERN_MAX_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -190,6 +205,47 @@ class _Counters:
             return dict(self._counts)
 
 
+class _SpecIntern:
+    """Validated specs of recent query bodies, keyed by the body's bytes.
+
+    Only a successful parse is kept, with the query graph's
+    ``mutation_count`` at that time: a kept spec whose graph changed
+    since is parsed again, never served. Every parse counts as a miss.
+    """
+
+    def __init__(self) -> None:
+        self._specs = _LruStore(SPEC_INTERN_LIMIT)
+        self._lock = threading.Lock()  # guards the counters
+        self.hits = 0
+        self.misses = 0
+
+    def spec(self, body: bytes, parse) -> GraphQuery:
+        """The spec of ``body``: a kept one, or ``parse()``'s."""
+        keep = len(body) <= SPEC_INTERN_MAX_BYTES
+        entry = self._specs.get(body) if keep else None
+        if entry is not None and entry[0].graph.mutation_count == entry[1]:
+            with self._lock:
+                self.hits += 1
+            return entry[0]
+        with self._lock:
+            self.misses += 1
+        spec = parse()
+        if keep:
+            self._specs.put(body, (spec, spec.graph.mutation_count))
+        return spec
+
+    def snapshot(self) -> dict[str, int]:
+        """``entries``, kept body ``bytes``, ``hits`` and ``misses``."""
+        bodies = self._specs.keys()
+        with self._lock:
+            return {
+                "entries": len(bodies),
+                "bytes": sum(map(len, bodies)),
+                "hits": self.hits,
+                "misses": self.misses,
+            }
+
+
 @dataclass
 class _HandleBook:
     """Client-facing handle <-> database id maps for the mutate path."""
@@ -230,9 +286,8 @@ class QueryServer:
             self.wal.initialize(database, self._handles.handle_to_id)
         if self.wal is not None:
             database.attach_wal(self.wal)
-        from repro.db.cache import PairCache
-
         self.cache = PairCache()
+        self.specs = _SpecIntern()
         self.admission = AdmissionController(
             config.max_concurrency, config.max_queue
         )
@@ -369,16 +424,21 @@ class QueryServer:
             )
         return ms / 1000.0
 
-    @staticmethod
-    def _parse_spec(payload: Any) -> GraphQuery:
-        if not isinstance(payload, dict):
-            raise ProtocolError(
-                "bad-request", "query body must be a JSON object"
-            )
-        try:
-            return GraphQuery.from_dict(payload)
-        except (SerializationError, QueryError) as exc:
-            raise ProtocolError("query-error", str(exc)) from exc
+    def _parse_spec(self, request: Request) -> GraphQuery:
+        """The request body's validated spec, through the intern map."""
+
+        def parse() -> GraphQuery:
+            payload = request.json()
+            if not isinstance(payload, dict):
+                raise ProtocolError(
+                    "bad-request", "query body must be a JSON object"
+                )
+            try:
+                return GraphQuery.from_dict(payload)
+            except (SerializationError, QueryError) as exc:
+                raise ProtocolError("query-error", str(exc)) from exc
+
+        return self.specs.spec(request.body, parse)
 
     def _apply_anytime(
         self, request: Request, spec: GraphQuery, deadline_s: float | None
@@ -437,6 +497,7 @@ class QueryServer:
             "connections": connections,
             "counters": self.counters.snapshot(),
             "cache": {"hits": self.cache.hits, "misses": self.cache.misses},
+            "specs": self.specs.snapshot(),
             "answers": {
                 name: session.answer_store.snapshot()
                 for name, session in sorted(sessions.items())
@@ -459,7 +520,7 @@ class QueryServer:
         return payload
 
     def _handle_query(self, request: Request) -> dict[str, Any]:
-        spec = self._parse_spec(request.json())
+        spec = self._parse_spec(request)
         backend_name = request.query.get("backend") or self.config.backend
         deadline_s = self._deadline_seconds(request)
         spec = self._apply_anytime(request, spec, deadline_s)
@@ -513,7 +574,7 @@ class QueryServer:
     def _handle_watch(self, request: Request, conn: socket.socket) -> None:
         """Stream NDJSON view events until either side hangs up."""
         self._check_auth(request)
-        spec = self._parse_spec(request.json())
+        spec = self._parse_spec(request)
         try:  # the view's first read is a backend run
             with self._reading(self.config.backend) as session:
                 view = session.watch(spec)

@@ -36,6 +36,24 @@ def test_query_hash_follows_mutation():
     assert cache.query_hash(graph) == canonical_hash(graph) != before
 
 
+def test_query_features_share_the_hash_memo_entry():
+    from repro.graph.features import GraphFeatures
+
+    cache = PairCache()
+    graph = LabeledGraph.from_edges([("A", "B", "-"), ("B", "C", "-")], name="p3")
+    features = cache.query_features(graph)
+    assert features == GraphFeatures.of(graph)
+    assert cache.query_features(graph) is features
+    assert cache.pinned == 1  # one entry pins the graph for both
+    cache.query_hash(graph)
+    assert cache.pinned == 1
+    graph.add_vertex("X", "Z")
+    assert cache.query_features(graph) == GraphFeatures.of(graph) != features
+    # An equal but distinct graph gets its own entry, not the first one's.
+    twin = graph.copy()
+    assert cache.query_features(twin) is not cache.query_features(graph)
+
+
 def test_query_hash_correct_for_recycled_ids():
     """A stale hash can never be served for a graph at a recycled id.
 

@@ -550,6 +550,31 @@ def test_shutdown_pool_releases_every_segment(pool_always):
         assert leaked == []
 
 
+@needs_shm
+def test_shutdown_pool_stops_the_resource_tracker(pool_always):
+    from multiprocessing import resource_tracker
+
+    w = make_workload(n_graphs=32, query_size=5, seed=31)
+    with repro.connect(
+        w.database, backend="auto", shards=2, max_workers=2
+    ) as session:
+        result = session.execute(Query(w.queries[0]).skyline())
+    assert result.stats.pool["workers"] == 2
+    tracker = resource_tracker._resource_tracker
+    pid = tracker._pid
+    assert pid is not None  # the frontier board started it
+    shutdown_pool()
+    assert tracker._pid is None
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+    # The next segment starts a fresh tracker, and the next shutdown
+    # stops that one too.
+    FrontierBuffer.create(regions=1, dims=1).release()
+    assert tracker._pid not in (None, pid)
+    shutdown_pool()
+    assert tracker._pid is None
+
+
 def test_deadline_propagates_through_pool(workload):
     from repro.engine.deadline import deadline_scope
     from repro.errors import DeadlineExceeded
