@@ -33,15 +33,16 @@ Packages
 --------
 ``repro.api``       declarative queries, sessions, pluggable backends
 ``repro.engine``    staged evaluation engine: plans, cascade, live views
-``repro.graph``     labeled graphs, isomorphism, MCS, exact/approx GED
+``repro.graph``     labeled graphs, isomorphism, MCS, exact GED and its bracket
 ``repro.measures``  DistEd / DistMcs / DistGu
 ``repro.skyline``   Pareto skyline and k-skyband selection
-``repro.core``      GCS, similarity-dominance, GSS, diversity refinement
+``repro.core``      GCS, GSS, diversity refinement, explanations
 ``repro.db``        database storage, caches, persistence, write-ahead log
 ``repro.shard``     sharded store, placement policies, scatter-gather backend
 ``repro.index``     packed feature store and batched bound kernels
 ``repro.datasets``  paper examples and synthetic workloads
-``repro.testkit``   differential workload fuzzing against a trusted oracle
+``repro.testkit``   differential workload fuzzing against a trusted oracle,
+                    and the reference solvers the tests compare against
 ``repro.bench``     the paper-example report and its plain-text tables
 """
 
@@ -56,10 +57,8 @@ from repro.errors import (
 from repro.graph import (
     LabeledGraph,
     UniformCostModel,
-    ged,
     graph_edit_distance,
     is_isomorphic,
-    is_subgraph_isomorphic,
     maximum_common_subgraph,
     mcs_size,
 )
@@ -81,7 +80,6 @@ from repro.core import (
     gcs_matrix,
     graph_similarity_skyline,
     refine_by_diversity,
-    similarity_dominates,
     top_k_by_measure,
 )
 from repro.db import GraphDatabase, PairCache
@@ -112,10 +110,8 @@ __all__ = [
     # graphs
     "LabeledGraph",
     "UniformCostModel",
-    "ged",
     "graph_edit_distance",
     "is_isomorphic",
-    "is_subgraph_isomorphic",
     "maximum_common_subgraph",
     "mcs_size",
     # measures
@@ -134,7 +130,6 @@ __all__ = [
     "CompoundSimilarity",
     "compound_similarity",
     "gcs_matrix",
-    "similarity_dominates",
     "graph_similarity_skyline",
     "SkylineResult",
     "refine_by_diversity",

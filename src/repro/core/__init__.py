@@ -1,8 +1,9 @@
-"""The paper's contribution: GCS, similarity-dominance, GSS, diversity.
+"""The paper's contribution: GCS, GSS, diversity.
 
 * :func:`compound_similarity` / :func:`gcs_matrix` — Definition 11.
-* :func:`similarity_dominates` — Definition 12.
-* :func:`graph_similarity_skyline` — Equation 4 / Section V.
+* :func:`graph_similarity_skyline` — Equation 4 / Section V, whose
+  dominance (Definition 12) is :func:`repro.skyline.dominates` over GCS
+  vectors.
 * :func:`refine_by_diversity` — Section VII.
 * :func:`top_k_by_measure` — the single-measure baseline of Section VI.
 
@@ -11,7 +12,6 @@ Database-backed queries over the same semantics go through
 """
 
 from repro.core.gcs import CompoundSimilarity, compound_similarity, gcs_matrix
-from repro.core.dominance import similarity_dominates, similarity_incomparable
 from repro.core.gss import SkylineResult, graph_similarity_skyline
 from repro.core.diversity import (
     DiversityCandidate,
@@ -33,8 +33,6 @@ __all__ = [
     "CompoundSimilarity",
     "compound_similarity",
     "gcs_matrix",
-    "similarity_dominates",
-    "similarity_incomparable",
     "SkylineResult",
     "graph_similarity_skyline",
     "DiversityCandidate",

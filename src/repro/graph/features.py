@@ -5,9 +5,8 @@ measures from below:
 
 * size difference bounds ``DistEd`` (every edit changes at most one edge);
 * ``|mcs|`` is bounded above by the overlap of labelled edge-type
-  histograms (endpoint labels plus edge label, see
-  :func:`mcs_upper_bound`), which bounds ``DistMcs`` / ``DistGu`` from
-  below.
+  histograms (endpoint labels plus edge label, see :func:`_mcs_cap` for
+  the proof), which bounds ``DistMcs`` / ``DistGu`` from below.
 
 The edge types are counted from the graphs themselves, never stored:
 :class:`GraphFeatures` keeps the frozen label multisets only.
@@ -15,8 +14,8 @@ The edge types are counted from the graphs themselves, never stored:
 prepared once per read; a replay bounds each graph it adds with
 :meth:`QueryBounds.vector`, a loop over that graph's stored multisets and
 edge list. Full runs bound every row at once with the bit-identical
-kernels of :mod:`repro.index.kernels`. The per-pair functions
-(:func:`edit_distance_lower_bound`, :func:`mcs_upper_bound`, …) share
+kernels of :mod:`repro.index.kernels`. The per-pair forms the tests
+compare those kernels with (:mod:`repro.testkit.reference.bounds`) share
 the helpers of :class:`QueryBounds`, so there is one scalar form.
 
 Labels are kept as the label objects themselves and matched by equality,
@@ -92,8 +91,28 @@ def _edit_bound(
 
 
 def _mcs_cap(graph: LabeledGraph, types: Mapping) -> int:
-    """:func:`mcs_upper_bound` of ``graph`` against a graph whose directed
-    edge types (:func:`_directed_edge_types`) are ``types``.
+    """Upper bound on ``|mcs(g1, g2)|`` for ``g1 = graph`` and a graph
+    ``g2`` whose directed edge types (:func:`_directed_edge_types`) are
+    ``types``: the overlap of labelled edge types.
+
+    An edge ``{u, v}`` has type ``({l(u), l(v)}, l(u, v))``: its unordered
+    endpoint-label pair and its own label. With ``c1``/``c2`` the type
+    counts of the two graphs, ``|mcs| <= sum_t min(c1(t), c2(t))``.
+
+    Proof: an MCS is an injective vertex mapping that preserves vertex
+    and edge labels, so a common edge ``{u, v}`` of ``g1`` maps onto the
+    ``g2`` edge ``{m(u), m(v)}`` of the same type, and distinct edges map
+    onto distinct edges. The common edges of type ``t`` are therefore at
+    most ``c1(t)`` and at most ``c2(t)``; summing over ``t`` gives the
+    bound. It is never looser than the overlap of edge-label multisets:
+    the types of one edge label split its count, and a sum of minima is
+    at most the minimum of the sums.
+
+    The count runs over directed types ``(l(u), l(v), l(u, v))`` in both
+    orientations, which doubles every undirected count, so the overlap is
+    exactly twice the bound: ``min(2x, 2y) = 2 min(x, y)``. Labels match
+    by equality, as in the solvers, so the keys need no ordering of
+    labels at all.
 
     Walks ``graph``'s edges once, each in both orientations, and takes
     every type from a copy of ``types`` while it lasts: that counts
@@ -144,54 +163,6 @@ def _dist_gu(size1: int, size2: int, mcs_cap: int) -> float:
 def _normalized(raw: int) -> float:
     raw = float(raw)
     return raw / (1.0 + raw)
-
-
-def edit_distance_lower_bound(f1: GraphFeatures, f2: GraphFeatures) -> float:
-    """Admissible ``DistEd`` lower bound from features alone (uniform costs)."""
-    return float(
-        _edit_bound(
-            f1, f2.order, f2.size, dict(f2.vertex_labels), dict(f2.edge_labels)
-        )
-    )
-
-
-def mcs_upper_bound(g1: LabeledGraph, g2: LabeledGraph) -> int:
-    """Upper bound on ``|mcs(g1, g2)|``: the overlap of labelled edge types.
-
-    An edge ``{u, v}`` has type ``({l(u), l(v)}, l(u, v))``: its unordered
-    endpoint-label pair and its own label. With ``c1``/``c2`` the type
-    counts of the two graphs, ``|mcs| <= sum_t min(c1(t), c2(t))``.
-
-    Proof: an MCS is an injective vertex mapping that preserves vertex
-    and edge labels, so a common edge ``{u, v}`` of ``g1`` maps onto the
-    ``g2`` edge ``{m(u), m(v)}`` of the same type, and distinct edges map
-    onto distinct edges. The common edges of type ``t`` are therefore at
-    most ``c1(t)`` and at most ``c2(t)``; summing over ``t`` gives the
-    bound. It is never looser than the overlap of edge-label multisets:
-    the types of one edge label split its count, and a sum of minima is
-    at most the minimum of the sums.
-
-    The count runs over directed types ``(l(u), l(v), l(u, v))`` in both
-    orientations (:func:`_directed_edge_types`), which doubles every
-    undirected count, so the overlap is exactly twice the bound:
-    ``min(2x, 2y) = 2 min(x, y)``. Labels match by equality, as in the
-    solvers, so the keys need no ordering of labels at all.
-    """
-    return _mcs_cap(g1, _directed_edge_types(g2))
-
-
-def dist_mcs_lower_bound(f1: GraphFeatures, f2: GraphFeatures, mcs_cap: int) -> float:
-    """Lower bound on ``DistMcs`` given features and an ``|mcs|`` bound."""
-    return _dist_mcs(f1.size, f2.size, mcs_cap)
-
-
-def dist_gu_lower_bound(f1: GraphFeatures, f2: GraphFeatures, mcs_cap: int) -> float:
-    """Lower bound on ``DistGu`` given features and an ``|mcs|`` bound."""
-    return _dist_gu(f1.size, f2.size, mcs_cap)
-
-
-def _normalized_edit_bound(f1: GraphFeatures, f2: GraphFeatures) -> float:
-    return _normalized(edit_distance_lower_bound(f1, f2))
 
 
 #: Per-measure bound dimensions of :class:`QueryBounds`, by measure name:

@@ -404,15 +404,6 @@ def graph_edit_distance(
     return result
 
 
-def ged(
-    g1: LabeledGraph,
-    g2: LabeledGraph,
-    costs: CostModel = UNIFORM_COSTS,
-) -> float:
-    """Shorthand for the exact distance value only."""
-    return graph_edit_distance(g1, g2, costs=costs).distance
-
-
 def edit_path_from_mapping(
     g1: LabeledGraph,
     g2: LabeledGraph,

@@ -1,28 +1,19 @@
-"""Approximate graph edit distance: bounds and bipartite assignment.
+"""The exact GED solver's starting bracket, from one bipartite assignment.
 
-Two estimators complement the exact solver of :mod:`repro.graph.ged`:
-
-* :func:`ged_lower_bound` — a cheap admissible bound from vertex- and
-  edge-label multisets (never exceeds the exact distance). The database
-  index uses it for pruning.
-* :func:`bipartite_ged` — the Riesen–Bunke assignment heuristic: vertices
-  of both graphs are matched by solving one linear assignment problem over
-  a cost matrix that prices each substitution together with an estimate of
-  its incident-edge costs; the induced edit cost of that full mapping is a
-  valid upper bound. Under the uniform model the assignment's optimum is
-  also a lower bound (BRANCH, Blumenthal & Gamper 2018), so one solve
-  gives the certified :class:`GedBracket` the exact solver starts from.
-
-:func:`bipartite_ged` returns a :class:`GedEstimate` whose ``distance``
-comes from :func:`induced_edit_cost`, so the reported value is the true
-cost of a concrete vertex mapping (hence always an upper bound).
+:func:`ged_bracket` runs the Riesen–Bunke assignment heuristic: vertices
+of both graphs are matched by solving one linear assignment problem over a
+cost matrix that prices each substitution together with an estimate of
+its incident-edge costs. The induced edit cost of that full mapping
+(:func:`induced_edit_cost`) is a valid upper bound. Under the uniform
+model the assignment's optimum is also a lower bound (BRANCH, Blumenthal &
+Gamper 2018), so one solve gives the certified :class:`GedBracket` that
+:func:`~repro.graph.ged.graph_edit_distance` starts from and
+:meth:`~repro.measures.base.PairContext.ged_bracket` cuts pairs with.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
 from collections.abc import Hashable
 
 from repro.graph.labeled_graph import LabeledGraph
@@ -32,21 +23,12 @@ from repro.graph.pairview import (
     CostTables,
     GraphSide,
     PairView,
-    assignment_bound,
 )
 
 VertexId = Hashable
 
 #: Mapping image used for deleted vertices (mirrors repro.graph.ged).
 DELETED = None
-
-
-@dataclass
-class GedEstimate:
-    """An edit-distance estimate realised by a concrete vertex mapping."""
-
-    distance: float
-    mapping: dict[VertexId, VertexId | None]
 
 
 def induced_edit_cost(
@@ -105,46 +87,6 @@ def _induced_cost(view: PairView, tables: CostTables, image: list[int]) -> float
     return cost
 
 
-def multiset_bound(
-    counter1: Counter, counter2: Counter, indel: float, mismatch: float
-) -> float:
-    """:func:`~repro.graph.pairview.assignment_bound` of two label multisets."""
-    return assignment_bound(
-        sum(counter1.values()),
-        sum(counter2.values()),
-        sum((counter1 & counter2).values()),
-        indel,
-        mismatch,
-    )
-
-
-def ged_lower_bound(
-    g1: LabeledGraph,
-    g2: LabeledGraph,
-    costs: CostModel = UNIFORM_COSTS,
-) -> float:
-    """Admissible lower bound on ``DistEd(g1, g2)``.
-
-    Sums independent assignment bounds over the vertex-label and edge-label
-    multisets. For non-uniform cost models the bound degrades to 0.
-    """
-    if not isinstance(costs, UniformCostModel):
-        return 0.0
-    vertex_part = multiset_bound(
-        g1.vertex_label_multiset(),
-        g2.vertex_label_multiset(),
-        costs.indel_cost,
-        costs.mismatch_cost,
-    )
-    edge_part = multiset_bound(
-        g1.edge_label_multiset(),
-        g2.edge_label_multiset(),
-        costs.indel_cost,
-        costs.mismatch_cost,
-    )
-    return vertex_part + edge_part
-
-
 class GedBracket:
     """Certified ``[lower, upper]`` around ``DistEd`` from one assignment.
 
@@ -184,27 +126,10 @@ class GedBracket:
         return self.lower == self.upper
 
 
-def bipartite_ged(
-    g1: LabeledGraph,
-    g2: LabeledGraph,
-    costs: CostModel = UNIFORM_COSTS,
-) -> GedEstimate:
-    """Riesen–Bunke bipartite upper bound on the edit distance.
-
-    Builds the classic ``(n1+n2) x (n1+n2)`` cost matrix (substitutions in
-    the top-left block, deletions/insertions on diagonals) where each entry
-    adds a multiset estimate of incident-edge costs, solves one linear
-    assignment problem, and prices the resulting complete mapping exactly.
-    """
-    view = PairView(g1, g2)
-    bracket = _bipartite_estimate(view, CostTables(view, costs), costs)
-    return GedEstimate(bracket.upper, bracket.mapping)
-
-
 def ged_bracket(view: PairView, tables: CostTables, costs: CostModel) -> GedBracket:
-    """The exact solver's starting bracket: :func:`bipartite_ged`'s
-    assignment, or without SciPy/NumPy the full rewrite (delete all of
-    ``g1``, insert all of ``g2``) with no lower side."""
+    """The exact solver's starting bracket: the bipartite assignment, or
+    without SciPy/NumPy the full rewrite (delete all of ``g1``, insert all
+    of ``g2``) with no lower side."""
     try:
         return _bipartite_estimate(view, tables, costs)
     except ImportError:
@@ -243,7 +168,7 @@ def _incident_sum(prices: list[float], counts: list[tuple[int, int]]) -> float:
 def _bipartite_estimate(
     view: PairView, tables: CostTables, costs: CostModel
 ) -> GedBracket:
-    """:func:`bipartite_ged`'s assignment over a pair view, as a bracket.
+    """The Riesen–Bunke assignment over a pair view, as a bracket.
 
     Every entry prices a vertex operation plus half the optimal
     assignment of its incident edges (:func:`~repro.graph.pairview.

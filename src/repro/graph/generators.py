@@ -53,37 +53,6 @@ def cycle_graph(labels: Sequence[Label], edge_label: Label = DEFAULT_EDGE_LABEL,
     return graph
 
 
-def star_graph(center_label: Label, leaf_labels: Sequence[Label],
-               edge_label: Label = DEFAULT_EDGE_LABEL,
-               name: str | None = None) -> LabeledGraph:
-    """A star: vertex 0 is the center, leaves are 1..n."""
-    graph = LabeledGraph(name=name)
-    graph.add_vertex(0, center_label)
-    for i, label in enumerate(leaf_labels, start=1):
-        graph.add_vertex(i, label)
-        graph.add_edge(0, i, edge_label)
-    return graph
-
-
-def grid_graph(rows: int, columns: int, label: Label = "A",
-               edge_label: Label = DEFAULT_EDGE_LABEL,
-               name: str | None = None) -> LabeledGraph:
-    """A rows x columns grid with uniform labels (ids are ``(r, c)``)."""
-    if rows < 1 or columns < 1:
-        raise GraphError("grid dimensions must be positive")
-    graph = LabeledGraph(name=name)
-    for r in range(rows):
-        for c in range(columns):
-            graph.add_vertex((r, c), label)
-    for r in range(rows):
-        for c in range(columns):
-            if c + 1 < columns:
-                graph.add_edge((r, c), (r, c + 1), edge_label)
-            if r + 1 < rows:
-                graph.add_edge((r, c), (r + 1, c), edge_label)
-    return graph
-
-
 # ----------------------------------------------------------------------
 # Random graphs
 # ----------------------------------------------------------------------
@@ -211,32 +180,3 @@ def mutate(
             fresh += 1
             budget -= 2
     return mutant
-
-
-def mutation_database(
-    query: LabeledGraph,
-    n_graphs: int,
-    radius: tuple[int, int] = (1, 6),
-    vertex_labels: Sequence[Label] = DEFAULT_VERTEX_LABELS,
-    edge_labels: Sequence[Label] = DEFAULT_EDGE_LABELS,
-    seed: int | random.Random | None = None,
-) -> list[LabeledGraph]:
-    """A workload database of mutants of ``query`` at varied edit radii."""
-    rng = _rng(seed)
-    low, high = radius
-    if low < 1 or high < low:
-        raise GraphError("radius must satisfy 1 <= low <= high")
-    graphs = []
-    for index in range(n_graphs):
-        distance = rng.randint(low, high)
-        graphs.append(
-            mutate(
-                query,
-                distance,
-                vertex_labels=vertex_labels,
-                edge_labels=edge_labels,
-                seed=rng,
-                name=f"mutant-{index}",
-            )
-        )
-    return graphs

@@ -1,4 +1,4 @@
-"""Label-preserving graph and subgraph isomorphism (Definitions 4–6).
+"""Label-preserving graph isomorphism (Definition 4) and its matcher.
 
 A VF2-style backtracking matcher specialised for
 :class:`~repro.graph.labeled_graph.LabeledGraph`:
@@ -6,12 +6,14 @@ A VF2-style backtracking matcher specialised for
 * :func:`find_isomorphism` / :func:`is_isomorphic` — Definition 4, a
   label-preserving bijection (both vertex and edge labels must match, and
   the edge sets must correspond exactly).
-* :func:`find_subgraph_isomorphism` / :func:`is_subgraph_isomorphic` —
-  Definition 5, a label-preserving *injection* from the pattern into the
-  target under which every pattern edge appears in the target with the same
-  label. This is the non-induced (monomorphism) flavor the paper relies on:
-  the target may have extra edges between matched vertices.
-* :func:`iter_subgraph_isomorphisms` — lazy enumeration of all embeddings.
+  :meth:`~repro.db.database.GraphDatabase.find_isomorphic` settles
+  canonical-hash collisions with them.
+* :func:`iter_subgraph_isomorphisms` — lazy enumeration of the
+  embeddings of Definition 5: label-preserving *injections* from the
+  pattern into the target under which every pattern edge appears in the
+  target with the same label. This is the non-induced (monomorphism)
+  flavor the paper relies on: the target may have extra edges between
+  matched vertices.
 
 The matcher orders pattern vertices connectivity-first (each vertex after
 the first is adjacent to an earlier one whenever the pattern is connected),
@@ -20,7 +22,7 @@ which keeps candidate sets small, and prunes with vertex labels and degrees.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterator, Mapping
+from collections.abc import Hashable, Iterator
 
 from repro.graph.labeled_graph import LabeledGraph
 
@@ -133,26 +135,6 @@ def iter_subgraph_isomorphisms(
     yield from extend(0)
 
 
-def find_subgraph_isomorphism(
-    pattern: LabeledGraph,
-    target: LabeledGraph,
-) -> dict[VertexId, VertexId] | None:
-    """First embedding of ``pattern`` into ``target``, or ``None`` (Def. 5)."""
-    for mapping in iter_subgraph_isomorphisms(pattern, target):
-        return mapping
-    return None
-
-
-def is_subgraph_isomorphic(pattern: LabeledGraph, target: LabeledGraph) -> bool:
-    """Whether ``pattern ⊆ target`` in the sense of Definition 6."""
-    return find_subgraph_isomorphism(pattern, target) is not None
-
-
-def count_subgraph_isomorphisms(pattern: LabeledGraph, target: LabeledGraph) -> int:
-    """Number of distinct embeddings of ``pattern`` into ``target``."""
-    return sum(1 for _ in iter_subgraph_isomorphisms(pattern, target))
-
-
 def find_isomorphism(
     g1: LabeledGraph,
     g2: LabeledGraph,
@@ -174,29 +156,3 @@ def find_isomorphism(
 def is_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     """Whether ``g1 ≈ g2`` (Definition 4)."""
     return find_isomorphism(g1, g2) is not None
-
-
-def verify_embedding(
-    pattern: LabeledGraph,
-    target: LabeledGraph,
-    mapping: Mapping[VertexId, VertexId],
-) -> bool:
-    """Check that ``mapping`` is a valid label-preserving embedding.
-
-    Useful as an independent validation step in tests and in the MCS solver.
-    """
-    if len(mapping) != pattern.order:
-        return False
-    if len(set(mapping.values())) != len(mapping):
-        return False
-    for vertex, image in mapping.items():
-        if not target.has_vertex(image):
-            return False
-        if pattern.vertex_label(vertex) != target.vertex_label(image):
-            return False
-    for u, v, label in pattern.edges():
-        if not target.has_edge(mapping[u], mapping[v]):
-            return False
-        if target.edge_label(mapping[u], mapping[v]) != label:
-            return False
-    return True

@@ -1,4 +1,4 @@
-"""Graph (de)serialization: dicts, JSON and a line-oriented text format.
+"""Graph (de)serialization: dicts and JSON.
 
 The dict payload is the source of truth::
 
@@ -9,12 +9,7 @@ The dict payload is the source of truth::
     }
 
 JSON round-trips any graph whose ids and labels are JSON-representable
-(strings, numbers, booleans). The text format is a compact edge-list used
-by the examples::
-
-    # comment
-    v <id> <label>
-    e <u> <v> <label>
+(strings, numbers, booleans).
 """
 
 from __future__ import annotations
@@ -76,40 +71,3 @@ def graph_from_json(payload: str) -> LabeledGraph:
     data["vertices"] = [tuple(item) for item in data.get("vertices", [])]
     data["edges"] = [tuple(item) for item in data.get("edges", [])]
     return graph_from_dict(data)
-
-
-def graph_to_text(graph: LabeledGraph) -> str:
-    """Line-oriented edge-list encoding (ids and labels become strings)."""
-    lines = []
-    if graph.name:
-        lines.append(f"# {graph.name}")
-    for v in graph.vertices():
-        lines.append(f"v {v} {graph.vertex_label(v)}")
-    for u, v, label in graph.edges():
-        lines.append(f"e {u} {v} {label}")
-    return "\n".join(lines) + "\n"
-
-
-def graph_from_text(payload: str, name: str | None = None) -> LabeledGraph:
-    """Parse the text format (all ids and labels are read as strings)."""
-    graph = LabeledGraph(name=name)
-    for line_number, raw in enumerate(payload.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "v" and len(parts) == 3:
-                graph.add_vertex(parts[1], parts[2])
-            elif parts[0] == "e" and len(parts) == 4:
-                graph.add_edge(parts[1], parts[2], parts[3])
-            else:
-                raise SerializationError(
-                    f"line {line_number}: expected 'v <id> <label>' or "
-                    f"'e <u> <v> <label>', got {raw!r}"
-                )
-        except SerializationError:
-            raise
-        except Exception as exc:
-            raise SerializationError(f"line {line_number}: {exc}") from exc
-    return graph

@@ -14,7 +14,7 @@ The candidate-filtering layer of every full run that prunes:
   sync with a :class:`~repro.db.database.GraphDatabase` via its
   ``version`` dirty flag;
 * :class:`~repro.index.source.IndexedSource` /
-  :func:`~repro.index.source.batch_bound_pruning` — the engine plan
+  :class:`~repro.index.source.BatchParetoStage` — the engine plan
   parts the ``indexed`` backend (alias ``vectorized``), ``auto`` and the
   shard scatter are made of.
 """
@@ -30,7 +30,7 @@ from repro.index.kernels import (
     normalized_edit_lower_bounds,
 )
 from repro.index.matrix import QuerySignature, SignatureMatrix
-from repro.index.source import BatchParetoStage, IndexedSource, batch_bound_pruning
+from repro.index.source import BatchParetoStage, IndexedSource
 from repro.index.store import FeatureStore
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "IndexedSource",
     "QuerySignature",
     "SignatureMatrix",
-    "batch_bound_pruning",
     "bound_matrix",
     "dist_gu_lower_bounds",
     "dist_mcs_lower_bounds",

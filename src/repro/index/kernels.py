@@ -5,7 +5,8 @@ Each kernel takes a :class:`~repro.index.matrix.SignatureMatrix` and a
 live row, computed in a handful of NumPy array operations instead of a
 per-graph Python loop. The kernels are **bit-identical** to their scalar
 counterparts in :mod:`repro.graph.features` (property-tested with exact
-``==``): every intermediate is integer arithmetic on counts below 2⁵³
+``==`` against the per-pair forms of :mod:`repro.testkit.reference.bounds`):
+every intermediate is integer arithmetic on counts below 2⁵³
 followed by the same IEEE-754 double operations the scalar code performs,
 so a full run and a replay (which bounds its added graphs one at a time
 with :meth:`repro.graph.features.QueryBounds.vector`) prune on the same

@@ -10,7 +10,7 @@ seen):
 * labelled edge types ``(min, max, edge)``: the vertex-vocabulary ids of
   an edge's two endpoint labels, ordered by id, and its edge-label id.
   Their overlap bounds ``|mcs|`` (see
-  :func:`repro.graph.features.mcs_upper_bound` for the proof), which the
+  :func:`repro.graph.features._mcs_cap` for the proof), which the
   ``DistMcs`` / ``DistGu`` bounds read.
 
 This is the data layout the batched bound kernels

@@ -144,8 +144,3 @@ def batch_bound_stage_for(spec) -> BoundStage:
     if spec.kind == "topk":
         return RankBoundStage(spec.k)
     return ThresholdBoundStage(spec.threshold)
-
-
-def batch_bound_pruning(ctx: "RunContext") -> BoundStage:
-    """Cascade entry for :func:`batch_bound_stage_for`."""
-    return batch_bound_stage_for(ctx.spec)

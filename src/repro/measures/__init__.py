@@ -2,8 +2,8 @@
 
 The paper's three local measures — ``DistEd`` (edit distance), ``DistMcs``
 (Bunke–Shearer), ``DistGu`` (graph union / Jaccard-like) — with the
-normalised edit distance used by the diversity refinement, plus
-aggregations and the measures' semantic-property checks.
+normalised edit distance used by the diversity refinement. The checks of
+their semantic properties live in :mod:`repro.testkit.reference`.
 """
 
 from repro.graph.budget import Budget, Interval
@@ -22,16 +22,6 @@ from repro.measures.base import (
 from repro.measures.edit_distance import EditDistance, NormalizedEditDistance
 from repro.measures.mcs_distance import McsDistance, mcs_similarity
 from repro.measures.graph_union import GraphUnionDistance, graph_union_similarity
-from repro.measures.properties import (
-    PropertyReport,
-    check_gu_dominated_by_mcs,
-    check_measure_properties,
-)
-from repro.measures.aggregation import (
-    ChebyshevMeasure,
-    WeightedSumMeasure,
-    weighted_sum_ranking_is_skyline_subset,
-)
 
 __all__ = [
     "Budget",
@@ -52,10 +42,4 @@ __all__ = [
     "mcs_similarity",
     "GraphUnionDistance",
     "graph_union_similarity",
-    "PropertyReport",
-    "check_measure_properties",
-    "check_gu_dominated_by_mcs",
-    "WeightedSumMeasure",
-    "ChebyshevMeasure",
-    "weighted_sum_ranking_is_skyline_subset",
 ]

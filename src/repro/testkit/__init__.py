@@ -18,6 +18,9 @@ Entry points::
     assert report.ok, report.divergence
 
 or from the shell: ``python -m repro fuzz --seed 7 --steps 200``.
+
+The reference solvers and checks the test suite compares the product
+with are in :mod:`repro.testkit.reference`.
 """
 
 from repro.testkit.oracle import Oracle

@@ -1,8 +1,8 @@
 """Best-first (A*) exact graph edit distance.
 
-An independent second exact engine for Definition 8, cross-checked
-against the depth-first branch-and-bound solver (:mod:`repro.graph.ged`)
-in the tests. Same state space (partial
+An independent second exact engine for Definition 8, the reference the
+tests cross-check the depth-first branch-and-bound solver
+(:mod:`repro.graph.ged`) against. Same state space (partial
 vertex assignments in a fixed order, incremental edge costs, completion
 by inserting the untouched part of ``g2``) but explored best-first with a
 priority queue ordered by ``g + h``, where ``h`` is the admissible
@@ -20,11 +20,24 @@ from collections.abc import Hashable
 
 from repro.graph.budget import Budget
 from repro.graph.ged import DELETED, GedResult
-from repro.graph.ged_approx import multiset_bound
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.operations import CostModel, UNIFORM_COSTS, UniformCostModel
+from repro.graph.pairview import assignment_bound
 
 VertexId = Hashable
+
+
+def multiset_bound(
+    counter1: Counter, counter2: Counter, indel: float, mismatch: float
+) -> float:
+    """:func:`~repro.graph.pairview.assignment_bound` of two label multisets."""
+    return assignment_bound(
+        sum(counter1.values()),
+        sum(counter2.values()),
+        sum((counter1 & counter2).values()),
+        indel,
+        mismatch,
+    )
 
 
 class _AStarGed:

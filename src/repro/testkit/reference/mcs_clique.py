@@ -1,7 +1,8 @@
 """Maximum common connected subgraph via the modular edge-product graph.
 
-An independent second implementation of Definition 7, used to cross-check
-the McGregor-style solver (:mod:`repro.graph.mcs`) in the test suite.
+An independent second implementation of Definition 7, the reference the
+tests cross-check the McGregor-style solver (:mod:`repro.graph.mcs`)
+against. :func:`verify_embedding` checks the mappings both solvers return.
 
 Construction (classic maximum-common-edge-subgraph reduction):
 
@@ -25,7 +26,7 @@ and taking its largest connected component of ``g1`` edges is exact.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Hashable
+from collections.abc import Hashable, Mapping
 
 from repro.graph.budget import Budget
 from repro.graph.labeled_graph import LabeledGraph, edge_key
@@ -159,3 +160,29 @@ def maximum_common_subgraph_clique(
         optimal=not truncated,
         size_upper=min(g1.size, g2.size) if truncated else None,
     )
+
+
+def verify_embedding(
+    pattern: LabeledGraph,
+    target: LabeledGraph,
+    mapping: Mapping[VertexId, VertexId],
+) -> bool:
+    """Check that ``mapping`` is a valid label-preserving embedding.
+
+    The tests' independent check of every mapping a solver returns.
+    """
+    if len(mapping) != pattern.order:
+        return False
+    if len(set(mapping.values())) != len(mapping):
+        return False
+    for vertex, image in mapping.items():
+        if not target.has_vertex(image):
+            return False
+        if pattern.vertex_label(vertex) != target.vertex_label(image):
+            return False
+    for u, v, label in pattern.edges():
+        if not target.has_edge(mapping[u], mapping[v]):
+            return False
+        if target.edge_label(mapping[u], mapping[v]) != label:
+            return False
+    return True

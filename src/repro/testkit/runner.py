@@ -263,9 +263,9 @@ def _lowered_mcs_column():
     batched column full runs bound with and the per-row bound replays
     bound with (``features._mcs_cap``, behind both
     :meth:`~repro.graph.features.QueryBounds.vector` and
-    :func:`~repro.graph.features.mcs_upper_bound`), so bound stages drop
-    graphs on a DistMcs/DistGu lower bound their exact values do not
-    reach."""
+    :func:`~repro.testkit.reference.bounds.mcs_upper_bound`), so bound
+    stages drop graphs on a DistMcs/DistGu lower bound their exact values
+    do not reach."""
     from repro.graph import features
     from repro.index import kernels
 

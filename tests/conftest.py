@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.datasets import figure1_pair, figure3_database, figure3_query
 from repro.db import GraphDatabase
-from repro.graph import LabeledGraph, path_graph
+from repro.graph import LabeledGraph, iter_subgraph_isomorphisms, path_graph
 
 # ----------------------------------------------------------------------
 # Hypothesis profiles
@@ -99,6 +99,11 @@ def make_random_graph(
         n, m, vertex_labels=labels, edge_labels=edge_labels, seed=rng,
         name=f"rand-{seed}",
     )
+
+
+def embeds(pattern: LabeledGraph, target: LabeledGraph) -> bool:
+    """Whether ``pattern ⊆ target`` in the sense of Definition 6."""
+    return next(iter_subgraph_isomorphisms(pattern, target), None) is not None
 
 
 # ----------------------------------------------------------------------

@@ -32,15 +32,17 @@ from repro.graph import (
     LabeledGraph,
     UniformCostModel,
     graph_edit_distance,
-    graph_edit_distance_astar,
     graph_from_dict,
     graph_to_dict,
     maximum_common_subgraph,
-    maximum_common_subgraph_clique,
     mutate,
     random_labeled_graph,
 )
 from repro.graph.cost_models import LabelMatrixCostModel, WeightedCostModel
+from repro.testkit.reference import (
+    graph_edit_distance_astar,
+    maximum_common_subgraph_clique,
+)
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "solver_golden.json"
 

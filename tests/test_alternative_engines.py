@@ -6,10 +6,12 @@ from repro.datasets import figure1_pair, figure3_database, figure3_query
 from repro.graph import (
     LabeledGraph,
     graph_edit_distance,
-    graph_edit_distance_astar,
     maximum_common_subgraph,
-    maximum_common_subgraph_clique,
     path_graph,
+)
+from repro.testkit.reference import (
+    graph_edit_distance_astar,
+    maximum_common_subgraph_clique,
     verify_embedding,
 )
 from tests.conftest import make_random_graph

@@ -27,16 +27,18 @@ from repro.errors import DeadlineExceeded
 from repro.graph import Budget, Interval, induced_edit_cost
 from repro.graph.cost_models import LabelMatrixCostModel, WeightedCostModel
 from repro.graph.ged import graph_edit_distance
-from repro.graph.ged_astar import graph_edit_distance_astar
 from repro.graph.generators import random_labeled_graph
 from repro.graph.mcs import maximum_common_subgraph
-from repro.graph.mcs_clique import maximum_common_subgraph_clique
 from repro.measures import (
     EditDistance,
     GraphUnionDistance,
     McsDistance,
     NormalizedEditDistance,
     PairContext,
+)
+from repro.testkit.reference import (
+    graph_edit_distance_astar,
+    maximum_common_subgraph_clique,
 )
 from tests.conftest import make_random_graph, small_labeled_graphs
 

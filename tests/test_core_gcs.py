@@ -1,4 +1,4 @@
-"""Tests for GCS vectors and similarity-dominance (Definitions 11-12)."""
+"""Tests for GCS vectors (Definition 11)."""
 
 import pytest
 
@@ -6,11 +6,9 @@ from repro.core import (
     CompoundSimilarity,
     compound_similarity,
     gcs_matrix,
-    similarity_dominates,
-    similarity_incomparable,
 )
 from repro.graph import path_graph
-from repro.measures import EditDistance, FunctionMeasure
+from repro.measures import FunctionMeasure
 
 
 def test_gcs_default_measures(fig1_g1, fig1_g2):
@@ -58,38 +56,3 @@ def test_gcs_matrix_empty_database(paper_query):
 def test_self_gcs_is_zero(paper_query):
     vector = compound_similarity(paper_query, paper_query.copy())
     assert all(value == pytest.approx(0.0) for value in vector.values)
-
-
-# ----------------------------------------------------------------------
-# Definition 12
-# ----------------------------------------------------------------------
-def test_similarity_dominance_on_paper_pairs(paper_db, paper_query):
-    by_name = {graph.name: graph for graph in paper_db}
-    # The paper: g7 dominates g2, g5 dominates g3, g1 dominates g6.
-    assert similarity_dominates(by_name["g7"], by_name["g2"], paper_query)
-    assert similarity_dominates(by_name["g5"], by_name["g3"], paper_query)
-    assert similarity_dominates(by_name["g1"], by_name["g6"], paper_query)
-    # ... and never the other way round.
-    assert not similarity_dominates(by_name["g2"], by_name["g7"], paper_query)
-    assert not similarity_dominates(by_name["g6"], by_name["g1"], paper_query)
-
-
-def test_similarity_dominance_is_irreflexive(paper_db, paper_query):
-    g1 = paper_db[0]
-    assert not similarity_dominates(g1, g1.copy(), paper_query)
-
-
-def test_skyline_members_pairwise_incomparable(paper_db, paper_query):
-    by_name = {graph.name: graph for graph in paper_db}
-    members = [by_name[name] for name in ("g1", "g4", "g5", "g7")]
-    for i, a in enumerate(members):
-        for b in members[i + 1:]:
-            assert similarity_incomparable(a, b, paper_query), (a.name, b.name)
-
-
-def test_dominance_with_single_measure(paper_db, paper_query):
-    by_name = {graph.name: graph for graph in paper_db}
-    # On DistEd alone, g4 (distance 2) dominates g1 (distance 4).
-    assert similarity_dominates(
-        by_name["g4"], by_name["g1"], paper_query, measures=[EditDistance()]
-    )

@@ -5,17 +5,14 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.graph import (
-    GraphFeatures,
+from repro.graph import GraphFeatures, graph_edit_distance, mcs_size, path_graph
+from repro.testkit.reference import (
     dist_gu_lower_bound,
     dist_mcs_lower_bound,
     edit_distance_lower_bound,
-    ged,
-    mcs_size,
+    maximum_common_subgraph_clique,
     mcs_upper_bound,
-    path_graph,
 )
-from repro.graph.mcs_clique import maximum_common_subgraph_clique
 from repro.measures import GraphUnionDistance, McsDistance, PairContext
 from tests.conftest import make_random_graph, small_labeled_graphs
 
@@ -56,7 +53,7 @@ def test_edit_lower_bound_admissible():
         g1 = make_random_graph(seed, max_vertices=5)
         g2 = make_random_graph(seed + 50, max_vertices=5)
         bound = edit_distance_lower_bound(GraphFeatures.of(g1), GraphFeatures.of(g2))
-        assert bound <= ged(g1, g2) + 1e-9, f"seed {seed}"
+        assert bound <= graph_edit_distance(g1, g2).distance + 1e-9, f"seed {seed}"
 
 
 def test_mcs_upper_bound_sound():

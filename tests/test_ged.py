@@ -8,7 +8,6 @@ from repro.graph import (
     LabeledGraph,
     UniformCostModel,
     edit_path_from_mapping,
-    ged,
     graph_edit_distance,
     is_isomorphic,
     path_graph,
@@ -18,7 +17,7 @@ from tests.conftest import make_random_graph
 
 
 def test_ged_identical_graphs_zero(triangle):
-    assert ged(triangle, triangle.copy()) == 0.0
+    assert graph_edit_distance(triangle, triangle.copy()).distance == 0.0
 
 
 def test_ged_isomorphic_graphs_zero():
@@ -27,31 +26,31 @@ def test_ged_isomorphic_graphs_zero():
                                  vertex_labels={1: "A", 2: "B", 3: "C"})
     g2 = LabeledGraph.from_edges([("w", "u", "x"), ("u", "v", "y")],
                                  vertex_labels={"u": "B", "v": "C", "w": "A"})
-    assert ged(g1, g2) == 0.0
+    assert graph_edit_distance(g1, g2).distance == 0.0
 
 
 def test_ged_single_operations():
     base = path_graph(["A", "B", "C"], name="base")
     relabeled = base.copy()
     relabeled.relabel_vertex(0, "Z")
-    assert ged(base, relabeled) == 1.0
+    assert graph_edit_distance(base, relabeled).distance == 1.0
 
     edge_less = base.copy()
     edge_less.remove_edge(0, 1)
-    assert ged(base, edge_less) == 1.0
+    assert graph_edit_distance(base, edge_less).distance == 1.0
 
     extra_edge = base.copy()
     extra_edge.add_edge(0, 2, "w")
-    assert ged(base, extra_edge) == 1.0
+    assert graph_edit_distance(base, extra_edge).distance == 1.0
 
     extra_vertex = base.copy()
     extra_vertex.add_vertex(9, "Q")
-    assert ged(base, extra_vertex) == 1.0
+    assert graph_edit_distance(base, extra_vertex).distance == 1.0
 
 
 def test_ged_fig1_pair_is_four(fig1_g1, fig1_g2):
     """Example 2: DistEd(g1, g2) = 4."""
-    assert ged(fig1_g1, fig1_g2) == 4.0
+    assert graph_edit_distance(fig1_g1, fig1_g2).distance == 4.0
 
 
 def test_ged_fig1_optimal_sequence_composition(fig1_g1, fig1_g2):
@@ -74,14 +73,14 @@ def test_ged_symmetry_uniform_costs():
     for seed in range(10):
         g1 = make_random_graph(seed, max_vertices=5)
         g2 = make_random_graph(seed + 100, max_vertices=5)
-        assert ged(g1, g2) == ged(g2, g1), f"seed {seed}"
+        assert graph_edit_distance(g1, g2).distance == graph_edit_distance(g2, g1).distance, f"seed {seed}"
 
 
 def test_ged_triangle_inequality_on_sample():
     graphs = [make_random_graph(seed, max_vertices=4) for seed in range(6)]
     distance = {}
     for i, j in itertools.combinations(range(len(graphs)), 2):
-        distance[(i, j)] = distance[(j, i)] = ged(graphs[i], graphs[j])
+        distance[(i, j)] = distance[(j, i)] = graph_edit_distance(graphs[i], graphs[j]).distance
     for i, j, k in itertools.permutations(range(len(graphs)), 3):
         assert distance[(i, j)] <= distance[(i, k)] + distance[(k, j)] + 1e-9
 
@@ -111,19 +110,19 @@ def test_ged_to_empty_graph():
     g = path_graph(["A", "B", "C"])
     empty = LabeledGraph()
     # delete 2 edges + 3 vertices (or insert, in the other direction)
-    assert ged(g, empty) == 5.0
-    assert ged(empty, g) == 5.0
+    assert graph_edit_distance(g, empty).distance == 5.0
+    assert graph_edit_distance(empty, g).distance == 5.0
 
 
 def test_ged_custom_cost_model():
     base = path_graph(["A", "B"])
     relabeled = path_graph(["A", "Z"])
     cheap_relabel = UniformCostModel(indel_cost=10.0, mismatch_cost=0.5)
-    assert ged(base, relabeled, costs=cheap_relabel) == 0.5
+    assert graph_edit_distance(base, relabeled, costs=cheap_relabel).distance == 0.5
     # with expensive relabels, delete+insert the vertex is still worse
     # (it costs 2 indels for the vertex plus edge churn), relabel wins
     pricey = UniformCostModel(indel_cost=1.0, mismatch_cost=1.5)
-    assert ged(base, relabeled, costs=pricey) == 1.5
+    assert graph_edit_distance(base, relabeled, costs=pricey).distance == 1.5
 
 
 def test_ged_respects_upper_bound_seed():
@@ -147,8 +146,8 @@ def test_ged_size_difference_lower_bound():
     for seed in range(8):
         g1 = make_random_graph(seed, max_vertices=5)
         g2 = make_random_graph(seed + 900, max_vertices=5)
-        assert ged(g1, g2) >= abs(g1.size - g2.size)
-        assert ged(g1, g2) >= abs(g1.order - g2.order)
+        assert graph_edit_distance(g1, g2).distance >= abs(g1.size - g2.size)
+        assert graph_edit_distance(g1, g2).distance >= abs(g1.order - g2.order)
 
 
 def test_ged_deleted_vertex_mapping_reported():
@@ -160,4 +159,4 @@ def test_ged_deleted_vertex_mapping_reported():
 
 
 def test_ged_empty_vs_empty():
-    assert ged(LabeledGraph(), LabeledGraph()) == 0.0
+    assert graph_edit_distance(LabeledGraph(), LabeledGraph()).distance == 0.0

@@ -1,87 +1,21 @@
-"""Tests for GED bounds and heuristics (bipartite / lower bound)."""
+"""Tests for the induced edit cost of a vertex mapping, the bracket's upper side."""
 
 import pytest
 
-from repro.graph import (
-    LabeledGraph,
-    UniformCostModel,
-    bipartite_ged,
-    ged,
-    ged_lower_bound,
-    induced_edit_cost,
-    path_graph,
-)
+from repro.graph import graph_edit_distance, induced_edit_cost, path_graph
+from repro.measures.base import PairContext
 from tests.conftest import make_random_graph
 
 
-def test_lower_bound_is_admissible():
-    for seed in range(15):
-        g1 = make_random_graph(seed, max_vertices=5)
-        g2 = make_random_graph(seed + 111, max_vertices=5)
-        assert ged_lower_bound(g1, g2) <= ged(g1, g2) + 1e-9, f"seed {seed}"
-
-
-def test_lower_bound_zero_for_identical():
-    g = path_graph(["A", "B", "C"])
-    assert ged_lower_bound(g, g.copy()) == 0.0
-
-
-def test_lower_bound_counts_label_differences():
-    g1 = path_graph(["A", "B"])
-    g2 = path_graph(["A", "Z"])
-    assert ged_lower_bound(g1, g2) == 1.0
-
-
-def test_lower_bound_generic_cost_model_degrades_to_zero():
-    class Weird(UniformCostModel):
-        pass
-
-    weird = Weird()
-    g1, g2 = path_graph(["A", "B"]), path_graph(["C", "D"])
-    # subclass of UniformCostModel still gets the real bound
-    assert ged_lower_bound(g1, g2, costs=weird) > 0
-
-    from repro.graph.operations import CostModel
-
-    class Opaque(CostModel):
-        def vertex_substitution(self, a, b):
-            return 0.5
-
-        vertex_deletion = vertex_insertion = lambda self, label: 0.5
-        edge_substitution = lambda self, a, b: 0.5
-        edge_deletion = edge_insertion = lambda self, label: 0.5
-
-    assert ged_lower_bound(g1, g2, costs=Opaque()) == 0.0
-
-
-def test_bipartite_is_upper_bound():
+def test_bracket_mapping_realises_its_upper_side():
+    pytest.importorskip("scipy")
     for seed in range(15):
         g1 = make_random_graph(seed, max_vertices=5)
         g2 = make_random_graph(seed + 222, max_vertices=5)
-        estimate = bipartite_ged(g1, g2)
-        exact = ged(g1, g2)
-        assert estimate.distance >= exact - 1e-9, f"seed {seed}"
-
-
-def test_bipartite_mapping_realises_reported_distance():
-    g1 = make_random_graph(4, max_vertices=5)
-    g2 = make_random_graph(44, max_vertices=5)
-    estimate = bipartite_ged(g1, g2)
-    assert induced_edit_cost(g1, g2, estimate.mapping) == pytest.approx(
-        estimate.distance
-    )
-
-
-def test_bipartite_exact_on_identical():
-    g = path_graph(["A", "B", "C", "D"])
-    assert bipartite_ged(g, g.copy()).distance == 0.0
-
-
-def test_bipartite_empty_graphs():
-    empty = LabeledGraph()
-    assert bipartite_ged(empty, empty).distance == 0.0
-    g = path_graph(["A", "B"])
-    assert bipartite_ged(empty, g).distance == 3.0  # 2 vertices + 1 edge
+        bracket = PairContext(g1, g2).ged_bracket()
+        assert induced_edit_cost(g1, g2, bracket.mapping) == bracket.upper
+        exact = graph_edit_distance(g1, g2).distance
+        assert bracket.upper >= exact - 1e-9, f"seed {seed}"
 
 
 def test_induced_cost_of_explicit_mapping():

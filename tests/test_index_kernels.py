@@ -21,15 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.graph import LabeledGraph
-from repro.graph.features import (
-    GraphFeatures,
-    QueryBounds,
-    _normalized_edit_bound,
-    dist_gu_lower_bound,
-    dist_mcs_lower_bound,
-    edit_distance_lower_bound,
-    mcs_upper_bound,
-)
+from repro.graph.features import GraphFeatures, QueryBounds
 from repro.index import (
     FeatureStore,
     SignatureMatrix,
@@ -40,6 +32,13 @@ from repro.index import (
     edit_lower_bounds,
     mcs_upper_bounds,
     normalized_edit_lower_bounds,
+)
+from repro.testkit.reference import (
+    dist_gu_lower_bound,
+    dist_mcs_lower_bound,
+    edit_distance_lower_bound,
+    mcs_upper_bound,
+    normalized_edit_lower_bound,
 )
 from repro.db import GraphDatabase
 from repro.measures import FunctionMeasure
@@ -104,7 +103,7 @@ def test_kernels_bit_identical_to_scalar_bounds(graphs, query):
         f = features[graph_id]
         cap = mcs_upper_bound(graphs[graph_id], query)
         assert edit[row] == edit_distance_lower_bound(f, query_features)
-        assert norm[row] == _normalized_edit_bound(f, query_features)
+        assert norm[row] == normalized_edit_lower_bound(f, query_features)
         assert mcs_ub[row] == cap
         assert d_mcs[row] == dist_mcs_lower_bound(f, query_features, cap)
         assert d_gu[row] == dist_gu_lower_bound(f, query_features, cap)
@@ -175,7 +174,7 @@ def test_prepared_bound_equals_per_pair_bounds_and_matrix_rows(graphs, query, na
         cap = mcs_upper_bound(graph, query)
         per_pair = {
             "edit": edit_distance_lower_bound(f, query_features),
-            "edit-normalized": _normalized_edit_bound(f, query_features),
+            "edit-normalized": normalized_edit_lower_bound(f, query_features),
             "mcs": dist_mcs_lower_bound(f, query_features, cap),
             "union": dist_gu_lower_bound(f, query_features, cap),
             "unbounded": 0.0,

@@ -7,7 +7,7 @@ from repro.core import graph_similarity_skyline
 from repro.datasets import make_workload, molecule_like_graph
 from repro.db import GraphDatabase
 from repro.errors import DatasetError
-from repro.graph import ged
+from repro.graph import graph_edit_distance
 from repro.skyline.utils import dominates
 
 
@@ -29,7 +29,7 @@ def test_workload_mutants_respect_radius():
         workload.database, workload.provenance
     ):
         assert kind == "mutant"
-        assert ged(workload.queries[query_index], graph) <= radius
+        assert graph_edit_distance(workload.queries[query_index], graph).distance <= radius
 
 
 def test_workload_validation():
@@ -120,4 +120,4 @@ def test_threshold_and_topk_consistency():
     matches = [(graph_id, result.distance(graph_id)) for graph_id in result.ids]
     for graph_id, distance in matches:
         assert distance <= 3.0
-        assert ged(db.get(graph_id), query) == pytest.approx(distance)
+        assert graph_edit_distance(db.get(graph_id), query).distance == pytest.approx(distance)

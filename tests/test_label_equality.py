@@ -18,10 +18,10 @@ from repro.graph import (
     GraphFeatures,
     LabeledGraph,
     canonical_hash,
-    edit_distance_lower_bound,
     is_isomorphic,
 )
 from repro.testkit.oracle import Oracle
+from repro.testkit.reference import edit_distance_lower_bound
 
 BACKENDS = ["memory", "indexed", "vectorized", "auto", "sharded"]
 

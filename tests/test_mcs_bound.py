@@ -68,7 +68,7 @@ def test_bound_is_never_below_the_exact_mcs(g1, g2):
 )
 def test_bound_holds_against_the_clique_solver(g1, g2):
     pytest.importorskip("networkx")
-    from repro.graph import maximum_common_subgraph_clique
+    from repro.testkit.reference import maximum_common_subgraph_clique
 
     assert maximum_common_subgraph_clique(g1, g2).size <= _bound(g1, g2)
 

@@ -12,8 +12,6 @@ from repro.measures import (
     NormalizedEditDistance,
     PairContext,
     available_measures,
-    check_gu_dominated_by_mcs,
-    check_measure_properties,
     default_measures,
     diversity_measures,
     get_measure,
@@ -21,6 +19,7 @@ from repro.measures import (
     mcs_similarity,
     resolve_measures,
 )
+from repro.testkit.reference import check_gu_dominated_by_mcs, check_measure_properties
 from tests import solver_golden
 from tests.conftest import make_random_graph
 

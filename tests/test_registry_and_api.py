@@ -1,5 +1,7 @@
 """Release hygiene: registry-wide measure axioms and public API integrity."""
 
+import inspect
+
 import pytest
 
 import repro
@@ -69,6 +71,52 @@ def test_dunder_all_resolvable(module):
     for name in module.__all__:
         assert hasattr(module, name), f"{module.__name__}.{name} missing"
     assert len(set(module.__all__)) == len(module.__all__), "duplicate exports"
+
+
+#: The public packages whose surface the product owns.
+PUBLIC_PACKAGES = ("repro", "repro.graph", "repro.measures", "repro.core", "repro.index")
+
+#: Names these packages no longer offer: deleted, or moved to
+#: ``repro.testkit.reference`` because only tests compare against them.
+WITHDRAWN = (
+    "ged", "GedEstimate", "bipartite_ged", "ged_lower_bound",
+    "find_subgraph_isomorphism", "is_subgraph_isomorphic",
+    "count_subgraph_isomorphisms", "verify_embedding",
+    "grid_graph", "star_graph", "mutation_database",
+    "graph_to_text", "graph_from_text", "batch_bound_pruning",
+    "WeightedSumMeasure", "ChebyshevMeasure",
+    "weighted_sum_ranking_is_skyline_subset",
+    "similarity_dominates", "similarity_incomparable",
+    "graph_edit_distance_astar", "maximum_common_subgraph_clique",
+    "edit_distance_lower_bound", "mcs_upper_bound",
+    "dist_mcs_lower_bound", "dist_gu_lower_bound",
+    "PropertyReport", "check_measure_properties", "check_gu_dominated_by_mcs",
+)
+
+
+@pytest.mark.parametrize("name", PUBLIC_PACKAGES)
+def test_public_packages_export_nothing_from_the_testkit(name):
+    module = _module(name)
+    for export in module.__all__:
+        owner = getattr(getattr(module, export), "__module__", None) or ""
+        assert not owner.startswith("repro.testkit"), f"{name}.{export} is {owner}'s"
+
+
+@pytest.mark.parametrize("name", PUBLIC_PACKAGES)
+def test_withdrawn_names_do_not_resolve(name):
+    module = _module(name)
+    for withdrawn in WITHDRAWN:
+        assert withdrawn not in module.__all__, f"{name} exports {withdrawn}"
+        # A submodule of the same name (``repro.graph.ged``) may resolve.
+        value = getattr(module, withdrawn, None)
+        assert value is None or inspect.ismodule(value), f"{name}.{withdrawn}"
+
+
+def test_import_as_yields_the_ged_submodule():
+    import repro.graph.ged as ged_module
+
+    assert inspect.ismodule(ged_module)
+    assert ged_module.graph_edit_distance is repro.graph.graph_edit_distance
 
 
 def test_version_string():

@@ -7,10 +7,8 @@ from repro.graph import (
     LabeledGraph,
     graph_from_dict,
     graph_from_json,
-    graph_from_text,
     graph_to_dict,
     graph_to_json,
-    graph_to_text,
     path_graph,
 )
 
@@ -63,29 +61,3 @@ def test_json_rejects_unserializable_labels():
 def test_json_rejects_invalid_payload():
     with pytest.raises(SerializationError):
         graph_from_json("{not json")
-
-
-def test_text_round_trip(sample):
-    text = graph_to_text(sample)
-    rebuilt = graph_from_text(text, name="sample")
-    # text format stringifies everything; structure and labels survive
-    assert rebuilt.order == 3
-    assert rebuilt.size == 2
-    assert rebuilt.vertex_label("a") == "A"
-    assert rebuilt.edge_label("a", "b") == "x"
-    assert rebuilt.name == "sample"
-
-
-def test_text_ignores_comments_and_blanks():
-    text = "# header\n\nv a A\nv b B\n# middle\ne a b x\n"
-    g = graph_from_text(text)
-    assert g.size == 1
-
-
-def test_text_rejects_malformed_lines():
-    with pytest.raises(SerializationError):
-        graph_from_text("v only_id\n")
-    with pytest.raises(SerializationError):
-        graph_from_text("x a b c\n")
-    with pytest.raises(SerializationError):
-        graph_from_text("e a b x\n")  # endpoints never declared

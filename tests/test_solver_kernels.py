@@ -27,9 +27,11 @@ from repro.graph import (
     UniformCostModel,
     edge_key,
     graph_edit_distance,
-    graph_edit_distance_astar,
     graph_from_dict,
     maximum_common_subgraph,
+)
+from repro.testkit.reference import (
+    graph_edit_distance_astar,
     maximum_common_subgraph_clique,
 )
 from repro.testkit.workload import AddGraph, generate_workload
