@@ -85,6 +85,16 @@ def test_distance_command(tmp_path, capsys):
     assert "mcs:" in out and "union:" in out
 
 
+def test_distance_of_a_graph_to_itself_is_zero(tmp_path, capsys):
+    # A copy of the query scores zero on every measure.
+    path = tmp_path / "q.json"
+    path.write_text(graph_to_json(figure3_query()), encoding="utf-8")
+    assert main(["distance", str(path), str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["edit", "mcs", "union"]
+    assert all(line.endswith(": 0.0000") for line in lines)
+
+
 def test_generate_command(tmp_path, capsys):
     out_path = tmp_path / "synthetic.json"
     assert main(["generate", str(out_path), "--n", "6", "--query-size", "5"]) == 0

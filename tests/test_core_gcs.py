@@ -1,4 +1,4 @@
-"""Tests for GCS vectors (Definition 11)."""
+"""Tests for GCS vectors and similarity-dominance (Definitions 11-12)."""
 
 import pytest
 
@@ -8,7 +8,8 @@ from repro.core import (
     gcs_matrix,
 )
 from repro.graph import path_graph
-from repro.measures import FunctionMeasure
+from repro.measures import EditDistance, FunctionMeasure
+from repro.skyline import dominates, incomparable
 
 
 def test_gcs_default_measures(fig1_g1, fig1_g2):
@@ -56,3 +57,46 @@ def test_gcs_matrix_empty_database(paper_query):
 def test_self_gcs_is_zero(paper_query):
     vector = compound_similarity(paper_query, paper_query.copy())
     assert all(value == pytest.approx(0.0) for value in vector.values)
+
+
+# ----------------------------------------------------------------------
+# Definition 12: g dominates g' when GCS(g, q) Pareto-dominates GCS(g', q)
+# ----------------------------------------------------------------------
+def _similarity_dominates(a, b, query, measures=None):
+    return dominates(
+        compound_similarity(a, query, measures=measures).values,
+        compound_similarity(b, query, measures=measures).values,
+    )
+
+
+def test_similarity_dominance_on_paper_pairs(paper_db, paper_query):
+    by_name = {graph.name: graph for graph in paper_db}
+    # The paper: g7 dominates g2, g5 dominates g3, g1 dominates g6.
+    assert _similarity_dominates(by_name["g7"], by_name["g2"], paper_query)
+    assert _similarity_dominates(by_name["g5"], by_name["g3"], paper_query)
+    assert _similarity_dominates(by_name["g1"], by_name["g6"], paper_query)
+    # ... and never the other way round.
+    assert not _similarity_dominates(by_name["g2"], by_name["g7"], paper_query)
+    assert not _similarity_dominates(by_name["g6"], by_name["g1"], paper_query)
+
+
+def test_similarity_dominance_is_irreflexive(paper_db, paper_query):
+    g1 = paper_db[0]
+    assert not _similarity_dominates(g1, g1.copy(), paper_query)
+
+
+def test_skyline_members_pairwise_incomparable(paper_db, paper_query):
+    by_name = {graph.name: graph for graph in paper_db}
+    members = [by_name[name] for name in ("g1", "g4", "g5", "g7")]
+    vectors = [compound_similarity(g, paper_query).values for g in members]
+    for i, a in enumerate(vectors):
+        for j in range(i + 1, len(vectors)):
+            assert incomparable(a, vectors[j]), (members[i].name, members[j].name)
+
+
+def test_dominance_with_single_measure(paper_db, paper_query):
+    by_name = {graph.name: graph for graph in paper_db}
+    # On DistEd alone, g4 (distance 2) dominates g1 (distance 4).
+    assert _similarity_dominates(
+        by_name["g4"], by_name["g1"], paper_query, measures=[EditDistance()]
+    )

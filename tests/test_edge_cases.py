@@ -158,3 +158,16 @@ def test_executor_candidate_order_is_stable(paper_db, paper_query):
     keys = [(sum(row), graph_id) for graph_id, row in
             zip(first.ids, first.bounds.tolist())]
     assert keys == sorted(keys)
+
+
+# ----------------------------------------------------------------------
+# JSON serialization keeps vertex ids as they were
+# ----------------------------------------------------------------------
+def test_json_serialization_keeps_integer_ids():
+    from repro.graph import graph_from_json, graph_to_json
+
+    g = LabeledGraph.from_edges([(1, 2, "x")], vertex_labels={1: "A", 2: "B"})
+    rebuilt = graph_from_json(graph_to_json(g))
+    assert rebuilt.has_vertex(1) and not rebuilt.has_vertex("1")
+    assert rebuilt.vertex_label(1) == "A"
+    assert rebuilt.edge_label(1, 2) == "x"

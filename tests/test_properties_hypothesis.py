@@ -58,6 +58,15 @@ def test_ged_zero_iff_isomorphic(g1, g2):
     assert (distance == 0.0) == is_isomorphic(g1, g2)
 
 
+@GRAPH_SETTINGS
+@given(small_labeled_graphs(), small_labeled_graphs())
+def test_ged_bounds_sandwich(g1, g2):
+    exact = graph_edit_distance(g1, g2).distance
+    bracket = PairContext(g1, g2).ged_bracket()
+    assert bracket.lower <= exact + 1e-9
+    assert bracket.upper >= exact - 1e-9
+
+
 # ----------------------------------------------------------------------
 # MCS / measure properties
 # ----------------------------------------------------------------------
