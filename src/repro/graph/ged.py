@@ -384,7 +384,7 @@ def graph_edit_distance(
     seed = upper_bound
     if seed is None:
         # A realised seed for any cost model: the bipartite assignment's
-        # mapping, or the full rewrite without SciPy/NumPy. Either way a
+        # mapping, or the full rewrite without SciPy. Either way a
         # truncated run has a complete solution to hand back.
         if _bracket is None:
             _bracket = ged_bracket(view, tables, costs)

@@ -47,8 +47,9 @@ def test_anytime_deadline_returns_certified_intervals_and_frees_slot(
     with serve_in_thread(slow_database, config) as server:
         client = _Client(server.port)
         try:
-            # Warm one-time imports (scipy assignment kernel) so the
-            # timed request measures the engine, not module loading.
+            # Warm one-time work (NumPy, the assignment kernel's load,
+            # the first read's index) so the timed request measures the
+            # engine, not set-up.
             status, _ = client.request(
                 "POST", "/v1/query?deadline_ms=5000&anytime=1", spec.to_dict()
             )

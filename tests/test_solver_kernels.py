@@ -201,19 +201,107 @@ def test_edges_keys_each_edge_once_in_the_old_order():
 # ----------------------------------------------------------------------
 # Import guard: the benchmark's setup_s is mostly import time
 # ----------------------------------------------------------------------
-def test_import_repro_pulls_in_nothing_heavy():
-    code = (
-        "import sys, repro\n"
-        "heavy = ('numpy', 'scipy', 'networkx', 'asyncio', 'multiprocessing')\n"
-        "print([name for name in heavy if name in sys.modules])"
-    )
+def _fresh_python(code: str) -> str:
+    """Run ``code`` in a new interpreter over this source tree; its stdout."""
     source_root = str(Path(repro.__file__).parents[1])
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": source_root},
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_import_repro_pulls_in_nothing_heavy():
+    code = (
+        "import sys, repro\n"
+        "heavy = ('numpy', 'scipy', 'networkx', 'asyncio', 'multiprocessing')\n"
+        "print([name for name in heavy if name in sys.modules])"
+    )
+    assert _fresh_python(code) == "[]"
+
+
+# A pair whose BRANCH lower bound is positive, and its bracket as JSON.
+_BRACKET_PAIR = (
+    "import json, sys\n"
+    "from repro.graph.generators import random_labeled_graph\n"
+    "from repro.measures.base import PairContext\n"
+    "g1 = random_labeled_graph(5, 5, vertex_labels=('a', 'b'), seed=1)\n"
+    "g2 = random_labeled_graph(5, 6, vertex_labels=('a', 'c'), seed=2)\n"
+    "bracket = PairContext(g1, g2).ged_bracket()\n"
+    "out = {'lower': bracket.lower, 'mapping': sorted(bracket.mapping.items(),"
+    " key=str)}\n"
+)
+
+
+def test_bracket_loads_only_the_compiled_assignment_kernel():
+    pytest.importorskip("scipy")
+    code = _BRACKET_PAIR + (
+        "from repro.graph.ged_approx import assignment_kernel\n"
+        "out['optimize'] = 'scipy.optimize' in sys.modules\n"
+        "out['lsap'] = 'scipy.optimize._lsap' in sys.modules\n"
+        "import scipy.optimize\n"
+        "out['same'] = scipy.optimize.linear_sum_assignment is assignment_kernel()\n"
+        "print(json.dumps(out))"
+    )
+    out = json.loads(_fresh_python(code))
+    assert not out["optimize"]
+    assert out["lsap"]
+    assert out["lower"] > 0  # the assignment ran: no full-rewrite bracket
+    assert out["same"]
+
+
+def test_concurrent_first_brackets_share_one_kernel():
+    pytest.importorskip("scipy")
+    code = (
+        "import sys, threading\n"
+        "from repro.graph.ged_approx import assignment_kernel\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "barrier, seen = threading.Barrier(8), []\n"
+        "def first():\n"
+        "    barrier.wait(timeout=30)\n"
+        "    seen.append(assignment_kernel())\n"
+        "threads = [threading.Thread(target=first) for _ in range(8)]\n"
+        "for thread in threads: thread.start()\n"
+        "for thread in threads: thread.join(timeout=30)\n"
+        "assert not any(thread.is_alive() for thread in threads)\n"
+        "print(len(seen), len({id(kernel) for kernel in seen}), seen[0] is not None)"
+    )
+    assert _fresh_python(code) == "8 1 True"
+
+
+def test_failed_direct_load_falls_back_to_the_public_import():
+    # A stray ImportError must not switch the pair to the full-rewrite
+    # seed: the bracket still comes from SciPy's assignment.
+    pytest.importorskip("scipy")
+    code = (
+        "from repro.graph import ged_approx\n"
+        "def broken(scipy):\n"
+        "    raise ImportError('direct load broken')\n"
+        "ged_approx._load_lsap = broken\n"
+    ) + _BRACKET_PAIR + (
+        "out['optimize'] = 'scipy.optimize' in sys.modules\n"
+        "print(json.dumps(out))"
+    )
+    out = json.loads(_fresh_python(code))
+    assert out.pop("optimize")
+    assert out["lower"] > 0
+    assert out == json.loads(_fresh_python(_BRACKET_PAIR + "print(json.dumps(out))"))
+
+
+def test_without_scipy_the_bracket_is_the_full_rewrite():
+    code = "import sys\nsys.modules['scipy'] = None\n" + _BRACKET_PAIR + (
+        "from repro.graph.ged_approx import assignment_kernel\n"
+        "from repro.testkit import generate_workload, run_workload\n"
+        "out['kernel'] = assignment_kernel() is None\n"
+        "out['ok'] = run_workload(generate_workload(seed=1, n_steps=40)).ok\n"
+        "print(json.dumps(out))"
+    )
+    out = json.loads(_fresh_python(code))
+    assert out["kernel"]
+    assert out["lower"] == 0.0
+    assert all(image is None for _, image in out["mapping"])
+    assert out["ok"]
 
 
 def test_pair_view_imports_only_stdlib_and_repro_graph():
