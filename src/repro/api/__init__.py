@@ -12,10 +12,11 @@ The unified API the rest of the library routes through:
 * :class:`ExecutionBackend` — the one executor behind every backend
   name. Each name is a preset that picks a plan decision per query:
   ``memory`` (serial exhaustive), ``indexed`` (batched lower-bound
-  pruning over the packed feature matrix wherever pruning is sound, also
-  spelled ``vectorized``), ``parallel`` (exhaustive, process-pool
-  fan-out), ``sharded`` (``indexed``'s decision, scatter-gathered) and
-  ``auto`` (the planner's rule). All run on the staged engine
+  pruning over the packed feature matrix wherever pruning is sound),
+  ``parallel`` (exhaustive, process-pool fan-out), ``sharded``
+  (``indexed``'s decision, scatter-gathered) and ``auto`` (the planner's
+  rule: ``indexed``'s plan, serial, scatter-gathered over shards). All
+  run on the staged engine
   (:mod:`repro.engine`) and accept a shared ``cache=``
   (:class:`repro.db.cache.PairCache`);
 * :class:`LiveView` — ``Session.watch(query)``: any query's answer kept

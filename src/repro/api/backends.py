@@ -9,39 +9,38 @@ bound stage, evaluator:
 
 * ``memory`` — database order, no bound stage, serial (the reference
   semantics);
-* ``indexed`` (also spelled ``vectorized``) — ``auto``'s source and
-  stage: the packed :class:`~repro.index.IndexedSource` and the batched
-  bound stage for the kind wherever
-  :meth:`~repro.engine.planner.QueryPlanner.prunes` says pruning is
-  sound, database order otherwise; serial;
+* ``indexed`` — ``auto``'s source and stage: the packed
+  :class:`~repro.index.IndexedSource` and the batched bound stage for
+  the kind wherever :meth:`~repro.engine.planner.QueryPlanner.prunes`
+  says pruning is sound, database order otherwise; serial;
 * ``parallel`` — database order, no bound stage, pooled
   (:class:`~repro.engine.workers.PooledEvaluator`);
 * ``sharded`` — ``indexed``'s decision, scattered over a
   :class:`~repro.shard.store.ShardedGraphDatabase`;
 * ``auto`` — :meth:`QueryPlanner.decide
-  <repro.engine.planner.QueryPlanner.decide>`: ``indexed``'s source and
-  stage, pooled where the rows' prior solver time pays the pool.
+  <repro.engine.planner.QueryPlanner.decide>`: ``indexed``'s source,
+  stage and serial evaluator, scattered like ``sharded`` over a sharded
+  store.
 
 The executor materialises the decision — the lazily built
 :class:`~repro.index.FeatureStore`, one bound-stage instance per query,
-pooled evaluators cached per shard — and runs it. Over a sharded store,
-``sharded`` and ``auto`` go through
-:func:`~repro.engine.scatter.scatter_run`, each shard's evaluator chosen
-by the same rule over the shard's rows; every other case is one
-:func:`~repro.engine.core.run_plan` under
-:func:`~repro.engine.scatter.bound_sharing`. So every name returns the
+one pooled evaluator for ``parallel`` — and runs it. Over a sharded
+store, ``sharded`` and ``auto`` go through
+:func:`~repro.engine.scatter.scatter_run`; every other case is one
+:func:`~repro.engine.core.run_plan`. So every name returns the
 exhaustive answer and differs only in how much work it does. Every run
 records its decision in ``stats.planner``, and the session's
 :class:`~repro.api.result.QueryPlan` is built from it.
 
 ``cache=`` (a :class:`~repro.db.cache.PairCache`) appends the
 cached-pairs stage to every cascade; ``max_workers=`` sizes the pool of
-a pooled plan.
+the ``parallel`` preset.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 
 from repro.core.gcs import CompoundSimilarity
 from repro.db.database import GraphDatabase
@@ -57,12 +56,7 @@ from repro.engine.plan import (
     cached_pairs,
 )
 from repro.engine.planner import PlanDecision, QueryPlanner
-from repro.engine.scatter import (
-    ShardedSource,
-    bound_sharing,
-    merge_consumer,
-    scatter_run,
-)
+from repro.engine.scatter import ShardedSource, merge_consumer, scatter_run
 from repro.engine.workers import PooledEvaluator
 from repro.errors import QueryError
 from repro.shard.store import ShardedGraphDatabase
@@ -74,22 +68,21 @@ class Preset:
 
     ``prunes``: the bound stage joins the cascade wherever
     :meth:`QueryPlanner.prunes` allows it, else never. ``evaluator``:
-    ``serial`` or ``pooled``, or ``None`` for the planner's cost rule.
-    ``scatters``: over a sharded store, runs shard by shard.
+    ``serial`` or ``pooled``. ``scatters``: over a sharded store, runs
+    shard by shard.
     """
 
     prunes: bool
-    evaluator: str | None
+    evaluator: str
     scatters: bool = False
 
 
 PRESETS: dict[str, Preset] = {
     "memory": Preset(prunes=False, evaluator="serial"),
     "indexed": Preset(prunes=True, evaluator="serial"),
-    "vectorized": Preset(prunes=True, evaluator="serial"),
     "parallel": Preset(prunes=False, evaluator="pooled"),
     "sharded": Preset(prunes=True, evaluator="serial", scatters=True),
-    "auto": Preset(prunes=True, evaluator=None, scatters=True),
+    "auto": Preset(prunes=True, evaluator="serial", scatters=True),
 }
 
 
@@ -103,14 +96,13 @@ class Execution:
     """One spec's run as its preset decided it.
 
     ``stages`` are the cascade labels (plus the merge consumer's on the
-    scatter path); ``per_shard`` maps each non-empty shard to its
-    evaluator on the scatter path and is ``None`` for a single run;
-    ``workers`` is the pool size when an evaluator is pooled, else 1.
+    scatter path); ``scattered`` is whether the run goes shard by shard;
+    ``workers`` is the pool size when the evaluator is pooled, else 1.
     """
 
     decision: PlanDecision
     stages: tuple[str, ...]
-    per_shard: dict[int, str] | None = None
+    scattered: bool = False
     workers: int = 1
 
 
@@ -146,14 +138,6 @@ class BackendAnswer:
     execution: Execution | None = None
 
 
-def _pool_started() -> bool:
-    """Whether a persistent worker pool is already warm in this process
-    (lowers the planner's pool break-even)."""
-    from repro.engine import workers
-
-    return any(pool.started for pool in workers._POOLS.values())
-
-
 class ExecutionBackend:
     """Runs the :data:`PRESETS` rule named ``name`` over ``database``.
 
@@ -169,7 +153,7 @@ class ExecutionBackend:
         Optional shared pair cache (the cached-pairs stage joins every
         plan).
     max_workers:
-        Pool size of a pooled plan (default: the CPU count).
+        Pool size of the ``parallel`` preset (default: the CPU count).
     """
 
     def __init__(
@@ -195,10 +179,10 @@ class ExecutionBackend:
         self.preset = PRESETS[name]
         self.database = database
         self.cache = cache
-        self.planner = QueryPlanner(max_workers=max_workers)
+        self.planner = QueryPlanner()
+        self.max_workers = max(1, max_workers or os.cpu_count() or 1)
         self._store = None
-        # Pooled evaluators keyed by shard index (``None``: a single run).
-        self._pooled: dict[int | None, PooledEvaluator] = {}
+        self._pooled: PooledEvaluator | None = None
         self._scatter = (
             ShardedSource(database) if sharded and self.preset.scatters else None
         )
@@ -217,21 +201,12 @@ class ExecutionBackend:
         return self._store
 
     # -- deciding ---------------------------------------------------------
-    def _avg_order(self) -> float:
-        size = len(self.database)
-        return self.database.vertex_load / size if size else 1.0
-
     def decide(self, spec: GraphQuery) -> PlanDecision:
         """The preset's plan decision for ``spec`` over the whole database."""
         rows = len(self.database)
+        if self.name == "auto":
+            return self.planner.decide(spec, rows)
         preset = self.preset
-        if preset.evaluator is None:
-            return self.planner.decide(
-                spec,
-                db_size=rows,
-                avg_order=self._avg_order(),
-                pool_started=_pool_started(),
-            )
         if preset.prunes:
             source, stage, reason = QueryPlanner.pruning(spec, rows)
         else:
@@ -244,29 +219,16 @@ class ExecutionBackend:
         return PlanDecision(source, stage, evaluator, (reason, why))
 
     def execution(self, spec: GraphQuery) -> Execution:
-        """What :meth:`run` executes for ``spec``: the decision, and on
-        the scatter path each shard's evaluator by the same rule."""
+        """What :meth:`run` executes for ``spec``."""
         decision = self.decide(spec)
         stages = () if decision.stage is None else (decision.stage,)
         if self.cache is not None:
             stages += (CachedPairStage.name,)
-        per_shard = None
-        evaluators = {decision.evaluator}
-        if self._scatter is not None:
+        scattered = self._scatter is not None
+        if scattered:
             stages += (merge_consumer(spec).name,)
-            rule = self.planner.evaluator
-            planned = self.preset.evaluator is None
-            avg_order, warm = self._avg_order(), _pool_started()
-            per_shard = {
-                index: rule(spec, len(shard), avg_order, warm)[0]
-                if planned
-                else decision.evaluator
-                for index, shard in enumerate(self.database.shards)
-                if len(shard)
-            }
-            evaluators = set(per_shard.values())
-        workers = self.planner.max_workers if "pooled" in evaluators else 1
-        return Execution(decision, stages, per_shard, workers)
+        workers = self.max_workers if decision.evaluator == "pooled" else 1
+        return Execution(decision, stages, scattered, workers)
 
     # -- materialising ----------------------------------------------------
     def _bound_stage(self, spec: GraphQuery) -> BoundStage:
@@ -283,15 +245,12 @@ class ExecutionBackend:
         stage = self._bound_stage(spec)
         return ((lambda ctx: stage),) + tail
 
-    def _evaluator(self, name: str, shard: int | None = None) -> Evaluator:
+    def _evaluator(self, name: str) -> Evaluator:
         if name != "pooled":
             return SerialEvaluator()
-        evaluator = self._pooled.get(shard)
-        if evaluator is None:
-            evaluator = self._pooled[shard] = PooledEvaluator(
-                max_workers=self.planner.max_workers
-            )
-        return evaluator
+        if self._pooled is None:
+            self._pooled = PooledEvaluator(max_workers=self.max_workers)
+        return self._pooled
 
     def build_plan(
         self, spec: GraphQuery, execution: Execution | None = None
@@ -319,55 +278,36 @@ class ExecutionBackend:
         spec.validate()
         execution = self.execution(spec)
         decision = execution.decision
-        prunes = decision.stage is not None
-        if execution.per_shard is not None:
+        if execution.scattered:
             answer = scatter_run(
                 self.database,
                 spec,
                 self._scatter,
                 self._cascade(spec, decision),
-                {
-                    index: self._evaluator(name, index)
-                    for index, name in execution.per_shard.items()
-                },
-                prunes=prunes,
+                self._evaluator(decision.evaluator),
                 cache=self.cache,
             )
         else:
             plan = self.build_plan(spec, execution)
-            shared = [plan.evaluator] if prunes else []
-            with bound_sharing(spec, shared):
-                answer = run_plan(self.database, spec, plan, cache=self.cache)
+            answer = run_plan(self.database, spec, plan, cache=self.cache)
         answer.execution = execution
         answer.stats.planner = self._record(spec, execution)
         return answer
 
     def _record(self, spec: GraphQuery, execution: Execution) -> dict:
-        """``stats.planner``: the decision, its reasons and, on the
-        scatter path, each shard's evaluator."""
+        """``stats.planner``: the decision and its reasons."""
         decision = execution.decision
-        anytime = "serial(anytime)" if spec.anytime else None
-        record = {
+        if execution.scattered:
+            decision = replace(
+                decision, source=f"scatter×{self.database.shard_count}"
+            )
+        return {
             "backend": self.name,
             "summary": decision.summary,
             "source": decision.source,
             "stages": list(execution.stages),
-            "evaluator": anytime or decision.evaluator,
+            "evaluator": (
+                "serial(anytime)" if spec.anytime else decision.evaluator
+            ),
             "reasons": list(decision.reasons),
         }
-        if execution.per_shard is not None:
-            source = f"scatter×{self.database.shard_count}"
-            record.update(
-                source=source,
-                summary=f"{source}+{decision.stage or 'no-prune'}/per-shard",
-                evaluator="per-shard",
-                per_shard=[
-                    {
-                        "shard": index,
-                        "size": len(self.database.shards[index]),
-                        "evaluator": anytime or name,
-                    }
-                    for index, name in execution.per_shard.items()
-                ],
-            )
-        return record

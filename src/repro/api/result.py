@@ -312,11 +312,6 @@ class ResultSet:
             lines.append(f"planner: chose {planner.get('summary', 'auto')}")
             for reason in planner.get("reasons") or []:
                 lines.append(f"  rule: {reason}")
-            for row in planner.get("per_shard") or []:
-                lines.append(
-                    "  shard {shard}: evaluator={evaluator} "
-                    "(size {size})".format(**row)
-                )
         if self.stats.pruned_by_stage:
             breakdown = ", ".join(
                 f"{name}: {count}"
@@ -345,26 +340,16 @@ class ResultSet:
             )
         if self.stats.per_shard is not None:
             for row in self.stats.per_shard:
-                line = (
+                lines.append(
                     "  shard {shard}: size={size} candidates={candidates} "
                     "pruned={pruned} evaluated={evaluated} "
                     "served={served}".format(**row)
                 )
-                if "chunks" in row:
-                    line += (
-                        f" pool(chunks={row['chunks']} waves={row.get('waves', 0)}"
-                        f" frontier_pruned={row.get('frontier_pruned', 0)}"
-                        f" published={row.get('published', 0)})"
-                    )
-                lines.append(line)
         if self.stats.pool is not None:
             pool = self.stats.pool
             lines.append(
                 f"worker pool: workers={pool.get('workers', 0)} "
                 f"chunks={pool.get('chunks', 0)} "
-                f"waves={pool.get('waves', 0)} "
-                f"frontier_pruned={pool.get('frontier_pruned', 0)} "
-                f"published={pool.get('published', 0)} "
                 f"respawns={pool.get('respawns', 0)}"
             )
         if self.cache_info is not None:

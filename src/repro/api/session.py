@@ -257,7 +257,6 @@ class Session:
             names: tuple[str, ...] = (single_measure(spec, measures).name,)
         else:
             names = measure_names(measures)
-        scattered = execution.per_shard is not None
         return QueryPlan(
             backend=self.backend_name,
             kind=spec.kind,
@@ -266,7 +265,7 @@ class Session:
             uses_index=execution.decision.stage is not None,
             workers=execution.workers,
             stages=execution.stages,
-            shards=self.database.shard_count if scattered else 1,
+            shards=self.database.shard_count if execution.scattered else 1,
         )
 
     def execute(self, query: "GraphQuery | Query") -> ResultSet:

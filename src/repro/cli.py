@@ -361,11 +361,10 @@ _BACKEND_NOTES = {
     "memory": "database order, no bound stage, serial (reference semantics)",
     "indexed": "batched bounds over the packed feature matrix where "
                "pruning is sound, serial",
-    "vectorized": "alias of indexed",
     "parallel": "database order, no bound stage, pooled",
     "sharded": "indexed's decision, scatter-gathered (connect shards=N)",
-    "auto": "the planner's rule: indexed's source and stage, pooled when "
-            "the rows pay the pool",
+    "auto": "the planner's rule: indexed's source and stage, serial, "
+            "scatter-gathered over shards",
 }
 
 
@@ -378,23 +377,11 @@ def _cmd_backends(args: argparse.Namespace) -> int:
                        title="backend presets"))
     print()
     print(f"numpy: {info['numpy']}")
-    pool_note = (
-        "usable" if info["pool_usable"]
-        else "not worth starting (single CPU)"
-    )
-    if info["pools_started"]:
-        warm = ", ".join(f"{n} workers" for n in info["pools_started"])
-        pool_note += f"; warm pools: {warm} (pooled startup cost is zero)"
-    else:
-        pool_note += "; no pool started yet"
-    print(f"cpu count: {info['cpu_count']} — pooled evaluation {pool_note}")
-    break_even = info["pool_break_even_s"]
-    print(
-        "auto rule: batched bounds wherever pruning is sound; pooled "
-        "once rows × per-pair prior exceed "
-        f"{break_even['cold'] * 1e3:.0f} ms (cold pool) or "
-        f"{break_even['warm'] * 1e3:.0f} ms (warm pool), serial otherwise"
-    )
+    pools = ", ".join(f"{n} workers" for n in info["pools_started"])
+    print(f"cpu count: {info['cpu_count']} — the parallel pool's default "
+          f"size; pools started: {pools or 'none'}")
+    print("auto rule: batched bounds wherever pruning is sound, serial "
+          "evaluation")
     if args.database:
         path = Path(args.database)
         if path.is_dir():
@@ -408,8 +395,7 @@ def _cmd_backends(args: argparse.Namespace) -> int:
                 database.vertex_load / len(database) if len(database) else 0.0
             )
             print(f"database {args.database}: {len(database)} graphs "
-                  f"({topology}, mean order {avg:.1f}) — what `auto` "
-                  "feeds its rule")
+                  f"({topology}, mean order {avg:.1f})")
     return 0
 
 

@@ -31,9 +31,8 @@ class QueryStats:
     #: booked under ``"batch-prefilter"``. Sums to ``pruned_by_index``.
     pruned_by_stage: dict[str, int] = field(default_factory=dict)
     phase_seconds: dict[str, float] = field(default_factory=dict)
-    #: Planner decision record (``None`` unless the query ran on the
-    #: ``auto`` backend): chosen source/stages/evaluator, the planning
-    #: rule's reasons and, on the scatter path, per-shard evaluators.
+    #: Planner decision record (``None`` for a run outside a backend):
+    #: chosen source/stages/evaluator and the planning rule's reasons.
     planner: dict[str, object] | None = None
     #: Scatter-gather breakdown: one row per shard (``shard``, ``size``,
     #: ``candidates``, ``pruned``, ``evaluated``, ``served``), in shard
@@ -41,10 +40,7 @@ class QueryStats:
     per_shard: list[dict[str, int]] | None = None
     #: Persistent worker-pool telemetry (``None`` for serial runs):
     #: ``workers`` (0 when the pool could not start and the drain solved
-    #: in-process), ``chunks`` shipped, ``waves`` drained,
-    #: ``frontier_pruned`` (candidates eliminated by shared exact
-    #: vectors instead of evaluation), ``published`` (vectors workers
-    #: posted to the shared frontier), ``respawns`` (worker deaths
+    #: in-process), ``chunks`` shipped, ``respawns`` (worker deaths
     #: recovered during this query).
     pool: dict[str, object] | None = None
     #: Anytime-execution telemetry (``None`` unless the query carried a
@@ -134,9 +130,7 @@ class QueryStats:
             pool = (
                 f" pool[workers={self.pool.get('workers', 0)}"
                 f" chunks={self.pool.get('chunks', 0)}"
-                f" waves={self.pool.get('waves', 0)}"
-                f" frontier_pruned={self.pool.get('frontier_pruned', 0)}"
-                f" published={self.pool.get('published', 0)}]"
+                f" respawns={self.pool.get('respawns', 0)}]"
             )
         anytime = ""
         if self.anytime is not None:

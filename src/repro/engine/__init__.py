@@ -20,10 +20,9 @@ candidate loop. The pieces compose freely:
   :class:`~repro.db.cache.PairCache`); custom :class:`Stage`
   implementations plug in alongside;
 * evaluators — :class:`SerialEvaluator` (interleaved, feeds the bound
-  stages) and :class:`PooledEvaluator` (chunked batching on the
-  persistent shared-memory worker pool, :mod:`repro.engine.workers`,
-  drained in bound-ordered waves against a shared exact-vector
-  frontier);
+  stages; every pruning plan) and :class:`PooledEvaluator` (chunked
+  batching on the persistent worker pool, :mod:`repro.engine.workers`;
+  the exhaustive ``parallel`` preset only);
 * scatter-gather — :class:`ShardedSource` (per-shard candidate sources
   over shard-local indexes) plus the :class:`SkylineMerge` /
   :class:`FrontierMerge` gather consumers, and :func:`scatter_run`, the
@@ -69,12 +68,10 @@ from repro.engine.evaluate import (
     pair_values,
 )
 from repro.engine.workers import (
-    BoundSharing,
     PooledEvaluator,
     WorkerPool,
     WorkerPoolError,
     get_pool,
-    live_segments,
     shutdown_pool,
 )
 from repro.engine.core import RunContext, make_context, run_plan
@@ -85,7 +82,6 @@ from repro.engine.scatter import (
     MergeConsumer,
     ShardedSource,
     SkylineMerge,
-    bound_sharing,
     merge_consumer,
     merged_stats,
     scatter_run,
@@ -109,11 +105,9 @@ __all__ = [
     "PooledEvaluator",
     "SerialEvaluator",
     "pair_values",
-    "BoundSharing",
     "WorkerPool",
     "WorkerPoolError",
     "get_pool",
-    "live_segments",
     "shutdown_pool",
     "RunContext",
     "make_context",
@@ -126,7 +120,6 @@ __all__ = [
     "MergeConsumer",
     "ShardedSource",
     "SkylineMerge",
-    "bound_sharing",
     "merge_consumer",
     "merged_stats",
     "scatter_run",

@@ -13,11 +13,11 @@ under an :class:`~repro.engine.plan.EvaluationPlan`:
    per-candidate walk's; each survivor then meets the later stages,
    which may prune it (sound: it provably cannot change the answer),
    serve its exact vector (cached pairs), or pass;
-3. survivors reach the evaluator — solved immediately (serial) or batched
-   onto a process pool and drained after the scan. The serial evaluator
-   solves against the leading bound stage's cap, the pool against its
-   shared frontier's; a pair cut there is pruned as ``solver-cutoff``
-   (an index prune, not an evaluation);
+3. survivors reach the evaluator — solved immediately (serial) or, on
+   the exhaustive ``parallel`` plan, batched onto a process pool and
+   drained after the scan. The serial evaluator solves against the
+   leading bound stage's cap; a pair cut there is pruned as
+   ``solver-cutoff`` (an index prune, not an evaluation);
 4. every exact vector is fed back to the stages (``observe``), then the
    kind-specific consumer selects the answer.
 
@@ -317,23 +317,8 @@ def run_plan(
         drained = list(evaluator.drain(ctx))
         evaluate_s += perf() - begin
         for graph_id, values in drained:
-            if values == SOLVER_CUTOFF:
-                stats.pruned_by_index += 1
-                stats.count_prune(SOLVER_CUTOFF, 1)
-                pruned_ids.append(graph_id)
-            else:
-                stats.exact_evaluations += 1
-                record(graph_id, values)
-        # A deferring evaluator may prune while draining (shared-frontier
-        # checks against exact vectors other workers/shards published);
-        # those ids were eliminated without evaluation, exactly like
-        # cascade prunes, and the invariants (pruned ∪ evaluated partition
-        # the considered candidates) must keep holding.
-        deferred_pruned = list(evaluator.drained_pruned_ids())
-        if deferred_pruned:
-            stats.pruned_by_index += len(deferred_pruned)
-            stats.count_prune("shared-frontier", len(deferred_pruned))
-            pruned_ids.extend(deferred_pruned)
+            stats.exact_evaluations += 1
+            record(graph_id, values)
     finally:
         stats.phase_seconds["cascade"] = (
             stats.phase_seconds.get("cascade", 0.0) + cascade_s

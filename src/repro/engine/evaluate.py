@@ -19,17 +19,9 @@ pruning cascade and produces their exact measure vectors, either
   their budget and keep open pairs instead; or
 * deferred (``PooledEvaluator``) — candidates accumulate and are solved
   in chunks on the **persistent worker pool**
-  (:mod:`repro.engine.workers`): long-lived processes sent each chunk's
-  graphs and bounds, drained in bound-ordered waves with a shared
-  best-so-far frontier, so deferral no longer forfeits
-  bound-stage pruning. Pooled solves run against the frontier's cap
-  (``FrontierCutoff``), and the drain reports a cut pair as
-  :data:`SOLVER_CUTOFF`.
-
-A deferring evaluator may also *prune* while draining (frontier checks
-against exact vectors published by other workers/shards);
-:meth:`Evaluator.drained_pruned_ids` reports those ids so the engine
-counts them exactly like cascade prunes.
+  (:mod:`repro.engine.workers`) after the scan. Only the exhaustive
+  ``parallel`` preset defers: a pruning plan needs each exact vector
+  before its next pair, so it never pools.
 
 The pool machinery (``PooledEvaluator``, ``get_pool``,
 ``shutdown_pool``, …) lives in :mod:`repro.engine.workers`, which
@@ -233,19 +225,10 @@ class Evaluator(abc.ABC):
 
     def drain(
         self, ctx: "RunContext"
-    ) -> list[tuple[int, tuple[float, ...] | str]]:
-        """Deferred results, in ascending id order (empty when interleaved);
-        a value of :data:`SOLVER_CUTOFF` marks a solve cut at a cap."""
+    ) -> list[tuple[int, tuple[float, ...]]]:
+        """Deferred results, in ascending id order (empty when
+        interleaved)."""
         return []
-
-    def drained_pruned_ids(self) -> "list[int] | tuple[int, ...]":
-        """Ids the last :meth:`drain` soundly pruned instead of solving.
-
-        The engine counts them as index prunes (they were eliminated by
-        exact vectors of other graphs, never evaluated). Interleaved
-        evaluators never prune, hence the empty default.
-        """
-        return ()
 
 
 class SerialEvaluator(Evaluator):

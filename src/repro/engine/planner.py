@@ -4,9 +4,7 @@ Every backend name is a preset over one plan space — candidate source ×
 bound stage × evaluator (:data:`repro.api.backends.PRESETS`). The fixed
 names pin the evaluator and, through :meth:`QueryPlanner.pruning`, take
 the same source and stage as ``auto``, or none. ``auto`` picks its point
-per query by a rule over static inputs only: the spec, the row count,
-the average graph order, the worker count and whether a pool is already
-warm.
+per query by a rule over the spec alone:
 
 * **exhaustive** — ``database-order`` with no bound stage, only where
   bound pruning is unsound (tolerant skyline/skyband: tolerant dominance
@@ -14,10 +12,14 @@ warm.
 * **bounded** — everywhere else: the packed ``indexed`` source and the
   batched bound stage for the kind, at any row count. The bounds cost
   microseconds per candidate, one exact GED/MCS pair costs milliseconds.
-* **pooled** — iff the pool is usable (more than one worker, no anytime
-  budget) and the rows' prior solver time exceeds the pool's break-even:
-  :data:`POOL_START_SECONDS` while it is cold, :data:`POOL_WARM_SECONDS`
-  once it is warm.
+
+The evaluator is always **serial**. Each exact vector it solves tightens
+the bound stage's cutoff before the next pair, and the next pair is
+solved against that cutoff; a pool solves a deferred batch without that
+feedback. On a 2-vCPU host the pooled threshold read of an 8-vertex
+workload made 212 exact evaluations against serial's 37 and ran ~50×
+slower, and its skyline and top-k reads lost too. The worker pool stays
+behind the exhaustive ``parallel`` preset.
 
 The same spec over the same database therefore plans the same way
 whatever ran before it.
@@ -33,18 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.spec import GraphQuery
 
 
-#: Pool break-even, cold: the worker pool's start (fork + first
-#: chunk round-trips).
-POOL_START_SECONDS = 1.2
-#: Pool break-even, warm: chunk pickling and queue round-trips. On a
-#: 2-vCPU host a warm 2-worker pool still lost to serial over 120
-#: exhaustive top-k pairs (68 vs 55 ms, a 42 ms prior).
-POOL_WARM_SECONDS = 0.1
-#: Per-pair exact-evaluation prior per squared vertex. Fitted from the
-#: e2e benchmark's traced ``solver_cold`` run (``--seed 1 --trace 1``):
-#: ``graph.ms_per_pair`` 0.232 ms over a database of average order 4.17
-#: vertices, i.e. 0.232e-3 / 4.17².
-PAIR_SECONDS_PER_ORDER2 = 1.3e-5
+#: The evaluator reason of every ``auto`` plan.
+SERIAL_REASON = "serial: each exact vector tightens the next pair's cutoff"
 
 
 @dataclass(frozen=True)
@@ -68,41 +60,14 @@ class PlanDecision:
 
 
 class QueryPlanner:
-    """The planning rule over one host's worker count."""
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        self.max_workers = max(1, max_workers or os.cpu_count() or 1)
+    """The planning rule of ``auto``."""
 
     @staticmethod
     def prunes(spec: "GraphQuery") -> bool:
         """Whether bound pruning is sound for ``spec`` — the one rule
-        every backend and the worker pool's shared frontier follow
-        (tolerant dominance is not transitive)."""
+        every backend follows (tolerant dominance is not transitive)."""
         return not (
             spec.kind in ("skyline", "skyband") and spec.tolerance > 0
-        )
-
-    def evaluator(
-        self,
-        spec: "GraphQuery",
-        rows: int,
-        avg_order: float,
-        pool_warm: bool = False,
-    ) -> tuple[str, str]:
-        """``(evaluator, reason)`` for ``rows`` candidates of ``spec`` at
-        ``avg_order`` vertices per graph."""
-        if spec.anytime:
-            return "serial", "anytime budget: evaluation is serial by design"
-        if self.max_workers <= 1:
-            return "serial", f"pool not usable (workers={self.max_workers})"
-        solve = rows * PAIR_SECONDS_PER_ORDER2 * max(1.0, avg_order) ** 2
-        break_even = POOL_WARM_SECONDS if pool_warm else POOL_START_SECONDS
-        pooled = solve > break_even
-        return (
-            "pooled" if pooled else "serial",
-            f"solver prior {solve * 1e3:.1f}ms {'>' if pooled else '≤'} "
-            f"{'warm' if pool_warm else 'cold'} pool break-even "
-            f"{break_even * 1e3:.0f}ms",
         )
 
     @classmethod
@@ -125,44 +90,30 @@ class QueryPlanner:
             "tolerant dominance is not transitive: bound pruning off",
         )
 
-    def decide(
-        self,
-        spec: "GraphQuery",
-        db_size: int,
-        avg_order: float,
-        pool_started: bool = False,
-    ) -> PlanDecision:
+    def decide(self, spec: "GraphQuery", db_size: int) -> PlanDecision:
         """The plan the rule names for ``spec`` over ``db_size`` rows."""
         source, stage, reason = self.pruning(spec, db_size)
-        evaluator, why = self.evaluator(spec, db_size, avg_order, pool_started)
-        return PlanDecision(source, stage, evaluator, (reason, why))
+        return PlanDecision(source, stage, "serial", (reason, SERIAL_REASON))
 
 
 def availability() -> dict:
-    """The backend presets, what the planner has to work with on this
-    host, and its rule.
+    """The backend presets and what this host offers them.
 
-    Reported by ``python -m repro backends`` so users can see every name
-    the one executor runs and why ``auto`` picked what it picked:
-    ``cpu_count`` and the pool break-even gate pooled evaluation, and an
-    already-started pool lowers the break-even.
+    Reported by ``python -m repro backends``: every name the one
+    executor runs, the CPU count (the default ``max_workers`` of the
+    ``parallel`` preset's pool) and the pool sizes already started in
+    this process.
     """
     import numpy
 
     from repro.api.backends import available_backends
     from repro.engine import workers
 
-    cpu_count = os.cpu_count() or 1
     return {
         "backends": available_backends(),
         "numpy": numpy.__version__,
-        "cpu_count": cpu_count,
-        "pool_usable": cpu_count > 1,
+        "cpu_count": os.cpu_count() or 1,
         "pools_started": sorted(
             size for size, pool in workers._POOLS.items() if pool.started
         ),
-        "pool_break_even_s": {
-            "cold": POOL_START_SECONDS,
-            "warm": POOL_WARM_SECONDS,
-        },
     }

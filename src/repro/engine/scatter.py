@@ -22,9 +22,7 @@ selection step needs a gather phase. Three parts live here:
   :class:`~repro.db.stats.QueryStats` with a ``per_shard`` breakdown.
 * :func:`scatter_run` — the one scatter loop behind the ``sharded`` and
   ``auto`` backends: per-shard :func:`~repro.engine.core.run_plan` with
-  the caller's per-shard evaluators, then merge; and
-  :func:`bound_sharing`, the per-query exact-vector channel every pooled
-  evaluator of a pruning plan drains against, monolithic or sharded.
+  the caller's (serial) evaluator, then merge.
 
 Cross-shard pruning falls out of stage *sharing*: the scatter loop
 reuses one bound-stage instance across its sequential per-shard runs, so
@@ -37,17 +35,15 @@ real database graphs, and those dominate/cut off globally.
 from __future__ import annotations
 
 import abc
-import contextlib
 import dataclasses
 import math
 import time
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING
 
 from repro.db.stats import QueryStats
-from repro.engine.core import resolved_measures, run_plan
+from repro.engine.core import run_plan
 from repro.engine.evaluate import Evaluator
 from repro.engine.plan import CandidateBlock, CandidateSource, EvaluationPlan
-from repro.engine.workers import BoundSharing, PooledEvaluator
 from repro.engine.consume import select
 from repro.api.spec import GraphQuery
 
@@ -295,7 +291,6 @@ def merged_stats(
     """
     stats = QueryStats(database_size=len(database))
     breakdown: list[dict[str, int]] = []
-    pool_total: dict[str, object] | None = None
     anytime_total: dict[str, object] | None = None
     for index, shard in enumerate(shard_stats):
         row = {
@@ -324,35 +319,6 @@ def merged_stats(
                 evaluated=shard.exact_evaluations,
                 served=shard.served_from_cache,
             )
-            if shard.pool is not None:
-                # Pool telemetry rides along per shard and sums globally
-                # (``workers`` is a pool property, not additive).
-                row.update(
-                    chunks=shard.pool.get("chunks", 0),
-                    waves=shard.pool.get("waves", 0),
-                    frontier_pruned=shard.pool.get("frontier_pruned", 0),
-                    published=shard.pool.get("published", 0),
-                )
-                if pool_total is None:
-                    pool_total = {
-                        "workers": 0,
-                        "chunks": 0,
-                        "waves": 0,
-                        "frontier_pruned": 0,
-                        "published": 0,
-                        "respawns": 0,
-                    }
-                pool_total["workers"] = max(
-                    pool_total["workers"], shard.pool.get("workers", 0)
-                )
-                for key in (
-                    "chunks",
-                    "waves",
-                    "frontier_pruned",
-                    "published",
-                    "respawns",
-                ):
-                    pool_total[key] += shard.pool.get(key, 0)
             if shard.anytime is not None:
                 # Anytime telemetry sums across shards; the wall clock
                 # (``budget_spent_ms``) takes the slowest shard since the
@@ -380,7 +346,6 @@ def merged_stats(
                 )
         breakdown.append(row)
     stats.per_shard = breakdown
-    stats.pool = pool_total
     stats.anytime = anytime_total
     return stats
 
@@ -388,92 +353,42 @@ def merged_stats(
 # ----------------------------------------------------------------------
 # The scatter loop
 # ----------------------------------------------------------------------
-@contextlib.contextmanager
-def bound_sharing(
-    spec: GraphQuery, evaluators: "Iterable[Evaluator]"
-) -> Iterator[None]:
-    """Attach one per-query :class:`~repro.engine.workers.BoundSharing`
-    to every pooled evaluator of a pruning plan; release it on exit.
-
-    ``evaluators`` are the plan's evaluators; pass none for a plan
-    without a bound stage. Without the channel a pooled drain ships
-    every deferred candidate in one wave and forfeits the pruning a
-    serial run gets from its bound stage. Serial evaluators, and kinds
-    that cannot share (threshold, tolerant dominance), get nothing
-    attached.
-    """
-    pooled = [e for e in evaluators if isinstance(e, PooledEvaluator)]
-    sharing = None
-    if pooled:
-        dims = (
-            len(resolved_measures(spec))
-            if spec.kind in ("skyline", "skyband")
-            else 1
-        )
-        workers = max(evaluator.max_workers for evaluator in pooled)
-        sharing = BoundSharing.for_spec(spec, dims, workers=workers)
-    if sharing is None:
-        yield
-        return
-    for evaluator in pooled:
-        evaluator.sharing = sharing
-    try:
-        yield
-    finally:
-        for evaluator in pooled:
-            evaluator.sharing = None
-        sharing.release()
-
-
 def scatter_run(
     database: "ShardedGraphDatabase",
     spec: GraphQuery,
     source: ShardedSource,
     cascade: tuple,
-    evaluators: "Mapping[int, Evaluator]",
-    prunes: bool,
+    evaluator: Evaluator,
     cache=None,
 ) -> "BackendAnswer":
     """Run ``spec`` shard by shard, then gather the global answer.
 
-    ``evaluators`` maps shard index to that shard's evaluator; shards
-    missing from it, and empty shards, are skipped. Every shard run
-    shares ``cascade`` — one bound-stage instance per query, the
-    cross-shard pruning channel — and, when ``prunes``, the pooled
-    evaluators share one :func:`bound_sharing` channel. An anytime
-    wall-clock budget is *global*: each shard gets the remainder (a
-    shard after expiry still runs its cascade and reports
-    interval-bounded starved candidates instead of re-anchoring the full
-    budget).
+    Empty shards are skipped. Every shard run shares ``cascade`` — one
+    bound-stage instance per query, the cross-shard pruning channel —
+    and ``evaluator``. An anytime wall-clock budget is *global*: each
+    shard gets the remainder (a shard after expiry still runs its
+    cascade and reports interval-bounded starved candidates instead of
+    re-anchoring the full budget).
     """
-    runs = {
-        index: evaluator
-        for index, evaluator in sorted(evaluators.items())
-        if len(database.shards[index])
-    }
-    shared = list(runs.values()) if prunes else []
     anytime_wall = None
     if spec.budget_ms is not None:
         anytime_wall = time.monotonic() + spec.budget_ms / 1000.0
     answers = []
     shard_stats: "list[QueryStats | None]" = [None] * database.shard_count
-    with bound_sharing(spec, shared):
-        for index, evaluator in runs.items():
-            plan = EvaluationPlan(
-                source=source.shard_source(index),
-                cascade=cascade,
-                evaluator=evaluator,
-            )
-            shard_spec = spec
-            if anytime_wall is not None:
-                remaining_ms = max(
-                    1, int((anytime_wall - time.monotonic()) * 1000)
-                )
-                shard_spec = dataclasses.replace(spec, budget_ms=remaining_ms)
-            answer = run_plan(
-                database.shards[index], shard_spec, plan, cache=cache
-            )
-            shard_stats[index] = answer.stats
-            answers.append(answer)
+    for index, shard in enumerate(database.shards):
+        if not len(shard):
+            continue
+        plan = EvaluationPlan(
+            source=source.shard_source(index),
+            cascade=cascade,
+            evaluator=evaluator,
+        )
+        shard_spec = spec
+        if anytime_wall is not None:
+            remaining_ms = max(1, int((anytime_wall - time.monotonic()) * 1000))
+            shard_spec = dataclasses.replace(spec, budget_ms=remaining_ms)
+        answer = run_plan(shard, shard_spec, plan, cache=cache)
+        shard_stats[index] = answer.stats
+        answers.append(answer)
     stats = merged_stats(database, shard_stats)
     return merge_consumer(spec).merge(spec, answers, stats)

@@ -108,7 +108,7 @@ class DeadlineExceeded(ReproError, TimeoutError):
     Raised by the staged engine when the run budget's expiry (the
     ambient deadline, an expiry-only
     :class:`~repro.graph.budget.Budget`) has passed: between candidates,
-    between pooled waves, and inside a pair whose search it stopped. The
+    while a pooled drain waits, and inside a pair whose search it stopped. The
     run stops, partial state is discarded, and the caller (e.g.
     ``repro.server``) maps this to a structured timeout error. An
     anytime run raises it only when no evaluation pass completed.

@@ -15,8 +15,8 @@ The candidate-filtering layer of every full run that prunes:
   ``version`` dirty flag;
 * :class:`~repro.index.source.IndexedSource` /
   :class:`~repro.index.source.BatchParetoStage` — the engine plan
-  parts the ``indexed`` backend (alias ``vectorized``), ``auto`` and the
-  shard scatter are made of.
+  parts the ``indexed`` backend, ``auto`` and the shard scatter are made
+  of.
 """
 
 from repro.index.kernels import (

@@ -23,8 +23,7 @@ dispatch of :class:`repro.graph.features.QueryBounds` (measures without a
 kernel contribute an all-zero column — never pruned incorrectly).
 
 :func:`dominator_counts` is the one array form of "how many exact vectors
-dominate this bound", shared by the batched Pareto stage and the worker
-pool's frontier split.
+dominate this bound", used by the batched Pareto stage.
 """
 
 from __future__ import annotations

@@ -16,13 +16,14 @@ change to the paper's pruning arguments:
   (:class:`~repro.index.store.FeatureStore`) binds to a shard unchanged
   and follows that shard's own ``version`` counter;
 * the global database remains fully usable as a monolith: every backend
-  (``memory``, ``indexed``, ``parallel``, ``vectorized``) runs over a
-  sharded store through the inherited interface, which is how the
-  differential testkit fuzzes mutations that land on different shards
-  under *all* execution strategies;
+  (``memory``, ``indexed``, ``parallel``) runs over a sharded store
+  through the inherited interface, which is how the differential testkit
+  fuzzes mutations that land on different shards under *all* execution
+  strategies;
 * the ``sharded`` and ``auto`` backends (:mod:`repro.api.backends`)
-  additionally exploit the partitioning: per-shard cascades, per-shard
-  evaluators, and merge consumers over per-shard answers.
+  additionally exploit the partitioning: per-shard cascades sharing one
+  bound stage, run one after another with the serial evaluator, and
+  merge consumers over per-shard answers.
 """
 
 from __future__ import annotations

@@ -365,7 +365,7 @@ def test_database_version_counts_mutations(paper_db):
 # ----------------------------------------------------------------------
 def test_registry_lists_shipped_backends():
     assert available_backends() == [
-        "auto", "indexed", "memory", "parallel", "sharded", "vectorized"
+        "auto", "indexed", "memory", "parallel", "sharded"
     ]
 
 

@@ -1,7 +1,7 @@
 """Property test: every execution backend returns identical answer sets.
 
 The api layer's core contract — ``memory``, ``indexed``, ``parallel``
-and ``vectorized`` may do arbitrarily different amounts of work, but for
+and ``sharded`` may do arbitrarily different amounts of work, but for
 any database and any query they must return exactly the same skyline /
 skyband / top-k ids. Hypothesis drives random small databases and query
 graphs through all backends and compares the id sets; the serial
@@ -17,13 +17,11 @@ from repro.db import GraphDatabase
 
 from tests.conftest import small_labeled_graphs
 
-# ``vectorized`` joins the parity rotation whenever NumPy is importable
-# (the backend registry gates on it), so the suite still runs without it.
 # ``sharded`` sessions are opened through the same ``connect`` call — the
 # session re-partitions the database into the default 2 shards.
 BACKENDS = tuple(
     name
-    for name in ("memory", "indexed", "parallel", "vectorized", "sharded")
+    for name in ("memory", "indexed", "parallel", "sharded")
     if name in available_backends()
 )
 

@@ -199,7 +199,7 @@ def _run_twins(name: str, shards: int, cached: bool, monkeypatch):
 
 
 @pytest.mark.parametrize("cached", [False, True], ids=["nocache", "cache"])
-@pytest.mark.parametrize("name", ["indexed", "vectorized", "auto"])
+@pytest.mark.parametrize("name", ["indexed", "auto"])
 def test_monolithic_block_walk_equals_reference(name, cached, monkeypatch):
     _run_twins(name, 0, cached, monkeypatch)
 

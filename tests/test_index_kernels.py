@@ -295,45 +295,6 @@ def test_bulk_writer_grows_every_block_at_once():
     assert len(bulk) == 40 and len(bulk.type_block.vocab) > 8
 
 
-def test_pooled_chunks_ship_the_parent_matrix_bound_rows(monkeypatch):
-    """Each pooled chunk ships its candidates' bounds as the parent's
-    ``bound_matrix`` rows, edge-type column included: workers prune on
-    exactly the vectors the in-process bound stage used."""
-    import repro
-    from repro import Query
-    from repro.engine import planner, workers
-
-    if not workers.shared_memory_available():
-        pytest.skip("multiprocessing.shared_memory unavailable")
-    monkeypatch.setattr(planner, "POOL_START_SECONDS", 0.0)
-    monkeypatch.setattr(planner, "POOL_WARM_SECONDS", 0.0)
-    shipped = []
-    run = workers.WorkerPool.run
-
-    def recording(self, tasks, deadline=None):
-        shipped.extend(tasks)
-        return run(self, tasks, deadline=deadline)
-
-    monkeypatch.setattr(workers.WorkerPool, "run", recording)
-    graphs = [
-        make_random_graph(seed, labels=("A", "B", 1, 1.0), edge_labels=("-", "=", True))
-        for seed in range(30)
-    ]
-    database = GraphDatabase.from_graphs(graphs)
-    names = ("edit", "edit-normalized", "mcs", "union")
-    query = make_random_graph(77, labels=("A", 1.0, True), edge_labels=("-", 1))
-    with repro.connect(database, backend="auto", max_workers=2) as session:
-        session.execute(Query(query).measures(*names).skyline())
-        matrix = session.backend.store.matrix
-    expected = bound_matrix(matrix, matrix.pack_query(query), resolve_measures(names))
-    assert shipped
-    for task in shipped:
-        assert set(task["bounds"]) == {graph_id for graph_id, _ in task["pairs"]}
-        for graph_id, bounds in task["bounds"].items():
-            row = expected[matrix.row_of[graph_id]]
-            assert tuple(bounds) == tuple(row)
-
-
 def test_feature_store_row_level_invalidation():
     database = GraphDatabase.from_graphs(
         [make_random_graph(seed) for seed in range(6)]

@@ -23,7 +23,7 @@ from repro.graph import (
 from repro.testkit.oracle import Oracle
 from repro.testkit.reference import edit_distance_lower_bound
 
-BACKENDS = ["memory", "indexed", "vectorized", "auto", "sharded"]
+BACKENDS = ["memory", "indexed", "auto", "sharded"]
 
 #: Equal spellings of three labels.
 SPELLINGS = ((0, 0.0, False), (1, 1.0, True), (2, 2.0))

@@ -21,12 +21,7 @@ from repro import GraphDatabase, PairCache, Query
 from repro.api.backends import ExecutionBackend, available_backends
 from repro.api.spec import GraphQuery
 from repro.datasets import make_workload
-from repro.engine.planner import (
-    POOL_START_SECONDS,
-    POOL_WARM_SECONDS,
-    QueryPlanner,
-    availability,
-)
+from repro.engine.planner import QueryPlanner, availability
 from repro.shard import ShardedGraphDatabase
 
 from tests.conftest import make_random_graph
@@ -171,60 +166,23 @@ def test_small_databases_plan_batched_bounds(query_graph, rows, kind):
 
 
 def test_decide_anytime_is_serial(query_graph):
-    planner = QueryPlanner(max_workers=8)
     spec = Query(query_graph).measures("edit", "mcs").skyline().budget(
         ms=50
     ).build()
-    decision = planner.decide(spec, 500, 5.0)
-    assert decision.evaluator == "serial"
-    assert any("anytime" in reason for reason in decision.reasons)
-
-
-def test_decide_single_core_cannot_pool(query_graph):
-    planner = QueryPlanner(max_workers=1)
-    decision = planner.decide(_skyline_spec(query_graph), 5000, 8.0)
-    assert decision.evaluator == "serial"
-    assert decision.reasons[-1] == "pool not usable (workers=1)"
-
-
-def test_decide_serial_winner_still_costs_the_pool(query_graph):
-    # 40 rows of order 4 are ~8 ms of prior solver work: below both the
-    # cold and the warm break-even, and the reason says by how much.
-    planner = QueryPlanner(max_workers=4)
-    spec = _skyline_spec(query_graph)
-    cold = planner.decide(spec, 40, 4.0)
-    warm = planner.decide(spec, 40, 4.0, pool_started=True)
-    assert cold.evaluator == warm.evaluator == "serial"
-    assert cold.reasons[-1] == (
-        f"solver prior 8.3ms ≤ cold pool break-even "
-        f"{POOL_START_SECONDS * 1e3:.0f}ms"
-    )
-    assert "warm pool break-even" in warm.reasons[-1]
+    assert QueryPlanner().decide(spec, 500).evaluator == "serial"
 
 
 def test_decide_offers_exhaustive_only_when_pruning_is_unsound(query_graph):
-    planner = QueryPlanner(max_workers=1)
-    topk = planner.decide(Query(query_graph).topk(3, "edit").build(), 150, 5.0)
+    planner = QueryPlanner()
+    topk = planner.decide(Query(query_graph).topk(3, "edit").build(), 150)
     assert topk.stage == "rank-bound" and topk.source == "indexed"
     tolerant_spec = (
         Query(query_graph).measures("edit", "mcs").skyline(tolerance=0.25)
     ).build()
-    tolerant = planner.decide(tolerant_spec, 150, 5.0)
+    tolerant = planner.decide(tolerant_spec, 150)
     assert tolerant.stage is None and tolerant.source == "database-order"
     assert tolerant.summary == "database-order+no-prune/serial"
     assert "tolerant" in tolerant.reasons[0]
-
-
-def test_decide_huge_survivor_count_goes_pooled(query_graph):
-    # 5000 rows of order 8: ~4.2 s of prior solver work pays a cold pool;
-    # 500 rows (~0.4 s) pay only a warm one.
-    planner = QueryPlanner(max_workers=4)
-    spec = _skyline_spec(query_graph)
-    assert planner.decide(spec, 5000, 8.0).evaluator == "pooled"
-    assert planner.decide(spec, 500, 8.0).evaluator == "serial"
-    warm = planner.decide(spec, 500, 8.0, pool_started=True)
-    assert warm.evaluator == "pooled"
-    assert warm.summary == "indexed+pareto-bound(batch)/pooled"
 
 
 # ----------------------------------------------------------------------
@@ -334,31 +292,52 @@ def test_poisoned_topk_profile_keeps_the_rank_stage():
     )
 
 
+# ----------------------------------------------------------------------
+# auto never pools: bound feedback needs each vector before the next pair
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def p1_database():
+    """1 500 graphs of ~8 vertices: a 2-worker pool's break-even used to
+    read as paid here for every kind, and the pooled reads lost."""
+    workload = make_workload(
+        1500, n_queries=1, query_size=8, mutant_fraction=0.3, seed=3
+    )
+    return GraphDatabase.from_graphs(workload.database), workload.queries[0]
+
+
 @pytest.mark.parametrize(
     "build",
     [
-        lambda q: Query(q).measures("edit", "mcs").skyline(),
-        lambda q: Query(q).topk(3, "edit"),
+        lambda q: Query(q).threshold(3, "edit"),
+        lambda q: Query(q).skyline(),
+        lambda q: Query(q).topk(5),
     ],
-    ids=["skyline", "topk"],
+    ids=["threshold", "skyline", "topk"],
 )
-def test_pooled_monolithic_plan_prunes_like_serial(build):
-    # 500 rows of average order ~4.3 are ~0.12 s of prior solver work,
-    # past a warm pool's break-even: the planner keeps the bound stage
-    # and goes pooled. The pooled drain must prune against the query's
-    # exact vectors, not ship every survivor in one wave.
-    from repro.engine.workers import get_pool
+def test_auto_plans_serial_with_workers_to_spare(p1_database, build):
+    # Plan only: nothing runs, so no pool could start.
+    database, query = p1_database
+    backend = ExecutionBackend(database, "auto", max_workers=2)
+    execution = backend.execution(build(query).build())
+    assert execution.decision.evaluator == "serial"
+    assert execution.workers == 1
 
-    get_pool(2).ensure_started()
-    database, query = _topk_workload(500)
-    with repro.connect(database, backend="auto", max_workers=2) as session:
-        result = session.execute(build(query))
-    indexed, expected = _indexed_and_memory(database, lambda: build(query))
-    assert result.ids == expected.ids
-    assert result.stats.planner["summary"].endswith("/pooled")
-    assert result.stats.pool is not None
+
+@pytest.mark.parametrize("build", list(_READS), ids=range(len(_READS)))
+def test_auto_with_workers_evaluates_like_one_worker(build):
+    database = _random_database(12)
+    query = make_random_graph(99, max_vertices=5)
+    results = {}
+    for workers in (1, 2):
+        with repro.connect(
+            database, backend="auto", max_workers=workers
+        ) as session:
+            results[workers] = session.execute(build(query))
+    assert results[2].stats.pool is None
+    assert results[2].stats.planner["evaluator"] == "serial"
+    assert results[2].ids == results[1].ids
     assert (
-        result.stats.exact_evaluations <= 2 * indexed.stats.exact_evaluations
+        results[2].stats.exact_evaluations == results[1].stats.exact_evaluations
     )
 
 
@@ -408,18 +387,18 @@ def test_auto_runs_the_plan_of_the_fixed_backend_the_rule_names(name):
 # ----------------------------------------------------------------------
 # Sharded scatter path
 # ----------------------------------------------------------------------
-def test_sharded_auto_parity_and_per_shard_plans(database, query_graph):
+def test_sharded_auto_parity_and_serial_shards(database, query_graph):
     expected = _reference(database, lambda: _skyline_spec(query_graph))
     sharded = ShardedGraphDatabase.from_database(database, shards=3)
     with repro.connect(sharded, backend="auto") as session:
         result = session.execute(_skyline_spec(query_graph))
     assert result.ids == expected.ids
     planner = result.stats.planner
-    assert planner["summary"].startswith("scatter×3+")
+    assert planner["summary"] == "scatter×3+pareto-bound(batch)/serial"
     assert planner["source"] == "scatter×3"
-    rows = planner["per_shard"]
+    assert "per_shard" not in planner
+    rows = result.stats.per_shard
     assert [row["shard"] for row in rows] == [0, 1, 2]
-    assert all(set(row) == {"shard", "size", "evaluator"} for row in rows)
     assert sum(row["size"] for row in rows) == len(database)
     assert "shard 0:" in result.explain()
 
@@ -431,12 +410,8 @@ def test_availability_reports_planner_inputs():
     info = availability()
     assert "auto" in info["backends"]
     assert info["cpu_count"] >= 1
-    assert info["pool_usable"] == (info["cpu_count"] > 1)
     assert isinstance(info["pools_started"], list)
-    assert info["pool_break_even_s"] == {
-        "cold": POOL_START_SECONDS,
-        "warm": POOL_WARM_SECONDS,
-    }
+    assert set(info) == {"backends", "numpy", "cpu_count", "pools_started"}
 
 
 def test_cli_backends_lists_every_backend(capsys):
@@ -447,7 +422,8 @@ def test_cli_backends_lists_every_backend(capsys):
     for name in ("auto", "memory", "indexed", "parallel", "sharded"):
         assert name in out
     assert "cpu" in out
-    assert "auto rule: " in out and "1200 ms (cold pool)" in out
+    assert "auto rule: " in out and "serial evaluation" in out
+    assert "break-even" not in out
 
 
 def test_cli_fuzz_accepts_auto_backend():

@@ -116,7 +116,7 @@ def gated_measure():
 # ----------------------------------------------------------------------
 # Parity: served == direct, across backends and query kinds
 # ----------------------------------------------------------------------
-BACKENDS = ["memory", "indexed", "vectorized", "sharded"]
+BACKENDS = ["memory", "indexed", "sharded"]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -241,45 +241,6 @@ def test_sharded_backend_matches_memory_all_kinds(sharded_fig3):
             assert session.execute(builder).ids == expected[kind], kind
 
 
-def test_parallel_scatter_ships_shard_payloads(sharded_fig3, monkeypatch):
-    # A zero pool break-even makes ``auto`` pool every non-empty shard.
-    from repro.engine import planner, workers
-
-    monkeypatch.setattr(planner, "POOL_START_SECONDS", 0.0)
-    monkeypatch.setattr(planner, "POOL_WARM_SECONDS", 0.0)
-    waves = []
-    run = workers.WorkerPool.run
-
-    def recording(self, tasks, deadline=None):
-        waves.append(list(tasks))
-        return run(self, tasks, deadline=deadline)
-
-    monkeypatch.setattr(workers.WorkerPool, "run", recording)
-    query = figure3_query()
-    with connect(figure3_database(), backend="memory") as session:
-        expected = session.execute(Query(query).topk(3, "edit")).ids
-    with connect(sharded_fig3, backend="auto", max_workers=2) as session:
-        result = session.execute(Query(query).topk(3, "edit"))
-        assert result.ids == expected
-        assert result.plan.workers == 2
-        assert result.stats.pool is not None
-        # One pooled evaluator per touched shard, each shipping only
-        # that shard's graphs: every wave's pairs lie in one shard.
-        evaluators = session.backend._pooled
-        assert evaluators and set(evaluators) <= set(
-            range(sharded_fig3.shard_count)
-        )
-    shipped = set()
-    for tasks in waves:
-        pairs = [pair for task in tasks for pair in task["pairs"]]
-        shards = {sharded_fig3.shard_of(graph_id) for graph_id, _ in pairs}
-        assert len(shards) == 1
-        shipped |= shards
-        for graph_id, graph in pairs:
-            assert graph is sharded_fig3.get(graph_id)
-    assert len(shipped) > 1 and shipped <= set(evaluators)
-
-
 def test_tolerant_queries_fall_back_to_exhaustive_merge(sharded_fig3):
     query = figure3_query()
     tolerant = Query(query).skyline(tolerance=0.4).build()
@@ -312,7 +273,7 @@ def test_fuzz_backend_remap_keeps_tolerant_specs():
     from repro.testkit.workload import RunQuery
 
     # Seeds are cheap: find a workload containing a tolerant spec (never
-    # drawn for indexed/vectorized steps).
+    # drawn for indexed steps).
     for seed in range(60):
         workload = generate_workload(seed=seed, n_steps=60)
         if any(

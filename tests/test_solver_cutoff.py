@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro import PairCache, Query, connect
 from repro.engine.plan import ParetoPruneStage, RankBoundStage, ThresholdBoundStage
-from repro.engine.workers import FrontierCutoff, FrontierJudge
 from repro.graph import graph_edit_distance
 from repro.index.source import BatchParetoStage
 from repro.graph.generators import random_labeled_graph
@@ -77,29 +76,6 @@ def test_pareto_cap_is_where_dominator_count_reaches_the_limit(data, dims, prune
         for graph_id, observed in enumerate(exact):
             stage.observe(graph_id, observed)
         assert stage.cap(values, dim) == expected, type(stage).__name__
-    # The pool's shared frontier applies the same rule.
-    frontier = FrontierCutoff(FrontierJudge("pareto", prune_limit), dict(enumerate(exact)))
-    assert frontier.cap(values, dim) == expected
-
-
-@given(
-    best=st.lists(_COORDINATE, max_size=8),
-    k=st.integers(1, 4),
-)
-def test_rank_frontier_cap_is_where_k_values_are_strictly_better(best, k):
-    # FrontierJudge("rank") prunes once k published values are strictly
-    # below the candidate's; its cap is the smallest such value.
-    points = sorted({-math.inf, math.inf} | {
-        x for value in best if not math.isnan(value)
-        for x in (value, math.nextafter(value, math.inf))
-    })
-    expected = next(
-        (x for x in points if sum(value < x for value in best) >= k), None
-    )
-    frontier = FrontierCutoff(
-        FrontierJudge("rank", k), {i: (value,) for i, value in enumerate(best)}
-    )
-    assert frontier.cap((math.nan,), 0) == expected
 
 
 _FINITE_OR_INF = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.0, math.inf])
@@ -139,11 +115,6 @@ def test_lowering_the_other_dimensions_never_lowers_a_cap(data, dims, limit):
         # The batched stage caps from its list of observations, exactly
         # as the scalar stage does.
         assert batched.cap(asked, dim) == scalar.cap(asked, dim)
-    vectors = dict(enumerate(exact))
-    stages += [
-        FrontierCutoff(FrontierJudge("pareto", limit), vectors),
-        FrontierCutoff(FrontierJudge("rank", limit), vectors),
-    ]
     for stage in stages:
         assert _no_cap_is_highest(stage.cap(lowered, dim)) >= _no_cap_is_highest(
             stage.cap(values, dim)

@@ -47,9 +47,8 @@ def test_pinned_corpus_replays_divergence_free(entry):
     report = run_workload(workload)
     assert report.ok, report.divergence.describe()
     assert report.steps_run == entry["steps"]
-    # Coverage: every (kind, backend) combination actually executed —
-    # including the NumPy ``vectorized`` backend when present — and the
-    # cross-query pair cache saw real traffic (cache-on runs served
+    # Coverage: every (kind, backend) combination actually executed, and
+    # the cross-query pair cache saw real traffic (cache-on runs served
     # identical answers — the runner compared them — with nonzero hits).
     from repro.testkit.workload import WORKLOAD_BACKENDS
 

@@ -1,12 +1,13 @@
-"""The ``vectorized`` backend: parity, batch-prune accounting, payload reuse.
+"""The ``indexed`` backend's batched path: parity, batch-prune
+accounting, and pooled evaluation's shipped chunks.
 
 Answer-set parity with the exhaustive reference is covered for all four
 query kinds (the hypothesis parity suite in
 ``test_api_backends_property.py`` also rotates this backend); this file
-pins the parts unique to the vectorized path — pre-filter statistics,
+pins the parts unique to the batched path — pre-filter statistics,
 ``explain()`` reporting, plan labels, mutation self-healing through the
-feature store, cache composition, and the pool-shared database payload
-that replaced per-chunk graph pickling in the parallel evaluator.
+feature store, cache composition — and the ``parallel`` evaluator, which
+ships each chunk's graphs.
 """
 
 import pytest
@@ -32,7 +33,8 @@ def _reference(database, build):
 
 
 def test_backend_is_registered():
-    assert "vectorized" in available_backends()
+    assert "indexed" in available_backends()
+    assert "vectorized" not in available_backends()
 
 
 @pytest.mark.parametrize(
@@ -50,7 +52,7 @@ def test_backend_is_registered():
 )
 def test_answers_match_memory_backend(random_database, build, paper_query):
     reference = _reference(random_database, lambda: build(paper_query))
-    with repro.connect(random_database, backend="vectorized") as session:
+    with repro.connect(random_database, backend="indexed") as session:
         result = session.execute(build(paper_query))
     assert result.ids == reference.ids
     if reference.distances is not None:
@@ -61,7 +63,7 @@ def test_answers_match_memory_backend(random_database, build, paper_query):
 
 def test_threshold_prefilter_is_counted_and_explained(random_database, paper_query):
     spec = Query(paper_query).threshold(1.0, "edit")
-    with repro.connect(random_database, backend="vectorized") as session:
+    with repro.connect(random_database, backend="indexed") as session:
         result = session.execute(spec)
     stats = result.stats
     assert stats.pruned_by_batch > 0
@@ -81,7 +83,7 @@ def test_prefiltered_ids_are_sound(random_database, paper_query):
     for threshold, measure in ((1.5, "edit"), (0.4, "edit-normalized")):
         spec = Query(paper_query).threshold(threshold, measure).build()
         reference = _reference(random_database, lambda: spec)
-        with repro.connect(random_database, backend="vectorized") as session:
+        with repro.connect(random_database, backend="indexed") as session:
             result = session.execute(spec)
             answer = session.backend.run(spec)
         assert set(answer.pruned_ids).isdisjoint(reference.ids)
@@ -89,7 +91,7 @@ def test_prefiltered_ids_are_sound(random_database, paper_query):
 
 
 def test_plan_reports_index_and_batch_stage(random_database, paper_query):
-    with repro.connect(random_database, backend="vectorized") as session:
+    with repro.connect(random_database, backend="indexed") as session:
         plan = session.plan(Query(paper_query).skyline())
         assert plan.uses_index
         assert "pareto-bound(batch)" in plan.stages
@@ -98,7 +100,7 @@ def test_plan_reports_index_and_batch_stage(random_database, paper_query):
 
 
 def test_store_heals_after_mutation(random_database, paper_query):
-    with repro.connect(random_database, backend="vectorized") as session:
+    with repro.connect(random_database, backend="indexed") as session:
         before = session.execute(Query(paper_query).skyline())
         added = random_database.insert(make_random_graph(77))
         random_database.remove(random_database.ids()[0])
@@ -106,18 +108,18 @@ def test_store_heals_after_mutation(random_database, paper_query):
         reference = _reference(random_database, lambda: Query(paper_query).skyline())
         assert after.ids == reference.ids
         backend = session.backend
-        assert backend.name == "vectorized"
+        assert backend.name == "indexed"
         assert added in backend.store.matrix
         # Row-level repair: one add + one drop, not a rebuild.
         assert backend.store.rows_dropped == 1
 
 
-def test_cache_composes_with_vectorized_plan(random_database, paper_query):
+def test_cache_composes_with_indexed_plan(random_database, paper_query):
     cache = PairCache()
     spec = Query(paper_query).skyline()
-    with repro.connect(random_database, backend="vectorized", cache=cache) as s:
+    with repro.connect(random_database, backend="indexed", cache=cache) as s:
         cold = s.execute(spec)
-    with repro.connect(random_database, backend="vectorized", cache=cache) as s:
+    with repro.connect(random_database, backend="indexed", cache=cache) as s:
         warm = s.execute(spec)
     assert warm.ids == cold.ids
     assert warm.stats.exact_evaluations == 0
@@ -143,17 +145,14 @@ def test_pooled_answers_stay_exact_across_mutation(random_database, paper_query)
     assert first.ids == second.ids
 
 
-def test_pooled_runs_need_no_shared_memory_or_temp_files(
+def test_pooled_runs_need_no_temp_files(
     random_database, paper_query, monkeypatch
 ):
     import tempfile
 
-    from repro.engine import workers
-
     def broken_mkstemp(*args, **kwargs):
         raise OSError("no temp space")
 
-    monkeypatch.setattr(workers, "_SHM_DISABLED", True)
     monkeypatch.setattr(tempfile, "mkstemp", broken_mkstemp)
     spec = Query(paper_query).skyline().build()
     with repro.connect(
