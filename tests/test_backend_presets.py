@@ -27,6 +27,13 @@ _KINDS = {
     "skyband": lambda q: Query(q).measures("edit", "mcs").skyband(2),
     "topk": lambda q: Query(q).topk(3, "edit"),
     "threshold": lambda q: Query(q).threshold(2.0, "edit"),
+    # Below: a third measure's bounds, ranked ties at the cut, and a
+    # fractional cutoff between two normalized distances.
+    "union-skyband": lambda q: Query(q).measures("edit", "union").skyband(3),
+    "mcs-topk": lambda q: Query(q).topk(3, "mcs"),
+    "normalized-threshold": lambda q: Query(q).threshold(
+        0.86, "edit-normalized"
+    ),
 }
 
 

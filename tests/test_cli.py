@@ -149,6 +149,14 @@ def test_skyline_backend_flag(paper_files, backend, capsys):
     assert "skyline: ['g1', 'g4', 'g5', 'g7']" in capsys.readouterr().out
 
 
+def test_removed_vectorized_alias_is_a_usage_error(paper_files, capsys):
+    db_path, query_path = paper_files
+    with pytest.raises(SystemExit) as usage:
+        main(["skyline", db_path, query_path, "--backend", "vectorized"])
+    assert usage.value.code == 2
+    assert "invalid choice: 'vectorized'" in capsys.readouterr().err
+
+
 def test_module_entry_point_runs_in_subprocess():
     import subprocess
     import sys

@@ -305,32 +305,38 @@ def p1_database():
     return GraphDatabase.from_graphs(workload.database), workload.queries[0]
 
 
+@pytest.mark.parametrize("shards", [None, 4], ids=["monolith", "4-shards"])
 @pytest.mark.parametrize(
     "build",
     [
         lambda q: Query(q).threshold(3, "edit"),
         lambda q: Query(q).skyline(),
         lambda q: Query(q).topk(5),
+        lambda q: Query(q).skyband(3),
     ],
-    ids=["threshold", "skyline", "topk"],
+    ids=["threshold", "skyline", "topk", "skyband"],
 )
-def test_auto_plans_serial_with_workers_to_spare(p1_database, build):
+def test_auto_plans_serial_with_workers_to_spare(p1_database, build, shards):
     # Plan only: nothing runs, so no pool could start.
     database, query = p1_database
+    if shards is not None:
+        database = ShardedGraphDatabase.from_database(database, shards=shards)
     backend = ExecutionBackend(database, "auto", max_workers=2)
     execution = backend.execution(build(query).build())
     assert execution.decision.evaluator == "serial"
     assert execution.workers == 1
+    assert execution.scattered == (shards is not None)
 
 
+@pytest.mark.parametrize("shards", [None, 3], ids=["monolith", "3-shards"])
 @pytest.mark.parametrize("build", list(_READS), ids=range(len(_READS)))
-def test_auto_with_workers_evaluates_like_one_worker(build):
+def test_auto_with_workers_evaluates_like_one_worker(build, shards):
     database = _random_database(12)
     query = make_random_graph(99, max_vertices=5)
     results = {}
     for workers in (1, 2):
         with repro.connect(
-            database, backend="auto", max_workers=workers
+            database, backend="auto", shards=shards, max_workers=workers
         ) as session:
             results[workers] = session.execute(build(query))
     assert results[2].stats.pool is None

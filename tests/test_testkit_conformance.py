@@ -272,3 +272,29 @@ def test_fuzz_cli_corpus_mode(tmp_path, capsys):
     corpus.write_text(json.dumps([{"seed": 3, "steps": 25}]), encoding="utf-8")
     assert main(["fuzz", "--corpus", str(corpus)]) == 0
     assert "seed 3: OK" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "seed, backends",
+    [
+        (1, "paaaaiiiasimmiiiismsppiipppmspaaaaiiaaasiimmi"),
+        (11, "iipispmmaasiipmiisiammsiaapiiipispmasmiiiiipmm"),
+    ],
+)
+def test_seeded_fuzz_lines_draw_the_backends_they_always_drew(seed, backends):
+    """CI's fuzz lines name a seed and an exit code, so a seed must keep
+    its workload. The rotation kept the slot of the deleted
+    ``vectorized`` alias for ``indexed``: each seed draws the backend
+    sequence it drew with the alias (pinned there, alias read as
+    ``indexed``)."""
+    initial = {
+        "memory": "m", "indexed": "i", "parallel": "p", "sharded": "s",
+        "auto": "a",
+    }
+    workload = generate_workload(seed=seed, n_steps=120)
+    drawn = "".join(
+        initial[step.backend]
+        for step in workload.steps
+        if isinstance(step, RunQuery)
+    )
+    assert drawn == backends

@@ -11,8 +11,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -78,11 +80,14 @@ def test_handle_eval_stops_inside_a_pair_at_the_deadline(workload):
 # ----------------------------------------------------------------------
 # End-to-end: parity, chunk shipping, robustness
 # ----------------------------------------------------------------------
-def test_parallel_parity_threshold_and_tolerance():
+@pytest.mark.parametrize("shards", [None, 4], ids=["monolith", "4-shards"])
+def test_parallel_parity_threshold_and_tolerance(shards):
     w = make_workload(n_graphs=48, query_size=5, seed=19)
     query = w.queries[0]
-    with repro.connect(w.database, backend="sharded", shards=4) as serial, (
-        repro.connect(w.database, backend="parallel", shards=4, max_workers=2)
+    with repro.connect(w.database, backend="memory", shards=shards) as serial, (
+        repro.connect(
+            w.database, backend="parallel", shards=shards, max_workers=2
+        )
     ) as parallel:
         for spec in (
             Query(query).threshold(3.0, "edit").build(),
@@ -240,6 +245,28 @@ def test_shutdown_pool_leaves_no_process():
     tracker = sys.modules.get("multiprocessing.resource_tracker")
     if tracker is not None:
         assert tracker._resource_tracker._pid is None
+
+
+def test_pooled_read_needs_no_shared_memory():
+    """The pool ships each chunk's graphs with its task and returns
+    exact vectors: neither side maps a shared-memory segment."""
+    code = (
+        "import sys, repro\n"
+        "from repro import Query\n"
+        "from repro.datasets import make_workload\n"
+        "w = make_workload(n_graphs=16, query_size=4, seed=5)\n"
+        "with repro.connect(w.database, backend='parallel', max_workers=2)"
+        " as session:\n"
+        "    pool = session.execute(Query(w.queries[0]).skyline()).stats.pool\n"
+        "print(pool['workers'], 'multiprocessing.shared_memory' in sys.modules)"
+    )
+    source_root = str(Path(repro.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": source_root},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["2", "False"]
 
 
 def test_deadline_propagates_through_pool(workload):
