@@ -28,9 +28,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 CHANGE_LOG_LIMIT = 256
 
 
-@dataclass
+@dataclass(slots=True)
 class StoredGraph:
-    """One database entry: the graph plus bookkeeping."""
+    """One database entry: the graph plus bookkeeping.
+
+    ``graph`` is a copy-on-write :meth:`~repro.graph.LabeledGraph.copy`
+    of the inserted graph (or the object itself under ``copy=False``).
+    """
 
     graph_id: int
     graph: LabeledGraph
@@ -43,7 +47,10 @@ class GraphDatabase:
     """An insertion-ordered collection of labeled graphs.
 
     Graphs are copied on insert, so later mutation of the caller's object
-    cannot corrupt the index or the cached features.
+    cannot corrupt the index or the cached features. The copy is
+    copy-on-write (:meth:`~repro.graph.LabeledGraph.copy`): the entry
+    shares the caller's vertex-label and adjacency dictionaries until
+    either graph is mutated, and the mutated one then re-creates its own.
     """
 
     def __init__(self, name: str = "graphdb") -> None:
@@ -207,9 +214,11 @@ class GraphDatabase:
     ) -> "GraphDatabase":
         """Bulk-load a database (optionally dropping isomorphic duplicates).
 
+        Each graph is stored as :meth:`insert` stores it: a copy-on-write
+        copy sharing the caller's dictionaries until either is mutated.
         ``copy=False`` stores the caller's graph objects directly (no
-        defensive copy) — used by view-style sessions that must preserve
-        graph identity; the caller promises not to mutate the graphs.
+        copy) — used by view-style sessions that must preserve graph
+        identity; the caller promises not to mutate the graphs.
         """
         database = cls(name=name)
         for graph in graphs:
@@ -230,6 +239,11 @@ class GraphDatabase:
     ) -> int:
         """Store a copy of ``graph`` (the object itself when ``copy=False``);
         returns its id.
+
+        The copy shares ``graph``'s dictionaries until either of the two
+        is mutated; the mutated graph then copies them first, so a later
+        write to the caller's graph never reaches the entry, its
+        features or its canonical hash.
 
         ``graph_id`` forces a specific id instead of the next sequential
         one — the sharded store uses this so per-shard databases hold the

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from repro.graph.labeled_graph import LabeledGraph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphFeatures:
     """Summary statistics of a graph, comparable without the graph itself.
 

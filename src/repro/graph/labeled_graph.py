@@ -13,6 +13,12 @@ Vertex identifiers can be any hashable value; labels can be any hashable
 value (strings in all the paper's examples). The class keeps an adjacency
 dictionary ``vertex -> {neighbor: edge_label}`` plus a vertex-label
 dictionary, which makes every local operation O(1) expected time.
+
+:meth:`LabeledGraph.copy` is copy-on-write: the clone shares both
+dictionaries with its source until either of them is first mutated, and
+the mutated graph then re-creates its own. A database entry stored from a
+caller's graph therefore costs no second adjacency while neither side
+changes, and a write to one side is never seen by the other.
 """
 
 from __future__ import annotations
@@ -79,6 +85,7 @@ class LabeledGraph:
         "_adjacency",
         "_edge_count",
         "_mutations",
+        "_shared",
         "__weakref__",
     )
 
@@ -88,6 +95,9 @@ class LabeledGraph:
         self._adjacency: dict[VertexId, dict[VertexId, Label]] = {}
         self._edge_count = 0
         self._mutations = 0
+        #: Whether the two dictionaries may be shared with a copy, in
+        #: which case :meth:`_own` re-creates them before the next write.
+        self._shared = False
 
     @property
     def mutation_count(self) -> int:
@@ -137,12 +147,31 @@ class LabeledGraph:
         return graph
 
     def copy(self, name: str | None = None) -> "LabeledGraph":
-        """Return an independent deep copy of this graph."""
+        """Return an independent copy of this graph.
+
+        The copy shares this graph's vertex-label and adjacency
+        dictionaries until either graph is mutated; the mutated one first
+        re-creates its own (:meth:`_own`), so neither ever sees the
+        other's writes. Vertex, neighbour and edge order are those of a
+        deep copy.
+        """
         clone = LabeledGraph(name=self.name if name is None else name)
-        clone._vertex_labels = dict(self._vertex_labels)
-        clone._adjacency = {v: dict(nbrs) for v, nbrs in self._adjacency.items()}
+        clone._vertex_labels = self._vertex_labels
+        clone._adjacency = self._adjacency
         clone._edge_count = self._edge_count
+        clone._shared = self._shared = True
         return clone
+
+    def _own(self) -> None:
+        """Give this graph dictionaries of its own if they may be shared.
+
+        Every mutator calls this after validating and before its first
+        write.
+        """
+        if self._shared:
+            self._vertex_labels = dict(self._vertex_labels)
+            self._adjacency = {v: dict(nbrs) for v, nbrs in self._adjacency.items()}
+            self._shared = False
 
     # ------------------------------------------------------------------
     # Vertex operations
@@ -151,6 +180,7 @@ class LabeledGraph:
         """Insert an isolated vertex carrying ``label``."""
         if vertex in self._vertex_labels:
             raise DuplicateVertexError(vertex)
+        self._own()
         self._vertex_labels[vertex] = label
         self._adjacency[vertex] = {}
         self._mutations += 1
@@ -159,6 +189,7 @@ class LabeledGraph:
         """Remove ``vertex`` together with all its incident edges."""
         if vertex not in self._vertex_labels:
             raise VertexNotFoundError(vertex)
+        self._own()
         neighbors = list(self._adjacency[vertex])
         for neighbor in neighbors:
             del self._adjacency[neighbor][vertex]
@@ -171,6 +202,7 @@ class LabeledGraph:
         """Replace the label of ``vertex``."""
         if vertex not in self._vertex_labels:
             raise VertexNotFoundError(vertex)
+        self._own()
         self._vertex_labels[vertex] = label
         self._mutations += 1
 
@@ -213,6 +245,7 @@ class LabeledGraph:
                 raise VertexNotFoundError(endpoint)
         if v in self._adjacency[u]:
             raise DuplicateEdgeError(u, v)
+        self._own()
         self._adjacency[u][v] = label
         self._adjacency[v][u] = label
         self._edge_count += 1
@@ -222,6 +255,7 @@ class LabeledGraph:
         """Remove the undirected edge ``{u, v}``."""
         if u not in self._adjacency or v not in self._adjacency[u]:
             raise EdgeNotFoundError(u, v)
+        self._own()
         del self._adjacency[u][v]
         del self._adjacency[v][u]
         self._edge_count -= 1
@@ -231,6 +265,7 @@ class LabeledGraph:
         """Replace the label of edge ``{u, v}``."""
         if u not in self._adjacency or v not in self._adjacency[u]:
             raise EdgeNotFoundError(u, v)
+        self._own()
         self._adjacency[u][v] = label
         self._adjacency[v][u] = label
         self._mutations += 1

@@ -122,13 +122,13 @@ class ShardedGraphDatabase(GraphDatabase):
         database: GraphDatabase,
         shards: int = 2,
         placement: "str | Placement" = "hash",
-        copy: bool = False,
     ) -> "ShardedGraphDatabase":
         """Re-partition an existing database, preserving ids and metadata.
 
-        The default ``copy=False`` shares the stored graph objects (the
-        source database already owns defensive copies); the source is
-        left untouched either way. Loading a saved database into shards
+        The shards share the stored graph objects, features and hashes
+        with ``database`` (which already holds its own copies of the
+        inserted graphs); only each entry's metadata dict is copied, and
+        the source is left untouched. Loading a saved database into shards
         is ``from_database(load_database(path, preserve_ids=True), ...)``
         — with preserved ids, hash placement lands every graph on the
         same shard again (the default load compacts ids after removals,
@@ -138,11 +138,7 @@ class ShardedGraphDatabase(GraphDatabase):
         for entry in database.entries():
             sharded.restore_entry(
                 sharded._place(entry.graph_id, entry.graph),
-                dataclasses.replace(
-                    entry,
-                    graph=entry.graph.copy() if copy else entry.graph,
-                    metadata=dict(entry.metadata),
-                ),
+                dataclasses.replace(entry, metadata=dict(entry.metadata)),
             )
         return sharded
 

@@ -26,6 +26,7 @@ production cache cannot silently infect the oracle.
 
 from __future__ import annotations
 
+import copy
 import json
 from typing import TYPE_CHECKING
 
@@ -73,7 +74,11 @@ class Oracle:
     def add(self, handle: str, graph: LabeledGraph) -> None:
         if handle in self._graphs:
             raise ValueError(f"handle {handle!r} is already live")
-        self._graphs[handle] = graph.copy()
+        # A deep copy, not the copy-on-write ``graph.copy()``: the mirror
+        # must share no dictionary with the database's stored graphs, so
+        # a product write that skips copy-on-write shows up as a
+        # divergence instead of changing both sides alike.
+        self._graphs[handle] = copy.deepcopy(graph)
         self._seq[handle] = self._counter
         self._counter += 1
 

@@ -1,14 +1,23 @@
 """Tests for the database store, feature bounds and the packed index."""
 
+import gc
+import pickle
+import random
+import tracemalloc
+
 import pytest
 
-from repro import Query
+from repro import Query, Session
+from repro.api.ops import AddOp, RelabelOp, apply_mutation
+from repro.datasets.synthetic import molecule_like_graph
 from repro.db import GraphDatabase
 from repro.db import database as database_module
+from repro.db.database import StoredGraph
 from repro.errors import DatasetError
 from repro.engine.core import make_context
 from repro.graph import GraphFeatures, LabeledGraph, path_graph
 from repro.graph.features import QueryBounds
+from repro.graph.serialization import graph_to_dict
 from repro.index import FeatureStore, IndexedSource
 from repro.measures import EditDistance, default_measures
 from repro.shard import ShardedGraphDatabase
@@ -32,6 +41,112 @@ def test_insert_copies_graph():
     gid = db.insert(graph)
     graph.add_vertex(99, "Z")  # mutate caller's object afterwards
     assert db.get(gid).order == 2
+
+
+def _write_every_way(graph: LabeledGraph) -> None:
+    """Apply each of the six mutators to ``graph`` (one edge needed)."""
+    first, last = graph.vertices()[0], graph.vertices()[-1]
+    u, v, _ = next(graph.edges())
+    graph.relabel_vertex(first, "Z")
+    graph.relabel_edge(u, v, "zz")
+    graph.remove_edge(u, v)
+    graph.add_vertex("fresh", "Z")
+    graph.add_edge("fresh", last, "zz")
+    graph.remove_vertex(first)
+
+
+def _via_insert(graphs):
+    database = GraphDatabase()
+    for graph in graphs:
+        database.insert(graph)
+    return database
+
+
+def _via_relabel(graphs):
+    database = GraphDatabase()
+    handles: dict[str, int] = {}
+    ids: dict[int, str] = {}
+    for index, graph in enumerate(graphs):
+        apply_mutation(database, AddOp(f"h{index}", graph), handles, ids)
+    apply_mutation(database, RelabelOp("h0", "r0", 1, "S"), handles, ids)
+    return database
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _via_insert,
+        GraphDatabase.from_graphs,
+        lambda graphs: ShardedGraphDatabase.from_graphs(graphs, shards=2),
+        _via_relabel,
+    ],
+    ids=["insert", "from_graphs", "sharded-from_graphs", "relabel"],
+)
+def test_writes_to_the_callers_graphs_never_reach_the_database(build):
+    """Stored graphs share the caller's structure until one side writes:
+    every write to the caller's graphs leaves each entry's graph,
+    features and canonical hash, and the answers over them, as they were."""
+    rng = random.Random(4)
+    graphs = [molecule_like_graph(rng.choice((4, 5)), seed=rng) for _ in range(6)]
+    query = molecule_like_graph(4, seed=99)
+    database = build(graphs)
+
+    def state():
+        entries = {
+            entry.graph_id: (
+                graph_to_dict(entry.graph),
+                entry.features,
+                entry.iso_hash,
+            )
+            for entry in database.entries()
+        }
+        with Session(database, backend="memory") as session:
+            result = session.execute(Query(query).skyline())
+        return entries, result.ids, result.vectors
+
+    before = state()
+    assert before[1]
+    callers = [graph_to_dict(graph) for graph in graphs]
+    for graph in graphs:
+        _write_every_way(graph)
+    assert state() == before
+    assert all(graph_to_dict(g) != payload for g, payload in zip(graphs, callers))
+
+
+def test_stored_entries_share_the_callers_graphs():
+    """Inserting graphs the caller keeps costs well under a deep copy per
+    entry (about 2.6 KB here): the entry shares the caller's dictionaries."""
+    rng = random.Random(5)
+    graphs = [
+        molecule_like_graph(rng.choice((4, 5, 5, 6)), seed=rng, name=f"m-{i}")
+        for i in range(2000)
+    ]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        database = GraphDatabase.from_graphs(graphs)
+        gc.collect()
+        per_entry = (tracemalloc.get_traced_memory()[0] - before) / len(database)
+    finally:
+        tracemalloc.stop()
+    assert len(database) == 2000
+    assert per_entry <= 1300, f"{per_entry:.0f} bytes per entry"
+
+
+def test_stored_graph_roundtrips_through_pickle():
+    database = GraphDatabase()
+    gid = database.insert(path_graph(["A", "B", "C"], name="p"), metadata={"n": 1})
+    entry = database.entry(gid)
+    restored = pickle.loads(pickle.dumps(entry))
+    assert isinstance(restored, StoredGraph)
+    assert not hasattr(restored, "__dict__")
+    assert restored.graph_id == gid
+    assert restored.graph == entry.graph
+    assert restored.graph.name == "p"
+    assert (restored.features, restored.iso_hash, restored.metadata) == (
+        entry.features, entry.iso_hash, {"n": 1}
+    )
 
 
 def test_ids_and_graphs_in_insertion_order(paper_db):

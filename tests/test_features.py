@@ -1,5 +1,6 @@
 """Tests for index features and the bound functions they power."""
 
+import pickle
 from collections import Counter
 
 import pytest
@@ -38,14 +39,24 @@ def test_features_are_hashable_and_comparable():
 
 def test_features_hold_their_fields_only():
     """Bounding a pair leaves no derived object on the stored features:
-    they live as long as their graph, so a cache there would too."""
+    they live as long as their graph, so a cache there would too. The
+    class is slotted, so nothing can be attached to them at all."""
     g1, g2 = path_graph(["A", "A", "B"]), path_graph(["A", "B"])
     f1, f2 = GraphFeatures.of(g1), GraphFeatures.of(g2)
     edit_distance_lower_bound(f1, f2)
     dist_gu_lower_bound(f1, f2, mcs_upper_bound(g1, g2))
-    assert set(vars(f1)) == set(vars(f2)) == {
-        "order", "size", "vertex_labels", "edge_labels"
-    }
+    assert GraphFeatures.__slots__ == ("order", "size", "vertex_labels", "edge_labels")
+    assert not hasattr(f1, "__dict__") and not hasattr(f2, "__dict__")
+    with pytest.raises(AttributeError):
+        object.__setattr__(f1, "memo", {})
+
+
+def test_features_roundtrip_through_pickle():
+    features = GraphFeatures.of(path_graph(["A", "A", "B"], edge_label="x"))
+    restored = pickle.loads(pickle.dumps(features))
+    assert restored == features
+    assert hash(restored) == hash(features)
+    assert restored.vertex_labels == (("A", 2), ("B", 1))
 
 
 def test_edit_lower_bound_admissible():

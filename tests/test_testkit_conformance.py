@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from repro import PairCache, Query, connect
+from repro.datasets import figure3_database
+from repro.db import GraphDatabase
 from repro.cli import _remap_backend, main
 from repro.testkit import (
     FAULTS,
@@ -24,6 +26,7 @@ from repro.testkit import (
     run_workload,
     shrink_workload,
 )
+from repro.testkit.oracle import Oracle
 from repro.testkit.workload import RunQuery, WatchView
 
 CORPUS = json.loads(
@@ -35,6 +38,29 @@ BIG = max(CORPUS, key=lambda entry: entry["steps"])
 # ----------------------------------------------------------------------
 # Pinned corpus conformance (the standing safety net)
 # ----------------------------------------------------------------------
+def test_oracle_mirror_shares_no_structure_with_the_database():
+    """Stored graphs share their caller's dictionaries until either side
+    writes; the oracle's mirror must share none, so a product write that
+    skips copy-on-write shows up as a divergence instead of changing the
+    mirror alike."""
+    graphs = figure3_database()
+    database = GraphDatabase()
+    oracle = Oracle()
+    for index, graph in enumerate(graphs):
+        database.insert(graph)
+        oracle.add(f"g{index}", graph)
+    for index, graph_id in enumerate(database.ids()):
+        stored = database.get(graph_id).label_maps()
+        mirrored = oracle.graph(f"g{index}").label_maps()
+        assert all(a is not b for a, b in zip(stored, mirrored))
+    # A write past copy-on-write, straight into a stored graph's labels.
+    labels, _ = database.get(0).label_maps()
+    vertex = next(iter(labels))
+    labels[vertex] = "corrupted"
+    assert oracle.graph("g0") == figure3_database()[0]
+    assert oracle.graph("g0").vertex_label(vertex) != "corrupted"
+
+
 def test_corpus_has_a_500_step_workload():
     assert BIG["steps"] >= 500
 
