@@ -13,7 +13,8 @@ the same graph. Because keys identify graph structure rather than storage
 slots, entries stay sound under database mutation: a removed graph's
 entries are merely unused (and eventually LRU-evicted), never wrong.
 
-Canonical hashing is iso-invariant (:mod:`repro.graph.canonical`); the
+Canonical hashing is iso-invariant (:mod:`repro.graph.canonical`), and a
+stored graph is hashed on its first key, not at insert; the
 measures shipped with the paper depend only on graph structure and labels,
 so serving a cached value for an isomorphic pair is exact, not
 approximate. Construct :class:`PairCache` with ``symmetric=False`` when
@@ -188,7 +189,8 @@ class PairCache:
         return entry
 
     def subject_key(self, entry) -> Hashable:
-        """Cache key component of a stored database graph (its iso hash)."""
+        """Cache key component of a stored database graph: its iso hash,
+        computed on first use."""
         return entry.iso_hash
 
     def _pair(self, subject_key: Hashable, query_hash: str) -> tuple:

@@ -34,13 +34,23 @@ class StoredGraph:
 
     ``graph`` is a copy-on-write :meth:`~repro.graph.LabeledGraph.copy`
     of the inserted graph (or the object itself under ``copy=False``).
+    ``features`` are computed at insert, :attr:`iso_hash` on first read.
     """
 
     graph_id: int
     graph: LabeledGraph
     features: GraphFeatures
-    iso_hash: str
     metadata: dict[str, object] = field(default_factory=dict)
+    _iso_hash: str | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def iso_hash(self) -> str:
+        """The graph's canonical hash, computed on first read and kept.
+        Two threads that compute it at once write the same string, so
+        the unlocked race is harmless."""
+        if self._iso_hash is None:
+            self._iso_hash = canonical_hash(self.graph)
+        return self._iso_hash
 
 
 class GraphDatabase:
@@ -56,7 +66,6 @@ class GraphDatabase:
     def __init__(self, name: str = "graphdb") -> None:
         self.name = name
         self._entries: dict[int, StoredGraph] = {}
-        self._by_hash: dict[str, list[int]] = {}
         self._next_id = 0
         self._version = 0
         self._vertex_load = 0
@@ -220,12 +229,20 @@ class GraphDatabase:
         copy) — used by view-style sessions that must preserve graph
         identity; the caller promises not to mutate the graphs.
         """
-        database = cls(name=name)
+        return cls(name=name)._load(graphs, deduplicate, copy)
+
+    def _load(self, graphs, deduplicate: bool, copy: bool) -> "GraphDatabase":
+        """Insert ``graphs``; returns ``self``. ``deduplicate`` drops
+        iso-duplicates through a local hash -> ids map, not a scan each."""
+        kept: dict[str, list[int]] = {}
         for graph in graphs:
-            if deduplicate and database.find_isomorphic(graph) is not None:
-                continue
-            database.insert(graph, copy=copy)
-        return database
+            if deduplicate:
+                twins = kept.setdefault(canonical_hash(graph), [])
+                if any(is_isomorphic(self.get(twin), graph) for twin in twins):
+                    continue
+                twins.append(self.next_id)
+            self.insert(graph, copy=copy)
+        return self
 
     # ------------------------------------------------------------------
     # Mutation
@@ -243,7 +260,8 @@ class GraphDatabase:
         The copy shares ``graph``'s dictionaries until either of the two
         is mutated; the mutated graph then copies them first, so a later
         write to the caller's graph never reaches the entry, its
-        features or its canonical hash.
+        features or its canonical hash (computed on first read, not
+        here: :attr:`StoredGraph.iso_hash`).
 
         ``graph_id`` forces a specific id instead of the next sequential
         one — the sharded store uses this so per-shard databases hold the
@@ -263,7 +281,6 @@ class GraphDatabase:
                 graph_id=new_id,
                 graph=graph.copy() if copy else graph,
                 features=GraphFeatures.of(graph),
-                iso_hash=canonical_hash(graph),
                 metadata=dict(metadata) if metadata else {},
             )
         )
@@ -273,10 +290,9 @@ class GraphDatabase:
         """Store a complete entry under its (fresh) id, unjournaled.
 
         Re-partitioning moves entries through here, so a graph's features
-        and canonical hash are computed once, at its first insert.
+        and hash are computed at most once.
         """
         self._entries[entry.graph_id] = entry
-        self._by_hash.setdefault(entry.iso_hash, []).append(entry.graph_id)
         self._next_id = max(self._next_id, entry.graph_id) + 1
         self._vertex_load += entry.graph.order
         self._record(entry.graph_id, True)
@@ -289,10 +305,6 @@ class GraphDatabase:
             {"op": "remove", "graph_id": graph_id}, self.wal_segment(graph_id)
         )
         entry = self._entries.pop(graph_id)
-        bucket = self._by_hash[entry.iso_hash]
-        bucket.remove(graph_id)
-        if not bucket:
-            del self._by_hash[entry.iso_hash]
         self._vertex_load -= entry.graph.order
         self._record(graph_id, False)
 
@@ -325,21 +337,16 @@ class GraphDatabase:
         """Iterate over stored entries, in insertion order."""
         return iter(self._entries.values())
 
-    def find_isomorphic(
-        self, graph: LabeledGraph, iso_hash: str | None = None
-    ) -> int | None:
-        """Id of a stored graph isomorphic to ``graph``, or ``None``.
-
-        Uses the canonical hash as a pre-filter and confirms with the exact
-        isomorphism test, so the answer is never a false positive. Callers
-        probing many stores with the same graph (the sharded database asks
-        every shard) pass the precomputed ``iso_hash`` to canonicalize once.
-        """
-        if iso_hash is None:
-            iso_hash = canonical_hash(graph)
-        for graph_id in self._by_hash.get(iso_hash, []):
-            if is_isomorphic(self._entries[graph_id].graph, graph):
-                return graph_id
+    def find_isomorphic(self, graph: LabeledGraph) -> int | None:
+        """Id of the earliest-inserted stored graph isomorphic to
+        ``graph``, or ``None``. Only entries whose features match are
+        hashed, and a hash match is confirmed by an exact test."""
+        shape, iso_hash = _shape(GraphFeatures.of(graph)), None
+        for entry in self.entries():
+            if _shape(entry.features) == shape:
+                iso_hash = iso_hash or canonical_hash(graph)
+                if entry.iso_hash == iso_hash and is_isomorphic(entry.graph, graph):
+                    return entry.graph_id
         return None
 
     # ------------------------------------------------------------------
@@ -357,3 +364,9 @@ class GraphDatabase:
 
     def __repr__(self) -> str:
         return f"<GraphDatabase {self.name!r}: {len(self)} graphs>"
+
+
+def _shape(features: GraphFeatures) -> tuple:
+    """Order, size and label counts (as mappings: labels match by equality)."""
+    return (features.order, features.size, dict(features.vertex_labels),
+            dict(features.edge_labels))

@@ -1,7 +1,7 @@
 """Isomorphism-invariant canonical forms and hashing.
 
-Used to deduplicate graphs (database ingestion)
-and to memoise pairwise computations. Colour refinement (1-dimensional
+Used to deduplicate graphs and key memoised pairwise computations (a stored
+graph is hashed on first use). Colour refinement (1-dimensional
 Weisfeiler–Leman) over vertex and incident-edge labels splits the vertices
 into classes; the form is the smallest labeled edge list over the vertex
 orders that list the classes in colour order, trying every order within a

@@ -351,6 +351,7 @@ def graph_edit_distance(
     budget: Budget | None = None,
     *,
     _view: PairView | None = None,
+    _tables: CostTables | None = None,
     _bracket: GedBracket | None = None,
 ) -> GedResult:
     """Exact ``DistEd(g1, g2)`` with the realising vertex mapping.
@@ -373,13 +374,13 @@ def graph_edit_distance(
         expansions) checked inside the expansion loop; exhaustion
         truncates exactly like ``node_limit``.
 
-    ``_view`` and ``_bracket`` are internal:
-    :class:`~repro.measures.base.PairContext` hands over the pair view it
-    already built for ``(g1, g2)`` and the bracket it already solved for
-    them (whose mapping is the seed); bare calls build their own.
+    ``_view``, ``_tables`` and ``_bracket`` are internal: a
+    :class:`~repro.measures.base.PairContext` hands over the pair's view,
+    cost tables and bracket (whose mapping is the seed), each made once
+    per pair; bare calls build their own.
     """
     view = PairView(g1, g2) if _view is None else _view
-    tables = CostTables(view, costs)
+    tables = CostTables(view, costs) if _tables is None else _tables
     seed_mapping = None
     seed = upper_bound
     if seed is None:

@@ -269,8 +269,8 @@ class CostTables:
     Only combinations that occur in the pair are priced, each with the
     label objects of the graph it comes from: the tables are as large as
     the pair's label sets, and the model is never asked about a label the
-    pair does not carry. Tables are built per pair and never cached, so a
-    cost model mutated between two solves is always priced afresh.
+    pair does not carry. Each pair context builds its tables once and no
+    cache keeps them, so a cost model mutated between queries is repriced.
     """
 
     __slots__ = ("vertex_sub", "vertex_del", "vertex_ins", "edge")

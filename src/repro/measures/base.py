@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import functools
 import math
 from collections.abc import Callable, Iterable, Sequence
 
@@ -69,14 +70,16 @@ class PairContext:
         self._ged_partial: GedResult | None = None
         self._bracket: GedBracket | None = None
         self._mcs_bound: int | None = None
-        self._view: PairView | None = None
 
-    @property
+    @functools.cached_property
     def view(self) -> PairView:
         """The pair's integer-indexed solver view (built once)."""
-        if self._view is None:
-            self._view = PairView(self.g1, self.g2)
-        return self._view
+        return PairView(self.g1, self.g2)
+
+    @functools.cached_property
+    def tables(self) -> CostTables:
+        """Costs tabulated over :attr:`view`, shared by bracket and GED."""
+        return CostTables(self.view, self.costs)
 
     @property
     def mcs(self) -> McsResult:
@@ -101,9 +104,7 @@ class PairContext:
         bipartite assignment (solved once; see
         :class:`~repro.graph.ged_approx.GedBracket`)."""
         if self._bracket is None:
-            self._bracket = ged_bracket(
-                self.view, CostTables(self.view, self.costs), self.costs
-            )
+            self._bracket = ged_bracket(self.view, self.tables, self.costs)
         return self._bracket
 
     @property
@@ -140,7 +141,7 @@ class PairContext:
             seed = self.ged_bracket() if upper is None else None
             run = graph_edit_distance(
                 self.g1, self.g2, self.costs, upper, budget=budget,
-                _view=self.view, _bracket=seed,
+                _view=self.view, _tables=self.tables, _bracket=seed,
             )
             if capped and not run.found:  # nothing below the cap
                 if run.optimal:
@@ -148,8 +149,8 @@ class PairContext:
                 run = dataclasses.replace(run, lower_bound=min(run.lower_bound, cap))
                 if prev is None:  # no expansion: just the realised seed
                     prev = graph_edit_distance(
-                        self.g1, self.g2, self.costs, node_limit=0,
-                        _view=self.view, _bracket=self.ged_bracket(),
+                        self.g1, self.g2, self.costs, node_limit=0, _view=self.view,
+                        _tables=self.tables, _bracket=self.ged_bracket(),
                     )
             result = run if prev is None else _merge_ged(prev, run)
             if not result.optimal:

@@ -33,7 +33,6 @@ from collections.abc import Iterable, Iterator, Mapping
 
 from repro.errors import DatasetError
 from repro.db.database import GraphDatabase, StoredGraph
-from repro.graph.canonical import canonical_hash
 from repro.graph.labeled_graph import LabeledGraph
 from repro.shard.placement import Placement, get_placement
 
@@ -110,11 +109,7 @@ class ShardedGraphDatabase(GraphDatabase):
     ) -> "ShardedGraphDatabase":
         """Bulk-load a sharded database (optionally dropping iso-duplicates)."""
         database = cls(shards=shards, placement=placement, name=name)
-        for graph in graphs:
-            if deduplicate and database.find_isomorphic(graph) is not None:
-                continue
-            database.insert(graph, copy=copy)
-        return database
+        return database._load(graphs, deduplicate, copy)
 
     @classmethod
     def from_database(
@@ -125,8 +120,8 @@ class ShardedGraphDatabase(GraphDatabase):
     ) -> "ShardedGraphDatabase":
         """Re-partition an existing database, preserving ids and metadata.
 
-        The shards share the stored graph objects, features and hashes
-        with ``database`` (which already holds its own copies of the
+        The shards share the stored graph objects, features and hash
+        memos with ``database`` (which already holds its own copies of the
         inserted graphs); only each entry's metadata dict is copied, and
         the source is left untouched. Loading a saved database into shards
         is ``from_database(load_database(path, preserve_ids=True), ...)``
@@ -197,8 +192,8 @@ class ShardedGraphDatabase(GraphDatabase):
         shard that owned it at snapshot time — re-running placement would
         be wrong for load-dependent policies, whose decision depended on
         shard loads that no longer match the original insertion order.
-        The entry keeps its features and canonical hash, which depend on
-        the graph alone: nothing is recomputed.
+        The entry keeps its features and canonical hash memo, which
+        depend on the graph alone: nothing is recomputed.
         """
         if not 0 <= shard_index < len(self._shards):
             raise DatasetError(
@@ -241,21 +236,6 @@ class ShardedGraphDatabase(GraphDatabase):
 
     def entries(self) -> Iterator[StoredGraph]:
         return (self.entry(graph_id) for graph_id in self._shard_of)
-
-    def find_isomorphic(
-        self, graph: LabeledGraph, iso_hash: str | None = None
-    ) -> int | None:
-        # Each shard returns its earliest-inserted isomorphic graph (ids
-        # grow with insertion), so the global earliest is the minimum.
-        # Canonicalize once; every shard probe re-uses the hash.
-        if iso_hash is None:
-            iso_hash = canonical_hash(graph)
-        matches = [
-            match
-            for shard in self._shards
-            if (match := shard.find_isomorphic(graph, iso_hash)) is not None
-        ]
-        return min(matches) if matches else None
 
     # ------------------------------------------------------------------
     # Dunder protocol

@@ -44,7 +44,7 @@ from typing import Any
 import numpy as np
 
 from repro.api.backends import PRESETS, ExecutionBackend
-from repro.api.ops import applicable, apply_mutation
+from repro.api.ops import applicable, apply_mutation, relabeled_copy
 from repro.api.session import Session
 from repro.api.spec import GraphQuery
 from repro.db.cache import PairCache
@@ -522,9 +522,12 @@ class WorkloadRunner:
             self.oracle.remove(step.handle)
         else:
             assert isinstance(step, RelabelGraph)
+            relabeled = relabeled_copy(
+                self.oracle.graph(step.handle),
+                step.vertex_index, step.label, step.new_handle,
+            )
             self.oracle.remove(step.handle)
-            new_id = self._handle_to_id[step.new_handle]
-            self.oracle.add(step.new_handle, self.database.get(new_id))
+            self.oracle.add(step.new_handle, relabeled)
         report.mutations += 1
         return self._check_integrity(index, step)
 

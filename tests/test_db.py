@@ -3,11 +3,13 @@
 import gc
 import pickle
 import random
+import threading
+import time
 import tracemalloc
 
 import pytest
 
-from repro import Query, Session
+from repro import PairCache, Query, Session, connect
 from repro.api.ops import AddOp, RelabelOp, apply_mutation
 from repro.datasets.synthetic import molecule_like_graph
 from repro.db import GraphDatabase
@@ -16,12 +18,13 @@ from repro.db.database import StoredGraph
 from repro.errors import DatasetError
 from repro.engine.core import make_context
 from repro.graph import GraphFeatures, LabeledGraph, path_graph
+from repro.graph.canonical import canonical_hash
 from repro.graph.features import QueryBounds
 from repro.graph.serialization import graph_to_dict
 from repro.index import FeatureStore, IndexedSource
 from repro.measures import EditDistance, default_measures
 from repro.shard import ShardedGraphDatabase
-from tests.conftest import make_random_graph
+from tests.conftest import embeds, make_random_graph
 
 
 # ----------------------------------------------------------------------
@@ -234,6 +237,128 @@ def test_deduplicating_bulk_load():
     assert len(db) == 1
     db_all = GraphDatabase.from_graphs([g, twin], deduplicate=False)
     assert len(db_all) == 2
+
+
+# ----------------------------------------------------------------------
+# Canonical hashes are computed on first use
+# ----------------------------------------------------------------------
+def _renamed(graph: LabeledGraph, name: str) -> LabeledGraph:
+    """An isomorphic copy with fresh vertex ids, built in reverse order."""
+    return LabeledGraph.from_edges(
+        [(f"v{u}", f"v{v}", label) for u, v, label in reversed(list(graph.edges()))],
+        vertex_labels={
+            f"v{u}": graph.vertex_label(u) for u in reversed(graph.vertices())
+        },
+        name=name,
+    )
+
+
+def _isomorphic(a: LabeledGraph, b: LabeledGraph) -> bool:
+    return (a.order, a.size) == (b.order, b.size) and embeds(a, b)
+
+
+def _load(sharded: bool, graphs, deduplicate: bool = False):
+    if sharded:
+        return ShardedGraphDatabase.from_graphs(
+            graphs, deduplicate=deduplicate, shards=3
+        )
+    return GraphDatabase.from_graphs(graphs, deduplicate=deduplicate)
+
+
+def test_isomorphic_entries_share_pair_cache_entries():
+    graph = make_random_graph(3, max_vertices=5)
+    query = make_random_graph(8, max_vertices=5)
+    cache = PairCache()
+    with connect(GraphDatabase.from_graphs([graph]), cache=cache) as session:
+        cold = session.execute(Query(query).skyline())
+    twins = GraphDatabase.from_graphs([_renamed(graph, "twin"), graph])
+    with connect(twins, cache=cache) as session:
+        warm = session.execute(Query(query).skyline())
+    assert cold.stats.exact_evaluations == 1
+    assert warm.stats.exact_evaluations == 0
+    assert warm.stats.served_from_cache == 2
+    assert warm.vectors == {0: cold.vectors[0], 1: cold.vectors[0]}
+
+
+def test_concurrent_first_reads_of_one_hash_agree(monkeypatch):
+    """Threads that read a fresh entry's hash at once may each compute
+    it; every one of them reads the same value."""
+    database = GraphDatabase.from_graphs([make_random_graph(seed) for seed in range(3)])
+    entry = database.entry(1)
+    real = database_module.canonical_hash
+    calls = []
+
+    def slow(graph):
+        calls.append(graph)
+        time.sleep(0.01)  # hold every thread inside the unlocked window
+        return real(graph)
+
+    monkeypatch.setattr(database_module, "canonical_hash", slow)
+    barrier = threading.Barrier(4)
+    seen = []
+
+    def read():
+        barrier.wait()
+        seen.append(entry.iso_hash)
+
+    threads = [threading.Thread(target=read) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert seen == [real(entry.graph)] * 4
+    assert 1 <= len(calls) <= 4
+    calls.clear()
+    assert entry.iso_hash == seen[0] and not calls
+
+
+@pytest.mark.parametrize("sharded", [False, True])
+def test_a_callers_write_before_the_first_read_never_reaches_the_hash(sharded):
+    """The entry's hash is computed after the caller rewrote its graph,
+    yet it is the hash of the graph as inserted (copy-on-write)."""
+    graph = make_random_graph(5)
+    want = canonical_hash(graph)
+    database = _load(sharded, [graph])
+    _write_every_way(graph)
+    assert canonical_hash(graph) != want
+    assert database.entry(0).iso_hash == want
+
+
+@pytest.mark.parametrize("sharded", [False, True])
+def test_find_isomorphic_and_dedupe_loads_match_a_pairwise_oracle(sharded):
+    rng = random.Random(11)
+    base = [make_random_graph(seed, max_vertices=5, labels=("A", "B")) for seed in range(10)]
+    base += [
+        path_graph(["A", "B", "A"]),  # same shape as the next, not isomorphic
+        path_graph(["A", "A", "B"]),
+        path_graph([1, 2.0, True]),  # a respelling of the next
+        path_graph([True, 2, 1.0]),
+    ]
+    graphs = [
+        (_renamed(graph, f"g{i}") if rng.random() < 0.5 else graph.copy(f"g{i}"))
+        for i, graph in enumerate(rng.choice(base) for _ in range(40))
+    ]
+
+    def first_twin(graph, pool):
+        return next(
+            (key for key, other in pool if _isomorphic(other, graph)), None
+        )
+
+    kept: list[LabeledGraph] = []
+    for graph in graphs:
+        if first_twin(graph, enumerate(kept)) is None:
+            kept.append(graph)
+    deduped = _load(sharded, graphs, deduplicate=True)
+    assert [graph.name for graph in deduped.graphs()] == [g.name for g in kept]
+    assert deduped.ids() == list(range(len(kept)))
+
+    database = _load(sharded, graphs)
+    for graph_id in range(0, len(graphs), 3):
+        database.remove(graph_id)
+    probes = graphs + [make_random_graph(seed, max_vertices=5) for seed in range(50, 60)]
+    for probe in probes:
+        want = first_twin(probe, ((i, g) for i, g in database))
+        assert database.find_isomorphic(probe) == want, probe.name
 
 
 def test_repr():

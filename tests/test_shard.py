@@ -19,7 +19,7 @@ from repro.db import GraphDatabase, load_database, save_database
 from repro.db import database as database_module
 from repro.errors import DatasetError, QueryError
 from repro.graph import GraphFeatures
-from repro.shard import store as store_module
+from repro.graph import canonical as canonical_module
 from repro.shard import (
     HashPlacement,
     ShardedGraphDatabase,
@@ -155,6 +155,9 @@ def test_from_database_preserves_ids_and_metadata():
 
 @pytest.mark.parametrize("placement", ["hash", "size-balanced"])
 def test_from_database_moves_entries_without_rehashing(placement, monkeypatch):
+    """A moved entry keeps the monolith entry's features and hash memo:
+    once the monolith is fingerprinted, neither the move nor the sharded
+    fingerprint computes a graph summary."""
     monolith = GraphDatabase.from_graphs(
         make_random_graph(seed, max_vertices=5) for seed in range(30)
     )
@@ -166,21 +169,10 @@ def test_from_database_moves_entries_without_rehashing(placement, monkeypatch):
             entry.graph, entry.metadata, copy=False, graph_id=entry.graph_id
         )
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("re-partitioning recomputed a graph summary")
-
-    monkeypatch.setattr(database_module, "canonical_hash", forbidden)
-    monkeypatch.setattr(store_module, "canonical_hash", forbidden)
-    monkeypatch.setattr(GraphFeatures, "of", forbidden)
-    sharded = ShardedGraphDatabase.from_database(
-        monolith, shards=3, placement=placement
-    )
-
     def fingerprint(database):
         return [
             (
                 graph_id,
-                database.shard_of(graph_id),
                 database.entry(graph_id).iso_hash,
                 database.entry(graph_id).features,
                 database.entry(graph_id).metadata,
@@ -188,7 +180,24 @@ def test_from_database_moves_entries_without_rehashing(placement, monkeypatch):
             for graph_id in database.ids()
         ]
 
-    assert fingerprint(sharded) == fingerprint(reference)
+    def placed(database):
+        return [database.shard_of(graph_id) for graph_id in database.ids()]
+
+    want = fingerprint(monolith)
+    assert fingerprint(reference) == want
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("re-partitioning recomputed a graph summary")
+
+    monkeypatch.setattr(database_module, "canonical_hash", forbidden)
+    monkeypatch.setattr(canonical_module, "canonical_hash", forbidden)
+    monkeypatch.setattr(GraphFeatures, "of", forbidden)
+    sharded = ShardedGraphDatabase.from_database(
+        monolith, shards=3, placement=placement
+    )
+
+    assert fingerprint(sharded) == want
+    assert placed(sharded) == placed(reference)
     assert [shard.ids() for shard in sharded.shards] == [
         shard.ids() for shard in reference.shards
     ]
